@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke bench-track fidelity-track fidelity-smoke tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke bench-track fidelity-track fidelity-smoke tier1 bench xtbench clean
 
 all: tier1
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file is not gofmt-clean, naming the files.
+fmt-check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -131,8 +136,9 @@ fidelity-smoke: fidelity-track
 	$(GO) test -race -count=1 -run 'TestCPIStack|TestPCStack|TestSubClass|TestFastForward|TestPerPC|TestSweep|TestErrMetric|TestPaperTable|TestMeasurePoint|TestFidelity|TestResolveBaseline' ./internal/trace ./internal/core ./internal/bench ./internal/calib ./cmd/xtbench
 
 # tier1 is the required bar for every change: everything compiles, vet is
-# clean, the full suite passes with the race detector enabled, the
-# co-simulation smoke sweep finds no divergence, the trace subsystem's
+# clean, every file is gofmt-formatted, the full suite passes with the race
+# detector enabled, the co-simulation smoke sweep finds no divergence, the
+# trace subsystem's
 # smoke checks hold, the campaign daemon survives a kill-and-resume with a
 # byte-identical report, the distributed worker fleet survives a SIGKILLed
 # worker likewise, the host-speed tracking stream stays well-formed, and the
@@ -140,6 +146,7 @@ fidelity-smoke: fidelity-track
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmt-check
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) fuzz-paged-smoke

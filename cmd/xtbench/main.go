@@ -18,6 +18,8 @@
 //	xtbench -fidelity -quick -json > FIDELITY_x.json   # record a fidelity doc
 //	xtbench -fidelity -track # flag per-point error regressions vs the newest
 //	                         # FIDELITY_*.json (exit 1 on regression)
+//	xtbench -cpuprofile cpu.pb -only fig17   # host CPU profile of the run
+//	                         # (go tool pprof); -memprofile for allocations
 //
 // Tables go to stdout; progress and host metrics go to stderr, so stdout is
 // byte-stable across -jobs settings and safe to diff or redirect.
@@ -64,7 +66,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (rc int) {
 	fs := flag.NewFlagSet("xtbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cf cliflags.Campaign
@@ -78,6 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	baseline := fs.String("baseline", "", "baseline file for -track (default: the newest BENCH_*.json / FIDELITY_*.json in the current directory)")
 	fidelity := fs.Bool("fidelity", false, "run the calibration sweep and print the paper-vs-measured fidelity table instead of the experiments")
 	seed := fs.Int64("seed", 1, "calibration sweep seed (with -fidelity)")
+	prof := cliflags.RegisterProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -107,6 +110,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "xtbench: track baseline %s\n", trackPath)
 	}
+	stopProfile, err := cliflags.StartProfile(prof)
+	if err != nil {
+		fmt.Fprintf(stderr, "xtbench: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(stderr, "xtbench: %v\n", err)
+			rc = 1
+		}
+	}()
 
 	if *fidelity {
 		ctx := context.Background()

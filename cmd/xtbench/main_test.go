@@ -200,3 +200,22 @@ func TestFidelityTrackGate(t *testing.T) {
 		t.Fatal("dropped point: want error, got nil")
 	}
 }
+
+// TestProfileFlags checks -cpuprofile/-memprofile write non-empty profiles
+// around an experiment run, and that a bad path is a usage error.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pb"), filepath.Join(dir, "mem.pb")
+	var out, errb bytes.Buffer
+	if rc := run([]string{"-quick", "-only", "table1", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errb); rc != 0 {
+		t.Fatalf("exit = %d, want 0\nstderr: %s", rc, errb.String())
+	}
+	for _, f := range []string{cpu, mem} {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written or empty (err=%v)", f, err)
+		}
+	}
+	if rc := run([]string{"-only", "table1", "-cpuprofile", filepath.Join(dir, "missing", "cpu.pb")}, &out, &errb); rc != 2 {
+		t.Fatalf("unwritable -cpuprofile: exit = %d, want 2", rc)
+	}
+}

@@ -20,6 +20,8 @@
 //	xtfuzz -timeout 30s        # per-seed watchdog (timeout ≠ failure)
 //	xtfuzz -json               # one JSON record per seed on stdout
 //	xtfuzz -repro case.s       # re-run one (shrunk) program under the checker
+//	xtfuzz -cpuprofile cpu.pb  # host CPU profile of the run (go tool pprof);
+//	                           # -memprofile likewise for allocations
 //	xtfuzz -modes paged -repro c.s  # ...under the paged profile
 //
 // The flags -paged, -irq and -budget remain as deprecated aliases for
@@ -49,7 +51,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (rc int) {
 	fs := flag.NewFlagSet("xtfuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cf cliflags.Campaign
@@ -60,6 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cf.RegisterTimeout(fs, 0,
 		"per-seed wall-clock watchdog (0 = none; timed-out seeds retry once at 2x)", "budget")
 	ms.Register(fs, true)
+	prof := cliflags.RegisterProfile(fs)
 	segs := fs.Int("segs", 0, "segments per program (0 = default)")
 	cycles := fs.Uint64("cycles", 0, "per-program cycle budget (0 = default)")
 	harts := fs.Int("harts", 0, "hart pairs for -modes smp (0 = default 2, max 4)")
@@ -80,6 +83,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "xtfuzz: %v\n", err)
 		return 2
 	}
+	stopProfile, err := cliflags.StartProfile(prof)
+	if err != nil {
+		fmt.Fprintf(stderr, "xtfuzz: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(stderr, "xtfuzz: %v\n", err)
+			rc = 1
+		}
+	}()
 
 	if *repro != "" {
 		src, err := os.ReadFile(*repro)

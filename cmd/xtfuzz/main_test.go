@@ -51,3 +51,17 @@ func TestReproMissingFile(t *testing.T) {
 		t.Fatalf("exit = %d, want 2", rc)
 	}
 }
+
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pb"), filepath.Join(dir, "mem.pb")
+	var out, errb bytes.Buffer
+	if rc := run([]string{"-n", "3", "-jobs", "1", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errb); rc != 0 {
+		t.Fatalf("exit = %d, want 0\nstderr: %s", rc, errb.String())
+	}
+	for _, f := range []string{cpu, mem} {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written or empty (err=%v)", f, err)
+		}
+	}
+}

@@ -4,6 +4,8 @@
 // address stack, the indirect-branch predictor, and the 16-entry loop buffer.
 package branch
 
+import "slices"
+
 // Stats counts predictor events for the harness.
 type Stats struct {
 	DirLookups   uint64
@@ -210,7 +212,24 @@ func (e *BTBEntry) IsIndirect() bool { return e.isInd }
 type RAS struct {
 	stack []uint64
 	max   int
+
+	// snap is the image Snapshot last handed out; it stays current until the
+	// next Push or Pop, so the branches fetched in between share it.
+	snap    RASSnapshot
+	current bool
+
+	// images interns snapshot images by content. A loop revisits the same few
+	// call stacks, so once each is interned taking a snapshot copies nothing;
+	// a colliding image simply takes the slot over (holders keep the old one).
+	images [rasImageSlots][]uint64
 }
+
+const rasImageSlots = 256 // a power of two: the slot is the hash's top 8 bits
+
+// RASSnapshot is an immutable image of the stack, taken at fetch for every
+// branch and restored when that branch mispredicts. The zero value is the
+// empty stack.
+type RASSnapshot struct{ stack []uint64 }
 
 // NewRAS builds a stack with the given depth (XT-910 model default: 16).
 func NewRAS(depth int) *RAS { return &RAS{max: depth} }
@@ -222,6 +241,7 @@ func (r *RAS) Push(addr uint64) {
 		r.stack = r.stack[:r.max-1]
 	}
 	r.stack = append(r.stack, addr)
+	r.current = false
 }
 
 // Pop predicts a return target (0 when empty).
@@ -231,6 +251,7 @@ func (r *RAS) Pop() uint64 {
 	}
 	v := r.stack[len(r.stack)-1]
 	r.stack = r.stack[:len(r.stack)-1]
+	r.current = false
 	return v
 }
 
@@ -238,10 +259,32 @@ func (r *RAS) Pop() uint64 {
 func (r *RAS) Depth() int { return len(r.stack) }
 
 // Snapshot/Restore support checkpoint recovery after flushes.
-func (r *RAS) Snapshot() []uint64 { return append([]uint64(nil), r.stack...) }
+func (r *RAS) Snapshot() RASSnapshot {
+	if !r.current {
+		r.snap = RASSnapshot{r.image()}
+		r.current = true
+	}
+	return r.snap
+}
+
+// image returns the interned copy of the current stack contents.
+func (r *RAS) image() []uint64 {
+	h := uint64(len(r.stack))
+	for _, v := range r.stack {
+		h = (h ^ v) * 0x9E3779B97F4A7C15
+	}
+	slot := &r.images[h>>56]
+	if !slices.Equal(*slot, r.stack) {
+		*slot = slices.Clone(r.stack)
+	}
+	return *slot
+}
 
 // Restore rewinds to a snapshot.
-func (r *RAS) Restore(s []uint64) { r.stack = append(r.stack[:0], s...) }
+func (r *RAS) Restore(s RASSnapshot) {
+	r.stack = append(r.stack[:0], s.stack...)
+	r.snap, r.current = s, true
+}
 
 // IndirectPredictor predicts indirect-jump targets with a small
 // history-hashed target cache (§III-B: "the IFU also has an indirect branch

@@ -122,6 +122,71 @@ func TestRASSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRASSnapshotImmutable checks a snapshot keeps the contents it was taken
+// with through later pushes, pops, overflow shifts and restores of the stack
+// it came from — snapshots share storage, so none of those may write to it.
+func TestRASSnapshotImmutable(t *testing.T) {
+	r := NewRAS(4)
+	rng := rand.New(rand.NewSource(7))
+	type held struct {
+		snap RASSnapshot
+		want []uint64
+	}
+	var snaps []held
+	var model []uint64
+	for i := 0; i < 2000; i++ {
+		switch op := rng.Intn(4); {
+		case op == 0 && len(snaps) > 0:
+			h := snaps[rng.Intn(len(snaps))]
+			r.Restore(h.snap)
+			model = append(model[:0], h.want...)
+		case op == 1:
+			r.Pop()
+			if len(model) > 0 {
+				model = model[:len(model)-1]
+			}
+		default:
+			addr := uint64(rng.Intn(6)) // few values: contents recur and intern
+			r.Push(addr)
+			if model = append(model, addr); len(model) > 4 {
+				model = model[1:]
+			}
+		}
+		snaps = append(snaps, held{r.Snapshot(), append([]uint64(nil), model...)})
+	}
+	for i, h := range snaps {
+		r.Restore(h.snap)
+		if r.Depth() != len(h.want) {
+			t.Fatalf("snapshot %d: depth %d, want %d", i, r.Depth(), len(h.want))
+		}
+		for j := len(h.want) - 1; j >= 0; j-- {
+			if got := r.Pop(); got != h.want[j] {
+				t.Fatalf("snapshot %d: entry %d = %#x, want %#x", i, j, got, h.want[j])
+			}
+		}
+	}
+}
+
+// TestRASSnapshotSteadyStateAllocs checks that a loop revisiting the same
+// call stacks snapshots them without allocating once each has been seen.
+func TestRASSnapshotSteadyStateAllocs(t *testing.T) {
+	r := NewRAS(16)
+	var sink RASSnapshot
+	loop := func() {
+		for site := uint64(0); site < 4; site++ {
+			sink = r.Snapshot() // a branch in the caller
+			r.Push(0x1000 + site*8)
+			sink = r.Snapshot() // a branch in the callee
+			r.Pop()
+		}
+	}
+	loop()
+	if allocs := testing.AllocsPerRun(100, loop); allocs != 0 {
+		t.Errorf("%v allocations per iteration, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestIndirectPredictor(t *testing.T) {
 	p := NewIndirectPredictor(10)
 	if _, ok := p.Predict(0x1000, 0); ok {

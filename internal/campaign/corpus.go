@@ -29,9 +29,9 @@ type CorpusEntry struct {
 	Seed      int64  `json:"seed"` // first seed that exposed the class
 	Kind      string `json:"kind"`
 	Modes     string `json:"modes,omitempty"`
-	Campaign  string `json:"campaign"` // campaign that first found it
+	Campaign  string `json:"campaign"`       // campaign that first found it
 	File      string `json:"file,omitempty"` // fixture filename (repro source present)
-	Dups      int    `json:"dups"` // later repros folded into this entry
+	Dups      int    `json:"dups"`           // later repros folded into this entry
 }
 
 // OpenCorpus loads (or initializes) the corpus in dir.

@@ -309,7 +309,7 @@ func TestShardItemsPartition(t *testing.T) {
 func TestSpecValidate(t *testing.T) {
 	bad := []*Spec{
 		{Tool: "nope"},
-		{Tool: "fuzz"},                                                  // n == 0
+		{Tool: "fuzz"}, // n == 0
 		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1, Modes: "warp"}},      // bad mode
 		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1, Modes: "paged,smp"}}, // illegal combo
 		{Tool: "bench", Experiments: []string{"no-such-exp"}},

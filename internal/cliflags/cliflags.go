@@ -3,12 +3,14 @@
 // -n / -seed / -jobs / -json / -timeout plus the composable -modes spec, so
 // every tool spells them the same way and the seed-range and mode parsing
 // live in exactly one place. Defaults differ per tool; names and meanings
-// never do.
+// never do. The host-profiling flags -cpuprofile / -memprofile live here too.
 package cliflags
 
 import (
 	"flag"
+	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"xt910/internal/cosim"
@@ -131,4 +133,62 @@ func (m *ModeSpec) Modes() (cosim.Modes, error) {
 	md.Paged = md.Paged || m.paged
 	md.IRQ = md.IRQ || m.irq
 	return md, md.Validate()
+}
+
+// Profile holds the host-profiling flags -cpuprofile / -memprofile. They
+// observe the tool itself, not the simulated machine, so they are not part of
+// Knobs and never travel in a campaign Spec.
+type Profile struct {
+	CPU string
+	Mem string
+}
+
+// RegisterProfile registers -cpuprofile and -memprofile.
+func RegisterProfile(fs *flag.FlagSet) *Profile {
+	p := new(Profile)
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a host CPU profile (runtime/pprof) to `file`")
+	fs.StringVar(&p.Mem, "memprofile", "", "write a host allocation profile (runtime/pprof) to `file` at exit")
+	return p
+}
+
+// StartProfile starts the CPU profile, if one was asked for. The returned
+// stop function ends it and then writes the allocation profile; call it
+// once, when the work to be profiled is over.
+func StartProfile(p *Profile) (stop func() error, err error) {
+	var cpu *os.File
+	if p.CPU != "" {
+		if cpu, err = os.Create(p.CPU); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var first error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			first = cpu.Close()
+		}
+		if p.Mem != "" {
+			if err := writeAllocProfile(p.Mem); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}, nil
+}
+
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile is as of the last collection: make that now
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -226,5 +228,45 @@ func TestKnobsRejectIllegalModes(t *testing.T) {
 		if _, err := (Knobs{Modes: spec}).CosimModes(); err == nil {
 			t.Fatalf("modes %q: want error, got nil", spec)
 		}
+	}
+}
+
+// TestProfileFlags drives -cpuprofile/-memprofile end to end: both files must
+// exist and be non-empty after stop, unset flags must create nothing, and an
+// unwritable path is an error at start, before any work is done.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pb"), filepath.Join(dir, "mem.pb")
+	fs := newFS()
+	p := RegisterProfile(fs)
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := StartProfile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{cpu, mem} {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written or empty (err=%v)", f, err)
+		}
+	}
+
+	stop, err = StartProfile(RegisterProfile(newFS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Errorf("unset profile flags created files: %v", ents)
+	}
+
+	if _, err := StartProfile(&Profile{CPU: filepath.Join(dir, "missing", "cpu.pb")}); err == nil {
+		t.Error("unwritable -cpuprofile path: want an error")
 	}
 }

@@ -198,7 +198,7 @@ type fqEntry struct {
 	predTarget uint64
 	dirIdx     uint64
 	histBefore uint64
-	rasSnap    []uint64
+	rasSnap    branch.RASSnapshot
 	fromLoop   bool
 	excCause   int
 	excTval    uint64

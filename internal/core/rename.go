@@ -165,7 +165,6 @@ func (c *Core) tryRename(e *fqEntry) bool {
 		ck := &c.ckpts[ckptID]
 		ck.seq = u.seq
 		copy(ck.rat[:], c.rat)
-		ck.ras = c.RAS.Snapshot()
 		ck.history = c.Dir.History()
 	}
 

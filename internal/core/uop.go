@@ -1,6 +1,9 @@
 package core
 
-import "xt910/isa"
+import (
+	"xt910/internal/branch"
+	"xt910/isa"
+)
 
 // pipeID names the eight execution pipes of the EX stage (§IV: "The EX stage
 // contains 8 pipes, which can process 2 arithmetic operation instructions,
@@ -69,7 +72,7 @@ type uop struct {
 	predTarget uint64
 	dirIdx     uint64
 	histBefore uint64
-	rasSnap    []uint64
+	rasSnap    branch.RASSnapshot
 	fromLoop   bool
 	ckptID     int
 
@@ -244,6 +247,5 @@ type checkpoint struct {
 	used    bool
 	seq     uint64
 	rat     [64]int16
-	ras     []uint64
 	history uint64
 }

@@ -38,9 +38,9 @@ type Checkpoint struct {
 
 // Checkpoint captures the session's state at the current commit boundary,
 // first proving the boundary is a sound compare point: the timing core's
-// architectural state, every dirty memory line and the program output must
-// all match the golden model, exactly as the checker's halt-time drain would
-// demand. A mismatch returns an error rather than a checkpoint — either the
+// architectural state, every line either model has written and the program
+// output must all match the golden model, exactly as the checker's halt-time
+// drain would demand. A mismatch returns an error rather than a checkpoint — either the
 // models have truly diverged (the checker will report it), or an instruction
 // is architecturally in flight (a vector op executed ahead of retirement);
 // in the latter case stepping further and retrying yields a clean boundary.
@@ -58,13 +58,9 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if string(h.c.Output) != string(h.m.Output) {
 		return nil, fmt.Errorf("cosim: output differs at boundary: core=%q emu=%q", h.c.Output, h.m.Output)
 	}
-	for line := range k.dirty {
-		base := line << 6
-		for off := uint64(0); off < 64; off += 8 {
-			if cv, ev := h.c.Mem.Read(base+off, 8), h.m.Mem.Read(base+off, 8); cv != ev {
-				return nil, fmt.Errorf("cosim: memory differs at boundary: [%#x] core=%#x emu=%#x",
-					base+off, cv, ev)
-			}
+	for line := range k.written.epoch {
+		if addr, cv, ev, differs := lineDiff(h.c.Mem, h.m.Mem, line); differs {
+			return nil, fmt.Errorf("cosim: memory differs at boundary: [%#x] core=%#x emu=%#x", addr, cv, ev)
 		}
 	}
 	if diffs := k.coreState().Diff(h.m.Snapshot(compareCSRs...)); len(diffs) > 0 {

@@ -3,19 +3,25 @@
 // the golden architectural emulator (internal/emu) side by side on the same
 // program and compares architectural state at every commit — PC, integer and
 // FP register files, touched memory, the LR/SC reservation and the trap/CSR
-// state. The first divergence is reported with a windowed commit trace.
+// state. The first divergence is reported with a windowed commit trace,
+// rendered from a ring of the last Options.Window commit records only when a
+// run diverges.
 //
 // Comparison policy (see DESIGN.md "Differential co-simulation"):
 //
 //   - x/f registers, PC, instret, fcsr and the LR/SC reservation: every
 //     commit (IEEE flags are speculative in the pipeline and accrue into
 //     fcsr only at retire, which is what makes the per-commit compare sound).
-//   - touched memory (64-byte lines written by either model): at every scalar
-//     store/AMO commit and once more at halt. Vector stores write memory at
-//     execute time in the pipeline (their own ordered queue guarantees older
-//     stores have drained), so their lines are checked at the vector store's
-//     own commit when no younger vector op has executed yet, and otherwise at
-//     the next scalar memory commit or at halt.
+//   - touched memory (64-byte lines written by either model, reported through
+//     core.MemWriteHook and emu.OnStore): at every scalar store/AMO commit,
+//     the lines written since the last clean compare; at halt and before a
+//     checkpoint, every line ever written. A line that compared equal and has
+//     not been written through either hook since can differ only by
+//     corruption that bypasses the hooks, which the full sweep still catches.
+//     Vector stores write memory at execute time in the pipeline (their own
+//     ordered queue guarantees older stores have drained), so their lines are
+//     checked at the vector store's own commit when no younger vector op has
+//     executed yet, and otherwise at the next scalar memory commit or at halt.
 //   - trap CSRs (mstatus, mepc/mcause/mtval, sepc/scause/stval, mscratch,
 //     sscratch, satp, mie, medeleg, mtvec, stvec): at CSR/system commits and
 //     at halt.
@@ -373,7 +379,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = 10_000_000
 	}
-	if opts.Window == 0 {
+	if opts.Window <= 0 {
 		opts.Window = 16
 	}
 	cfg := opts.Config
@@ -405,10 +411,10 @@ func NewSession(p *asm.Program, opts Options) *Session {
 			setupPaged(c, m)
 		}
 
-		k := &checker{c: c, m: m, window: opts.Window, dirty: make(map[uint64]struct{})}
+		k := newChecker(c, m, opts.Window, newWrittenLines())
 		c.CommitHook = k.onCommit
-		c.MemWriteHook = func(pa uint64, size int, from int) { k.markDirty(pa, size) }
-		m.OnStore = func(pa uint64, size int) { k.markDirty(pa, size) }
+		c.MemWriteHook = func(pa uint64, size int, from int) { k.written.mark(pa, size) }
+		m.OnStore = func(pa uint64, size int) { k.written.mark(pa, size) }
 
 		hs := &HartSession{id: 0, c: c, m: m, k: k}
 		s.harts = []*HartSession{hs}
@@ -432,7 +438,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 	emem := mem.NewMemory()
 	p.LoadInto(cmem)
 	p.LoadInto(emem)
-	dirty := make(map[uint64]struct{})
+	written := newWrittenLines()
 	for h := 0; h < harts; h++ {
 		c := core.New(cfg, h, cmem, s.l2)
 		// Commit-time ownership re-acquire: makes the oracle's invariant —
@@ -449,7 +455,8 @@ func NewSession(p *asm.Program, opts Options) *Session {
 		m.X[isa.SP] = stackBase - uint64(h)*smpStackStride
 		m.SetCSR(isa.CSRMhartid, uint64(h))
 
-		k := &checker{c: c, m: m, window: opts.Window, dirty: dirty, hart: h, multi: true, checkIRQ: true}
+		k := newChecker(c, m, opts.Window, written)
+		k.hart, k.multi, k.checkIRQ = h, true, true
 		s.harts = append(s.harts, &HartSession{id: h, c: c, m: m, k: k})
 	}
 	for _, hs := range s.harts {
@@ -460,7 +467,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 		// remote reservations die, remote predecode over the range drops,
 		// and remote speculatively-executed overlapping loads squash.
 		c.MemWriteHook = func(pa uint64, size int, from int) {
-			k.markDirty(pa, size)
+			k.written.mark(pa, size)
 			for _, o := range s.harts {
 				if o.c != c {
 					o.c.KillReservation(pa, size)
@@ -470,7 +477,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 			}
 		}
 		m.OnStore = func(pa uint64, size int) {
-			k.markDirty(pa, size)
+			k.written.mark(pa, size)
 			for _, o := range s.harts {
 				if o.m != m {
 					o.m.KillReservation(pa, size)
@@ -743,16 +750,46 @@ func setupPaged(c *core.Core, m *emu.Machine) {
 	m.Priv = isa.PrivS
 }
 
+// writtenLines tracks the 64-byte lines either model has written through
+// core.MemWriteHook or emu.OnStore. One instance is shared by every hart of a
+// session: the memories are shared and both worlds apply stores in the same
+// global commit order, so any hart's store commit may compare any hart's lines.
+type writtenLines struct {
+	// epoch maps every line ever written to the compare epoch of its latest
+	// write; its keys are what halt and checkpoint sweep.
+	epoch map[uint64]uint64
+
+	// pending lists, once each, the lines written in the current epoch: since
+	// the last store-commit compare that found every listed line equal. A
+	// line absent from it compared equal and has not been written through
+	// either hook since, so it can differ only by corruption that bypasses
+	// the hooks — which the full sweep still catches at halt.
+	pending []uint64
+	now     uint64 // current epoch; starts at 1 so the map's zero value means "never"
+}
+
+func newWrittenLines() *writtenLines {
+	return &writtenLines{epoch: make(map[uint64]uint64), now: 1}
+}
+
+func (w *writtenLines) mark(addr uint64, size int) {
+	for line := addr >> 6; line <= (addr+uint64(size)-1)>>6; line++ {
+		if w.epoch[line] != w.now {
+			w.epoch[line] = w.now
+			w.pending = append(w.pending, line)
+		}
+	}
+}
+
 type checker struct {
-	c      *core.Core
-	m      *emu.Machine
-	window int
-	hart   int  // hart pair index (0 in single-hart sessions)
-	multi  bool // part of a multi-hart session (report labelling)
+	c     *core.Core
+	m     *emu.Machine
+	hart  int  // hart pair index (0 in single-hart sessions)
+	multi bool // part of a multi-hart session (report labelling)
 
 	commits uint64
-	dirty   map[uint64]struct{} // 64-byte lines written by either model (shared across harts)
-	trace   []string            // rolling window of committed instructions
+	written *writtenLines
+	trace   []core.Commit // ring of the last len(trace) commits; commit n sits at (n-1) % len
 
 	// Interrupt-delivery bookkeeping: each model's delivery latches its
 	// cause here; the next commit — the handler's first instruction —
@@ -801,10 +838,8 @@ func divergenceField(detail []string) string {
 	return f
 }
 
-func (k *checker) markDirty(addr uint64, size int) {
-	for line := addr >> 6; line <= (addr+uint64(size)-1)>>6; line++ {
-		k.dirty[line] = struct{}{}
-	}
+func newChecker(c *core.Core, m *emu.Machine, window int, written *writtenLines) *checker {
+	return &checker{c: c, m: m, written: written, trace: make([]core.Commit, window)}
 }
 
 func (k *checker) fail(ci core.Commit, kind string, detail ...string) {
@@ -853,7 +888,7 @@ func (k *checker) onCommit(ci core.Commit) {
 		return
 	}
 	k.commits++
-	k.pushTrace(ci)
+	k.trace[(k.commits-1)%uint64(len(k.trace))] = ci
 
 	// Interrupt-delivery check: the core's delivery latched coreIRQ and the
 	// emulator's catch-up step (which consumed the same schedule event before
@@ -937,7 +972,7 @@ func (k *checker) onCommit(ci core.Commit) {
 }
 
 // compareVector checks the full vector file, vl and vtype at a vector
-// store's commit — plus the dirty memory lines, which are safe to compare
+// store's commit — plus the pending memory lines, which are safe to compare
 // here for the same reason the file is. Vector ops execute (and mutate the
 // architectural file) ahead of retirement, so the comparison only runs when
 // the committing op is still the youngest executed vector op; otherwise a
@@ -980,21 +1015,50 @@ func isCycleCSRRead(ci core.Commit) bool {
 	return false
 }
 
-// compareMemory checks every 64-byte line either model has written. It is
-// only sound at scalar store/AMO commits and at halt (see the package
-// comment for why vector-store commits are excluded). In multi-hart sessions
-// the dirty set spans every hart — sound because the memories are shared and
-// both worlds apply stores in the same global commit order.
+// compareMemory is the store-commit memory check: every line written since
+// the last clean compare. It is only sound at scalar store/AMO commits and at
+// the vector-store commits compareVector admits (see the package comment).
 func (k *checker) compareMemory(ci core.Commit) {
-	for line := range k.dirty {
-		base := line << 6
-		for off := uint64(0); off < 64; off += 8 {
-			if cv, ev := k.c.Mem.Read(base+off, 8), k.m.Mem.Read(base+off, 8); cv != ev {
-				k.fail(ci, "mem", fmt.Sprintf("[%#x]: core=%#x emu=%#x", base+off, cv, ev))
-				return
-			}
+	w := k.written
+	for _, line := range w.pending {
+		if k.compareLine(ci, line) {
+			return
 		}
 	}
+	w.pending = w.pending[:0]
+	w.now++
+}
+
+// sweepMemory checks every line either model has ever written, which also
+// covers corruption that reached an already-compared line behind the hooks.
+func (k *checker) sweepMemory(ci core.Commit) {
+	for line := range k.written.epoch {
+		if k.compareLine(ci, line) {
+			return
+		}
+	}
+}
+
+// compareLine fails the run on the first 8-byte word of a line that differs
+// between the two memories, and reports whether it did.
+func (k *checker) compareLine(ci core.Commit, line uint64) bool {
+	addr, cv, ev, differs := lineDiff(k.c.Mem, k.m.Mem, line)
+	if differs {
+		k.fail(ci, "mem", fmt.Sprintf("[%#x]: core=%#x emu=%#x", addr, cv, ev))
+	}
+	return differs
+}
+
+// lineDiff returns the first 8-byte word of 64-byte line on which the two
+// memories differ.
+func lineDiff(cm, em *mem.Memory, line uint64) (addr, cv, ev uint64, differs bool) {
+	base := line << 6
+	for off := uint64(0); off < 64; off += 8 {
+		if cv, ev := cm.Read(base+off, 8), em.Read(base+off, 8); cv != ev {
+			return base + off, cv, ev, true
+		}
+	}
+	return 0, 0, 0, false
 }
 
 func (k *checker) compareCSRState(ci core.Commit) {
@@ -1035,7 +1099,7 @@ func (k *checker) drain() {
 		k.fail(last, "output", fmt.Sprintf("output: core=%q emu=%q", k.c.Output, k.m.Output))
 		return
 	}
-	k.compareMemory(last)
+	k.sweepMemory(last)
 	k.compareCSRState(last)
 	if k.failed {
 		return
@@ -1071,21 +1135,21 @@ func (k *checker) coreState() emu.ArchState {
 	return s
 }
 
-func (k *checker) pushTrace(ci core.Commit) {
-	line := fmt.Sprintf("#%-5d pc=%#06x  %s", k.commits, ci.PC, ci.Inst.String())
+// traceLine renders commit n as a line of the report.
+func traceLine(n uint64, ci core.Commit) string {
+	line := fmt.Sprintf("#%-5d pc=%#06x  %s", n, ci.PC, ci.Inst.String())
 	if ci.HasRd {
 		line += fmt.Sprintf("  => %s=%#x", ci.Inst.Rd, ci.RdVal)
 	}
 	if ci.HasAddr {
 		line += fmt.Sprintf("  [addr=%#x]", ci.Addr)
 	}
-	k.trace = append(k.trace, line)
-	if len(k.trace) > k.window {
-		k.trace = k.trace[1:]
-	}
+	return line
 }
 
-// report renders the first divergence with its commit-trace window.
+// report renders the first divergence with its commit-trace window, oldest
+// commit first. The lines are formatted here, from the ring, because only a
+// diverging run ever reads them.
 func (k *checker) report() string {
 	var b strings.Builder
 	if k.multi {
@@ -1099,10 +1163,15 @@ func (k *checker) report() string {
 	for _, d := range k.detail {
 		fmt.Fprintf(&b, "  %s\n", d)
 	}
-	if len(k.trace) > 0 {
-		fmt.Fprintf(&b, "  last %d commits:\n", len(k.trace))
-		for _, t := range k.trace {
-			fmt.Fprintf(&b, "    %s\n", t)
+	size := uint64(len(k.trace))
+	held := k.commits
+	if held > size {
+		held = size
+	}
+	if held > 0 {
+		fmt.Fprintf(&b, "  last %d commits:\n", held)
+		for n := k.commits - held + 1; n <= k.commits; n++ {
+			fmt.Fprintf(&b, "    %s\n", traceLine(n, k.trace[(n-1)%size]))
 		}
 	}
 	return b.String()

@@ -5,17 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"xt910/internal/asm"
 )
 
 func mustRun(t *testing.T, src string) Result {
 	t.Helper()
-	prog, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	return Run(prog, Options{})
+	return Run(mustAssemble(t, src), Options{})
 }
 
 func checkClean(t *testing.T, src string) Result {

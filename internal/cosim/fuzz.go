@@ -39,12 +39,12 @@ const (
 
 // FuzzResult is the outcome of one seeded fuzz iteration.
 type FuzzResult struct {
-	Seed     int64
-	Err      error // generation/assembly failure: a fuzzer bug, not a model bug
-	Diverged bool
-	Result   Result // run of the full generated program
-	Source   string // full generated program
-	Shrunk   string // minimized reproducer (set when Diverged)
+	Seed         int64
+	Err          error // generation/assembly failure: a fuzzer bug, not a model bug
+	Diverged     bool
+	Result       Result // run of the full generated program
+	Source       string // full generated program
+	Shrunk       string // minimized reproducer (set when Diverged)
 	ShrunkResult Result
 
 	// TimedOut marks a seed killed by the per-seed watchdog (after one retry

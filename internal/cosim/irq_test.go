@@ -27,10 +27,7 @@ func irqSession(t *testing.T, seed int64, sinks ...trace.Sink) (*Session, Result
 		tr = trace.New(trace.Config{}, sinks...)
 		s.Core().AttachTracer(tr)
 	}
-	for !s.Done() {
-		s.Step()
-	}
-	r := s.Finish()
+	r := stepToEnd(s)
 	if tr != nil {
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)

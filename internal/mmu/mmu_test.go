@@ -334,7 +334,7 @@ func TestIdentityPlusOffsetAliases(t *testing.T) {
 		t.Fatal("aliases must share a physical reservation granule")
 	}
 	// VA granules differ even though the PA granule is shared
-	if (uint64(0x5018)>>6) == (offset+0x5018)>>6 {
+	if (uint64(0x5018) >> 6) == (offset+0x5018)>>6 {
 		t.Fatal("test premise broken: VA granules should differ")
 	}
 	// the alias window must not be executable, and identity must be
