@@ -11,6 +11,7 @@
 //	xtworker -coordinator http://127.0.0.1:8910             # serve until SIGTERM
 //	xtworker -coordinator http://camp:8910 -id rack3-a -jobs 8
 //	xtworker -coordinator http://camp:8910 -shards 1        # run one shard and exit
+//	xtworker -coordinator http://camp:8910 -cpuprofile w.pb # host CPU profile, written on exit
 //
 // A worker that dies — SIGKILL included — simply stops heartbeating; the
 // coordinator expires its lease and requeues the shard. Entries the dead
@@ -31,13 +32,14 @@ import (
 	"time"
 
 	"xt910/internal/campaign"
+	"xt910/internal/cliflags"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string, stderr io.Writer) int {
+func run(args []string, stderr io.Writer) (rc int) {
 	fs := flag.NewFlagSet("xtworker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	coordinator := fs.String("coordinator", "", "coordinator base URL (required), e.g. http://127.0.0.1:8910")
@@ -46,6 +48,7 @@ func run(args []string, stderr io.Writer) int {
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle re-poll interval when the coordinator has no work")
 	seed := fs.Int64("backoff-seed", 0, "retry-jitter seed (0: derived from -id)")
 	shards := fs.Int("shards", 0, "exit after completing this many shards (0: serve until SIGTERM)")
+	prof := cliflags.RegisterProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -53,6 +56,17 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "xtworker: -coordinator is required")
 		return 2
 	}
+	stopProfile, err := cliflags.StartProfile(prof)
+	if err != nil {
+		fmt.Fprintf(stderr, "xtworker: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(stderr, "xtworker: %v\n", err)
+			rc = 1
+		}
+	}()
 
 	logger := log.New(stderr, "", log.LstdFlags)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -65,7 +79,7 @@ func run(args []string, stderr io.Writer) int {
 	}()
 
 	logger.Printf("xtworker: id=%s coordinator=%s jobs=%d", *id, *coordinator, *jobs)
-	err := campaign.RunWorker(ctx, campaign.WorkerOptions{
+	err = campaign.RunWorker(ctx, campaign.WorkerOptions{
 		Coordinator: *coordinator,
 		ID:          *id,
 		Jobs:        *jobs,

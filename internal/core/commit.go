@@ -29,11 +29,11 @@ func (c *Core) Reservation() (valid bool, addr uint64) {
 // after the retirement map update, so archRAT reads give post-commit values.
 func (c *Core) commitRecord(u *uop) Commit {
 	ci := Commit{Seq: u.seq, PC: u.pc, Inst: u.inst}
-	if u.inst.WritesReg() && !u.inst.Rd.IsV() {
+	if u.writesReg() {
 		ci.RdVal = c.pf.read(c.archRAT[int(u.inst.Rd)])
 		ci.HasRd = true
 	}
-	switch u.inst.Op.Class() {
+	switch u.class {
 	case isa.ClassLoad, isa.ClassStore, isa.ClassAMO:
 		ci.Addr = u.addr
 		ci.HasAddr = true

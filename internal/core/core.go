@@ -38,26 +38,32 @@ type Core struct {
 	predec *predecode
 
 	// sblk caches whole decoded fetch-group walks (superblock.go); nil when
-	// Cfg.PredecodeSuperblock is off.
-	sblk *superblockCache
+	// Cfg.PredecodeSuperblock is off. sbBuild is the block the current fetch
+	// group records into on a superblock miss; it lives here so a fetch
+	// resets two fields instead of zeroing a block on its stack.
+	sblk    *superblockCache
+	sbBuild sbBlock
 
 	// pipeline state
 	now      uint64
 	seq      uint64
 	pf       *physFile
-	rat      []int16 // speculative front-end map
-	archRAT  []int16 // retirement map
-	robQ     *rob
+	rat      []int16         // speculative front-end map
+	archRAT  []int16         // retirement map
+	robQ     ring[uop]       // re-order buffer: in-order retirement (§IV)
 	queues   [numPipes][]int // ROB indices per issue queue
 	pipeBusy [numPipes]uint64
 	ckpts    []checkpoint
 
-	lq []lqEntry
-	sq []sqEntry
+	lq ring[lqEntry]
+	sq ring[sqEntry]
+	// blockingMemOps counts the in-flight vector stores and atomics (µops
+	// flagged sfBlocksLoads anywhere in the ROB): while it is zero no load
+	// has to search the ROB for one (hasOlderPendingVStore).
+	blockingMemOps int
 
-	fq           []fqEntry
+	fq           ring[fqEntry] // IBUF
 	fetchPC      uint64
-	fqHead       int // first live fq entry (head-indexed pop, fetch.go)
 	fetchAllowed uint64
 	fetchWait    bool // stalled on an unpredictable jalr / post-flush hold
 
@@ -186,22 +192,23 @@ type sqEntry struct {
 	dataDone bool
 }
 
+// fqEntry is one IBUF slot: a pre-cracked instruction with its fetch-time
+// prediction. Like ROB entries, slots are filled in place (ring.tail): fetch
+// assigns every field above br for every instruction and br for control
+// instructions only.
 type fqEntry struct {
-	inst      isa.Inst
-	pc        uint64
-	readyAt   uint64
-	predTaken bool
+	sinst
+	pc      uint64
+	readyAt uint64
+	excTval uint64
 	// fetchLag is readyAt minus the cycle the fetch group was initiated
-	// (trace StageFetch). Packed into the padding after predTaken so the
-	// entry stays 120 bytes — it is copied on the rename hot path.
-	fetchLag   uint32
-	predTarget uint64
-	dirIdx     uint64
-	histBefore uint64
-	rasSnap    branch.RASSnapshot
-	fromLoop   bool
-	excCause   int
-	excTval    uint64
+	// (trace StageFetch).
+	fetchLag  uint32
+	excCause  int16 // -1: none
+	predTaken bool
+	fromLoop  bool
+
+	br brState
 }
 
 // New builds a core attached to a cluster L2.
@@ -218,7 +225,10 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 		L1BTB:  branch.NewBTB(cfg.L1BTBEntries, 4),
 		RAS:    branch.NewRAS(cfg.RASDepth),
 		Ind:    branch.NewIndirectPredictor(12),
-		robQ:   newROB(cfg.ROBSize),
+		robQ:   newRing[uop](cfg.ROBSize),
+		fq:     newRing[fqEntry](cfg.FetchQueue),
+		lq:     newRing[lqEntry](cfg.LQSize),
+		sq:     newRing[sqEntry](cfg.SQSize),
 		ckpts:  make([]checkpoint, cfg.Checkpoints),
 		memDep: make(map[uint64]bool),
 		csr:    make(map[uint16]uint64),
@@ -452,7 +462,7 @@ func (c *Core) cycleAttr(retired uint64) (trace.CycleClass, trace.SubClass, uint
 		}
 		return trace.CycleFrontend, c.frontendSub(), trace.NoPC
 	}
-	return headCycleAttr(c.robQ.headEntry())
+	return headCycleAttr(c.robQ.front())
 }
 
 // frontendSub refines an empty-ROB frontend cycle by the starvation windows
@@ -478,7 +488,7 @@ func (c *Core) frontendSub() trace.SubClass {
 // head, its memLevel and its pc are all constant across an inert window, so
 // the two paths attribute identically.
 func headCycleAttr(head *uop) (trace.CycleClass, trace.SubClass, uint64) {
-	switch head.inst.Op.Class() {
+	switch head.class {
 	case isa.ClassLoad, isa.ClassStore, isa.ClassAMO, isa.ClassVLoad, isa.ClassVStore:
 		return trace.CycleBackendMem, memSub(head.memLevel), head.pc
 	}

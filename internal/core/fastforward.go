@@ -51,7 +51,7 @@ func (c *Core) ffSkip(target uint64) bool {
 	if c.IntSource != nil || c.MMIO != nil || c.wfiWait || c.robQ.empty() {
 		return false
 	}
-	head := c.robQ.headEntry()
+	head := c.robQ.front()
 	if head.squashRetry {
 		return false
 	}
@@ -66,7 +66,7 @@ func (c *Core) ffSkip(target uint64) bool {
 	}
 
 	// fetch: inert iff stalled, throttled into the future, or queue-full
-	if !c.fetchWait && c.fqLen() < c.Cfg.FetchQueue {
+	if !c.fetchWait && c.fq.len() < c.Cfg.FetchQueue {
 		if c.fetchAllowed <= c.now {
 			return false
 		}
@@ -79,18 +79,21 @@ func (c *Core) ffSkip(target uint64) bool {
 	// ROB-full case wakes via head.readyAt; StallROB accrues below), or
 	// structurally blocked — a per-cycle stall counter accrues in that case
 	var renameStall *uint64
-	if c.fqLen() > 0 && !c.robQ.full() {
-		r := c.fqFront().readyAt
+	if c.fq.len() > 0 && !c.robQ.full() {
+		r := c.fq.front().readyAt
 		if r > c.now {
 			if r < next {
 				next = r
 			}
-		} else {
-			s, blocked := c.ffRenameStall()
-			if !blocked {
+		} else if e := c.fq.front(); c.renameCost(e) <= c.Cfg.RenameWidth {
+			// The gates read only queue lengths, checkpoint occupancy and the
+			// phys free list, none of which change across an inert window, so
+			// the gate that blocks this cycle blocks every cycle of it. (An
+			// instruction wider than the rename stage is silently stuck:
+			// blocked, no counter.)
+			if renameStall = c.renameGates(e).stall; renameStall == nil {
 				return false // rename would make progress this cycle
 			}
-			renameStall = s
 		}
 	}
 
@@ -98,8 +101,8 @@ func (c *Core) ffSkip(target uint64) bool {
 	for p := pipeID(0); p < numPipes; p++ {
 		floor := c.pipeBusy[p]
 		for _, idx := range c.queues[p] {
-			u := c.robQ.at(idx)
-			if (p == pipeFV0 || p == pipeFV1) && u.inst.Op.Class() != isa.ClassFPU {
+			u := c.robQ.slot(idx)
+			if (p == pipeFV0 || p == pipeFV1) && u.class != isa.ClassFPU {
 				return false // vector µop in flight: never skip
 			}
 			est, known := c.ffIssueEstimate(p, u, floor)
@@ -135,12 +138,12 @@ func (c *Core) ffSkip(target uint64) bool {
 	// Replicate exactly what n stepped-but-inert cycles would have recorded:
 	// retire's head-stall attribution, rename's ROB-full stall, and the CPI
 	// bucket for a backend-bound cycle with this head class.
-	c.chargeHeadStall(head, n)
+	*c.headStallCounter(head) += n
 	if renameStall != nil {
 		*renameStall += n
 	}
-	if c.robQ.full() && c.fqLen() > 0 {
-		from := c.fqFront().readyAt
+	if c.robQ.full() && c.fq.len() > 0 {
+		from := c.fq.front().readyAt
 		if from < c.now {
 			from = c.now
 		}
@@ -159,86 +162,6 @@ func (c *Core) ffSkip(target uint64) bool {
 	c.now = skipTo
 	c.Stats.Cycles = c.now
 	return true
-}
-
-// ffRenameStall mirrors tryRename's decision chain — classification plus the
-// structural gates, all side-effect-free — for the fetch-queue head, which
-// renameDispatch attempts first each cycle. blocked reports that rename
-// cannot make progress; counter, when non-nil, is the stall counter a
-// stepped cycle would charge (the gates read only queue lengths, checkpoint
-// occupancy and the phys free list, none of which change across an inert
-// window, so the same gate fires every cycle of it).
-func (c *Core) ffRenameStall() (counter *uint64, blocked bool) {
-	e := c.fqFront()
-	in := e.inst
-	cost := 1
-	if c.Cfg.SplitStores && in.Op.IsStore() {
-		cost = 2
-	}
-	if cost > c.Cfg.RenameWidth {
-		return nil, true // pathological config: silently stuck, no counter
-	}
-	exc := e.excCause
-	if !c.Cfg.EnableCustomExt && isCustomOp(in.Op) {
-		exc = isa.ExcIllegalInst
-	}
-	var pipe pipeID
-	atRetire := exc >= 0
-	isCtrl := false
-	if !atRetire {
-		switch in.Op.Class() {
-		case isa.ClassALU:
-			pipe = c.balanceALU()
-		case isa.ClassMul:
-			pipe = pipeALU0
-		case isa.ClassDiv:
-			pipe = pipeALU1
-		case isa.ClassBranch, isa.ClassJump:
-			pipe = pipeBJU
-			isCtrl = true
-		case isa.ClassLoad:
-			pipe = pipeLD
-		case isa.ClassStore:
-			pipe = pipeSTA
-		case isa.ClassFPU:
-			pipe = c.balanceFV()
-		case isa.ClassVSet, isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore:
-			if c.Vec == nil {
-				atRetire = true
-			} else {
-				pipe = pipeFV0
-			}
-		default:
-			atRetire = true
-		}
-	}
-	if exc < 0 {
-		if in.Op.IsLoad() && len(c.lq) >= c.Cfg.LQSize {
-			return &c.Stats.StallLQ, true
-		}
-		if in.Op.IsStore() && len(c.sq) >= c.Cfg.SQSize {
-			return &c.Stats.StallSQ, true
-		}
-	}
-	if isCtrl && in.Op != isa.JAL && !c.ffHasFreeCkpt() {
-		return &c.Stats.StallCkpt, true
-	}
-	if exc < 0 && !atRetire && len(c.queues[pipe]) >= c.Cfg.IssueQueue {
-		return &c.Stats.StallIQ, true
-	}
-	if in.WritesReg() && !in.Rd.IsV() && len(c.pf.free) == 0 {
-		return &c.Stats.StallPhys, true
-	}
-	return nil, false // every gate passes: rename would succeed
-}
-
-func (c *Core) ffHasFreeCkpt() bool {
-	for i := range c.ckpts {
-		if !c.ckpts[i].used {
-			return true
-		}
-	}
-	return false
 }
 
 // ffIssueEstimate lower-bounds the cycle µop u could issue on pipe p: the
@@ -284,7 +207,7 @@ func (c *Core) ffIssueEstimate(p pipeID, u *uop, floor uint64) (est uint64, know
 		}
 		return est, true
 	}
-	for i := 0; i < u.nsrc; i++ {
+	for i := 0; i < int(u.nsrc); i++ {
 		if !upd(u.srcPhys[i]) {
 			return 0, false
 		}
@@ -310,22 +233,4 @@ func (c *Core) ffStoreDataPhys(u *uop) int16 {
 		}
 	}
 	return noPhys
-}
-
-// chargeHeadStall is countHeadStall × n for a fast-forwarded window.
-func (c *Core) chargeHeadStall(u *uop, n uint64) {
-	switch u.inst.Op.Class() {
-	case isa.ClassLoad:
-		c.Stats.HeadStallLoad += n
-	case isa.ClassStore:
-		c.Stats.HeadStallStore += n
-	case isa.ClassFPU:
-		c.Stats.HeadStallFPU += n
-	case isa.ClassALU, isa.ClassMul, isa.ClassDiv:
-		c.Stats.HeadStallALU += n
-	case isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore, isa.ClassVSet:
-		c.Stats.HeadStallVec += n
-	default:
-		c.Stats.HeadStallOther += n
-	}
 }

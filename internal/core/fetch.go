@@ -5,44 +5,13 @@ import (
 	"xt910/isa"
 )
 
-// The fetch queue (IBUF) is a head-indexed slice: rename pops by advancing
-// fqHead instead of re-slicing, so the backing array never drifts forward and
-// is reused for the whole run — the hot loop allocates nothing. The array
-// compacts only when a push lands on a full backing array with dead space at
-// the front, and snaps back to the origin whenever the queue drains.
-
-func (c *Core) fqLen() int { return len(c.fq) - c.fqHead }
-
-func (c *Core) fqFront() *fqEntry { return &c.fq[c.fqHead] }
-
-func (c *Core) fqPush(e fqEntry) {
-	if c.fqHead > 0 && len(c.fq) == cap(c.fq) {
-		n := copy(c.fq, c.fq[c.fqHead:])
-		c.fq = c.fq[:n]
-		c.fqHead = 0
-	}
-	c.fq = append(c.fq, e)
-}
-
-func (c *Core) fqPop() {
-	c.fqHead++
-	if c.fqHead == len(c.fq) {
-		c.fqReset()
-	}
-}
-
-func (c *Core) fqReset() {
-	c.fq = c.fq[:0]
-	c.fqHead = 0
-}
-
 // fetch models the IF/IP/IB stages (§III): one 128-bit fetch group per cycle
 // from the L1 I-cache (or the loop buffer), multi-branch prediction within
 // the group via the two-level-buffered direction predictor, L0/L1 BTBs, RAS
 // and the indirect predictor. Predicted-taken redirects cost TakenPenalty
 // bubbles unless served by the L0 BTB (zero-bubble, §III-B) or the LBUF.
 func (c *Core) fetch() {
-	if c.fetchWait || c.now < c.fetchAllowed || c.fqLen() >= c.Cfg.FetchQueue {
+	if c.fetchWait || c.now < c.fetchAllowed || c.fq.len() >= c.Cfg.FetchQueue {
 		return
 	}
 	pc := c.fetchPC
@@ -81,47 +50,50 @@ func (c *Core) fetch() {
 	redirected := false
 
 	// Superblock replay/build (superblock.go): only while translation is off,
-	// so pa == pc for every instruction in the walk. A hit supplies decoded
+	// so pa == pc for every instruction in the walk. A hit supplies pre-cracked
 	// instructions to the walk below in place of decodeAt; everything else —
 	// prediction, redirects, queue pressure, timing — runs identically.
 	var sb *sbBlock
 	sbPos := 0
-	var build sbBlock
+	build := &c.sbBuild
+	build.tag, build.n = 0, 0
 	if c.sblk != nil && !c.MMU.Enabled() {
 		if sb = c.sblk.lookup(pc); sb == nil {
 			build.tag = pc | 1
 		}
 	}
-	for pc < groupEnd && c.fqLen() < c.Cfg.FetchQueue {
-		var in isa.Inst
+	fetchLag := uint32(groupReady - c.now)
+	for pc < groupEnd && c.fq.len() < c.Cfg.FetchQueue {
+		_, e := c.fq.tail()
 		if sb != nil && sbPos < int(sb.n) {
-			in = sb.insts[sbPos]
+			e.sinst = sb.insts[sbPos]
 			sbPos++
 			c.Stats.SuperblockHits++
 		} else {
-			var ok bool
-			in, ok = c.decodeAt(pc)
-			if !ok {
+			if !c.decodeAt(pc, &e.sinst) {
 				// crosses a page we cannot translate yet: stop the group here
 				break
 			}
 			if build.tag != 0 && build.n < sbMaxInsts {
-				build.insts[build.n] = in
+				build.insts[build.n] = e.sinst
 				build.n++
-				build.endPA = pc + uint64(in.Size)
+				build.endPA = pc + uint64(e.inst.Size)
 			}
 		}
-		e := fqEntry{inst: in, pc: pc, readyAt: groupReady, fetchLag: uint32(groupReady - c.now), excCause: -1, fromLoop: fromLoop}
+		c.fq.commit()
+		in := &e.inst
+		e.pc, e.readyAt, e.fetchLag = pc, groupReady, fetchLag
+		e.excCause, e.excTval = -1, 0
+		e.predTaken, e.fromLoop = false, fromLoop
 		nextPC := pc + uint64(in.Size)
 
 		switch {
 		case in.Op == isa.ILLEGAL:
 			e.excCause = isa.ExcIllegalInst
 			e.excTval = pc
-			c.fqPush(e)
 			c.fetchWait = true // stop fetching until the trap redirects
 			if c.sblk != nil {
-				c.sblk.insert(&build)
+				c.sblk.insert(build)
 			}
 			return
 		case in.Op == isa.JAL:
@@ -129,55 +101,47 @@ func (c *Core) fetch() {
 			if in.Rd == isa.RA {
 				c.RAS.Push(nextPC)
 			}
-			e.predTaken, e.predTarget = true, target
-			c.fqPush(e)
+			e.predTaken = true
+			e.br = brState{predTarget: target}
 			c.redirectFetch(pc, target)
 			redirected = true
 		case in.Op == isa.JALR:
 			e.predTaken = true
-			e.rasSnap = c.RAS.Snapshot()
-			e.histBefore = c.Dir.History()
+			e.br = brState{rasSnap: c.RAS.Snapshot(), histBefore: c.Dir.History()}
 			isRet := in.Rd == isa.Zero && in.Rs1 == isa.RA && in.Imm == 0
 			if isRet && c.RAS.Depth() > 0 {
-				e.predTarget = c.RAS.Pop()
+				e.br.predTarget = c.RAS.Pop()
 			} else if c.Cfg.EnableIndirect {
 				if t, ok := c.Ind.Predict(pc, c.Dir.History()); ok {
-					e.predTarget = t
+					e.br.predTarget = t
 				} else if ent, ok := c.L1BTB.Lookup(pc); ok {
-					e.predTarget = ent.Target()
+					e.br.predTarget = ent.Target()
 				}
 			} else if ent, ok := c.L1BTB.Lookup(pc); ok {
-				e.predTarget = ent.Target()
+				e.br.predTarget = ent.Target()
 			}
 			if in.Rd == isa.RA {
 				c.RAS.Push(nextPC)
 			}
-			c.fqPush(e)
-			if e.predTarget != 0 {
-				c.redirectFetch(pc, e.predTarget)
+			if e.br.predTarget != 0 {
+				c.redirectFetch(pc, e.br.predTarget)
 			} else {
 				// no target prediction: fetch stalls until the jalr resolves
 				c.fetchWait = true
 				c.Stats.FetchJalrStalls++
 			}
 			redirected = true
-		case in.Op.IsBranch():
-			e.rasSnap = c.RAS.Snapshot()
-			e.histBefore = c.Dir.History()
+		case e.class == isa.ClassBranch:
+			e.br = brState{rasSnap: c.RAS.Snapshot(), histBefore: c.Dir.History()}
 			taken, idx := c.Dir.Predict(pc)
-			e.dirIdx = idx
+			e.br.dirIdx = idx
 			c.Dir.SpeculateHistory(taken)
 			e.predTaken = taken
 			if taken {
-				e.predTarget = pc + uint64(in.Imm)
-				c.fqPush(e)
-				c.redirectFetch(pc, e.predTarget)
+				e.br.predTarget = pc + uint64(in.Imm)
+				c.redirectFetch(pc, e.br.predTarget)
 				redirected = true
-			} else {
-				c.fqPush(e)
 			}
-		default:
-			c.fqPush(e)
 		}
 		if redirected {
 			break
@@ -185,7 +149,7 @@ func (c *Core) fetch() {
 		pc = nextPC
 	}
 	if c.sblk != nil {
-		c.sblk.insert(&build)
+		c.sblk.insert(build)
 	}
 	if !redirected {
 		c.fetchPC = pc
@@ -215,34 +179,37 @@ func (c *Core) redirectFetch(branchPC, target uint64) {
 	}
 }
 
-// decodeAt decodes the instruction at pc, reading through the MMU when
-// translation is active. With the predecode cache enabled, a prior decode of
-// the same physical address is reused without touching memory or the
-// bit-level decoder; the cache is kept coherent with committed stores and
-// fence.i (see predecode.go).
-func (c *Core) decodeAt(pc uint64) (isa.Inst, bool) {
+// decodeAt decodes and cracks the instruction at pc into dst, reading
+// through the MMU when translation is active; it reports false (dst
+// unspecified) when a page the instruction touches cannot be translated.
+// With the predecode cache enabled, a prior decode of the same physical
+// address is reused without touching memory, the bit-level decoder or crack;
+// the cache is kept coherent with committed stores and fence.i (see
+// predecode.go).
+func (c *Core) decodeAt(pc uint64, dst *sinst) bool {
 	pa := pc
 	if c.MMU.Enabled() {
 		var err error
 		pa, _, err = c.MMU.Translate(pc, mmu.AccFetch, c.now)
 		if err != nil {
-			return isa.Inst{}, false
+			return false
 		}
 	}
 	if c.predec != nil {
-		if in, ok := c.predec.lookup(pa); ok {
+		if s, ok := c.predec.lookup(pa); ok {
 			c.Stats.PredecodeHits++
-			return in, true
+			*dst = s
+			return true
 		}
 		c.Stats.PredecodeMisses++
 	}
 	lo := uint16(c.Mem.Read(pa, 2))
 	if lo&3 != 3 {
-		in := isa.Decode16(lo)
+		*dst = crack(isa.Decode16(lo))
 		if c.predec != nil {
-			c.predec.insert(pa, in)
+			c.predec.insert(pa, *dst)
 		}
-		return in, true
+		return true
 	}
 	pa2 := pa + 2
 	if c.MMU.Enabled() && (pc+2)&4095 == 0 {
@@ -250,15 +217,15 @@ func (c *Core) decodeAt(pc uint64) (isa.Inst, bool) {
 		var err error
 		pa2, _, err = c.MMU.Translate(pc+2, mmu.AccFetch, c.now)
 		if err != nil {
-			return isa.Inst{}, false
+			return false
 		}
 	}
-	in := isa.Decode(uint32(lo) | uint32(uint16(c.Mem.Read(pa2, 2)))<<16)
+	*dst = crack(isa.Decode(uint32(lo) | uint32(uint16(c.Mem.Read(pa2, 2)))<<16))
 	if c.predec != nil && pa2 == pa+2 {
 		// only physically-contiguous instructions are cacheable
-		c.predec.insert(pa, in)
+		c.predec.insert(pa, *dst)
 	}
-	return in, true
+	return true
 }
 
 // injectFetchFault enqueues a faulting pseudo-instruction so the instruction
@@ -268,13 +235,11 @@ func (c *Core) injectFetchFault(pc uint64, err error) {
 	if pf, ok := err.(*mmu.PageFault); ok {
 		cause = pf.Cause()
 	}
-	c.fqPush(fqEntry{
-		inst:     isa.NewInst(isa.ILLEGAL),
-		pc:       pc,
-		readyAt:  c.now + 1,
-		fetchLag: 1,
-		excCause: cause,
-		excTval:  pc,
-	})
+	_, e := c.fq.tail()
+	c.fq.commit()
+	e.sinst = crack(isa.NewInst(isa.ILLEGAL))
+	e.pc, e.readyAt, e.fetchLag = pc, c.now+1, 1
+	e.excCause, e.excTval = int16(cause), pc
+	e.predTaken, e.fromLoop = false, false
 	c.fetchWait = true
 }

@@ -16,9 +16,9 @@ func (c *Core) recoverFromBranch(u *uop, target uint64, actTaken bool) {
 	// the RAS and global history rewind to their fetch-time snapshots (the
 	// rename-time view already contains younger wrong-path speculation),
 	// then the branch's own resolved outcome is replayed into the history.
-	c.RAS.Restore(u.rasSnap)
-	c.Dir.RestoreHistory(u.histBefore)
-	if u.inst.Op.IsBranch() {
+	c.RAS.Restore(u.br.rasSnap)
+	c.Dir.RestoreHistory(u.br.histBefore)
+	if u.class == isa.ClassBranch {
 		c.Dir.SpeculateHistory(actTaken)
 	}
 	if u.inst.Op == isa.JALR && u.inst.Rd == isa.RA {
@@ -28,7 +28,7 @@ func (c *Core) recoverFromBranch(u *uop, target uint64, actTaken bool) {
 	u.ckptID = -1
 
 	c.squashYounger(u.seq)
-	c.fqReset()
+	c.fq.reset()
 	c.fetchWait = false
 	c.fetchPC = target
 	c.fetchAllowed = c.now + uint64(c.Cfg.MispredictMin)
@@ -40,7 +40,11 @@ func (c *Core) recoverFromBranch(u *uop, target uint64, actTaken bool) {
 // issue queues, LQ and SQ, releasing their physical registers and
 // checkpoints.
 func (c *Core) squashYounger(keepSeq uint64) {
-	c.robQ.squashAfter(keepSeq, func(u *uop) {
+	for !c.robQ.empty() {
+		u := c.robQ.at(c.robQ.len() - 1)
+		if u.seq <= keepSeq {
+			break
+		}
 		if c.tr != nil {
 			// squashYounger is only reached from branch recovery
 			c.tr.Squash(u.seq, c.now, trace.SquashMispredict)
@@ -52,38 +56,27 @@ func (c *Core) squashYounger(keepSeq uint64) {
 		if u.ckptID >= 0 {
 			c.ckpts[u.ckptID].used = false
 		}
-	})
+		if u.flags&sfBlocksLoads != 0 {
+			c.blockingMemOps--
+		}
+		c.robQ.dropBack()
+	}
 	for p := range c.queues {
 		q := c.queues[p][:0]
 		for _, idx := range c.queues[p] {
-			if c.robQ.live(idx) && c.robQ.at(idx).seq <= keepSeq {
+			if c.robQ.live(idx) && c.robQ.slot(idx).seq <= keepSeq {
 				q = append(q, idx)
 			}
 		}
 		c.queues[p] = q
 	}
-	c.lq = filterLQ(c.lq, keepSeq)
-	c.sq = filterSQ(c.sq, keepSeq)
-}
-
-func filterLQ(q []lqEntry, keepSeq uint64) []lqEntry {
-	out := q[:0]
-	for _, e := range q {
-		if e.seq <= keepSeq {
-			out = append(out, e)
-		}
+	// both queues are in program order, so the entries to drop are a suffix
+	for c.lq.len() > 0 && c.lq.at(c.lq.len()-1).seq > keepSeq {
+		c.lq.dropBack()
 	}
-	return out
-}
-
-func filterSQ(q []sqEntry, keepSeq uint64) []sqEntry {
-	out := q[:0]
-	for _, e := range q {
-		if e.seq <= keepSeq {
-			out = append(out, e)
-		}
+	for c.sq.len() > 0 && c.sq.at(c.sq.len()-1).seq > keepSeq {
+		c.sq.dropBack()
 	}
-	return out
 }
 
 // flushAll empties the whole pipeline (taken at retirement for exceptions,
@@ -93,26 +86,27 @@ func filterSQ(q []sqEntry, keepSeq uint64) []sqEntry {
 // scratch.
 func (c *Core) flushAll(pc uint64, cause trace.SquashCause) {
 	// release every in-flight rename
-	c.robQ.forEach(func(_ int, u *uop) bool {
+	for i := 0; i < c.robQ.len(); i++ {
+		u := c.robQ.at(i)
 		if c.tr != nil {
 			c.tr.Squash(u.seq, c.now, cause)
 		}
 		if u.newPhys != noPhys {
 			c.pf.release(u.newPhys)
 		}
-		return true
-	})
-	c.robQ.head, c.robQ.tail, c.robQ.count = 0, 0, 0
+	}
+	c.robQ.reset()
 	for p := range c.queues {
 		c.queues[p] = c.queues[p][:0]
 	}
-	c.lq = c.lq[:0]
-	c.sq = c.sq[:0]
+	c.lq.reset()
+	c.sq.reset()
+	c.blockingMemOps = 0
 	for i := range c.ckpts {
 		c.ckpts[i].used = false
 	}
 	copy(c.rat, c.archRAT)
-	c.fqReset()
+	c.fq.reset()
 	c.fetchWait = false
 	c.fetchPC = pc
 	c.fetchAllowed = c.now + uint64(c.Cfg.MispredictMin)

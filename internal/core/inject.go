@@ -41,16 +41,10 @@ func (c *Core) InjectROBAgeBit(n int, bit uint) bool {
 	if c.robQ.empty() {
 		return false
 	}
-	n %= c.robQ.len()
-	i := 0
-	c.robQ.forEach(func(_ int, u *uop) bool {
-		if i == n {
-			u.seq ^= 1 << (bit % 8)
-			return false
-		}
-		i++
-		return true
-	})
+	if n %= c.robQ.len(); n < 0 {
+		n += c.robQ.len()
+	}
+	c.robQ.at(n).seq ^= 1 << (bit % 8)
 	return true
 }
 

@@ -21,7 +21,7 @@ func (c *Core) issueAndExecute() {
 		q := c.queues[p]
 		for qi := 0; qi < len(q); qi++ {
 			idx := q[qi]
-			u := c.robQ.at(idx)
+			u := c.robQ.slot(idx)
 			if u.minIssue > c.now {
 				// queues are age-ordered; younger entries cannot be ready
 				// earlier in the in-order machine, but in the OoO machine a
@@ -38,16 +38,7 @@ func (c *Core) issueAndExecute() {
 				if c.tr != nil {
 					c.traceIssue(p, u.seq)
 				}
-				// tryExecute may itself rewrite the queues (branch recovery
-				// squashes younger entries), so remove the issued entry from
-				// the queue's current contents rather than the stale slice.
-				cur := c.queues[p]
-				for j, v := range cur {
-					if v == idx {
-						c.queues[p] = append(cur[:j], cur[j+1:]...)
-						break
-					}
-				}
+				c.dequeue(p, qi, idx)
 				slots--
 				c.Stats.Issued++
 				break // one issue per pipe per cycle
@@ -55,13 +46,39 @@ func (c *Core) issueAndExecute() {
 			if !c.Cfg.OutOfOrder {
 				break // in-order: blocked head blocks the pipe
 			}
-			if p == pipeFV0 && c.robQ.at(idx).inst.Op.Class() != isa.ClassFPU {
+			if p == pipeFV0 && u.class != isa.ClassFPU {
 				// the vector queue is strictly ordered (§VII: vector ops
 				// mutate architectural vector state at execute)
 				break
 			}
 		}
 	}
+}
+
+// dequeue removes the just-issued ROB index idx from pipe p's queue. It sat
+// at position qi when the scan picked it; tryExecute may since have rewritten
+// the queue (branch recovery squashes younger entries, which all sit behind
+// it), so the position is checked against the queue's current contents and a
+// search covers the case where it moved.
+func (c *Core) dequeue(p pipeID, qi, idx int) {
+	cur := c.queues[p]
+	if qi >= len(cur) || cur[qi] != idx {
+		qi = -1
+		for j, v := range cur {
+			if v == idx {
+				qi = j
+				break
+			}
+		}
+		if qi < 0 {
+			return
+		}
+	}
+	// a handful of ints: a loop beats the call into memmove
+	for j := qi + 1; j < len(cur); j++ {
+		cur[j-1] = cur[j]
+	}
+	c.queues[p] = cur[:len(cur)-1]
 }
 
 // traceIssue stamps the issue-side lifecycle events for a µop that just left
@@ -88,23 +105,21 @@ func (c *Core) traceIssue(p pipeID, seq uint64) {
 // allOlderIssued enforces in-order issue for the U74-class configuration:
 // a micro-op may issue only when every older one has issued.
 func (c *Core) allOlderIssued(seq uint64) bool {
-	ok := true
-	c.robQ.forEach(func(_ int, u *uop) bool {
+	for i := 0; i < c.robQ.len(); i++ {
+		u := c.robQ.at(i)
 		if u.seq >= seq {
-			return false
+			break
 		}
 		// the store-data leg and atRetire ops do not gate in-order issue
 		if !u.issued && !u.atRetire && u.excCause < 0 {
-			ok = false
 			return false
 		}
-		return true
-	})
-	return ok
+	}
+	return true
 }
 
 func (c *Core) srcsReady(u *uop) bool {
-	for i := 0; i < u.nsrc; i++ {
+	for i := 0; i < int(u.nsrc); i++ {
 		if !c.pf.ready(u.srcPhys[i], c.now) {
 			return false
 		}
@@ -117,7 +132,7 @@ func (c *Core) srcVal(u *uop, i int) uint64 { return c.pf.read(u.srcPhys[i]) }
 // opndABC resolves up to three scalar operand values in Sources() order.
 func (c *Core) opndABC(u *uop) (a, b, cc uint64) {
 	vals := [3]uint64{}
-	for i := 0; i < u.nsrc; i++ {
+	for i := 0; i < int(u.nsrc); i++ {
 		vals[i] = c.srcVal(u, i)
 	}
 	return vals[0], vals[1], vals[2]
@@ -134,7 +149,7 @@ func (c *Core) tryExecute(p pipeID, idx int, u *uop) bool {
 	case p == pipeLD:
 		return c.execLoad(idx, u)
 	case p == pipeFV0 || p == pipeFV1:
-		if u.inst.Op.Class() == isa.ClassFPU {
+		if u.class == isa.ClassFPU {
 			return c.execFPU(p, u)
 		}
 		return c.execVector(p, idx, u)
@@ -165,8 +180,8 @@ func (c *Core) execALU(p pipeID, u *uop) bool {
 			return true
 		}
 	}
-	lat := uint64(op.Latency())
-	if op.Class() == isa.ClassDiv {
+	lat := uint64(u.latency)
+	if u.class == isa.ClassDiv {
 		lat = uint64(isa.DivLatency(op, a))
 		c.pipeBusy[p] = c.now + lat // the divider is not pipelined
 	}
@@ -187,7 +202,7 @@ func (c *Core) execFPU(p pipeID, u *uop) bool {
 		u.excTval = u.pc
 	}
 	u.fpFlags = flags
-	lat := uint64(u.inst.Op.Latency())
+	lat := uint64(u.latency)
 	if lat > 8 {
 		c.pipeBusy[p] = c.now + lat/2 // long-latency FP ops partially block
 	}
@@ -231,8 +246,8 @@ func (c *Core) execBranch(u *uop) bool {
 
 	// train the predictors (§III)
 	c.Stats.Branches++
-	if op.IsBranch() {
-		c.Dir.Update(u.dirIdx, actTaken, u.predTaken)
+	if u.class == isa.ClassBranch {
+		c.Dir.Update(u.br.dirIdx, actTaken, u.predTaken)
 		if actTaken {
 			c.L1BTB.Insert(u.pc, actTarget, false, false, false)
 			if c.Cfg.EnableL0BTB {
@@ -249,11 +264,11 @@ func (c *Core) execBranch(u *uop) bool {
 	if op == isa.JALR {
 		c.L1BTB.Insert(u.pc, actTarget, u.inst.Rd == isa.RA, u.inst.Rs1 == isa.RA, true)
 		if c.Cfg.EnableIndirect {
-			c.Ind.Update(u.pc, u.histBefore, actTarget)
+			c.Ind.Update(u.pc, u.br.histBefore, actTarget)
 		}
 	}
 
-	mispredict := actTaken != u.predTaken || (actTaken && actTarget != u.predTarget)
+	mispredict := actTaken != u.predTaken || (actTaken && actTarget != u.br.predTarget)
 	if mispredict {
 		c.Stats.BrMispredicts++
 		c.recoverFromBranch(u, actTarget, actTaken)
@@ -277,11 +292,11 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 		return false
 	}
 	op := u.inst.Op
-	cls := op.Class()
+	cls := u.class
 	if cls == isa.ClassVLoad || cls == isa.ClassVStore {
 		// memory-ordered: all older scalar stores must have drained
-		for i := range c.sq {
-			if c.sq[i].seq < u.seq {
+		for i := 0; i < c.sq.len(); i++ {
+			if c.sq.at(i).seq < u.seq {
 				return false
 			}
 		}
@@ -387,7 +402,7 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 		// illegal instruction; otherwise the first element fault reports its
 		// real page-fault cause with the faulting element's virtual address
 		if pf, ok := memErr.(*mmu.PageFault); err == nil && ok {
-			u.excCause = pf.Cause()
+			u.excCause = int16(pf.Cause())
 			u.excTval = memErrVA
 		} else {
 			u.excCause = isa.ExcIllegalInst
@@ -398,7 +413,7 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 		return true
 	}
 
-	lat := uint64(op.Latency())
+	lat := uint64(u.latency)
 	occ := uint64((vector.OccupancyCycles(vt) + 1) / 2) // two slices
 	if occ < 1 {
 		occ = 1
@@ -467,30 +482,22 @@ func (c *Core) LastVectorSeq() uint64 { return c.lastVecSeq }
 // past: no unresolved control flow, no unexecuted memory op, no pending
 // retire-executed instruction, no pending squash/exception.
 func (c *Core) olderQuiesced(seq uint64) bool {
-	ok := true
-	c.robQ.forEach(func(_ int, u *uop) bool {
+	for i := 0; i < c.robQ.len(); i++ {
+		u := c.robQ.at(i)
 		if u.seq >= seq {
-			return false
+			break
 		}
 		if u.excCause >= 0 || u.squashRetry || u.atRetire {
-			ok = false
 			return false
 		}
-		if u.isCtrl && !u.done {
-			ok = false
-			return false
-		}
-		if u.isLoad() && !u.done {
-			ok = false
+		if (u.isCtrl() || u.isLoad()) && !u.done {
 			return false
 		}
 		if u.isStore() && !(u.addrDone && u.dataDone) {
-			ok = false
 			return false
 		}
-		return true
-	})
-	return ok
+	}
+	return true
 }
 
 // translateData resolves a data virtual address through the MMU.

@@ -14,20 +14,31 @@ func (c *Core) mmuTranslate(va uint64, acc mmu.Access) (uint64, uint64, error) {
 	return c.MMU.Translate(va, acc, c.now)
 }
 
-// findSQ locates a store-queue entry by sequence number.
-func (c *Core) findSQ(seq uint64) *sqEntry {
-	for i := range c.sq {
-		if c.sq[i].seq == seq {
-			return &c.sq[i]
+// findSQ locates u's store-queue entry. The entry is identified by sequence
+// number, as it always was: the slot is only where to look first. When the
+// µop's seq no longer matches the entry in its slot — InjectROBAgeBit flipped
+// a bit of it, or the entry is gone — the answer is whatever live entry
+// carries that seq, or none, exactly what an age-tag search returns.
+func (c *Core) findSQ(u *uop) *sqEntry {
+	if s := int(u.qslot); c.sq.live(s) && c.sq.slot(s).seq == u.seq {
+		return c.sq.slot(s)
+	}
+	for i := 0; i < c.sq.len(); i++ {
+		if e := c.sq.at(i); e.seq == u.seq {
+			return e
 		}
 	}
 	return nil
 }
 
-func (c *Core) findLQ(seq uint64) *lqEntry {
-	for i := range c.lq {
-		if c.lq[i].seq == seq {
-			return &c.lq[i]
+// findLQ is findSQ for the load queue.
+func (c *Core) findLQ(u *uop) *lqEntry {
+	if s := int(u.qslot); c.lq.live(s) && c.lq.slot(s).seq == u.seq {
+		return c.lq.slot(s)
+	}
+	for i := 0; i < c.lq.len(); i++ {
+		if e := c.lq.at(i); e.seq == u.seq {
+			return e
 		}
 	}
 	return nil
@@ -94,6 +105,7 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 	if !c.addrSrcsReady(u) {
 		return false
 	}
+	e := c.findSQ(u)
 	if !c.Cfg.SplitStores {
 		// unified store µOp: both operands must be ready before it issues,
 		// and the data is captured here (no separate st.data pipe)
@@ -102,7 +114,7 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 			return false
 		}
 		u.dataDone = true
-		if e := c.findSQ(u.seq); e != nil {
+		if e != nil {
 			e.val = val
 			e.dataDone = true
 		}
@@ -110,23 +122,23 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 	va := c.memAddr(u)
 	pa, doneT, err := c.mmuTranslate(va, mmuAccStore)
 	if err != nil {
-		u.excCause = err.(*mmu.PageFault).Cause()
+		u.excCause = int16(err.(*mmu.PageFault).Cause())
 		u.excTval = va
 		u.addrDone, u.dataDone = true, true
 		u.done, u.issued = true, true
 		u.readyAt = c.now + 1
-		if e := c.findSQ(u.seq); e != nil {
+		if e != nil {
 			e.addrDone, e.dataDone = true, true
 		}
 		return true
 	}
+	size := u.memSize()
 	u.addr = pa
 	u.addrDone = true
 	u.issued = true
-	e := c.findSQ(u.seq)
 	if e != nil {
 		e.addr = pa
-		e.size = u.memSize
+		e.size = size
 		e.addrDone = true
 	}
 	// charge the store-pipe cache query (write permission fetch happens here);
@@ -139,10 +151,10 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 	// §V-A: a younger load that already executed with an overlapping address
 	// violated the memory order — tag it to squash at retirement and train
 	// the dependence predictor so the pair blocks next time.
-	for i := range c.lq {
-		le := &c.lq[i]
-		if le.seq > u.seq && le.executed && overlap(pa, u.memSize, le.addr, le.size) {
-			lu := c.robQ.at(le.robIdx)
+	for i := 0; i < c.lq.len(); i++ {
+		le := c.lq.at(i)
+		if le.seq > u.seq && le.executed && overlap(pa, size, le.addr, le.size) {
+			lu := c.robQ.slot(le.robIdx)
 			if lu.seq == le.seq && !lu.squashRetry {
 				lu.squashRetry = true
 				c.Stats.MemOrderViolations++
@@ -164,12 +176,12 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 // write broadcast; the existing §V-A retire-time squash machinery re-fetches
 // the load and it re-reads coherent memory.
 func (c *Core) SquashCoherentLoads(pa uint64, size int) {
-	for i := range c.lq {
-		le := &c.lq[i]
+	for i := 0; i < c.lq.len(); i++ {
+		le := c.lq.at(i)
 		if !le.executed || !overlap(pa, size, le.addr, le.size) {
 			continue
 		}
-		lu := c.robQ.at(le.robIdx)
+		lu := c.robQ.slot(le.robIdx)
 		if lu.seq == le.seq && !lu.squashRetry {
 			lu.squashRetry = true
 			c.Stats.CrossHartSquashes++
@@ -188,7 +200,7 @@ func (c *Core) execStoreData(u *uop) bool {
 		return false
 	}
 	u.dataDone = true
-	if e := c.findSQ(u.seq); e != nil {
+	if e := c.findSQ(u); e != nil {
 		e.val = val
 		e.dataDone = true
 	}
@@ -218,10 +230,11 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 	if c.hasOlderPendingVStore(u.seq) {
 		return false
 	}
+	size := u.memSize()
 	va := c.memAddr(u)
 	pa, doneT, err := c.mmuTranslate(va, mmuAccLoad)
 	if err != nil {
-		u.excCause = err.(*mmu.PageFault).Cause()
+		u.excCause = int16(err.(*mmu.PageFault).Cause())
 		u.excTval = va
 		u.done, u.issued = true, true
 		u.readyAt = c.now + 1
@@ -231,15 +244,15 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 	// device loads have side effects (PLIC claim): execute them only at the
 	// ROB head, bypassing the cache hierarchy
 	if c.MMIO != nil && c.MMIO.Covers(pa) {
-		if c.robQ.headEntry().seq != u.seq {
+		if c.robQ.front().seq != u.seq {
 			return false
 		}
-		v := extendLoad(u.inst.Op, c.MMIO.Read(pa, u.memSize), u.memSize)
+		v := extendLoad(u.inst.Op, c.MMIO.Read(pa, size), size)
 		done := doneT + 20 // uncached device access
 		c.pf.write(u.newPhys, v, done)
-		if le := c.findLQ(u.seq); le != nil {
+		if le := c.findLQ(u); le != nil {
 			le.addr = pa
-			le.size = u.memSize
+			le.size = size
 			le.executed = true
 		}
 		u.addr = pa
@@ -250,11 +263,11 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 	}
 
 	// dependence-predicted loads wait until all older store addresses are known
-	blocked := c.Cfg.MemDepPredict && c.memDep[u.pc]
+	blocked := c.Cfg.MemDepPredict && len(c.memDep) > 0 && c.memDep[u.pc]
 	var fwdVal uint64
 	fwd := false
-	for i := range c.sq {
-		e := &c.sq[i]
+	for i := 0; i < c.sq.len(); i++ {
+		e := c.sq.at(i)
 		if e.seq >= u.seq {
 			continue
 		}
@@ -264,11 +277,11 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 			}
 			continue // speculate past the unknown-address store
 		}
-		if !overlap(pa, u.memSize, e.addr, e.size) {
+		if !overlap(pa, size, e.addr, e.size) {
 			continue
 		}
 		// overlapping older store: forward when it fully covers the load
-		if e.dataDone && covers(e.addr, e.size, pa, u.memSize) {
+		if e.dataDone && covers(e.addr, e.size, pa, size) {
 			sh := (pa - e.addr) * 8
 			fwdVal = e.val >> sh
 			fwd = true
@@ -285,12 +298,12 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 		u.fwd = true
 		c.Stats.StoreForwards++
 	} else {
-		value = c.Mem.Read(pa, u.memSize)
+		value = c.Mem.Read(pa, size)
 		var hit bool
 		done, hit = c.L1D.Access(pa, false, doneT)
 		u.memLevel = c.L1D.LastLevel
-		if crossesLine(pa, u.memSize, c.Cfg.L1D.LineBytes) {
-			d2, _ := c.L1D.Access(pa+uint64(u.memSize)-1, false, doneT)
+		if crossesLine(pa, size, c.Cfg.L1D.LineBytes) {
+			d2, _ := c.L1D.Access(pa+uint64(size)-1, false, doneT)
 			if d2 > done {
 				done = d2
 			}
@@ -306,11 +319,11 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 	}
 	c.PF.Train(va, c.now)
 
-	value = extendLoad(u.inst.Op, value, u.memSize)
+	value = extendLoad(u.inst.Op, value, size)
 	c.pf.write(u.newPhys, value, done+1) // WB stage
-	if le := c.findLQ(u.seq); le != nil {
+	if le := c.findLQ(u); le != nil {
 		le.addr = pa
-		le.size = u.memSize
+		le.size = size
 		le.executed = true
 	}
 	u.addr = pa
@@ -321,20 +334,21 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 }
 
 func (c *Core) hasOlderPendingVStore(seq uint64) bool {
-	found := false
-	c.robQ.forEach(func(_ int, u *uop) bool {
+	if c.blockingMemOps == 0 {
+		return false
+	}
+	for i := 0; i < c.robQ.len(); i++ {
+		u := c.robQ.at(i)
 		if u.seq >= seq {
 			return false
 		}
 		// an amoPending atomic is done for retirement purposes but its memory
 		// effect has not landed yet — younger loads must keep waiting
-		if (!u.done || u.amoPending) && (u.inst.Op.Class() == isa.ClassVStore || u.inst.Op.Class() == isa.ClassAMO) {
-			found = true
-			return false
+		if (!u.done || u.amoPending) && u.flags&sfBlocksLoads != 0 {
+			return true
 		}
-		return true
-	})
-	return found
+	}
+	return false
 }
 
 func extendLoad(op isa.Op, v uint64, size int) uint64 {

@@ -1,10 +1,9 @@
 package core
 
-import "xt910/isa"
-
-// predecode is a direct-mapped cache of decoded instructions keyed by
-// physical address: raw fetch bytes → isa.Inst, so steady-state fetch skips
-// the bit-level decoder (and the second halfword read of 4-byte encodings)
+// predecode is a direct-mapped cache of decoded, pre-cracked instructions
+// keyed by physical address: raw fetch bytes → sinst (static.go), so
+// steady-state fetch skips the bit-level decoder (and the second halfword
+// read of 4-byte encodings) and the derivation of the per-opcode static facts
 // on every cycle. It is a host-simulation optimization with no architectural
 // or timing meaning of its own — the real XT-910 has no such structure — so
 // correctness demands it never serve stale bytes: entries covering a
@@ -25,22 +24,22 @@ type predecode struct {
 	// first halfword lives at pa; 0 is free (pa is always 2-byte aligned,
 	// so bit 0 doubles as the valid bit).
 	tag  [predecodeEntries]uint64
-	inst [predecodeEntries]isa.Inst
+	inst [predecodeEntries]sinst
 }
 
 func newPredecode() *predecode { return &predecode{} }
 
 func predecodeIdx(pa uint64) uint64 { return (pa >> 1) & predecodeMask }
 
-func (p *predecode) lookup(pa uint64) (isa.Inst, bool) {
+func (p *predecode) lookup(pa uint64) (sinst, bool) {
 	i := predecodeIdx(pa)
 	if p.tag[i] == pa|1 {
 		return p.inst[i], true
 	}
-	return isa.Inst{}, false
+	return sinst{}, false
 }
 
-func (p *predecode) insert(pa uint64, in isa.Inst) {
+func (p *predecode) insert(pa uint64, in sinst) {
 	if pa&1 != 0 {
 		return // misaligned fetch: not cacheable
 	}

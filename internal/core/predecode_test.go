@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xt910/internal/asm"
-	"xt910/isa"
 )
 
 func TestPredecodeUnit(t *testing.T) {
@@ -77,8 +76,9 @@ func TestPredecodeInvalidateWrapBoundary(t *testing.T) {
 	}
 }
 
-// asmInstForTest assembles a single instruction and decodes it back.
-func asmInstForTest(t *testing.T, src string) isa.Inst {
+// asmInstForTest assembles a single instruction and decodes it back into its
+// pre-cracked record.
+func asmInstForTest(t *testing.T, src string) sinst {
 	t.Helper()
 	prog, err := asm.Assemble("_start:\n    "+src+"\n", asm.Options{Base: 0x1000})
 	if err != nil {
@@ -86,8 +86,8 @@ func asmInstForTest(t *testing.T, src string) isa.Inst {
 	}
 	c, memory := buildCore(XT910Config())
 	prog.LoadInto(memory)
-	got, ok := c.decodeAt(0x1000)
-	if !ok {
+	var got sinst
+	if !c.decodeAt(0x1000, &got) {
 		t.Fatal("decodeAt failed")
 	}
 	return got

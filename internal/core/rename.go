@@ -12,15 +12,12 @@ import (
 // dispatched into the per-pipe issue queues with dynamic load balancing.
 func (c *Core) renameDispatch() {
 	renameSlots := c.Cfg.RenameWidth
-	for n := 0; n < c.Cfg.DecodeWidth && c.fqLen() > 0; n++ {
-		e := *c.fqFront()
+	for n := 0; n < c.Cfg.DecodeWidth && c.fq.len() > 0; n++ {
+		e := c.fq.front()
 		if e.readyAt > c.now {
 			return
 		}
-		cost := 1
-		if c.Cfg.SplitStores && e.inst.Op.IsStore() {
-			cost = 2 // pseudo-double store consumes two rename slots
-		}
+		cost := c.renameCost(e)
 		if cost > renameSlots {
 			return
 		}
@@ -28,169 +25,168 @@ func (c *Core) renameDispatch() {
 			c.Stats.StallROB++
 			return
 		}
-		if !c.tryRename(&e) {
+		if !c.tryRename(e) {
 			return // structural stall (phys regs, LQ/SQ, queue, checkpoint)
 		}
 		renameSlots -= cost
-		c.fqPop()
+		c.fq.popFront()
 	}
 }
 
-// tryRename renames and dispatches one instruction; returns false on a
-// structural hazard (leaving the instruction in the IBUF).
-func (c *Core) tryRename(e *fqEntry) bool {
-	in := e.inst
-	u := uop{
-		seq:        c.seq + 1,
-		pc:         e.pc,
-		inst:       in,
-		newPhys:    noPhys,
-		oldPhys:    noPhys,
-		lqIdx:      -1,
-		sqIdx:      -1,
-		ckptID:     -1,
-		minIssue:   c.now + uint64(c.Cfg.RenameDelay),
-		predTaken:  e.predTaken,
-		predTarget: e.predTarget,
-		dirIdx:     e.dirIdx,
-		histBefore: e.histBefore,
-		rasSnap:    e.rasSnap,
-		fromLoop:   e.fromLoop,
-		excCause:   e.excCause,
-		excTval:    e.excTval,
-		memSize:    in.Op.MemBytes(),
+// renameCost is the number of rename slots e consumes.
+func (c *Core) renameCost(e *fqEntry) int {
+	if c.Cfg.SplitStores && e.isStore() {
+		return 2 // pseudo-double store
 	}
+	return 1
+}
 
-	if !c.Cfg.EnableCustomExt && isCustomOp(in.Op) {
+// route decides where an instruction with no pending exception executes: on
+// an issue pipe, or (atRetire) at the ROB head. ALU and FPU work is balanced
+// over its two pipes by queue length (§IV dynamic load balancing).
+func (c *Core) route(s *sinst) (pipe pipeID, atRetire bool) {
+	switch s.class {
+	case isa.ClassALU:
+		return c.balanceALU(), false
+	case isa.ClassMul:
+		return pipeALU0, false
+	case isa.ClassDiv:
+		return pipeALU1, false // multi-cycle ALU/divider pipe (§II)
+	case isa.ClassBranch, isa.ClassJump:
+		return pipeBJU, false
+	case isa.ClassLoad:
+		return pipeLD, false
+	case isa.ClassStore:
+		return pipeSTA, false // plus an st.data leg
+	case isa.ClassFPU:
+		return c.balanceFV(), false
+	case isa.ClassVSet, isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore:
+		if c.Vec != nil {
+			return pipeFV0, false // ordered vector queue
+		}
+	}
+	// CSR, system, atomic and cache-maintenance instructions, and anything
+	// that will trap (an illegal encoding, a vector op with no vector unit)
+	return 0, true
+}
+
+// renameGate is the outcome of rename's structural checks for the IBUF head.
+type renameGate struct {
+	stall    *uint64 // the counter a blocked cycle charges; nil when rename proceeds
+	pipe     pipeID
+	atRetire bool
+	exc      int16 // fetch-time exception, or illegal-instruction found here
+	ckptID   int   // free checkpoint for a branch or jalr; -1: none needed
+}
+
+// renameGates runs the classification and every structural gate for e, in
+// the order the stall counters are charged, without touching any state — so
+// fast-forward (ffSkip) asks it the same question rename does.
+func (c *Core) renameGates(e *fqEntry) (g renameGate) {
+	g.exc, g.ckptID = e.excCause, -1
+	if e.flags&sfCustom != 0 && !c.Cfg.EnableCustomExt {
 		// §II: with the non-standard extensions disabled the core operates
 		// fully standard-compatible — custom encodings trap as illegal.
-		u.excCause = isa.ExcIllegalInst
-		u.excTval = e.pc
+		g.exc = isa.ExcIllegalInst
 	}
+	g.atRetire = true
+	if g.exc < 0 {
+		g.pipe, g.atRetire = c.route(&e.sinst)
+		if g.atRetire && e.flags&sfVector != 0 {
+			g.exc = isa.ExcIllegalInst // no vector unit
+		} else if e.isLoad() && c.lq.len() >= c.Cfg.LQSize {
+			g.stall = &c.Stats.StallLQ
+			return g
+		} else if e.isStore() && c.sq.len() >= c.Cfg.SQSize {
+			g.stall = &c.Stats.StallSQ
+			return g
+		}
+	}
+	if g.exc < 0 && e.isCtrl() && e.inst.Op != isa.JAL {
+		if g.ckptID = c.freeCkpt(); g.ckptID < 0 {
+			g.stall = &c.Stats.StallCkpt
+			return g
+		}
+	}
+	if !g.atRetire && len(c.queues[g.pipe]) >= c.Cfg.IssueQueue {
+		g.stall = &c.Stats.StallIQ
+		return g
+	}
+	if e.writesReg() && len(c.pf.free) == 0 {
+		g.stall = &c.Stats.StallPhys
+	}
+	return g
+}
 
-	class := in.Op.Class()
-	if u.excCause < 0 {
-		switch class {
-		case isa.ClassALU:
-			u.pipe = c.balanceALU()
-		case isa.ClassMul:
-			u.pipe = pipeALU0
-		case isa.ClassDiv:
-			u.pipe = pipeALU1 // multi-cycle ALU/divider pipe (§II)
-		case isa.ClassBranch, isa.ClassJump:
-			u.pipe = pipeBJU
-			u.isCtrl = true
-		case isa.ClassLoad:
-			u.pipe = pipeLD
-		case isa.ClassStore:
-			u.pipe = pipeSTA // plus an st.data leg below
-		case isa.ClassFPU:
-			u.pipe = c.balanceFV()
-		case isa.ClassVSet, isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore:
-			if c.Vec == nil {
-				u.excCause = isa.ExcIllegalInst
-				u.excTval = e.pc
-				u.atRetire = true
-			} else {
-				u.pipe = pipeFV0 // ordered vector queue
-			}
-		case isa.ClassCSR, isa.ClassSys, isa.ClassAMO, isa.ClassCacheOp:
-			u.atRetire = true
-		default:
-			u.atRetire = true
-		}
-	} else {
-		u.atRetire = true
-	}
-
-	// structural resources
-	if u.isLoad() && u.excCause < 0 {
-		if len(c.lq) >= c.Cfg.LQSize {
-			c.Stats.StallLQ++
-			return false
-		}
-	}
-	if u.isStore() && u.excCause < 0 {
-		if len(c.sq) >= c.Cfg.SQSize {
-			c.Stats.StallSQ++
-			return false
-		}
-	}
-	needCkpt := u.isCtrl && in.Op != isa.JAL
-	ckptID := -1
-	if needCkpt {
-		ckptID = c.allocCkpt()
-		if ckptID < 0 {
-			c.Stats.StallCkpt++
-			return false
-		}
-	}
-	if u.excCause < 0 && !u.atRetire && len(c.queues[u.pipe]) >= c.Cfg.IssueQueue {
-		c.Stats.StallIQ++
-		if ckptID >= 0 {
-			c.ckpts[ckptID].used = false
-		}
+// tryRename renames and dispatches the instruction at the IBUF head, building
+// its µop in place in the ROB's tail slot; returns false on a structural
+// hazard (leaving the instruction in the IBUF and the slot unclaimed).
+func (c *Core) tryRename(e *fqEntry) bool {
+	g := c.renameGates(e)
+	if g.stall != nil {
+		*g.stall++
 		return false
 	}
-
-	// rename sources through the speculative RAT
-	regs, nsrc := in.Sources()
-	for i := 0; i < nsrc; i++ {
-		r := regs[i]
-		if r.IsV() {
-			continue // vector operands tracked by the vector scoreboard
-		}
-		u.srcPhys[u.nsrc] = c.rat[int(r)]
-		u.nsrc++
-	}
-	// allocate destination
-	if in.WritesReg() && !in.Rd.IsV() {
-		p, ok := c.pf.alloc()
-		if !ok {
-			c.Stats.StallPhys++
-			if ckptID >= 0 {
-				c.ckpts[ckptID].used = false
-			}
-			return false
-		}
-		u.newPhys = p
-		u.oldPhys = c.rat[int(in.Rd)]
-		c.rat[int(in.Rd)] = p
-	}
-
+	idx, u := c.robQ.tail()
 	c.seq++
 	u.seq = c.seq
-	if ckptID >= 0 {
-		u.ckptID = ckptID
-		ck := &c.ckpts[ckptID]
-		ck.seq = u.seq
-		copy(ck.rat[:], c.rat)
-		ck.history = c.Dir.History()
+	u.pc = e.pc
+	u.sinst = e.sinst
+	u.minIssue = c.now + uint64(c.Cfg.RenameDelay)
+	u.excCause, u.excTval = g.exc, e.excTval
+	if g.exc != e.excCause {
+		u.excTval = e.pc // illegal instruction found at rename
+	}
+	u.pipe, u.atRetire = g.pipe, g.atRetire
+	u.predTaken, u.fromLoop = e.predTaken, e.fromLoop
+	u.uopExec = uopExec{}
+
+	// rename sources through the speculative RAT, then the destination
+	u.srcPhys = [3]int16{}
+	for i := 0; i < int(u.nsrc); i++ {
+		u.srcPhys[i] = c.rat[u.src[i]]
+	}
+	u.newPhys, u.oldPhys = noPhys, noPhys
+	if u.writesReg() {
+		rd := u.inst.Rd
+		u.newPhys, _ = c.pf.alloc()
+		u.oldPhys = c.rat[rd]
+		c.rat[rd] = u.newPhys
+	}
+	u.ckptID = int16(g.ckptID)
+	if u.isCtrl() {
+		u.br = e.br
+		if g.ckptID >= 0 {
+			ck := &c.ckpts[g.ckptID]
+			ck.used = true
+			copy(ck.rat[:], c.rat)
+		}
 	}
 
-	idx := c.robQ.push(u)
-	pu := c.robQ.at(idx)
+	u.qslot = -1
+	if g.exc < 0 {
+		if u.isLoad() {
+			u.qslot = int16(c.lq.push(lqEntry{seq: u.seq, robIdx: idx}))
+		} else if u.isStore() {
+			u.qslot = int16(c.sq.push(sqEntry{seq: u.seq, robIdx: idx}))
+		}
+		if !u.atRetire {
+			c.queues[u.pipe] = append(c.queues[u.pipe], idx)
+			if u.isStore() && c.Cfg.SplitStores {
+				// st.data leg issues independently from its own queue (§V-B);
+				// without the split, the store is a single µOp on the store pipe
+				// that waits for both its address and data operands
+				c.queues[pipeSTD] = append(c.queues[pipeSTD], idx)
+			}
+		}
+	}
+	if u.flags&sfBlocksLoads != 0 {
+		c.blockingMemOps++
+	}
+	c.robQ.commit()
 
 	if c.tr != nil {
-		c.traceRename(pu, e)
-	}
-
-	if pu.isLoad() && pu.excCause < 0 {
-		pu.lqIdx = len(c.lq)
-		c.lq = append(c.lq, lqEntry{seq: pu.seq, robIdx: idx})
-	}
-	if pu.isStore() && pu.excCause < 0 {
-		pu.sqIdx = len(c.sq)
-		c.sq = append(c.sq, sqEntry{seq: pu.seq, robIdx: idx})
-	}
-	if !pu.atRetire && pu.excCause < 0 {
-		c.queues[pu.pipe] = append(c.queues[pu.pipe], idx)
-		if pu.isStore() && c.Cfg.SplitStores {
-			// st.data leg issues independently from its own queue (§V-B);
-			// without the split, the store is a single µOp on the store pipe
-			// that waits for both its address and data operands
-			c.queues[pipeSTD] = append(c.queues[pipeSTD], idx)
-		}
+		c.traceRename(u, e)
 	}
 	c.Stats.Renamed++
 	return true
@@ -205,10 +201,6 @@ func (c *Core) traceRename(pu *uop, e *fqEntry) {
 	c.tr.StageAt(pu.seq, trace.StagePredecode, e.readyAt)
 	c.tr.StageAt(pu.seq, trace.StageRename, c.now)
 	c.tr.StageAt(pu.seq, trace.StageDispatch, c.now)
-}
-
-func isCustomOp(op isa.Op) bool {
-	return op >= isa.XLRB && op <= isa.XTLBIVA
 }
 
 // balanceALU implements the §IV dynamic load balancing: ALU work goes to the
@@ -227,10 +219,10 @@ func (c *Core) balanceFV() pipeID {
 	return pipeFV0
 }
 
-func (c *Core) allocCkpt() int {
+// freeCkpt returns the index of an unused rename checkpoint, or -1.
+func (c *Core) freeCkpt() int {
 	for i := range c.ckpts {
 		if !c.ckpts[i].used {
-			c.ckpts[i].used = true
 			return i
 		}
 	}

@@ -24,7 +24,7 @@ func (c *Core) retire() {
 		if n > 0 && c.sampleInterrupts() {
 			return
 		}
-		u := c.robQ.headEntry()
+		u := c.robQ.front()
 
 		// squash-at-commit for §V-A ordering violations: re-execute the load
 		if u.squashRetry {
@@ -46,14 +46,14 @@ func (c *Core) retire() {
 				}
 			} else {
 				if n == 0 {
-					c.countHeadStall(u)
+					*c.headStallCounter(u)++
 				}
 				return // oldest instruction still executing
 			}
 		}
 		if u.readyAt > c.now {
 			if n == 0 {
-				c.countHeadStall(u)
+				*c.headStallCounter(u)++
 			}
 			return
 		}
@@ -74,13 +74,8 @@ func (c *Core) retire() {
 		if u.isStore() {
 			c.commitStore(u)
 		}
-		if u.isLoad() {
-			if len(c.lq) > 0 && c.lq[0].seq == u.seq {
-				// copy-down pop keeps the backing array anchored (no
-				// re-slice drift, no reallocation in the hot loop)
-				copy(c.lq, c.lq[1:])
-				c.lq = c.lq[:len(c.lq)-1]
-			}
+		if u.isLoad() && c.lq.len() > 0 && c.lq.at(0).seq == u.seq {
+			c.lq.popFront()
 		}
 
 		// release rename resources
@@ -97,7 +92,7 @@ func (c *Core) retire() {
 		// FP execution or f-register load leaves mstatus.FS dirty. The same
 		// rule runs in the golden model's exec, keeping fcsr and mstatus
 		// comparable per commit.
-		switch u.inst.Op.Class() {
+		switch u.class {
 		case isa.ClassFPU:
 			c.csr[isa.CSRFcsr] |= uint64(u.fpFlags)
 			c.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
@@ -123,7 +118,10 @@ func (c *Core) retire() {
 
 		flushAfter := u.flushAfter
 		redirect := u.redirectTo
-		c.robQ.pop()
+		if u.flags&sfBlocksLoads != 0 {
+			c.blockingMemOps--
+		}
+		c.robQ.popFront()
 		if c.Halted {
 			return
 		}
@@ -149,33 +147,31 @@ func (c *Core) traceRetire(seq, readyAt uint64) {
 	c.tr.Retire(seq, c.now)
 }
 
-// countHeadStall attributes a blocked-retirement cycle to the head's class.
-func (c *Core) countHeadStall(u *uop) {
-
-	switch u.inst.Op.Class() {
+// headStallCounter returns the Stats counter a blocked-retirement cycle is
+// attributed to: the head's class.
+func (c *Core) headStallCounter(u *uop) *uint64 {
+	switch u.class {
 	case isa.ClassLoad:
-		c.Stats.HeadStallLoad++
+		return &c.Stats.HeadStallLoad
 	case isa.ClassStore:
-		c.Stats.HeadStallStore++
+		return &c.Stats.HeadStallStore
 	case isa.ClassFPU:
-		c.Stats.HeadStallFPU++
+		return &c.Stats.HeadStallFPU
 	case isa.ClassALU, isa.ClassMul, isa.ClassDiv:
-		c.Stats.HeadStallALU++
+		return &c.Stats.HeadStallALU
 	case isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore, isa.ClassVSet:
-		c.Stats.HeadStallVec++
-	default:
-		c.Stats.HeadStallOther++
+		return &c.Stats.HeadStallVec
 	}
+	return &c.Stats.HeadStallOther
 }
 
 // commitStore writes the SQ head to memory and the data cache.
 func (c *Core) commitStore(u *uop) {
-	if len(c.sq) == 0 || c.sq[0].seq != u.seq {
+	if c.sq.len() == 0 || c.sq.at(0).seq != u.seq {
 		return
 	}
-	e := c.sq[0]
-	copy(c.sq, c.sq[1:])
-	c.sq = c.sq[:len(c.sq)-1]
+	e := *c.sq.at(0)
+	c.sq.popFront()
 	if c.MMIO != nil && c.MMIO.Covers(e.addr) {
 		c.MMIO.Write(e.addr, e.size, e.val)
 		c.Stats.Stores++
@@ -210,7 +206,7 @@ func (c *Core) ensureOwned(addr uint64) {
 func (c *Core) executeAtRetire(u *uop) bool {
 	op := u.inst.Op
 	nextPC := u.pc + uint64(u.inst.Size)
-	switch op.Class() {
+	switch u.class {
 	case isa.ClassCSR:
 		c.execCSRAtRetire(u)
 	case isa.ClassAMO:
@@ -229,7 +225,7 @@ func (c *Core) executeAtRetire(u *uop) bool {
 			if c.priv == isa.PrivM {
 				cause = isa.ExcEcallM
 			}
-			u.excCause = cause
+			u.excCause = int16(cause)
 			u.done = true
 			u.readyAt = c.now
 			return true
@@ -391,7 +387,7 @@ func (c *Core) commitAMO(u *uop) {
 // cycle the register result becomes readable.
 func (c *Core) applyAMO(u *uop, ready uint64) {
 	op := u.inst.Op
-	size := op.MemBytes()
+	size := u.memSize()
 	pa := u.addr
 	switch op {
 	case isa.LRW, isa.LRD:
@@ -561,9 +557,9 @@ func (c *Core) sampleInterrupts() bool {
 func (c *Core) takeInterrupt(cause uint64) bool {
 	resume := c.fetchPC
 	if !c.robQ.empty() {
-		resume = c.robQ.headEntry().pc
-	} else if c.fqLen() > 0 {
-		resume = c.fqFront().pc
+		resume = c.robQ.front().pc
+	} else if c.fq.len() > 0 {
+		resume = c.fq.front().pc
 	}
 	target := c.csr[isa.CSRMtvec] &^ 3
 	if target == 0 {
@@ -593,7 +589,7 @@ func (c *Core) takeInterrupt(cause uint64) bool {
 // takeTrap implements precise exception entry with medeleg delegation,
 // flushing the pipeline and redirecting to the handler.
 func (c *Core) takeTrap(u *uop) {
-	cause := u.excCause
+	cause := int(u.excCause)
 	deleg := c.csr[isa.CSRMedeleg]
 	toS := c.priv != isa.PrivM && deleg>>uint(cause)&1 == 1
 	st := c.csr[isa.CSRMstatus]

@@ -119,15 +119,25 @@ func (c *Core) CheckInvariants() string {
 		}
 	}
 	// LQ/SQ entries must be ordered by sequence number
-	for i := 1; i < len(c.lq); i++ {
-		if c.lq[i-1].seq >= c.lq[i].seq {
+	for i := 1; i < c.lq.len(); i++ {
+		if c.lq.at(i-1).seq >= c.lq.at(i).seq {
 			return "load queue out of order"
 		}
 	}
-	for i := 1; i < len(c.sq); i++ {
-		if c.sq[i-1].seq >= c.sq[i].seq {
+	for i := 1; i < c.sq.len(); i++ {
+		if c.sq.at(i-1).seq >= c.sq.at(i).seq {
 			return "store queue out of order"
 		}
+	}
+	// the vector-store/atomic counter must match what is in the ROB
+	blocking := 0
+	for i := 0; i < c.robQ.len(); i++ {
+		if c.robQ.at(i).flags&sfBlocksLoads != 0 {
+			blocking++
+		}
+	}
+	if blocking != c.blockingMemOps {
+		return "in-flight vector-store/atomic count out of step with the ROB"
 	}
 	return ""
 }

@@ -1,7 +1,5 @@
 package core
 
-import "xt910/isa"
-
 // superblock extends the per-instruction predecode cache to straight-line
 // decoded runs, the way DBT emulators fuse basic blocks: one fetch-group walk
 // in flat (untranslated) mode records the instructions it decoded, keyed by
@@ -35,7 +33,7 @@ type sbBlock struct {
 	tag   uint64 // entry pa|1; 0 = free (entry PAs are 2-byte aligned)
 	endPA uint64 // one past the last byte of the last cached instruction
 	n     uint8
-	insts [sbMaxInsts]isa.Inst
+	insts [sbMaxInsts]sinst
 }
 
 type superblockCache struct {
@@ -63,7 +61,9 @@ func (s *superblockCache) insert(b *sbBlock) {
 	if b.n == 0 || b.tag&1 == 0 {
 		return
 	}
-	s.blk[sbIdx(b.tag&^1)] = *b
+	d := &s.blk[sbIdx(b.tag&^1)]
+	d.tag, d.endPA, d.n = b.tag, b.endPA, b.n
+	copy(d.insts[:b.n], b.insts[:b.n]) // replay never reads past n
 }
 
 // invalidate drops every block whose instruction bytes overlap [pa, pa+size).

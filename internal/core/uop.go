@@ -1,16 +1,13 @@
 package core
 
-import (
-	"xt910/internal/branch"
-	"xt910/isa"
-)
+import "xt910/internal/branch"
 
 // pipeID names the eight execution pipes of the EX stage (§IV: "The EX stage
 // contains 8 pipes, which can process 2 arithmetic operation instructions,
 // 1 branch instruction, 1 load instruction, 2 store instructions (i.e., the
 // pseudo double store instructions), 2 scalar floating point and vector
 // instructions in parallel").
-type pipeID int
+type pipeID uint8
 
 // The eight pipes. ALU0 shares with the integer multiplier; ALU1 is the
 // multi-cycle ALU pipe shared with the iterative divider.
@@ -32,58 +29,68 @@ func (p pipeID) String() string { return pipeNames[p] }
 
 const noPhys = int16(-1)
 
-// uop is one ROB entry: a decoded instruction with its rename bindings and
+// uop is one ROB entry: a pre-cracked instruction with its rename bindings and
 // execution state. Stores carry their pseudo-double µOps (st.addr/st.data) as
 // two scheduling legs of the same entry.
+//
+// Entries are built in place in the ROB's tail slot (ring.tail/commit), so
+// a slot still holds its previous occupant's bytes when rename starts on it:
+// tryRename assigns every field above br, and br only for control µops —
+// nothing reads br unless isCtrl() holds. Everything above br is the hot part
+// that rename, issue, the LSU and retire touch for every µop; a size guard in
+// the tests keeps it within two cache lines.
 type uop struct {
-	seq  uint64
-	pc   uint64
-	inst isa.Inst
+	seq uint64
+	pc  uint64
+	sinst
+
+	minIssue uint64
+	excTval  uint64
 
 	// rename bindings
 	srcPhys [3]int16
-	nsrc    int
 	newPhys int16
 	oldPhys int16
 
+	// qslot is the µop's slot in the load or store queue ring (a µop is never
+	// both); meaningful only for loads and stores renamed without a pending
+	// exception.
+	qslot    int16
+	excCause int16 // -1: none
+	ckptID   int16 // rename checkpoint held by an unresolved branch; -1: none
 	pipe     pipeID
-	minIssue uint64
+
+	predTaken bool
+	fromLoop  bool
+	atRetire  bool // executes when it reaches the ROB head (CSR/sys/AMO)
+
+	uopExec
+
+	br brState
+}
+
+// uopExec is the part of a µop that starts out zero at rename and is filled
+// in as the µop executes and retires.
+type uopExec struct {
+	readyAt    uint64
+	addr       uint64
+	redirectTo uint64
+
 	issued   bool
 	done     bool
-	readyAt  uint64
-
-	// memory state
-	lqIdx    int
-	sqIdx    int
-	addr     uint64
-	memSize  int
 	addrDone bool
 	dataDone bool
 	fwd      bool
+
+	amoPending  bool // atomic finished its cache access; arch effects at pop
+	flushAfter  bool // serializing: flush the pipeline after retirement
+	squashRetry bool // §V-A ordering violation: squash at retire, refetch
+
 	// memLevel is the coherence.Level* the op's cache access was served from,
 	// recorded at execute time (LevelL1 until then). The CPI stack's mem
 	// sub-bucket attribution reads it at commit-stall time; recording at
 	// execute keeps it constant over fast-forward windows (see DESIGN.md).
 	memLevel uint8
-
-	// control-flow state
-	isCtrl     bool
-	predTaken  bool
-	predTarget uint64
-	dirIdx     uint64
-	histBefore uint64
-	rasSnap    branch.RASSnapshot
-	fromLoop   bool
-	ckptID     int
-
-	// retire behaviour
-	atRetire    bool // executes when it reaches the ROB head (CSR/sys/AMO)
-	amoPending  bool // atomic finished its cache access; arch effects at pop
-	flushAfter  bool // serializing: flush the pipeline after retirement
-	redirectTo  uint64
-	squashRetry bool // §V-A ordering violation: squash at retire, refetch
-	excCause    int  // -1: none
-	excTval     uint64
 
 	// fpFlags holds the IEEE exception flags an FPU op raised at execute.
 	// They are speculative until retirement, where they accrue into fcsr —
@@ -91,81 +98,14 @@ type uop struct {
 	fpFlags uint8
 }
 
-func (u *uop) isLoad() bool {
-	return u.inst.Op.IsLoad()
-}
-
-func (u *uop) isStore() bool {
-	return u.inst.Op.IsStore()
-}
-
-// rob is the re-order buffer: a ring of uops retired strictly in order
-// ("to ensure the correctness of program execution, the instructions are
-// retired in order in spite of the out-of-order execution", §IV).
-type rob struct {
-	entries []uop
-	head    int
-	tail    int
-	count   int
-}
-
-func newROB(size int) *rob { return &rob{entries: make([]uop, size)} }
-
-func (r *rob) full() bool  { return r.count == len(r.entries) }
-func (r *rob) empty() bool { return r.count == 0 }
-func (r *rob) len() int    { return r.count }
-
-// push appends a uop and returns its slot index.
-func (r *rob) push(u uop) int {
-	idx := r.tail
-	r.entries[idx] = u
-	r.tail = (r.tail + 1) % len(r.entries)
-	r.count++
-	return idx
-}
-
-func (r *rob) at(idx int) *uop { return &r.entries[idx] }
-
-func (r *rob) headEntry() *uop { return &r.entries[r.head] }
-
-// pop retires the head entry.
-func (r *rob) pop() {
-	r.head = (r.head + 1) % len(r.entries)
-	r.count--
-}
-
-// live reports whether slot idx currently holds an allocated entry.
-func (r *rob) live(idx int) bool {
-	if r.count == 0 {
-		return false
-	}
-	pos := (idx - r.head + len(r.entries)) % len(r.entries)
-	return pos < r.count
-}
-
-// forEach visits entries oldest-first.
-func (r *rob) forEach(fn func(idx int, u *uop) bool) {
-	for i, idx := 0, r.head; i < r.count; i, idx = i+1, (idx+1)%len(r.entries) {
-		if !fn(idx, &r.entries[idx]) {
-			return
-		}
-	}
-}
-
-// squashAfter removes every entry with seq > keepSeq (walking from the tail),
-// invoking fn for each removed entry (newest first) so the core can release
-// resources.
-func (r *rob) squashAfter(keepSeq uint64, fn func(u *uop)) {
-	for r.count > 0 {
-		lastIdx := (r.tail - 1 + len(r.entries)) % len(r.entries)
-		u := &r.entries[lastIdx]
-		if u.seq <= keepSeq {
-			return
-		}
-		fn(u)
-		r.tail = lastIdx
-		r.count--
-	}
+// brState is what fetch predicted for a control instruction and what branch
+// recovery rewinds to. Fetch fills it for branches and jumps only, and rename
+// copies it into the ROB for those only.
+type brState struct {
+	predTarget uint64
+	dirIdx     uint64
+	histBefore uint64
+	rasSnap    branch.RASSnapshot
 }
 
 // physFile is a unified scalar physical register file covering the integer
@@ -244,8 +184,6 @@ func (pf *physFile) read(p int16) uint64 {
 // checkpoint captures the front-end speculative state at a branch for
 // single-cycle recovery (§IV speculative allocation of physical registers).
 type checkpoint struct {
-	used    bool
-	seq     uint64
-	rat     [64]int16
-	history uint64
+	used bool
+	rat  [64]int16
 }

@@ -16,6 +16,13 @@ const pageSize = 1 << pageBits
 // deterministic lock-step loop, so no locking is needed.
 type Memory struct {
 	pages map[uint64]*[pageSize]byte
+
+	// last is the most recently resolved allocated page and lastPN its page
+	// number: consecutive accesses mostly stay on one page, and this skips
+	// the map for them. nil means no memo (and is what RestoreSnapshot leaves,
+	// since it replaces every page).
+	last   *[pageSize]byte
+	lastPN uint64
 }
 
 // NewMemory returns an empty physical memory.
@@ -25,11 +32,18 @@ func NewMemory() *Memory {
 
 func (m *Memory) page(addr uint64, alloc bool) *[pageSize]byte {
 	pn := addr >> pageBits
+	if m.last != nil && pn == m.lastPN {
+		return m.last
+	}
 	p := m.pages[pn]
-	if p == nil && alloc {
+	if p == nil {
+		if !alloc {
+			return nil // an untouched page: not allocated, not remembered
+		}
 		p = new([pageSize]byte)
 		m.pages[pn] = p
 	}
+	m.last, m.lastPN = p, pn
 	return p
 }
 
@@ -132,6 +146,7 @@ func (m *Memory) Snapshot() map[uint64][]byte {
 // again); short page images are zero-padded.
 func (m *Memory) RestoreSnapshot(pages map[uint64][]byte) {
 	m.pages = make(map[uint64]*[pageSize]byte, len(pages))
+	m.last = nil
 	for pn, data := range pages {
 		p := new([pageSize]byte)
 		copy(p[:], data)

@@ -45,6 +45,42 @@ func TestUntouchedReadsZero(t *testing.T) {
 	}
 }
 
+// TestPageMemo covers the one-entry last-page memo behind every access: a
+// snapshot restore must not leave it pointing at a page that was replaced,
+// and reading an untouched page must neither allocate nor be remembered.
+func TestPageMemo(t *testing.T) {
+	m := NewMemory()
+	m.Write(0x3008, 8, 0x1111)
+	snap := m.Snapshot()
+	m.Write(0x3008, 8, 0x2222) // memo hit on page 3
+	if got := m.Read(0x3008, 8); got != 0x2222 {
+		t.Fatalf("read through the memo = %#x", got)
+	}
+	m.RestoreSnapshot(snap)
+	if got := m.Read(0x3008, 8); got != 0x1111 {
+		t.Fatalf("after restore read %#x, want the snapshot's 0x1111 (stale memo?)", got)
+	}
+	m.Write(0x3010, 8, 0x3333)
+	if got := m.Snapshot()[3][0x10]; got != 0x33 {
+		t.Fatalf("write after restore landed outside the restored page: %#x", got)
+	}
+
+	before := m.FootprintBytes()
+	if m.Read(0x9000, 8) != 0 || m.LoadByte(0x9004) != 0 {
+		t.Fatal("untouched page must read zero")
+	}
+	if m.FootprintBytes() != before {
+		t.Fatal("reading an untouched page allocated it")
+	}
+	if got := m.Read(0x3008, 8); got != 0x1111 {
+		t.Fatalf("read after an untouched-page miss = %#x: memo poisoned", got)
+	}
+	m.Write(0x9000, 1, 0x7)
+	if got := m.Read(0x9000, 1); got != 0x7 {
+		t.Fatalf("page allocated after a read miss reads %#x", got)
+	}
+}
+
 func TestBytesHelpers(t *testing.T) {
 	m := NewMemory()
 	src := []byte("the quick brown fox")

@@ -31,9 +31,9 @@ const bigPrec = 4500
 // Fidelity notes: rounding is always round-to-nearest-even regardless of frm
 // (Go arithmetic semantics — frm is writable but non-functional), and NaN
 // payloads follow Go, as EvalFPU already does. Flags are computed against
-// the exact real result via math/big, so NX/OF/UF are exact-rounding flags
-// even where the underlying value computation double-rounds (single-
-// precision sqrt/FMA go through float64).
+// the exact real result, so NX/OF/UF are exact-rounding flags even where the
+// underlying value computation double-rounds (single-precision sqrt/FMA go
+// through float64).
 func EvalFPUFlags(op Op, a, b, c uint64) (res uint64, flags uint8, ok bool) {
 	res, ok = EvalFPU(op, a, b, c)
 	if !ok {
@@ -43,8 +43,19 @@ func EvalFPUFlags(op Op, a, b, c uint64) (res uint64, flags uint8, ok bool) {
 }
 
 // fpuFlags computes the fflags bits raised by one scalar FP operation on raw
-// register operands.
+// register operands: by error-free transformation where fpuFlagsFast can
+// prove the answer exact (fpflags_fast.go), through math/big otherwise.
 func fpuFlags(op Op, a, b, c uint64) uint8 {
+	if fl, ok := fpuFlagsFast(op, a, b, c); ok {
+		return fl
+	}
+	return fpuFlagsBig(op, a, b, c)
+}
+
+// fpuFlagsBig is the reference: every operand range of every op, against the
+// exact real result held in a math/big float. It allocates, and an add or
+// multiply costs microseconds.
+func fpuFlagsBig(op Op, a, b, c uint64) uint8 {
 	sa, sb, sc := UnboxF32(a), UnboxF32(b), UnboxF32(c)
 	da, db := math.Float64frombits(a), math.Float64frombits(b)
 	dc := math.Float64frombits(c)

@@ -39,15 +39,7 @@ func (i *Inst) Sources() (regs [3]Reg, n int) {
 	// x0 to the permanently-zero physical register, so including it costs
 	// nothing. Dropping it shifted later sources down a slot and made e.g.
 	// `sra rd, x0, rs2` read the shift amount as the value being shifted.
-	add := func(r Reg) {
-		if r != RegNone {
-			regs[n] = r
-			n++
-		}
-	}
-	add(i.Rs1)
-	add(i.Rs2)
-	add(i.Rs3)
+	cand := [4]Reg{i.Rs1, i.Rs2, i.Rs3, RegNone}
 	// Stores carry their data in Rs2 (standard) or Rd (custom indexed form);
 	// MACs and conditional moves read their destination.
 	switch i.Op {
@@ -55,7 +47,13 @@ func (i *Inst) Sources() (regs [3]Reg, n int) {
 		XMULA, XMULS, XMULAH, XMULSH, XMULAW, XMULSW,
 		XMVEQZ, XMVNEZ,
 		VMACCVV, VWMACCVV, VFMACCVV:
-		add(i.Rd)
+		cand[3] = i.Rd
+	}
+	for _, r := range cand {
+		if r != RegNone {
+			regs[n] = r
+			n++
+		}
 	}
 	return regs, n
 }
