@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke bench-track fidelity-track fidelity-smoke tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke fuzz-asm-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke bench-track fidelity-track fidelity-smoke tier1 bench xtbench clean
 
 all: tier1
 
@@ -62,6 +62,17 @@ fuzz-smp-smoke:
 	cmp $(SMP_SMOKE_DIR)/a.jsonl $(SMP_SMOKE_DIR)/b.jsonl
 	@rm -rf $(SMP_SMOKE_DIR)
 	$(GO) test -race -count=1 -run 'TestSMP|TestModesParsing' ./internal/cosim
+
+# fuzz-asm-smoke gives the assembler's native fuzz target a few seconds of
+# mutation on top of its seed corpus (a generated program per cosim mode, two
+# kernels, the malformed lines that used to panic): any source text must come
+# back as an error or a Program, never a panic, and assemble to the same bytes
+# twice. A crasher is written under internal/asm/testdata/fuzz/ — check it in
+# with the fix. Minimization is off: shrinking each coverage-expanding 10 KB
+# program would eat the whole pass (it ran ten inputs in ten seconds with it,
+# two hundred thousand without).
+fuzz-asm-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/asm
 
 # inject-smoke runs the transient-fault campaign on a fixed seed set: control
 # runs must be divergence-free (no false positives), no architectural-state
@@ -138,7 +149,7 @@ fidelity-smoke: fidelity-track
 # tier1 is the required bar for every change: everything compiles, vet is
 # clean, every file is gofmt-formatted, the full suite passes with the race
 # detector enabled, the co-simulation smoke sweep finds no divergence, the
-# trace subsystem's
+# assembler survives a short native fuzz pass, the trace subsystem's
 # smoke checks hold, the campaign daemon survives a kill-and-resume with a
 # byte-identical report, the distributed worker fleet survives a SIGKILLed
 # worker likewise, the host-speed tracking stream stays well-formed, and the
@@ -152,6 +163,7 @@ tier1:
 	$(MAKE) fuzz-paged-smoke
 	$(MAKE) fuzz-irq-smoke
 	$(MAKE) fuzz-smp-smoke
+	$(MAKE) fuzz-asm-smoke
 	$(MAKE) inject-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) campaign-smoke

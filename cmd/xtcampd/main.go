@@ -13,6 +13,7 @@
 //	xtcampd -lease-ttl 10s           # shard lease TTL (missed heartbeats expire it)
 //	xtcampd -local=false             # pure coordinator: shards only run on workers
 //	xtcampd -worker -coordinator http://camp:8910   # run as a worker instead
+//	xtcampd -pprof 127.0.0.1:6060    # live net/http/pprof on its own listener (address logged)
 //
 // Quickstart (see README.md for the full walkthrough):
 //
@@ -48,6 +49,7 @@ import (
 	"time"
 
 	"xt910/internal/campaign"
+	"xt910/internal/cliflags"
 )
 
 func main() {
@@ -70,11 +72,21 @@ func run(args []string, stderr io.Writer) int {
 	worker := fs.Bool("worker", false, "run as a campaign worker instead of a coordinator")
 	coordinator := fs.String("coordinator", "", "coordinator base URL (with -worker)")
 	workerID := fs.String("id", "", "worker identity (with -worker; default host-pid)")
+	pprofAddr := cliflags.RegisterPprof(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	logger := log.New(stderr, "", log.LstdFlags)
+	pprofBound, stopPprof, err := cliflags.ServePprof(*pprofAddr)
+	if err != nil {
+		fmt.Fprintf(stderr, "xtcampd: -pprof: %v\n", err)
+		return 2
+	}
+	defer stopPprof()
+	if pprofBound != nil {
+		logger.Printf("xtcampd: pprof on http://%s/debug/pprof/", pprofBound)
+	}
 
 	if *worker {
 		if *coordinator == "" {

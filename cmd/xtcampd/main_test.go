@@ -180,3 +180,19 @@ func pollCampaign(t *testing.T, base, id string, ready func(campStatus) bool) ca
 		time.Sleep(3 * time.Millisecond)
 	}
 }
+
+// TestPprofFlagUnbindable: a -pprof address that cannot be bound is a usage
+// error, reported before any state directory or API listener is opened.
+func TestPprofFlagUnbindable(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "state")
+	var errb bytes.Buffer
+	if rc := run([]string{"-addr", "127.0.0.1:0", "-state", state, "-pprof", "127.0.0.1:notaport"}, &errb); rc != 2 {
+		t.Fatalf("exit = %d, want 2\nstderr: %s", rc, errb.String())
+	}
+	if !strings.Contains(errb.String(), "xtcampd: -pprof:") {
+		t.Errorf("stderr does not name the flag: %s", errb.String())
+	}
+	if _, err := os.Stat(state); !os.IsNotExist(err) {
+		t.Errorf("the state directory was opened before -pprof was checked (err=%v)", err)
+	}
+}

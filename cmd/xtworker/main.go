@@ -12,6 +12,7 @@
 //	xtworker -coordinator http://camp:8910 -id rack3-a -jobs 8
 //	xtworker -coordinator http://camp:8910 -shards 1        # run one shard and exit
 //	xtworker -coordinator http://camp:8910 -cpuprofile w.pb # host CPU profile, written on exit
+//	xtworker -coordinator http://camp:8910 -pprof 127.0.0.1:6060  # live net/http/pprof, address logged
 //
 // A worker that dies — SIGKILL included — simply stops heartbeating; the
 // coordinator expires its lease and requeues the shard. Entries the dead
@@ -49,12 +50,23 @@ func run(args []string, stderr io.Writer) (rc int) {
 	seed := fs.Int64("backoff-seed", 0, "retry-jitter seed (0: derived from -id)")
 	shards := fs.Int("shards", 0, "exit after completing this many shards (0: serve until SIGTERM)")
 	prof := cliflags.RegisterProfile(fs)
+	pprofAddr := cliflags.RegisterPprof(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *coordinator == "" {
 		fmt.Fprintln(stderr, "xtworker: -coordinator is required")
 		return 2
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+	pprofBound, stopPprof, err := cliflags.ServePprof(*pprofAddr)
+	if err != nil {
+		fmt.Fprintf(stderr, "xtworker: -pprof: %v\n", err)
+		return 2
+	}
+	defer stopPprof()
+	if pprofBound != nil {
+		logger.Printf("xtworker: pprof on http://%s/debug/pprof/", pprofBound)
 	}
 	stopProfile, err := cliflags.StartProfile(prof)
 	if err != nil {
@@ -68,7 +80,6 @@ func run(args []string, stderr io.Writer) (rc int) {
 		}
 	}()
 
-	logger := log.New(stderr, "", log.LstdFlags)
 	ctx, cancel := context.WithCancel(context.Background())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"xt910/internal/mem"
 	"xt910/isa"
@@ -59,8 +60,10 @@ func Assemble(src string, opts Options) (*Program, error) {
 	if err := a.scan(lines, true); err != nil {
 		return nil, err
 	}
-	// Pass 2: emit bytes.
-	a.out = a.out[:0]
+	// Pass 2: emit bytes, into an image of the size pass 1 arrived at.
+	if size := a.pc - opts.Base; size > 0 {
+		a.out = make([]byte, 0, size)
+	}
 	a.numInsts = 0
 	if err := a.scan(lines, false); err != nil {
 		return nil, err
@@ -71,7 +74,7 @@ func Assemble(src string, opts Options) (*Program, error) {
 	}
 	return &Program{
 		Base:     opts.Base,
-		Data:     append([]byte(nil), a.out...),
+		Data:     a.out,
 		Entry:    entry,
 		Symbols:  a.symbols,
 		NumInsts: a.numInsts,
@@ -87,25 +90,81 @@ func MustAssemble(src string, opts Options) *Program {
 	return p
 }
 
+// srcLine is what an error message quotes: the 1-based line number and the
+// line without its comment and surrounding space.
 type srcLine struct {
 	num  int
 	text string
 }
 
-func splitLines(src string) []srcLine {
-	raw := strings.Split(src, "\n")
-	out := make([]srcLine, 0, len(raw))
-	for i, l := range raw {
-		if idx := strings.IndexAny(l, "#"); idx >= 0 {
+// stmt is one non-empty source line, cut once by splitLines; both passes walk
+// these records and never look at the text again.
+type stmt struct {
+	srcLine
+	labels   []string // labels defined on the line, in order
+	mnemonic string   // lower-cased; "" when the line holds only labels
+	rest     string   // the statement after its mnemonic, trimmed (string directives parse it whole)
+	ops      []string // rest split on commas, each operand trimmed; nil when rest is empty
+}
+
+// splitLines is the only place a source line is cut: comments go, then the
+// leading labels, then the mnemonic, then the comma-separated operands. The
+// label and operand substrings of every line share one backing array, sized
+// from a count of the separators so it never grows.
+func splitLines(src string) []stmt {
+	out := make([]stmt, 0, strings.Count(src, "\n")+1)
+	toks := make([]string, 0, strings.Count(src, ",")+strings.Count(src, ":")+cap(out))
+	for num := 1; src != ""; num++ {
+		l := src
+		if nl := strings.IndexByte(src, '\n'); nl >= 0 {
+			l, src = src[:nl], src[nl+1:]
+		} else {
+			src = ""
+		}
+		if idx := strings.IndexByte(l, '#'); idx >= 0 {
 			l = l[:idx]
 		}
 		if idx := strings.Index(l, "//"); idx >= 0 {
 			l = l[:idx]
 		}
 		l = strings.TrimSpace(l)
-		if l != "" {
-			out = append(out, srcLine{num: i + 1, text: l})
+		if l == "" {
+			continue
 		}
+		st := stmt{srcLine: srcLine{num: num, text: l}}
+		// labels (possibly several on one line)
+		mark := len(toks)
+		for {
+			idx := strings.IndexByte(l, ':')
+			if idx < 0 || strings.ContainsAny(l[:idx], " \t\"") {
+				break
+			}
+			toks = append(toks, strings.TrimSpace(l[:idx]))
+			l = strings.TrimSpace(l[idx+1:])
+		}
+		st.labels = toks[mark:len(toks):len(toks)]
+		if l != "" {
+			end := strings.IndexFunc(l, unicode.IsSpace)
+			if end < 0 {
+				end = len(l)
+			}
+			st.mnemonic = strings.ToLower(l[:end])
+			st.rest = strings.TrimSpace(l[end:])
+			mark = len(toks)
+			for s, more := st.rest, st.rest != ""; more; {
+				op := s
+				if c := strings.IndexByte(s, ','); c >= 0 {
+					op, s = s[:c], s[c+1:] // a trailing comma leaves one more, empty, operand
+				} else {
+					more = false
+				}
+				toks = append(toks, strings.TrimSpace(op))
+			}
+			if len(toks) > mark {
+				st.ops = toks[mark:len(toks):len(toks)]
+			}
+		}
+		out = append(out, st)
 	}
 	return out
 }
@@ -128,30 +187,29 @@ func (a *assembler) errf(line srcLine, format string, args ...any) error {
 	return fmt.Errorf("asm: line %d: %s: %s", line.num, line.text, fmt.Sprintf(format, args...))
 }
 
-func (a *assembler) scan(lines []srcLine, pass1 bool) error {
+func (a *assembler) scan(lines []stmt, pass1 bool) error {
 	a.pass1 = pass1
 	a.pc = a.opts.Base
-	for _, line := range lines {
-		text := line.text
-		// labels (possibly several on one line)
-		for {
-			idx := strings.Index(text, ":")
-			if idx < 0 || strings.ContainsAny(text[:idx], " \t\"") {
-				break
-			}
-			name := strings.TrimSpace(text[:idx])
-			if pass1 {
+	for i := range lines {
+		st := &lines[i]
+		if pass1 {
+			for _, name := range st.labels {
 				if _, dup := a.symbols[name]; dup {
-					return a.errf(line, "duplicate label %q", name)
+					return a.errf(st.srcLine, "duplicate label %q", name)
 				}
 				a.symbols[name] = a.pc
 			}
-			text = strings.TrimSpace(text[idx+1:])
 		}
-		if text == "" {
+		if st.mnemonic == "" {
 			continue
 		}
-		if err := a.statement(line, text); err != nil {
+		var err error
+		if st.mnemonic[0] == '.' {
+			err = a.directive(st)
+		} else {
+			err = a.instruction(st.srcLine, st.mnemonic, st.ops)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -191,56 +249,63 @@ func (a *assembler) emitInst(line srcLine, in isa.Inst, mayCompress bool) error 
 	return nil
 }
 
-func (a *assembler) statement(line srcLine, text string) error {
-	fields := strings.Fields(text)
-	mnemonic := strings.ToLower(fields[0])
-	rest := strings.TrimSpace(text[len(fields[0]):])
+// maxImageBytes bounds an assembled image. The padding directives are the
+// only statements whose output is not proportional to the source text, so
+// they are where it is enforced; the biggest checked-in kernel is a few tens
+// of kilobytes.
+const maxImageBytes = 64 << 20
 
-	if strings.HasPrefix(mnemonic, ".") {
-		return a.directive(line, mnemonic, rest)
+// pad extends the image by n zero bytes in one step.
+func (a *assembler) pad(line srcLine, n uint64) error {
+	if size := a.pc - a.opts.Base; size > maxImageBytes || n > maxImageBytes-size {
+		return a.errf(line, "image would exceed %d bytes", maxImageBytes)
 	}
-	operands := splitOperands(rest)
-	return a.instruction(line, mnemonic, operands)
+	if !a.pass1 {
+		a.out = append(a.out, make([]byte, n)...)
+	}
+	a.pc += n
+	return nil
 }
 
-func splitOperands(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
-	}
-	return out
-}
-
-func (a *assembler) directive(line srcLine, dir, rest string) error {
-	args := splitOperands(rest)
+func (a *assembler) directive(st *stmt) error {
+	line, dir, args := st.srcLine, st.mnemonic, st.ops
 	switch dir {
-	case ".org":
+	case ".org", ".align", ".space", ".zero":
+		if len(args) == 0 {
+			return a.errf(line, "%s needs an operand", dir)
+		}
 		v, err := a.evalImm(line, args[0])
 		if err != nil {
 			return err
 		}
-		target := uint64(v)
-		if target < a.pc {
-			return a.errf(line, ".org moves backwards (pc=%#x)", a.pc)
-		}
-		for a.pc < target {
-			a.emit(0)
-		}
-	case ".align":
-		v, err := a.evalImm(line, args[0])
-		if err != nil {
-			return err
-		}
-		align := uint64(1) << uint(v)
-		for a.pc%align != 0 {
-			a.emit(0)
+		switch dir {
+		case ".org":
+			target := uint64(v)
+			if target < a.pc {
+				return a.errf(line, ".org moves backwards (pc=%#x)", a.pc)
+			}
+			return a.pad(line, target-a.pc)
+		case ".align":
+			if v < 0 || v > 63 {
+				return a.errf(line, "alignment 2^%d out of range", v)
+			}
+			align := uint64(1) << uint(v)
+			return a.pad(line, -a.pc&(align-1))
+		default:
+			if v > 0 {
+				return a.pad(line, uint64(v))
+			}
 		}
 	case ".byte", ".half", ".word", ".dword", ".quad":
-		size := map[string]int{".byte": 1, ".half": 2, ".word": 4, ".dword": 8, ".quad": 8}[dir]
+		size := 8
+		switch dir {
+		case ".byte":
+			size = 1
+		case ".half":
+			size = 2
+		case ".word":
+			size = 4
+		}
 		for _, arg := range args {
 			v, err := a.evalImm(line, arg)
 			if err != nil {
@@ -252,16 +317,8 @@ func (a *assembler) directive(line srcLine, dir, rest string) error {
 			}
 			a.emit(b[:size]...)
 		}
-	case ".space", ".zero":
-		v, err := a.evalImm(line, args[0])
-		if err != nil {
-			return err
-		}
-		for i := int64(0); i < v; i++ {
-			a.emit(0)
-		}
 	case ".ascii", ".asciz", ".string":
-		s, err := strconv.Unquote(strings.TrimSpace(rest))
+		s, err := strconv.Unquote(st.rest)
 		if err != nil {
 			return a.errf(line, "bad string literal")
 		}
@@ -303,11 +360,14 @@ func (a *assembler) evalImm(line srcLine, s string) (int64, error) {
 		if s[j] == '-' || s[j] == '+' {
 			j++
 		}
-		for j < len(s) && !strings.ContainsRune("+-*", rune(s[j])) {
-			j++
+	term:
+		for ; j < len(s); j++ {
+			switch s[j] {
+			case '+', '-', '*':
+				break term
+			}
 		}
-		term := strings.TrimSpace(s[i:j])
-		v, err := a.evalTerm(line, term)
+		v, err := a.evalTerm(line, strings.TrimSpace(s[i:j]))
 		if err != nil {
 			return 0, err
 		}
@@ -341,10 +401,8 @@ func (a *assembler) evalTerm(line srcLine, t string) (int64, error) {
 	var v int64
 	if t == "." {
 		v = int64(a.pc)
-	} else if n, err := strconv.ParseInt(t, 0, 64); err == nil {
+	} else if n, ok := parseLiteral(t); ok {
 		v = n
-	} else if n, err := strconv.ParseUint(t, 0, 64); err == nil {
-		v = int64(n)
 	} else if c, ok := a.equs[t]; ok {
 		v = c
 	} else if sym, ok := a.symbols[t]; ok {
@@ -360,6 +418,20 @@ func (a *assembler) evalTerm(line srcLine, t string) (int64, error) {
 		v = -v
 	}
 	return v, nil
+}
+
+// parseLiteral reads a Go-syntax integer literal, wrapping values above
+// MaxInt64. Only a digit or a sign can start one, so a symbol name is turned
+// away before strconv builds an error for it.
+func parseLiteral(t string) (int64, bool) {
+	if t == "" || (t[0] < '0' || t[0] > '9') && t[0] != '+' && t[0] != '-' {
+		return 0, false
+	}
+	if n, err := strconv.ParseInt(t, 0, 64); err == nil {
+		return n, true
+	}
+	n, err := strconv.ParseUint(t, 0, 64)
+	return int64(n), err == nil
 }
 
 func (a *assembler) reg(line srcLine, s string) (isa.Reg, error) {

@@ -269,16 +269,74 @@ _start:
 	}
 }
 
+// TestErrors pins the text of each rejection, as the assembler worded it
+// before lines were tokenized once.
 func TestErrors(t *testing.T) {
-	for _, src := range []string{
-		"bogus a0, a1",
-		"addi a0, a0, undefined_symbol_xyz",
-		"lw a0, a1",  // bad memory operand
-		"dup:\ndup:", // duplicate label
+	for _, c := range []struct{ src, want string }{
+		{"bogus a0, a1", `asm: line 1: bogus a0, a1: unknown mnemonic "bogus"`},
+		{"addi a0, a0, undefined_symbol_xyz", `asm: line 1: addi a0, a0, undefined_symbol_xyz: undefined symbol "undefined_symbol_xyz"`},
+		{"lw a0, a1", `asm: line 1: lw a0, a1: bad memory operand "a1"`},
+		{"dup:\ndup:", `asm: line 2: dup:: duplicate label "dup"`},
 	} {
-		if _, err := Assemble(src, Options{}); err == nil {
-			t.Errorf("expected error for %q", src)
+		_, err := Assemble(c.src, Options{})
+		if err == nil {
+			t.Errorf("expected error for %q", c.src)
+		} else if err.Error() != c.want {
+			t.Errorf("%q:\n got %s\nwant %s", c.src, err, c.want)
 		}
+	}
+}
+
+// TestMalformedDirectives: a padding directive with no operand, an alignment
+// that is not a power of two below 2^64, or padding past maxImageBytes is a
+// line-numbered error — each of these used to panic or to loop a byte at a
+// time until memory ran out — and so is a pseudo-instruction or a vector
+// instruction short of operands, which reads the absent operand as empty.
+func TestMalformedDirectives(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{".org", "asm: line 1: .org: .org needs an operand"},
+		{"nop\n.align", "asm: line 2: .align: .align needs an operand"},
+		{".space", "asm: line 1: .space: .space needs an operand"},
+		{"x: .zero", "asm: line 1: x: .zero: .zero needs an operand"},
+		{".align -1", "asm: line 1: .align -1: alignment 2^-1 out of range"},
+		{".align 64", "asm: line 1: .align 64: alignment 2^64 out of range"},
+		{"nop\n.align 63", "asm: line 2: .align 63: image would exceed 67108864 bytes"},
+		{".space 0x7fffffffffffffff", "asm: line 1: .space 0x7fffffffffffffff: image would exceed 67108864 bytes"},
+		{".zero 67108865", "asm: line 1: .zero 67108865: image would exceed 67108864 bytes"},
+		{".space 67108864\n.byte 1\n.space 67108864", "asm: line 3: .space 67108864: image would exceed 67108864 bytes"},
+		{".org 0xffffffffffff", "asm: line 1: .org 0xffffffffffff: image would exceed 67108864 bytes"},
+		{".org -1", "asm: line 1: .org -1: image would exceed 67108864 bytes"},
+		{"not", `asm: line 1: not: bad register ""`},
+		{"neg a0", `asm: line 1: neg a0: bad register ""`},
+		{"zext.w a0", `asm: line 1: zext.w a0: bad register ""`},
+		{"vle.v v1", `asm: line 1: vle.v v1: bad memory operand ""`},
+		{"vmv.x.s", `asm: line 1: vmv.x.s: bad register ""`},
+	} {
+		for _, compress := range []bool{false, true} {
+			_, err := Assemble(c.src, Options{Compress: compress})
+			if err == nil {
+				t.Errorf("expected error for %q", c.src)
+			} else if err.Error() != c.want {
+				t.Errorf("%q:\n got %s\nwant %s", c.src, err, c.want)
+			}
+		}
+	}
+}
+
+// TestPaddingDirectives: .org, .align, .space and .zero pad with zeros up to
+// the image bound, and a negative .space is ignored as it always was.
+func TestPaddingDirectives(t *testing.T) {
+	p, err := Assemble(".byte 1\n.align 3\n.byte 2\n.space 3\n.zero 2\n.space -4\n.org 0x1010\n.byte 3\n.align 0\n.byte 4", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 4}
+	if string(p.Data) != string(want) {
+		t.Fatalf("padding: got %v want %v", p.Data, want)
+	}
+	p, err = Assemble(".space 67108864", Options{})
+	if err != nil || len(p.Data) != maxImageBytes {
+		t.Fatalf("an image of exactly maxImageBytes: %v", err)
 	}
 }
 

@@ -437,6 +437,11 @@ func (a *assembler) asmVector(line srcLine, op isa.Op, in isa.Inst, ops []string
 		in.Masked = true
 		ops = ops[:n-1]
 	}
+	if len(ops) < 2 {
+		// every form reads two operands before it counts them: an absent
+		// operand reads as an empty one
+		ops = append(ops[:len(ops):len(ops)], "", "")[:2]
+	}
 	switch op {
 	case isa.VLE, isa.VLSE, isa.VLXEI:
 		if in.Rd, err = a.reg(line, ops[0]); err != nil {

@@ -1,10 +1,6 @@
 package asm
 
-import (
-	"strings"
-
-	"xt910/isa"
-)
+import "xt910/isa"
 
 // pseudo expands the standard RISC-V pseudo-instructions. It returns
 // done=true when the mnemonic was handled.
@@ -18,7 +14,12 @@ func (a *assembler) pseudo(line srcLine, mnemonic string, ops []string) (done bo
 		}
 		return a.emitInst(line, in, compress && a.opts.Compress)
 	}
-	reg := func(i int) (isa.Reg, error) { return a.reg(line, ops[i]) }
+	reg := func(i int) (isa.Reg, error) {
+		if i >= len(ops) {
+			return a.reg(line, "") // an absent operand reads as an empty one
+		}
+		return a.reg(line, ops[i])
+	}
 	need := func(n int) error {
 		if len(ops) != n {
 			return a.errf(line, "%s needs %d operands", mnemonic, n)
@@ -325,7 +326,6 @@ func (a *assembler) pseudo(line srcLine, mnemonic string, ops []string) (done bo
 		in.Rd, in.Rs1, in.Rs2 = rd, rs, rs
 		return true, a.emitInst(line, in, false)
 	}
-	_ = strings.TrimSpace
 	return false, nil
 }
 

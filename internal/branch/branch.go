@@ -4,7 +4,11 @@
 // address stack, the indirect-branch predictor, and the 16-entry loop buffer.
 package branch
 
-import "slices"
+import (
+	"slices"
+
+	"xt910/internal/recycle"
+)
 
 // Stats counts predictor events for the harness.
 type Stats struct {
@@ -49,12 +53,23 @@ type bufEntry struct {
 // high-density SRAM banks; the model defaults to 14 bits = 16K counters).
 // Counters initialize to weakly-not-taken (1).
 func NewDirectionPredictor(bits uint) *DirectionPredictor {
-	p := &DirectionPredictor{table: make([]uint8, 1<<bits), bits: bits}
+	p := &DirectionPredictor{table: freeCounters.Get(1 << bits), bits: bits}
 	for i := range p.table {
 		p.table[i] = 1
 	}
 	return p
 }
+
+// freeCounters and freeBTBEntries recycle predictor tables (see Release).
+var (
+	freeCounters   recycle.Slices[uint8]
+	freeBTBEntries recycle.Slices[BTBEntry]
+)
+
+// Release hands the counter table to the next NewDirectionPredictor of the
+// same size, zeroed like a fresh one (the constructor sets the initial
+// counters either way). The predictor must not be used afterwards.
+func (p *DirectionPredictor) Release() { freeCounters.Put(&p.table) }
 
 // historyBits is the effective global-history length folded into the index.
 // A short history keeps loop-closing branches' warm-up fast while still
@@ -153,8 +168,12 @@ func NewBTB(entries, ways int) *BTB {
 	if sets < 1 {
 		sets = 1
 	}
-	return &BTB{entries: make([]BTBEntry, sets*ways), sets: sets, ways: ways}
+	return &BTB{entries: freeBTBEntries.Get(sets * ways), sets: sets, ways: ways}
 }
+
+// Release hands the entry array to the next NewBTB of the same size, every
+// entry zero again. The BTB must not be used afterwards.
+func (b *BTB) Release() { freeBTBEntries.Put(&b.entries) }
 
 func (b *BTB) set(pc uint64) []BTBEntry {
 	idx := (pc >> 1) % uint64(b.sets)

@@ -243,3 +243,41 @@ func TestLoopBufferFlushOnContextSwitch(t *testing.T) {
 		t.Fatal("flush must clear the captured loop (§III-C)")
 	}
 }
+
+// TestReleaseZeroesPredictorTables: Release hands the BTB entries and the
+// direction counters on all zero, and the constructors that pick them up
+// build the tables they always built.
+func TestReleaseZeroesPredictorTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := NewBTB(1024, 4)
+	p := NewDirectionPredictor(14)
+	for i := 0; i < 20000; i++ {
+		pc := uint64(rng.Intn(1<<16)) &^ 1
+		b.Insert(pc, pc+64, i%3 == 0, i%5 == 0, i%7 == 0)
+		b.Lookup(pc)
+		pred, idx := p.Predict(pc)
+		p.Update(idx, i%2 == 0, pred)
+		p.SpeculateHistory(i%2 == 0)
+	}
+	entries, table := b.entries, p.table
+	b.Release()
+	p.Release()
+	for i := range entries {
+		if entries[i] != (BTBEntry{}) {
+			t.Fatalf("BTB.Release left entry %d behind: %+v", i, entries[i])
+		}
+	}
+	for i, ctr := range table {
+		if ctr != 0 {
+			t.Fatalf("DirectionPredictor.Release left counter %d at %d", i, ctr)
+		}
+	}
+	if _, ok := NewBTB(1024, 4).Lookup(0x1000); ok {
+		t.Fatal("a BTB built after a release must start empty")
+	}
+	for i, ctr := range NewDirectionPredictor(14).table {
+		if ctr != 1 {
+			t.Fatalf("a predictor built after a release starts counter %d at %d, want weakly not-taken", i, ctr)
+		}
+	}
+}

@@ -9,6 +9,8 @@
 // traffic) without duplicating data storage.
 package cache
 
+import "xt910/internal/recycle"
+
 // State is a MOSEI coherence state. Plain (non-coherent) caches only use
 // Invalid and Exclusive.
 type State uint8
@@ -73,7 +75,23 @@ type Cache struct {
 	lines    []Line // sets × ways
 	tick     uint64
 	Stats    Stats
+
+	// filled logs the set of every line Victim handed out to be written —
+	// once per fill, duplicates and all — so that Release can clear the sets
+	// a short run touched instead of the whole array. nFilled counts the
+	// fills; past len(filled) the log has overflowed and Release clears
+	// everything. The hit path never comes here.
+	filled  [fillLogSize]uint32
+	nFilled int
 }
+
+// fillLogSize covers the fills of a fuzz-sized run (40 to 60 in the L2 on
+// average, about 150 at most); a kernel overflows it in its first microseconds
+// and pays one clear of the array at release, which it does not notice.
+const fillLogSize = 256
+
+// freeLines recycles line arrays between caches (see Release).
+var freeLines recycle.Slices[Line]
 
 // New builds a cache; size, ways and line size must be powers of two.
 func New(cfg Config) *Cache {
@@ -89,8 +107,21 @@ func New(cfg Config) *Cache {
 		cfg:      cfg,
 		sets:     sets,
 		lineBits: lineBits,
-		lines:    make([]Line, sets*cfg.Ways),
+		lines:    freeLines.Get(sets * cfg.Ways),
 	}
+}
+
+// Release hands the line array to the next New of the same geometry, every
+// line zero again. The cache must not be used afterwards.
+func (c *Cache) Release() {
+	if c.nFilled <= len(c.filled) {
+		for _, idx := range c.filled[:c.nFilled] {
+			clear(c.setAt(uint64(idx)))
+		}
+	} else {
+		clear(c.lines)
+	}
+	freeLines.PutZeroed(&c.lines)
 }
 
 // Config returns the cache geometry.
@@ -102,10 +133,14 @@ func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 // LineAddr masks addr down to its line base.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }
 
-func (c *Cache) set(addr uint64) []Line {
-	idx := (addr >> c.lineBits) % uint64(c.sets)
+func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.lineBits) % uint64(c.sets) }
+
+// setAt returns the ways of set idx.
+func (c *Cache) setAt(idx uint64) []Line {
 	return c.lines[idx*uint64(c.cfg.Ways) : (idx+1)*uint64(c.cfg.Ways)]
 }
+
+func (c *Cache) set(addr uint64) []Line { return c.setAt(c.setIndex(addr)) }
 
 // Lookup finds the line holding addr without touching LRU state.
 func (c *Cache) Lookup(addr uint64) *Line {
@@ -130,9 +165,16 @@ func (c *Cache) Touch(l *Line) {
 	}
 }
 
-// Victim selects (and does not yet evict) the LRU way of addr's set.
+// Victim selects (and does not yet evict) the LRU way of addr's set. The way
+// may be invalid, so this is the one place a caller obtains a line no earlier
+// fill wrote, and the place the fill log is kept.
 func (c *Cache) Victim(addr uint64) *Line {
-	set := c.set(addr)
+	idx := c.setIndex(addr)
+	if c.nFilled < len(c.filled) {
+		c.filled[c.nFilled] = uint32(idx)
+	}
+	c.nFilled++
+	set := c.setAt(idx)
 	victim := &set[0]
 	for i := range set {
 		if !set[i].Valid {

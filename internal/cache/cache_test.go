@@ -151,3 +151,100 @@ func TestMissRateCounters(t *testing.T) {
 		t.Fatalf("miss rate = %f", s.MissRate())
 	}
 }
+
+// zeroLines reports whether every line is in the state make leaves it in.
+func zeroLines(lines []Line) bool {
+	for i := range lines {
+		if lines[i] != (Line{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReleaseZeroesLines: whatever a run did to the line array, Release hands
+// it on all zero — through the fill log when the run was short, through one
+// clear when the log overflowed, and for a line a caller took from Victim and
+// wrote itself, as the fault injector may, with no Fill at all.
+func TestReleaseZeroesLines(t *testing.T) {
+	dirty := func(c *Cache, fills int) {
+		rng := rand.New(rand.NewSource(int64(fills)))
+		for i := 0; i < fills; i++ {
+			addr := uint64(rng.Intn(1<<20)) &^ 63
+			c.Fill(addr, Modified, uint64(i), i%3 == 0)
+			if l := c.Lookup(addr); l != nil {
+				c.Touch(l)
+				l.Dirty = true
+			}
+			if i%7 == 0 {
+				c.Invalidate(addr)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		fills int
+	}{
+		{"untouched", 0},
+		{"one fill", 1},
+		{"log exactly full", fillLogSize},
+		{"log overflowed by one", fillLogSize + 1},
+		{"kernel-sized", 20 * fillLogSize},
+	} {
+		c := New(cfg32k())
+		dirty(c, tc.fills)
+		if (c.nFilled > len(c.filled)) != (tc.fills > fillLogSize) {
+			t.Fatalf("%s: %d fills logged as %d", tc.name, tc.fills, c.nFilled)
+		}
+		lines := c.lines
+		c.Release()
+		if !zeroLines(lines) {
+			t.Errorf("%s: Release left a line behind", tc.name)
+		}
+	}
+
+	c := New(cfg32k())
+	*c.Victim(0x4040) = Line{Valid: true, Tag: 0x4040 >> 6, State: Owned, Dirty: true, LRU: 9}
+	c.Lookup(0x4040).parity ^= 1
+	lines := c.lines
+	c.Release()
+	if !zeroLines(lines) {
+		t.Error("Release left a line behind that was written through Victim without a Fill")
+	}
+}
+
+// TestRecycledCacheIsFresh: a cache built after another of the same geometry
+// was released behaves as one built first.
+func TestRecycledCacheIsFresh(t *testing.T) {
+	run := func() (Stats, []uint64) {
+		c := New(cfg32k())
+		defer c.Release()
+		rng := rand.New(rand.NewSource(7))
+		var evictions []uint64
+		for i := 0; i < 3000; i++ {
+			addr := uint64(rng.Intn(1<<18)) &^ 63
+			c.Stats.Accesses++
+			if l := c.Lookup(addr); l != nil {
+				c.Touch(l)
+				continue
+			}
+			c.Stats.Misses++
+			if ev, had, _ := c.Fill(addr, Exclusive, uint64(i), false); had {
+				evictions = append(evictions, ev)
+			}
+		}
+		return c.Stats, evictions
+	}
+	wantStats, wantEv := run()
+	for i := 0; i < 3; i++ {
+		gotStats, gotEv := run()
+		if gotStats != wantStats || len(gotEv) != len(wantEv) {
+			t.Fatalf("run %d on a recycled array: %+v, first run %+v", i, gotStats, wantStats)
+		}
+		for j := range gotEv {
+			if gotEv[j] != wantEv[j] {
+				t.Fatalf("run %d on a recycled array evicts %#x at %d, first run %#x", i, gotEv[j], j, wantEv[j])
+			}
+		}
+	}
+}

@@ -3,11 +3,15 @@
 // -n / -seed / -jobs / -json / -timeout plus the composable -modes spec, so
 // every tool spells them the same way and the seed-range and mode parsing
 // live in exactly one place. Defaults differ per tool; names and meanings
-// never do. The host-profiling flags -cpuprofile / -memprofile live here too.
+// never do. The host-profiling flags -cpuprofile / -memprofile, and the
+// daemons' live -pprof endpoint, live here too.
 package cliflags
 
 import (
 	"flag"
+	"net"
+	"net/http"
+	httppprof "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -191,4 +195,42 @@ func writeAllocProfile(path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// RegisterPprof registers -pprof, the long-running tools' live counterpart of
+// -cpuprofile: where a profile file needs the process to exit, this answers
+// `go tool pprof http://addr/debug/pprof/profile` while a fleet is serving.
+func RegisterPprof(fs *flag.FlagSet) *string {
+	return fs.String("pprof", "", "serve net/http/pprof on `addr` (host:0 picks a port); empty binds nothing")
+}
+
+// ServePprof serves the net/http/pprof handlers under /debug/pprof/ on a
+// listener and a mux of their own, so that no API mux ever exposes them. It
+// returns the bound address for the caller to log and a stop function that
+// closes the listener and waits for the server to return. With an empty addr
+// it binds nothing and returns a nil address.
+func ServePprof(addr string) (bound net.Addr, stop func(), err error) {
+	if addr == "" {
+		return nil, func() {}, nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", httppprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ln) // returns http.ErrServerClosed once stop closes it
+	}()
+	return ln.Addr(), func() {
+		srv.Close()
+		<-done
+	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -268,5 +269,48 @@ func TestProfileFlags(t *testing.T) {
 
 	if _, err := StartProfile(&Profile{CPU: filepath.Join(dir, "missing", "cpu.pb")}); err == nil {
 		t.Error("unwritable -cpuprofile path: want an error")
+	}
+}
+
+// TestServePprof: on 127.0.0.1:0 the endpoint binds a port of its own and
+// /debug/pprof/ answers with the profile index; stop closes it; an empty
+// address binds nothing; an address that cannot be bound is an error.
+func TestServePprof(t *testing.T) {
+	fs := newFS()
+	addr := RegisterPprof(fs)
+	if err := fs.Parse([]string{"-pprof", "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+	bound, stop, err := ServePprof(*addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + bound.String() + "/debug/pprof/"
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Errorf("GET %s: status %d, body %.80q", url, resp.StatusCode, body)
+	}
+	if resp, err := http.Get("http://" + bound.String() + "/healthz"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Errorf("the pprof listener must serve nothing else: err=%v", err)
+	} else {
+		resp.Body.Close()
+	}
+	stop()
+	if _, err := http.Get(url); err == nil {
+		t.Error("the endpoint still answers after stop")
+	}
+
+	if bound, stop, err := ServePprof(""); err != nil || bound != nil {
+		t.Errorf("an empty -pprof must bind nothing: bound=%v err=%v", bound, err)
+	} else {
+		stop()
+	}
+	if _, _, err := ServePprof("127.0.0.1:notaport"); err == nil {
+		t.Error("an unbindable -pprof address must be an error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
 	"xt910/internal/prefetch"
+	"xt910/internal/recycle"
 	"xt910/internal/trace"
 	"xt910/internal/vector"
 	"xt910/isa"
@@ -225,10 +226,10 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 		L1BTB:  branch.NewBTB(cfg.L1BTBEntries, 4),
 		RAS:    branch.NewRAS(cfg.RASDepth),
 		Ind:    branch.NewIndirectPredictor(12),
-		robQ:   newRing[uop](cfg.ROBSize),
-		fq:     newRing[fqEntry](cfg.FetchQueue),
-		lq:     newRing[lqEntry](cfg.LQSize),
-		sq:     newRing[sqEntry](cfg.SQSize),
+		robQ:   newRing(&freeUops, cfg.ROBSize),
+		fq:     newRing(&freeFqEntries, cfg.FetchQueue),
+		lq:     newRing(&freeLqEntries, cfg.LQSize),
+		sq:     newRing(&freeSqEntries, cfg.SQSize),
 		ckpts:  make([]checkpoint, cfg.Checkpoints),
 		memDep: make(map[uint64]bool),
 		csr:    make(map[uint16]uint64),
@@ -260,13 +261,54 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 	return c
 }
 
-// Reset re-points the core at a new entry PC with a given stack pointer.
-// Any predecoded instructions are dropped: Reset typically follows a program
-// load that rewrote memory behind the core's back.
+// The free lists behind Release: the ring arrays here, the decode tables in
+// predecode.go and superblock.go, everything else in the package that owns it.
+var (
+	freeUops      recycle.Slices[uop]
+	freeFqEntries recycle.Slices[fqEntry]
+	freeLqEntries recycle.Slices[lqEntry]
+	freeSqEntries recycle.Slices[sqEntry]
+)
+
+// Release hands the core's large tables — L1 tags, decode tables, joint TLB,
+// predictor tables, the ROB, IBUF and load/store queue rings — to the cores
+// built after it, each back in the state its constructor expects (DESIGN.md
+// "Session storage recycling"). The core must not be used afterwards. Only
+// the code that built a core, and let nobody else see it, may call this.
+func (c *Core) Release() {
+	c.L1I.Cache.Release()
+	c.L1D.Cache.Release()
+	if c.MMU.Joint != nil {
+		c.MMU.Joint.Release()
+	}
+	c.Dir.Release()
+	c.L0BTB.Release()
+	c.L1BTB.Release()
+	if c.predec != nil {
+		c.predec.release()
+		c.predec = nil
+	}
+	if c.sblk != nil {
+		c.sblk.release()
+		c.sblk = nil
+	}
+	c.robQ.release(&freeUops)
+	c.fq.release(&freeFqEntries)
+	c.lq.release(&freeLqEntries)
+	c.sq.release(&freeSqEntries)
+}
+
+// Reset re-points the core at a new entry PC with a given stack pointer. On a
+// core that has stepped, any predecoded instructions are dropped: such a
+// Reset follows a program load that rewrote memory behind the core's back. A
+// core fresh from New has decoded nothing, and its tables are left alone.
 func (c *Core) Reset(pc, sp uint64) {
 	c.fetchPC = pc
 	c.pf.write(c.rat[isa.SP], sp, 0)
 	c.Halted = false
+	if c.now == 0 {
+		return
+	}
 	if c.predec != nil {
 		c.predec.flush()
 	}

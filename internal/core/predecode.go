@@ -1,5 +1,7 @@
 package core
 
+import "xt910/internal/recycle"
+
 // predecode is a direct-mapped cache of decoded, pre-cracked instructions
 // keyed by physical address: raw fetch bytes → sinst (static.go), so
 // steady-state fetch skips the bit-level decoder (and the second halfword
@@ -27,7 +29,24 @@ type predecode struct {
 	inst [predecodeEntries]sinst
 }
 
-func newPredecode() *predecode { return &predecode{} }
+// freePredecodes recycles whole tables between cores: every tag on a recycled
+// one is free (release), and inst is never read under a free tag, so it is as
+// good as a new one.
+var freePredecodes recycle.Objects[predecode]
+
+func newPredecode() *predecode {
+	if p := freePredecodes.Get(); p != nil {
+		return p
+	}
+	return &predecode{}
+}
+
+// release hands the table to the next newPredecode. It must not be used
+// afterwards.
+func (p *predecode) release() {
+	p.flush()
+	freePredecodes.Put(p)
+}
 
 func predecodeIdx(pa uint64) uint64 { return (pa >> 1) & predecodeMask }
 

@@ -1,5 +1,7 @@
 package core
 
+import "xt910/internal/recycle"
+
 // ring is the fixed-capacity FIFO behind the IBUF, the ROB and the load and
 // store queues: entries stay in program order, enter at the tail, leave from
 // the head when they retire and from the tail when they are squashed. An
@@ -12,7 +14,12 @@ type ring[T any] struct {
 	n    int // live entries
 }
 
-func newRing[T any](size int) ring[T] { return ring[T]{buf: make([]T, size)} }
+// newRing builds a ring over an all-zero array from free (see release).
+func newRing[T any](free *recycle.Slices[T], size int) ring[T] { return ring[T]{buf: free.Get(size)} }
+
+// release hands the array back to free, every slot zero again. The ring must
+// not be used afterwards.
+func (r *ring[T]) release(free *recycle.Slices[T]) { free.Put(&r.buf) }
 
 func (r *ring[T]) len() int    { return r.n }
 func (r *ring[T]) empty() bool { return r.n == 0 }

@@ -1,5 +1,7 @@
 package core
 
+import "xt910/internal/recycle"
+
 // superblock extends the per-instruction predecode cache to straight-line
 // decoded runs, the way DBT emulators fuse basic blocks: one fetch-group walk
 // in flat (untranslated) mode records the instructions it decoded, keyed by
@@ -40,7 +42,24 @@ type superblockCache struct {
 	blk [sbEntries]sbBlock
 }
 
-func newSuperblockCache() *superblockCache { return &superblockCache{} }
+// freeSuperblocks recycles whole tables between cores: every tag on a
+// recycled one is free (release), and nothing else of a block is read under a
+// free tag, so it is as good as a new one.
+var freeSuperblocks recycle.Objects[superblockCache]
+
+func newSuperblockCache() *superblockCache {
+	if s := freeSuperblocks.Get(); s != nil {
+		return s
+	}
+	return &superblockCache{}
+}
+
+// release hands the table to the next newSuperblockCache. It must not be used
+// afterwards.
+func (s *superblockCache) release() {
+	s.flush()
+	freeSuperblocks.Put(s)
+}
 
 func sbIdx(pa uint64) uint64 { return (pa >> 1) & sbMask }
 

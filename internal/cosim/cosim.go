@@ -703,9 +703,36 @@ func (s *Session) Finish() Result {
 	return res
 }
 
+// Release hands the session's large tables — the L2 tags, every core's (see
+// core.Core.Release) and the pages of both memories — to the sessions built
+// after it, each zeroed back to what its constructor expects, so that a fuzz
+// seed does not pay for allocating and clearing a full-size memory system it
+// barely touches (DESIGN.md "Session storage recycling"). The session and
+// everything reached through it must not be used afterwards; a second call
+// does nothing.
+//
+// Only the code that built the session may release it, and only when nothing
+// it handed out can still reach the models: Run and RunContext do, and return
+// a Result that holds no reference into the session. A caller of NewSession
+// that never calls Release loses nothing but the reuse.
+func (s *Session) Release() {
+	if s.harts == nil {
+		return
+	}
+	for _, h := range s.harts {
+		h.c.Release()
+	}
+	s.l2.Cache.Release()
+	// one memory per world, shared by every hart of it
+	s.harts[0].c.Mem.Release()
+	s.harts[0].m.Mem.Release()
+	s.harts, s.l2 = nil, nil
+}
+
 // Run drives a program to completion under the lock-step checker.
 func Run(p *asm.Program, opts Options) Result {
 	s := NewSession(p, opts)
+	defer s.Release()
 	for !s.Done() {
 		s.Step()
 	}
@@ -717,6 +744,7 @@ func Run(p *asm.Program, opts Options) Result {
 // divergence) holding whatever had been compared so far.
 func RunContext(ctx context.Context, p *asm.Program, opts Options) Result {
 	s := NewSession(p, opts)
+	defer s.Release()
 	for !s.Done() {
 		for i := 0; i < 1024 && !s.Done(); i++ {
 			s.Step()

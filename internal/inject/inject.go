@@ -250,6 +250,7 @@ func runFault(ctx context.Context, f Fault, opts Options, maxCycles uint64) Faul
 		return fr
 	}
 	s := cosim.NewSession(prog, cosim.Options{MaxCycles: maxCycles})
+	defer s.Release()
 	for !s.Done() && s.Cycles() < f.Cycle {
 		s.Step()
 	}

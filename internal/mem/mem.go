@@ -6,7 +6,11 @@
 // bus after 200 CPU cycles"; DRAM reproduces exactly that contract.
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"xt910/internal/recycle"
+)
 
 const pageBits = 12
 const pageSize = 1 << pageBits
@@ -40,11 +44,27 @@ func (m *Memory) page(addr uint64, alloc bool) *[pageSize]byte {
 		if !alloc {
 			return nil // an untouched page: not allocated, not remembered
 		}
-		p = new([pageSize]byte)
+		if p = freePages.Get(); p == nil {
+			p = new([pageSize]byte)
+		}
 		m.pages[pn] = p
 	}
 	m.last, m.lastPN = p, pn
 	return p
+}
+
+// freePages recycles pages between memories: every page on it is all zero,
+// as a new one is.
+var freePages recycle.Objects[[pageSize]byte]
+
+// Release hands every page to the memories that come after, zeroed. The
+// memory reads as empty afterwards and must not be written again.
+func (m *Memory) Release() {
+	for _, p := range m.pages {
+		clear(p[:])
+		freePages.Put(p)
+	}
+	m.pages, m.last = nil, nil
 }
 
 // LoadByte returns the byte at addr (0 for untouched memory).
@@ -117,10 +137,12 @@ func (m *Memory) LoadBytes(addr uint64, dst []byte) {
 	}
 }
 
-// StoreBytes stores src at addr.
+// StoreBytes stores src at addr, a page at a time.
 func (m *Memory) StoreBytes(addr uint64, src []byte) {
-	for i, b := range src {
-		m.StoreByte(addr+uint64(i), b)
+	for len(src) > 0 {
+		n := copy(m.page(addr, true)[addr&(pageSize-1):], src)
+		addr += uint64(n)
+		src = src[n:]
 	}
 }
 

@@ -119,3 +119,57 @@ func TestDRAMBandwidthSaturation(t *testing.T) {
 		t.Fatalf("saturated completion = %d, want %d", last, 99*10+200)
 	}
 }
+
+// TestReleaseZeroesPages: Release hands every page on all zero and leaves the
+// memory reading as empty; a memory built afterwards reads zero everywhere,
+// whichever pages it picks up.
+func TestReleaseZeroesPages(t *testing.T) {
+	m := NewMemory()
+	for a := uint64(0); a < 64*pageSize; a += 24 {
+		m.Write(a, 8, ^a)
+	}
+	m.StoreBytes(0x7FFF0, []byte("a string across a page boundary, twice over: 0x80000 and on"))
+	var pages []*[pageSize]byte
+	for _, p := range m.pages {
+		pages = append(pages, p)
+	}
+	m.Release()
+	for _, p := range pages {
+		if *p != ([pageSize]byte{}) {
+			t.Fatal("Release left a dirty page behind")
+		}
+	}
+	if m.FootprintBytes() != 0 || m.Read(0x18, 8) != 0 {
+		t.Fatal("a released memory must read as empty")
+	}
+	fresh := NewMemory()
+	fresh.StoreByte(0x3000, 1) // picks a page up
+	for a := uint64(0x3001); a < 0x4000; a++ {
+		if fresh.LoadByte(a) != 0 {
+			t.Fatalf("a page picked up after a release reads %#x at %#x", fresh.LoadByte(a), a)
+		}
+	}
+}
+
+// TestStoreBytesSpansPages: the page-at-a-time copy lands every byte where
+// the byte-at-a-time one did.
+func TestStoreBytesSpansPages(t *testing.T) {
+	src := make([]byte, 3*pageSize+17)
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	m := NewMemory()
+	m.StoreBytes(pageSize-5, src)
+	for i, b := range src {
+		if got := m.LoadByte(pageSize - 5 + uint64(i)); got != b {
+			t.Fatalf("byte %d: got %#x want %#x", i, got, b)
+		}
+	}
+	if m.FootprintBytes() != 5*pageSize {
+		t.Fatalf("footprint %d, want five pages", m.FootprintBytes())
+	}
+	m.StoreBytes(0x100000, nil)
+	if m.FootprintBytes() != 5*pageSize {
+		t.Fatal("an empty store must not touch a page")
+	}
+}

@@ -393,3 +393,29 @@ func TestWalkRandomizedAgainstTables(t *testing.T) {
 		}
 	}
 }
+
+// TestJointTLBReleaseZeroesEntries: Release hands the entry array on in the
+// state NewJointTLB expects, whatever was inserted and flushed before.
+func TestJointTLBReleaseZeroesEntries(t *testing.T) {
+	tlb := NewJointTLB(1024, 4)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		bits := probeOrder[rng.Intn(3)]
+		tlb.Insert(Entry{vpnTag: uint64(rng.Intn(1 << 20)), asid: uint16(rng.Intn(4)),
+			global: i%5 == 0, pageBits: bits, ppn: uint64(i), perms: 0xF})
+		if i%100 == 0 {
+			tlb.FlushASID(uint16(rng.Intn(4)))
+		}
+	}
+	entries := tlb.entries
+	tlb.Release()
+	for i := range entries {
+		if entries[i] != (Entry{}) {
+			t.Fatalf("Release left entry %d behind: %+v", i, entries[i])
+		}
+	}
+	fresh := NewJointTLB(1024, 4)
+	if _, _, ok := fresh.Lookup(0, 0); ok {
+		t.Fatal("a TLB built after a release must start empty")
+	}
+}

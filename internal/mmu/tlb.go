@@ -1,5 +1,7 @@
 package mmu
 
+import "xt910/internal/recycle"
+
 // The XT-910 TLB hierarchy (§V-D): a fully-associative micro-TLB backed by a
 // 4-way set-associative joint TLB. Every entry carries a page-size property;
 // the jTLB is probed with the 4K index first, then 2M, then 1G. On a jTLB hit
@@ -105,8 +107,15 @@ func NewJointTLB(entries, ways int) *JointTLB {
 	if sets < 1 {
 		sets = 1
 	}
-	return &JointTLB{ways: ways, sets: sets, entries: make([]Entry, sets*ways)}
+	return &JointTLB{ways: ways, sets: sets, entries: freeEntries.Get(sets * ways)}
 }
+
+// freeEntries recycles joint-TLB arrays between TLBs (see Release).
+var freeEntries recycle.Slices[Entry]
+
+// Release hands the entry array to the next NewJointTLB of the same size,
+// every entry zero again. The TLB must not be used afterwards.
+func (t *JointTLB) Release() { freeEntries.Put(&t.entries) }
 
 var probeOrder = [3]uint{12, 21, 30}
 
