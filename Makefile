@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke fuzz-asm-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke bench-track fidelity-track fidelity-smoke tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke fuzz-asm-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke fidelity-track fidelity-smoke tier1 bench xtbench clean
 
 all: tier1
 
@@ -36,7 +36,7 @@ fuzz-smoke:
 # (identity mapping plus a +1GB alias window), which adds page-crossing,
 # page-fault and VA-vs-PA reservation segments to the generated programs.
 fuzz-paged-smoke:
-	$(GO) run ./cmd/xtfuzz -paged -n 60 -seed 1
+	$(GO) run ./cmd/xtfuzz -modes paged -n 60 -seed 1
 	$(GO) test -race -count=1 -run 'TestPagedFixedSeeds|TestPagedDeterministic' ./internal/cosim
 
 # fuzz-irq-smoke repeats the sweep with the asynchronous-interrupt protocol
@@ -44,7 +44,7 @@ fuzz-paged-smoke:
 # into both models, so delivery points, mcause/mepc/mstatus CSR state and
 # SquashInterrupt recovery are checked in lock step.
 fuzz-irq-smoke:
-	$(GO) run ./cmd/xtfuzz -irq -n 60 -seed 1
+	$(GO) run ./cmd/xtfuzz -modes irq -n 60 -seed 1
 	$(GO) test -race -count=1 -run 'TestIRQFixedSeeds|TestIRQDeterministic|TestIRQSquashInterruptInFlight' ./internal/cosim
 
 # fuzz-smp-smoke repeats the sweep under the SPMD multi-hart profile: every
@@ -81,8 +81,8 @@ fuzz-asm-smoke:
 INJECT_SMOKE_DIR := .inject-smoke
 inject-smoke:
 	@mkdir -p $(INJECT_SMOKE_DIR)
-	$(GO) run ./cmd/xtinject -seeds 6 -faults 6 -jobs 1 > $(INJECT_SMOKE_DIR)/a.txt
-	$(GO) run ./cmd/xtinject -seeds 6 -faults 6 > $(INJECT_SMOKE_DIR)/b.txt
+	$(GO) run ./cmd/xtinject -n 6 -faults 6 -jobs 1 > $(INJECT_SMOKE_DIR)/a.txt
+	$(GO) run ./cmd/xtinject -n 6 -faults 6 > $(INJECT_SMOKE_DIR)/b.txt
 	cmp $(INJECT_SMOKE_DIR)/a.txt $(INJECT_SMOKE_DIR)/b.txt
 	@rm -rf $(INJECT_SMOKE_DIR)
 
@@ -118,23 +118,14 @@ campaign-smoke:
 # heartbeats, coordinator partition) under the race detector.
 campaign-chaos-smoke:
 	XTCAMPD_CHAOS=1 $(GO) test -count=1 -run TestCampaignChaosSmoke ./cmd/xtcampd
-	$(GO) test -race -count=1 -run 'TestLease|TestFence|TestChaos|TestWorker|TestHTTPLease|TestLocalFallback|TestProgressShows|TestCompleteWithMissing|TestBackoff|TestDo' ./internal/campaign ./internal/retry
-
-# bench-track runs the quick reproduction sweep and reports each experiment's
-# host-MIPS against the newest checked-in BENCH_*.json baseline. It is a
-# smoke, not a perf gate: it fails only when the JSON schema breaks or a
-# simulating experiment stops reporting instruction throughput — speed deltas
-# between hosts are expected and only logged. Record a fresh baseline on a
-# perf-relevant change with: $(GO) run ./cmd/xtbench -quick -json > BENCH_PRn.json
-bench-track:
-	$(GO) run ./cmd/xtbench -quick -json -track > /dev/null
+	$(GO) test -race -count=1 -run 'TestLease|TestFence|TestChaos|TestHTTPLease|TestLocalFallback|TestProgressShows|TestShardScenarios|TestBackoff|TestDo' ./internal/campaign ./internal/retry
 
 # fidelity-track reruns the quick calibration sweep and gates on the
 # paper-vs-measured error table: the run must carry the current schema,
 # measure every point the newest checked-in FIDELITY_*.json records, and
 # regress no point's calibrated error past the tolerance. Simulation is
-# deterministic, so unlike bench-track this IS a gate. Record a fresh
-# baseline after an intentional model change with:
+# deterministic, so this is a gate. Record a fresh baseline after an
+# intentional model change with:
 # $(GO) run ./cmd/xtbench -fidelity -quick -json > FIDELITY_PRn.json
 fidelity-track:
 	$(GO) run ./cmd/xtbench -fidelity -quick -track > /dev/null
@@ -152,8 +143,7 @@ fidelity-smoke: fidelity-track
 # assembler survives a short native fuzz pass, the trace subsystem's
 # smoke checks hold, the campaign daemon survives a kill-and-resume with a
 # byte-identical report, the distributed worker fleet survives a SIGKILLed
-# worker likewise, the host-speed tracking stream stays well-formed, and the
-# paper-fidelity error table has not regressed.
+# worker likewise, and the paper-fidelity error table has not regressed.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -168,7 +158,6 @@ tier1:
 	$(MAKE) trace-smoke
 	$(MAKE) campaign-smoke
 	$(MAKE) campaign-chaos-smoke
-	$(MAKE) bench-track
 	$(MAKE) fidelity-smoke
 
 # bench regenerates the paper's tables/figures as testing.B benchmarks.

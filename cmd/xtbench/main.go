@@ -12,12 +12,11 @@
 //	                         # ablation density
 //	xtbench -json            # machine-readable results + host metrics
 //	xtbench -cpistack        # add a top-down CPI-stack line under each run row
-//	xtbench -track           # host-MIPS deltas vs the newest BENCH_*.json
-//	xtbench -track -baseline BENCH_PR7.json   # ...or an explicit baseline
 //	xtbench -fidelity        # calibration sweep + paper-vs-measured error table
 //	xtbench -fidelity -quick -json > FIDELITY_x.json   # record a fidelity doc
 //	xtbench -fidelity -track # flag per-point error regressions vs the newest
 //	                         # FIDELITY_*.json (exit 1 on regression)
+//	xtbench -fidelity -track -baseline FIDELITY_PR9.json   # ...or a named one
 //	xtbench -cpuprofile cpu.pb -only fig17   # host CPU profile of the run
 //	                         # (go tool pprof); -memprofile for allocations
 //
@@ -76,8 +75,8 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	quick := fs.Bool("quick", false, "reduced iteration counts")
 	only := fs.String("only", "", "run a single experiment by id")
 	cpistack := fs.Bool("cpistack", false, "attach a pipeline tracer to each run and report its top-down CPI stack")
-	track := fs.Bool("track", false, "compare host-speed metrics against a baseline -json output (stderr report, no perf gate)")
-	baseline := fs.String("baseline", "", "baseline file for -track (default: the newest BENCH_*.json / FIDELITY_*.json in the current directory)")
+	track := fs.Bool("track", false, "with -fidelity: gate the error table against a baseline -fidelity -json document")
+	baseline := fs.String("baseline", "", "baseline file for -track (default: the newest FIDELITY_*.json in the current directory)")
 	fidelity := fs.Bool("fidelity", false, "run the calibration sweep and print the paper-vs-measured fidelity table instead of the experiments")
 	seed := fs.Int64("seed", 1, "calibration sweep seed (with -fidelity)")
 	prof := cliflags.RegisterProfile(fs)
@@ -85,8 +84,8 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		return 2
 	}
 	jsonOut := &cf.JSON
-	if *track && *only != "" {
-		fmt.Fprintln(stderr, "xtbench: -track needs the full experiment sweep (drop -only)")
+	if *track && !*fidelity {
+		fmt.Fprintln(stderr, "xtbench: -track only applies with -fidelity (host speed is measured by ./benchmark)")
 		return 2
 	}
 	if *fidelity && *only != "" {
@@ -97,14 +96,10 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		fmt.Fprintln(stderr, "xtbench: -baseline only applies with -track")
 		return 2
 	}
-	pattern := "BENCH_*.json"
-	if *fidelity {
-		pattern = "FIDELITY_*.json"
-	}
 	trackPath := *baseline
 	if *track && trackPath == "" {
 		var err error
-		if trackPath, err = resolveBaseline(".", pattern); err != nil {
+		if trackPath, err = resolveBaseline("."); err != nil {
 			fmt.Fprintf(stderr, "xtbench: track: %v\n", err)
 			return 1
 		}
@@ -217,12 +212,6 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 			out[i].Result = r.Value.(*perf.Result)
 		}
 	}
-	if *track {
-		if err := trackReport(stderr, trackPath, out); err != nil {
-			fmt.Fprintf(stderr, "xtbench: track: %v\n", err)
-			return 1
-		}
-	}
 	if *jsonOut {
 		if rc := emitJSON(stdout, stderr, out); rc != 0 {
 			return rc
@@ -248,16 +237,18 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	return 0
 }
 
+// baselinePattern names the checked-in per-PR fidelity records.
+const baselinePattern = "FIDELITY_*.json"
+
 // resolveBaseline picks the -track baseline when the user gave no -baseline:
-// the newest (by mtime) match of pattern in dir, the convention the
-// checked-in per-PR records follow. Equal mtimes — common after a `git
-// checkout`, which stamps every file with the same time — break toward the
-// lexicographically greatest name, so BENCH_PR9.json beats BENCH_PR7.json
-// deterministically instead of depending on directory order. No match is a
-// plain error, not a panic — a fresh checkout simply has nothing to track
-// against yet.
-func resolveBaseline(dir, pattern string) (string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, pattern))
+// the newest (by mtime) baselinePattern match in dir. Equal mtimes — common
+// after a `git checkout`, which stamps every file with the same time — break
+// toward the lexicographically greatest name, so FIDELITY_PR9.json beats
+// FIDELITY_PR7.json deterministically instead of depending on directory
+// order. No match is a plain error, not a panic — a fresh checkout simply has
+// nothing to track against yet.
+func resolveBaseline(dir string) (string, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, baselinePattern))
 	if err != nil {
 		return "", err
 	}
@@ -273,7 +264,7 @@ func resolveBaseline(dir, pattern string) (string, error) {
 		}
 	}
 	if best == "" {
-		return "", fmt.Errorf("no %s baseline in %s (record one with `xtbench -json`, or point -baseline at a file)", pattern, dir)
+		return "", fmt.Errorf("no %s baseline in %s (record one with `xtbench -fidelity -json`, or point -baseline at a file)", baselinePattern, dir)
 	}
 	return best, nil
 }
@@ -286,8 +277,8 @@ const fidelityErrTolerance = 0.02
 // fidelityTrack compares this sweep's error table against a prior
 // FIDELITY_*.json. Schema drift, an unreadable baseline, or a baseline point
 // the current sweep no longer measures are hard errors; so is any point
-// whose calibrated error grew past the tolerance — fidelity regressions are
-// gated, unlike host-speed deltas, because simulation is deterministic.
+// whose calibrated error grew past the tolerance — simulation is
+// deterministic, so this is a gate.
 func fidelityTrack(stderr io.Writer, path string, cur *calib.Result) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -334,60 +325,6 @@ func fidelityTrack(stderr io.Writer, path string, cur *calib.Result) error {
 	if len(regressed) > 0 {
 		return fmt.Errorf("calibrated error regressed past %.2f on: %s",
 			fidelityErrTolerance, strings.Join(regressed, " "))
-	}
-	return nil
-}
-
-// trackReport compares this run's host-speed metrics against a prior -json
-// output (the checked-in BENCH_*.json baseline), printing the per-
-// experiment MIPS trajectory to stderr. It hard-fails only on schema
-// problems — an unreadable baseline, records without ids, or a simulating
-// experiment that reported no throughput (the MIPS plumbing broke). Speed
-// deltas themselves are informational: hosts differ, so there is no perf
-// gate.
-func trackReport(stderr io.Writer, path string, cur []jsonResult) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base []jsonResult
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(base) == 0 {
-		return fmt.Errorf("%s: no experiments recorded", path)
-	}
-	prior := make(map[string]jsonResult, len(base))
-	for _, b := range base {
-		if b.ID == "" {
-			return fmt.Errorf("%s: record with empty id", path)
-		}
-		prior[b.ID] = b
-	}
-	measured := 0
-	for _, r := range cur {
-		if r.Error != "" {
-			fmt.Fprintf(stderr, "xtbench: track %-10s ERROR %s\n", r.ID, r.Error)
-			continue
-		}
-		if r.SimCycles == 0 {
-			continue // analytic experiment: nothing simulated, nothing to track
-		}
-		if r.SimInstrs == 0 || r.HostMIPS == 0 {
-			return fmt.Errorf("experiment %s simulated %d cycles but reported no instruction throughput (sim_instrs=%d, host_mips=%g)",
-				r.ID, r.SimCycles, r.SimInstrs, r.HostMIPS)
-		}
-		measured++
-		b, ok := prior[r.ID]
-		if !ok || b.HostMIPS == 0 {
-			fmt.Fprintf(stderr, "xtbench: track %-10s %8.2f MIPS  (no baseline)\n", r.ID, r.HostMIPS)
-			continue
-		}
-		fmt.Fprintf(stderr, "xtbench: track %-10s %8.2f MIPS  baseline %8.2f  (%+.1f%%)\n",
-			r.ID, r.HostMIPS, b.HostMIPS, (r.HostMIPS-b.HostMIPS)/b.HostMIPS*100)
-	}
-	if measured == 0 {
-		return fmt.Errorf("no experiment reported host-speed metrics")
 	}
 	return nil
 }

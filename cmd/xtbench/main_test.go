@@ -52,10 +52,12 @@ func TestBadFlag(t *testing.T) {
 }
 
 // TestTrackFlagValidation pins the -track flag surface: -baseline without
-// -track is a usage error, and -track with -only stays rejected.
+// -track is a usage error, and so is -track without -fidelity (with or
+// without -only) — the host-speed comparison it once ran is benchmark/'s.
 func TestTrackFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-baseline", "BENCH_PR7.json"},
+		{"-baseline", "FIDELITY_PR9.json"},
+		{"-track"},
 		{"-track", "-only", "spec"},
 	} {
 		var out, errb bytes.Buffer
@@ -65,14 +67,14 @@ func TestTrackFlagValidation(t *testing.T) {
 	}
 }
 
-// TestResolveBaseline covers the default-baseline lookup: newest BENCH_*.json
+// TestResolveBaseline covers the default-baseline lookup: newest FIDELITY_*.json
 // by mtime wins, non-matching files are ignored, and an empty directory is a
 // clear error rather than a panic on a hardcoded filename.
 func TestResolveBaseline(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := resolveBaseline(dir, "BENCH_*.json"); err == nil {
+	if _, err := resolveBaseline(dir); err == nil {
 		t.Fatal("empty dir: want error, got nil")
-	} else if !strings.Contains(err.Error(), "BENCH_*.json") {
+	} else if !strings.Contains(err.Error(), baselinePattern) {
 		t.Fatalf("empty dir: error should name the pattern, got %v", err)
 	}
 
@@ -87,12 +89,12 @@ func TestResolveBaseline(t *testing.T) {
 		}
 		return p
 	}
-	write("BENCH_PR5.json", 3*time.Hour)
-	newest := write("BENCH_PR9.json", time.Hour)
-	write("BENCH_PR7.json", 2*time.Hour)
+	write("FIDELITY_PR5.json", 3*time.Hour)
+	newest := write("FIDELITY_PR9.json", time.Hour)
+	write("FIDELITY_PR7.json", 2*time.Hour)
 	write("notes.json", 0) // does not match the pattern; must not win
 
-	got, err := resolveBaseline(dir, "BENCH_*.json")
+	got, err := resolveBaseline(dir)
 	if err != nil {
 		t.Fatalf("resolveBaseline: %v", err)
 	}
@@ -107,7 +109,7 @@ func TestResolveBaseline(t *testing.T) {
 func TestResolveBaselineMtimeTie(t *testing.T) {
 	dir := t.TempDir()
 	mt := time.Now().Add(-time.Hour).Truncate(time.Second)
-	for _, name := range []string{"BENCH_PR9.json", "BENCH_PR10.json", "BENCH_PR7.json"} {
+	for _, name := range []string{"FIDELITY_PR9.json", "FIDELITY_PR10.json", "FIDELITY_PR7.json"} {
 		p := filepath.Join(dir, name)
 		if err := os.WriteFile(p, []byte("[]"), 0o644); err != nil {
 			t.Fatal(err)
@@ -116,23 +118,23 @@ func TestResolveBaselineMtimeTie(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := resolveBaseline(dir, "BENCH_*.json")
+	got, err := resolveBaseline(dir)
 	if err != nil {
 		t.Fatalf("resolveBaseline: %v", err)
 	}
 	// ASCII order, so PR9 > PR7 > PR10 — the tie-break is lexicographic by
 	// name, not numeric by PR.
-	if want := filepath.Join(dir, "BENCH_PR9.json"); got != want {
+	if want := filepath.Join(dir, "FIDELITY_PR9.json"); got != want {
 		t.Fatalf("mtime tie: resolveBaseline = %s, want %s", got, want)
 	}
 
 	// A strictly newer file still beats any name.
-	p := filepath.Join(dir, "BENCH_PR10.json")
+	p := filepath.Join(dir, "FIDELITY_PR10.json")
 	newer := mt.Add(time.Minute)
 	if err := os.Chtimes(p, newer, newer); err != nil {
 		t.Fatal(err)
 	}
-	got, err = resolveBaseline(dir, "BENCH_*.json")
+	got, err = resolveBaseline(dir)
 	if err != nil {
 		t.Fatalf("resolveBaseline: %v", err)
 	}

@@ -1,8 +1,7 @@
 // Command xtcampd is the campaign daemon: a sharded, resumable front end for
 // the xtfuzz / xtinject / xtbench campaign tools behind an HTTP/JSON API
 // (internal/campaign). It is also the distributed coordinator: remote
-// xtworker processes pull shard leases over the same API, and xtcampd itself
-// can run as a worker with -worker.
+// xtworker processes pull shard leases over the same API.
 //
 // Usage:
 //
@@ -12,7 +11,6 @@
 //	xtcampd -jobs 4                  # default per-shard worker width
 //	xtcampd -lease-ttl 10s           # shard lease TTL (missed heartbeats expire it)
 //	xtcampd -local=false             # pure coordinator: shards only run on workers
-//	xtcampd -worker -coordinator http://camp:8910   # run as a worker instead
 //	xtcampd -pprof 127.0.0.1:6060    # live net/http/pprof on its own listener (address logged)
 //
 // Quickstart (see README.md for the full walkthrough):
@@ -69,9 +67,6 @@ func run(args []string, stderr io.Writer) int {
 		"run shards in-process when no remote worker is live (false: pure coordinator)")
 	localGrace := fs.Duration("local-grace", 0,
 		"how long the in-process executor waits for remote workers before picking up shards")
-	worker := fs.Bool("worker", false, "run as a campaign worker instead of a coordinator")
-	coordinator := fs.String("coordinator", "", "coordinator base URL (with -worker)")
-	workerID := fs.String("id", "", "worker identity (with -worker; default host-pid)")
 	pprofAddr := cliflags.RegisterPprof(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -86,33 +81,6 @@ func run(args []string, stderr io.Writer) int {
 	defer stopPprof()
 	if pprofBound != nil {
 		logger.Printf("xtcampd: pprof on http://%s/debug/pprof/", pprofBound)
-	}
-
-	if *worker {
-		if *coordinator == "" {
-			fmt.Fprintln(stderr, "xtcampd: -worker needs -coordinator")
-			return 2
-		}
-		id := *workerID
-		if id == "" {
-			host, _ := os.Hostname()
-			if host == "" {
-				host = "xtcampd"
-			}
-			id = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() { <-sig; cancel() }()
-		logger.Printf("xtcampd: worker mode id=%s coordinator=%s", id, *coordinator)
-		if err := campaign.RunWorker(ctx, campaign.WorkerOptions{
-			Coordinator: *coordinator, ID: id, Jobs: *jobs, Logf: logger.Printf,
-		}); err != nil {
-			fmt.Fprintf(stderr, "xtcampd: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	eng, err := campaign.Open(campaign.Options{

@@ -24,9 +24,6 @@
 //	                           # -memprofile likewise for allocations
 //	xtfuzz -modes paged -repro c.s  # ...under the paged profile
 //
-// The flags -paged, -irq and -budget remain as deprecated aliases for
-// -modes paged, -modes irq and -timeout.
-//
 // Every divergence prints the first-mismatch report, a windowed commit
 // trace, and a minimized reproducer program. A watchdog-killed seed is
 // reported as status "timeout" and does NOT fail the run. Exit status: 0
@@ -60,8 +57,8 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	cf.RegisterPool(fs)
 	cf.RegisterJSON(fs)
 	cf.RegisterTimeout(fs, 0,
-		"per-seed wall-clock watchdog (0 = none; timed-out seeds retry once at 2x)", "budget")
-	ms.Register(fs, true)
+		"per-seed wall-clock watchdog (0 = none; timed-out seeds retry once at 2x)")
+	ms.Register(fs)
 	prof := cliflags.RegisterProfile(fs)
 	segs := fs.Int("segs", 0, "segments per program (0 = default)")
 	cycles := fs.Uint64("cycles", 0, "per-program cycle budget (0 = default)")

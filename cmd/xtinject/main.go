@@ -11,8 +11,6 @@
 //	xtinject -jobs 1              # serial; report identical at any width
 //	xtinject -timeout 30s         # per-run wall deadline
 //
-// The flag -seeds remains as a deprecated alias for -n.
-//
 // The report is deterministic (byte-identical at any -jobs). Exit status: 0
 // on a clean campaign, 1 when any architectural-state fault went silent, a
 // control run diverged (false positive), or the campaign errored; 2 on usage
@@ -39,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xtinject", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cf cliflags.Campaign
-	cf.RegisterSeeds(fs, 10, "seeds")
+	cf.RegisterSeeds(fs, 10)
 	cf.RegisterPool(fs)
 	cf.RegisterTimeout(fs, 60*time.Second, "per-run wall deadline")
 	faults := fs.Int("faults", 8, "faults injected per seed")

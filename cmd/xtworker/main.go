@@ -1,8 +1,7 @@
 // Command xtworker is a campaign worker: it pulls shard leases from an
-// xtcampd coordinator, runs the shard's work items in-process with the same
-// tool entry points the coordinator's local executor uses, streams finished
-// journal lines back on every heartbeat, and completes the shard under its
-// fencing token. Any number of workers on any number of machines can serve
+// xtcampd coordinator, runs each shard through the same loop the
+// coordinator's own executor uses, streams finished journal lines back on
+// every heartbeat, and completes the shard under its fencing token. Any number of workers on any number of machines can serve
 // one coordinator; the merged report stays byte-identical to a direct
 // single-process run no matter how workers come, go, or die mid-shard.
 //

@@ -14,8 +14,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"xt910/internal/sched"
 )
 
 // Campaign statuses.
@@ -106,6 +104,34 @@ type state struct {
 	started time.Time
 	instrs  uint64 // retired instructions executed so far (host-MIPS numerator)
 	wall    time.Duration
+}
+
+// newState is a campaign with nothing journaled yet.
+func newState(id, dir string, spec *Spec) *state {
+	st := &state{id: id, dir: dir, spec: spec, status: StatusQueued,
+		shards: spec.ShardItems(), divs: make(map[int]*Divergence)}
+	st.done = make([]map[int]json.RawMessage, len(st.shards))
+	for si := range st.shards {
+		st.done[si] = make(map[int]json.RawMessage)
+	}
+	return st
+}
+
+// inShard reports whether manifest index idx belongs to shard si.
+// Spec.ShardItems cuts contiguous index ranges, so the shard's first and last
+// item bound it.
+func (st *state) inShard(si, idx int) bool {
+	items := st.shards[si]
+	return len(items) > 0 && items[0].Index <= idx && idx <= items[len(items)-1].Index
+}
+
+// stopClock folds the running wall-time span into the total. Callers hold
+// st.mu.
+func (st *state) stopClock() {
+	if !st.started.IsZero() {
+		st.wall += time.Since(st.started)
+		st.started = time.Time{}
+	}
 }
 
 // Open loads the state directory, resumes unfinished campaigns and starts
@@ -204,12 +230,9 @@ func (e *Engine) load(id string) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &state{id: id, dir: dir, spec: spec, status: StatusQueued,
-		shards: spec.ShardItems(), divs: make(map[int]*Divergence)}
-	st.done = make([]map[int]json.RawMessage, len(st.shards))
+	st := newState(id, dir, spec)
 	complete := true
 	for si := range st.shards {
-		st.done[si] = make(map[int]json.RawMessage)
 		path := shardJournalPath(dir, si)
 		entries, err := readJournal(path)
 		if err != nil {
@@ -218,12 +241,8 @@ func (e *Engine) load(id string) (*state, error) {
 		if err := compactJournal(path, entries); err != nil {
 			return nil, err
 		}
-		valid := make(map[int]bool, len(st.shards[si]))
-		for _, it := range st.shards[si] {
-			valid[it.Index] = true
-		}
 		for _, en := range entries {
-			if !valid[en.Index] {
+			if !st.inShard(si, en.Index) {
 				continue // stale entry from an edited manifest; ignore
 			}
 			st.done[si][en.Index] = en.Line
@@ -290,12 +309,7 @@ func (e *Engine) Submit(spec *Spec) (string, error) {
 	if err := saveSpec(dir, spec); err != nil {
 		return "", err
 	}
-	st := &state{id: id, dir: dir, spec: spec, status: StatusQueued,
-		shards: spec.ShardItems(), divs: make(map[int]*Divergence)}
-	st.done = make([]map[int]json.RawMessage, len(st.shards))
-	for si := range st.shards {
-		st.done[si] = make(map[int]json.RawMessage)
-	}
+	st := newState(id, dir, spec)
 	e.mu.Lock()
 	e.campaigns[id] = st
 	e.order = append(e.order, id)
@@ -305,7 +319,7 @@ func (e *Engine) Submit(spec *Spec) (string, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch: remote lease protocol + local fallback executor.
+// Dispatch: when the coordinator may run work itself.
 
 // touchWorker records remote-worker contact (lease poll, heartbeat or
 // complete) for the liveness view.
@@ -357,9 +371,10 @@ func (e *Engine) localMayRun() bool {
 }
 
 // dispatcher is the engine's background loop: it reaps expired leases
-// (requeueing their shards) and, when no remote fleet is live, executes
-// pending shards in-process one at a time — PR 8's local execution path,
-// now just another lease-holding worker.
+// (requeueing their shards) and decides when the coordinator itself may run
+// work — only while no remote fleet is live, one shard at a time. How a
+// shard runs is not its business: that is runShard, the loop every worker
+// uses.
 func (e *Engine) dispatcher() {
 	defer e.wg.Done()
 	tick := time.NewTicker(20 * time.Millisecond)
@@ -376,15 +391,77 @@ func (e *Engine) dispatcher() {
 				l.ref, l.worker, l.token)
 		}
 		for e.localMayRun() {
-			l, err := e.leases.Acquire(localWorkerID)
+			g, st, err := e.grant(localWorkerID)
 			if err != nil {
 				break // no pending work
 			}
-			e.runLocalShard(l)
+			e.runLocal(g, st)
 			if e.ctx.Err() != nil {
 				return
 			}
 		}
+	}
+}
+
+// runLocal runs one granted shard on the coordinator itself: the shared
+// runShard over a localLink, with one journal writer for the shard. A drain
+// mid-shard hands the lease back and leaves the journal as the resume point.
+func (e *Engine) runLocal(g *LeaseGrant, st *state) {
+	ref := shardRef{Campaign: g.Campaign, Shard: g.Shard}
+	jw, err := openJournal(shardJournalPath(st.dir, g.Shard))
+	if err != nil {
+		e.fail(st, err)
+		return
+	}
+	defer jw.Close()
+	width := st.spec.Jobs
+	if width <= 0 {
+		width = e.opts.Jobs
+	}
+	runShard(e.ctx, g, e.opts.Runner, width,
+		&localLink{e: e, st: st, ref: ref, token: g.Token, jw: jw})
+	if e.ctx.Err() != nil {
+		st.mu.Lock()
+		st.status = StatusQueued // resumes from the journals on restart
+		st.stopClock()
+		st.mu.Unlock()
+		e.leases.Requeue(ref, g.Token)
+	}
+}
+
+// localLink is the shardLink of the coordinator's own executor: the same
+// registry and journal code a remote worker's requests reach, called
+// directly. It is not a worker in the liveness view (no touchWorker), and
+// where a remote worker's entries wait for the next heartbeat, each of these
+// is journaled the moment its item finishes.
+type localLink struct {
+	e     *Engine
+	st    *state
+	ref   shardRef
+	token uint64
+	jw    *journalWriter
+}
+
+func (l *localLink) deliver(en journalEntry) {
+	if !l.e.leases.Holds(l.ref, l.token) {
+		return // fenced off: only the current leaseholder writes
+	}
+	if _, err := l.e.applyEntry(l.jw, l.st, l.ref.Shard, en); err != nil {
+		l.e.fail(l.st, err)
+	}
+}
+
+func (l *localLink) renew(context.Context) bool {
+	if _, err := l.e.leases.Renew(l.ref, l.token); err != nil {
+		l.e.opts.Logf("campaign: local lease on %s lost: %v", l.ref, err)
+		return false
+	}
+	return true
+}
+
+func (l *localLink) complete(_ context.Context, itemErr error) {
+	if err := l.e.finishShard(l.st, l.ref, l.token, nil, itemErr); err != nil {
+		l.e.opts.Logf("campaign: local complete of %s token=%d: %v", l.ref, l.token, err)
 	}
 }
 
@@ -408,19 +485,17 @@ func (st *state) markRunning(now time.Time) {
 	st.mu.Unlock()
 }
 
-// pendingItems lists a shard's not-yet-journaled items and the indexes
-// already done.
-func (st *state) pendingItems(si int) (pending []Item, done []int) {
+// doneIndexes lists a shard's already-journaled items, in manifest order.
+func (st *state) doneIndexes(si int) []int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	var done []int
 	for _, it := range st.shards[si] {
 		if _, ok := st.done[si][it.Index]; ok {
 			done = append(done, it.Index)
-		} else {
-			pending = append(pending, it)
 		}
 	}
-	return pending, done
+	return done
 }
 
 // applyEntry journals one finished item and folds it into the in-memory
@@ -458,19 +533,13 @@ func (e *Engine) applyEntries(st *state, si int, entries []journalEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	valid := make(map[int]bool, len(st.shards[si]))
-	st.mu.Lock()
-	for _, it := range st.shards[si] {
-		valid[it.Index] = true
-	}
-	st.mu.Unlock()
 	jw, err := openJournal(shardJournalPath(st.dir, si))
 	if err != nil {
 		return err
 	}
 	defer jw.Close()
 	for _, en := range entries {
-		if !valid[en.Index] {
+		if !st.inShard(si, en.Index) {
 			return fmt.Errorf("campaign: %s shard %d: entry index %d outside manifest", st.id, si, en.Index)
 		}
 		if _, err := e.applyEntry(jw, st, si, en); err != nil {
@@ -478,13 +547,6 @@ func (e *Engine) applyEntries(st *state, si int, entries []journalEntry) error {
 		}
 	}
 	return nil
-}
-
-// shardComplete reports whether every item of a shard is journaled.
-func (st *state) shardComplete(si int) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.done[si]) >= len(st.shards[si])
 }
 
 // maybeFinish merges and finalizes a campaign once every shard is complete.
@@ -499,10 +561,7 @@ func (e *Engine) maybeFinish(st *state) {
 			return
 		}
 	}
-	if !st.started.IsZero() {
-		st.wall += time.Since(st.started)
-		st.started = time.Time{}
-	}
+	st.stopClock()
 	if err := st.writeReport(); err != nil {
 		st.status = StatusFailed
 		st.errMsg = err.Error()
@@ -517,134 +576,16 @@ func (e *Engine) fail(st *state, err error) {
 	st.mu.Lock()
 	st.status = StatusFailed
 	st.errMsg = err.Error()
-	if !st.started.IsZero() {
-		st.wall += time.Since(st.started)
-		st.started = time.Time{}
-	}
+	st.stopClock()
 	st.mu.Unlock()
 	e.leases.Remove(st.id)
 }
 
-// runLocalShard executes one leased shard in-process: pending items on a
-// sched pool, every finished item journaled from OnResult (which sched
-// serializes), the lease renewed on a heartbeat ticker exactly like a remote
-// worker's. Cancellation mid-shard requeues the lease and leaves the
-// journals as the resume point.
-func (e *Engine) runLocalShard(l *lease) {
-	st, ok := e.stateFor(l.ref.Campaign)
-	if !ok {
-		e.leases.Complete(l.ref, l.token)
-		return
-	}
-	st.markRunning(time.Now())
-	si := l.ref.Shard
-	pending, _ := st.pendingItems(si)
-	if len(pending) == 0 {
-		e.completeShard(st, l.ref, l.token)
-		return
-	}
-
-	width := st.spec.Jobs
-	if width <= 0 {
-		width = e.opts.Jobs
-	}
-	jw, err := openJournal(shardJournalPath(st.dir, si))
-	if err != nil {
-		e.fail(st, err)
-		return
-	}
-
-	// Renew the local lease on the same cadence a remote worker would; the
-	// registry treats the in-process executor like any other leaseholder.
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		t := time.NewTicker(e.opts.LeaseTTL / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				if _, err := e.leases.Renew(l.ref, l.token); err != nil {
-					e.opts.Logf("campaign: local lease on %s lost: %v", l.ref, err)
-					return
-				}
-			}
-		}
-	}()
-
-	jobs := make([]sched.Job, len(pending))
-	for j, it := range pending {
-		it := it
-		jobs[j] = sched.Job{
-			ID: fmt.Sprintf("%s/shard%d/%s", st.id, si, it.Key()),
-			Run: func(ctx context.Context) (any, error) {
-				res, err := e.opts.Runner.Run(ctx, st.spec, it)
-				return res, err
-			},
-		}
-	}
-	var itemErr error
-	rs := sched.Run(e.ctx, jobs, sched.Options{
-		Workers: width,
-		OnResult: func(j int, r sched.Result) {
-			if r.Err != nil {
-				return // cancellation or item failure: nothing durable to record
-			}
-			res := r.Value.(ItemResult)
-			en := journalEntry{Index: pending[j].Index, Line: res.Line, Div: res.Div, Instrs: r.Instrs}
-			if _, err := e.applyEntry(jw, st, si, en); err != nil && itemErr == nil {
-				itemErr = err
-			}
-		},
-	})
-	jw.Close()
-	close(hbStop)
-	hbWG.Wait()
-	if e.ctx.Err() != nil {
-		st.mu.Lock()
-		st.status = StatusQueued // resumes from the journals on restart
-		if !st.started.IsZero() {
-			st.wall += time.Since(st.started)
-			st.started = time.Time{}
-		}
-		st.mu.Unlock()
-		e.leases.Requeue(l.ref, l.token)
-		return
-	}
-	if itemErr == nil {
-		itemErr = sched.FirstError(rs)
-	}
-	if itemErr != nil {
-		e.fail(st, itemErr)
-		return
-	}
-	e.completeShard(st, l.ref, l.token)
-}
-
-// completeShard releases the lease and, when the shard's journal really
-// covers every item, checks the campaign for completion. A "complete" on a
-// shard with missing items (a buggy or fenced-off worker) requeues the shard
-// instead of wedging the campaign.
-func (e *Engine) completeShard(st *state, ref shardRef, token uint64) error {
-	if err := e.leases.Complete(ref, token); err != nil {
-		return err
-	}
-	if !st.shardComplete(ref.Shard) {
-		e.opts.Logf("campaign: %s completed with items missing; requeued", ref)
-		e.leases.Enqueue(ref)
-		e.kick()
-		return fmt.Errorf("campaign: %s: complete with items missing; requeued", ref)
-	}
-	e.maybeFinish(st)
-	return nil
-}
-
 // ---------------------------------------------------------------------------
-// Remote worker API (the engine half of /lease, /heartbeat, /complete).
+// The lease protocol's engine half: grant, heartbeat, finish. Remote workers
+// reach it through /lease, /heartbeat and /complete (the exported methods,
+// which also record worker liveness); the local executor calls the
+// unexported core directly.
 
 // LeaseGrant is the /api/v1/lease response: everything a worker needs to run
 // one shard — the manifest, the shard's item list, which items are already
@@ -659,35 +600,37 @@ type LeaseGrant struct {
 	Done     []int  `json:"done,omitempty"`
 }
 
-// AcquireShard grants the oldest pending shard to a remote worker.
+// grant leases the oldest pending shard to worker and describes it.
 // ErrNoWork when nothing is pending.
-func (e *Engine) AcquireShard(workerID string) (*LeaseGrant, error) {
-	e.touchWorker(workerID)
-	l, err := e.leases.Acquire(workerID)
+func (e *Engine) grant(worker string) (*LeaseGrant, *state, error) {
+	l, err := e.leases.Acquire(worker)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st, ok := e.stateFor(l.ref.Campaign)
 	if !ok {
 		e.leases.Complete(l.ref, l.token)
-		return nil, ErrNoWork
+		return nil, nil, ErrNoWork
 	}
 	st.markRunning(time.Now())
-	_, done := st.pendingItems(l.ref.Shard)
-	st.mu.Lock()
-	items := append([]Item(nil), st.shards[l.ref.Shard]...)
-	spec := st.spec
-	st.mu.Unlock()
-	e.opts.Logf("campaign: leased %s to worker=%s token=%d", l.ref, workerID, l.token)
+	e.opts.Logf("campaign: leased %s to worker=%s token=%d", l.ref, worker, l.token)
 	return &LeaseGrant{
 		Campaign: l.ref.Campaign,
 		Shard:    l.ref.Shard,
 		Token:    l.token,
 		TTLMS:    e.opts.LeaseTTL.Milliseconds(),
-		Spec:     spec,
-		Items:    items,
-		Done:     done,
-	}, nil
+		Spec:     st.spec,
+		Items:    st.shards[l.ref.Shard], // fixed at admission; read-only from here on
+		Done:     st.doneIndexes(l.ref.Shard),
+	}, st, nil
+}
+
+// AcquireShard grants the oldest pending shard to a remote worker.
+// ErrNoWork when nothing is pending.
+func (e *Engine) AcquireShard(workerID string) (*LeaseGrant, error) {
+	e.touchWorker(workerID)
+	g, _, err := e.grant(workerID)
+	return g, err
 }
 
 // HeartbeatShard renews a worker's lease and journals the entries it
@@ -712,32 +655,53 @@ func (e *Engine) HeartbeatShard(workerID, campaignID string, shard int, token ui
 	return ttl, nil
 }
 
-// CompleteShard finishes a worker's shard: journal the final entries, fence-
-// check the token, release the lease and (perhaps) finalize the campaign.
-// workerErr marks the shard failed on the worker; a valid token then fails
-// the whole campaign, matching the local executor's item-error semantics.
+// CompleteShard finishes a remote worker's shard; workerErr, when non-empty,
+// is the error its first failing item returned.
 func (e *Engine) CompleteShard(workerID, campaignID string, shard int, token uint64, entries []journalEntry, workerErr string) error {
 	e.touchWorker(workerID)
-	ref := shardRef{Campaign: campaignID, Shard: shard}
 	st, ok := e.stateFor(campaignID)
 	if !ok {
 		return ErrLeaseLost
 	}
+	var itemErr error
+	if workerErr != "" {
+		itemErr = errors.New(workerErr)
+	}
+	return e.finishShard(st, shardRef{Campaign: campaignID, Shard: shard}, token, entries, itemErr)
+}
+
+// finishShard ends a shard under its fencing token: journal the final
+// entries, then either fail the campaign (itemErr: an item failed, and would
+// fail again anywhere, being deterministic) or release the lease and, when
+// the journal really covers every item, check the campaign for completion. A
+// finish with items missing (a buggy worker) requeues the shard instead of
+// wedging the campaign.
+func (e *Engine) finishShard(st *state, ref shardRef, token uint64, entries []journalEntry, itemErr error) error {
 	if !e.leases.Holds(ref, token) {
 		return ErrLeaseLost
 	}
-	if workerErr != "" {
-		if err := e.leases.Complete(ref, token); err != nil {
-			return err
-		}
-		e.fail(st, errors.New(workerErr))
-		return nil
-	}
-	if err := e.applyEntries(st, shard, entries); err != nil {
+	if err := e.applyEntries(st, ref.Shard, entries); err != nil {
 		e.fail(st, err)
 		return err
 	}
-	return e.completeShard(st, ref, token)
+	if err := e.leases.Complete(ref, token); err != nil {
+		return err
+	}
+	if itemErr != nil {
+		e.fail(st, itemErr)
+		return nil
+	}
+	st.mu.Lock()
+	missing := len(st.shards[ref.Shard]) - len(st.done[ref.Shard])
+	st.mu.Unlock()
+	if missing > 0 {
+		e.opts.Logf("campaign: %s completed with items missing; requeued", ref)
+		e.leases.Enqueue(ref)
+		e.kick()
+		return fmt.Errorf("campaign: %s: complete with items missing; requeued", ref)
+	}
+	e.maybeFinish(st)
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -10,15 +10,13 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xt910/internal/retry"
-	"xt910/internal/sched"
 )
 
-// WorkerOptions configures one campaign worker process (cmd/xtworker,
-// xtcampd -worker, or an in-process worker in tests).
+// WorkerOptions configures one campaign worker (cmd/xtworker, or a worker
+// goroutine in tests and the benchmark).
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (http://host:port). Required.
 	Coordinator string
@@ -56,18 +54,54 @@ type WorkerOptions struct {
 }
 
 // RunWorker pulls shard leases from the coordinator and executes them until
-// ctx ends (or MaxShards is reached): items run on a sched pool through the
-// same Runner entry points the local executor uses, finished entries stream
-// back on every heartbeat, and the final batch rides the /complete call.
-// Transient coordinator failures back off on the seeded retry schedule; a
-// fencing rejection (409) abandons the shard immediately — some newer lease
-// owns it, and at-least-once re-execution is safe by journal keep-first.
+// ctx ends (or MaxShards is reached): each shard runs through runShard, the
+// loop the coordinator's own executor uses, over an httpLink — finished
+// entries stream back on every heartbeat and the final batch rides the
+// /complete call. Transient coordinator failures back off on the seeded retry
+// schedule; a fencing rejection (409) abandons the shard immediately — some
+// newer lease owns it, and at-least-once re-execution is safe by journal
+// keep-first.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
+	w, err := newWorker(opts)
+	if err != nil {
+		return err
+	}
+	completed := 0
+	for ctx.Err() == nil {
+		grant, err := w.lease(ctx)
+		if err != nil {
+			if ctx.Err() != nil {
+				break
+			}
+			w.sleep(ctx, w.backoffDelay())
+			continue
+		}
+		w.backoff.Reset()
+		if grant == nil { // no work pending
+			w.sleep(ctx, w.opts.Poll)
+			continue
+		}
+		w.run(ctx, grant)
+		completed++
+		if w.opts.MaxShards > 0 && completed >= w.opts.MaxShards {
+			break
+		}
+	}
+	return nil
+}
+
+type worker struct {
+	opts    WorkerOptions
+	backoff *retry.Backoff
+}
+
+// newWorker checks opts and fills in the defaults.
+func newWorker(opts WorkerOptions) (*worker, error) {
 	if opts.Coordinator == "" || opts.ID == "" {
-		return fmt.Errorf("campaign: worker needs Coordinator and ID")
+		return nil, fmt.Errorf("campaign: worker needs Coordinator and ID")
 	}
 	if opts.ID == localWorkerID {
-		return fmt.Errorf("campaign: worker id %q is reserved", localWorkerID)
+		return nil, fmt.Errorf("campaign: worker id %q is reserved", localWorkerID)
 	}
 	if opts.Runner == nil {
 		opts.Runner = toolRunner{}
@@ -89,39 +123,21 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-
-	w := &worker{opts: opts, backoff: retry.New(opts.Retry, opts.Seed)}
-	completed := 0
-	for ctx.Err() == nil {
-		grant, err := w.lease(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			w.sleepBackoff(ctx)
-			continue
-		}
-		if grant == nil { // no work pending
-			w.backoff.Reset()
-			w.sleep(ctx, opts.Poll)
-			continue
-		}
-		w.backoff.Reset()
-		w.runShard(ctx, grant)
-		completed++
-		if opts.MaxShards > 0 && completed >= opts.MaxShards {
-			break
-		}
-	}
-	if ctx.Err() != nil {
-		return nil
-	}
-	return nil
+	return &worker{opts: opts, backoff: retry.New(opts.Retry, opts.Seed)}, nil
 }
 
-type worker struct {
-	opts    WorkerOptions
-	backoff *retry.Backoff
+// run executes one granted shard: the shared runShard over an httpLink.
+func (w *worker) run(ctx context.Context, g *LeaseGrant) {
+	width := w.opts.Jobs
+	if width <= 0 {
+		width = g.Spec.Jobs
+	}
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	w.opts.Logf("xtworker %s: leased %s/shard%d token=%d (%d/%d items pending)", w.opts.ID,
+		g.Campaign, g.Shard, g.Token, len(g.Items)-len(g.Done), len(g.Items))
+	runShard(ctx, g, w.opts.Runner, width, &httpLink{w: w, g: g})
 }
 
 func (w *worker) sleep(ctx context.Context, d time.Duration) {
@@ -141,20 +157,6 @@ func (w *worker) backoffDelay() time.Duration {
 		return d
 	}
 	return w.opts.Poll
-}
-
-func (w *worker) sleepBackoff(ctx context.Context) {
-	w.sleep(ctx, w.backoffDelay())
-}
-
-// statusError carries a non-2xx coordinator reply.
-type statusError struct {
-	code int
-	body string
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("campaign: coordinator replied %d: %s", e.code, e.body)
 }
 
 // post sends one JSON request. Network errors and 5xx are transient (retry);
@@ -180,7 +182,8 @@ func (w *worker) post(ctx context.Context, path string, body, out any) (int, err
 	}
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return resp.StatusCode, &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+		return resp.StatusCode, fmt.Errorf("campaign: coordinator replied %d: %s",
+			resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -201,36 +204,6 @@ func (w *worker) lease(ctx context.Context) (*LeaseGrant, error) {
 		return nil, nil
 	}
 	return &grant, nil
-}
-
-// entryBuffer accumulates finished entries between heartbeats.
-type entryBuffer struct {
-	mu      sync.Mutex
-	entries []journalEntry
-}
-
-func (b *entryBuffer) add(e journalEntry) {
-	b.mu.Lock()
-	b.entries = append(b.entries, e)
-	b.mu.Unlock()
-}
-
-// take drains the buffer; give returns entries after a failed send.
-func (b *entryBuffer) take() []journalEntry {
-	b.mu.Lock()
-	out := b.entries
-	b.entries = nil
-	b.mu.Unlock()
-	return out
-}
-
-func (b *entryBuffer) give(es []journalEntry) {
-	if len(es) == 0 {
-		return
-	}
-	b.mu.Lock()
-	b.entries = append(es, b.entries...)
-	b.mu.Unlock()
 }
 
 // entryBatchBytes bounds the encoded entry payload of one worker POST,
@@ -262,185 +235,109 @@ func splitEntryBatches(entries []journalEntry, limit int) [][]journalEntry {
 	return append(batches, entries[start:])
 }
 
-// flattenBatches rejoins a tail of batches (after a mid-stream send failure)
-// so the unsent entries can go back into the buffer in order.
-func flattenBatches(batches [][]journalEntry) []journalEntry {
-	if len(batches) == 1 {
-		return batches[0]
-	}
-	var out []journalEntry
-	for _, b := range batches {
-		out = append(out, b...)
-	}
+// httpLink is the shardLink of a worker process: everything that is a wire
+// concern lives here. Finished entries wait in a buffer and ride the next
+// heartbeat, in batches bounded under the coordinator's request cap; the
+// remainder rides /complete.
+type httpLink struct {
+	w *worker
+	g *LeaseGrant
+
+	mu      sync.Mutex
+	entries []journalEntry // finished since the last successful send
+}
+
+func (l *httpLink) message(entries []journalEntry) shardMessage {
+	return shardMessage{Worker: l.w.opts.ID, Campaign: l.g.Campaign, Shard: l.g.Shard,
+		Token: l.g.Token, Entries: entries}
+}
+
+func (l *httpLink) deliver(en journalEntry) {
+	l.mu.Lock()
+	l.entries = append(l.entries, en)
+	l.mu.Unlock()
+}
+
+// take drains the buffer.
+func (l *httpLink) take() []journalEntry {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.entries
+	l.entries = nil
 	return out
 }
 
-// runShard executes one leased shard: the not-yet-done items on a sched
-// pool, heartbeats (with streamed entries) every TTL/3, the remainder on
-// /complete. A fenced-off heartbeat cancels the run mid-shard.
-func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
-	ttl := time.Duration(g.TTLMS) * time.Millisecond
-	if ttl <= 0 {
-		ttl = 10 * time.Second
+// renew sends one heartbeat. Transient failures put the unsent entries back
+// and try again next tick (the TTL gives ~3 misses of slack); a 409 means
+// the token is fenced off.
+func (l *httpLink) renew(ctx context.Context) bool {
+	w, g := l.w, l.g
+	if w.opts.DropHeartbeat != nil && w.opts.DropHeartbeat() {
+		w.opts.Logf("xtworker %s: chaos: dropping heartbeat for %s/shard%d",
+			w.opts.ID, g.Campaign, g.Shard)
+		return true
 	}
-	doneSet := make(map[int]bool, len(g.Done))
-	for _, i := range g.Done {
-		doneSet[i] = true
-	}
-	var pending []Item
-	for _, it := range g.Items {
-		if !doneSet[it.Index] {
-			pending = append(pending, it)
+	entries := l.take()
+	sent := 0
+	for _, batch := range splitEntryBatches(entries, entryBatchBytes) {
+		code, err := w.post(ctx, "/api/v1/heartbeat", l.message(batch), nil)
+		if code == http.StatusConflict {
+			w.opts.Logf("xtworker %s: lease on %s/shard%d fenced off; abandoning",
+				w.opts.ID, g.Campaign, g.Shard)
+			return false
 		}
-	}
-	w.opts.Logf("xtworker %s: leased %s/shard%d token=%d (%d/%d items pending)",
-		w.opts.ID, g.Campaign, g.Shard, g.Token, len(pending), len(g.Items))
-
-	width := w.opts.Jobs
-	if width <= 0 {
-		width = g.Spec.Jobs
-	}
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
-
-	var buf entryBuffer
-	var fenced atomic.Bool // set by the heartbeat loop before it cancels
-	shardCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Heartbeat loop: renew the lease and stream the entries finished since
-	// the last beat, in batches bounded under the coordinator's request cap.
-	// Transient failures put the unsent entries back and try again next tick
-	// (the TTL gives us ~3 misses of slack); a 409 means the token is fenced
-	// off — abandon the shard, the work re-runs elsewhere.
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		t := time.NewTicker(ttl / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-shardCtx.Done():
-				return
-			case <-t.C:
-			}
-			if w.opts.DropHeartbeat != nil && w.opts.DropHeartbeat() {
-				w.opts.Logf("xtworker %s: chaos: dropping heartbeat for %s/shard%d",
-					w.opts.ID, g.Campaign, g.Shard)
-				continue
-			}
-			batches := splitEntryBatches(buf.take(), entryBatchBytes)
-			for bi, batch := range batches {
-				msg := shardMessage{Worker: w.opts.ID, Campaign: g.Campaign,
-					Shard: g.Shard, Token: g.Token, Entries: batch}
-				code, err := w.post(shardCtx, "/api/v1/heartbeat", msg, nil)
-				if err == nil {
-					continue
-				}
-				if code == http.StatusConflict {
-					w.opts.Logf("xtworker %s: lease on %s/shard%d fenced off; abandoning",
-						w.opts.ID, g.Campaign, g.Shard)
-					fenced.Store(true)
-					cancel()
-					return
-				}
-				// Transient (partition, drain, 5xx): keep this batch and the
-				// unsent remainder for the next beat and keep computing.
-				buf.give(flattenBatches(batches[bi:]))
-				w.opts.Logf("xtworker %s: heartbeat failed (will retry): %v", w.opts.ID, err)
-				break
-			}
+		if err != nil {
+			// Transient (partition, drain, 5xx): keep this batch and the
+			// unsent remainder for the next beat and keep computing.
+			l.mu.Lock()
+			l.entries = append(entries[sent:], l.entries...)
+			l.mu.Unlock()
+			w.opts.Logf("xtworker %s: heartbeat failed (will retry): %v", w.opts.ID, err)
+			break
 		}
-	}()
+		sent += len(batch)
+	}
+	return true
+}
 
-	jobs := make([]sched.Job, len(pending))
-	for j, it := range pending {
-		it := it
-		jobs[j] = sched.Job{
-			ID: fmt.Sprintf("%s/shard%d/%s", g.Campaign, g.Shard, it.Key()),
-			Run: func(jctx context.Context) (any, error) {
-				res, err := w.opts.Runner.Run(jctx, g.Spec, it)
-				return res, err
-			},
-		}
-	}
-	var itemErr error
-	rs := sched.Run(shardCtx, jobs, sched.Options{
-		Workers: width,
-		OnResult: func(j int, r sched.Result) {
-			if r.Err != nil {
-				return
-			}
-			res := r.Value.(ItemResult)
-			buf.add(journalEntry{Index: pending[j].Index, Line: res.Line,
-				Div: res.Div, Instrs: r.Instrs})
-		},
-	})
-	cancel()
-	hbWG.Wait()
-
-	if ctx.Err() != nil {
-		return // worker shutting down; lease ages out, shard requeues
-	}
-	if itemErr == nil {
-		itemErr = sched.FirstError(rs)
-	}
-	if fenced.Load() && itemErr != nil {
-		// Abandoned mid-run by the fenced-off heartbeat loop: the shard is
-		// someone else's now, nothing to send. (itemErr == nil means every
-		// item finished before the cancel landed — fall through and offer
-		// the completion; the token check decides.)
-		return
-	}
-
-	// Completion retries transient failures on the seeded backoff, bounded:
-	// past a handful of attempts the lease has aged out anyway and the shard
-	// will re-run elsewhere. Fencing rejections are permanent.
+// complete retries transient failures on the seeded backoff, bounded: past
+// a handful of attempts the lease has aged out anyway and the shard will
+// re-run elsewhere. Fencing rejections are permanent.
+func (l *httpLink) complete(ctx context.Context, itemErr error) {
+	w, g := l.w, l.g
 	policy := w.opts.Retry
 	if policy.Attempts == 0 {
 		policy.Attempts = 8
 	}
-	isPermanentCode := func(code int) bool {
-		return code == http.StatusConflict || (code >= 400 && code < 500 && code != 429)
+	send := func(path string, msg shardMessage, seed int64) error {
+		return retry.Do(ctx, policy, seed, func() error {
+			code, err := w.post(ctx, path, msg, nil)
+			if err != nil && code >= 400 && code < 500 && code != http.StatusTooManyRequests {
+				return retry.Permanent(err)
+			}
+			return err
+		})
 	}
 
 	// A long partition can leave more finished entries than one request's
 	// budget. Stream all but the last batch down over /heartbeat first —
 	// those entries journal durably — so the /complete body itself always
 	// fits under the coordinator's cap.
-	batches := splitEntryBatches(buf.take(), entryBatchBytes)
-	for bi, batch := range batches[:len(batches)-1] {
-		hb := shardMessage{Worker: w.opts.ID, Campaign: g.Campaign, Shard: g.Shard,
-			Token: g.Token, Entries: batch}
-		err := retry.Do(ctx, policy, w.opts.Seed+int64(g.Token)+int64(bi), func() error {
-			code, err := w.post(ctx, "/api/v1/heartbeat", hb, nil)
-			if err != nil && isPermanentCode(code) {
-				return retry.Permanent(err)
-			}
-			return err
-		})
-		if err != nil {
+	batches := splitEntryBatches(l.take(), entryBatchBytes)
+	last := len(batches) - 1
+	for bi, batch := range batches[:last] {
+		seed := w.opts.Seed + int64(g.Token) + int64(bi)
+		if err := send("/api/v1/heartbeat", l.message(batch), seed); err != nil {
 			w.opts.Logf("xtworker %s: draining entries for %s/shard%d token=%d failed: %v",
 				w.opts.ID, g.Campaign, g.Shard, g.Token, err)
 			return
 		}
 	}
-
-	msg := shardMessage{Worker: w.opts.ID, Campaign: g.Campaign, Shard: g.Shard,
-		Token: g.Token, Entries: batches[len(batches)-1]}
+	msg := l.message(batches[last])
 	if itemErr != nil {
 		msg.Error = itemErr.Error()
 	}
-	err := retry.Do(ctx, policy, w.opts.Seed+int64(g.Token), func() error {
-		code, err := w.post(ctx, "/api/v1/complete", msg, nil)
-		if err != nil && isPermanentCode(code) {
-			return retry.Permanent(err)
-		}
-		return err
-	})
-	if err != nil {
+	if err := send("/api/v1/complete", msg, w.opts.Seed+int64(g.Token)); err != nil {
 		w.opts.Logf("xtworker %s: complete %s/shard%d token=%d not accepted: %v",
 			w.opts.ID, g.Campaign, g.Shard, g.Token, err)
 		return

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -141,165 +140,6 @@ func TestLeaseProtocolStreamingAndFencing(t *testing.T) {
 			t.Fatalf("report line %d = %q, want seed %d", i, ln, i+1)
 		}
 	}
-}
-
-// TestCompleteWithMissingItemsRequeues: a complete whose entries do not
-// cover the shard (a buggy worker) must not wedge the campaign — the shard
-// requeues and a later, honest completion finishes it.
-func TestCompleteWithMissingItemsRequeues(t *testing.T) {
-	e, err := Open(Options{StateDir: t.TempDir(), Jobs: 1, DisableLocal: true,
-		LeaseTTL: time.Minute,
-		Runner:   stubRunner{sigFor: func(int64) string { return "" }}})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer e.Close()
-	id, err := e.Submit(&Spec{Tool: "fuzz", Knobs: cliflags.Knobs{N: 3, Seed: 1}})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	g, err := e.AcquireShard("wA")
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	// Only 1 of 3 items: the completion must be refused and the shard
-	// requeued under a fresh token.
-	if err := e.CompleteShard("wA", id, g.Shard, g.Token,
-		[]journalEntry{mkEntry(0, 1)}, ""); err == nil {
-		t.Fatal("incomplete complete accepted")
-	}
-	g2, err := e.AcquireShard("wB")
-	if err != nil {
-		t.Fatalf("re-acquire after bogus complete: %v", err)
-	}
-	if len(g2.Done) != 1 {
-		t.Fatalf("re-grant done %v, want the 1 journaled item", g2.Done)
-	}
-	var rest []journalEntry
-	for _, it := range g2.Items {
-		if it.Index != 0 {
-			rest = append(rest, mkEntry(it.Index, it.Seed))
-		}
-	}
-	if err := e.CompleteShard("wB", id, g2.Shard, g2.Token, rest, ""); err != nil {
-		t.Fatalf("honest complete: %v", err)
-	}
-	waitStatus(t, e, id, StatusDone)
-}
-
-// TestWorkerErrorFailsCampaign: a worker-reported shard error under a valid
-// token fails the campaign, matching local item-error semantics.
-func TestWorkerErrorFailsCampaign(t *testing.T) {
-	e, err := Open(Options{StateDir: t.TempDir(), Jobs: 1, DisableLocal: true,
-		LeaseTTL: time.Minute,
-		Runner:   stubRunner{sigFor: func(int64) string { return "" }}})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer e.Close()
-	id, err := e.Submit(&Spec{Tool: "fuzz", Knobs: cliflags.Knobs{N: 2, Seed: 1}})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	g, err := e.AcquireShard("wA")
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	if err := e.CompleteShard("wA", id, g.Shard, g.Token, nil, "runner exploded"); err != nil {
-		t.Fatalf("error complete: %v", err)
-	}
-	s := waitStatus(t, e, id, StatusFailed)
-	if !strings.Contains(s.Error, "runner exploded") {
-		t.Fatalf("campaign error %q missing worker message", s.Error)
-	}
-	if _, err := e.AcquireShard("wB"); !errors.Is(err, ErrNoWork) {
-		t.Fatalf("failed campaign still dispatching: %v", err)
-	}
-}
-
-// TestWorkerEndToEndHTTP runs a real RunWorker loop against the real HTTP
-// handler: the worker drains the whole campaign remotely (local execution
-// disabled) and the merged report is byte-identical to a plain local run.
-func TestWorkerEndToEndHTTP(t *testing.T) {
-	spec := &Spec{Tool: "fuzz", Knobs: cliflags.Knobs{N: 6, Seed: 1}, Shards: 3}
-	stub := stubRunner{sigFor: func(seed int64) string {
-		if seed == 3 {
-			return "xreg/x9/div"
-		}
-		return ""
-	}}
-
-	// Reference: unfailed local single-process run.
-	refDir := t.TempDir()
-	refEng, err := Open(Options{StateDir: refDir, Jobs: 2, Runner: stub})
-	if err != nil {
-		t.Fatalf("open ref: %v", err)
-	}
-	refID, err := refEng.Submit(spec)
-	if err != nil {
-		t.Fatalf("submit ref: %v", err)
-	}
-	waitStatus(t, refEng, refID, StatusDone)
-	ref, err := refEng.Report(refID)
-	if err != nil {
-		t.Fatalf("ref report: %v", err)
-	}
-	refEng.Close()
-
-	// Distributed: pure coordinator + one HTTP worker.
-	e, err := Open(Options{StateDir: t.TempDir(), Jobs: 2, DisableLocal: true,
-		LeaseTTL: 500 * time.Millisecond, Runner: stub})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer e.Close()
-	srv := httptest.NewServer(NewHandler(e))
-	defer srv.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		RunWorker(ctx, WorkerOptions{
-			Coordinator: srv.URL, ID: "w-e2e", Jobs: 2, Runner: stub,
-			Poll: 20 * time.Millisecond, Seed: 7, Logf: t.Logf,
-		})
-	}()
-
-	id, err := e.Submit(spec)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	waitStatus(t, e, id, StatusDone)
-
-	// While the worker is still polling, healthz-side liveness sees it and
-	// /progress reported its ID on the leased shards at some point; check
-	// the worker count now (it polled within the TTL).
-	if n := e.WorkerCount(); n != 1 {
-		t.Fatalf("live workers %d, want 1", n)
-	}
-
-	got, err := e.Report(id)
-	if err != nil {
-		t.Fatalf("report: %v", err)
-	}
-	if !bytes.Equal(ref, got) {
-		t.Fatalf("worker-run report differs from local run\nlocal:\n%s\nworker:\n%s", ref, got)
-	}
-
-	// Divergences flowed through the wire into the corpus.
-	divs, err := e.Divergences(id)
-	if err != nil || len(divs) != 1 || divs[0].Seed != 3 {
-		t.Fatalf("divergences: %v %+v", err, divs)
-	}
-	if entries := e.Corpus().Entries(); len(entries) != 1 || entries[0].Signature != "xreg/x9/div" {
-		t.Fatalf("corpus: %+v", entries)
-	}
-
-	cancel()
-	wg.Wait()
 }
 
 // TestLocalFallbackDefersToLiveWorkers pins the degradation contract both
@@ -512,53 +352,6 @@ func TestHTTPLeaseEndpoints(t *testing.T) {
 	waitStatus(t, e, id, StatusDone)
 }
 
-// TestWorkerReportsItemErrorOverHTTP drives a deterministically failing item
-// through the full RunWorker loop: the error must ride /complete and fail the
-// campaign, matching the local executor's semantics. Regression: the worker
-// once mistook its own post-run cancel for a fencing abandon and never
-// reported item errors, leaving the shard in an expiry/requeue loop forever.
-func TestWorkerReportsItemErrorOverHTTP(t *testing.T) {
-	stub := stubRunner{sigFor: func(int64) string { return "" }}
-	e, err := Open(Options{StateDir: t.TempDir(), Jobs: 1, DisableLocal: true,
-		LeaseTTL: 500 * time.Millisecond, Runner: stub})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer e.Close()
-	srv := httptest.NewServer(NewHandler(e))
-	defer srv.Close()
-
-	failing := runnerFunc(func(ctx context.Context, spec *Spec, it Item) (ItemResult, error) {
-		if it.Seed == 2 {
-			return ItemResult{}, errors.New("runner exploded on seed 2")
-		}
-		return stub.Run(ctx, spec, it)
-	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		RunWorker(ctx, WorkerOptions{
-			Coordinator: srv.URL, ID: "w-itemerr", Jobs: 1, Runner: failing,
-			Poll: 20 * time.Millisecond, Seed: 11, Logf: t.Logf,
-		})
-	}()
-
-	id, err := e.Submit(&Spec{Tool: "fuzz", Knobs: cliflags.Knobs{N: 4, Seed: 1}, Shards: 2})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	s := waitStatus(t, e, id, StatusFailed)
-	if !strings.Contains(s.Error, "runner exploded") {
-		t.Fatalf("campaign error %q missing the worker's item error", s.Error)
-	}
-	cancel()
-	wg.Wait()
-}
-
 // TestSplitEntryBatches pins the batching that keeps worker uploads under
 // the coordinator's request cap: batches respect the size limit, preserve
 // order, drop nothing, and an empty input still yields the one empty batch
@@ -598,9 +391,6 @@ func TestSplitEntryBatches(t *testing.T) {
 		if flat[i].Index != entries[i].Index {
 			t.Fatalf("entry %d reordered: got index %d", i, flat[i].Index)
 		}
-	}
-	if got := flattenBatches(batches); len(got) != len(entries) || got[0].Index != 0 {
-		t.Fatalf("flattenBatches: %d entries", len(got))
 	}
 
 	// One entry over the limit still travels (its own batch).

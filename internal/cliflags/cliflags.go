@@ -31,13 +31,9 @@ type Campaign struct {
 }
 
 // RegisterSeeds registers -n (seed count, tool-specific default) and -seed
-// (first seed). aliases lists deprecated extra names for -n a tool must keep
-// accepting (xtinject's -seeds); when both are given the last one parsed wins.
-func (c *Campaign) RegisterSeeds(fs *flag.FlagSet, defaultN int, aliases ...string) {
+// (first seed).
+func (c *Campaign) RegisterSeeds(fs *flag.FlagSet, defaultN int) {
 	fs.IntVar(&c.N, "n", defaultN, "number of seeds to run")
-	for _, a := range aliases {
-		fs.IntVar(&c.N, a, defaultN, "deprecated alias for -n")
-	}
 	fs.Int64Var(&c.Seed, "seed", 1, "first seed")
 }
 
@@ -62,13 +58,8 @@ func (c *Campaign) RegisterJSON(fs *flag.FlagSet) {
 }
 
 // RegisterTimeout registers -timeout (tool-specific default and usage).
-// aliases lists deprecated extra names a tool must keep accepting (xtfuzz's
-// -budget).
-func (c *Campaign) RegisterTimeout(fs *flag.FlagSet, def time.Duration, usage string, aliases ...string) {
+func (c *Campaign) RegisterTimeout(fs *flag.FlagSet, def time.Duration, usage string) {
 	fs.DurationVar(&c.Timeout, "timeout", def, usage)
-	for _, a := range aliases {
-		fs.DurationVar(&c.Timeout, a, def, "deprecated alias for -timeout")
-	}
 }
 
 // Knobs is the serializable image of the uniform campaign knob set: the same
@@ -110,34 +101,19 @@ func (k Knobs) CosimModes() (cosim.Modes, error) {
 	return md, md.Validate()
 }
 
-// ModeSpec is the composable -modes flag plus the deprecated per-mode boolean
-// aliases. Register it, parse the FlagSet, then call Modes.
+// ModeSpec is the composable -modes flag. Register it, parse the FlagSet, then
+// call Modes.
 type ModeSpec struct {
-	spec  string
-	paged bool
-	irq   bool
+	spec string
 }
 
-// Register registers -modes and, when aliases is true, the deprecated -paged
-// and -irq booleans that fold into it.
-func (m *ModeSpec) Register(fs *flag.FlagSet, aliases bool) {
+// Register registers -modes.
+func (m *ModeSpec) Register(fs *flag.FlagSet) {
 	fs.StringVar(&m.spec, "modes", "", "comma-separated fuzz modes: paged, irq, smp")
-	if aliases {
-		fs.BoolVar(&m.paged, "paged", false, "deprecated alias for -modes paged")
-		fs.BoolVar(&m.irq, "irq", false, "deprecated alias for -modes irq")
-	}
 }
 
-// Modes resolves the spec and aliases into one validated mode set.
-func (m *ModeSpec) Modes() (cosim.Modes, error) {
-	md, err := cosim.ParseModes(m.spec)
-	if err != nil {
-		return md, err
-	}
-	md.Paged = md.Paged || m.paged
-	md.IRQ = md.IRQ || m.irq
-	return md, md.Validate()
-}
+// Modes parses the spec into a validated mode set.
+func (m *ModeSpec) Modes() (cosim.Modes, error) { return cosim.ParseModes(m.spec) }
 
 // Profile holds the host-profiling flags -cpuprofile / -memprofile. They
 // observe the tool itself, not the simulated machine, so they are not part of

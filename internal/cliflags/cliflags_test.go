@@ -39,37 +39,11 @@ func TestSeedsExpansion(t *testing.T) {
 	}
 }
 
-func TestDeprecatedAliases(t *testing.T) {
-	var c Campaign
-	fs := newFS()
-	c.RegisterSeeds(fs, 10, "seeds")
-	c.RegisterTimeout(fs, 0, "per-seed watchdog", "budget")
-	if err := fs.Parse([]string{"-seeds", "25", "-budget", "30s"}); err != nil {
-		t.Fatal(err)
-	}
-	if c.N != 25 || c.Timeout != 30*time.Second {
-		t.Fatalf("aliases: N=%d Timeout=%v, want 25, 30s", c.N, c.Timeout)
-	}
-}
-
-func TestModeSpecFoldsAliases(t *testing.T) {
-	var m ModeSpec
-	fs := newFS()
-	m.Register(fs, true)
-	if err := fs.Parse([]string{"-modes", "smp", "-irq"}); err != nil {
-		t.Fatal(err)
-	}
-	md, err := m.Modes()
-	if err != nil || !md.SMP || !md.IRQ || md.Paged {
-		t.Fatalf("Modes() = %+v, %v", md, err)
-	}
-}
-
 func TestModeSpecRejectsIllegal(t *testing.T) {
 	var m ModeSpec
 	fs := newFS()
-	m.Register(fs, true)
-	if err := fs.Parse([]string{"-modes", "smp", "-paged"}); err != nil {
+	m.Register(fs)
+	if err := fs.Parse([]string{"-modes", "smp,paged"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Modes(); err == nil {
@@ -77,13 +51,12 @@ func TestModeSpecRejectsIllegal(t *testing.T) {
 	}
 }
 
-// TestModeSpecAliasMatrix sweeps every deprecated-alias combination against
-// every -modes spec. The contract under test: aliases MERGE into the spec
-// (never overwrite it), and the merged set is what gets validated — so an
-// alias that completes an illegal pair (e.g. -paged with -modes smp) must
-// error rather than silently dropping one of the modes. The legality rule is
-// restated here independently of cosim.Modes.Validate: paged excludes both
-// irq and smp.
+// TestModeSpecAliasMatrix keeps the rows of the sweep that once checked how
+// the -paged/-irq alias flags merged into -modes, and now pins their removal:
+// a row that spells an alias is an unknown-flag parse error whatever the
+// spec, and an alias-free row resolves through -modes alone. The legality
+// rule is restated here independently of cosim.Modes.Validate: paged
+// excludes both irq and smp.
 func TestModeSpecAliasMatrix(t *testing.T) {
 	specs := []struct {
 		spec string
@@ -98,89 +71,34 @@ func TestModeSpecAliasMatrix(t *testing.T) {
 		{"irq,smp", cosim.Modes{IRQ: true, SMP: true}},
 		{"paged,irq,smp", cosim.Modes{Paged: true, IRQ: true, SMP: true}},
 	}
-	for _, aliasPaged := range []bool{false, true} {
-		for _, aliasIRQ := range []bool{false, true} {
-			for _, s := range specs {
-				args := []string{"-modes", s.spec}
-				if aliasPaged {
-					args = append(args, "-paged")
+	for _, aliases := range [][]string{nil, {"-irq"}, {"-paged"}, {"-paged", "-irq"}} {
+		for _, s := range specs {
+			s, args := s, append([]string{"-modes", s.spec}, aliases...)
+			t.Run(strings.Join(args, " "), func(t *testing.T) {
+				var m ModeSpec
+				fs := newFS()
+				m.Register(fs)
+				err := fs.Parse(args)
+				if len(args) > 2 {
+					if err == nil {
+						t.Fatal("removed alias flag accepted")
+					}
+					return
 				}
-				if aliasIRQ {
-					args = append(args, "-irq")
+				if err != nil {
+					t.Fatal(err)
 				}
-				t.Run(strings.Join(args, " "), func(t *testing.T) {
-					var m ModeSpec
-					fs := newFS()
-					m.Register(fs, true)
-					if err := fs.Parse(args); err != nil {
-						t.Fatal(err)
+				got, err := m.Modes()
+				if s.md.Paged && (s.md.IRQ || s.md.SMP) {
+					if err == nil {
+						t.Fatalf("Modes() = %+v, nil; want error for an illegal set", got)
 					}
-					want := cosim.Modes{
-						Paged: s.md.Paged || aliasPaged,
-						IRQ:   s.md.IRQ || aliasIRQ,
-						SMP:   s.md.SMP,
-					}
-					wantErr := want.Paged && (want.IRQ || want.SMP)
-					got, err := m.Modes()
-					if wantErr {
-						if err == nil {
-							t.Fatalf("Modes() = %+v, nil; want error for illegal merge", got)
-						}
-						return
-					}
-					if err != nil {
-						t.Fatalf("Modes() error: %v", err)
-					}
-					if got != want {
-						t.Fatalf("Modes() = %+v, want %+v", got, want)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestSeedAliasLastWins pins the documented rule that when -n and a
-// deprecated alias are both given, the last one parsed wins — in both orders.
-func TestSeedAliasLastWins(t *testing.T) {
-	cases := []struct {
-		args []string
-		want int
-	}{
-		{[]string{"-n", "5", "-seeds", "10"}, 10},
-		{[]string{"-seeds", "10", "-n", "5"}, 5},
-	}
-	for _, c := range cases {
-		var cf Campaign
-		fs := newFS()
-		cf.RegisterSeeds(fs, 100, "seeds")
-		if err := fs.Parse(c.args); err != nil {
-			t.Fatal(err)
-		}
-		if cf.N != c.want {
-			t.Fatalf("%v: N = %d, want %d", c.args, cf.N, c.want)
-		}
-	}
-}
-
-// TestTimeoutAliasLastWins is the same last-wins rule for -timeout/-budget.
-func TestTimeoutAliasLastWins(t *testing.T) {
-	cases := []struct {
-		args []string
-		want time.Duration
-	}{
-		{[]string{"-timeout", "5s", "-budget", "10s"}, 10 * time.Second},
-		{[]string{"-budget", "10s", "-timeout", "5s"}, 5 * time.Second},
-	}
-	for _, c := range cases {
-		var cf Campaign
-		fs := newFS()
-		cf.RegisterTimeout(fs, 0, "watchdog", "budget")
-		if err := fs.Parse(c.args); err != nil {
-			t.Fatal(err)
-		}
-		if cf.Timeout != c.want {
-			t.Fatalf("%v: Timeout = %v, want %v", c.args, cf.Timeout, c.want)
+					return
+				}
+				if err != nil || got != s.md {
+					t.Fatalf("Modes() = %+v, %v; want %+v", got, err, s.md)
+				}
+			})
 		}
 	}
 }

@@ -223,7 +223,7 @@ loop:
 	if s.Done() {
 		t.Fatal("program ended before the injection point")
 	}
-	s.Core().InjectMemBit(poisonAddr, 3)
+	s.Hart(0).Core().InjectMemBit(poisonAddr, 3)
 	r := stepToEnd(s)
 	if !r.Diverged || r.Kind != "mem" || r.Field != "addr" {
 		t.Fatalf("want a mem/addr divergence, got diverged=%v kind=%q field=%q\n%s", r.Diverged, r.Kind, r.Field, r.Report)

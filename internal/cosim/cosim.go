@@ -83,31 +83,13 @@ type Options struct {
 	MaxCycles uint64      // core cycle budget before declaring a hang (0: 10M)
 	Window    int         // commit-trace window kept for the report (0: 16)
 
-	// Modes is the composable mode set (paged / irq / smp). The legacy
-	// Paged and IRQ booleans below are ORed in, and Harts > 1 implies SMP.
+	// Modes is the composable mode set (paged / irq / smp); Harts > 1
+	// implies SMP.
 	Modes Modes
 
 	// Harts is the number of lock-step hart pairs. 0 means 1, or 2 when
 	// Modes.SMP is set; values are clamped to [1, 4] (one cluster, Table I).
 	Harts int
-
-	// Paged boots the program in S-mode under SV39 translation using the
-	// identity-plus-offset layout (see mmu.IdentityPlusOffset): [0, 640K)
-	// mapped onto itself RWX in 4K pages, plus a read-write non-executable
-	// alias of the same physical range at +1GB. All exceptions are delegated
-	// to S-mode and stvec is left at 0, so a page fault halts both models
-	// with exit code -(16+cause) and the trap CSRs (scause/stval/sepc) are
-	// compared like any other run.
-	//
-	// Deprecated: set Modes.Paged.
-	Paged bool
-
-	// IRQ makes the fuzzer generate interrupt-driven programs: an mtvec
-	// handler prologue, WFI / MIE-toggle / interrupt-CSR segments, and a
-	// deterministic per-seed schedule of IRQEvents (see below).
-	//
-	// Deprecated: set Modes.IRQ.
-	IRQ bool
 
 	// IRQSchedule, when non-empty, drives both models' external interrupt
 	// sources with the same deterministic schedule of (commit index → mip
@@ -135,18 +117,15 @@ type Options struct {
 	SeedTimeout time.Duration
 }
 
-// modes folds the deprecated booleans and the hart count into the mode set.
+// modes folds the hart count into the mode set.
 func (o Options) modes() Modes {
 	m := o.Modes
-	m.Paged = m.Paged || o.Paged
-	m.IRQ = m.IRQ || o.IRQ
 	m.SMP = m.SMP || o.Harts > 1
 	return m
 }
 
 // Validate checks the fully resolved mode set — including the SMP implied by
-// Harts > 1 and the deprecated Paged/IRQ booleans — against the Modes
-// legality rules. A validated -modes spec is not enough on its own: Harts
+// Harts > 1 — against the Modes legality rules. A validated -modes spec is not enough on its own: Harts
 // can smuggle SMP into a set whose spec alone was legal (e.g. paged with
 // -harts 2), so callers that accept a hart count must validate the Options,
 // not just the spec.
@@ -573,16 +552,6 @@ func (s *Session) Hart(i int) *HartSession { return s.harts[i] }
 // L2 exposes the (core-world) shared L2 so experiments can perturb coherence
 // state — coherence.InjectOwnershipGrant in particular — mid-run.
 func (s *Session) L2() *coherence.L2 { return s.l2 }
-
-// Core exposes hart 0's timing model.
-//
-// Deprecated: use Hart(0).Core(); kept for single-hart callers.
-func (s *Session) Core() *core.Core { return s.harts[0].c }
-
-// Emu exposes hart 0's golden model.
-//
-// Deprecated: use Hart(0).Emu(); kept for single-hart callers.
-func (s *Session) Emu() *emu.Machine { return s.harts[0].m }
 
 // Commits returns the number of lock-step-compared commits so far, summed
 // over all harts.

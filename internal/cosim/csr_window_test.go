@@ -63,7 +63,7 @@ _start:
 			if r := s.Finish(); r.Diverged {
 				t.Fatalf("WARL parity broke:\n%s", r.Report)
 			}
-			if got := s.Core().Reg(isa.X(6)); got != tc.want {
+			if got := s.Hart(0).Core().Reg(isa.X(6)); got != tc.want {
 				t.Fatalf("core read back %#x after writing ~0 to %s, want %#x", got, tc.csr, tc.want)
 			}
 		})
@@ -95,7 +95,7 @@ _start:
 	if r := s.Finish(); r.Diverged {
 		t.Fatalf("pending-WFI run diverged:\n%s", r.Report)
 	}
-	st := &s.Core().Stats
+	st := &s.Hart(0).Core().Stats
 	if st.Interrupts != 0 {
 		t.Fatalf("Interrupts=%d: the globally-gated source must not deliver", st.Interrupts)
 	}

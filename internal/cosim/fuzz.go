@@ -101,7 +101,7 @@ func FuzzContext(ctx context.Context, seed int64, nSegs int, opts Options) FuzzR
 }
 
 // GenerateSource returns the deterministic fuzz program for a seed together
-// with its interrupt schedule (empty unless opts.IRQ). Fault-injection
+// with its interrupt schedule (empty unless opts.Modes.IRQ). Fault-injection
 // campaigns use it to rebuild the exact program a seed denotes.
 func GenerateSource(seed int64, nSegs int, opts Options) (string, []IRQEvent) {
 	if nSegs == 0 {

@@ -16,16 +16,16 @@ import (
 // session and result (the caller inspects core stats or the report).
 func irqSession(t *testing.T, seed int64, sinks ...trace.Sink) (*Session, Result) {
 	t.Helper()
-	src, sched := GenerateSource(seed, 0, Options{IRQ: true})
+	src, sched := GenerateSource(seed, 0, Options{Modes: Modes{IRQ: true}})
 	prog, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	s := NewSession(prog, Options{IRQ: true, IRQSchedule: sched})
+	s := NewSession(prog, Options{Modes: Modes{IRQ: true}, IRQSchedule: sched})
 	var tr *trace.Tracer
 	if len(sinks) > 0 {
 		tr = trace.New(trace.Config{}, sinks...)
-		s.Core().AttachTracer(tr)
+		s.Hart(0).Core().AttachTracer(tr)
 	}
 	r := stepToEnd(s)
 	if tr != nil {
@@ -40,7 +40,7 @@ func irqSession(t *testing.T, seed int64, sinks ...trace.Sink) (*Session, Result
 // deterministic per-seed mip schedules delivered to both models at identical
 // commit indices, with delivery-time mcause/mepc/mstatus validation.
 func TestIRQFixedSeeds(t *testing.T) {
-	frs, err := RunSeeds(context.Background(), seedRange(1, 60), 0, Options{IRQ: true}, 8)
+	frs, err := RunSeeds(context.Background(), seedRange(1, 60), 0, Options{Modes: Modes{IRQ: true}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestIRQFixedSeeds(t *testing.T) {
 // session.
 func TestIRQDeterministic(t *testing.T) {
 	seeds := seedRange(1, 12)
-	a, err := RunSeeds(context.Background(), seeds, 0, Options{IRQ: true}, 1)
+	a, err := RunSeeds(context.Background(), seeds, 0, Options{Modes: Modes{IRQ: true}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSeeds(context.Background(), seeds, 0, Options{IRQ: true}, 8)
+	b, err := RunSeeds(context.Background(), seeds, 0, Options{Modes: Modes{IRQ: true}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestIRQSquashInterruptInFlight(t *testing.T) {
 	if r.Diverged {
 		t.Fatalf("seed 5 diverged:\n%s", r.Report)
 	}
-	st := &s.Core().Stats
+	st := &s.Hart(0).Core().Stats
 	if st.Interrupts == 0 {
 		t.Fatal("seed 5 delivered no interrupts")
 	}
@@ -107,7 +107,7 @@ func TestIRQSquashInterruptInFlight(t *testing.T) {
 // reports TimedOut (after one 2× retry), not an error and not a divergence.
 func TestIRQWatchdog(t *testing.T) {
 	frs, err := RunSeeds(context.Background(), []int64{1}, 0,
-		Options{IRQ: true, SeedTimeout: time.Nanosecond}, 1)
+		Options{Modes: Modes{IRQ: true}, SeedTimeout: time.Nanosecond}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +127,14 @@ func TestIRQWatchdog(t *testing.T) {
 // swallows interrupts: the emulator's interrupt source is detached after
 // construction, so the core delivers and the emulator does not.
 func TestIRQDeliveryMismatchCaught(t *testing.T) {
-	src, sched := GenerateSource(1, 0, Options{IRQ: true})
+	src, sched := GenerateSource(1, 0, Options{Modes: Modes{IRQ: true}})
 	prog, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { hookModels = nil }()
 	hookModels = func(c *core.Core, m *emu.Machine) { m.IntSource = nil }
-	r := Run(prog, Options{IRQ: true, IRQSchedule: sched})
+	r := Run(prog, Options{Modes: Modes{IRQ: true}, IRQSchedule: sched})
 	if !r.Diverged {
 		t.Fatal("emulator with a detached interrupt source was not caught")
 	}

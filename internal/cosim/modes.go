@@ -7,14 +7,20 @@ import (
 
 // Modes is the composable run/fuzz mode set shared by the cosim library and
 // every campaign CLI: each flag turns on one program profile and the session
-// wiring it needs. Modes replaces the old independent Paged/IRQ booleans so a
-// single `-modes paged,irq` style spec can express every legal combination
-// and the legality rules live in exactly one place (Validate).
+// wiring it needs. A single `-modes smp,irq` style spec expresses every legal
+// combination and the legality rules live in exactly one place (Validate).
 type Modes struct {
-	// Paged boots programs in S-mode under SV39 (see Options.Paged).
+	// Paged boots the program in S-mode under SV39 translation using the
+	// identity-plus-offset layout (see mmu.IdentityPlusOffset): [0, 640K)
+	// mapped onto itself RWX in 4K pages, plus a read-write non-executable
+	// alias of the same physical range at +1GB. All exceptions are delegated
+	// to S-mode and stvec is left at 0, so a page fault halts both models
+	// with exit code -(16+cause) and the trap CSRs (scause/stval/sepc) are
+	// compared like any other run.
 	Paged bool
-	// IRQ generates interrupt-driven programs with deterministic per-seed
-	// mip schedules (see Options.IRQ).
+	// IRQ makes the fuzzer generate interrupt-driven programs: an mtvec
+	// handler prologue, WFI / MIE-toggle / interrupt-CSR segments, and a
+	// deterministic per-seed schedule of IRQEvents (see Options.IRQSchedule).
 	IRQ bool
 	// SMP runs the program SPMD on multiple lock-step hart pairs with
 	// cross-hart contention segments and the store-order oracle.

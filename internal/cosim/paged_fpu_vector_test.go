@@ -67,7 +67,7 @@ bad:
 buf:
     .dword 0, 0, 0, 0, 0, 0, 0, 0
     .dword 0, 0, 0, 0, 0, 0, 0, 0
-`, Options{Paged: true})
+`, Options{Modes: Modes{Paged: true}})
 	if r.ExitCode != 0 {
 		t.Fatalf("exit code = %d, want 0 (an SC branch went the wrong way)", r.ExitCode)
 	}
@@ -92,7 +92,7 @@ func TestPagedFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := checkCleanOpts(t, "_start:\n"+tc.body+exitEpilogue, Options{Paged: true})
+			r := checkCleanOpts(t, "_start:\n"+tc.body+exitEpilogue, Options{Modes: Modes{Paged: true}})
 			if r.ExitCode != tc.exit {
 				t.Fatalf("exit code = %d, want %d", r.ExitCode, tc.exit)
 			}
@@ -117,7 +117,7 @@ _start:
 `+exitEpilogue+`
 bad:
     ebreak
-`, Options{Paged: true})
+`, Options{Modes: Modes{Paged: true}})
 	if r.ExitCode != 0 {
 		t.Fatalf("exit code = %d, want 0 (page-crossing value mismatch)", r.ExitCode)
 	}
@@ -327,7 +327,7 @@ buf:
 // seed sweep under S-mode/SV39 with alias-window segments enabled must stay
 // divergence-free at HEAD.
 func TestPagedFixedSeeds(t *testing.T) {
-	frs, err := RunSeeds(context.Background(), seedRange(1, 60), 40, Options{Paged: true}, 8)
+	frs, err := RunSeeds(context.Background(), seedRange(1, 60), 40, Options{Modes: Modes{Paged: true}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +343,11 @@ func TestPagedFixedSeeds(t *testing.T) {
 // into outcomes: results are byte-identical at any worker-pool width.
 func TestPagedDeterministic(t *testing.T) {
 	seeds := seedRange(1, 12)
-	a, err := RunSeeds(context.Background(), seeds, 40, Options{Paged: true}, 1)
+	a, err := RunSeeds(context.Background(), seeds, 40, Options{Modes: Modes{Paged: true}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSeeds(context.Background(), seeds, 40, Options{Paged: true}, 8)
+	b, err := RunSeeds(context.Background(), seeds, 40, Options{Modes: Modes{Paged: true}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,7 +328,4 @@ func TestOptionsValidateHartsFold(t *testing.T) {
 	if err := (Options{Modes: Modes{IRQ: true}, Harts: 4}).Validate(); err != nil {
 		t.Fatalf("irq + Harts 4: %v", err)
 	}
-	if err := (Options{Paged: true, Harts: 2}).Validate(); err == nil {
-		t.Fatal("deprecated Paged bool + Harts 2 accepted, want error")
-	}
 }

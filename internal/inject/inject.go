@@ -258,7 +258,7 @@ func runFault(ctx context.Context, f Fault, opts Options, maxCycles uint64) Faul
 	// unavailable (empty ROB, no valid L1D lines yet).
 	injected := false
 	for retry := 0; !injected && !s.Done() && retry < 4096; retry++ {
-		c := s.Core()
+		c := s.Hart(0).Core()
 		switch f.Target {
 		case TargetArchReg:
 			injected = c.InjectArchRegBit(f.Reg, f.Bit)
@@ -303,7 +303,8 @@ func runFault(ctx context.Context, f Fault, opts Options, maxCycles uint64) Faul
 		if f.Target == TargetCache || f.Target == TargetMem {
 			// the written-line sweep does not cover untouched bytes: check the
 			// faulted byte itself to expose genuinely silent corruption
-			if s.Core().Mem.LoadByte(fr.FaultAddr) != s.Emu().Mem.LoadByte(fr.FaultAddr) {
+			h := s.Hart(0)
+			if h.Core().Mem.LoadByte(fr.FaultAddr) != h.Emu().Mem.LoadByte(fr.FaultAddr) {
 				fr.Outcome = Silent
 			}
 		}

@@ -222,31 +222,6 @@ func (s *System) hart(i int) *core.Core {
 	return s.Cores[i]
 }
 
-// Core returns hart i's core model, or nil when i is out of range.
-//
-// Deprecated: use Hart(i).Core().
-func (s *System) Core(i int) *core.Core { return s.Hart(i).Core() }
-
-// ExitCode returns hart i's exit status.
-//
-// Deprecated: use Hart(i).ExitCode().
-func (s *System) ExitCode(i int) int { return s.Hart(i).ExitCode() }
-
-// Output returns the bytes hart i wrote through the host write syscall.
-//
-// Deprecated: use Hart(i).Output().
-func (s *System) Output(i int) []byte { return s.Hart(i).Output() }
-
-// Stats returns hart i's performance counters.
-//
-// Deprecated: use Hart(i).Stats().
-func (s *System) Stats(i int) *Stats { return s.Hart(i).Stats() }
-
-// Reg reads hart i's architectural register.
-//
-// Deprecated: use Hart(i).Reg(r).
-func (s *System) Reg(hart int, r isa.Reg) uint64 { return s.Hart(hart).Reg(r) }
-
 // Tracer is the per-hart pipeline observability hook set: per-µop lifecycle
 // tracing (Konata/JSONL) plus the always-on top-down CPI stack. Attach one to
 // a hart with AttachTracer (inherited from the SoC layer) before running, and

@@ -265,15 +265,4 @@ func TestHartIndexValidation(t *testing.T) {
 	if h.Core() == nil || h.ExitCode() != 64*65/2 || h.Stats().IPC() <= 0 {
 		t.Fatal("valid hart accessors broken by bounds checking")
 	}
-	// the deprecated index-parameter wrappers must keep answering through the
-	// same handles until they are removed
-	if sys.Core(0) != h.Core() || sys.ExitCode(0) != h.ExitCode() ||
-		sys.Stats(0).Retired != h.Stats().Retired ||
-		sys.Reg(0, isa.A0) != h.Reg(isa.A0) {
-		t.Fatal("deprecated wrappers diverge from Hart handles")
-	}
-	if sys.Core(-1) != nil || sys.ExitCode(99) != 0 || sys.Output(99) != nil ||
-		sys.Stats(99) == nil || sys.Reg(99, isa.A0) != 0 {
-		t.Fatal("deprecated wrappers lost their bounds degradation")
-	}
 }
