@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke fuzz-asm-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke fidelity-track fidelity-smoke tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke fuzz-native-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke fidelity-track fidelity-smoke tier1 bench xtbench clean
 
 all: tier1
 
@@ -63,16 +63,20 @@ fuzz-smp-smoke:
 	@rm -rf $(SMP_SMOKE_DIR)
 	$(GO) test -race -count=1 -run 'TestSMP|TestModesParsing' ./internal/cosim
 
-# fuzz-asm-smoke gives the assembler's native fuzz target a few seconds of
-# mutation on top of its seed corpus (a generated program per cosim mode, two
-# kernels, the malformed lines that used to panic): any source text must come
-# back as an error or a Program, never a panic, and assemble to the same bytes
-# twice. A crasher is written under internal/asm/testdata/fuzz/ — check it in
-# with the fix. Minimization is off: shrinking each coverage-expanding 10 KB
-# program would eat the whole pass (it ran ten inputs in ten seconds with it,
-# two hundred thousand without).
-fuzz-asm-smoke:
+# fuzz-native-smoke gives each native fuzz target ten seconds of mutation on
+# top of its seed corpus. asm.FuzzAssemble (a generated program per cosim
+# mode, two kernels, the malformed lines that used to panic): any source text
+# must come back as an error or a Program, never a panic, and assemble to the
+# same bytes twice. isa.FuzzDecode (one encoding of every operation): no
+# 32-bit word may panic a decoder, what Encode accepts must round-trip, and
+# the golden model's decode memo must answer as a fresh decode does. A crasher
+# is written under the package's testdata/fuzz/ — check it in with the fix.
+# Minimization is off: shrinking each coverage-expanding 10 KB program would
+# eat the whole pass (it ran ten inputs in ten seconds with it, two hundred
+# thousand without).
+fuzz-native-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/asm
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 0 ./isa
 
 # inject-smoke runs the transient-fault campaign on a fixed seed set: control
 # runs must be divergence-free (no false positives), no architectural-state
@@ -140,7 +144,7 @@ fidelity-smoke: fidelity-track
 # tier1 is the required bar for every change: everything compiles, vet is
 # clean, every file is gofmt-formatted, the full suite passes with the race
 # detector enabled, the co-simulation smoke sweep finds no divergence, the
-# assembler survives a short native fuzz pass, the trace subsystem's
+# assembler and the decoders survive a short native fuzz pass, the trace subsystem's
 # smoke checks hold, the campaign daemon survives a kill-and-resume with a
 # byte-identical report, the distributed worker fleet survives a SIGKILLed
 # worker likewise, and the paper-fidelity error table has not regressed.
@@ -153,7 +157,7 @@ tier1:
 	$(MAKE) fuzz-paged-smoke
 	$(MAKE) fuzz-irq-smoke
 	$(MAKE) fuzz-smp-smoke
-	$(MAKE) fuzz-asm-smoke
+	$(MAKE) fuzz-native-smoke
 	$(MAKE) inject-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) campaign-smoke

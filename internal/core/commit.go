@@ -25,6 +25,40 @@ func (c *Core) Reservation() (valid bool, addr uint64) {
 	return c.resOK, c.resAddr
 }
 
+// ArchRegMismatch compares the scalar register files as the retirement map
+// sees them — x1–x31, then f0–f31 — against the golden model's x and f arrays,
+// and returns the first architectural register that differs with the core's
+// value of it. Each value is read where Reg reads it, from the physical
+// register archRAT names: the storage a transient fault in either (inject.go)
+// corrupts, never a copy.
+func (c *Core) ArchRegMismatch(x, f *[32]uint64) (reg isa.Reg, val uint64, differs bool) {
+	rat, phys := (*[64]int16)(c.archRAT), c.pf.val
+	// The checker asks at every commit and the answer is almost always no, so
+	// every difference is first folded into one word, four registers a step
+	// and no branch on any of them (a third of the time of the plain search
+	// below); x0 rides along, equal by construction.
+	var diff uint64
+	for i := 0; i < 32; i += 4 {
+		// ^ and | bind alike in Go: the parentheses are the expression
+		diff |= (phys[rat[i]] ^ x[i]) | (phys[rat[i+1]] ^ x[i+1]) | (phys[rat[i+2]] ^ x[i+2]) | (phys[rat[i+3]] ^ x[i+3])
+		diff |= (phys[rat[32+i]] ^ f[i]) | (phys[rat[33+i]] ^ f[i+1]) | (phys[rat[34+i]] ^ f[i+2]) | (phys[rat[35+i]] ^ f[i+3])
+	}
+	if diff == 0 {
+		return 0, 0, false
+	}
+	for i := 1; i < 32; i++ {
+		if v := phys[rat[i]]; v != x[i] {
+			return isa.X(i), v, true
+		}
+	}
+	for i := 0; i < 32; i++ {
+		if v := phys[rat[32+i]]; v != f[i] {
+			return isa.F(i), v, true
+		}
+	}
+	return 0, 0, false
+}
+
 // commitRecord assembles the Commit for a uop about to be reported. It runs
 // after the retirement map update, so archRAT reads give post-commit values.
 func (c *Core) commitRecord(u *uop) Commit {

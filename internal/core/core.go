@@ -100,7 +100,7 @@ type Core struct {
 	feRedirectUntil uint64 // until the current redirect/flush bubble drains
 
 	// architectural system state (CSRs, privilege) — owned by retire.
-	csr     map[uint16]uint64
+	csr     isa.CSRFile
 	priv    int
 	resAddr uint64
 	resOK   bool
@@ -232,7 +232,6 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 		sq:     newRing(&freeSqEntries, cfg.SQSize),
 		ckpts:  make([]checkpoint, cfg.Checkpoints),
 		memDep: make(map[uint64]bool),
-		csr:    make(map[uint16]uint64),
 		priv:   isa.PrivM,
 	}
 	c.LoopBuf = branch.NewLoopBuffer()
@@ -251,7 +250,7 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 	}
 	c.pf, c.rat = newPhysFile(cfg.IntPhysRegs, cfg.FpPhysRegs)
 	c.archRAT = append([]int16(nil), c.rat...)
-	c.csr[isa.CSRMhartid] = uint64(id)
+	c.csr.Set(isa.CSRMhartid, uint64(id))
 	if cfg.PredecodeCache {
 		c.predec = newPredecode()
 	}
@@ -381,7 +380,7 @@ func (c *Core) CSR(num uint16) uint64 {
 		}
 		return 0
 	case isa.CSRMip:
-		v := c.csr[num]
+		v := c.csr.Get(num)
 		if c.IntSource != nil {
 			v |= c.IntSource(c.ID)
 		}
@@ -409,42 +408,42 @@ func (c *Core) CSR(num uint16) uint64 {
 	case isa.CSRMhpmcounter12:
 		return c.Stats.VecOps
 	case isa.CSRFflags:
-		return c.csr[isa.CSRFcsr] & 0x1F
+		return c.csr.Get(isa.CSRFcsr) & 0x1F
 	case isa.CSRFrm:
-		return c.csr[isa.CSRFcsr] >> 5 & 7
+		return c.csr.Get(isa.CSRFcsr) >> 5 & 7
 	}
-	return c.csr[num]
+	return c.csr.Get(num)
 }
 
 // SetCSR writes a CSR (setup / retire-time execution).
 func (c *Core) SetCSR(num uint16, v uint64) {
 	switch num {
 	case isa.CSRSatp:
-		c.csr[num] = v
+		c.csr.Set(num, v)
 		c.MMU.Satp = v
 	case isa.CSRVl, isa.CSRVtype, isa.CSRVlenb, isa.CSRCycle, isa.CSRInstret:
 		// read-only
 	// The fflags/frm windows alias into fcsr, which is the canonical
 	// storage; any write to the family dirties mstatus.FS.
 	case isa.CSRFflags:
-		c.csr[isa.CSRFcsr] = c.csr[isa.CSRFcsr]&^uint64(0x1F) | v&0x1F
-		c.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+		c.csr.Set(isa.CSRFcsr, c.csr.Get(isa.CSRFcsr)&^uint64(0x1F)|v&0x1F)
+		c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 	case isa.CSRFrm:
-		c.csr[isa.CSRFcsr] = c.csr[isa.CSRFcsr]&^uint64(0xE0) | v&7<<5
-		c.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+		c.csr.Set(isa.CSRFcsr, c.csr.Get(isa.CSRFcsr)&^uint64(0xE0)|v&7<<5)
+		c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 	case isa.CSRFcsr:
-		c.csr[isa.CSRFcsr] = v & 0xFF
-		c.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+		c.csr.Set(isa.CSRFcsr, v&0xFF)
+		c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 	// Interrupt CSR WARL windows, identical to emu.SetCSR: unimplemented
 	// bits read back zero, and mip's machine-level bits are source-driven.
 	case isa.CSRMie:
-		c.csr[num] = v & isa.MieWritableMask
+		c.csr.Set(num, v&isa.MieWritableMask)
 	case isa.CSRMip:
-		c.csr[num] = v & isa.MipWritableMask
+		c.csr.Set(num, v&isa.MipWritableMask)
 	case isa.CSRMideleg:
-		c.csr[num] = v & isa.MidelegWritableMask
+		c.csr.Set(num, v&isa.MidelegWritableMask)
 	default:
-		c.csr[num] = v
+		c.csr.Set(num, v)
 	}
 }
 

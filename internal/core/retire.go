@@ -94,11 +94,11 @@ func (c *Core) retire() {
 		// comparable per commit.
 		switch u.class {
 		case isa.ClassFPU:
-			c.csr[isa.CSRFcsr] |= uint64(u.fpFlags)
-			c.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+			c.csr.Or(isa.CSRFcsr, uint64(u.fpFlags))
+			c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 		case isa.ClassLoad:
 			if u.inst.Rd.IsF() {
-				c.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+				c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 			}
 		}
 
@@ -236,17 +236,17 @@ func (c *Core) executeAtRetire(u *uop) bool {
 			u.readyAt = c.now
 			return true
 		case isa.MRET:
-			st := c.csr[isa.CSRMstatus]
+			st := c.csr.Get(isa.CSRMstatus)
 			c.priv = int(st >> 11 & 3)
 			st = st&^(1<<3) | (st&(1<<7))>>4&(1<<3)
 			st |= 1 << 7
 			st &^= 3 << 11
-			c.csr[isa.CSRMstatus] = st
+			c.csr.Set(isa.CSRMstatus, st)
 			c.MMU.Priv = c.priv
-			u.redirectTo = c.csr[isa.CSRMepc]
+			u.redirectTo = c.csr.Get(isa.CSRMepc)
 			u.flushAfter = true
 		case isa.SRET:
-			st := c.csr[isa.CSRMstatus]
+			st := c.csr.Get(isa.CSRMstatus)
 			if st&(1<<8) != 0 {
 				c.priv = isa.PrivS
 			} else {
@@ -255,9 +255,9 @@ func (c *Core) executeAtRetire(u *uop) bool {
 			st = st&^(1<<1) | (st&(1<<5))>>4&(1<<1)
 			st |= 1 << 5
 			st &^= 1 << 8
-			c.csr[isa.CSRMstatus] = st
+			c.csr.Set(isa.CSRMstatus, st)
 			c.MMU.Priv = c.priv
-			u.redirectTo = c.csr[isa.CSRSepc]
+			u.redirectTo = c.csr.Get(isa.CSRSepc)
 			u.flushAfter = true
 		case isa.SFENCEVMA:
 			c.MMU.FlushAll()
@@ -523,7 +523,7 @@ func (c *Core) pendingBits() uint64 {
 	if c.IntSource == nil {
 		return 0
 	}
-	return c.IntSource(c.ID) & c.csr[isa.CSRMie]
+	return c.IntSource(c.ID) & c.csr.Get(isa.CSRMie)
 }
 
 // sampleInterrupts takes the highest-priority enabled machine interrupt
@@ -536,7 +536,7 @@ func (c *Core) sampleInterrupts() bool {
 	}
 	c.wfiWait = false
 	// M-mode interrupts fire when running below M, or in M with MIE set
-	if c.priv == isa.PrivM && c.csr[isa.CSRMstatus]&(1<<3) == 0 {
+	if c.priv == isa.PrivM && c.csr.Get(isa.CSRMstatus)&(1<<3) == 0 {
 		return false
 	}
 	var cause uint64
@@ -561,18 +561,18 @@ func (c *Core) takeInterrupt(cause uint64) bool {
 	} else if c.fq.len() > 0 {
 		resume = c.fq.front().pc
 	}
-	target := c.csr[isa.CSRMtvec] &^ 3
+	target := c.csr.Get(isa.CSRMtvec) &^ 3
 	if target == 0 {
 		return false // no handler installed: leave the interrupt pending
 	}
-	c.csr[isa.CSRMepc] = resume
-	c.csr[isa.CSRMcause] = 1<<63 | cause
-	c.csr[isa.CSRMtval] = 0
-	st := c.csr[isa.CSRMstatus]
+	c.csr.Set(isa.CSRMepc, resume)
+	c.csr.Set(isa.CSRMcause, 1<<63|cause)
+	c.csr.Set(isa.CSRMtval, 0)
+	st := c.csr.Get(isa.CSRMstatus)
 	st = st&^(1<<7) | (st&(1<<3))<<4
 	st &^= 1 << 3
 	st = st&^(3<<11) | uint64(c.priv)<<11
-	c.csr[isa.CSRMstatus] = st
+	c.csr.Set(isa.CSRMstatus, st)
 	c.priv = isa.PrivM
 	c.MMU.Priv = c.priv
 	c.Stats.Interrupts++
@@ -590,14 +590,14 @@ func (c *Core) takeInterrupt(cause uint64) bool {
 // flushing the pipeline and redirecting to the handler.
 func (c *Core) takeTrap(u *uop) {
 	cause := int(u.excCause)
-	deleg := c.csr[isa.CSRMedeleg]
+	deleg := c.csr.Get(isa.CSRMedeleg)
 	toS := c.priv != isa.PrivM && deleg>>uint(cause)&1 == 1
-	st := c.csr[isa.CSRMstatus]
+	st := c.csr.Get(isa.CSRMstatus)
 	var target uint64
 	if toS {
-		c.csr[isa.CSRSepc] = u.pc
-		c.csr[isa.CSRScause] = uint64(cause)
-		c.csr[isa.CSRStval] = u.excTval
+		c.csr.Set(isa.CSRSepc, u.pc)
+		c.csr.Set(isa.CSRScause, uint64(cause))
+		c.csr.Set(isa.CSRStval, u.excTval)
 		st = st&^(1<<5) | (st&(1<<1))<<4
 		st &^= 1 << 1
 		if c.priv == isa.PrivS {
@@ -605,19 +605,19 @@ func (c *Core) takeTrap(u *uop) {
 		} else {
 			st &^= 1 << 8
 		}
-		c.csr[isa.CSRMstatus] = st
+		c.csr.Set(isa.CSRMstatus, st)
 		c.priv = isa.PrivS
-		target = c.csr[isa.CSRStvec] &^ 3
+		target = c.csr.Get(isa.CSRStvec) &^ 3
 	} else {
-		c.csr[isa.CSRMepc] = u.pc
-		c.csr[isa.CSRMcause] = uint64(cause)
-		c.csr[isa.CSRMtval] = u.excTval
+		c.csr.Set(isa.CSRMepc, u.pc)
+		c.csr.Set(isa.CSRMcause, uint64(cause))
+		c.csr.Set(isa.CSRMtval, u.excTval)
 		st = st&^(1<<7) | (st&(1<<3))<<4
 		st &^= 1 << 3
 		st = st&^(3<<11) | uint64(c.priv)<<11
-		c.csr[isa.CSRMstatus] = st
+		c.csr.Set(isa.CSRMstatus, st)
 		c.priv = isa.PrivM
-		target = c.csr[isa.CSRMtvec] &^ 3
+		target = c.csr.Get(isa.CSRMtvec) &^ 3
 	}
 	c.MMU.Priv = c.priv
 	c.Stats.Traps++

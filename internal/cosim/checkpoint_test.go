@@ -132,6 +132,37 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	}
 }
 
+// TestPagedCheckpointResumes: a machine restored from a checkpoint taken under
+// SV39 starts with an empty soft TLB and must walk its way back in — the
+// resumed suffix ends exactly where the session's own golden model does.
+// (Restoring used to leave the soft TLB a nil map, which the first walk after
+// it wrote into.)
+func TestPagedCheckpointResumes(t *testing.T) {
+	s := NewSession(assembleCheckpointProg(t), Options{Modes: Modes{Paged: true}})
+	cp := captureMidRun(t, s)
+	if r := stepToEnd(s); r.Diverged {
+		t.Fatalf("session diverged after checkpoint:\n%s", r.Report)
+	}
+	ref := s.Hart(0).Emu()
+
+	m := cp.NewMachine()
+	if err := m.Run(1_000_000); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if !m.Halted || m.ExitCode != ref.ExitCode {
+		t.Fatalf("resumed: halted=%v exit=%d, session's golden model exit=%d", m.Halted, m.ExitCode, ref.ExitCode)
+	}
+	if diffs := m.Snapshot().Diff(ref.Snapshot()); len(diffs) > 0 {
+		t.Fatalf("final architectural state differs: %v", diffs)
+	}
+	if !reflect.DeepEqual(m.DumpCSRs(), ref.DumpCSRs()) {
+		t.Fatalf("final CSR file differs: resumed=%v session=%v", m.DumpCSRs(), ref.DumpCSRs())
+	}
+	if !reflect.DeepEqual(m.Mem.Snapshot(), ref.Mem.Snapshot()) {
+		t.Fatal("final memory image differs")
+	}
+}
+
 func TestCheckpointJSONRoundTrip(t *testing.T) {
 	prog := assembleCheckpointProg(t)
 	s := NewSession(prog, Options{})

@@ -673,8 +673,9 @@ func (s *Session) Finish() Result {
 }
 
 // Release hands the session's large tables — the L2 tags, every core's (see
-// core.Core.Release) and the pages of both memories — to the sessions built
-// after it, each zeroed back to what its constructor expects, so that a fuzz
+// core.Core.Release), every emulator's and the pages of both memories — to
+// the sessions built after it, each zeroed back to what its constructor
+// expects, so that a fuzz
 // seed does not pay for allocating and clearing a full-size memory system it
 // barely touches (DESIGN.md "Session storage recycling"). The session and
 // everything reached through it must not be used afterwards; a second call
@@ -690,6 +691,7 @@ func (s *Session) Release() {
 	}
 	for _, h := range s.harts {
 		h.c.Release()
+		h.m.Release()
 	}
 	s.l2.Cache.Release()
 	// one memory per world, shared by every hart of it
@@ -927,17 +929,13 @@ func (k *checker) onCommit(ci core.Commit) {
 		k.m.X[ci.Inst.Rd.Index()] = ci.RdVal
 	}
 
-	for i := 1; i < 32; i++ {
-		if cv, ev := k.c.Reg(isa.X(i)), k.m.X[i]; cv != ev {
-			k.fail(ci, "xreg", fmt.Sprintf("%s: core=%#x emu=%#x", isa.X(i), cv, ev))
-			return
+	if r, cv, differs := k.c.ArchRegMismatch(&k.m.X, &k.m.F); differs {
+		kind := "xreg"
+		if r.IsF() {
+			kind = "freg"
 		}
-	}
-	for i := 0; i < 32; i++ {
-		if cv, ev := k.c.Reg(isa.F(i)), k.m.F[i]; cv != ev {
-			k.fail(ci, "freg", fmt.Sprintf("%s: core=%#x emu=%#x", isa.F(i), cv, ev))
-			return
-		}
+		k.fail(ci, kind, fmt.Sprintf("%s: core=%#x emu=%#x", r, cv, k.m.Reg(r)))
+		return
 	}
 	cOK, cAddr := k.c.Reservation()
 	eOK, eAddr := k.m.Reservation()

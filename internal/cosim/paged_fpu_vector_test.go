@@ -9,6 +9,8 @@ import (
 	"xt910/internal/asm"
 	"xt910/internal/core"
 	"xt910/internal/emu"
+	"xt910/internal/mem"
+	"xt910/internal/mmu"
 	"xt910/isa"
 )
 
@@ -97,6 +99,67 @@ func TestPagedFaults(t *testing.T) {
 				t.Fatalf("exit code = %d, want %d", r.ExitCode, tc.exit)
 			}
 		})
+	}
+}
+
+// TestPagedPrivilegeDropFaults is the hand repro for cached translations
+// outliving a privilege change. Every page of the paged profile is
+// supervisor-only; the test marks the second code page user-accessible in
+// both worlds' tables. S-mode loads from buf — both models now hold that
+// page's load translation — then drops to U on the user page, where the same
+// load must raise a load page fault in both models: delegated, with no
+// handler, so both halt on it with scause/stval/sepc latched (compared by the
+// drain, asserted here). The golden model's soft TLB used to answer the
+// U-mode load from the entry S-mode left behind.
+func TestPagedPrivilegeDropFaults(t *testing.T) {
+	hookModels = func(c *core.Core, m *emu.Machine) {
+		for _, mm := range []*mem.Memory{c.Mem, m.Mem} {
+			read := func(pa uint64) uint64 { return mm.Read(pa, 8) }
+			res, err := mmu.Walk(read, c.CSR(isa.CSRSatp), 0x2000, mmu.AccFetch, isa.PrivS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf := res.PTEAddrs[len(res.PTEAddrs)-1]
+			mm.Write(leaf, 8, mm.Read(leaf, 8)|mmu.PteU)
+		}
+	}
+	defer func() { hookModels = nil }()
+	prog := mustAssemble(t, `
+_start:
+    la x8, buf
+    ld x5, 0(x8)
+    la x6, ucode
+    csrw sepc, x6
+    sret                     # sstatus.SPP is 0: to U-mode
+buf:
+    .dword 7
+.align 12
+ucode:
+    ld x7, 0(x8)
+`+exitEpilogue)
+	if prog.Symbols["ucode"] != 0x2000 {
+		t.Fatalf("ucode at %#x, the test marks page 0x2000", prog.Symbols["ucode"])
+	}
+	s := NewSession(prog, Options{Modes: Modes{Paged: true}})
+	r := stepToEnd(s)
+	if r.Diverged {
+		t.Fatalf("diverged:\n%s", r.Report)
+	}
+	if want := -(16 + isa.ExcLoadPageFault); r.ExitCode != want {
+		t.Fatalf("exit code = %d, want %d (the U-mode load of a supervisor page must fault)", r.ExitCode, want)
+	}
+	c, m := s.Hart(0).Core(), s.Hart(0).Emu()
+	for _, tc := range []struct {
+		csr  uint16
+		want uint64
+	}{
+		{isa.CSRScause, isa.ExcLoadPageFault},
+		{isa.CSRStval, prog.Symbols["buf"]},
+		{isa.CSRSepc, prog.Symbols["ucode"]},
+	} {
+		if cv, ev := c.CSR(tc.csr), m.CSR(tc.csr); cv != tc.want || ev != tc.want {
+			t.Errorf("%s: core=%#x emu=%#x, want %#x", isa.CSRName(tc.csr), cv, ev, tc.want)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
+	"xt910/internal/recycle"
 	"xt910/internal/vector"
 	"xt910/isa"
 )
@@ -42,7 +43,7 @@ type Machine struct {
 
 	Priv int
 
-	csr map[uint16]uint64
+	csr isa.CSRFile
 
 	Instret uint64
 
@@ -68,8 +69,8 @@ type Machine struct {
 	// hooks this; standalone emulation treats them as no-ops).
 	OnCacheOp func(op isa.Op, operand uint64)
 
-	// soft TLB for emulation speed; invalidated on satp writes and sfence
-	stlb map[uint64]stlbEntry
+	// tab holds the soft TLB and the decode memo.
+	tab *tables
 
 	// BreakOnEbreak stops execution at ebreak instead of trapping.
 	BreakOnEbreak bool
@@ -106,21 +107,68 @@ type MMIODevice interface {
 	Write(pa uint64, size int, v uint64)
 }
 
+// stlbEntry is one soft-TLB slot: the translation of one 4 KB virtual page
+// for one access class. The table is direct-mapped, so a slot is a hint that
+// a later walk may replace at any time.
 type stlbEntry struct {
+	key   uint64 // va>>12<<2 | access class
 	base  uint64 // pa of page start
-	bits  uint
-	perms uint8
+	bits  uint8
+	perms uint8 // the leaf PTE's R/W/X/U bits, re-checked on every hit
+	valid bool
 }
+
+// stlbSize gives each of the three access classes 32 pages.
+const stlbSize = 128
+
+// memoEntry is one decode-memo slot: a raw instruction word and what it
+// decodes to. inst.Size is 0 in a slot never filled.
+type memoEntry struct {
+	raw  uint32
+	inst isa.Inst
+}
+
+// memoSize is enough for the hot loops of every kernel in the tree: their
+// code is a few hundred bytes, and only first executions miss, at this size
+// as at sixteen times it.
+const memoSize = 256
+
+// tables are a machine's two host-side caches, neither architectural state:
+// the soft TLB (translate; invalidated on satp writes and sfence) and the
+// decode memo (Fetch). They live outside the Machine so that a released
+// machine can hand them on (Release): a fuzz seed should not pay to allocate
+// them.
+type tables struct {
+	stlb [stlbSize]stlbEntry
+	memo [memoSize]memoEntry
+}
+
+// freeTables recycles tables between machines; every one on it is all zero,
+// as a new one is.
+var freeTables recycle.Objects[tables]
 
 // New creates a machine starting in M-mode at pc 0.
 func New(m *mem.Memory) *Machine {
+	tab := freeTables.Get()
+	if tab == nil {
+		tab = new(tables)
+	}
 	return &Machine{
 		Mem:  m,
 		Vec:  vector.NewUnit(vector.DefaultVLEN),
 		Priv: isa.PrivM,
-		csr:  make(map[uint16]uint64),
-		stlb: make(map[uint64]stlbEntry),
+		tab:  tab,
 	}
+}
+
+// Release hands the machine's soft TLB and decode memo, zeroed, to the
+// machines built after it (DESIGN.md "Session storage recycling"). The
+// machine must not be used afterwards. Only the code that built a machine,
+// and let nobody else see it, may call this.
+func (m *Machine) Release() {
+	*m.tab = tables{}
+	freeTables.Put(m.tab)
+	m.tab = nil
 }
 
 // Reg reads an architectural register by unified number.
@@ -169,17 +217,17 @@ func (m *Machine) CSR(num uint16) uint64 {
 	case isa.CSRVlenb:
 		return uint64(m.Vec.File.VLENBits / 8)
 	case isa.CSRFflags:
-		return m.csr[isa.CSRFcsr] & 0x1F
+		return m.csr.Get(isa.CSRFcsr) & 0x1F
 	case isa.CSRFrm:
-		return m.csr[isa.CSRFcsr] >> 5 & 7
+		return m.csr.Get(isa.CSRFcsr) >> 5 & 7
 	case isa.CSRMip:
-		v := m.csr[num]
+		v := m.csr.Get(num)
 		if m.IntSource != nil {
 			v |= m.IntSource()
 		}
 		return v
 	}
-	return m.csr[num]
+	return m.csr.Get(num)
 }
 
 // SetCSR writes a CSR, applying side effects (satp flushes the soft TLB;
@@ -187,43 +235,43 @@ func (m *Machine) CSR(num uint16) uint64 {
 func (m *Machine) SetCSR(num uint16, v uint64) {
 	switch num {
 	case isa.CSRSatp:
-		m.stlb = make(map[uint64]stlbEntry)
+		m.flushTLB()
 	case isa.CSRVl, isa.CSRVtype, isa.CSRVlenb, isa.CSRCycle, isa.CSRInstret:
 		return // read-only
 	case isa.CSRFflags:
-		m.csr[isa.CSRFcsr] = m.csr[isa.CSRFcsr]&^uint64(0x1F) | v&0x1F
-		m.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+		m.csr.Set(isa.CSRFcsr, m.csr.Get(isa.CSRFcsr)&^uint64(0x1F)|v&0x1F)
+		m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 		return
 	case isa.CSRFrm:
-		m.csr[isa.CSRFcsr] = m.csr[isa.CSRFcsr]&^uint64(0xE0) | v&7<<5
-		m.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+		m.csr.Set(isa.CSRFcsr, m.csr.Get(isa.CSRFcsr)&^uint64(0xE0)|v&7<<5)
+		m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 		return
 	case isa.CSRFcsr:
-		m.csr[isa.CSRFcsr] = v & 0xFF
-		m.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+		m.csr.Set(isa.CSRFcsr, v&0xFF)
+		m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 		return
 	// Interrupt CSR WARL windows: unimplemented bits are wired to zero, and
 	// mip's machine-level bits are device-driven (IntSource), never stored.
 	// The same masks live in core.SetCSR — csr_window_test pins the parity.
 	case isa.CSRMie:
-		m.csr[num] = v & isa.MieWritableMask
+		m.csr.Set(num, v&isa.MieWritableMask)
 		return
 	case isa.CSRMip:
-		m.csr[num] = v & isa.MipWritableMask
+		m.csr.Set(num, v&isa.MipWritableMask)
 		return
 	case isa.CSRMideleg:
-		m.csr[num] = v & isa.MidelegWritableMask
+		m.csr.Set(num, v&isa.MidelegWritableMask)
 		return
 	}
-	m.csr[num] = v
+	m.csr.Set(num, v)
 }
 
 // accrueFFlags ORs newly raised IEEE exception flags into fcsr and marks the
 // floating-point context dirty in mstatus. Called for every executed FP
 // instruction even when flags is 0: any FP-unit execution leaves FS=Dirty.
 func (m *Machine) accrueFFlags(flags uint8) {
-	m.csr[isa.CSRFcsr] |= uint64(flags)
-	m.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+	m.csr.Or(isa.CSRFcsr, uint64(flags))
+	m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 }
 
 // trapError carries an architectural exception through the execute switch.
@@ -238,29 +286,42 @@ func (t *trapError) Error() string {
 
 // translate resolves a virtual address or raises a page fault.
 func (m *Machine) translate(va uint64, acc mmu.Access) (uint64, error) {
-	satp := m.csr[isa.CSRSatp]
-	if isa.SatpMode(satp) != isa.SatpModeSV39 || m.Priv == isa.PrivM {
+	if m.Priv == isa.PrivM {
 		return va, nil
 	}
-	key := va >> 12 << 2 // tag soft-TLB entries by page and access class
-	if acc == mmu.AccStore {
-		key |= 1
-	} else if acc == mmu.AccFetch {
-		key |= 2
+	satp := m.csr.Get(isa.CSRSatp)
+	if isa.SatpMode(satp) != isa.SatpModeSV39 {
+		return va, nil
 	}
-	if e, ok := m.stlb[key]; ok {
+	vpn := va >> 12
+	key := vpn<<2 | uint64(acc) // tag soft-TLB entries by page and access class
+	// fold the high page bits in: a page and its far alias share low ones
+	e := &m.tab.stlb[(vpn^vpn>>16)<<2&(stlbSize-1)|uint64(acc)]
+	if e.valid && e.key == key {
+		// The entry was filled at the privilege of that moment; like the
+		// pipeline's TLBs, a hit answers for the current one.
+		if !mmu.PermOK(e.perms, acc, m.Priv) {
+			return 0, pageFault(va, acc)
+		}
 		return e.base | va&(1<<e.bits-1), nil
 	}
 	res, err := mmu.Walk(func(pa uint64) uint64 { return m.Mem.Read(pa, 8) },
 		satp, va, acc, m.Priv)
 	if err != nil {
-		pf := err.(*mmu.PageFault)
-		return 0, &trapError{cause: pf.Cause(), tval: va}
+		return 0, pageFault(va, acc) // Walk fails in no other way
 	}
 	mask := uint64(1)<<res.PageBits - 1
-	m.stlb[key] = stlbEntry{base: res.PA &^ mask, bits: res.PageBits, perms: res.Perms}
+	*e = stlbEntry{key: key, base: res.PA &^ mask, bits: uint8(res.PageBits), perms: res.Perms, valid: true}
 	return res.PA, nil
 }
+
+// pageFault is the trap a failed translation of va raises.
+func pageFault(va uint64, acc mmu.Access) *trapError {
+	return &trapError{cause: (&mmu.PageFault{VA: va, Access: acc}).Cause(), tval: va}
+}
+
+// flushTLB drops every soft-TLB entry.
+func (m *Machine) flushTLB() { m.tab.stlb = [stlbSize]stlbEntry{} }
 
 func (m *Machine) load(va uint64, size int) (uint64, error) {
 	pa, err := m.translate(va, mmu.AccLoad)
@@ -311,24 +372,54 @@ func (m *Machine) KillReservation(pa uint64, size int) {
 	}
 }
 
-// Fetch decodes the instruction at va.
+// Fetch decodes the instruction at va. The bytes are read from memory on
+// every call; only their decoding is remembered, in a memo slot chosen by the
+// physical address and trusted only while it holds exactly the word just
+// read. Decoding is a pure function of that word, so whoever changed the
+// bytes — this program, another hart, a loader, a restored checkpoint — the
+// memo cannot answer with anything a fresh decode would not.
 func (m *Machine) Fetch(va uint64) (isa.Inst, error) {
-	pa, err := m.translate(va, mmu.AccFetch)
+	in, err := m.fetch(va)
 	if err != nil {
 		return isa.Inst{}, err
 	}
-	lo := uint16(m.Mem.Read(pa, 2))
-	if lo&3 == 3 {
-		// 32-bit: the upper half may sit on the next (possibly different) page
+	return *in, nil
+}
+
+// fetch is Fetch without the copy, for Step: the instruction returned is the
+// memo's own, good until the next fetch and not to be written to.
+func (m *Machine) fetch(va uint64) (*isa.Inst, error) {
+	pa, err := m.translate(va, mmu.AccFetch)
+	if err != nil {
+		return nil, err
+	}
+	var raw uint32
+	if pa&0xFFF <= 0xFFC {
+		// a 32-bit instruction would end on this page: one read serves both forms
+		if raw = uint32(m.Mem.Read(pa, 4)); raw&3 != 3 {
+			raw &= 0xFFFF
+		}
+	} else if raw = uint32(m.Mem.Read(pa, 2)); raw&3 == 3 {
+		// 32-bit: the upper half sits on the next (possibly different) page
 		pa2, err := m.translate(va+2, mmu.AccFetch)
 		if err != nil {
-			return isa.Inst{}, err
+			return nil, err
 		}
-		hi := uint16(m.Mem.Read(pa2, 2))
-		return isa.Decode(uint32(lo) | uint32(hi)<<16), nil
+		raw |= uint32(m.Mem.Read(pa2, 2)) << 16
 	}
-	return isa.Decode16(lo), nil
+	e := m.memoSlot(pa)
+	if e.raw != raw || e.inst.Size == 0 {
+		if e.raw = raw; raw&3 == 3 {
+			e.inst = isa.Decode(raw)
+		} else {
+			e.inst = isa.Decode16(uint16(raw))
+		}
+	}
+	return &e.inst, nil
 }
+
+// memoSlot is the memo slot of the instruction at pa.
+func (m *Machine) memoSlot(pa uint64) *memoEntry { return &m.tab.memo[pa>>1&(memoSize-1)] }
 
 // checkInterrupt takes the highest-priority enabled machine interrupt
 // (MEI > MSI > MTI) before an instruction executes, mirroring the core's
@@ -340,12 +431,12 @@ func (m *Machine) checkInterrupt() bool {
 	if m.IntSource == nil {
 		return false
 	}
-	pend := m.IntSource() & m.csr[isa.CSRMie]
+	pend := m.IntSource() & m.csr.Get(isa.CSRMie)
 	if pend == 0 {
 		return false
 	}
 	// M-mode interrupts fire when running below M, or in M with MIE set.
-	if m.Priv == isa.PrivM && m.csr[isa.CSRMstatus]&mstatusMIE == 0 {
+	if m.Priv == isa.PrivM && m.csr.Get(isa.CSRMstatus)&mstatusMIE == 0 {
 		return false
 	}
 	var cause uint64
@@ -357,18 +448,18 @@ func (m *Machine) checkInterrupt() bool {
 	default:
 		cause = isa.IntMTimer
 	}
-	target := m.csr[isa.CSRMtvec] &^ 3
+	target := m.csr.Get(isa.CSRMtvec) &^ 3
 	if target == 0 {
 		return false // no handler installed: leave it pending, like the core
 	}
-	m.csr[isa.CSRMepc] = m.PC
-	m.csr[isa.CSRMcause] = 1<<63 | cause
-	m.csr[isa.CSRMtval] = 0
-	st := m.csr[isa.CSRMstatus]
+	m.csr.Set(isa.CSRMepc, m.PC)
+	m.csr.Set(isa.CSRMcause, 1<<63|cause)
+	m.csr.Set(isa.CSRMtval, 0)
+	st := m.csr.Get(isa.CSRMstatus)
 	st = st&^mstatusMPIE | (st&mstatusMIE)<<4&mstatusMPIE
 	st &^= mstatusMIE
 	st = st&^mstatusMPP | uint64(m.Priv)<<11
-	m.csr[isa.CSRMstatus] = st
+	m.csr.Set(isa.CSRMstatus, st)
 	m.Priv = isa.PrivM
 	m.PC = target
 	if m.OnInterrupt != nil {
@@ -386,16 +477,16 @@ func (m *Machine) Step() error {
 	if m.checkInterrupt() {
 		return nil
 	}
-	in, err := m.Fetch(m.PC)
+	in, err := m.fetch(m.PC)
 	if err != nil {
 		m.enterTrap(err.(*trapError))
 		return nil
 	}
 	if m.Trace != nil {
-		m.Trace(m.PC, in)
+		m.Trace(m.PC, *in)
 	}
 	nextPC := m.PC + uint64(in.Size)
-	err = m.exec(&in, &nextPC)
+	err = m.exec(in, &nextPC)
 	if err != nil {
 		if te, ok := err.(*trapError); ok {
 			// A trapping instruction does not retire: instret must not
@@ -460,7 +551,7 @@ func (m *Machine) exec(in *isa.Inst, nextPC *uint64) error {
 		}
 		m.setReg(in.Rd, loadExtend(op, v, size))
 		if in.Rd.IsF() {
-			m.csr[isa.CSRMstatus] |= isa.MstatusFSDirty
+			m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
 		}
 		return nil
 
@@ -520,7 +611,7 @@ func (m *Machine) exec(in *isa.Inst, nextPC *uint64) error {
 			m.OnCacheOp(op, operand)
 		}
 		if op == isa.XTLBIASID || op == isa.XTLBIVA {
-			m.stlb = make(map[uint64]stlbEntry)
+			m.flushTLB()
 		}
 		return nil
 	}
@@ -660,17 +751,17 @@ func (m *Machine) execSys(in *isa.Inst, nextPC *uint64) error {
 		}
 		return &trapError{cause: isa.ExcBreakpoint, tval: m.PC}
 	case isa.MRET:
-		st := m.csr[isa.CSRMstatus]
+		st := m.csr.Get(isa.CSRMstatus)
 		m.Priv = int(st >> 11 & 3)
 		// MIE ← MPIE, MPIE ← 1, MPP ← U
 		st = st&^mstatusMIE | (st&mstatusMPIE)>>4&mstatusMIE
 		st |= mstatusMPIE
 		st &^= mstatusMPP
-		m.csr[isa.CSRMstatus] = st
-		*nextPC = m.csr[isa.CSRMepc]
+		m.csr.Set(isa.CSRMstatus, st)
+		*nextPC = m.csr.Get(isa.CSRMepc)
 		return nil
 	case isa.SRET:
-		st := m.csr[isa.CSRMstatus]
+		st := m.csr.Get(isa.CSRMstatus)
 		if st&mstatusSPP != 0 {
 			m.Priv = isa.PrivS
 		} else {
@@ -679,11 +770,11 @@ func (m *Machine) execSys(in *isa.Inst, nextPC *uint64) error {
 		st = st&^mstatusSIE | (st&mstatusSPIE)>>4&mstatusSIE
 		st |= mstatusSPIE
 		st &^= mstatusSPP
-		m.csr[isa.CSRMstatus] = st
-		*nextPC = m.csr[isa.CSRSepc]
+		m.csr.Set(isa.CSRMstatus, st)
+		*nextPC = m.csr.Get(isa.CSRSepc)
 		return nil
 	case isa.SFENCEVMA:
-		m.stlb = make(map[uint64]stlbEntry)
+		m.flushTLB()
 		return nil
 	case isa.FENCE, isa.FENCEI, isa.WFI:
 		return nil
@@ -751,13 +842,13 @@ func (m *Machine) execVector(in *isa.Inst) error {
 
 // enterTrap implements the M/S trap entry flow with medeleg-based delegation.
 func (m *Machine) enterTrap(t *trapError) {
-	deleg := m.csr[isa.CSRMedeleg]
+	deleg := m.csr.Get(isa.CSRMedeleg)
 	toS := m.Priv != isa.PrivM && deleg>>uint(t.cause)&1 == 1
-	st := m.csr[isa.CSRMstatus]
+	st := m.csr.Get(isa.CSRMstatus)
 	if toS {
-		m.csr[isa.CSRSepc] = m.PC
-		m.csr[isa.CSRScause] = uint64(t.cause)
-		m.csr[isa.CSRStval] = t.tval
+		m.csr.Set(isa.CSRSepc, m.PC)
+		m.csr.Set(isa.CSRScause, uint64(t.cause))
+		m.csr.Set(isa.CSRStval, t.tval)
 		// SPIE ← SIE, SIE ← 0, SPP ← prior priv
 		st = st&^mstatusSPIE | (st&mstatusSIE)<<4&mstatusSPIE
 		st &^= mstatusSIE
@@ -766,10 +857,10 @@ func (m *Machine) enterTrap(t *trapError) {
 		} else {
 			st &^= mstatusSPP
 		}
-		m.csr[isa.CSRMstatus] = st
+		m.csr.Set(isa.CSRMstatus, st)
 		m.Priv = isa.PrivS
-		m.PC = m.csr[isa.CSRStvec] &^ 3
-		if m.csr[isa.CSRStvec] == 0 {
+		m.PC = m.csr.Get(isa.CSRStvec) &^ 3
+		if m.csr.Get(isa.CSRStvec) == 0 {
 			// Same no-handler convention as the mtvec==0 path below, so a
 			// delegated fault halts instead of spinning at VA 0.
 			m.Halted = true
@@ -777,16 +868,16 @@ func (m *Machine) enterTrap(t *trapError) {
 		}
 		return
 	}
-	m.csr[isa.CSRMepc] = m.PC
-	m.csr[isa.CSRMcause] = uint64(t.cause)
-	m.csr[isa.CSRMtval] = t.tval
+	m.csr.Set(isa.CSRMepc, m.PC)
+	m.csr.Set(isa.CSRMcause, uint64(t.cause))
+	m.csr.Set(isa.CSRMtval, t.tval)
 	st = st&^mstatusMPIE | (st&mstatusMIE)<<4&mstatusMPIE
 	st &^= mstatusMIE
 	st = st&^mstatusMPP | uint64(m.Priv)<<11
-	m.csr[isa.CSRMstatus] = st
+	m.csr.Set(isa.CSRMstatus, st)
 	m.Priv = isa.PrivM
-	m.PC = m.csr[isa.CSRMtvec] &^ 3
-	if m.csr[isa.CSRMtvec] == 0 {
+	m.PC = m.csr.Get(isa.CSRMtvec) &^ 3
+	if m.csr.Get(isa.CSRMtvec) == 0 {
 		// No trap handler installed: a real bare-metal harness would spin;
 		// halt with a distinctive code so tests notice immediately.
 		m.Halted = true

@@ -1,0 +1,252 @@
+package emu
+
+import (
+	"fmt"
+	"testing"
+
+	"xt910/internal/asm"
+	"xt910/internal/mem"
+	"xt910/internal/mmu"
+	"xt910/internal/recycle"
+	"xt910/internal/workloads"
+	"xt910/isa"
+)
+
+// smcProgram executes the instruction at site, overwrites it with the one at
+// donor through the address in t0 plus storeOffset, and executes it again —
+// with no fence.i, which the golden model has never needed. a0 sums what the
+// two executions produced: 12 from the add, -2 from the sub.
+func smcProgram(storeOffset uint64) string {
+	return fmt.Sprintf(`
+_start:
+    li   a0, 0
+    li   a1, 5
+    li   a2, 7
+    li   s0, 0
+    la   t0, site
+    li   t3, %d
+    add  t0, t0, t3
+    la   t1, donor
+    lw   t2, 0(t1)
+again:
+site:
+    add  a3, a1, a2
+    add  a0, a0, a3
+    bnez s0, done
+    li   s0, 1
+    sw   t2, 0(t0)
+    j    again
+done:
+    li   a7, 93
+    ecall
+donor:
+    sub  a3, a1, a2
+`, storeOffset)
+}
+
+// TestMemoNeverServesStaleBytes: an instruction that has executed, and so sits
+// decoded in the memo, is overwritten in memory; its next execution runs the
+// new bytes, as it does on a machine with no memo at all — whether the store
+// came from the program itself, through a second virtual alias of the code
+// page, or from another machine sharing the memory.
+func TestMemoNeverServesStaleBytes(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("self/rvc=%v", compress), func(t *testing.T) {
+			p, err := asm.Assemble(smcProgram(0), asm.Options{Base: 0x1000, Compress: compress})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := New(mem.NewMemory())
+			p.LoadInto(m.Mem)
+			m.PC = p.Entry
+			runToExit(t, m, 10)
+		})
+	}
+
+	t.Run("alias", func(t *testing.T) {
+		const alias = 0x40000000
+		p, err := asm.Assemble(smcProgram(alias), asm.Options{Base: 0x1000, Compress: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(mem.NewMemory())
+		p.LoadInto(m.Mem)
+		tb, err := mmu.IdentityPlusOffset(m.Mem, 0x100000, 0x80000, alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetCSR(isa.CSRSatp, tb.Satp(0))
+		m.Priv = isa.PrivS
+		m.PC = p.Entry
+		runToExit(t, m, 10)
+	})
+
+	t.Run("other machine", func(t *testing.T) {
+		shared := mem.NewMemory()
+		loop, err := asm.Assemble("_start:\nsite:\n    addi a0, a1, 1\n    j site\n", asm.Options{Base: 0x1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		patcher, err := asm.Assemble("_start:\n    sw t1, 0(t0)\n    li a7, 93\n    ecall\n", asm.Options{Base: 0x3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop.LoadInto(shared)
+		patcher.LoadInto(shared)
+		m := New(shared)
+		m.PC = loop.Entry
+		for i := 0; i < 6; i++ { // site executes three times
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.X[10] != 1 {
+			t.Fatalf("a0 = %d before the patch, want 1", m.X[10])
+		}
+		raw, err := isa.Encode(isa.Inst{Op: isa.ADDI, Rd: isa.X(10), Rs1: isa.X(11), Rs2: isa.RegNone, Rs3: isa.RegNone, Imm: 2, Size: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := New(shared)
+		other.PC = patcher.Entry
+		other.X[5], other.X[6] = loop.Symbols["site"], uint64(raw)
+		runToExit(t, other, 0)
+		for i := 0; i < 2; i++ {
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.X[10] != 2 {
+			t.Fatalf("a0 = %d after another machine patched the loop, want 2", m.X[10])
+		}
+	})
+}
+
+func runToExit(t *testing.T, m *Machine, want int) {
+	t.Helper()
+	if err := m.Run(100000); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Halted || m.ExitCode != want {
+		t.Fatalf("halted=%v exit=%d, want exit %d", m.Halted, m.ExitCode, want)
+	}
+}
+
+// TestMemoHitRateCoremark: a kernel misses the memo on the first execution of
+// each instruction and, its loops being far smaller than the table, on
+// nothing else. A hit leaves its slot as it was; a miss rewrites it.
+func TestMemoHitRateCoremark(t *testing.T) {
+	p, err := workloads.CoreMark.Program(workloads.CoreMark.DefaultIters, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(mem.NewMemory())
+	p.LoadInto(m.Mem)
+	m.PC = p.Entry
+	m.X[2] = 0x80000
+	var hits, fetches uint64
+	for !m.Halted {
+		if fetches > 100_000_000 {
+			t.Fatal("coremark did not halt")
+		}
+		slot := m.memoSlot(m.PC) // M-mode: the PC is the physical address
+		before := *slot
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+		fetches++
+		if before.inst.Size != 0 && *slot == before {
+			hits++
+		}
+	}
+	rate := float64(hits) / float64(fetches)
+	t.Logf("memo hit rate %.5f over %d fetches", rate, fetches)
+	if rate < 0.99 {
+		t.Fatalf("memo hit rate %.5f, want at least 0.99", rate)
+	}
+}
+
+// TestSoftTLBHonoursPrivilege: a translation the soft TLB cached at one
+// privilege must not answer for another that the page table denies. Cold, the
+// walk refuses both accesses below; warm, the hit must too.
+func TestSoftTLBHonoursPrivilege(t *testing.T) {
+	const sPage, uPage = 0x4000, 0x5000
+	build := func() *Machine {
+		m := New(mem.NewMemory())
+		tb := mmu.NewTableBuilder(m.Mem, 0x100000)
+		if err := tb.Map(sPage, sPage, 12, mmu.PteR|mmu.PteW); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Map(uPage, uPage, 12, mmu.PteR|mmu.PteX|mmu.PteU); err != nil {
+			t.Fatal(err)
+		}
+		m.SetCSR(isa.CSRSatp, tb.Satp(0))
+		return m
+	}
+	wantTrap := func(t *testing.T, err error, cause int, tval uint64) {
+		t.Helper()
+		te, ok := err.(*trapError)
+		if !ok || te.cause != cause || te.tval != tval {
+			t.Fatalf("got %v, want a trap with cause %d tval %#x", err, cause, tval)
+		}
+	}
+
+	t.Run("S-only page from U after an S touch", func(t *testing.T) {
+		m := build()
+		m.Priv = isa.PrivU
+		_, err := m.load(sPage, 8)
+		wantTrap(t, err, isa.ExcLoadPageFault, sPage) // cold
+		m.Priv = isa.PrivS
+		if _, err := m.load(sPage, 8); err != nil {
+			t.Fatalf("S-mode load: %v", err)
+		}
+		m.Priv = isa.PrivU
+		_, err = m.load(sPage, 8)
+		wantTrap(t, err, isa.ExcLoadPageFault, sPage)
+	})
+
+	t.Run("U page fetched from S after a U fetch", func(t *testing.T) {
+		m := build()
+		m.Priv = isa.PrivS
+		_, err := m.Fetch(uPage)
+		wantTrap(t, err, isa.ExcInstPageFault, uPage) // cold
+		m.Priv = isa.PrivU
+		if _, err := m.Fetch(uPage); err != nil {
+			t.Fatalf("U-mode fetch: %v", err)
+		}
+		m.Priv = isa.PrivS
+		_, err = m.Fetch(uPage)
+		wantTrap(t, err, isa.ExcInstPageFault, uPage)
+	})
+}
+
+// TestReleaseZeroesTables: a released machine's soft TLB and decode memo go to
+// the next machine in the state a new one has them in.
+func TestReleaseZeroesTables(t *testing.T) {
+	recycle.Drain()
+	m := New(mem.NewMemory())
+	tb, err := mmu.IdentityPlusOffset(m.Mem, 0x100000, 0x80000, 0x40000000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCSR(isa.CSRSatp, tb.Satp(0))
+	m.Priv = isa.PrivS
+	m.Mem.Write(0x1000, 4, 0x00a00513) // li a0, 10
+	if _, err := m.Fetch(0x1000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.load(0x40002000, 8); err != nil {
+		t.Fatal(err)
+	}
+	tab := m.tab
+	if *tab == (tables{}) {
+		t.Fatal("the run left both tables empty; the test checks nothing")
+	}
+	m.Release()
+	if *tab != (tables{}) {
+		t.Fatal("Release left a dirty table behind")
+	}
+	if next := New(mem.NewMemory()); next.tab != tab {
+		t.Fatal("the next machine did not pick the released tables up")
+	}
+}

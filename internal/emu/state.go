@@ -66,22 +66,15 @@ func (m *Machine) Snapshot(csrs ...uint16) ArchState {
 // which is what a checkpoint needs: Snapshot records only the CSRs a checker
 // compares, DumpCSRs records everything the machine would keep behaving on.
 func (m *Machine) DumpCSRs() map[uint16]uint64 {
-	out := make(map[uint16]uint64, len(m.csr))
-	for n, v := range m.csr {
-		out[n] = v
-	}
-	return out
+	return m.csr.Dump()
 }
 
 // RestoreCSRs replaces the machine's raw CSR file with the given values
 // (as produced by DumpCSRs) and invalidates the translation cache, since
 // satp/privilege-dependent state may have changed.
 func (m *Machine) RestoreCSRs(csrs map[uint16]uint64) {
-	m.csr = make(map[uint16]uint64, len(csrs))
-	for n, v := range csrs {
-		m.csr[n] = v
-	}
-	m.stlb = nil
+	m.csr.Restore(csrs)
+	m.flushTLB()
 }
 
 // SetReservation restores the LR/SC reservation (checkpoint restore).
@@ -112,7 +105,7 @@ func (m *Machine) RestoreArch(s ArchState) {
 			copy(b, s.V[r])
 		}
 	}
-	m.stlb = nil
+	m.flushTLB()
 }
 
 // Diff returns one human-readable line per field where the two states differ;

@@ -67,7 +67,7 @@ func (m *MMU) Translate(va uint64, acc Access, now uint64) (pa uint64, done uint
 	m.Stats.Lookups++
 	asid := isa.SatpASID(m.Satp)
 	if e, ok := m.Micro.Lookup(va, asid); ok {
-		if !permOK(e.perms, acc, m.Priv) {
+		if !PermOK(e.perms, acc, m.Priv) {
 			m.Stats.Faults++
 			return 0, now, &PageFault{VA: va, Access: acc}
 		}
@@ -77,7 +77,7 @@ func (m *MMU) Translate(va uint64, acc Access, now uint64) (pa uint64, done uint
 	if e, probes, ok := m.Joint.Lookup(va, asid); ok {
 		m.Stats.JointHits++
 		m.Stats.JointProbes += uint64(probes)
-		if !permOK(e.perms, acc, m.Priv) {
+		if !PermOK(e.perms, acc, m.Priv) {
 			m.Stats.Faults++
 			return 0, now, &PageFault{VA: va, Access: acc}
 		}

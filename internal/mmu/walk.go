@@ -111,7 +111,7 @@ func Walk(read ReadMem, satp, va uint64, acc Access, priv int) (WalkResult, erro
 		if level > 0 && ppn&(1<<(9*uint(level))-1) != 0 {
 			return fault() // misaligned superpage
 		}
-		if !permOK(uint8(pte), acc, priv) {
+		if !PermOK(uint8(pte), acc, priv) {
 			return fault()
 		}
 		mask := uint64(1)<<pageBits - 1
@@ -124,7 +124,11 @@ func Walk(read ReadMem, satp, va uint64, acc Access, priv int) (WalkResult, erro
 	return fault()
 }
 
-func permOK(flags uint8, acc Access, priv int) bool {
+// PermOK reports whether a leaf PTE's R/W/X/U flags allow the access at the
+// given privilege. Every holder of a cached translation asks it on every hit,
+// as Walk does on the leaf, so a translation cached at one privilege is never
+// honoured at another that the page table denies.
+func PermOK(flags uint8, acc Access, priv int) bool {
 	if priv == isa.PrivU && flags&PteU == 0 {
 		return false
 	}

@@ -125,39 +125,60 @@ const (
 	ExcStorePageFault      = 15
 )
 
-var csrNames = map[uint16]string{
-	CSRFflags: "fflags", CSRFrm: "frm", CSRFcsr: "fcsr",
-	CSRVstart: "vstart", CSRVl: "vl", CSRVtype: "vtype", CSRVlenb: "vlenb",
-	CSRCycle: "cycle", CSRTime: "time", CSRInstret: "instret",
-	CSRSstatus: "sstatus", CSRSie: "sie", CSRStvec: "stvec",
-	CSRSscratch: "sscratch", CSRSepc: "sepc", CSRScause: "scause",
-	CSRStval: "stval", CSRSip: "sip", CSRSatp: "satp",
-	CSRMstatus: "mstatus", CSRMisa: "misa", CSRMedeleg: "medeleg",
-	CSRMideleg: "mideleg", CSRMie: "mie", CSRMtvec: "mtvec",
-	CSRMscratch: "mscratch", CSRMepc: "mepc", CSRMcause: "mcause",
-	CSRMtval: "mtval", CSRMip: "mip", CSRMhartid: "mhartid",
-	CSRMcycle: "mcycle", CSRMinstret: "minstret",
-	CSRMxstatus: "mxstatus", CSRMhcr: "mhcr",
-	CSRMhpmcounter3: "mhpmcounter3", CSRMhpmcounter4: "mhpmcounter4",
-	CSRMhpmcounter5: "mhpmcounter5", CSRMhpmcounter6: "mhpmcounter6",
-	CSRMhpmcounter7: "mhpmcounter7", CSRMhpmcounter8: "mhpmcounter8",
-	CSRMhpmcounter9: "mhpmcounter9", CSRMhpmcounter10: "mhpmcounter10",
-	CSRMhpmcounter11: "mhpmcounter11", CSRMhpmcounter12: "mhpmcounter12",
+// csrTable lists every CSR the model names, each once. A CSR's position here
+// is its dense slot in a CSRFile (csrfile.go).
+var csrTable = [...]struct {
+	num  uint16
+	name string
+}{
+	{CSRFflags, "fflags"}, {CSRFrm, "frm"}, {CSRFcsr, "fcsr"},
+	{CSRVstart, "vstart"}, {CSRVl, "vl"}, {CSRVtype, "vtype"}, {CSRVlenb, "vlenb"},
+	{CSRCycle, "cycle"}, {CSRTime, "time"}, {CSRInstret, "instret"},
+	{CSRSstatus, "sstatus"}, {CSRSie, "sie"}, {CSRStvec, "stvec"},
+	{CSRSscratch, "sscratch"}, {CSRSepc, "sepc"}, {CSRScause, "scause"},
+	{CSRStval, "stval"}, {CSRSip, "sip"}, {CSRSatp, "satp"},
+	{CSRMstatus, "mstatus"}, {CSRMisa, "misa"}, {CSRMedeleg, "medeleg"},
+	{CSRMideleg, "mideleg"}, {CSRMie, "mie"}, {CSRMtvec, "mtvec"},
+	{CSRMscratch, "mscratch"}, {CSRMepc, "mepc"}, {CSRMcause, "mcause"},
+	{CSRMtval, "mtval"}, {CSRMip, "mip"}, {CSRMhartid, "mhartid"},
+	{CSRMcycle, "mcycle"}, {CSRMinstret, "minstret"},
+	{CSRMxstatus, "mxstatus"}, {CSRMhcr, "mhcr"},
+	{CSRMhpmcounter3, "mhpmcounter3"}, {CSRMhpmcounter4, "mhpmcounter4"},
+	{CSRMhpmcounter5, "mhpmcounter5"}, {CSRMhpmcounter6, "mhpmcounter6"},
+	{CSRMhpmcounter7, "mhpmcounter7"}, {CSRMhpmcounter8, "mhpmcounter8"},
+	{CSRMhpmcounter9, "mhpmcounter9"}, {CSRMhpmcounter10, "mhpmcounter10"},
+	{CSRMhpmcounter11, "mhpmcounter11"}, {CSRMhpmcounter12, "mhpmcounter12"},
 }
+
+// csrSlot maps a 12-bit CSR address to its position in csrTable plus one;
+// zero marks an address the model does not name.
+var csrSlot [1 << 12]uint8
 
 var csrByName = map[string]uint16{}
 
 func init() {
-	for num, name := range csrNames {
-		csrByName[name] = num
+	for i, e := range csrTable {
+		if csrSlot[e.num] != 0 {
+			panic("isa: csrTable lists " + e.name + " twice")
+		}
+		csrSlot[e.num] = uint8(i + 1)
+		csrByName[e.name] = e.num
 	}
+}
+
+// slotOf returns num's position in csrTable plus one, or zero.
+func slotOf(num uint16) uint8 {
+	if int(num) < len(csrSlot) {
+		return csrSlot[num]
+	}
+	return 0
 }
 
 // CSRName returns the symbolic name of a CSR, or a hex spelling for unknown
 // addresses.
 func CSRName(num uint16) string {
-	if n, ok := csrNames[num]; ok {
-		return n
+	if s := slotOf(num); s != 0 {
+		return csrTable[s-1].name
 	}
 	return fmt.Sprintf("0x%03x", num)
 }
