@@ -69,14 +69,19 @@ fuzz-smp-smoke:
 # must come back as an error or a Program, never a panic, and assemble to the
 # same bytes twice. isa.FuzzDecode (one encoding of every operation): no
 # 32-bit word may panic a decoder, what Encode accepts must round-trip, and
-# the golden model's decode memo must answer as a fresh decode does. A crasher
-# is written under the package's testdata/fuzz/ — check it in with the fix.
+# the golden model's decode memo must answer as a fresh decode does.
+# cosim.FuzzGenerate (one entry per mode): for any seed, size, valid mode set
+# and shrink mask, the generator's Items build without error, the text they
+# print assembles to the same image, and building twice gives the same bytes.
+# A crasher is written under the package's testdata/fuzz/ — check it in with
+# the fix.
 # Minimization is off: shrinking each coverage-expanding 10 KB program would
 # eat the whole pass (it ran ten inputs in ten seconds with it, two hundred
 # thousand without).
 fuzz-native-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/asm
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 0 ./isa
+	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cosim
 
 # inject-smoke runs the transient-fault campaign on a fixed seed set: control
 # runs must be divergence-free (no false positives), no architectural-state

@@ -1,9 +1,14 @@
-// Package asm is the two-pass assembler of the XT-910 toolchain model. It
-// accepts the GNU-flavoured subset the benchmark kernels are written in:
-// labels, data directives, the standard pseudo-instructions (li, la, call,
-// beqz, …), the vector 0.7.1 mnemonics, and the XT-910 custom extensions.
-// With Compress enabled it emits RVC encodings where a compressed form
-// exists, reproducing the code density the XT-910 front end is built around.
+// Package asm is the assembler of the XT-910 toolchain model: one back end
+// (Builder: lays a list of Items out, encodes each instruction once and
+// patches label references in afterwards) behind two front ends. The text
+// front end, Assemble, accepts the GNU-flavoured subset the benchmark kernels
+// are written in: labels, data directives, the standard pseudo-instructions
+// (li, la, call, beqz, …), the vector 0.7.1 mnemonics, and the XT-910 custom
+// extensions; it reads each statement once. The other front end is any
+// program that makes Items itself, as the cosim fuzz generator does;
+// AppendSource writes such Items back out as text. With Compress enabled the
+// back end emits RVC encodings where a compressed form exists, reproducing
+// the code density the XT-910 front end is built around.
 package asm
 
 import (
@@ -22,7 +27,7 @@ type Options struct {
 	Base uint64
 	// Compress enables RVC auto-compression for instructions that do not
 	// reference labels (label-relative instructions keep fixed 4-byte forms
-	// so that pass-1 sizing is exact).
+	// so that an instruction's size never depends on a label's address).
 	Compress bool
 }
 
@@ -47,38 +52,21 @@ func (p *Program) End() uint64 { return p.Base + uint64(len(p.Data)) }
 
 // Assemble assembles source text.
 func Assemble(src string, opts Options) (*Program, error) {
-	if opts.Base == 0 {
-		opts.Base = 0x1000
+	// a line of source is a few times its bytes in the image
+	return NewBuilder(opts, len(src)/4).parse(splitLines(src))
+}
+
+// parse runs the text front end over lines, feeding b, and finishes the image.
+func (b *Builder) parse(lines []stmt) (*Program, error) {
+	b.lines = lines
+	p := parser{b: b}
+	for i := range lines {
+		p.line = int32(i + 1)
+		if err := p.statement(&lines[i]); err != nil {
+			return nil, err
+		}
 	}
-	a := &assembler{
-		opts:    opts,
-		symbols: map[string]uint64{},
-		equs:    map[string]int64{},
-	}
-	lines := splitLines(src)
-	// Pass 1: compute sizes and label addresses.
-	if err := a.scan(lines, true); err != nil {
-		return nil, err
-	}
-	// Pass 2: emit bytes, into an image of the size pass 1 arrived at.
-	if size := a.pc - opts.Base; size > 0 {
-		a.out = make([]byte, 0, size)
-	}
-	a.numInsts = 0
-	if err := a.scan(lines, false); err != nil {
-		return nil, err
-	}
-	entry := opts.Base
-	if e, ok := a.symbols["_start"]; ok {
-		entry = e
-	}
-	return &Program{
-		Base:     opts.Base,
-		Data:     a.out,
-		Entry:    entry,
-		Symbols:  a.symbols,
-		NumInsts: a.numInsts,
-	}, nil
+	return b.Program()
 }
 
 // MustAssemble panics on error; for known-good embedded kernels.
@@ -97,8 +85,8 @@ type srcLine struct {
 	text string
 }
 
-// stmt is one non-empty source line, cut once by splitLines; both passes walk
-// these records and never look at the text again.
+// stmt is one non-empty source line, cut once by splitLines; the parser
+// walks these records and never looks at the text again.
 type stmt struct {
 	srcLine
 	labels   []string // labels defined on the line, in order
@@ -169,253 +157,165 @@ func splitLines(src string) []stmt {
 	return out
 }
 
-type assembler struct {
-	opts     Options
-	symbols  map[string]uint64
-	equs     map[string]int64
-	out      []byte
-	pc       uint64
-	pass1    bool
-	numInsts int
-	// exprSym is set by evalTerm when the last expression referenced a label
-	// (or a pass-1 forward reference). li/la use it to pick a fixed-size
-	// materialization so both passes agree on layout.
-	exprSym bool
+// parser is the text front end: it turns each statement into Items and hands
+// them to the back end as it goes, so `.` and the labels defined so far have
+// addresses while the next statement is read.
+type parser struct {
+	b    *Builder
+	line int32 // the statement being read, as Item.Line counts
+	// ref is the one operand of the current statement that names a label
+	// (set by imm): the Item made from the statement carries it as its Ref.
+	ref string
 }
 
-func (a *assembler) errf(line srcLine, format string, args ...any) error {
+func (p *parser) errf(line srcLine, format string, args ...any) error {
 	return fmt.Errorf("asm: line %d: %s: %s", line.num, line.text, fmt.Sprintf(format, args...))
 }
 
-func (a *assembler) scan(lines []stmt, pass1 bool) error {
-	a.pass1 = pass1
-	a.pc = a.opts.Base
-	for i := range lines {
-		st := &lines[i]
-		if pass1 {
-			for _, name := range st.labels {
-				if _, dup := a.symbols[name]; dup {
-					return a.errf(st.srcLine, "duplicate label %q", name)
-				}
-				a.symbols[name] = a.pc
-			}
-		}
-		if st.mnemonic == "" {
-			continue
-		}
-		var err error
-		if st.mnemonic[0] == '.' {
-			err = a.directive(st)
-		} else {
-			err = a.instruction(st.srcLine, st.mnemonic, st.ops)
-		}
-		if err != nil {
+func (p *parser) statement(st *stmt) error {
+	for _, name := range st.labels {
+		if err := p.b.add(&Item{Kind: KindLabel, Ref: name, Line: p.line}); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func (a *assembler) emit(b ...byte) {
-	if !a.pass1 {
-		a.out = append(a.out, b...)
+	if st.mnemonic == "" {
+		return nil
 	}
-	a.pc += uint64(len(b))
-}
-
-func (a *assembler) emit32(v uint32) {
-	a.numInsts++
-	a.emit(byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func (a *assembler) emit16(v uint16) {
-	a.numInsts++
-	a.emit(byte(v), byte(v>>8))
-}
-
-// emitInst encodes one instruction, compressing when allowed.
-func (a *assembler) emitInst(line srcLine, in isa.Inst, mayCompress bool) error {
-	if a.opts.Compress && mayCompress {
-		if c, ok := isa.Compress(in); ok {
-			a.emit16(c)
-			return nil
-		}
+	p.ref = ""
+	if st.mnemonic[0] == '.' {
+		return p.directive(st)
 	}
-	raw, err := isa.Encode(in)
-	if err != nil {
-		return a.errf(line, "%v", err)
-	}
-	a.emit32(raw)
-	return nil
+	return p.instruction(st.srcLine, st.mnemonic, st.ops)
 }
 
-// maxImageBytes bounds an assembled image. The padding directives are the
-// only statements whose output is not proportional to the source text, so
-// they are where it is enforced; the biggest checked-in kernel is a few tens
-// of kilobytes.
-const maxImageBytes = 64 << 20
-
-// pad extends the image by n zero bytes in one step.
-func (a *assembler) pad(line srcLine, n uint64) error {
-	if size := a.pc - a.opts.Base; size > maxImageBytes || n > maxImageBytes-size {
-		return a.errf(line, "image would exceed %d bytes", maxImageBytes)
-	}
-	if !a.pass1 {
-		a.out = append(a.out, make([]byte, n)...)
-	}
-	a.pc += n
-	return nil
+// inst hands the back end one instruction, with the statement's deferred
+// operand if it has one.
+func (p *parser) inst(in isa.Inst) error {
+	return p.b.add(&Item{Kind: KindInst, Inst: in, Ref: p.ref, Line: p.line})
 }
 
-func (a *assembler) directive(st *stmt) error {
+// branch hands the back end a branch or jal to the absolute address target
+// evaluates to.
+func (p *parser) branch(line srcLine, in isa.Inst, target string) error {
+	var err error
+	if in.Imm, err = p.imm(line, target); err != nil {
+		return err
+	}
+	return p.b.add(&Item{Kind: KindBranch, Inst: in, Ref: p.ref, Line: p.line})
+}
+
+// pad hands the back end one padding item.
+func (p *parser) pad(kind Kind, n int64) error {
+	it := Item{Kind: kind, Line: p.line}
+	it.Inst.Imm = n
+	return p.b.add(&it)
+}
+
+func (p *parser) directive(st *stmt) error {
 	line, dir, args := st.srcLine, st.mnemonic, st.ops
 	switch dir {
 	case ".org", ".align", ".space", ".zero":
 		if len(args) == 0 {
-			return a.errf(line, "%s needs an operand", dir)
+			return p.errf(line, "%s needs an operand", dir)
 		}
-		v, err := a.evalImm(line, args[0])
+		// Layout depends on the value, so it must be known here: labels
+		// defined so far count, later ones do not.
+		v, _, err := p.b.eval(args[0], p.b.pc(), evalFinal, 0)
 		if err != nil {
-			return err
+			return p.errf(line, "%v", err)
 		}
 		switch dir {
 		case ".org":
-			target := uint64(v)
-			if target < a.pc {
-				return a.errf(line, ".org moves backwards (pc=%#x)", a.pc)
-			}
-			return a.pad(line, target-a.pc)
+			return p.pad(KindOrg, v)
 		case ".align":
-			if v < 0 || v > 63 {
-				return a.errf(line, "alignment 2^%d out of range", v)
-			}
-			align := uint64(1) << uint(v)
-			return a.pad(line, -a.pc&(align-1))
-		default:
-			if v > 0 {
-				return a.pad(line, uint64(v))
-			}
+			return p.pad(KindAlign, v)
 		}
+		return p.pad(KindSpace, v)
 	case ".byte", ".half", ".word", ".dword", ".quad":
-		size := 8
+		it := Item{Kind: KindData, Size: 8, Line: p.line}
 		switch dir {
 		case ".byte":
-			size = 1
+			it.Size = 1
 		case ".half":
-			size = 2
+			it.Size = 2
 		case ".word":
-			size = 4
+			it.Size = 4
 		}
+		// One Item a word, so that each sees its own address as `.`.
 		for _, arg := range args {
-			v, err := a.evalImm(line, arg)
+			v, err := p.imm(line, arg)
 			if err != nil {
 				return err
 			}
-			var b [8]byte
-			for i := 0; i < size; i++ {
-				b[i] = byte(uint64(v) >> (8 * i))
+			p.b.word[0] = v
+			it.Words, it.Ref = p.b.word[:], p.ref
+			if err := p.b.add(&it); err != nil {
+				return err
 			}
-			a.emit(b[:size]...)
+			p.ref = ""
 		}
 	case ".ascii", ".asciz", ".string":
 		s, err := strconv.Unquote(st.rest)
 		if err != nil {
-			return a.errf(line, "bad string literal")
+			return p.errf(line, "bad string literal")
 		}
-		a.emit([]byte(s)...)
+		p.b.out = append(p.b.out, s...)
 		if dir != ".ascii" {
-			a.emit(0)
+			p.b.out = append(p.b.out, 0)
 		}
 	case ".equ", ".set":
 		if len(args) != 2 {
-			return a.errf(line, ".equ needs name, value")
+			return p.errf(line, ".equ needs name, value")
 		}
-		v, err := a.evalImm(line, args[1])
+		pc := p.b.pc()
+		v, deferred, err := p.b.eval(args[1], pc, evalEqu, 0)
 		if err != nil {
-			return err
+			return p.errf(line, "%v", err)
 		}
-		a.equs[args[0]] = v
+		if p.b.equs == nil {
+			p.b.equs = map[string]equ{}
+		}
+		e := equ{val: v}
+		if deferred {
+			e = equ{ref: args[1], pc: pc, line: p.line}
+			p.b.lateEqus = append(p.b.lateEqus, e)
+		}
+		p.b.equs[args[0]] = e
 	case ".global", ".globl", ".section", ".text", ".data", ".option", ".type", ".size":
 		// accepted and ignored: flat single-section images
 	default:
-		return a.errf(line, "unknown directive %s", dir)
+		return p.errf(line, "unknown directive %s", dir)
 	}
 	return nil
 }
 
-// evalImm evaluates an integer expression: decimal/hex literals, symbols,
-// .equ constants, with +, - and * left-to-right.
-func (a *assembler) evalImm(line srcLine, s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, a.errf(line, "empty expression")
+// imm evaluates an operand that may name a label. If it does, the expression
+// becomes the statement's deferred reference (p.ref) and the value returned
+// is a placeholder; a statement has room for one.
+func (p *parser) imm(line srcLine, s string) (int64, error) {
+	v, deferred, err := p.b.eval(s, p.b.pc(), evalOperand, 0)
+	if err != nil {
+		return 0, p.errf(line, "%v", err)
 	}
-	// tokenize on +,-,* keeping operators; handle leading unary minus
-	total := int64(0)
-	op := byte('+')
-	i := 0
-	for i < len(s) {
-		// read a term
-		j := i
-		if s[j] == '-' || s[j] == '+' {
-			j++
-		}
-	term:
-		for ; j < len(s); j++ {
-			switch s[j] {
-			case '+', '-', '*':
-				break term
-			}
-		}
-		v, err := a.evalTerm(line, strings.TrimSpace(s[i:j]))
-		if err != nil {
-			return 0, err
-		}
-		switch op {
-		case '+':
-			total += v
-		case '-':
-			total -= v
-		case '*':
-			total *= v
-		}
-		if j < len(s) {
-			op = s[j]
-			j++
-		}
-		i = j
+	if !deferred {
+		return v, nil
 	}
-	return total, nil
+	if p.ref != "" {
+		return 0, p.errf(line, "more than one operand names a label")
+	}
+	p.ref = strings.TrimSpace(s)
+	return 0, nil
 }
 
-func (a *assembler) evalTerm(line srcLine, t string) (int64, error) {
-	if t == "" {
-		return 0, a.errf(line, "empty term")
+// constImm evaluates an operand that is packed into an instruction field
+// with others, so it must be known when the statement is read.
+func (p *parser) constImm(line srcLine, s string) (int64, error) {
+	v, deferred, err := p.b.eval(s, p.b.pc(), evalOperand, 0)
+	if err != nil {
+		return 0, p.errf(line, "%v", err)
 	}
-	neg := false
-	if t[0] == '-' {
-		neg, t = true, strings.TrimSpace(t[1:])
-	} else if t[0] == '+' {
-		t = strings.TrimSpace(t[1:])
-	}
-	var v int64
-	if t == "." {
-		v = int64(a.pc)
-	} else if n, ok := parseLiteral(t); ok {
-		v = n
-	} else if c, ok := a.equs[t]; ok {
-		v = c
-	} else if sym, ok := a.symbols[t]; ok {
-		v = int64(sym)
-		a.exprSym = true
-	} else if a.pass1 {
-		v = 0 // forward reference; resolved in pass 2
-		a.exprSym = true
-	} else {
-		return 0, a.errf(line, "undefined symbol %q", t)
-	}
-	if neg {
-		v = -v
+	if deferred {
+		return 0, p.errf(line, "operand %q must be a constant", strings.TrimSpace(s))
 	}
 	return v, nil
 }
@@ -434,27 +334,27 @@ func parseLiteral(t string) (int64, bool) {
 	return int64(n), err == nil
 }
 
-func (a *assembler) reg(line srcLine, s string) (isa.Reg, error) {
+func (p *parser) reg(line srcLine, s string) (isa.Reg, error) {
 	r, ok := isa.ParseReg(strings.TrimSpace(s))
 	if !ok {
-		return 0, a.errf(line, "bad register %q", s)
+		return 0, p.errf(line, "bad register %q", s)
 	}
 	return r, nil
 }
 
 // memOperand parses "imm(reg)" or "(reg)" or "label" (absolute, rare).
-func (a *assembler) memOperand(line srcLine, s string) (off int64, base isa.Reg, err error) {
+func (p *parser) memOperand(line srcLine, s string) (off int64, base isa.Reg, err error) {
 	s = strings.TrimSpace(s)
 	open := strings.IndexByte(s, '(')
 	if open < 0 || !strings.HasSuffix(s, ")") {
-		return 0, 0, a.errf(line, "bad memory operand %q", s)
+		return 0, 0, p.errf(line, "bad memory operand %q", s)
 	}
-	base, err = a.reg(line, s[open+1:len(s)-1])
+	base, err = p.reg(line, s[open+1:len(s)-1])
 	if err != nil {
 		return 0, 0, err
 	}
 	if open > 0 {
-		off, err = a.evalImm(line, s[:open])
+		off, err = p.imm(line, s[:open])
 		if err != nil {
 			return 0, 0, err
 		}

@@ -29,3 +29,28 @@ func BenchmarkLockstepCommit(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(commits), "ns/commit")
 }
+
+// BenchmarkFuzzProgram is what a fuzz seed costs before it runs: seed to
+// *asm.Program through the generator and the assembler's back end, one
+// program per mode (asm.BenchmarkAssembleFuzz times the text front end on the
+// same programs). ns/seed is the number to watch; -benchmem gives the objects.
+func BenchmarkFuzzProgram(b *testing.B) {
+	var opts []Options
+	for _, modes := range genModes {
+		m, err := ParseModes(modes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts = append(opts, Options{Modes: m})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range opts {
+			if _, _, err := GenerateProgram(7, 0, o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(opts)), "ns/seed")
+}

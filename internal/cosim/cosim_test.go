@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"xt910/internal/asm"
+	"xt910/isa"
 )
 
 func mustRun(t *testing.T, src string) Result {
@@ -205,11 +208,11 @@ func TestShrinkMinimizes(t *testing.T) {
 	// segment; with a healthy HEAD there is none, so instead verify the
 	// shrinker preserves a diverging predicate by driving it directly.
 	p := &program{
-		inits: []string{"    li x5, 1"},
-		segs: [][]string{
-			{"    addi x6, x5, 1"},
-			{"    addi x7, x5, 2"},
-			{"    addi x9, x5, 3"},
+		inits: []asm.Item{li(isa.T0, 1)},
+		segs: [][]asm.Item{
+			{rri(isa.ADDI, isa.X(6), operand(isa.T0), 1)},
+			{rri(isa.ADDI, isa.X(7), operand(isa.T0), 2)},
+			{rri(isa.ADDI, isa.X(9), operand(isa.T0), 3)},
 		},
 	}
 	src, r := shrink(p, Options{})

@@ -13,7 +13,7 @@ import (
 	"xt910/isa"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/csrfile_keys_golden.txt from this build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/ from this build")
 
 const csrKeysGoldenFile = "testdata/csrfile_keys_golden.txt"
 

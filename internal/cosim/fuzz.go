@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"xt910/internal/asm"
 	"xt910/isa"
@@ -19,6 +19,10 @@ import (
 // construction: all generated branches are forward except counted loops on a
 // dedicated counter register.
 //
+// The generator is a front end of the assembler: it emits asm.Items, which
+// asm.Builder turns into the image directly. Text exists only where someone
+// reads it (GenerateSource, a shrunk reproducer), printed from the same Items.
+//
 // Register conventions inside generated programs:
 //
 //	x8  (s0)  scratch-buffer base, never written after the prologue
@@ -29,12 +33,15 @@ import (
 // Everything else (incl. the FP file) is fair game.
 
 // gpPool is the set of integer registers the generator reads and writes.
-var gpPool = []int{1, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16,
+var gpPool = []isa.Reg{1, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16,
 	18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 30, 31}
 
 const (
 	bufBytes = 2048
 	fpRegs   = 16 // f0..f15 participate
+
+	xBuf = isa.S0 // x8
+	xTmp = isa.T4 // x29
 )
 
 // FuzzResult is the outcome of one seeded fuzz iteration.
@@ -43,7 +50,6 @@ type FuzzResult struct {
 	Err          error // generation/assembly failure: a fuzzer bug, not a model bug
 	Diverged     bool
 	Result       Result // run of the full generated program
-	Source       string // full generated program
 	Shrunk       string // minimized reproducer (set when Diverged)
 	ShrunkResult Result
 
@@ -63,26 +69,17 @@ func Fuzz(seed int64, nSegs int, opts Options) FuzzResult {
 // FuzzContext is Fuzz with cancellation: an expired deadline marks the result
 // TimedOut instead of blocking on a pathological seed.
 func FuzzContext(ctx context.Context, seed int64, nSegs int, opts Options) FuzzResult {
-	if nSegs == 0 {
-		nSegs = 40
-	}
 	fr := FuzzResult{Seed: seed}
 	modes := opts.modes()
 	if err := modes.Validate(); err != nil {
 		fr.Err = fmt.Errorf("seed %d: %w", seed, err)
 		return fr
 	}
-	harts := opts.effectiveHarts()
-	prog := generate(seed, nSegs, modes, harts)
-	fr.Source = prog.render(nil)
+	prog := generate(seed, nSegs, modes, opts.effectiveHarts())
 	if modes.IRQ {
-		if harts > 1 {
-			opts.IRQSchedules = prog.irqs
-		} else {
-			opts.IRQSchedule = prog.irq
-		}
+		opts.IRQSchedules = prog.irqs
 	}
-	p, err := asm.Assemble(fr.Source, asm.Options{Base: 0x1000, Compress: true})
+	p, err := prog.build(nil)
 	if err != nil {
 		fr.Err = fmt.Errorf("seed %d: assemble: %w", seed, err)
 		return fr
@@ -100,24 +97,35 @@ func FuzzContext(ctx context.Context, seed int64, nSegs int, opts Options) FuzzR
 	return fr
 }
 
-// GenerateSource returns the deterministic fuzz program for a seed together
-// with its interrupt schedule (empty unless opts.Modes.IRQ). Fault-injection
-// campaigns use it to rebuild the exact program a seed denotes.
+// GenerateSource returns the deterministic fuzz program for a seed as
+// assembly text, together with hart 0's interrupt schedule (empty unless
+// opts.Modes.IRQ).
 func GenerateSource(seed int64, nSegs int, opts Options) (string, []IRQEvent) {
-	if nSegs == 0 {
-		nSegs = 40
-	}
 	prog := generate(seed, nSegs, opts.modes(), opts.effectiveHarts())
 	return prog.render(nil), prog.irq
+}
+
+// GenerateProgram returns the image of the deterministic fuzz program for a
+// seed — byte for byte what assembling the GenerateSource text gives — and its
+// per-hart interrupt schedules (nil unless opts.Modes.IRQ; pass them as
+// Options.IRQSchedules). Fault-injection campaigns use it to rebuild the
+// exact program a seed denotes.
+func GenerateProgram(seed int64, nSegs int, opts Options) (*asm.Program, [][]IRQEvent, error) {
+	prog := generate(seed, nSegs, opts.modes(), opts.effectiveHarts())
+	p, err := prog.build(nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("seed %d: assemble: %w", seed, err)
+	}
+	return p, prog.irqs, nil
 }
 
 // program is a generated test program in shrinkable form: a fixed prologue
 // and epilogue around independent segments that can be dropped one by one.
 type program struct {
-	inits   []string     // register initialization (kept through shrinking)
-	segs    [][]string   // independent hazard segments
+	inits   []asm.Item   // register initialization (kept through shrinking)
+	segs    [][]asm.Item // independent hazard segments
 	trapEnd bool         // end with ebreak instead of the exit ecall
-	data    []string     // scratch-buffer contents
+	data    []asm.Item   // scratch-buffer contents
 	irq     []IRQEvent   // hart 0's interrupt schedule (IRQ mode); implies the handler
 	irqs    [][]IRQEvent // per-hart schedules (IRQ mode; irqs[0] == irq)
 	smp     bool         // SPMD multi-hart profile; implies the handler
@@ -128,138 +136,328 @@ type program struct {
 // IPIs can be taken (and the level-triggered doorbell cleared).
 func (p *program) handler() bool { return p.smp || len(p.irq) > 0 }
 
-// render emits assembly source with the masked-out segments removed
-// (mask==nil keeps everything).
-func (p *program) render(mask []bool) string {
-	var b strings.Builder
-	b.WriteString("_start:\n")
-	b.WriteString("    la x8, buf\n")
+// The fixed parts of every program.
+var (
+	progStart = []asm.Item{label("_start"), la(xBuf, "buf")}
+	// Install the handler and enable all three machine sources. Only x29
+	// (never in the random pool) is clobbered, before its first use.
+	progInstall = []asm.Item{
+		la(xTmp, "irq_handler"),
+		csrw(isa.CSRMtvec, xTmp),
+		li(xTmp, 0x888), // MSIE|MTIE|MEIE
+		csrw(isa.CSRMie, xTmp),
+		csri(isa.CSRRSI, isa.Zero, isa.CSRMstatus, 8), // mstatus.MIE
+	}
+	progTrap = []asm.Item{sys(isa.EBREAK)}
+	progExit = []asm.Item{li(isa.A7, 93), li(isa.A0, 0), sys(isa.ECALL)}
+	progBuf  = []asm.Item{align(6), label("buf")}
+
+	// The handler is transparent up to its trace in the buffer tail: x29 is
+	// preserved through mscratch, mcause/mepc and a delivery counter are
+	// logged where random stores may also land (both models see the same
+	// interleaving, so cross-traffic is welcome), and mret resumes. Not
+	// shrinkable: delivery needs it as long as the schedule exists. 4-byte
+	// alignment matters: mtvec's two mode bits are masked off on delivery, so
+	// a 2-byte-aligned handler (possible under compression) would vector into
+	// the middle of the preceding instruction.
+	progHandler = irqHandler(false)
+	// The SMP handler also drops this hart's MSIP doorbell: the CLINT source
+	// is level-triggered, so an un-cleared IPI would re-deliver forever after
+	// mret. x30 rides through sscratch (x29 is already in mscratch); both
+	// models run the handler, so the sscratch clobber compares clean like
+	// any other architectural effect.
+	progHandlerSMP = irqHandler(true)
+)
+
+func irqHandler(smp bool) []asm.Item {
+	h := []asm.Item{align(2), label("irq_handler"), csrw(isa.CSRMscratch, xTmp)}
+	if smp {
+		h = append(h, csrw(isa.CSRSscratch, isa.T5))
+	}
+	h = append(h,
+		csrr(xTmp, isa.CSRMcause),
+		store(isa.SD, operand(xTmp), 2024, xBuf),
+		csrr(xTmp, isa.CSRMepc),
+		store(isa.SD, operand(xTmp), 2032, xBuf),
+		load(isa.LD, xTmp, 2040, xBuf),
+		rri(isa.ADDI, xTmp, operand(xTmp), 1),
+		store(isa.SD, operand(xTmp), 2040, xBuf))
+	if smp {
+		h = append(h,
+			csrr(xTmp, isa.CSRMhartid),
+			rri(isa.SLLI, xTmp, operand(xTmp), 2),
+			li(isa.T5, 0x02000000), // CLINT msip base
+			rrr(isa.ADD, xTmp, operand(xTmp), operand(isa.T5)),
+			store(isa.SW, operand(isa.Zero), 0, xTmp),
+			csrr(isa.T5, isa.CSRSscratch))
+	}
+	return append(h, csrr(xTmp, isa.CSRMscratch), sys(isa.MRET))
+}
+
+// each calls f on the program's parts in image order, leaving the masked-out
+// segments out (mask==nil keeps everything).
+func (p *program) each(mask []bool, f func([]asm.Item)) {
+	f(progStart)
 	if p.handler() {
-		// Install the handler and enable all three machine sources. Only x29
-		// (never in the random pool) is clobbered, before its first use.
-		b.WriteString("    la x29, irq_handler\n")
-		b.WriteString("    csrw mtvec, x29\n")
-		b.WriteString("    li x29, 2184\n") // 0x888: MSIE|MTIE|MEIE
-		b.WriteString("    csrw mie, x29\n")
-		b.WriteString("    csrrsi x0, mstatus, 8\n") // mstatus.MIE
+		f(progInstall)
 	}
-	for _, l := range p.inits {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
+	f(p.inits)
 	for i, seg := range p.segs {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		for _, l := range seg {
-			b.WriteString(l)
-			b.WriteByte('\n')
+		if mask == nil || mask[i] {
+			f(seg)
 		}
 	}
 	if p.trapEnd {
-		b.WriteString("    ebreak\n")
+		f(progTrap)
 	} else {
-		b.WriteString("    li x17, 93\n    li x10, 0\n    ecall\n")
+		f(progExit)
 	}
-	if p.handler() {
-		// The handler is transparent up to its trace in the buffer tail: x29
-		// is preserved through mscratch, mcause/mepc and a delivery counter
-		// are logged where random stores may also land (both models see the
-		// same interleaving, so cross-traffic is welcome), and mret resumes.
-		// Not shrinkable: delivery needs it as long as the schedule exists.
-		// 4-byte alignment matters: mtvec's two mode bits are masked off on
-		// delivery, so a 2-byte-aligned handler (possible under compression)
-		// would vector into the middle of the preceding instruction.
-		b.WriteString(".align 2\nirq_handler:\n")
-		b.WriteString("    csrw mscratch, x29\n")
-		if p.smp {
-			b.WriteString("    csrw sscratch, x30\n")
-		}
-		b.WriteString("    csrr x29, mcause\n")
-		b.WriteString("    sd x29, 2024(x8)\n")
-		b.WriteString("    csrr x29, mepc\n")
-		b.WriteString("    sd x29, 2032(x8)\n")
-		b.WriteString("    ld x29, 2040(x8)\n")
-		b.WriteString("    addi x29, x29, 1\n")
-		b.WriteString("    sd x29, 2040(x8)\n")
-		if p.smp {
-			// Drop this hart's MSIP doorbell: the CLINT source is level-
-			// triggered, so an un-cleared IPI would re-deliver forever after
-			// mret. x30 rides through sscratch (x29 is already in mscratch);
-			// both models run the handler, so the sscratch clobber compares
-			// clean like any other architectural effect.
-			b.WriteString("    csrr x29, mhartid\n")
-			b.WriteString("    slli x29, x29, 2\n")
-			b.WriteString("    li x30, 33554432\n") // 0x02000000: CLINT msip base
-			b.WriteString("    add x29, x29, x30\n")
-			b.WriteString("    sw x0, 0(x29)\n")
-			b.WriteString("    csrr x30, sscratch\n")
-		}
-		b.WriteString("    csrr x29, mscratch\n")
-		b.WriteString("    mret\n")
+	switch {
+	case p.smp:
+		f(progHandlerSMP)
+	case p.handler():
+		f(progHandler)
 	}
-	b.WriteString(".align 6\nbuf:\n")
-	for _, l := range p.data {
-		b.WriteString(l)
-		b.WriteByte('\n')
+	f(progBuf)
+	f(p.data)
+}
+
+// render prints the program as assembly source.
+func (p *program) render(mask []bool) string {
+	buf := make([]byte, 0, 16<<10)
+	p.each(mask, func(items []asm.Item) { buf = asm.AppendSource(buf, items) })
+	return string(buf)
+}
+
+// build assembles the program straight from its Items.
+func (p *program) build(mask []bool) (*asm.Program, error) {
+	b := asm.NewBuilder(asm.Options{Base: 0x1000, Compress: true}, 2*bufBytes+512)
+	p.each(mask, b.Add)
+	return b.Program()
+}
+
+// operand is a source register as the generator chose it. After a
+// self-modifying segment the RAW-chain register is remembered by its ABI name
+// (it came out of an isa.Inst), and the text spells it that way.
+type operand uint16
+
+const (
+	abiName   operand = 1 << 8
+	noOperand         = operand(isa.RegNone)
+)
+
+func (o operand) reg() isa.Reg { return isa.Reg(o & 0xFF) }
+
+// Item constructors, one per operand shape the generator writes.
+
+func label(name string) asm.Item { return asm.Item{Kind: asm.KindLabel, Ref: name} }
+
+func align(pow int64) asm.Item {
+	it := asm.Item{Kind: asm.KindAlign}
+	it.Inst.Imm = pow
+	return it
+}
+
+func li(rd isa.Reg, v int64) asm.Item {
+	it := asm.Item{Kind: asm.KindLi}
+	it.Inst.Rd, it.Inst.Imm = rd, v
+	return it
+}
+
+func la(rd isa.Reg, target string) asm.Item {
+	it := asm.Item{Kind: asm.KindLa, Ref: target}
+	it.Inst.Rd = rd
+	return it
+}
+
+func sys(op isa.Op) asm.Item { return asm.Item{Inst: isa.NewInst(op)} }
+
+// inst is op with whichever of rd, rs1, rs2 it has (isa.RegNone, noOperand
+// for the rest) and its immediate.
+func inst(op isa.Op, rd isa.Reg, rs1, rs2 operand, imm int64) asm.Item {
+	it := asm.Item{Inst: isa.NewInst(op)}
+	it.Inst.Rd, it.Inst.Rs1, it.Inst.Rs2, it.Inst.Imm = rd, rs1.reg(), rs2.reg(), imm
+	if rs1&abiName != 0 {
+		it.Spell |= asm.SpellABIRs1
 	}
-	return b.String()
+	if rs2&abiName != 0 {
+		it.Spell |= asm.SpellABIRs2
+	}
+	return it
+}
+
+func rrr(op isa.Op, rd isa.Reg, rs1, rs2 operand) asm.Item { return inst(op, rd, rs1, rs2, 0) }
+func rr(op isa.Op, rd isa.Reg, rs1 operand) asm.Item       { return inst(op, rd, rs1, noOperand, 0) }
+func rri(op isa.Op, rd isa.Reg, rs1 operand, imm int64) asm.Item {
+	return inst(op, rd, rs1, noOperand, imm)
+}
+
+// load is "op rd, off(base)"; store is "op data, off(base)".
+func load(op isa.Op, rd isa.Reg, off int, base isa.Reg) asm.Item {
+	return inst(op, rd, operand(base), noOperand, int64(off))
+}
+
+func store(op isa.Op, data operand, off int, base isa.Reg) asm.Item {
+	return inst(op, isa.RegNone, operand(base), data, int64(off))
+}
+
+// amo is "op rd, data, (base)"; lr has no data operand.
+func amo(op isa.Op, rd isa.Reg, data operand, base isa.Reg) asm.Item {
+	return inst(op, rd, operand(base), data, 0)
+}
+
+// branch is "op rs1, rs2, target".
+func branch(op isa.Op, rs1, rs2 operand, target string) asm.Item {
+	it := inst(op, isa.RegNone, rs1, rs2, 0)
+	it.Kind, it.Ref = asm.KindBranch, target
+	return it
+}
+
+// bz is "beqz rs, target" (or bnez).
+func bz(op isa.Op, rs isa.Reg, target string) asm.Item {
+	it := branch(op, operand(rs), operand(isa.Zero), target)
+	it.Spell |= asm.SpellPseudo
+	return it
+}
+
+// csr is "op rd, csr, rs1"; csri takes a 5-bit immediate instead.
+func csr(op isa.Op, rd isa.Reg, num uint16, rs1 operand) asm.Item {
+	it := rr(op, rd, rs1)
+	it.Inst.CSR = num
+	return it
+}
+
+func csri(op isa.Op, rd isa.Reg, num uint16, imm int64) asm.Item {
+	it := inst(op, rd, noOperand, noOperand, imm)
+	it.Inst.CSR = num
+	return it
+}
+
+func csrr(rd isa.Reg, num uint16) asm.Item {
+	it := csr(isa.CSRRS, rd, num, operand(isa.Zero))
+	it.Spell |= asm.SpellPseudo
+	return it
+}
+
+func csrw(num uint16, rs isa.Reg) asm.Item {
+	it := csr(isa.CSRRW, isa.Zero, num, operand(rs))
+	it.Spell |= asm.SpellPseudo
+	return it
+}
+
+// fp is "op rd, rs1, rs2, rs3" over FP (and, for rd or rs1, integer)
+// registers, with the absent trailing operands RegNone.
+func fp(op isa.Op, rd, rs1, rs2, rs3 isa.Reg) asm.Item {
+	it := inst(op, rd, operand(rs1), operand(rs2), 0)
+	it.Inst.Rs3 = rs3
+	return it
+}
+
+// vec is a vector instruction in the text's operand order "op vd, vs2, vs1";
+// vmem is "op vd, (base)[, rs2]" for loads and "op vs, (base)[, rs3]" for stores.
+func vec(op isa.Op, vd, vs2, vs1 isa.Reg, masked bool) asm.Item {
+	it := inst(op, vd, operand(vs1), operand(vs2), 0)
+	it.Inst.Masked = masked
+	return it
+}
+
+func vload(op isa.Op, vd, base, rs2 isa.Reg) asm.Item {
+	return inst(op, vd, operand(base), operand(rs2), 0)
+}
+
+func vstore(op isa.Op, vs, base, rs3 isa.Reg, masked bool) asm.Item {
+	it := inst(op, isa.RegNone, operand(base), operand(vs), 0)
+	it.Inst.Rs3, it.Inst.Masked = rs3, masked
+	return it
+}
+
+// vsetvli is "vsetvli rd, x29, e32, m1".
+func vsetvli(rd isa.Reg) asm.Item {
+	return inst(isa.VSETVLI, rd, operand(xTmp), noOperand, int64(isa.MakeVType(isa.SEW32, 0)))
 }
 
 type gen struct {
 	rng      *rand.Rand
+	items    []asm.Item // everything emitted so far: inits, then the segments back to back
 	label    int
-	lastDest string // RAW-chain bias: last integer destination written
-	paged    bool   // S-mode/SV39 profile: alias-window segments enabled
-	irq      bool   // interrupt-injection profile: WFI/MIE-toggle segments
-	smp      bool   // SPMD multi-hart profile: cross-hart contention segments
-	harts    int    // hart count the SMP segments target (IPI wrap-around)
+	lastDest operand // RAW-chain bias: last integer destination written
+	paged    bool    // S-mode/SV39 profile: alias-window segments enabled
+	irq      bool    // interrupt-injection profile: WFI/MIE-toggle segments
+	smp      bool    // SPMD multi-hart profile: cross-hart contention segments
+	harts    int     // hart count the SMP segments target (IPI wrap-around)
 }
 
-func (g *gen) reg() string  { return fmt.Sprintf("x%d", gpPool[g.rng.Intn(len(gpPool))]) }
-func (g *gen) freg() string { return fmt.Sprintf("f%d", g.rng.Intn(fpRegs)) }
+func (g *gen) emit(items ...asm.Item) { g.items = append(g.items, items...) }
+
+func (g *gen) reg() isa.Reg  { return gpPool[g.rng.Intn(len(gpPool))] }
+func (g *gen) freg() isa.Reg { return isa.F(g.rng.Intn(fpRegs)) }
+
+// dest records rd as the RAW-chain register.
+func (g *gen) dest(rd isa.Reg) { g.lastDest = operand(rd) }
 
 // src picks a source operand: usually a pool register, sometimes x0 and
 // sometimes the previous destination (RAW chain).
-func (g *gen) src() string {
+func (g *gen) src() operand {
 	r := g.rng.Intn(100)
 	switch {
 	case r < 12:
-		return "x0"
-	case r < 55 && g.lastDest != "":
+		return operand(isa.Zero)
+	case r < 55 && g.lastDest != noOperand:
 		return g.lastDest
 	}
-	return g.reg()
+	return operand(g.reg())
 }
 
 func (g *gen) newLabel(stem string) string {
 	g.label++
-	return fmt.Sprintf("%s_%d", stem, g.label)
+	return stem + "_" + strconv.Itoa(g.label)
+}
+
+// itemsPerSeg sizes the generator's Item buffer: a little over the mean
+// segment length (the SMP contention segments are the long ones).
+func itemsPerSeg(modes Modes) int {
+	if modes.SMP {
+		return 8
+	}
+	return 5
 }
 
 func generate(seed int64, nSegs int, modes Modes, harts int) *program {
+	if nSegs == 0 {
+		nSegs = 40
+	}
 	if harts < 1 {
 		harts = 1
 	}
 	g := &gen{rng: rand.New(rand.NewSource(seed)), paged: modes.Paged, irq: modes.IRQ,
-		smp: modes.SMP, harts: harts}
+		smp: modes.SMP, harts: harts, lastDest: noOperand,
+		items: make([]asm.Item, 0, 48+nSegs*itemsPerSeg(modes))}
 	// trapEnd is incompatible with an installed handler (ebreak would vector
 	// into it and mret back onto itself forever), so IRQ and SMP programs
 	// always end on the exit ecall.
 	p := &program{smp: modes.SMP, trapEnd: !modes.IRQ && !modes.SMP && g.rng.Intn(10) == 0}
 	for _, r := range gpPool {
-		p.inits = append(p.inits, fmt.Sprintf("    li x%d, %d", r, int64(g.rng.Uint64())))
+		g.emit(li(r, int64(g.rng.Uint64())))
 	}
 	for f := 0; f < fpRegs; f++ {
-		p.inits = append(p.inits, fmt.Sprintf("    fmv.d.x f%d, x%d", f, gpPool[g.rng.Intn(len(gpPool))]))
+		g.emit(rr(isa.FMVDX, isa.F(f), operand(g.reg())))
 	}
+	ends := make([]int, nSegs+1) // ends[i] is where segment i starts in g.items
 	for i := 0; i < nSegs; i++ {
-		p.segs = append(p.segs, g.segment())
+		ends[i] = len(g.items)
+		g.segment()
 	}
-	for i := 0; i < bufBytes/8; i += 4 {
-		p.data = append(p.data, fmt.Sprintf("    .dword %d, %d, %d, %d",
-			int64(g.rng.Uint64()), int64(g.rng.Uint64()), int64(g.rng.Uint64()), int64(g.rng.Uint64())))
+	ends[nSegs] = len(g.items)
+	p.inits = g.items[:ends[0]:ends[0]]
+	p.segs = make([][]asm.Item, nSegs)
+	for i := range p.segs {
+		p.segs[i] = g.items[ends[i]:ends[i+1]:ends[i+1]]
 	}
+	words := make([]int64, bufBytes/8)
+	for i := range words {
+		words[i] = int64(g.rng.Uint64())
+	}
+	p.data = []asm.Item{{Kind: asm.KindData, Size: 8, Words: words}}
 	if modes.IRQ {
 		// One schedule per hart, drawn in hart order from the same stream
 		// (hart 0's draw matches the single-hart stream exactly).
@@ -298,204 +496,211 @@ func (g *gen) schedule(nSegs int) []IRQEvent {
 // stores write memory at execute time (a remote hart would see them out of
 // commit order), and cross-hart self-modifying code has no defined coherence
 // point in the model.
-func (g *gen) segment() []string {
-	if g.smp && g.rng.Intn(3) == 0 {
-		return g.segSMP()
-	}
-	if g.paged && g.rng.Intn(12) == 0 {
-		return g.segPaged()
-	}
-	if g.irq && g.rng.Intn(8) == 0 {
-		return g.segIRQ()
+func (g *gen) segment() {
+	switch {
+	case g.smp && g.rng.Intn(3) == 0:
+		g.segSMP()
+		return
+	case g.paged && g.rng.Intn(12) == 0:
+		g.segPaged()
+		return
+	case g.irq && g.rng.Intn(8) == 0:
+		g.segIRQ()
+		return
 	}
 	switch r := g.rng.Intn(100); {
 	case r < 28:
-		return g.segALU()
+		g.segALU()
 	case r < 44:
-		return g.segMem()
+		g.segMem()
 	case r < 52:
-		return g.segBranch()
+		g.segBranch()
 	case r < 59:
-		return g.segLoop()
+		g.segLoop()
 	case r < 66:
-		return g.segLRSC()
+		g.segLRSC()
 	case r < 72:
-		return g.segAMO()
+		g.segAMO()
 	case r < 79:
-		return g.segFPU()
+		g.segFPU()
 	case r < 84:
-		return g.segCSR()
+		g.segCSR()
 	case r < 89:
-		return g.segFFlags()
+		g.segFFlags()
 	case r < 93:
-		return g.segCustom()
+		g.segCustom()
 	case r < 96:
 		if g.smp {
-			return g.segMem()
+			g.segMem()
+		} else {
+			g.segSMC()
 		}
-		return g.segSMC()
 	default:
 		if g.smp {
-			return g.segALU()
+			g.segALU()
+		} else {
+			g.segVector()
 		}
-		return g.segVector()
 	}
 }
 
-var aluRR = []string{"add", "sub", "sll", "srl", "sra", "slt", "sltu", "xor", "or", "and",
-	"addw", "subw", "sllw", "srlw", "sraw",
-	"mul", "mulh", "mulhsu", "mulhu", "mulw",
-	"div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"}
-var aluRI = []string{"addi", "slti", "sltiu", "xori", "ori", "andi", "addiw"}
+var aluRR = []isa.Op{isa.ADD, isa.SUB, isa.SLL, isa.SRL, isa.SRA, isa.SLT, isa.SLTU, isa.XOR, isa.OR, isa.AND,
+	isa.ADDW, isa.SUBW, isa.SLLW, isa.SRLW, isa.SRAW,
+	isa.MUL, isa.MULH, isa.MULHSU, isa.MULHU, isa.MULW,
+	isa.DIV, isa.DIVU, isa.REM, isa.REMU, isa.DIVW, isa.DIVUW, isa.REMW, isa.REMUW}
+var aluRI = []isa.Op{isa.ADDI, isa.SLTI, isa.SLTIU, isa.XORI, isa.ORI, isa.ANDI, isa.ADDIW}
 
-// aluInst emits one random integer ALU instruction.
-func (g *gen) aluInst() string {
+// aluInst makes one random integer ALU instruction.
+func (g *gen) aluInst() asm.Item {
 	rd := g.reg()
-	defer func() { g.lastDest = rd }()
+	var it asm.Item
 	switch g.rng.Intn(10) {
 	case 0, 1, 2:
-		return fmt.Sprintf("    %s %s, %s, %d", aluRI[g.rng.Intn(len(aluRI))], rd, g.src(), g.rng.Intn(4096)-2048)
+		it = rri(aluRI[g.rng.Intn(len(aluRI))], rd, g.src(), int64(g.rng.Intn(4096)-2048))
 	case 3:
-		return fmt.Sprintf("    lui %s, %d", rd, g.rng.Intn(1<<20))
+		it = inst(isa.LUI, rd, noOperand, noOperand, int64(g.rng.Intn(1<<20))<<12)
 	case 4:
-		sh := []string{"slli", "srli", "srai"}[g.rng.Intn(3)]
-		return fmt.Sprintf("    %s %s, %s, %d", sh, rd, g.src(), g.rng.Intn(64))
+		it = rri([]isa.Op{isa.SLLI, isa.SRLI, isa.SRAI}[g.rng.Intn(3)], rd, g.src(), int64(g.rng.Intn(64)))
 	case 5:
-		sh := []string{"slliw", "srliw", "sraiw"}[g.rng.Intn(3)]
-		return fmt.Sprintf("    %s %s, %s, %d", sh, rd, g.src(), g.rng.Intn(32))
+		it = rri([]isa.Op{isa.SLLIW, isa.SRLIW, isa.SRAIW}[g.rng.Intn(3)], rd, g.src(), int64(g.rng.Intn(32)))
 	default:
-		return fmt.Sprintf("    %s %s, %s, %s", aluRR[g.rng.Intn(len(aluRR))], rd, g.src(), g.src())
+		it = rrr(aluRR[g.rng.Intn(len(aluRR))], rd, g.src(), g.src())
+	}
+	g.dest(rd)
+	return it
+}
+
+func (g *gen) segALU() {
+	n := 1 + g.rng.Intn(4)
+	for i := 0; i < n; i++ {
+		g.emit(g.aluInst())
 	}
 }
 
-func (g *gen) segALU() []string {
-	n := 1 + g.rng.Intn(4)
-	var out []string
-	for i := 0; i < n; i++ {
-		out = append(out, g.aluInst())
-	}
-	return out
-}
+// Scalar memory ops by log2 of the access size; the FP forms exist from 4 bytes up.
+var (
+	storeOps   = [4]isa.Op{isa.SB, isa.SH, isa.SW, isa.SD}
+	loadOps    = [4][]isa.Op{{isa.LB, isa.LBU}, {isa.LH, isa.LHU}, {isa.LW, isa.LWU}, {isa.LD}}
+	fpStoreOps = [4]isa.Op{2: isa.FSW, 3: isa.FSD}
+	fpLoadOps  = [4]isa.Op{2: isa.FLW, 3: isa.FLD}
+)
 
 // segMem mixes scalar loads and stores over the scratch buffer (misaligned
 // and line-crossing offsets included) and sp-relative accesses that compress
 // to the RVC stack forms: c.ldsp/c.sdsp and the FP spills c.fldsp/c.fsdsp.
-func (g *gen) segMem() []string {
-	var out []string
+func (g *gen) segMem() {
 	n := 2 + g.rng.Intn(4)
 	for i := 0; i < n; i++ {
 		if g.rng.Intn(10) < 2 { // sp-relative (RVC stack forms)
 			switch g.rng.Intn(4) {
 			case 0:
-				out = append(out, fmt.Sprintf("    sd %s, %d(x2)", g.reg(), g.rng.Intn(32)*8))
+				g.emit(store(isa.SD, operand(g.reg()), g.rng.Intn(32)*8, isa.SP))
 			case 1:
 				rd := g.reg()
-				out = append(out, fmt.Sprintf("    ld %s, %d(x2)", rd, g.rng.Intn(32)*8))
-				g.lastDest = rd
+				g.emit(load(isa.LD, rd, g.rng.Intn(32)*8, isa.SP))
+				g.dest(rd)
 			case 2: // FP spill: the full 9-bit c.fsdsp range (0..504)
-				out = append(out, fmt.Sprintf("    fsd %s, %d(x2)", g.freg(), g.rng.Intn(64)*8))
+				g.emit(store(isa.FSD, operand(g.freg()), g.rng.Intn(64)*8, isa.SP))
 			default: // FP reload via c.fldsp
-				out = append(out, fmt.Sprintf("    fld %s, %d(x2)", g.freg(), g.rng.Intn(64)*8))
+				g.emit(load(isa.FLD, g.freg(), g.rng.Intn(64)*8, isa.SP))
 			}
 			continue
 		}
-		size := []int{1, 2, 4, 8}[g.rng.Intn(4)]
+		lg := g.rng.Intn(4)
+		size := 1 << lg
 		off := g.rng.Intn(bufBytes - 8)
 		if g.rng.Intn(10) < 6 { // mostly aligned, often not
 			off &^= size - 1
 		}
 		if g.rng.Intn(2) == 0 {
-			st := map[int]string{1: "sb", 2: "sh", 4: "sw", 8: "sd"}[size]
 			if size >= 4 && g.rng.Intn(6) == 0 {
-				st = map[int]string{4: "fsw", 8: "fsd"}[size]
-				out = append(out, fmt.Sprintf("    %s %s, %d(x8)", st, g.freg(), off))
+				g.emit(store(fpStoreOps[lg], operand(g.freg()), off, xBuf))
 				continue
 			}
-			out = append(out, fmt.Sprintf("    %s %s, %d(x8)", st, g.src(), off))
+			g.emit(store(storeOps[lg], g.src(), off, xBuf))
 		} else {
-			lds := map[int][]string{1: {"lb", "lbu"}, 2: {"lh", "lhu"}, 4: {"lw", "lwu"}, 8: {"ld"}}[size]
-			ld := lds[g.rng.Intn(len(lds))]
+			ld := loadOps[lg][g.rng.Intn(len(loadOps[lg]))]
 			if size >= 4 && g.rng.Intn(6) == 0 {
-				ld = map[int]string{4: "flw", 8: "fld"}[size]
-				out = append(out, fmt.Sprintf("    %s %s, %d(x8)", ld, g.freg(), off))
+				g.emit(load(fpLoadOps[lg], g.freg(), off, xBuf))
 				continue
 			}
 			rd := g.reg()
-			out = append(out, fmt.Sprintf("    %s %s, %d(x8)", ld, rd, off))
-			g.lastDest = rd
+			g.emit(load(ld, rd, off, xBuf))
+			g.dest(rd)
 		}
 	}
-	return out
 }
 
-var branchOps = []string{"beq", "bne", "blt", "bge", "bltu", "bgeu"}
+var branchOps = []isa.Op{isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU}
 
 // segBranch emits a forward conditional branch over a short block; the
 // target lands on whatever alignment compression produces, so branches into
 // compressed regions happen naturally.
-func (g *gen) segBranch() []string {
+func (g *gen) segBranch() {
 	l := g.newLabel("skip")
 	a, b := g.src(), g.src()
 	if g.rng.Intn(5) == 0 {
-		a = "x0"
+		a = operand(isa.Zero)
 	}
-	out := []string{fmt.Sprintf("    %s %s, %s, %s", branchOps[g.rng.Intn(len(branchOps))], a, b, l)}
+	g.emit(branch(branchOps[g.rng.Intn(len(branchOps))], a, b, l))
 	for i := 0; i < 1+g.rng.Intn(3); i++ {
-		out = append(out, g.aluInst())
+		g.emit(g.aluInst())
 	}
-	return append(out, l+":")
+	g.emit(label(l))
 }
 
 // segLoop emits a counted loop on the dedicated counter (loop-buffer food).
-func (g *gen) segLoop() []string {
+func (g *gen) segLoop() {
 	l := g.newLabel("loop")
-	out := []string{fmt.Sprintf("    li x29, %d", 2+g.rng.Intn(5)), l + ":"}
+	g.emit(li(xTmp, int64(2+g.rng.Intn(5))), label(l))
 	for i := 0; i < 1+g.rng.Intn(3); i++ {
-		out = append(out, g.aluInst())
+		g.emit(g.aluInst())
 	}
-	return append(out, "    addi x29, x29, -1", fmt.Sprintf("    bnez x29, %s", l))
+	g.emit(rri(isa.ADDI, xTmp, operand(xTmp), -1), bz(isa.BNE, xTmp, l))
+}
+
+// Atomics come as a {.w, .d} pair; width picks one and gives its alignment.
+var (
+	lrOps  = [2]isa.Op{isa.LRW, isa.LRD}
+	scOps  = [2]isa.Op{isa.SCW, isa.SCD}
+	amoOps = [][2]isa.Op{{isa.AMOSWAPW, isa.AMOSWAPD}, {isa.AMOADDW, isa.AMOADDD}, {isa.AMOANDW, isa.AMOANDD},
+		{isa.AMOORW, isa.AMOORD}, {isa.AMOXORW, isa.AMOXORD}, {isa.AMOMAXW, isa.AMOMAXD}, {isa.AMOMINW, isa.AMOMIND}}
+)
+
+func (g *gen) width() (d, align int) {
+	if g.rng.Intn(2) == 0 {
+		return 0, 4
+	}
+	return 1, 8
 }
 
 // segLRSC emits an LR/SC pair over the buffer, often with an intervening
 // store to the same or a different cache line, and sometimes an orphan SC.
-func (g *gen) segLRSC() []string {
-	w := g.rng.Intn(2) == 0 // word vs double
-	suffix, align := ".d", 8
-	if w {
-		suffix, align = ".w", 4
-	}
+func (g *gen) segLRSC() {
+	d, align := g.width()
 	off := g.rng.Intn(bufBytes-8) &^ (align - 1)
-	out := []string{fmt.Sprintf("    addi x29, x8, %d", off)}
+	g.emit(rri(isa.ADDI, xTmp, operand(xBuf), int64(off)))
 	if g.rng.Intn(6) != 0 { // usually a real LR
-		out = append(out, fmt.Sprintf("    lr%s %s, (x29)", suffix, g.reg()))
+		g.emit(amo(lrOps[d], g.reg(), noOperand, xTmp))
 	}
 	switch g.rng.Intn(3) {
 	case 0: // intervening store to the same line
 		same := off&^63 + g.rng.Intn(64)&^7
-		out = append(out, fmt.Sprintf("    sd %s, %d(x8)", g.src(), same))
+		g.emit(store(isa.SD, g.src(), same, xBuf))
 	case 1: // intervening store to a different line
 		other := (off + 64 + g.rng.Intn(bufBytes-128)) % (bufBytes - 8) &^ 7
-		out = append(out, fmt.Sprintf("    sd %s, %d(x8)", g.src(), other))
+		g.emit(store(isa.SD, g.src(), other, xBuf))
 	}
-	out = append(out, fmt.Sprintf("    sc%s %s, %s, (x29)", suffix, g.reg(), g.src()))
-	return out
+	g.emit(amo(scOps[d], g.reg(), g.src(), xTmp))
 }
 
-var amoOps = []string{"amoswap", "amoadd", "amoand", "amoor", "amoxor", "amomax", "amomin"}
-
-func (g *gen) segAMO() []string {
-	w := g.rng.Intn(2) == 0
-	suffix, align := ".d", 8
-	if w {
-		suffix, align = ".w", 4
-	}
+func (g *gen) segAMO() {
+	d, align := g.width()
 	off := g.rng.Intn(bufBytes-8) &^ (align - 1)
 	rd := g.reg()
-	g.lastDest = rd
-	return []string{
-		fmt.Sprintf("    addi x29, x8, %d", off),
-		fmt.Sprintf("    %s%s %s, %s, (x29)", amoOps[g.rng.Intn(len(amoOps))], suffix, rd, g.src()),
-	}
+	g.dest(rd)
+	g.emit(rri(isa.ADDI, xTmp, operand(xBuf), int64(off)),
+		amo(amoOps[g.rng.Intn(len(amoOps))][d], rd, g.src(), xTmp))
 }
 
 // SMP contention layout inside the shared data buffer. All harts run the same
@@ -511,26 +716,26 @@ const (
 )
 
 // distinct picks n distinct pool registers (deterministic rng consumption).
-func (g *gen) distinct(n int) []string {
+func (g *gen) distinct(n int) []isa.Reg {
 	idx := g.rng.Perm(len(gpPool))[:n]
-	out := make([]string, n)
+	out := make([]isa.Reg, n)
 	for i, j := range idx {
-		out[i] = fmt.Sprintf("x%d", gpPool[j])
+		out[i] = gpPool[j]
 	}
 	return out
 }
 
 // segSMP picks one cross-hart contention segment.
-func (g *gen) segSMP() []string {
+func (g *gen) segSMP() {
 	switch g.rng.Intn(4) {
 	case 0:
-		return g.segSMPLRSC()
+		g.segSMPLRSC()
 	case 1:
-		return g.segSMPAMO()
+		g.segSMPAMO()
 	case 2:
-		return g.segSMPProdCons()
+		g.segSMPProdCons()
 	default:
-		return g.segSMPIPI()
+		g.segSMPIPI()
 	}
 }
 
@@ -538,48 +743,37 @@ func (g *gen) segSMP() []string {
 // ping-pongs ownership of one cache line, so SC failures, reservation kills by
 // remote stores and the resulting retries are all exercised. The retry count
 // is bounded so a pathological interleaving cannot livelock the program.
-func (g *gen) segSMPLRSC() []string {
-	w := g.rng.Intn(2) == 0
-	suffix, align := ".d", 8
-	if w {
-		suffix, align = ".w", 4
-	}
+func (g *gen) segSMPLRSC() {
+	d, align := g.width()
 	regs := g.distinct(3)
 	rd, ok, cnt := regs[0], regs[1], regs[2]
 	off := smpLine + g.rng.Intn(64)&^(align-1)
 	retry := g.newLabel("smp_retry")
 	done := g.newLabel("smp_done")
-	g.lastDest = rd
-	return []string{
-		fmt.Sprintf("    li %s, %d", cnt, 2+g.rng.Intn(4)),
-		fmt.Sprintf("    addi x29, x8, %d", off),
-		retry + ":",
-		fmt.Sprintf("    lr%s %s, (x29)", suffix, rd),
-		fmt.Sprintf("    addi %s, %s, 1", rd, rd),
-		fmt.Sprintf("    sc%s %s, %s, (x29)", suffix, ok, rd),
-		fmt.Sprintf("    beqz %s, %s", ok, done),
-		fmt.Sprintf("    addi %s, %s, -1", cnt, cnt),
-		fmt.Sprintf("    bnez %s, %s", cnt, retry),
-		done + ":",
-	}
+	g.dest(rd)
+	g.emit(
+		li(cnt, int64(2+g.rng.Intn(4))),
+		rri(isa.ADDI, xTmp, operand(xBuf), int64(off)),
+		label(retry),
+		amo(lrOps[d], rd, noOperand, xTmp),
+		rri(isa.ADDI, rd, operand(rd), 1),
+		amo(scOps[d], ok, operand(rd), xTmp),
+		bz(isa.BEQ, ok, done),
+		rri(isa.ADDI, cnt, operand(cnt), -1),
+		bz(isa.BNE, cnt, retry),
+		label(done))
 }
 
 // segSMPAMO hammers the shared contention line with one atomic op: AMOs from
 // different harts to the same line force exclusive-ownership migration at
 // every retirement.
-func (g *gen) segSMPAMO() []string {
-	w := g.rng.Intn(2) == 0
-	suffix, align := ".d", 8
-	if w {
-		suffix, align = ".w", 4
-	}
+func (g *gen) segSMPAMO() {
+	d, align := g.width()
 	off := smpLine + g.rng.Intn(64)&^(align-1)
 	rd := g.reg()
-	g.lastDest = rd
-	return []string{
-		fmt.Sprintf("    addi x29, x8, %d", off),
-		fmt.Sprintf("    %s%s %s, %s, (x29)", amoOps[g.rng.Intn(len(amoOps))], suffix, rd, g.src()),
-	}
+	g.dest(rd)
+	g.emit(rri(isa.ADDI, xTmp, operand(xBuf), int64(off)),
+		amo(amoOps[g.rng.Intn(len(amoOps))][d], rd, g.src(), xTmp))
 }
 
 // segSMPProdCons is a fence-ordered producer/consumer handshake: hart 0
@@ -589,159 +783,155 @@ func (g *gen) segSMPAMO() []string {
 // the data back. Both worlds observe the same memory at the same commit
 // boundaries, so the loaded pair must match — a reordered store pair in the
 // pipeline world diverges here.
-func (g *gen) segSMPProdCons() []string {
+func (g *gen) segSMPProdCons() {
 	regs := g.distinct(3)
 	t, d, f := regs[0], regs[1], regs[2]
 	cons := g.newLabel("smp_cons")
 	done := g.newLabel("smp_pc_done")
-	g.lastDest = d
-	return []string{
-		fmt.Sprintf("    csrr %s, mhartid", t),
-		fmt.Sprintf("    bnez %s, %s", t, cons),
-		fmt.Sprintf("    li %s, %d", d, int64(g.rng.Uint64())),
-		fmt.Sprintf("    sd %s, %d(x8)", d, smpDataSlot),
-		"    fence",
-		fmt.Sprintf("    li %s, %d", f, 1+g.rng.Intn(255)),
-		fmt.Sprintf("    sd %s, %d(x8)", f, smpFlagSlot),
-		fmt.Sprintf("    beq x0, x0, %s", done),
-		cons + ":",
-		fmt.Sprintf("    ld %s, %d(x8)", f, smpFlagSlot),
-		fmt.Sprintf("    beqz %s, %s", f, done),
-		"    fence",
-		fmt.Sprintf("    ld %s, %d(x8)", d, smpDataSlot),
-		done + ":",
-	}
+	g.dest(d)
+	g.emit(
+		csrr(t, isa.CSRMhartid),
+		bz(isa.BNE, t, cons),
+		li(d, int64(g.rng.Uint64())),
+		store(isa.SD, operand(d), smpDataSlot, xBuf),
+		sys(isa.FENCE),
+		li(f, int64(1+g.rng.Intn(255))),
+		store(isa.SD, operand(f), smpFlagSlot, xBuf),
+		branch(isa.BEQ, operand(isa.Zero), operand(isa.Zero), done),
+		label(cons),
+		load(isa.LD, f, smpFlagSlot, xBuf),
+		bz(isa.BEQ, f, done),
+		sys(isa.FENCE),
+		load(isa.LD, d, smpDataSlot, xBuf),
+		label(done))
 }
 
 // segSMPIPI sends a machine-software IPI by storing to a CLINT msip doorbell:
 // the target is (mhartid + hop) mod harts, so harts ring each other and
-// sometimes themselves. The handler (render installs it for every SMP
-// program) clears the doorbell, so delivery is level-triggered but finite.
-func (g *gen) segSMPIPI() []string {
+// sometimes themselves. The handler (installed for every SMP program) clears
+// the doorbell, so delivery is level-triggered but finite.
+func (g *gen) segSMPIPI() {
 	regs := g.distinct(2)
 	t, v := regs[0], regs[1]
 	hop := g.rng.Intn(g.harts)
-	return []string{
-		"    csrr x29, mhartid",
-		fmt.Sprintf("    addi x29, x29, %d", hop),
-		fmt.Sprintf("    li %s, %d", t, g.harts),
-		fmt.Sprintf("    remu x29, x29, %s", t),
-		"    slli x29, x29, 2",
-		fmt.Sprintf("    li %s, 33554432", t), // CLINT msip base 0x0200_0000
-		fmt.Sprintf("    add x29, x29, %s", t),
-		fmt.Sprintf("    li %s, 1", v),
-		fmt.Sprintf("    sw %s, 0(x29)", v),
-	}
+	g.emit(
+		csrr(xTmp, isa.CSRMhartid),
+		rri(isa.ADDI, xTmp, operand(xTmp), int64(hop)),
+		li(t, int64(g.harts)),
+		rrr(isa.REMU, xTmp, operand(xTmp), operand(t)),
+		rri(isa.SLLI, xTmp, operand(xTmp), 2),
+		li(t, 0x02000000), // CLINT msip base
+		rrr(isa.ADD, xTmp, operand(xTmp), operand(t)),
+		li(v, 1),
+		store(isa.SW, operand(v), 0, xTmp))
 }
 
-var fpu2 = []string{"fadd", "fsub", "fmul", "fdiv", "fmin", "fmax", "fsgnj", "fsgnjn", "fsgnjx"}
-var fcmp = []string{"feq", "flt", "fle"}
+// Scalar FP ops as {.s, .d} pairs.
+var (
+	fpu2 = [][2]isa.Op{{isa.FADDS, isa.FADDD}, {isa.FSUBS, isa.FSUBD}, {isa.FMULS, isa.FMULD}, {isa.FDIVS, isa.FDIVD},
+		{isa.FMINS, isa.FMIND}, {isa.FMAXS, isa.FMAXD}, {isa.FSGNJS, isa.FSGNJD}, {isa.FSGNJNS, isa.FSGNJND}, {isa.FSGNJXS, isa.FSGNJXD}}
+	fcmp   = [][2]isa.Op{{isa.FEQS, isa.FEQD}, {isa.FLTS, isa.FLTD}, {isa.FLES, isa.FLED}}
+	fsqrt  = [2]isa.Op{isa.FSQRTS, isa.FSQRTD}
+	fma    = [][2]isa.Op{{isa.FMADDS, isa.FMADDD}, {isa.FMSUBS, isa.FMSUBD}}
+	fcvtXF = []isa.Op{isa.FCVTWD, isa.FCVTLD, isa.FCVTWS, isa.FCVTLS}
+	// the last two convert between the FP formats: their source is an FP register
+	fcvtFX = []isa.Op{isa.FCVTDW, isa.FCVTDL, isa.FCVTSW, isa.FCVTSL, isa.FCVTDS, isa.FCVTSD}
+)
 
-func (g *gen) segFPU() []string {
-	var out []string
+func (g *gen) segFPU() {
 	n := 1 + g.rng.Intn(3)
 	for i := 0; i < n; i++ {
-		sz := []string{".s", ".d"}[g.rng.Intn(2)]
+		sz := g.rng.Intn(2)
 		switch g.rng.Intn(8) {
 		case 0:
 			rd := g.reg()
-			out = append(out, fmt.Sprintf("    %s%s %s, %s, %s", fcmp[g.rng.Intn(3)], sz, rd, g.freg(), g.freg()))
-			g.lastDest = rd
+			g.emit(fp(fcmp[g.rng.Intn(3)][sz], rd, g.freg(), g.freg(), isa.RegNone))
+			g.dest(rd)
 		case 1:
-			out = append(out, fmt.Sprintf("    fsqrt%s %s, %s", sz, g.freg(), g.freg()))
+			g.emit(fp(fsqrt[sz], g.freg(), g.freg(), isa.RegNone, isa.RegNone))
 		case 2:
-			out = append(out, fmt.Sprintf("    fmv.d.x %s, %s", g.freg(), g.src()))
+			g.emit(rr(isa.FMVDX, g.freg(), g.src()))
 		case 3:
 			rd := g.reg()
-			out = append(out, fmt.Sprintf("    fmv.x.d %s, %s", rd, g.freg()))
-			g.lastDest = rd
+			g.emit(fp(isa.FMVXD, rd, g.freg(), isa.RegNone, isa.RegNone))
+			g.dest(rd)
 		case 4:
-			cv := []string{"fcvt.w.d", "fcvt.l.d", "fcvt.w.s", "fcvt.l.s"}[g.rng.Intn(4)]
+			cv := fcvtXF[g.rng.Intn(4)]
 			rd := g.reg()
-			out = append(out, fmt.Sprintf("    %s %s, %s", cv, rd, g.freg()))
-			g.lastDest = rd
+			g.emit(fp(cv, rd, g.freg(), isa.RegNone, isa.RegNone))
+			g.dest(rd)
 		case 5:
-			cv := []string{"fcvt.d.w", "fcvt.d.l", "fcvt.s.w", "fcvt.s.l", "fcvt.d.s", "fcvt.s.d"}[g.rng.Intn(6)]
+			k := g.rng.Intn(6)
 			src := g.src()
-			if cv == "fcvt.d.s" || cv == "fcvt.s.d" {
-				src = g.freg()
+			if k >= 4 {
+				src = operand(g.freg())
 			}
-			out = append(out, fmt.Sprintf("    %s %s, %s", cv, g.freg(), src))
+			g.emit(rr(fcvtFX[k], g.freg(), src))
 		case 6:
-			fm := []string{"fmadd", "fmsub"}[g.rng.Intn(2)]
-			out = append(out, fmt.Sprintf("    %s%s %s, %s, %s, %s", fm, sz, g.freg(), g.freg(), g.freg(), g.freg()))
+			g.emit(fp(fma[g.rng.Intn(2)][sz], g.freg(), g.freg(), g.freg(), g.freg()))
 		default:
-			out = append(out, fmt.Sprintf("    %s%s %s, %s, %s", fpu2[g.rng.Intn(len(fpu2))], sz, g.freg(), g.freg(), g.freg()))
+			g.emit(fp(fpu2[g.rng.Intn(len(fpu2))][sz], g.freg(), g.freg(), g.freg(), isa.RegNone))
 		}
 	}
-	return out
 }
 
 // segCSR reads and writes scratch CSRs and reads identity/counter CSRs,
 // including the clock CSRs — the checker compares those modulo the clock by
 // adopting the core's committed read value (see isCycleCSRRead).
-func (g *gen) segCSR() []string {
+func (g *gen) segCSR() {
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	switch g.rng.Intn(7) {
 	case 0:
-		return []string{fmt.Sprintf("    csrrw %s, mscratch, %s", rd, g.src())}
+		g.emit(csr(isa.CSRRW, rd, isa.CSRMscratch, g.src()))
 	case 1:
-		return []string{fmt.Sprintf("    csrrs %s, mscratch, %s", rd, g.src())}
+		g.emit(csr(isa.CSRRS, rd, isa.CSRMscratch, g.src()))
 	case 2:
-		return []string{fmt.Sprintf("    csrrc %s, sscratch, %s", rd, g.src())}
+		g.emit(csr(isa.CSRRC, rd, isa.CSRSscratch, g.src()))
 	case 3:
-		op := []string{"csrrwi", "csrrsi", "csrrci"}[g.rng.Intn(3)]
-		return []string{fmt.Sprintf("    %s %s, mscratch, %d", op, rd, g.rng.Intn(32))}
+		op := []isa.Op{isa.CSRRWI, isa.CSRRSI, isa.CSRRCI}[g.rng.Intn(3)]
+		g.emit(csri(op, rd, isa.CSRMscratch, int64(g.rng.Intn(32))))
 	case 4:
-		csr := []string{"misa", "mhartid", "mscratch", "sscratch"}[g.rng.Intn(4)]
-		return []string{fmt.Sprintf("    csrr %s, %s", rd, csr)}
+		g.emit(csrr(rd, []uint16{isa.CSRMisa, isa.CSRMhartid, isa.CSRMscratch, isa.CSRSscratch}[g.rng.Intn(4)]))
 	case 5: // clock CSRs: compared modulo the clock, then folded into state
-		csr := []string{"cycle", "time", "mcycle"}[g.rng.Intn(3)]
-		return []string{fmt.Sprintf("    csrr %s, %s", rd, csr)}
+		g.emit(csrr(rd, []uint16{isa.CSRCycle, isa.CSRTime, isa.CSRMcycle}[g.rng.Intn(3)]))
 	default:
-		return []string{fmt.Sprintf("    csrr %s, instret", rd)}
+		g.emit(csrr(rd, isa.CSRInstret))
 	}
 }
 
 // segCustom exercises the XT extension: address-generation fusion, bit
 // manipulation, MACs, conditional moves and the indexed memory forms.
-func (g *gen) segCustom() []string {
+func (g *gen) segCustom() {
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	switch g.rng.Intn(8) {
 	case 0:
-		return []string{fmt.Sprintf("    addsl %s, %s, %s, %d", rd, g.src(), g.src(), g.rng.Intn(4))}
+		g.emit(inst(isa.XADDSL, rd, g.src(), g.src(), int64(g.rng.Intn(4))))
 	case 1:
 		lsb := g.rng.Intn(64)
 		msb := lsb + g.rng.Intn(64-lsb)
-		op := []string{"ext", "extu"}[g.rng.Intn(2)]
-		return []string{fmt.Sprintf("    %s %s, %s, %d, %d", op, rd, g.src(), msb, lsb)}
+		op := []isa.Op{isa.XEXT, isa.XEXTU}[g.rng.Intn(2)]
+		g.emit(rri(op, rd, g.src(), int64(msb<<6|lsb)))
 	case 2:
-		op := []string{"ff0", "ff1", "rev", "tstnbz"}[g.rng.Intn(4)]
-		return []string{fmt.Sprintf("    %s %s, %s", op, rd, g.src())}
+		g.emit(rr([]isa.Op{isa.XFF0, isa.XFF1, isa.XREV, isa.XTSTNBZ}[g.rng.Intn(4)], rd, g.src()))
 	case 3:
-		return []string{fmt.Sprintf("    srri %s, %s, %d", rd, g.src(), g.rng.Intn(64))}
+		g.emit(rri(isa.XSRRI, rd, g.src(), int64(g.rng.Intn(64))))
 	case 4:
-		op := []string{"mveqz", "mvnez"}[g.rng.Intn(2)]
-		return []string{fmt.Sprintf("    %s %s, %s, %s", op, rd, g.src(), g.src())}
+		g.emit(rrr([]isa.Op{isa.XMVEQZ, isa.XMVNEZ}[g.rng.Intn(2)], rd, g.src(), g.src()))
 	case 5:
-		op := []string{"mula", "muls", "mulah", "mulsh", "mulaw", "mulsw"}[g.rng.Intn(6)]
-		return []string{fmt.Sprintf("    %s %s, %s, %s", op, rd, g.src(), g.src())}
+		op := []isa.Op{isa.XMULA, isa.XMULS, isa.XMULAH, isa.XMULSH, isa.XMULAW, isa.XMULSW}[g.rng.Intn(6)]
+		g.emit(rrr(op, rd, g.src(), g.src()))
 	case 6: // indexed load: x29 holds a bounded index
 		sh := g.rng.Intn(4)
-		op := []string{"lrb", "lrh", "lrw", "lrd", "lurb", "lurh", "lurw"}[g.rng.Intn(7)]
-		return []string{
-			fmt.Sprintf("    andi x29, %s, %d", g.reg(), 127),
-			fmt.Sprintf("    %s %s, x8, x29, %d", op, rd, sh),
-		}
+		op := []isa.Op{isa.XLRB, isa.XLRH, isa.XLRW, isa.XLRD, isa.XLURB, isa.XLURH, isa.XLURW}[g.rng.Intn(7)]
+		g.emit(rri(isa.ANDI, xTmp, operand(g.reg()), 127),
+			inst(op, rd, operand(xBuf), operand(xTmp), int64(sh)))
 	default: // indexed store: data travels in rd
 		sh := g.rng.Intn(4)
-		op := []string{"srb", "srh", "srw", "srd"}[g.rng.Intn(4)]
-		return []string{
-			fmt.Sprintf("    andi x29, %s, %d", g.reg(), 127),
-			fmt.Sprintf("    %s %s, x8, x29, %d", op, g.reg(), sh),
-		}
+		op := []isa.Op{isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD}[g.rng.Intn(4)]
+		g.emit(rri(isa.ANDI, xTmp, operand(g.reg()), 127),
+			inst(op, g.reg(), operand(xBuf), operand(xTmp), int64(sh)))
 	}
 }
 
@@ -749,149 +939,145 @@ func (g *gen) segCustom() []string {
 // instruction, then executes it after a fence.i. The placeholder is a
 // 4-byte `xor x0, x0, x0`, which RVC compression cannot shrink, so the
 // patch overwrites exactly one instruction.
-func (g *gen) segSMC() []string {
+func (g *gen) segSMC() {
 	site := g.newLabel("patch")
-	in := isa.NewInst(isa.Op(0))
-	for {
-		op, ok := isa.ParseOp(aluRR[g.rng.Intn(len(aluRR))])
-		if !ok {
-			continue
-		}
-		in = isa.NewInst(op)
-		break
-	}
-	in.Rd = isa.X(gpPool[g.rng.Intn(len(gpPool))])
-	in.Rs1 = isa.X(gpPool[g.rng.Intn(len(gpPool))])
-	in.Rs2 = isa.X(gpPool[g.rng.Intn(len(gpPool))])
+	in := isa.NewInst(aluRR[g.rng.Intn(len(aluRR))])
+	in.Rd, in.Rs1, in.Rs2 = g.reg(), g.reg(), g.reg()
 	raw, err := isa.Encode(in)
 	if err != nil {
-		return g.segALU() // unencodable pick: fall back, keep determinism
+		g.segALU() // unencodable pick: fall back, keep determinism
+		return
 	}
-	g.lastDest = in.Rd.String()
+	g.lastDest = operand(in.Rd) | abiName
 	carrier := g.reg()
-	return []string{
-		fmt.Sprintf("    la x29, %s", site),
-		fmt.Sprintf("    li %s, %d", carrier, int64(raw)),
-		fmt.Sprintf("    sw %s, 0(x29)", carrier),
-		"    fence.i",
-		site + ":",
-		"    xor x0, x0, x0",
-	}
+	g.emit(
+		la(xTmp, site),
+		li(carrier, int64(raw)),
+		store(isa.SW, operand(carrier), 0, xTmp),
+		sys(isa.FENCEI),
+		label(site),
+		rrr(isa.XOR, isa.Zero, operand(isa.Zero), operand(isa.Zero)))
 }
 
-var vecVVOps = []string{"vadd.vv", "vsub.vv", "vand.vv", "vor.vv", "vxor.vv", "vmul.vv", "vmin.vv", "vmax.vv"}
+var vecVVOps = []isa.Op{isa.VADDVV, isa.VSUBVV, isa.VANDVV, isa.VORVV, isa.VXORVV, isa.VMULVV, isa.VMINVV, isa.VMAXVV}
 
 // segVector emits a small vector block: configure, load, compute, store,
 // extract. Four variants cover unit-stride, masked, strided and indexed
 // accesses; addresses stay inside the buffer (VL <= 16, SEW == 32 bits).
-func (g *gen) segVector() []string {
+func (g *gen) segVector() {
 	switch g.rng.Intn(4) {
 	case 0:
-		return g.segVectorUnit()
+		g.segVectorUnit()
 	case 1:
-		return g.segVectorMasked()
+		g.segVectorMasked()
 	case 2:
-		return g.segVectorStrided()
+		g.segVectorStrided()
 	default:
-		return g.segVectorIndexed()
+		g.segVectorIndexed()
 	}
 }
 
-func (g *gen) segVectorUnit() []string {
-	v := func() string { return fmt.Sprintf("v%d", g.rng.Intn(4)) }
+// vvOp draws one of the vector-vector ops.
+func (g *gen) vvOp() isa.Op { return vecVVOps[g.rng.Intn(len(vecVVOps))] }
+
+func (g *gen) segVectorUnit() {
+	v := func() isa.Reg { return isa.V(g.rng.Intn(4)) }
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	stOff := 1024 + g.rng.Intn(bufBytes/2-64)&^63
-	return []string{
-		fmt.Sprintf("    li x29, %d", 1+g.rng.Intn(16)),
-		fmt.Sprintf("    vsetvli %s, x29, e32, m1", g.reg()),
-		fmt.Sprintf("    vle.v %s, (x8)", v()),
-		fmt.Sprintf("    %s %s, %s, %s", vecVVOps[g.rng.Intn(len(vecVVOps))], v(), v(), v()),
-		fmt.Sprintf("    addi x29, x8, %d", stOff),
-		fmt.Sprintf("    vse.v %s, (x29)", v()),
-		fmt.Sprintf("    vmv.x.s %s, %s", rd, v()),
-	}
+	g.emit(
+		li(xTmp, int64(1+g.rng.Intn(16))),
+		vsetvli(g.reg()),
+		vload(isa.VLE, v(), xBuf, isa.RegNone),
+		vec(g.vvOp(), v(), v(), v(), false),
+		rri(isa.ADDI, xTmp, operand(xBuf), int64(stOff)),
+		vstore(isa.VSE, v(), xTmp, isa.RegNone, false),
+		vec(isa.VMVXS, rd, v(), isa.RegNone, false))
 }
 
 // segVectorMasked builds a data-dependent mask in v0 with vmseq and runs a
 // masked ALU op plus a masked unit-stride store through it: masked-off
 // elements must stay undisturbed in both the destination register and the
 // stored-to memory in both models.
-func (g *gen) segVectorMasked() []string {
+func (g *gen) segVectorMasked() {
+	v0, v1, v2, v3 := isa.V(0), isa.V(1), isa.V(2), isa.V(3)
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	one := g.reg()
 	ldOff := g.rng.Intn(256) &^ 3
 	stOff := 1024 + g.rng.Intn(bufBytes/2-64)&^63
-	return []string{
-		fmt.Sprintf("    li x29, %d", 1+g.rng.Intn(16)),
-		fmt.Sprintf("    vsetvli %s, x29, e32, m1", rd),
-		fmt.Sprintf("    addi x29, x8, %d", ldOff),
-		"    vle.v v1, (x29)",
-		fmt.Sprintf("    li %s, 1", one),
-		fmt.Sprintf("    vmv.v.x v2, %s", one),
-		"    vand.vv v3, v1, v2",
-		"    vmseq.vv v0, v3, v2", // mask: elements of v1 with bit 0 set
-		fmt.Sprintf("    %s v3, v1, v1, v0.t", vecVVOps[g.rng.Intn(len(vecVVOps))]),
-		fmt.Sprintf("    addi x29, x8, %d", stOff),
-		"    vse.v v3, (x29), v0.t",
-		fmt.Sprintf("    vmv.x.s %s, v3", rd),
-	}
+	g.emit(
+		li(xTmp, int64(1+g.rng.Intn(16))),
+		vsetvli(rd),
+		rri(isa.ADDI, xTmp, operand(xBuf), int64(ldOff)),
+		vload(isa.VLE, v1, xTmp, isa.RegNone),
+		li(one, 1),
+		rr(isa.VMVVX, v2, operand(one)),
+		vec(isa.VANDVV, v3, v1, v2, false),
+		vec(isa.VMSEQVV, v0, v3, v2, false), // mask: elements of v1 with bit 0 set
+		vec(g.vvOp(), v3, v1, v1, true),
+		rri(isa.ADDI, xTmp, operand(xBuf), int64(stOff)),
+		vstore(isa.VSE, v3, xTmp, isa.RegNone, true),
+		vec(isa.VMVXS, rd, v3, isa.RegNone, false))
 }
 
 // segVectorStrided loads and stores with a constant byte stride, including
 // stride 0 (every element hits the same address; ascending element order
 // makes the final value deterministic in both models).
-func (g *gen) segVectorStrided() []string {
+func (g *gen) segVectorStrided() {
+	v1, v2 := isa.V(1), isa.V(2)
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	sreg := g.reg()
 	stride := 4 * g.rng.Intn(15) // 0..56 bytes
 	stOff := 1024 + g.rng.Intn(256)&^7
-	return []string{
-		fmt.Sprintf("    li x29, %d", 1+g.rng.Intn(8)),
-		fmt.Sprintf("    vsetvli %s, x29, e32, m1", rd),
-		fmt.Sprintf("    li %s, %d", sreg, stride),
-		fmt.Sprintf("    vlse.v v1, (x8), %s", sreg),
-		fmt.Sprintf("    %s v2, v1, v1", vecVVOps[g.rng.Intn(len(vecVVOps))]),
-		fmt.Sprintf("    addi x29, x8, %d", stOff),
-		fmt.Sprintf("    vsse.v v2, (x29), %s", sreg),
-		fmt.Sprintf("    vmv.x.s %s, v2", rd),
-	}
+	g.emit(
+		li(xTmp, int64(1+g.rng.Intn(8))),
+		vsetvli(rd),
+		li(sreg, int64(stride)),
+		vload(isa.VLSE, v1, xBuf, sreg),
+		vec(g.vvOp(), v2, v1, v1, false),
+		rri(isa.ADDI, xTmp, operand(xBuf), int64(stOff)),
+		vstore(isa.VSSE, v2, xTmp, sreg, false),
+		vec(isa.VMVXS, rd, v2, isa.RegNone, false))
 }
 
 // segVectorIndexed derives a bounded index vector from buffer data (each
 // offset masked to an 8-byte-aligned value <= 504) and gathers/scatters
 // through it; half the scatters are additionally masked through v0.
-func (g *gen) segVectorIndexed() []string {
+func (g *gen) segVectorIndexed() {
+	v0, v1, v2, v3, v4 := isa.V(0), isa.V(1), isa.V(2), isa.V(3), isa.V(4)
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	mreg := g.reg()
 	ldOff := g.rng.Intn(512) &^ 3
-	out := []string{
-		fmt.Sprintf("    li x29, %d", 1+g.rng.Intn(8)),
-		fmt.Sprintf("    vsetvli %s, x29, e32, m1", rd),
-		fmt.Sprintf("    addi x29, x8, %d", ldOff),
-		"    vle.v v2, (x29)",
-		fmt.Sprintf("    li %s, %d", mreg, 0x1F8),
-		fmt.Sprintf("    vmv.v.x v3, %s", mreg),
-		"    vand.vv v2, v2, v3", // offsets: 8-aligned, 0..504
-		"    vlxei.v v1, (x8), v2",
-		"    vadd.vv v1, v1, v2",
-		"    addi x29, x8, 1024",
-	}
+	g.emit(
+		li(xTmp, int64(1+g.rng.Intn(8))),
+		vsetvli(rd),
+		rri(isa.ADDI, xTmp, operand(xBuf), int64(ldOff)),
+		vload(isa.VLE, v2, xTmp, isa.RegNone),
+		li(mreg, 0x1F8),
+		rr(isa.VMVVX, v3, operand(mreg)),
+		vec(isa.VANDVV, v2, v2, v3, false), // offsets: 8-aligned, 0..504
+		vload(isa.VLXEI, v1, xBuf, v2),
+		vec(isa.VADDVV, v1, v1, v2, false),
+		rri(isa.ADDI, xTmp, operand(xBuf), 1024))
 	if g.rng.Intn(2) == 0 {
-		out = append(out,
-			fmt.Sprintf("    li %s, 8", mreg),
-			fmt.Sprintf("    vmv.v.x v3, %s", mreg),
-			"    vand.vv v4, v2, v3",
-			"    vmseq.vv v0, v4, v3", // mask: offsets with bit 3 set
-			"    vsxei.v v1, (x29), v2, v0.t")
+		g.emit(
+			li(mreg, 8),
+			rr(isa.VMVVX, v3, operand(mreg)),
+			vec(isa.VANDVV, v4, v2, v3, false),
+			vec(isa.VMSEQVV, v0, v4, v3, false), // mask: offsets with bit 3 set
+			vstore(isa.VSXEI, v1, xTmp, v2, true))
 	} else {
-		out = append(out, "    vsxei.v v1, (x29), v2")
+		g.emit(vstore(isa.VSXEI, v1, xTmp, v2, false))
 	}
-	return append(out, fmt.Sprintf("    vmv.x.s %s, v1", rd))
+	g.emit(vec(isa.VMVXS, rd, v1, isa.RegNone, false))
 }
+
+// mstatusMIE is "op x0, mstatus, 8": csrrci closes the interrupt window,
+// csrrsi reopens it.
+func mstatusMIE(op isa.Op) asm.Item { return csri(op, isa.Zero, isa.CSRMstatus, 8) }
 
 // segIRQ only appears in interrupt-injection mode: WFI parks (the schedule's
 // force-arm wakes it), mstatus.MIE toggles open windows where an armed source
@@ -900,90 +1086,64 @@ func (g *gen) segVectorIndexed() []string {
 // mtimecmp-shaped store exercises the CLINT doorbell address (plain memory in
 // the single-hart checker profile, compared like any other line). Segments
 // only ever SET mie bits, so a parked hart is always wakeable.
-func (g *gen) segIRQ() []string {
+func (g *gen) segIRQ() {
 	rd := g.reg()
 	switch g.rng.Intn(8) {
 	case 0, 1: // park; delivery or wake-without-take follows
-		return []string{"    wfi"}
+		g.emit(sys(isa.WFI))
 	case 2: // interrupts-off window: delivery defers to the closing csrrsi
-		out := []string{"    csrrci x0, mstatus, 8"}
+		g.emit(mstatusMIE(isa.CSRRCI))
 		for i := 0; i < 1+g.rng.Intn(3); i++ {
-			out = append(out, g.aluInst())
+			g.emit(g.aluInst())
 		}
-		return append(out, "    csrrsi x0, mstatus, 8")
+		g.emit(mstatusMIE(isa.CSRRSI))
 	case 3: // nested toggle with a WFI inside: pending-but-disabled unparks
-		return []string{
-			"    csrrci x0, mstatus, 8",
-			g.aluInst(),
-			"    wfi",
-			"    csrrsi x0, mstatus, 8",
-		}
+		g.emit(mstatusMIE(isa.CSRRCI), g.aluInst(), sys(isa.WFI), mstatusMIE(isa.CSRRSI))
 	case 4: // observe the live mip bits and the interrupt enables
-		g.lastDest = rd
-		csr := []string{"mip", "mie", "mideleg", "mstatus"}[g.rng.Intn(4)]
-		return []string{fmt.Sprintf("    csrr %s, %s", rd, csr)}
+		g.dest(rd)
+		g.emit(csrr(rd, []uint16{isa.CSRMip, isa.CSRMie, isa.CSRMideleg, isa.CSRMstatus}[g.rng.Intn(4)]))
 	case 5: // WARL probe: set every bit, read back the writable window
-		g.lastDest = rd
+		g.dest(rd)
 		t := g.reg()
-		csr := []string{"mie", "mideleg"}[g.rng.Intn(2)]
-		return []string{
-			fmt.Sprintf("    li %s, -1", t),
-			fmt.Sprintf("    csrrs %s, %s, %s", rd, csr, t),
-		}
+		num := []uint16{isa.CSRMie, isa.CSRMideleg}[g.rng.Intn(2)]
+		g.emit(li(t, -1), csr(isa.CSRRS, rd, num, operand(t)))
 	default: // mtimecmp-style doorbell write
-		return []string{
-			"    li x29, 33570816", // 0x02004000: CLINT mtimecmp
-			fmt.Sprintf("    sd %s, 0(x29)", g.src()),
-		}
+		g.emit(li(xTmp, 0x02004000), // CLINT mtimecmp
+			store(isa.SD, g.src(), 0, xTmp))
 	}
 }
 
 // segFFlags provokes IEEE exception flags and reads them straight back:
 // the fflags/frm/fcsr windows and mstatus.FS dirtying are the conformance
 // surface the checker compares per commit.
-func (g *gen) segFFlags() []string {
+func (g *gen) segFFlags() {
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	t := g.reg()
 	f := g.freg()
+	// seed puts a chosen bit pattern in f.
+	seed := func(bits int64) {
+		g.emit(li(t, bits), rr(isa.FMVDX, f, operand(t)))
+	}
+	none := isa.RegNone
 	switch g.rng.Intn(6) {
 	case 0: // a random divide is almost always inexact, sometimes much worse
-		return []string{
-			fmt.Sprintf("    fdiv.d %s, %s, %s", g.freg(), g.freg(), g.freg()),
-			fmt.Sprintf("    csrr %s, fflags", rd),
-		}
+		g.emit(fp(isa.FDIVD, g.freg(), g.freg(), g.freg(), none), csrr(rd, isa.CSRFflags))
 	case 1: // invalid: signaling NaN through an add
-		return []string{
-			fmt.Sprintf("    li %s, %d", t, int64(0x7FF0000000000001)),
-			fmt.Sprintf("    fmv.d.x %s, %s", f, t),
-			fmt.Sprintf("    fadd.d %s, %s, %s", g.freg(), f, g.freg()),
-			fmt.Sprintf("    csrr %s, fflags", rd),
-		}
+		seed(0x7FF0000000000001)
+		g.emit(fp(isa.FADDD, g.freg(), f, g.freg(), none), csrr(rd, isa.CSRFflags))
 	case 2: // overflow: square the largest finite exponent
-		return []string{
-			fmt.Sprintf("    li %s, %d", t, int64(0x7FE0000000000000)),
-			fmt.Sprintf("    fmv.d.x %s, %s", f, t),
-			fmt.Sprintf("    fmul.d %s, %s, %s", g.freg(), f, f),
-			fmt.Sprintf("    csrr %s, fcsr", rd),
-		}
+		seed(0x7FE0000000000000)
+		g.emit(fp(isa.FMULD, g.freg(), f, f, none), csrr(rd, isa.CSRFcsr))
 	case 3: // underflow: square the smallest normal
-		return []string{
-			fmt.Sprintf("    li %s, %d", t, int64(0x0010000000000000)),
-			fmt.Sprintf("    fmv.d.x %s, %s", f, t),
-			fmt.Sprintf("    fmul.d %s, %s, %s", g.freg(), f, f),
-			fmt.Sprintf("    csrr %s, fflags", rd),
-		}
+		seed(0x0010000000000000)
+		g.emit(fp(isa.FMULD, g.freg(), f, f, none), csrr(rd, isa.CSRFflags))
 	case 4: // clear, accrue, read back
-		return []string{
-			"    csrrwi x0, fflags, 0",
-			fmt.Sprintf("    fsqrt.d %s, %s", g.freg(), g.freg()),
-			fmt.Sprintf("    csrr %s, fflags", rd),
-		}
+		g.emit(csri(isa.CSRRWI, isa.Zero, isa.CSRFflags, 0),
+			fp(isa.FSQRTD, g.freg(), g.freg(), none, none),
+			csrr(rd, isa.CSRFflags))
 	default: // frm write (non-functional rounding, but state must match)
-		return []string{
-			fmt.Sprintf("    csrrwi %s, frm, %d", rd, g.rng.Intn(8)),
-			fmt.Sprintf("    csrr %s, fcsr", t),
-		}
+		g.emit(csri(isa.CSRRWI, rd, isa.CSRFrm, int64(g.rng.Intn(8))), csrr(t, isa.CSRFcsr))
 	}
 }
 
@@ -991,40 +1151,36 @@ func (g *gen) segFFlags() []string {
 // through the +1GB alias window sharing physical lines with identity
 // addresses, page-crossing accesses, and (rarely) an outright page fault
 // that ends the program.
-func (g *gen) segPaged() []string {
+func (g *gen) segPaged() {
 	switch g.rng.Intn(8) {
 	case 0:
-		return g.segPageFault()
+		g.segPageFault()
 	case 1, 2:
-		return g.segAliasStore()
+		g.segAliasStore()
 	case 3:
-		return g.segPageCross()
+		g.segPageCross()
 	default:
-		return g.segAliasLRSC()
+		g.segAliasLRSC()
 	}
 }
 
 // segAliasLRSC stresses the VA-vs-PA reservation granule: a reservation
 // taken through one virtual window must interact with accesses through the
 // other exactly as the shared physical line dictates.
-func (g *gen) segAliasLRSC() []string {
-	w := g.rng.Intn(2) == 0
-	suffix, align := ".d", 8
-	if w {
-		suffix, align = ".w", 4
-	}
+func (g *gen) segAliasLRSC() {
+	d, align := g.width()
 	off := g.rng.Intn(bufBytes-8) &^ (align - 1)
 	t := g.reg()
 	if g.rng.Intn(2) == 0 {
 		// LR through the alias, SC through the identity VA: the reservation
 		// is physical, so the SC must succeed in both models.
-		return []string{
-			fmt.Sprintf("    addi x29, x8, %d", off),
-			fmt.Sprintf("    li %s, %d", t, pagedOffset),
-			fmt.Sprintf("    add %s, %s, x29", t, t),
-			fmt.Sprintf("    lr%s %s, (%s)", suffix, g.reg(), t),
-			fmt.Sprintf("    sc%s %s, %s, (x29)", suffix, g.reg(), g.src()),
-		}
+		g.emit(
+			rri(isa.ADDI, xTmp, operand(xBuf), int64(off)),
+			li(t, pagedOffset),
+			rrr(isa.ADD, t, operand(t), operand(xTmp)),
+			amo(lrOps[d], g.reg(), noOperand, t),
+			amo(scOps[d], g.reg(), g.src(), xTmp))
+		return
 	}
 	// LR through the identity VA, intervening store through the alias —
 	// same physical line kills the reservation, a different line keeps it.
@@ -1034,56 +1190,55 @@ func (g *gen) segAliasLRSC() []string {
 	} else {
 		aliasOff = off&^63 + g.rng.Intn(64)&^7
 	}
-	return []string{
-		fmt.Sprintf("    addi x29, x8, %d", off),
-		fmt.Sprintf("    lr%s %s, (x29)", suffix, g.reg()),
-		fmt.Sprintf("    li %s, %d", t, pagedOffset),
-		fmt.Sprintf("    add %s, %s, x8", t, t),
-		fmt.Sprintf("    sd %s, %d(%s)", g.src(), aliasOff, t),
-		fmt.Sprintf("    sc%s %s, %s, (x29)", suffix, g.reg(), g.src()),
-	}
+	g.emit(
+		rri(isa.ADDI, xTmp, operand(xBuf), int64(off)),
+		amo(lrOps[d], g.reg(), noOperand, xTmp),
+		li(t, pagedOffset),
+		rrr(isa.ADD, t, operand(t), operand(xBuf)),
+		store(isa.SD, g.src(), aliasOff, t),
+		amo(scOps[d], g.reg(), g.src(), xTmp))
 }
 
 // segAliasStore writes through one window and reads through the other: both
 // models must observe the store at the shared physical address.
-func (g *gen) segAliasStore() []string {
+func (g *gen) segAliasStore() {
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	t := g.reg()
 	off := g.rng.Intn(bufBytes-8) &^ 7
-	return []string{
-		fmt.Sprintf("    li %s, %d", t, pagedOffset),
-		fmt.Sprintf("    add %s, %s, x8", t, t),
-		fmt.Sprintf("    sd %s, %d(%s)", g.src(), off, t),
-		fmt.Sprintf("    ld %s, %d(x8)", rd, off),
-	}
+	g.emit(
+		li(t, pagedOffset),
+		rrr(isa.ADD, t, operand(t), operand(xBuf)),
+		store(isa.SD, g.src(), off, t),
+		load(isa.LD, rd, off, xBuf))
 }
 
 // segPageCross accesses a doubleword straddling a 4K page boundary through
 // the alias window (the pages map physically contiguous memory, so the
 // access is legal in both models). The boundary at the stack base is used
 // because the bytes on either side are plain data in every profile.
-func (g *gen) segPageCross() []string {
+func (g *gen) segPageCross() {
 	rd := g.reg()
-	g.lastDest = rd
+	g.dest(rd)
 	t := g.reg()
 	addr := pagedOffset + stackBase - uint64(1+g.rng.Intn(7))
-	out := []string{fmt.Sprintf("    li %s, %d", t, addr)}
+	g.emit(li(t, int64(addr)))
 	if g.rng.Intn(2) == 0 {
-		out = append(out, fmt.Sprintf("    sd %s, 0(%s)", g.src(), t))
+		g.emit(store(isa.SD, g.src(), 0, t))
 	}
-	return append(out, fmt.Sprintf("    ld %s, 0(%s)", rd, t))
+	g.emit(load(isa.LD, rd, 0, t))
 }
 
 // segPageFault runs off the end of the alias window into the first unmapped
 // page. With every exception delegated and stvec=0, both models must latch
 // the same scause/stval/sepc and halt with -(16+cause).
-func (g *gen) segPageFault() []string {
+func (g *gen) segPageFault() {
 	t := g.reg()
 	addr := pagedOffset + pagedPhysSize + uint64(g.rng.Intn(4096)&^7)
-	out := []string{fmt.Sprintf("    li %s, %d", t, addr)}
+	g.emit(li(t, int64(addr)))
 	if g.rng.Intn(2) == 0 {
-		return append(out, fmt.Sprintf("    ld %s, 0(%s)", g.reg(), t))
+		g.emit(load(isa.LD, g.reg(), 0, t))
+	} else {
+		g.emit(store(isa.SD, g.src(), 0, t))
 	}
-	return append(out, fmt.Sprintf("    sd %s, 0(%s)", g.src(), t))
 }

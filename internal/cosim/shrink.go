@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"xt910/internal/asm"
 	"xt910/internal/sched"
 )
 
@@ -20,7 +19,7 @@ func shrink(p *program, opts Options) (string, Result) {
 		mask[i] = true
 	}
 	try := func(m []bool) (Result, bool) {
-		prog, err := asm.Assemble(p.render(m), asm.Options{Base: 0x1000, Compress: true})
+		prog, err := p.build(m)
 		if err != nil {
 			return Result{}, false
 		}

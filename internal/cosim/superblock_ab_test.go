@@ -50,9 +50,6 @@ func TestSuperblockFastPathIdentity(t *testing.T) {
 					t.Fatalf("seed %d: divergence (on=%v off=%v):\n%s%s",
 						seed, on.Diverged, off.Diverged, on.Result.Report, off.Result.Report)
 				}
-				if on.Source != off.Source {
-					t.Fatalf("seed %d: generated program differs between arms", seed)
-				}
 				// Result is a comparable struct: this covers commits, cycles,
 				// exit code, divergence class, hart, fail commit and the full
 				// formatted report in one shot.

@@ -35,7 +35,6 @@ import (
 	"strings"
 	"time"
 
-	"xt910/internal/asm"
 	"xt910/internal/cosim"
 	"xt910/internal/sched"
 )
@@ -229,10 +228,9 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 
 // cleanRun executes seed's program with no fault.
 func cleanRun(ctx context.Context, seed int64, opts Options) (cosim.Result, error) {
-	src, _ := cosim.GenerateSource(seed, opts.Segs, cosim.Options{})
-	prog, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
+	prog, _, err := cosim.GenerateProgram(seed, opts.Segs, cosim.Options{})
 	if err != nil {
-		return cosim.Result{}, fmt.Errorf("seed %d: %w", seed, err)
+		return cosim.Result{}, err
 	}
 	return cosim.RunContext(ctx, prog, cosim.Options{}), nil
 }
@@ -242,8 +240,7 @@ func cleanRun(ctx context.Context, seed int64, opts Options) (cosim.Result, erro
 // program out and classify.
 func runFault(ctx context.Context, f Fault, opts Options, maxCycles uint64) FaultResult {
 	fr := FaultResult{Fault: f, Outcome: NotInjected}
-	src, _ := cosim.GenerateSource(f.Seed, opts.Segs, cosim.Options{})
-	prog, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
+	prog, _, err := cosim.GenerateProgram(f.Seed, opts.Segs, cosim.Options{})
 	if err != nil {
 		fr.Outcome = Crashed
 		fr.Err = err.Error()

@@ -192,75 +192,203 @@ var xRTypeSub = map[Op]uint32{
 	XMULAW: 0x24, XMULSW: 0x25,
 }
 
-// Encode produces the 32-bit encoding of an instruction. RVC compression is a
-// separate, optional step (Compress).
-func Encode(in Inst) (uint32, error) {
-	op := in.Op
-	switch {
-	case op == LUI:
-		return encU(opcLui, in.Rd, in.Imm), nil
-	case op == AUIPC:
-		return encU(opcAuipc, in.Rd, in.Imm), nil
-	case op == JAL:
-		return encJ(opcJAL, in.Rd, in.Imm), nil
-	case op == JALR:
-		return encI(opcJALR, 0, in.Rd, in.Rs1, in.Imm), nil
+// encForm names the field layout an op encodes to; encRec is everything
+// Encode needs to know about one op. encTab is filled once from the tables
+// above (which also feed the decoder's reverse maps), so Encode itself is one
+// array index and a switch.
+type encForm uint8
+
+const (
+	encNone        encForm = iota
+	encFormU               // rd, imm[31:12]
+	encFormJ               // rd, ±1 MiB offset
+	encFormI               // rd, rs1, simm12
+	encFormS               // rs1, rs2, simm12
+	encFormB               // rs1, rs2, ±4 KiB offset
+	encFormR               // rd, rs1, rs2
+	encFormSh              // rd, rs1, shamt6 (a holds funct6)
+	encFormShW             // rd, rs1, shamt5 in the rs2 field
+	encFormCSR             // rd, csr, rs1
+	encFormCSRI            // rd, csr, uimm5 in the rs1 field
+	encFormAMO             // rd, rs1, rs2 (a holds funct5)
+	encFormLR              // rd, rs1
+	encFormFP              // rd, rs1, rs2 or a fixed rs2 selector (b, -1: register)
+	encFormV               // OP-V (a holds funct6)
+	encFormWord            // no operands: a is the whole word
+	encFormSFence          // rs1, rs2, both optional
+	encFormR4              // rd, rs1, rs2, rs3 (f3 holds the format field)
+	encFormVSetVLI         // rd, rs1, vtype11
+	encFormVLoad           // vd, rs1, rs2 when b != 0 (a holds the funct7 base)
+	encFormVStore          // vs (Rs2), rs1, Rs3 when b != 0
+	encFormXSh2            // rd, rs1, rs2, 2-bit shift (a holds the funct7 base)
+	encFormXImm            // rd, rs1, unsigned immediate masked by a
+	encFormXR              // rd, rs1, optional rs2 (a holds funct7)
+	encFormXCache          // optional rs1 (a holds the imm12 selector)
+)
+
+type encRec struct {
+	form encForm
+	b    int8
+	opc  uint32
+	f3   uint32
+	a    uint32
+}
+
+var encTab [numOps]encRec
+
+func init() {
+	set := func(op Op, r encRec) {
+		if encTab[op].form != encNone {
+			panic("isa: two encodings for " + op.String())
+		}
+		encTab[op] = r
 	}
-	if f3, ok := branchF3[op]; ok {
-		return encB(opcBranch, f3, in.Rs1, in.Rs2, in.Imm), nil
+	set(LUI, encRec{form: encFormU, opc: opcLui})
+	set(AUIPC, encRec{form: encFormU, opc: opcAuipc})
+	set(JAL, encRec{form: encFormJ, opc: opcJAL})
+	set(JALR, encRec{form: encFormI, opc: opcJALR})
+	for op, f3 := range branchF3 {
+		set(op, encRec{form: encFormB, opc: opcBranch, f3: f3})
 	}
-	if f3, ok := loadF3[op]; ok {
-		return encI(opcLoad, f3, in.Rd, in.Rs1, in.Imm), nil
+	for op, f3 := range loadF3 {
+		set(op, encRec{form: encFormI, opc: opcLoad, f3: f3})
 	}
-	if f3, ok := storeF3[op]; ok {
-		return encS(opcStore, f3, in.Rs1, in.Rs2, in.Imm), nil
+	for op, f3 := range storeF3 {
+		set(op, encRec{form: encFormS, opc: opcStore, f3: f3})
 	}
-	if f3, ok := opImmF3[op]; ok {
-		return encI(opcOpImm, f3, in.Rd, in.Rs1, in.Imm), nil
+	for op, f3 := range opImmF3 {
+		set(op, encRec{form: encFormI, opc: opcOpImm, f3: f3})
 	}
-	if e, ok := opRType[op]; ok {
-		return encR(opcOp, e.f3, e.f7, in.Rd, in.Rs1, in.Rs2), nil
+	for op, e := range opRType {
+		set(op, encRec{form: encFormR, opc: opcOp, f3: e.f3, a: e.f7})
 	}
-	if e, ok := op32RType[op]; ok {
-		return encR(opcOp32, e.f3, e.f7, in.Rd, in.Rs1, in.Rs2), nil
+	for op, e := range op32RType {
+		set(op, encRec{form: encFormR, opc: opcOp32, f3: e.f3, a: e.f7})
 	}
-	if f3, ok := csrF3[op]; ok {
-		v := uint32(0)
+	for op, f3 := range csrF3 {
+		form := encFormCSR
 		if op == CSRRWI || op == CSRRSI || op == CSRRCI {
-			v = encI(opcSystem, f3, in.Rd, Reg(in.Imm&0x1F), int64(in.CSR))
-		} else {
-			v = encI(opcSystem, f3, in.Rd, in.Rs1, int64(in.CSR))
+			form = encFormCSRI
 		}
-		return v, nil
+		set(op, encRec{form: form, opc: opcSystem, f3: f3})
 	}
-	if e, ok := amoF5[op]; ok {
-		rs2 := in.Rs2
+	for op, e := range amoF5 {
+		form := encFormAMO
 		if op == LRW || op == LRD {
-			rs2 = X(0)
+			form = encFormLR
 		}
-		return encR(opcAMO, e.f3, e.f5<<2, in.Rd, in.Rs1, rs2), nil
+		set(op, encRec{form: form, opc: opcAMO, f3: e.f3, a: e.f5 << 2})
 	}
-	if e, ok := opFPEnc[op]; ok {
+	for op, e := range opFPEnc {
 		f3 := uint32(0)
 		if e.f3 >= 0 {
 			f3 = uint32(e.f3)
 		}
-		rs2 := in.Rs2
-		if e.rs2sel >= 0 {
-			rs2 = X(int(e.rs2sel))
-		}
-		return encR(opcOpFP, f3, e.f7, in.Rd, in.Rs1, rs2), nil
+		set(op, encRec{form: encFormFP, opc: opcOpFP, f3: f3, a: e.f7, b: e.rs2sel})
 	}
-	if e, ok := opVEnc[op]; ok {
-		var second Reg
-		switch e.f3 {
-		case 3: // OPIVI: immediate in rs1 slot
+	for op, e := range opVEnc {
+		set(op, encRec{form: encFormV, opc: opcOpV, f3: e.f3, a: e.f6})
+	}
+	set(SLLI, encRec{form: encFormSh, opc: opcOpImm, f3: 1})
+	set(SRLI, encRec{form: encFormSh, opc: opcOpImm, f3: 5})
+	set(SRAI, encRec{form: encFormSh, opc: opcOpImm, f3: 5, a: 0x10})
+	set(ADDIW, encRec{form: encFormI, opc: opcOpImm32})
+	set(SLLIW, encRec{form: encFormShW, opc: opcOpImm32, f3: 1})
+	set(SRLIW, encRec{form: encFormShW, opc: opcOpImm32, f3: 5})
+	set(SRAIW, encRec{form: encFormShW, opc: opcOpImm32, f3: 5, a: 0x20})
+	set(FENCE, encRec{form: encFormWord, a: encI(opcMiscMem, 0, X(0), X(0), 0x0FF)})
+	set(FENCEI, encRec{form: encFormWord, a: encI(opcMiscMem, 1, X(0), X(0), 0)})
+	set(ECALL, encRec{form: encFormWord, a: encI(opcSystem, 0, X(0), X(0), 0)})
+	set(EBREAK, encRec{form: encFormWord, a: encI(opcSystem, 0, X(0), X(0), 1)})
+	set(MRET, encRec{form: encFormWord, a: encI(opcSystem, 0, X(0), X(0), 0x302)})
+	set(SRET, encRec{form: encFormWord, a: encI(opcSystem, 0, X(0), X(0), 0x102)})
+	set(WFI, encRec{form: encFormWord, a: encI(opcSystem, 0, X(0), X(0), 0x105)})
+	set(SFENCEVMA, encRec{form: encFormSFence, opc: opcSystem, a: 0x09})
+	set(FLW, encRec{form: encFormI, opc: opcLoadFP, f3: 2})
+	set(FLD, encRec{form: encFormI, opc: opcLoadFP, f3: 3})
+	set(FSW, encRec{form: encFormS, opc: opcStoreFP, f3: 2})
+	set(FSD, encRec{form: encFormS, opc: opcStoreFP, f3: 3})
+	set(FMADDS, encRec{form: encFormR4, opc: opcFMAdd, f3: 0})
+	set(FMADDD, encRec{form: encFormR4, opc: opcFMAdd, f3: 1})
+	set(FMSUBS, encRec{form: encFormR4, opc: opcFMSub, f3: 0})
+	set(FMSUBD, encRec{form: encFormR4, opc: opcFMSub, f3: 1})
+	set(VSETVLI, encRec{form: encFormVSetVLI, opc: opcOpV, f3: 7})
+	set(VSETVL, encRec{form: encFormR, opc: opcOpV, f3: 7, a: 0x40})
+	set(VLE, encRec{form: encFormVLoad, opc: opcLoadFP, f3: 7, a: 0x00})
+	set(VLSE, encRec{form: encFormVLoad, opc: opcLoadFP, f3: 7, a: 0x08, b: 1})
+	set(VLXEI, encRec{form: encFormVLoad, opc: opcLoadFP, f3: 7, a: 0x0C, b: 1}) // index vector in the rs2 field
+	// store layout mirrors the load: vs3 (data) in the rd slot
+	set(VSE, encRec{form: encFormVStore, opc: opcStoreFP, f3: 7, a: 0x00})
+	set(VSSE, encRec{form: encFormVStore, opc: opcStoreFP, f3: 7, a: 0x08, b: 1})
+	set(VSXEI, encRec{form: encFormVStore, opc: opcStoreFP, f3: 7, a: 0x0C, b: 1})
+	set(XADDSL, encRec{form: encFormXSh2, opc: opcCustom0, f3: 3})
+	set(XEXT, encRec{form: encFormXImm, opc: opcCustom0, f3: 4, a: 0xFFF})
+	set(XEXTU, encRec{form: encFormXImm, opc: opcCustom0, f3: 5, a: 0xFFF})
+	set(XSRRI, encRec{form: encFormXImm, opc: opcCustom0, f3: 6, a: 0x3F})
+	for op, sub := range xIdxLoadSub {
+		set(op, encRec{form: encFormXSh2, opc: opcCustom0, f3: 1, a: sub << 2})
+	}
+	for op, sub := range xIdxStoreSub {
+		// data register travels in the rd field for the custom store form
+		set(op, encRec{form: encFormXSh2, opc: opcCustom0, f3: 2, a: sub << 2})
+	}
+	for op, sub := range xRTypeSub {
+		set(op, encRec{form: encFormXR, opc: opcCustom0, a: sub})
+	}
+	for op, imm := range xCacheOpImm {
+		set(op, encRec{form: encFormXCache, opc: opcCustom0, f3: 7, a: uint32(imm)})
+	}
+}
+
+// orX0 reads an optional register operand: absent means x0.
+func orX0(r Reg) Reg {
+	if r == RegNone {
+		return X(0)
+	}
+	return r
+}
+
+// Encode produces the 32-bit encoding of an instruction. RVC compression is a
+// separate, optional step (Compress). Immediates are truncated to their field;
+// ImmRange gives the bounds a caller that must not truncate checks first.
+func Encode(in Inst) (uint32, error) {
+	if in.Op >= numOps {
+		return 0, fmt.Errorf("isa: cannot encode %v", in.Op)
+	}
+	e := &encTab[in.Op]
+	switch e.form {
+	case encFormU:
+		return encU(e.opc, in.Rd, in.Imm), nil
+	case encFormJ:
+		return encJ(e.opc, in.Rd, in.Imm), nil
+	case encFormI:
+		return encI(e.opc, e.f3, in.Rd, in.Rs1, in.Imm), nil
+	case encFormS:
+		return encS(e.opc, e.f3, in.Rs1, in.Rs2, in.Imm), nil
+	case encFormB:
+		return encB(e.opc, e.f3, in.Rs1, in.Rs2, in.Imm), nil
+	case encFormR, encFormAMO:
+		return encR(e.opc, e.f3, e.a, in.Rd, in.Rs1, in.Rs2), nil
+	case encFormSh:
+		return encI(e.opc, e.f3, in.Rd, in.Rs1, in.Imm&0x3F|int64(e.a)<<6), nil
+	case encFormShW:
+		return encR(e.opc, e.f3, e.a, in.Rd, in.Rs1, X(int(in.Imm)&0x1F)), nil
+	case encFormCSR:
+		return encI(e.opc, e.f3, in.Rd, in.Rs1, int64(in.CSR)), nil
+	case encFormCSRI:
+		return encI(e.opc, e.f3, in.Rd, Reg(in.Imm&0x1F), int64(in.CSR)), nil
+	case encFormLR:
+		return encR(e.opc, e.f3, e.a, in.Rd, in.Rs1, X(0)), nil
+	case encFormFP:
+		rs2 := in.Rs2
+		if e.b >= 0 {
+			rs2 = X(int(e.b))
+		}
+		return encR(e.opc, e.f3, e.a, in.Rd, in.Rs1, rs2), nil
+	case encFormV:
+		second := orX0(in.Rs1)
+		if e.f3 == 3 { // OPIVI: immediate in rs1 slot
 			second = X(int(in.Imm) & 0x1F)
-		default:
-			second = in.Rs1
-			if second == RegNone {
-				second = X(0)
-			}
 		}
 		vs2 := in.Rs2
 		if vs2 == RegNone {
@@ -271,118 +399,75 @@ func Encode(in Inst) (uint32, error) {
 			vm = 0
 		}
 		// vector R-layout: vd | f3 | vs1/rs1/imm | vs2 | vm | funct6
-		return opcOpV | uint32(in.Rd.Index())<<7 | e.f3<<12 |
+		return e.opc | uint32(in.Rd.Index())<<7 | e.f3<<12 |
 			uint32(second.Index())<<15 | uint32(vs2.Index())<<20 |
-			vm<<25 | e.f6<<26, nil
+			vm<<25 | e.a<<26, nil
+	case encFormWord:
+		return e.a, nil
+	case encFormSFence:
+		return encR(e.opc, 0, e.a, X(0), orX0(in.Rs1), orX0(in.Rs2)), nil
+	case encFormR4:
+		return encR4(e.opc, e.f3, in.Rd, in.Rs1, in.Rs2, in.Rs3), nil
+	case encFormVSetVLI:
+		return encI(e.opc, e.f3, in.Rd, in.Rs1, in.Imm&0x7FF), nil
+	case encFormVLoad:
+		rs2 := X(0)
+		if e.b != 0 {
+			rs2 = in.Rs2
+		}
+		return encR(e.opc, e.f3, vmemF7(e.a, in.Masked), in.Rd, in.Rs1, rs2), nil
+	case encFormVStore:
+		rs2 := X(0)
+		if e.b != 0 {
+			rs2 = in.Rs3
+		}
+		return encR(e.opc, e.f3, vmemF7(e.a, in.Masked), in.Rs2, in.Rs1, rs2), nil
+	case encFormXSh2:
+		return encR(e.opc, e.f3, e.a|uint32(in.Imm)&3, in.Rd, in.Rs1, in.Rs2), nil
+	case encFormXImm:
+		return encI(e.opc, e.f3, in.Rd, in.Rs1, in.Imm&int64(e.a)), nil
+	case encFormXR:
+		return encR(e.opc, 0, e.a, in.Rd, in.Rs1, orX0(in.Rs2)), nil
+	case encFormXCache:
+		return encI(e.opc, e.f3, X(0), orX0(in.Rs1), int64(e.a)), nil
 	}
+	return 0, fmt.Errorf("isa: cannot encode %v", in.Op)
+}
 
-	switch op {
-	case SLLI, SRLI, SRAI:
-		f3, f6 := uint32(1), uint32(0)
-		if op == SRLI {
-			f3 = 5
-		} else if op == SRAI {
-			f3, f6 = 5, 0x10
-		}
-		return encI(opcOpImm, f3, in.Rd, in.Rs1, in.Imm&0x3F|int64(f6)<<6), nil
-	case ADDIW:
-		return encI(opcOpImm32, 0, in.Rd, in.Rs1, in.Imm), nil
-	case SLLIW, SRLIW, SRAIW:
-		f3, f7 := uint32(1), uint32(0)
-		if op == SRLIW {
-			f3 = 5
-		} else if op == SRAIW {
-			f3, f7 = 5, 0x20
-		}
-		return encR(opcOpImm32, f3, f7, in.Rd, in.Rs1, X(int(in.Imm)&0x1F)), nil
-	case FENCE:
-		return encI(opcMiscMem, 0, X(0), X(0), 0x0FF), nil
-	case FENCEI:
-		return encI(opcMiscMem, 1, X(0), X(0), 0), nil
-	case ECALL:
-		return encI(opcSystem, 0, X(0), X(0), 0), nil
-	case EBREAK:
-		return encI(opcSystem, 0, X(0), X(0), 1), nil
-	case MRET:
-		return encI(opcSystem, 0, X(0), X(0), 0x302), nil
-	case SRET:
-		return encI(opcSystem, 0, X(0), X(0), 0x102), nil
-	case WFI:
-		return encI(opcSystem, 0, X(0), X(0), 0x105), nil
-	case SFENCEVMA:
-		rs1, rs2 := in.Rs1, in.Rs2
-		if rs1 == RegNone {
-			rs1 = X(0)
-		}
-		if rs2 == RegNone {
-			rs2 = X(0)
-		}
-		return encR(opcSystem, 0, 0x09, X(0), rs1, rs2), nil
-	case FLW:
-		return encI(opcLoadFP, 2, in.Rd, in.Rs1, in.Imm), nil
-	case FLD:
-		return encI(opcLoadFP, 3, in.Rd, in.Rs1, in.Imm), nil
-	case FSW:
-		return encS(opcStoreFP, 2, in.Rs1, in.Rs2, in.Imm), nil
-	case FSD:
-		return encS(opcStoreFP, 3, in.Rs1, in.Rs2, in.Imm), nil
-	case FMADDS:
-		return encR4(opcFMAdd, 0, in.Rd, in.Rs1, in.Rs2, in.Rs3), nil
-	case FMADDD:
-		return encR4(opcFMAdd, 1, in.Rd, in.Rs1, in.Rs2, in.Rs3), nil
-	case FMSUBS:
-		return encR4(opcFMSub, 0, in.Rd, in.Rs1, in.Rs2, in.Rs3), nil
-	case FMSUBD:
-		return encR4(opcFMSub, 1, in.Rd, in.Rs1, in.Rs2, in.Rs3), nil
-	case VSETVLI:
-		return encI(opcOpV, 7, in.Rd, in.Rs1, in.Imm&0x7FF), nil
-	case VSETVL:
-		return encR(opcOpV, 7, 0x40, in.Rd, in.Rs1, in.Rs2), nil
-	case VLE:
-		return encR(opcLoadFP, 7, vmemF7(0, in.Masked), in.Rd, in.Rs1, X(0)), nil
-	case VLSE:
-		return encR(opcLoadFP, 7, vmemF7(0x08, in.Masked), in.Rd, in.Rs1, in.Rs2), nil
-	case VLXEI:
-		// index vector travels in the rs2 field
-		return encR(opcLoadFP, 7, vmemF7(0x0C, in.Masked), in.Rd, in.Rs1, in.Rs2), nil
-	case VSE:
-		// store layout mirrors the load: vs3 (data) in the rd slot
-		return encR(opcStoreFP, 7, vmemF7(0, in.Masked), in.Rs2, in.Rs1, X(0)), nil
-	case VSSE:
-		return encR(opcStoreFP, 7, vmemF7(0x08, in.Masked), in.Rs2, in.Rs1, in.Rs3), nil
-	case VSXEI:
-		return encR(opcStoreFP, 7, vmemF7(0x0C, in.Masked), in.Rs2, in.Rs1, in.Rs3), nil
-	case XADDSL:
-		return encR(opcCustom0, 3, uint32(in.Imm)&3, in.Rd, in.Rs1, in.Rs2), nil
-	case XEXT:
-		return encI(opcCustom0, 4, in.Rd, in.Rs1, in.Imm&0xFFF), nil
-	case XEXTU:
-		return encI(opcCustom0, 5, in.Rd, in.Rs1, in.Imm&0xFFF), nil
-	case XSRRI:
-		return encI(opcCustom0, 6, in.Rd, in.Rs1, in.Imm&0x3F), nil
+// ImmRange returns the inclusive bounds and the alignment (a power of two) of
+// the values Inst.Imm may take without Encode truncating it; ok is false for
+// an op whose encoding carries no immediate.
+func ImmRange(op Op) (lo, hi, align int64, ok bool) {
+	if op >= numOps {
+		return 0, 0, 0, false
 	}
-	if sub, ok := xIdxLoadSub[op]; ok {
-		return encR(opcCustom0, 1, sub<<2|uint32(in.Imm)&3, in.Rd, in.Rs1, in.Rs2), nil
-	}
-	if sub, ok := xIdxStoreSub[op]; ok {
-		// data register travels in the rd field for the custom store form
-		return encR(opcCustom0, 2, sub<<2|uint32(in.Imm)&3, in.Rd, in.Rs1, in.Rs2), nil
-	}
-	if sub, ok := xRTypeSub[op]; ok {
-		rs2 := in.Rs2
-		if rs2 == RegNone {
-			rs2 = X(0)
+	e := &encTab[op]
+	switch e.form {
+	case encFormI, encFormS:
+		return -1 << 11, 1<<11 - 1, 1, true
+	case encFormB:
+		return -1 << 12, 1<<12 - 2, 2, true
+	case encFormJ:
+		return -1 << 20, 1<<20 - 2, 2, true
+	case encFormU:
+		// the 20-bit field may be written signed or unsigned
+		return -1 << 31, 1<<32 - 1<<12, 1 << 12, true
+	case encFormSh:
+		return 0, 63, 1, true
+	case encFormShW, encFormCSRI:
+		return 0, 31, 1, true
+	case encFormV:
+		if e.f3 == 3 {
+			return -16, 15, 1, true
 		}
-		return encR(opcCustom0, 0, sub, in.Rd, in.Rs1, rs2), nil
+	case encFormVSetVLI:
+		return 0, 0x7FF, 1, true
+	case encFormXSh2:
+		return 0, 3, 1, true
+	case encFormXImm:
+		return 0, int64(e.a), 1, true
 	}
-	if imm, ok := xCacheOpImm[op]; ok {
-		rs1 := in.Rs1
-		if rs1 == RegNone {
-			rs1 = X(0)
-		}
-		return encI(opcCustom0, 7, X(0), rs1, imm), nil
-	}
-	return 0, fmt.Errorf("isa: cannot encode %v", op)
+	return 0, 0, 0, false
 }
 
 // MustEncode is Encode for known-good instructions (panics on failure); it is
