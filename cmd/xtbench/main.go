@@ -3,9 +3,11 @@
 //
 // Usage:
 //
-//	xtbench                  # run everything (paper order), one worker per CPU
+//	xtbench                  # run everything (paper order), one simulation
+//	                         # in flight per CPU
 //	xtbench -quick           # smoke mode (reduced iteration counts)
-//	xtbench -jobs 1          # serial; the tables are byte-identical to -jobs N
+//	xtbench -jobs 1          # one simulation at a time, in paper order; the
+//	                         # tables are byte-identical to -jobs N
 //	xtbench -timeout 5m      # per-experiment deadline
 //	xtbench -only fig21      # one experiment: table1 table2 fig17 fig18 fig19
 //	                         # spec fig20 fig21 vector asid hugepage blockchain
@@ -20,7 +22,8 @@
 //	xtbench -cpuprofile cpu.pb -only fig17   # host CPU profile of the run
 //	                         # (go tool pprof); -memprofile for allocations
 //
-// Tables go to stdout; progress and host metrics go to stderr, so stdout is
+// Tables go to stdout; progress, host metrics and the invocation's sims_run /
+// sims_reused counts (a JSON object under -json) go to stderr, so stdout is
 // byte-stable across -jobs settings and safe to diff or redirect.
 //
 // Exit status: 0 on success, 1 when any experiment arm errors (in -json mode
@@ -96,6 +99,19 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		fmt.Fprintln(stderr, "xtbench: -baseline only applies with -track")
 		return 2
 	}
+	var e bench.Experiment
+	if *only != "" {
+		var ok bool
+		if e, ok = bench.Find(*only); !ok {
+			var ids []string
+			for _, x := range bench.Experiments() {
+				ids = append(ids, x.ID)
+			}
+			fmt.Fprintf(stderr, "xtbench: unknown experiment %q (have: %s)\n",
+				*only, strings.Join(ids, " "))
+			return 2
+		}
+	}
 	trackPath := *baseline
 	if *track && trackPath == "" {
 		var err error
@@ -117,8 +133,19 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		}
 	}()
 
+	// one run scope for the invocation, opened here so its counters can be
+	// reported when the work is done
+	ctx, scope := bench.Scoped(context.Background(), cf.Jobs)
+	defer func() {
+		run, reused := scope.Sims()
+		if *jsonOut {
+			fmt.Fprintf(stderr, "{\"sims_run\": %d, \"sims_reused\": %d}\n", run, reused)
+		} else {
+			fmt.Fprintf(stderr, "xtbench: sims_run %d  sims_reused %d\n", run, reused)
+		}
+	}()
+
 	if *fidelity {
-		ctx := context.Background()
 		if cf.Timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, cf.Timeout)
@@ -129,6 +156,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 			fmt.Fprintf(stderr, "xtbench: fidelity: %v\n", err)
 			return 1
 		}
+		fmt.Fprintf(stderr, "xtbench: fidelity evals %d\n", r.Evals)
 		rc := 0
 		if *track {
 			if err := fidelityTrack(stderr, trackPath, r); err != nil {
@@ -159,17 +187,6 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	}
 
 	if *only != "" {
-		e, ok := bench.Find(*only)
-		if !ok {
-			var ids []string
-			for _, x := range bench.Experiments() {
-				ids = append(ids, x.ID)
-			}
-			fmt.Fprintf(stderr, "xtbench: unknown experiment %q (have: %s)\n",
-				*only, strings.Join(ids, " "))
-			return 2
-		}
-		ctx := context.Background()
 		if cf.Timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, cf.Timeout)
@@ -195,7 +212,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		return 0
 	}
 
-	rs := bench.RunAll(context.Background(), o)
+	rs := bench.RunAll(ctx, o)
 	out := make([]jsonResult, len(rs))
 	for i, r := range rs {
 		out[i] = jsonResult{

@@ -34,6 +34,30 @@ func TestJSONErrorExit(t *testing.T) {
 	}
 }
 
+// TestSimsCounters: the invocation's simulation counts go to stderr — as a
+// JSON object under -json — and never to stdout.
+func TestSimsCounters(t *testing.T) {
+	var out, errb bytes.Buffer
+	if rc := run([]string{"-quick", "-only", "vector"}, &out, &errb); rc != 0 {
+		t.Fatalf("exit = %d (stderr: %s)", rc, errb.String())
+	}
+	if !strings.Contains(errb.String(), "sims_run 3  sims_reused 0") || strings.Contains(out.String(), "sims_") {
+		t.Fatalf("want the counts on stderr only\nstderr: %s\nstdout: %s", errb.String(), out.String())
+	}
+	out.Reset()
+	errb.Reset()
+	if rc := run([]string{"-quick", "-json", "-only", "vector"}, &out, &errb); rc != 0 {
+		t.Fatalf("-json: exit = %d (stderr: %s)", rc, errb.String())
+	}
+	var sims struct {
+		Run    int `json:"sims_run"`
+		Reused int `json:"sims_reused"`
+	}
+	if err := json.Unmarshal(errb.Bytes(), &sims); err != nil || sims.Run != 3 || sims.Reused != 0 {
+		t.Fatalf("-json stderr: %v, %+v\n%s", err, sims, errb.String())
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	var out, errb bytes.Buffer
 	if rc := run([]string{"-only", "nope"}, &out, &errb); rc != 2 {

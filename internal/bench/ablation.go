@@ -37,25 +37,26 @@ func Ablations(ctx context.Context, o Options) (*perf.Result, error) {
 		{"prefetcher off (§V-C)", workloads.SpecLike,
 			func(c *core.Config) { c.Prefetch.Mode = prefetch.ModeOff }},
 		{"in-order issue (no OoO, §IV)", workloads.CoreMark,
-			func(c *core.Config) { c.OutOfOrder = true; c.OutOfOrder = false }},
+			func(c *core.Config) { c.OutOfOrder = false }},
 		{"half-size ROB (§IV)", workloads.CoreMark,
 			func(c *core.Config) { c.ROBSize = 96 }},
 		{"single-issue decode (§IV)", workloads.CoreMark,
 			func(c *core.Config) { c.DecodeWidth = 1 }},
 	}
 
+	// one full machine, referenced by every study: the scope simulates each
+	// workload on it once however many studies compare against it
+	full := core.XT910Config()
 	var ids []string
 	var fns []func(context.Context) (runResult, error)
 	for _, s := range studies {
-		s := s
 		iters := o.iters(s.w)
 		if s.w.Name == workloads.SpecLike.Name {
 			iters = 1
 		}
-		cut := core.XT910Config()
+		cut := full
 		s.mut(&cut)
-		for ai, cfg := range []core.Config{core.XT910Config(), cut} {
-			cfg := cfg
+		for ai, cfg := range []core.Config{full, cut} {
 			ids = append(ids, "ablation/"+s.name+"/"+[2]string{"full", "cut"}[ai])
 			fns = append(fns, func(ctx context.Context) (runResult, error) {
 				return runWorkload(ctx, o, s.w, iters, cfg, defaultSys())

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"xt910/internal/sched"
 )
 
 // quick runs each figure in smoke mode and sanity-checks its shape claims.
@@ -214,4 +216,18 @@ func TestDensityShape(t *testing.T) {
 	if ratio >= 0.99 || ratio <= 0.5 {
 		t.Fatalf("RVC size ratio implausible: %.2f", ratio)
 	}
+}
+
+// BenchmarkRunAllQuick times one whole evaluation at Quick size and Jobs 2,
+// and reports how many simulations it executed.
+func BenchmarkRunAllQuick(b *testing.B) {
+	var sims int
+	for i := 0; i < b.N; i++ {
+		ctx, sc := Scoped(context.Background(), 2)
+		if err := sched.FirstError(RunAll(ctx, Options{Quick: true, Jobs: 2})); err != nil {
+			b.Fatal(err)
+		}
+		sims, _ = sc.Sims()
+	}
+	b.ReportMetric(float64(sims), "sims/op")
 }

@@ -45,7 +45,7 @@ func TestCPIStackExactAndKonataComplete(t *testing.T) {
 					tr := trace.New(trace.Config{},
 						trace.NewKonataWriter(&konata), trace.NewJSONLWriter(&jsonl))
 					r, err := runProgram(ctx, o, p, cfg, defaultSys(),
-						func(c *core.Core, _ *mem.Memory) { c.AttachTracer(tr) })
+						setupFunc(func(c *core.Core, _ *mem.Memory) { c.AttachTracer(tr) }))
 					if err != nil {
 						t.Fatal(err)
 					}

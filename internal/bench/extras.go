@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"xt910/internal/core"
 	"xt910/internal/mmu"
@@ -200,7 +201,7 @@ func HugePages(ctx context.Context, o Options) (*perf.Result, error) {
 			cfg.JTLBEntries = 32
 			cfg.L1D.MSHRs = 2
 			cfg.Prefetch.Mode = prefetch.ModeOff // expose the raw TLB behaviour
-			return runProgram(ctx, o, prog, cfg, sys, pagedSetup(0x600000, 0x800000, huge))
+			return runProgram(ctx, o, prog, cfg, sys, pagedSetup{tableBase: 0x600000, mapBytes: 0x800000, huge: huge})
 		}
 	}
 	runs, err := runJobs(ctx, o, []string{"hugepage/4k", "hugepage/2m"},
@@ -214,10 +215,10 @@ func HugePages(ctx context.Context, o Options) (*perf.Result, error) {
 	}
 	res := &perf.Result{ID: "hugepage", Title: "huge pages vs 4KB pages on STREAM (§V-E)"}
 	res.Rows = append(res.Rows,
-		perf.Row{Label: "4KB-page PT walks", Measured: float64(small.Core.MMU.Stats.Walks), Unit: "walks"},
-		perf.Row{Label: "2MB-page PT walks", Measured: float64(big.Core.MMU.Stats.Walks), Unit: "walks"},
+		perf.Row{Label: "4KB-page PT walks", Measured: float64(small.Walks), Unit: "walks"},
+		perf.Row{Label: "2MB-page PT walks", Measured: float64(big.Walks), Unit: "walks"},
 		perf.Row{Label: "walk reduction", Unit: "x",
-			Measured: float64(small.Core.MMU.Stats.Walks) / float64(max64(big.Core.MMU.Stats.Walks, 1))},
+			Measured: float64(small.Walks) / float64(max64(big.Walks, 1))},
 		perf.Row{Label: "cycle speedup", Measured: float64(small.Cycles) / float64(big.Cycles), Unit: "x"},
 	)
 	return res, nil
@@ -278,23 +279,43 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment on the sched worker pool (Options.Jobs
-// wide) and returns the full per-job results — values, errors and host
-// metrics — in paper order regardless of completion order.
+// RunAll executes every experiment in one scope Options.Jobs wide and returns
+// the full per-job results — values, errors and host metrics — in paper
+// order regardless of completion order. Experiments are started in paper
+// order, each once its predecessor holds its first slot (or has returned
+// without simulating): all of them queue at the gate together, yet first
+// slots — the start of each experiment's Wall and deadline — are taken in
+// order, and Jobs 1 is the serial run.
 func RunAll(ctx context.Context, o Options) []sched.Result {
-	exps := Experiments()
-	jobs := make([]sched.Job, len(exps))
+	return runAll(ctx, o, Experiments())
+}
+
+func runAll(ctx context.Context, o Options, exps []Experiment) []sched.Result {
+	ctx, sc := Scoped(ctx, o.workers())
+	rs := make([]sched.Result, len(exps))
+	var wg sync.WaitGroup
+	var progress sync.Mutex // serializes OnProgress
 	for i, e := range exps {
-		e := e
-		jobs[i] = sched.Job{ID: e.ID, Run: func(ctx context.Context) (any, error) {
-			return e.Fn(ctx, o)
-		}}
+		ectx, l := sc.enter(ctx, i, o.Timeout)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := sched.Run(ectx, []sched.Job{{ID: e.ID, Run: func(ctx context.Context) (any, error) {
+				return e.Fn(ctx, o)
+			}}}, sched.Options{})[0]
+			l.finish()
+			r.Wall = l.wall(r.Wall)
+			rs[i] = r
+			if o.OnProgress != nil {
+				progress.Lock()
+				o.OnProgress(r)
+				progress.Unlock()
+			}
+		}()
+		<-l.began
 	}
-	return sched.Run(ctx, jobs, sched.Options{
-		Workers: o.workers(),
-		Timeout: o.Timeout,
-		OnDone:  o.OnProgress,
-	})
+	wg.Wait()
+	return rs
 }
 
 // All runs every reproduction and returns the results in paper order: the

@@ -228,7 +228,7 @@ func Fig21(ctx context.Context, o Options) (*perf.Result, error) {
 	// matching the paper's configured 200-cycle DDR environment; the FPGA
 	// memory path supports only two outstanding demand misses (MSHRs below)
 	sys := sysConfig{L2Size: 256 << 10, L2Ways: 8, DRAMLatency: 200, DRAMGap: 12}
-	setup := pagedSetup(0x600000, 0x800000, false)
+	setup := pagedSetup{tableBase: 0x600000, mapBytes: 0x800000}
 
 	ids := make([]string, len(scenarios))
 	fns := make([]func(context.Context) (runResult, error), len(scenarios))

@@ -4,11 +4,12 @@
 // wires them into `go test -bench`.
 //
 // Every experiment takes a context.Context and runs its independent simulator
-// instances (core-config arms, scenarios, ablation studies) as jobs on the
-// internal/sched worker pool, so a multi-core host reproduces the whole
-// evaluation in parallel. Results are assembled in a fixed order from
-// per-arm jobs, which makes the output byte-identical whatever Options.Jobs
-// is set to.
+// instances (core-config arms, scenarios, ablation studies) as internal/sched
+// jobs that share the invocation's Scope: each distinct run is simulated once
+// and at most Options.Jobs simulations are in flight, so a multi-core host
+// reproduces the whole evaluation in parallel. Results are assembled in a
+// fixed order from per-arm jobs, which makes the output byte-identical
+// whatever Options.Jobs is set to.
 package bench
 
 import (
@@ -36,14 +37,16 @@ import (
 type Options struct {
 	Quick bool
 
-	// Jobs bounds worker-pool concurrency for experiments and their arms
-	// (the xtbench -jobs flag). Values <= 1 run everything serially; the
-	// experiment tables are byte-identical either way.
+	// Jobs bounds the simulations in flight across every experiment and arm
+	// of the invocation (the xtbench -jobs flag). Values <= 1 run them one
+	// at a time in paper order; the experiment tables are byte-identical
+	// either way.
 	Jobs int
 
-	// Timeout, when positive, is the per-experiment deadline (the xtbench
-	// -timeout flag); a deadline overrun surfaces as a *sched.JobError
-	// wrapping context.DeadlineExceeded.
+	// Timeout, when positive, is the per-experiment deadline of RunAll (the
+	// xtbench -timeout flag), counted from the experiment's first
+	// simulation slot; an overrun surfaces as a *sched.JobError wrapping
+	// context.DeadlineExceeded.
 	Timeout time.Duration
 
 	// OnProgress, when set, receives each experiment's sched.Result as it
@@ -67,7 +70,7 @@ func (o Options) iters(w workloads.Workload) int {
 	return w.DefaultIters
 }
 
-// workers is the bounded pool width used for an experiment's internal arms.
+// workers is the width of the scope an invocation with these options opens.
 func (o Options) workers() int {
 	if o.Jobs < 1 {
 		return 1
@@ -75,18 +78,21 @@ func (o Options) workers() int {
 	return o.Jobs
 }
 
-// runJobs fans the given thunks out on the experiment's worker pool and
-// returns their values in submission order (deterministic regardless of
-// concurrency), or the first job-order error.
+// runJobs starts the experiment's arms all at once — the scope's gate, not a
+// pool, bounds how many simulate — and returns their values in submission
+// order (deterministic regardless of concurrency), or the first job-order
+// error. An experiment called outside RunAll opens its own scope here.
 func runJobs[T any](ctx context.Context, o Options, ids []string, fns []func(context.Context) (T, error)) ([]T, error) {
+	ctx, _ = Scoped(ctx, o.workers())
+	l := ticketOf(ctx).lane
 	jobs := make([]sched.Job, len(fns))
 	for i := range fns {
-		fn := fns[i]
+		fn, t := fns[i], ticket{lane: l, arm: i}
 		jobs[i] = sched.Job{ID: ids[i], Run: func(ctx context.Context) (any, error) {
-			return fn(ctx)
+			return fn(context.WithValue(ctx, ticketKey{}, t))
 		}}
 	}
-	rs := sched.Run(ctx, jobs, sched.Options{Workers: o.workers()})
+	rs := sched.Run(ctx, jobs, sched.Options{Workers: len(jobs)})
 	if err := sched.FirstError(rs); err != nil {
 		return nil, err
 	}
@@ -97,16 +103,18 @@ func runJobs[T any](ctx context.Context, o Options, ids []string, fns []func(con
 	return out, nil
 }
 
-// runResult captures one measured execution.
+// runResult captures one measured execution as values: the scope keeps it
+// for every asker of the same run, and it must not pin the simulator.
 type runResult struct {
-	Cycles  uint64
-	Retired uint64
-	Exit    int
-	Wall    time.Duration // host wall time of the simulation loop
-	Core    *core.Core
-	DRAM    *mem.DRAM
-	CPI     *trace.CPIStack // non-nil when a tracer observed the run
-	CPIPC   string          // per-PC backend-stall summary ("" untraced)
+	Cycles     uint64
+	Retired    uint64
+	Exit       int
+	Wall       time.Duration // host wall time of the simulation loop
+	Interrupts uint64
+	WFIParked  uint64
+	Walks      uint64          // page-table walks
+	CPI        *trace.CPIStack // non-nil when a tracer observed the run
+	CPIPC      string          // per-PC backend-stall summary ("" untraced)
 }
 
 func (r runResult) IPC() float64 { return float64(r.Retired) / float64(r.Cycles) }
@@ -124,13 +132,35 @@ func defaultSys() sysConfig {
 	return sysConfig{L2Size: 2 << 20, L2Ways: 16, DRAMLatency: 200, DRAMGap: 4}
 }
 
-// runProgram executes an assembled program on a fresh single-core system,
-// polling ctx between simulation chunks so a cancelled or timed-out
-// experiment stops promptly. Simulated cycles are credited to the enclosing
-// sched job for the metrics stream. With o.CPIStack set a sink-less tracer is
-// attached before setup runs, so a setup that attaches its own (sink-carrying)
-// tracer wins; whichever tracer observed the run supplies runResult.CPI.
-func runProgram(ctx context.Context, o Options, p *asm.Program, cfg core.Config, sys sysConfig, setup func(*core.Core, *mem.Memory)) (runResult, error) {
+// setup prepares a freshly reset core before its first cycle.
+type setup interface {
+	apply(*core.Core, *mem.Memory)
+}
+
+// setupFunc is a caller's own set-up. A func has no identity to key a run
+// on, so a run set up by one is simulated every time it is asked for.
+type setupFunc func(*core.Core, *mem.Memory)
+
+func (f setupFunc) apply(c *core.Core, m *mem.Memory) { f(c, m) }
+
+// runProgram executes an assembled program on a fresh single-core system, or
+// returns what the invocation's scope already holds for the same run.
+// Simulated cycles are credited to the enclosing sched job for the metrics
+// stream either way.
+func runProgram(ctx context.Context, o Options, p *asm.Program, cfg core.Config, sys sysConfig, su setup) (runResult, error) {
+	ctx, sc := Scoped(ctx, o.workers())
+	key, keyed := keyOf(o, p, cfg, sys, su)
+	return sc.run(ctx, key, keyed, func(ctx context.Context) (runResult, error) {
+		return simulate(ctx, o, p, cfg, sys, su)
+	})
+}
+
+// simulate is the one place a simulator is built and run, polling ctx
+// between simulation chunks so a cancelled or timed-out experiment stops
+// promptly. With o.CPIStack set a sink-less tracer is attached before the
+// set-up runs, so a set-up that attaches its own (sink-carrying) tracer wins;
+// whichever tracer observed the run supplies runResult.CPI.
+func simulate(ctx context.Context, o Options, p *asm.Program, cfg core.Config, sys sysConfig, su setup) (runResult, error) {
 	memory := mem.NewMemory()
 	gap := sys.DRAMGap
 	if gap == 0 {
@@ -151,8 +181,8 @@ func runProgram(ctx context.Context, o Options, p *asm.Program, cfg core.Config,
 	if o.CPIStack {
 		c.AttachTracer(trace.New(trace.Config{}))
 	}
-	if setup != nil {
-		setup(c, memory)
+	if su != nil {
+		su.apply(c, memory)
 	}
 	const maxCycles = 2_000_000_000
 	const chunk = 1 << 16
@@ -171,15 +201,17 @@ func runProgram(ctx context.Context, o Options, p *asm.Program, cfg core.Config,
 		return runResult{}, fmt.Errorf("bench: %s (%s): %w", cfg.Name, c.Stats.String(), xterrors.ErrDidNotHalt)
 	}
 	rr := runResult{
-		Cycles:  c.Stats.Cycles,
-		Retired: c.Stats.Retired,
-		Exit:    c.ExitCode,
-		Wall:    time.Since(start),
-		Core:    c,
-		DRAM:    dram,
+		Cycles:     c.Stats.Cycles,
+		Retired:    c.Stats.Retired,
+		Exit:       c.ExitCode,
+		Wall:       time.Since(start),
+		Interrupts: c.Stats.Interrupts,
+		WFIParked:  c.Stats.WFIParkedCycles,
+		Walks:      c.MMU.Stats.Walks,
 	}
 	if t := c.Tracer(); t != nil {
-		rr.CPI = t.CPI()
+		cpi := *t.CPI()
+		rr.CPI = &cpi
 		rr.CPIPC = t.PCs().Summary(3, c.Stats.Cycles)
 	}
 	return rr, nil
@@ -208,8 +240,8 @@ func cpiColumn(r runResult) string {
 // values stay omitted, and the host-speed fields never enter the formatted
 // tables, which stay byte-identical across hosts and -jobs widths).
 func counterRow(row perf.Row, r runResult) perf.Row {
-	row.Interrupts = r.Core.Stats.Interrupts
-	row.WFIParked = r.Core.Stats.WFIParkedCycles
+	row.Interrupts = r.Interrupts
+	row.WFIParked = r.WFIParked
 	if row.CPI != "" {
 		row.CPIPC = r.CPIPC // per-PC line rides along with the CPI stack
 	}
@@ -222,14 +254,18 @@ func counterRow(row perf.Row, r runResult) perf.Row {
 
 // pagedSetup builds identity-mapped SV39 tables (4 KB or huge pages) behind
 // the loaded image and drops the core to S-mode — the environment for the
-// Fig. 21 and TLB experiments.
-func pagedSetup(tableBase, mapBytes uint64, huge bool) func(*core.Core, *mem.Memory) {
-	return func(c *core.Core, memory *mem.Memory) {
-		tb := mmu.NewTableBuilder(memory, tableBase)
-		if err := tb.IdentityMap(0, mapBytes, mmu.PteR|mmu.PteW|mmu.PteX, huge); err != nil {
-			panic(err)
-		}
-		c.SetCSR(isa.CSRSatp, tb.Satp(1))
-		c.SetPrivilege(isa.PrivS)
+// Fig. 21 and TLB experiments. It is a comparable value, so it is part of the
+// run's key.
+type pagedSetup struct {
+	tableBase, mapBytes uint64
+	huge                bool
+}
+
+func (s pagedSetup) apply(c *core.Core, memory *mem.Memory) {
+	tb := mmu.NewTableBuilder(memory, s.tableBase)
+	if err := tb.IdentityMap(0, s.mapBytes, mmu.PteR|mmu.PteW|mmu.PteX, s.huge); err != nil {
+		panic(err)
 	}
+	c.SetCSR(isa.CSRSatp, tb.Satp(1))
+	c.SetPrivilege(isa.PrivS)
 }

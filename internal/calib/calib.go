@@ -92,9 +92,11 @@ type runSpec struct {
 	cfg      core.Config
 }
 
-// measureRuns fans the specs out on the worker pool and returns their
-// results in submission order (deterministic at any concurrency).
+// measureRuns starts the specs all at once — the run scope (the sweep's, or
+// this call's own) bounds how many simulate — and returns their results in
+// submission order (deterministic at any concurrency).
 func measureRuns(ctx context.Context, o bench.Options, env Env, specs []runSpec) ([]bench.MeasureRun, error) {
+	ctx, _ = bench.Scoped(ctx, o.Jobs)
 	jobs := make([]sched.Job, len(specs))
 	for i, s := range specs {
 		s := s
@@ -102,11 +104,7 @@ func measureRuns(ctx context.Context, o bench.Options, env Env, specs []runSpec)
 			return bench.MeasureWorkload(ctx, o, s.workload, s.iters, s.cfg, env.Sys)
 		}}
 	}
-	workers := o.Jobs
-	if workers < 1 {
-		workers = 1
-	}
-	rs := sched.Run(ctx, jobs, sched.Options{Workers: workers})
+	rs := sched.Run(ctx, jobs, sched.Options{Workers: len(jobs)})
 	if err := sched.FirstError(rs); err != nil {
 		return nil, err
 	}
@@ -249,8 +247,10 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 // changes nothing. The descent only ever adopts improvements, so the
 // calibrated objective is never worse than the uncalibrated one; every
 // point — weighted or not — is then re-measured at both assignments for the
-// error table.
+// error table. The whole sweep is one run scope: an assignment that moves
+// one core's knob re-simulates that core's arms only.
 func Sweep(ctx context.Context, o Options, knobs []Knob, points []Point, measure Measurer) (*Result, error) {
+	ctx, _ = bench.Scoped(ctx, o.Jobs)
 	passes := o.Passes
 	if passes <= 0 {
 		passes = 2

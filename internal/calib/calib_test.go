@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xt910/internal/bench"
+	"xt910/internal/workloads"
 )
 
 // synLandscape builds a synthetic knob set and measurer with a known
@@ -233,6 +234,42 @@ func TestMeasurePointFig17(t *testing.T) {
 	}
 	if !(v1 > 1 && v1 < 10) {
 		t.Fatalf("implausible coremark ratio %v", v1)
+	}
+}
+
+// TestSweepReusesUntouchedArms: the sweep is one run scope, so moving a U74
+// knob with the real measurer re-simulates the U74 arm only — every XT-910
+// and A73 arm of the cheap points is simulated once however many assignments
+// and error-table passes ask for it.
+func TestSweepReusesUntouchedArms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulator measurement")
+	}
+	var knobs []Knob
+	for _, k := range Knobs() {
+		if k.Name == "u74.taken_penalty" {
+			knobs = append(knobs, k)
+		}
+	}
+	var points []Point
+	for _, p := range PaperTable() {
+		if p.ID != "spec/xt910-vs-a73" { // the long one adds time, not coverage
+			points = append(points, p)
+		}
+	}
+	ctx, scope := bench.Scoped(context.Background(), 2)
+	if _, err := Sweep(ctx, Options{Quick: true, Jobs: 2, Seed: 1}, knobs, points, MeasurePoint); err != nil {
+		t.Fatal(err)
+	}
+	suites := len(workloads.EEMBC()) + len(workloads.NBench())
+	xt910, a73, u74 := 1+suites, suites, len(knobs[0].Values)
+	run, reused := scope.Sims()
+	if want := xt910 + a73 + u74; run != want {
+		t.Errorf("%d simulations, want %d: %d XT-910 arms, %d A73 arms, one U74 arm per knob value (%d)",
+			run, want, xt910, a73, u74)
+	}
+	if reused == 0 {
+		t.Error("nothing was reused across assignments")
 	}
 }
 
