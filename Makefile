@@ -25,19 +25,18 @@ test:
 race:
 	$(GO) test -race ./internal/sched ./internal/bench
 
-# fuzz-smoke runs the differential co-simulation fuzzer on a fixed seed set
-# under the race detector: a few seconds of lock-step timing-core-vs-golden-
-# model checking that must stay divergence-free.
+# fuzz-smoke runs the differential co-simulation fuzzer on a fixed seed set:
+# a few seconds of lock-step timing-core-vs-golden-model checking that must
+# stay divergence-free. (The smoke targets run the CLIs; the packages' own
+# suites run once, race-enabled, in tier1's `go test -race ./...`.)
 fuzz-smoke:
 	$(GO) run ./cmd/xtfuzz -n 200 -seed 1
-	$(GO) test -race -count=1 -run 'TestFuzzFixedSeeds|TestRunSeedsDeterministic' ./internal/cosim
 
 # fuzz-paged-smoke repeats the sweep under the S-mode/SV39 paged profile
 # (identity mapping plus a +1GB alias window), which adds page-crossing,
 # page-fault and VA-vs-PA reservation segments to the generated programs.
 fuzz-paged-smoke:
 	$(GO) run ./cmd/xtfuzz -modes paged -n 60 -seed 1
-	$(GO) test -race -count=1 -run 'TestPagedFixedSeeds|TestPagedDeterministic' ./internal/cosim
 
 # fuzz-irq-smoke repeats the sweep with the asynchronous-interrupt protocol
 # armed: every seed carries a deterministic commit-indexed mip schedule driven
@@ -45,7 +44,6 @@ fuzz-paged-smoke:
 # SquashInterrupt recovery are checked in lock step.
 fuzz-irq-smoke:
 	$(GO) run ./cmd/xtfuzz -modes irq -n 60 -seed 1
-	$(GO) test -race -count=1 -run 'TestIRQFixedSeeds|TestIRQDeterministic|TestIRQSquashInterruptInFlight' ./internal/cosim
 
 # fuzz-smp-smoke repeats the sweep under the SPMD multi-hart profile: every
 # hart runs the generated program against its own golden emulator over one
@@ -61,7 +59,6 @@ fuzz-smp-smoke:
 	$(GO) run ./cmd/xtfuzz -modes smp -n 40 -seed 1 -json > $(SMP_SMOKE_DIR)/b.jsonl
 	cmp $(SMP_SMOKE_DIR)/a.jsonl $(SMP_SMOKE_DIR)/b.jsonl
 	@rm -rf $(SMP_SMOKE_DIR)
-	$(GO) test -race -count=1 -run 'TestSMP|TestModesParsing' ./internal/cosim
 
 # fuzz-native-smoke gives each native fuzz target ten seconds of mutation on
 # top of its seed corpus. asm.FuzzAssemble (a generated program per cosim
@@ -122,12 +119,9 @@ campaign-smoke:
 # worker protocol: a pure coordinator (-local=false, 1s lease TTL) with two
 # real xtworker processes, one SIGKILLed mid-shard — the survivor absorbs the
 # requeued leases and the merged report must stay byte-identical to a direct
-# `xtfuzz -json` run. The race-enabled pass re-runs the lease-registry,
-# fencing, retry/backoff and in-process chaos suites (worker death, dropped
-# heartbeats, coordinator partition) under the race detector.
+# `xtfuzz -json` run.
 campaign-chaos-smoke:
 	XTCAMPD_CHAOS=1 $(GO) test -count=1 -run TestCampaignChaosSmoke ./cmd/xtcampd
-	$(GO) test -race -count=1 -run 'TestLease|TestFence|TestChaos|TestHTTPLease|TestLocalFallback|TestProgressShows|TestShardScenarios|TestBackoff|TestDo' ./internal/campaign ./internal/retry
 
 # fidelity-track reruns the quick calibration sweep and gates on the
 # paper-vs-measured error table: the run must carry the current schema,
@@ -139,12 +133,8 @@ campaign-chaos-smoke:
 fidelity-track:
 	$(GO) run ./cmd/xtbench -fidelity -quick -track > /dev/null
 
-# fidelity-smoke is fidelity-track plus the accounting property suites under
-# the race detector: the two-level CPI tree partition, the per-PC table
-# reconciliation, the fast-forward identity, and the calibration sweep's
-# determinism/convergence tests.
+# fidelity-smoke is tier1's name for fidelity-track.
 fidelity-smoke: fidelity-track
-	$(GO) test -race -count=1 -run 'TestCPIStack|TestPCStack|TestSubClass|TestFastForward|TestPerPC|TestSweep|TestErrMetric|TestPaperTable|TestMeasurePoint|TestFidelity|TestResolveBaseline' ./internal/trace ./internal/core ./internal/bench ./internal/calib ./cmd/xtbench
 
 # tier1 is the required bar for every change: everything compiles, vet is
 # clean, every file is gofmt-formatted, the full suite passes with the race

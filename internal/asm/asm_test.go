@@ -277,6 +277,22 @@ func TestErrors(t *testing.T) {
 		{"addi a0, a0, undefined_symbol_xyz", `asm: line 1: addi a0, a0, undefined_symbol_xyz: undefined symbol "undefined_symbol_xyz"`},
 		{"lw a0, a1", `asm: line 1: lw a0, a1: bad memory operand "a1"`},
 		{"dup:\ndup:", `asm: line 2: dup:: duplicate label "dup"`},
+		// Every mnemonic counts its operands: each of these used to assemble,
+		// the surplus operand dropped or encoded into a field the op lacks.
+		{"sfence.vma x1", "asm: line 1: sfence.vma x1: sfence.vma needs 0 or 2 operands"},
+		{"dcache.cva x1, x2", "asm: line 1: dcache.cva x1, x2: dcache.cva needs 0 or 1 operands"},
+		{"dcache.call x5", "asm: line 1: dcache.call x5: dcache.call needs 0 operands"},
+		{"ecall x1, x2", "asm: line 1: ecall x1, x2: ecall needs 0 operands"},
+		{"mret 5", "asm: line 1: mret 5: mret needs 0 operands"},
+		{"wfi foo", "asm: line 1: wfi foo: wfi needs 0 operands"},
+		{"fence.i x3", "asm: line 1: fence.i x3: fence.i needs 0 operands"},
+		{"sync 1, 2, 3", "asm: line 1: sync 1, 2, 3: sync needs 0 operands"},
+		{"vmv.v.v v1, v2, v3", "asm: line 1: vmv.v.v v1, v2, v3: vmv.v.v needs 2 operands"},
+		{"vle.v v1, (x2), x3", "asm: line 1: vle.v v1, (x2), x3: vle.v needs 2 operands"},
+		{"vse.v v1, (x2), x3", "asm: line 1: vse.v v1, (x2), x3: vse.v needs 2 operands"},
+		{"fsqrt.d f1, f2, f3", "asm: line 1: fsqrt.d f1, f2, f3: fsqrt.d needs 2 operands"},
+		{"fcvt.l.d x1, f2, f3", "asm: line 1: fcvt.l.d x1, f2, f3: fcvt.l.d needs 2 operands"},
+		{"ecall v0.t", "asm: line 1: ecall v0.t: ecall needs 0 operands"},
 	} {
 		_, err := Assemble(c.src, Options{})
 		if err == nil {
@@ -290,8 +306,9 @@ func TestErrors(t *testing.T) {
 // TestMalformedDirectives: a padding directive with no operand, an alignment
 // that is not a power of two below 2^64, or padding past maxImageBytes is a
 // line-numbered error — each of these used to panic or to loop a byte at a
-// time until memory ran out — and so is a pseudo-instruction or a vector
-// instruction short of operands, which reads the absent operand as empty.
+// time until memory ran out — and so is a pseudo-instruction short of
+// operands, which reads the absent operand as empty, or a vector instruction
+// short of them.
 func TestMalformedDirectives(t *testing.T) {
 	for _, c := range []struct{ src, want string }{
 		{".org", "asm: line 1: .org: .org needs an operand"},
@@ -309,8 +326,8 @@ func TestMalformedDirectives(t *testing.T) {
 		{"not", `asm: line 1: not: bad register ""`},
 		{"neg a0", `asm: line 1: neg a0: bad register ""`},
 		{"zext.w a0", `asm: line 1: zext.w a0: bad register ""`},
-		{"vle.v v1", `asm: line 1: vle.v v1: bad memory operand ""`},
-		{"vmv.x.s", `asm: line 1: vmv.x.s: bad register ""`},
+		{"vle.v v1", "asm: line 1: vle.v v1: vle.v needs 2 operands"},
+		{"vmv.x.s", "asm: line 1: vmv.x.s: vmv.x.s needs 2 operands"},
 	} {
 		for _, compress := range []bool{false, true} {
 			_, err := Assemble(c.src, Options{Compress: compress})
@@ -358,111 +375,49 @@ _start:
 	}
 }
 
-// TestDisasmReparses: the disassembler's output for data-path instructions
-// must re-assemble to the identical instruction — the contract behind the
-// `xtasm -d` listing. Control-flow ops are excluded (their printed immediate
-// is a pc-relative offset, while assembly source names absolute targets).
+// TestDisasmReparses: the disassembler's output must re-assemble to the
+// identical instruction, mask included — the contract behind the `xtasm -d`
+// listing and a shrunk reproducer — for every op, masked and unmasked, except
+// the pc-relative branches and jal (their printed immediate is an offset,
+// while assembly source names absolute targets).
 func TestDisasmReparses(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	ops := []isa.Op{
-		isa.ADDI, isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.AND, isa.XORI,
-		isa.SLLI, isa.SRAI, isa.ADDIW, isa.SUBW, isa.LD, isa.LW, isa.LBU,
-		isa.SD, isa.SW, isa.SB, isa.FLD, isa.FSD, isa.FADDD, isa.FMULD,
-		isa.FMADDD, isa.FCVTLD, isa.CSRRW, isa.CSRRS, isa.AMOADDD, isa.LRD,
-		isa.SCD, isa.XLRW, isa.XSRD, isa.XADDSL, isa.XEXT, isa.XEXTU,
-		isa.XFF1, isa.XREV, isa.XMULA, isa.XSRRI, isa.VSETVLI, isa.VADDVV,
-		isa.VMACCVV, isa.VMVXS, isa.VLE, isa.VSE,
-	}
-	for _, op := range ops {
-		for trial := 0; trial < 32; trial++ {
-			in, ok := randInstAsm(rng, op)
-			if !ok {
-				continue
-			}
+	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
+		if c := op.Class(); c == isa.ClassBranch || op == isa.JAL {
+			continue
+		}
+		for trial := 0; trial < 48; trial++ {
+			in := randEncoding(rng, op, trial%2 == 1)
 			text := in.String()
-			p, err := Assemble("_start:\n    "+text+"\n", Options{Base: 0})
+			p, err := Assemble("_start:\n    "+text+"\n", Options{})
 			if err != nil {
 				t.Fatalf("%v: %q does not re-assemble: %v", op, text, err)
 			}
 			got := decodeAll(t, p)
-			if len(got) != 1 {
-				t.Fatalf("%v: %q assembled to %d instructions", op, text, len(got))
-			}
-			g := got[0]
-			g.Size = in.Size
-			if g.Op != in.Op || g.Rd != in.Rd || g.Rs1 != in.Rs1 ||
-				g.Rs2 != in.Rs2 || g.Rs3 != in.Rs3 || g.Imm != in.Imm || g.CSR != in.CSR {
-				t.Fatalf("%v: %q round trip mismatch\n in: %+v\nout: %+v", op, text, in, g)
+			if len(got) != 1 || got[0] != in {
+				t.Fatalf("%v: %q round trip mismatch\n in: %+v\nout: %+v", op, text, in, got)
 			}
 		}
 	}
 }
 
-// randInstAsm builds a random instruction whose printed form is re-parseable
-// (CSR numbers limited to named CSRs, etc.).
-func randInstAsm(rng *rand.Rand, op isa.Op) (isa.Inst, bool) {
+// randEncoding returns a random instruction of op as Decode gives it: every
+// operand of the op's format takes a random value, and the trip through
+// Encode sorts the registers into their files.
+func randEncoding(rng *rand.Rand, op isa.Op, masked bool) isa.Inst {
 	in := isa.NewInst(op)
-	rx := func() isa.Reg { return isa.X(rng.Intn(31) + 1) }
-	rf := func() isa.Reg { return isa.F(rng.Intn(32)) }
-	rv := func() isa.Reg { return isa.V(rng.Intn(32)) }
-	imm12 := func() int64 { return int64(rng.Intn(4096) - 2048) }
-	switch op {
-	case isa.ADDI, isa.XORI, isa.ADDIW:
-		in.Rd, in.Rs1, in.Imm = rx(), rx(), imm12()
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.AND, isa.SUBW:
-		in.Rd, in.Rs1, in.Rs2 = rx(), rx(), rx()
-	case isa.SLLI, isa.SRAI, isa.XSRRI:
-		in.Rd, in.Rs1, in.Imm = rx(), rx(), int64(rng.Intn(63)+1)
-	case isa.LD, isa.LW, isa.LBU, isa.FLD:
-		in.Rd, in.Rs1, in.Imm = rx(), rx(), imm12()
-		if op == isa.FLD {
-			in.Rd = rf()
+	for _, o := range op.Operands() {
+		if r := o.Reg(&in); r != nil {
+			*r = isa.X(rng.Intn(32))
 		}
-	case isa.SD, isa.SW, isa.SB, isa.FSD:
-		in.Rs1, in.Rs2, in.Imm = rx(), rx(), imm12()
-		if op == isa.FSD {
-			in.Rs2 = rf()
-		}
-	case isa.FADDD, isa.FMULD:
-		in.Rd, in.Rs1, in.Rs2 = rf(), rf(), rf()
-	case isa.FMADDD:
-		in.Rd, in.Rs1, in.Rs2, in.Rs3 = rf(), rf(), rf(), rf()
-	case isa.FCVTLD:
-		in.Rd, in.Rs1 = rx(), rf()
-	case isa.CSRRW, isa.CSRRS:
-		named := []uint16{0x300, 0x305, 0x341, 0x180, 0xC00}
-		in.Rd, in.Rs1, in.CSR = rx(), rx(), named[rng.Intn(len(named))]
-	case isa.AMOADDD, isa.SCD:
-		in.Rd, in.Rs1, in.Rs2 = rx(), rx(), rx()
-	case isa.LRD:
-		in.Rd, in.Rs1 = rx(), rx()
-	case isa.XLRW:
-		in.Rd, in.Rs1, in.Rs2, in.Imm = rx(), rx(), rx(), int64(rng.Intn(4))
-	case isa.XSRD:
-		in.Rd, in.Rs1, in.Rs2, in.Imm = rx(), rx(), rx(), int64(rng.Intn(4))
-	case isa.XADDSL:
-		in.Rd, in.Rs1, in.Rs2, in.Imm = rx(), rx(), rx(), int64(rng.Intn(4))
-	case isa.XEXT, isa.XEXTU:
-		lsb := rng.Intn(64)
-		msb := lsb + rng.Intn(64-lsb)
-		in.Rd, in.Rs1, in.Imm = rx(), rx(), int64(msb<<6|lsb)
-	case isa.XFF1, isa.XREV:
-		in.Rd, in.Rs1 = rx(), rx()
-	case isa.XMULA:
-		in.Rd, in.Rs1, in.Rs2 = rx(), rx(), rx()
-	case isa.VSETVLI:
-		in.Rd, in.Rs1 = rx(), rx()
-		in.Imm = int64(isa.MakeVType(rng.Intn(4), rng.Intn(4)))
-	case isa.VADDVV, isa.VMACCVV:
-		in.Rd, in.Rs1, in.Rs2 = rv(), rv(), rv()
-	case isa.VMVXS:
-		in.Rd, in.Rs2 = rx(), rv()
-	case isa.VLE:
-		in.Rd, in.Rs1 = rv(), rx()
-	case isa.VSE:
-		in.Rs1, in.Rs2 = rx(), rv()
-	default:
-		return in, false
 	}
-	return in, true
+	in.Masked = masked
+	in.CSR = uint16(rng.Intn(4096))
+	if lo, hi, align, ok := isa.ImmRange(op); ok {
+		in.Imm = lo + rng.Int63n((hi-lo)/align+1)*align
+	}
+	if op == isa.VSETVLI { // the spellable vtypes
+		in.Imm = int64(isa.MakeVType(rng.Intn(4), rng.Intn(4)))
+	}
+	return isa.Decode(isa.MustEncode(in))
 }

@@ -152,7 +152,8 @@ func (b *Builder) errf(it *Item, format string, args ...any) error {
 		l := &b.lines[n-1]
 		return fmt.Errorf("asm: line %d: %s: %s", l.num, l.text, msg)
 	}
-	return fmt.Errorf("asm: item %q: %s", strings.TrimSpace(string(appendItem(nil, it))), msg)
+	text := *it // printing goes through an interface: a copy keeps every caller's Item off the heap
+	return fmt.Errorf("asm: item %q: %s", strings.TrimSpace(string(appendItem(nil, &text))), msg)
 }
 
 func (b *Builder) add(it *Item) error {

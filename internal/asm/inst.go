@@ -6,8 +6,18 @@ import (
 	"xt910/isa"
 )
 
-// instruction assembles one mnemonic + operand list, expanding pseudo
-// instructions first.
+// jalrShort are the ways to write jalr beside the canonical
+// "jalr rd, off(rs1)", indexed by operand count: "jalr rs1" (rd = ra),
+// "jalr rd, rs1" and "jalr rd, rs1, off".
+var jalrShort = [4][]isa.Operand{
+	1: {isa.Rs1X},
+	2: {isa.RdX, isa.Rs1X},
+	3: {isa.RdX, isa.Rs1X, isa.ImmI},
+}
+
+// instruction assembles one mnemonic + operand list: pseudo-instructions are
+// expanded first; anything else is parsed operand by operand, as the op's
+// format in isa lists them.
 func (p *parser) instruction(line srcLine, mnemonic string, ops []string) error {
 	if done, err := p.pseudo(line, mnemonic, ops); done || err != nil {
 		return err
@@ -17,356 +27,110 @@ func (p *parser) instruction(line srcLine, mnemonic string, ops []string) error 
 		return p.errf(line, "unknown mnemonic %q", mnemonic)
 	}
 	in := isa.NewInst(op)
-
-	switch op.Class() {
-	case isa.ClassALU, isa.ClassMul, isa.ClassDiv:
-		return p.asmALU(line, op, in, ops)
-
-	case isa.ClassBranch:
-		if len(ops) != 3 {
-			return p.errf(line, "branch needs rs1, rs2, target")
-		}
-		var err error
-		if in.Rs1, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs2, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		return p.branch(line, in, ops[2])
-
-	case isa.ClassJump:
-		return p.asmJump(line, op, in, ops)
-
-	case isa.ClassLoad:
-		return p.asmLoad(line, op, in, ops)
-
-	case isa.ClassStore:
-		return p.asmStore(line, op, in, ops)
-
-	case isa.ClassAMO:
-		return p.asmAMO(line, op, in, ops)
-
-	case isa.ClassFPU:
-		return p.asmFPU(line, op, in, ops)
-
-	case isa.ClassCSR:
-		return p.asmCSR(line, op, in, ops)
-
-	case isa.ClassSys:
-		if op == isa.SFENCEVMA && len(ops) == 2 {
-			var err error
-			if in.Rs1, err = p.reg(line, ops[0]); err != nil {
-				return err
-			}
-			if in.Rs2, err = p.reg(line, ops[1]); err != nil {
-				return err
-			}
-		}
-		return p.inst(in)
-
-	case isa.ClassVSet:
-		return p.asmVSet(line, op, in, ops)
-
-	case isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore:
-		return p.asmVector(line, op, in, ops)
-
-	case isa.ClassCacheOp:
-		if len(ops) == 1 {
-			var err error
-			if in.Rs1, err = p.reg(line, ops[0]); err != nil {
-				return err
-			}
-		}
-		return p.inst(in)
-	}
-	return p.errf(line, "cannot assemble %v", op)
-}
-
-func (p *parser) asmALU(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	var err error
-	switch op {
-	case isa.LUI, isa.AUIPC:
-		if len(ops) != 2 {
-			return p.errf(line, "%v needs rd, imm20", op)
-		}
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		v, err := p.imm(line, ops[1])
-		if err != nil {
-			return err
-		}
-		in.Imm = v << 12 // the back end checks the 20-bit range and sign-extends
-		return p.inst(in)
-	case isa.XADDSL:
-		if len(ops) != 4 {
-			return p.errf(line, "addsl needs rd, rs1, rs2, shift")
-		}
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		if in.Rs2, err = p.reg(line, ops[2]); err != nil {
-			return err
-		}
-		if in.Imm, err = p.constImm(line, ops[3]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	case isa.XEXT, isa.XEXTU:
-		if len(ops) != 4 {
-			return p.errf(line, "%v needs rd, rs1, msb, lsb", op)
-		}
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		msb, err := p.constImm(line, ops[2])
-		if err != nil {
-			return err
-		}
-		lsb, err := p.constImm(line, ops[3])
-		if err != nil {
-			return err
-		}
-		if msb < 0 || msb > 63 || lsb < 0 || lsb > 63 {
-			return p.errf(line, "bit positions %d, %d out of range [0, 63]", msb, lsb)
-		}
-		in.Imm = msb<<6 | lsb
-		return p.inst(in)
-	case isa.XFF0, isa.XFF1, isa.XREV, isa.XTSTNBZ:
-		if len(ops) != 2 {
-			return p.errf(line, "%v needs rd, rs1", op)
-		}
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	}
-	if len(ops) != 3 {
-		return p.errf(line, "%v needs 3 operands", op)
-	}
-	if in.Rd, err = p.reg(line, ops[0]); err != nil {
-		return err
-	}
-	if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-		return err
-	}
-	// third operand: register or immediate
-	if r, ok := isa.ParseReg(ops[2]); ok {
-		in.Rs2 = r
-	} else {
-		if in.Imm, err = p.imm(line, ops[2]); err != nil {
-			return err
-		}
-	}
-	return p.inst(in)
-}
-
-func (p *parser) asmJump(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	var err error
-	if op == isa.JAL {
-		switch len(ops) {
-		case 1: // jal target → rd=ra
+	opds := op.Operands()
+	n := len(ops)
+	switch {
+	case op == isa.JAL && n == 1: // jal target
+		in.Rd, opds = isa.RA, opds[1:]
+	case op == isa.JALR && n >= 1 && n <= 3 && !strings.Contains(ops[n-1], "("):
+		if n == 1 {
 			in.Rd = isa.RA
-			return p.branch(line, in, ops[0])
-		case 2:
-			if in.Rd, err = p.reg(line, ops[0]); err != nil {
-				return err
-			}
-			return p.branch(line, in, ops[1])
 		}
-		return p.errf(line, "jal needs [rd,] target")
+		opds = jalrShort[n]
+	case n > 0 && ops[n-1] == "v0.t" && len(opds) > 0 && isMask(opds[len(opds)-1]):
+		in.Masked, ops = true, ops[:n-1]
 	}
-	// jalr forms: "jalr rs1" | "jalr rd, rs1, imm" | "jalr rd, imm(rs1)"
-	switch len(ops) {
-	case 1:
-		in.Rd = isa.RA
-		if in.Rs1, err = p.reg(line, ops[0]); err != nil {
-			return err
+
+	// Count before parsing: least and most are how many operands the source
+	// may write; they differ by the optional registers (all or none) and by
+	// vtype, which takes however many tokens are left.
+	least, most := 0, 0
+	for _, o := range opds {
+		switch o {
+		case isa.VM, isa.VMemMask:
+		case isa.Rs1Opt, isa.Rs2Opt:
+			most++
+		case isa.MsbLsb:
+			least, most = least+2, most+2
+		case isa.VTypeImm:
+			most = max(most, len(ops))
+		default:
+			least, most = least+1, most+1
 		}
-	case 2:
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if strings.Contains(ops[1], "(") {
-			off, base, err := p.memOperand(line, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Imm, in.Rs1 = off, base
-		} else if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-	case 3:
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		if in.Imm, err = p.imm(line, ops[2]); err != nil {
-			return err
-		}
+	}
+	switch n := len(ops); {
+	case n == least || n == most:
+	case most > least:
+		return p.errf(line, "%v needs %d or %d operands", op, least, most)
 	default:
-		return p.errf(line, "bad jalr operands")
+		return p.errf(line, "%v needs %d operands", op, least)
 	}
-	return p.inst(in)
-}
 
-func (p *parser) asmLoad(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	var err error
-	switch op {
-	case isa.XLRB, isa.XLRH, isa.XLRW, isa.XLRD, isa.XLURB, isa.XLURH, isa.XLURW:
-		if len(ops) != 4 {
-			return p.errf(line, "%v needs rd, rs1, rs2, shift", op)
+	kind := KindInst
+	for _, o := range opds {
+		if o == isa.VTypeImm { // every token left: "e32, m2", either, or neither
+			vt, err := isa.ParseVTypeArgs(ops)
+			if err != nil {
+				return p.errf(line, "%v", err)
+			}
+			in.Imm = int64(vt)
+			break
 		}
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
+		if len(ops) == 0 {
+			break // the optional registers or the mask, left out
 		}
-		if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
+		tok := ops[0]
+		ops = ops[1:]
+		var err error
+		switch o {
+		case isa.MemI, isa.MemS:
+			in.Imm, in.Rs1, err = p.memOperand(line, tok)
+		case isa.Base:
+			_, in.Rs1, err = p.memOperand(line, tok)
+		case isa.ImmB, isa.ImmJ: // a target: the back end makes it pc-relative
+			kind = KindBranch
+			in.Imm, err = p.imm(line, tok)
+		case isa.ImmU: // written as the upper 20 bits; the back end checks the range and sign-extends
+			in.Imm, err = p.imm(line, tok)
+			in.Imm <<= 12
+		case isa.Shift2:
+			in.Imm, err = p.constImm(line, tok)
+		case isa.MsbLsb:
+			in.Imm, err = p.bitRange(line, tok, ops[0])
+			ops = ops[1:]
+		case isa.CSRNum:
+			in.CSR, err = p.csrOperand(line, tok)
+		default:
+			if r := o.Reg(&in); r != nil {
+				*r, err = p.reg(line, tok)
+			} else {
+				in.Imm, err = p.imm(line, tok)
+			}
 		}
-		if in.Rs2, err = p.reg(line, ops[2]); err != nil {
-			return err
-		}
-		if in.Imm, err = p.constImm(line, ops[3]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	}
-	if len(ops) != 2 {
-		return p.errf(line, "%v needs rd, off(rs1)", op)
-	}
-	if in.Rd, err = p.reg(line, ops[0]); err != nil {
-		return err
-	}
-	off, base, err := p.memOperand(line, ops[1])
-	if err != nil {
-		return err
-	}
-	in.Imm, in.Rs1 = off, base
-	return p.inst(in)
-}
-
-func (p *parser) asmStore(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	var err error
-	switch op {
-	case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
-		if len(ops) != 4 {
-			return p.errf(line, "%v needs rdata, rs1, rs2, shift", op)
-		}
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		if in.Rs2, err = p.reg(line, ops[2]); err != nil {
-			return err
-		}
-		if in.Imm, err = p.constImm(line, ops[3]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	}
-	if len(ops) != 2 {
-		return p.errf(line, "%v needs rs2, off(rs1)", op)
-	}
-	if in.Rs2, err = p.reg(line, ops[0]); err != nil {
-		return err
-	}
-	off, base, err := p.memOperand(line, ops[1])
-	if err != nil {
-		return err
-	}
-	in.Imm, in.Rs1 = off, base
-	return p.inst(in)
-}
-
-func (p *parser) asmAMO(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	var err error
-	if op == isa.LRW || op == isa.LRD {
-		if len(ops) != 2 {
-			return p.errf(line, "%v needs rd, (rs1)", op)
-		}
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		_, base, err := p.memOperand(line, ops[1])
 		if err != nil {
 			return err
 		}
-		in.Rs1 = base
-		return p.inst(in)
 	}
-	if len(ops) != 3 {
-		return p.errf(line, "%v needs rd, rs2, (rs1)", op)
-	}
-	if in.Rd, err = p.reg(line, ops[0]); err != nil {
-		return err
-	}
-	if in.Rs2, err = p.reg(line, ops[1]); err != nil {
-		return err
-	}
-	_, base, err := p.memOperand(line, ops[2])
-	if err != nil {
-		return err
-	}
-	in.Rs1 = base
-	return p.inst(in)
+	return p.b.add(&Item{Kind: kind, Inst: in, Ref: p.ref, Line: p.line})
 }
 
-func (p *parser) asmFPU(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	var err error
-	regs := make([]isa.Reg, len(ops))
-	for i, o := range ops {
-		if regs[i], err = p.reg(line, o); err != nil {
-			return err
-		}
-	}
-	switch len(regs) {
-	case 2:
-		in.Rd, in.Rs1 = regs[0], regs[1]
-	case 3:
-		in.Rd, in.Rs1, in.Rs2 = regs[0], regs[1], regs[2]
-	case 4:
-		in.Rd, in.Rs1, in.Rs2, in.Rs3 = regs[0], regs[1], regs[2], regs[3]
-	default:
-		return p.errf(line, "bad FP operand count")
-	}
-	return p.inst(in)
-}
+func isMask(o isa.Operand) bool { return o == isa.VM || o == isa.VMemMask }
 
-func (p *parser) asmCSR(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	if len(ops) != 3 {
-		return p.errf(line, "%v needs rd, csr, src", op)
-	}
-	var err error
-	if in.Rd, err = p.reg(line, ops[0]); err != nil {
-		return err
-	}
-	csr, err := p.csrOperand(line, ops[1])
+// bitRange packs ext/extu's "msb, lsb" into one immediate; both must be known
+// when the statement is read.
+func (p *parser) bitRange(line srcLine, msbTok, lsbTok string) (int64, error) {
+	msb, err := p.constImm(line, msbTok)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	in.CSR = csr
-	if op == isa.CSRRWI || op == isa.CSRRSI || op == isa.CSRRCI {
-		if in.Imm, err = p.imm(line, ops[2]); err != nil {
-			return err
-		}
-	} else if in.Rs1, err = p.reg(line, ops[2]); err != nil {
-		return err
+	lsb, err := p.constImm(line, lsbTok)
+	if err != nil {
+		return 0, err
 	}
-	return p.inst(in)
+	if msb < 0 || msb > 63 || lsb < 0 || lsb > 63 {
+		return 0, p.errf(line, "bit positions %d, %d out of range [0, 63]", msb, lsb)
+	}
+	return msb<<6 | lsb, nil
 }
 
 func (p *parser) csrOperand(line srcLine, s string) (uint16, error) {
@@ -379,132 +143,4 @@ func (p *parser) csrOperand(line srcLine, s string) (uint16, error) {
 		return 0, p.errf(line, "bad CSR %q", s)
 	}
 	return uint16(v), nil
-}
-
-func (p *parser) asmVSet(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	var err error
-	if len(ops) < 2 {
-		return p.errf(line, "vsetvl/vsetvli need at least rd, rs1")
-	}
-	if in.Rd, err = p.reg(line, ops[0]); err != nil {
-		return err
-	}
-	if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-		return err
-	}
-	if op == isa.VSETVL {
-		if len(ops) != 3 {
-			return p.errf(line, "vsetvl needs rd, rs1, rs2")
-		}
-		if in.Rs2, err = p.reg(line, ops[2]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	}
-	vt, err := isa.ParseVTypeArgs(ops[2:])
-	if err != nil {
-		return p.errf(line, "%v", err)
-	}
-	in.Imm = int64(vt)
-	return p.inst(in)
-}
-
-// asmVector handles the uniform operand order this toolchain uses:
-// .vv/.vi forms are "op vd, vs2, vs1/imm"; .vx forms are "op vd, vs2, rs1";
-// loads are "op vd, (rs1)[, rs2stride]", stores "op vs, (rs1)[, rs2stride]".
-func (p *parser) asmVector(line srcLine, op isa.Op, in isa.Inst, ops []string) error {
-	var err error
-	// a trailing "v0.t" operand marks a masked form
-	if n := len(ops); n > 0 && ops[n-1] == "v0.t" {
-		in.Masked = true
-		ops = ops[:n-1]
-	}
-	if len(ops) < 2 {
-		// every form reads two operands before it counts them: an absent
-		// operand reads as an empty one
-		ops = append(ops[:len(ops):len(ops)], "", "")[:2]
-	}
-	switch op {
-	case isa.VLE, isa.VLSE, isa.VLXEI:
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		_, base, err := p.memOperand(line, ops[1])
-		if err != nil {
-			return err
-		}
-		in.Rs1 = base
-		if op != isa.VLE {
-			if len(ops) != 3 {
-				return p.errf(line, "%v needs vd, (rs1), rs2", op)
-			}
-			if in.Rs2, err = p.reg(line, ops[2]); err != nil {
-				return err
-			}
-			// loads keep the vector dest in Rd; the stride register (vlse)
-			// or index vector (vlxei) goes in Rs2.
-		}
-		return p.inst(in)
-	case isa.VSE, isa.VSSE, isa.VSXEI:
-		if in.Rs2, err = p.reg(line, ops[0]); err != nil { // data vector
-			return err
-		}
-		_, base, err := p.memOperand(line, ops[1])
-		if err != nil {
-			return err
-		}
-		in.Rs1 = base
-		if op != isa.VSE {
-			if len(ops) != 3 {
-				return p.errf(line, "%v needs vs, (rs1), rs2", op)
-			}
-			if in.Rs3, err = p.reg(line, ops[2]); err != nil {
-				return err
-			}
-		}
-		return p.inst(in)
-	case isa.VMVXS: // vmv.x.s rd, vs2
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs2, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	case isa.VMVSX, isa.VMVVX: // vmv.s.x / vmv.v.x vd, rs1
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	case isa.VMVVV: // vmv.v.v vd, vs1
-		if in.Rd, err = p.reg(line, ops[0]); err != nil {
-			return err
-		}
-		if in.Rs1, err = p.reg(line, ops[1]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	}
-	if len(ops) != 3 {
-		return p.errf(line, "%v needs vd, vs2, vs1/rs1/imm", op)
-	}
-	if in.Rd, err = p.reg(line, ops[0]); err != nil {
-		return err
-	}
-	if in.Rs2, err = p.reg(line, ops[1]); err != nil {
-		return err
-	}
-	if op == isa.VADDVI {
-		if in.Imm, err = p.imm(line, ops[2]); err != nil {
-			return err
-		}
-		return p.inst(in)
-	}
-	if in.Rs1, err = p.reg(line, ops[2]); err != nil {
-		return err
-	}
-	return p.inst(in)
 }

@@ -133,6 +133,7 @@ done:
     sfence.vma
     sfence.vma a0, a1
     dcache.cva a0
+    dcache.iva
     sync
     vsetvli a0, a1, e32, m2
     vsetvl a0, a1, a2
@@ -147,6 +148,10 @@ done:
     vadd.vi v1, v2, -5
     vmv.v.x v1, a0
     vmv.x.s a0, v1
+    vmv.v.v v1, v2, v0.t
+    vmv.v.x v1, a0, v0.t
+    vmv.s.x v1, a0, v0.t
+    vmv.x.s a0, v1, v0.t
     addi a0, a0, table - 0x1000
     lw a1, done - loop(a0)
     lui a2, table

@@ -78,215 +78,46 @@ func appendReg(dst []byte, r isa.Reg, abi bool) []byte {
 	return strconv.AppendInt(append(dst, file), int64(r.Index()), 10)
 }
 
-// appendInst writes a KindInst or KindBranch item in the operand order the
-// text front end reads (isa.Inst.String is the disassembler's spelling of the
-// same forms).
+// appendInst writes a KindInst or KindBranch item: the operands are isa's to
+// write (Inst.String is the disassembler's spelling of the same walk), the
+// pseudo spellings drop the operand that is x0.
 func appendInst(dst []byte, it *Item) []byte {
-	in := &it.Inst
-	op := in.Op
-	reg := func(r isa.Reg) { dst = appendReg(dst, r, false) }
-	rs1 := func() { dst = appendReg(dst, in.Rs1, it.Spell&SpellABIRs1 != 0) }
-	rs2 := func() { dst = appendReg(dst, in.Rs2, it.Spell&SpellABIRs2 != 0) }
-	sep := func() { dst = append(dst, ", "...) }
-	num := func(v int64) { dst = strconv.AppendInt(dst, v, 10) }
-	// imm writes the immediate operand: the deferred expression if there is one.
-	imm := func() {
-		if it.Ref != "" {
-			dst = append(dst, it.Ref...)
-		} else {
-			num(in.Imm)
+	op := it.Inst.Op
+	name, skip := op.String(), isa.NoOperand
+	if it.Spell&SpellPseudo != 0 {
+		switch op {
+		case isa.CSRRS:
+			name, skip = "csrr", isa.Rs1X
+		case isa.CSRRW:
+			name, skip = "csrw", isa.RdX
+		case isa.BEQ:
+			name, skip = "beqz", isa.Rs2X
+		case isa.BNE:
+			name, skip = "bnez", isa.Rs2X
 		}
 	}
-	mem := func(off bool) { // [off](rs1)
-		if off {
-			imm()
-		}
-		dst = append(dst, '(')
-		rs1()
-		dst = append(dst, ')')
-	}
-	masked := func() {
-		if in.Masked {
-			dst = append(dst, ", v0.t"...)
-		}
-	}
-	pseudo := it.Spell&SpellPseudo != 0
-	name := op.String()
-	switch {
-	case pseudo && op == isa.CSRRS:
-		name = "csrr"
-	case pseudo && op == isa.CSRRW:
-		name = "csrw"
-	case pseudo && op == isa.BEQ:
-		name = "beqz"
-	case pseudo && op == isa.BNE:
-		name = "bnez"
-	}
-	dst = append(dst, name...)
-	if op.Class() == isa.ClassSys && (op != isa.SFENCEVMA || in.Rs1 == isa.RegNone) {
-		return dst
-	}
-	dst = append(dst, ' ')
+	return it.Inst.AppendOperands(append(dst, name...), (*itemSpelling)(it), skip)
+}
 
-	switch op.Class() {
-	case isa.ClassBranch:
-		rs1()
-		sep()
-		if !pseudo {
-			rs2()
-			sep()
-		}
-		imm()
-	case isa.ClassJump:
-		reg(in.Rd)
-		sep()
-		if op == isa.JAL {
-			imm()
-		} else {
-			mem(true)
-		}
-	case isa.ClassLoad, isa.ClassStore:
-		if in.Rs2 != isa.RegNone && in.Rd != isa.RegNone { // indexed custom forms
-			reg(in.Rd)
-			sep()
-			rs1()
-			sep()
-			rs2()
-			sep()
-			imm()
-			break
-		}
-		if op.Class() == isa.ClassLoad {
-			reg(in.Rd)
-		} else {
-			rs2()
-		}
-		sep()
-		mem(true)
-	case isa.ClassCSR:
-		csr := isa.CSRName(in.CSR)
-		switch {
-		case pseudo && op == isa.CSRRS:
-			reg(in.Rd)
-			sep()
-			dst = append(dst, csr...)
-		case pseudo && op == isa.CSRRW:
-			dst = append(dst, csr...)
-			sep()
-			rs1()
-		default:
-			reg(in.Rd)
-			sep()
-			dst = append(dst, csr...)
-			sep()
-			if op == isa.CSRRWI || op == isa.CSRRSI || op == isa.CSRRCI {
-				imm()
-			} else {
-				rs1()
-			}
-		}
-	case isa.ClassSys: // sfence.vma
-		rs1()
-		sep()
-		rs2()
-	case isa.ClassAMO:
-		reg(in.Rd)
-		sep()
-		if op != isa.LRW && op != isa.LRD {
-			rs2()
-			sep()
-		}
-		mem(false)
-	case isa.ClassVSet:
-		reg(in.Rd)
-		sep()
-		rs1()
-		sep()
-		if op == isa.VSETVL {
-			rs2()
-			break
-		}
-		vt := isa.VType(in.Imm)
-		dst = append(dst, 'e')
-		num(int64(vt.SEW()))
-		dst = append(dst, ", m"...)
-		num(int64(vt.LMUL()))
-	case isa.ClassVLoad:
-		reg(in.Rd)
-		sep()
-		mem(false)
-		if op != isa.VLE {
-			sep()
-			rs2()
-		}
-		masked()
-	case isa.ClassVStore:
-		rs2()
-		sep()
-		mem(false)
-		if op != isa.VSE {
-			sep()
-			reg(in.Rs3)
-		}
-		masked()
-	case isa.ClassCacheOp:
-		if in.Rs1 != isa.RegNone {
-			rs1()
-		} else {
-			dst = dst[:len(dst)-1]
-		}
-	case isa.ClassVALU, isa.ClassVFPU:
-		// operand order: vd, vs2, vs1/rs1/imm
-		reg(in.Rd)
-		sep()
-		switch op {
-		case isa.VMVXS:
-			rs2()
-			return dst
-		case isa.VMVSX, isa.VMVVX, isa.VMVVV:
-			rs1()
-			return dst
-		}
-		rs2()
-		sep()
-		if op == isa.VADDVI {
-			imm()
-		} else {
-			rs1()
-		}
-		masked()
-	default: // ALU, Mul, Div, FPU: rd, then whichever of rs1, rs2, rs3, imm the op has
-		reg(in.Rd)
-		sep()
-		switch op {
-		case isa.LUI, isa.AUIPC:
-			if it.Ref != "" {
-				imm()
-			} else {
-				num(int64(uint32(in.Imm) >> 12))
-			}
-			return dst
-		case isa.XEXT, isa.XEXTU:
-			rs1()
-			sep()
-			num(in.Imm >> 6 & 63)
-			sep()
-			num(in.Imm & 63)
-			return dst
-		}
-		rs1()
-		if in.Rs2 != isa.RegNone {
-			sep()
-			rs2()
-			if in.Rs3 != isa.RegNone {
-				sep()
-				reg(in.Rs3)
-			}
-		}
-		if _, _, _, ok := isa.ImmRange(op); ok {
-			sep()
-			imm()
-		}
+// itemSpelling is the source printer's isa.Speller: registers by number unless
+// the Item's Spell says otherwise, the Item's Ref in place of the immediate it
+// stands for.
+type itemSpelling Item
+
+func (it *itemSpelling) AppendReg(dst []byte, r *isa.Reg) []byte {
+	abi := r == &it.Inst.Rs1 && it.Spell&SpellABIRs1 != 0 || r == &it.Inst.Rs2 && it.Spell&SpellABIRs2 != 0
+	return appendReg(dst, *r, abi)
+}
+
+func (it *itemSpelling) AppendImm(dst []byte, o isa.Operand, v int64) []byte {
+	switch {
+	case it.Ref != "":
+		return append(dst, it.Ref...)
+	case o == isa.ImmU:
+		v &= 0xFFFFF // the unsigned spelling
+	case o == isa.VTypeImm:
+		dst = strconv.AppendInt(append(dst, 'e'), int64(isa.VType(v).SEW()), 10)
+		return strconv.AppendInt(append(dst, ", m"...), int64(isa.VType(v).LMUL()), 10)
 	}
-	return dst
+	return strconv.AppendInt(dst, v, 10)
 }

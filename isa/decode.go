@@ -1,98 +1,43 @@
 package isa
 
-// Reverse lookup tables, built from the encoder tables so that the two stay
-// consistent by construction. TestEncodeDecodeRoundTrip exercises every op.
-var (
-	decOpR    = map[uint32]Op{} // f3<<7 | f7       → OP
-	decOp32R  = map[uint32]Op{} // f3<<7 | f7       → OP-32
-	decOpImm  = map[uint32]Op{} // f3               → OP-IMM (non-shift)
-	decLoad   = map[uint32]Op{}
-	decStore  = map[uint32]Op{}
-	decBranch = map[uint32]Op{}
-	decCSR    = map[uint32]Op{}
-	decAMO    = map[uint32]Op{} // f3<<5 | f5
-	decFP     = map[uint32]Op{} // keyed specially, see decodeFP
-	decV      = map[uint32]Op{} // f3<<6 | f6
-	decXR     = map[uint32]Op{} // funct7
-	decXIdxLd = map[uint32]Op{} // funct7>>2
-	decXIdxSt = map[uint32]Op{}
-	decXCache = map[uint32]Op{} // imm12
-)
-
-func init() {
-	for op, e := range opRType {
-		decOpR[e.f3<<7|e.f7] = op
-	}
-	for op, e := range op32RType {
-		decOp32R[e.f3<<7|e.f7] = op
-	}
-	for op, f3 := range opImmF3 {
-		decOpImm[f3] = op
-	}
-	for op, f3 := range loadF3 {
-		decLoad[f3] = op
-	}
-	for op, f3 := range storeF3 {
-		decStore[f3] = op
-	}
-	for op, f3 := range branchF3 {
-		decBranch[f3] = op
-	}
-	for op, f3 := range csrF3 {
-		decCSR[f3] = op
-	}
-	for op, e := range amoF5 {
-		decAMO[e.f3<<5|e.f5] = op
-	}
-	for op, e := range opFPEnc {
-		key := e.f7 << 8
-		if e.f3 >= 0 {
-			key |= 0x80 | uint32(e.f3)
-		}
-		if e.rs2sel >= 0 {
-			key |= 0x4000000 | uint32(e.rs2sel)<<16
-		}
-		decFP[key] = op
-	}
-	for op, e := range opVEnc {
-		decV[e.f3<<6|e.f6] = op
-	}
-	for op, f7 := range xRTypeSub {
-		decXR[f7] = op
-	}
-	for op, sub := range xIdxLoadSub {
-		decXIdxLd[sub] = op
-	}
-	for op, sub := range xIdxStoreSub {
-		decXIdxSt[sub] = op
-	}
-	for op, imm := range xCacheOpImm {
-		decXCache[uint32(imm)] = op
-	}
-}
-
 func bf(v uint32, hi, lo uint) uint32 { return v >> lo & (1<<(hi-lo+1) - 1) }
 
 func signExtend(v uint32, width uint) int64 {
 	return int64(int32(v<<(32-width))) >> (32 - width)
 }
 
-func immI(raw uint32) int64 { return int64(int32(raw)) >> 20 }
-
-func immS(raw uint32) int64 {
-	return signExtend(bf(raw, 31, 25)<<5|bf(raw, 11, 7), 12)
+// decRow is one candidate of the decoder: the op whose word it is when
+// raw&mask == match.
+type decRow struct {
+	mask, match uint32
+	op          Op
 }
 
-func immB(raw uint32) int64 {
-	v := bf(raw, 31, 31)<<12 | bf(raw, 7, 7)<<11 | bf(raw, 30, 25)<<5 | bf(raw, 11, 8)<<1
-	return signExtend(v, 13)
-}
+// The decoder's index, built once from the op table: the rows that can match
+// a word whose major opcode (bits [6:2]) and funct3 are b>>3 and b&7 are
+// decRows[decStart[b]:decStart[b+1]]. A row whose format leaves funct3 free
+// is listed under all eight. No two rows match the same word
+// (TestOpMetaComplete), so the order within a bucket decides nothing.
+var (
+	decRows  []decRow
+	decStart [32*8 + 1]uint16
+)
 
-func immU(raw uint32) int64 { return int64(int32(raw & 0xFFFFF000)) }
-
-func immJ(raw uint32) int64 {
-	v := bf(raw, 31, 31)<<20 | bf(raw, 19, 12)<<12 | bf(raw, 20, 20)<<11 | bf(raw, 30, 21)<<1
-	return signExtend(v, 21)
+func init() {
+	for b := range decStart[:32*8] {
+		decStart[b] = uint16(len(decRows))
+		key := uint32(b>>3)<<2 | 3 | uint32(b&7)<<12
+		for op := Op(1); op < numOps; op++ {
+			m := &opMeta[op]
+			if m.form == nil {
+				continue // TestOpMetaComplete names it
+			}
+			if mask := m.form.mask; (key^m.match)&mask&(mOpc|mF3) == 0 {
+				decRows = append(decRows, decRow{mask, m.match & mask, op})
+			}
+		}
+	}
+	decStart[32*8] = uint16(len(decRows))
 }
 
 // Decode decodes a 32-bit instruction word. Unrecognized encodings decode to
@@ -100,310 +45,17 @@ func immJ(raw uint32) int64 {
 // execute, matching hardware behaviour.
 func Decode(raw uint32) Inst {
 	in := NewInst(ILLEGAL)
-	in.Size = 4
-	rd := X(int(bf(raw, 11, 7)))
-	rs1 := X(int(bf(raw, 19, 15)))
-	rs2 := X(int(bf(raw, 24, 20)))
-	f3 := bf(raw, 14, 12)
-	f7 := bf(raw, 31, 25)
-
-	switch raw & 0x7F {
-	case opcLui:
-		in.Op, in.Rd, in.Imm = LUI, rd, immU(raw)
-	case opcAuipc:
-		in.Op, in.Rd, in.Imm = AUIPC, rd, immU(raw)
-	case opcJAL:
-		in.Op, in.Rd, in.Imm = JAL, rd, immJ(raw)
-	case opcJALR:
-		in.Op, in.Rd, in.Rs1, in.Imm = JALR, rd, rs1, immI(raw)
-	case opcBranch:
-		if op, ok := decBranch[f3]; ok {
-			in.Op, in.Rs1, in.Rs2, in.Imm = op, rs1, rs2, immB(raw)
-		}
-	case opcLoad:
-		if op, ok := decLoad[f3]; ok {
-			in.Op, in.Rd, in.Rs1, in.Imm = op, rd, rs1, immI(raw)
-		}
-	case opcStore:
-		if op, ok := decStore[f3]; ok {
-			in.Op, in.Rs1, in.Rs2, in.Imm = op, rs1, rs2, immS(raw)
-		}
-	case opcOpImm:
-		switch f3 {
-		case 1:
-			if f7>>1 == 0 {
-				in.Op, in.Rd, in.Rs1, in.Imm = SLLI, rd, rs1, int64(bf(raw, 25, 20))
-			}
-		case 5:
-			switch f7 >> 1 {
-			case 0:
-				in.Op, in.Rd, in.Rs1, in.Imm = SRLI, rd, rs1, int64(bf(raw, 25, 20))
-			case 0x10:
-				in.Op, in.Rd, in.Rs1, in.Imm = SRAI, rd, rs1, int64(bf(raw, 25, 20))
-			}
-		default:
-			if op, ok := decOpImm[f3]; ok {
-				in.Op, in.Rd, in.Rs1, in.Imm = op, rd, rs1, immI(raw)
-			}
-		}
-	case opcOpImm32:
-		switch f3 {
-		case 0:
-			in.Op, in.Rd, in.Rs1, in.Imm = ADDIW, rd, rs1, immI(raw)
-		case 1:
-			if f7 == 0 {
-				in.Op, in.Rd, in.Rs1, in.Imm = SLLIW, rd, rs1, int64(bf(raw, 24, 20))
-			}
-		case 5:
-			switch f7 {
-			case 0:
-				in.Op, in.Rd, in.Rs1, in.Imm = SRLIW, rd, rs1, int64(bf(raw, 24, 20))
-			case 0x20:
-				in.Op, in.Rd, in.Rs1, in.Imm = SRAIW, rd, rs1, int64(bf(raw, 24, 20))
-			}
-		}
-	case opcOp:
-		if op, ok := decOpR[f3<<7|f7]; ok {
-			in.Op, in.Rd, in.Rs1, in.Rs2 = op, rd, rs1, rs2
-		}
-	case opcOp32:
-		if op, ok := decOp32R[f3<<7|f7]; ok {
-			in.Op, in.Rd, in.Rs1, in.Rs2 = op, rd, rs1, rs2
-		}
-	case opcMiscMem:
-		switch f3 {
-		case 0:
-			in.Op = FENCE
-		case 1:
-			in.Op = FENCEI
-		}
-	case opcSystem:
-		switch f3 {
-		case 0:
-			if f7 == 0x09 {
-				in.Op, in.Rs1, in.Rs2 = SFENCEVMA, rs1, rs2
-				break
-			}
-			switch bf(raw, 31, 20) {
-			case 0:
-				in.Op = ECALL
-			case 1:
-				in.Op = EBREAK
-			case 0x302:
-				in.Op = MRET
-			case 0x102:
-				in.Op = SRET
-			case 0x105:
-				in.Op = WFI
-			}
-		default:
-			if op, ok := decCSR[f3]; ok {
-				in.Op, in.Rd, in.CSR = op, rd, uint16(bf(raw, 31, 20))
-				if f3 >= 5 {
-					in.Imm = int64(bf(raw, 19, 15))
-				} else {
-					in.Rs1 = rs1
-				}
-			}
-		}
-	case opcAMO:
-		if op, ok := decAMO[f3<<5|f7>>2]; ok {
-			in.Op, in.Rd, in.Rs1 = op, rd, rs1
-			if op != LRW && op != LRD {
-				in.Rs2 = rs2
-			}
-		}
-	case opcLoadFP:
-		switch f3 {
-		case 2:
-			in.Op, in.Rd, in.Rs1, in.Imm = FLW, F(rd.Index()), rs1, immI(raw)
-		case 3:
-			in.Op, in.Rd, in.Rs1, in.Imm = FLD, F(rd.Index()), rs1, immI(raw)
-		case 7:
-			// funct7 bit 0 (instruction bit 25) marks a masked access.
-			switch f7 &^ 1 {
-			case 0:
-				in.Op, in.Rd, in.Rs1 = VLE, V(rd.Index()), rs1
-			case 0x08:
-				in.Op, in.Rd, in.Rs1, in.Rs2 = VLSE, V(rd.Index()), rs1, rs2
-			case 0x0C:
-				in.Op, in.Rd, in.Rs1, in.Rs2 = VLXEI, V(rd.Index()), rs1, V(rs2.Index())
-			}
-			if in.Op != ILLEGAL {
-				in.Masked = f7&1 == 1
-			}
-		}
-	case opcStoreFP:
-		switch f3 {
-		case 2:
-			in.Op, in.Rs1, in.Rs2, in.Imm = FSW, rs1, F(rs2.Index()), immS(raw)
-		case 3:
-			in.Op, in.Rs1, in.Rs2, in.Imm = FSD, rs1, F(rs2.Index()), immS(raw)
-		case 7:
-			switch f7 &^ 1 {
-			case 0:
-				in.Op, in.Rs1, in.Rs2 = VSE, rs1, V(rd.Index())
-			case 0x08:
-				in.Op, in.Rs1, in.Rs2, in.Rs3 = VSSE, rs1, V(rd.Index()), rs2
-			case 0x0C:
-				in.Op, in.Rs1, in.Rs2, in.Rs3 = VSXEI, rs1, V(rd.Index()), V(rs2.Index())
-			}
-			if in.Op != ILLEGAL {
-				in.Masked = f7&1 == 1
-			}
-		}
-	case opcFMAdd, opcFMSub:
-		fmt2 := bf(raw, 26, 25)
-		var op Op
-		switch {
-		case raw&0x7F == opcFMAdd && fmt2 == 0:
-			op = FMADDS
-		case raw&0x7F == opcFMAdd && fmt2 == 1:
-			op = FMADDD
-		case raw&0x7F == opcFMSub && fmt2 == 0:
-			op = FMSUBS
-		case raw&0x7F == opcFMSub && fmt2 == 1:
-			op = FMSUBD
-		default:
-			return in
-		}
-		in.Op = op
-		in.Rd, in.Rs1, in.Rs2 = F(rd.Index()), F(rs1.Index()), F(rs2.Index())
-		in.Rs3 = F(int(bf(raw, 31, 27)))
-	case opcOpFP:
-		return decodeFP(raw, rd, rs1, rs2, f3, f7)
-	case opcOpV:
-		return decodeV(raw, rd, rs1, rs2, f3)
-	case opcCustom0:
-		return decodeCustom(raw, rd, rs1, rs2, f3, f7)
-	}
-	return in
-}
-
-func decodeFP(raw uint32, rd, rs1, rs2 Reg, f3, f7 uint32) Inst {
-	in := NewInst(ILLEGAL)
-	// Try keys from most to least specific: (f7,f3,rs2sel), (f7,rs2sel),
-	// (f7,f3), (f7). The key layout matches the one built in init.
-	rs2v := uint32(rs2.Index())
-	keys := [4]uint32{
-		f7<<8 | 0x80 | f3 | 0x4000000 | rs2v<<16,
-		f7<<8 | 0x4000000 | rs2v<<16,
-		f7<<8 | 0x80 | f3,
-		f7 << 8,
-	}
-	for _, k := range keys {
-		op, ok := decFP[k]
-		if !ok {
-			continue
-		}
-		e := opFPEnc[op]
-		in.Op = op
-		// Register-file assignment depends on the operation: conversions and
-		// moves cross between the integer and FP files.
-		fr := func(r Reg) Reg { return F(r.Index()) }
-		switch op {
-		case FCVTWS, FCVTLS, FCVTWD, FCVTLD, FMVXW, FMVXD, FEQS, FLTS, FLES, FEQD, FLTD, FLED:
-			in.Rd = rd // integer destination
-			in.Rs1 = fr(rs1)
-			if e.rs2sel < 0 {
-				in.Rs2 = fr(rs2)
-			}
-		case FCVTSW, FCVTSL, FCVTDW, FCVTDL, FMVWX, FMVDX:
-			in.Rd = fr(rd)
-			in.Rs1 = rs1 // integer source
-		default:
-			in.Rd, in.Rs1 = fr(rd), fr(rs1)
-			if e.rs2sel < 0 {
-				in.Rs2 = fr(rs2)
-			}
-		}
+	if raw&3 != 3 {
 		return in
 	}
-	return in
-}
-
-func decodeV(raw uint32, rd, rs1, rs2 Reg, f3 uint32) Inst {
-	in := NewInst(ILLEGAL)
-	if f3 == 7 {
-		if raw>>31 == 0 {
-			in.Op, in.Rd, in.Rs1 = VSETVLI, rd, rs1
-			in.Imm = int64(bf(raw, 30, 20))
-		} else if bf(raw, 31, 25) == 0x40 {
-			in.Op, in.Rd, in.Rs1, in.Rs2 = VSETVL, rd, rs1, rs2
-		}
-		return in
-	}
-	f6 := bf(raw, 31, 26)
-	op, ok := decV[f3<<6|f6]
-	if !ok {
-		return in
-	}
-	in.Op = op
-	in.Masked = bf(raw, 25, 25) == 0 // vm=0: masked by v0
-	in.Rd = V(rd.Index())
-	vs2 := V(rs2.Index())
-	switch f3 {
-	case 0, 1, 2: // vector-vector
-		in.Rs1, in.Rs2 = V(rs1.Index()), vs2
-	case 3: // vector-immediate
-		in.Imm, in.Rs2 = signExtend(uint32(rs1.Index()), 5), vs2
-	case 4, 6: // vector-scalar
-		in.Rs1, in.Rs2 = rs1, vs2
-	}
-	switch op {
-	case VMVXS: // integer destination
-		in.Rd = rd
-		in.Rs1 = RegNone
-		in.Rs2 = vs2
-	case VMVSX, VMVVX:
-		in.Rd = V(rd.Index())
-		in.Rs1 = rs1
-		in.Rs2 = RegNone
-	case VMVVV:
-		in.Rs2 = RegNone
-	}
-	return in
-}
-
-func decodeCustom(raw uint32, rd, rs1, rs2 Reg, f3, f7 uint32) Inst {
-	in := NewInst(ILLEGAL)
-	switch f3 {
-	case 0:
-		if op, ok := decXR[f7]; ok {
-			in.Op, in.Rd, in.Rs1 = op, rd, rs1
-			switch op {
-			case XREV, XFF0, XFF1, XTSTNBZ:
-			default:
-				in.Rs2 = rs2
+	b := raw>>2&0x1F<<3 | raw>>12&7
+	for _, r := range decRows[decStart[b]:decStart[b+1]] {
+		if raw&r.mask == r.match {
+			in.Op = r.op
+			for _, o := range opMeta[r.op].form.opds {
+				o.extract(raw, &in)
 			}
-		}
-	case 1:
-		if op, ok := decXIdxLd[f7>>2]; ok {
-			in.Op, in.Rd, in.Rs1, in.Rs2, in.Imm = op, rd, rs1, rs2, int64(f7&3)
-		}
-	case 2:
-		if op, ok := decXIdxSt[f7>>2]; ok {
-			in.Op, in.Rd, in.Rs1, in.Rs2, in.Imm = op, rd, rs1, rs2, int64(f7&3)
-		}
-	case 3:
-		if f7>>2 == 0 {
-			in.Op, in.Rd, in.Rs1, in.Rs2, in.Imm = XADDSL, rd, rs1, rs2, int64(f7&3)
-		}
-	case 4:
-		in.Op, in.Rd, in.Rs1, in.Imm = XEXT, rd, rs1, int64(bf(raw, 31, 20))
-	case 5:
-		in.Op, in.Rd, in.Rs1, in.Imm = XEXTU, rd, rs1, int64(bf(raw, 31, 20))
-	case 6:
-		if f7>>1 == 0 {
-			in.Op, in.Rd, in.Rs1, in.Imm = XSRRI, rd, rs1, int64(bf(raw, 25, 20))
-		}
-	case 7:
-		if op, ok := decXCache[bf(raw, 31, 20)]; ok {
-			in.Op = op
-			switch op {
-			case XDCACHECVA, XDCACHEIVA, XTLBIASID, XTLBIVA:
-				in.Rs1 = rs1
-			}
+			break
 		}
 	}
 	return in

@@ -1,6 +1,6 @@
 package isa
 
-import "fmt"
+import "strconv"
 
 // Inst is a decoded instruction. It is the common currency between the
 // assembler, the functional emulator, and the pipeline model.
@@ -42,11 +42,7 @@ func (i *Inst) Sources() (regs [3]Reg, n int) {
 	cand := [4]Reg{i.Rs1, i.Rs2, i.Rs3, RegNone}
 	// Stores carry their data in Rs2 (standard) or Rd (custom indexed form);
 	// MACs and conditional moves read their destination.
-	switch i.Op {
-	case XSRB, XSRH, XSRW, XSRD,
-		XMULA, XMULS, XMULAH, XMULSH, XMULAW, XMULSW,
-		XMVEQZ, XMVNEZ,
-		VMACCVV, VWMACCVV, VFMACCVV:
+	if f := i.Op.format(); f != nil && f.readsRd {
 		cand[3] = i.Rd
 	}
 	for _, r := range cand {
@@ -73,105 +69,20 @@ func (i *Inst) WritesReg() bool {
 	return true
 }
 
-// vmSuffix renders the v0-mask operand of a masked vector instruction.
-func (i Inst) vmSuffix() string {
-	if i.Masked {
-		return ", v0.t"
+// abiNames is the disassembler's spelling: registers by ABI name, immediates
+// in decimal, vtype as the CSR prints it.
+type abiNames struct{}
+
+func (abiNames) AppendReg(dst []byte, r *Reg) []byte { return append(dst, r.String()...) }
+
+func (abiNames) AppendImm(dst []byte, o Operand, v int64) []byte {
+	if o == VTypeImm {
+		return append(dst, VType(v).String()...)
 	}
-	return ""
+	return strconv.AppendInt(dst, v, 10)
 }
 
 // String disassembles the instruction.
 func (i Inst) String() string {
-	op := i.Op
-	switch op.Class() {
-	case ClassBranch:
-		return fmt.Sprintf("%s %s, %s, %d", op, i.Rs1, i.Rs2, i.Imm)
-	case ClassJump:
-		if op == JAL {
-			return fmt.Sprintf("jal %s, %d", i.Rd, i.Imm)
-		}
-		return fmt.Sprintf("jalr %s, %d(%s)", i.Rd, i.Imm, i.Rs1)
-	case ClassLoad:
-		switch op {
-		case XLRB, XLRH, XLRW, XLRD, XLURB, XLURH, XLURW:
-			return fmt.Sprintf("%s %s, %s, %s, %d", op, i.Rd, i.Rs1, i.Rs2, i.Imm)
-		}
-		return fmt.Sprintf("%s %s, %d(%s)", op, i.Rd, i.Imm, i.Rs1)
-	case ClassStore:
-		switch op {
-		case XSRB, XSRH, XSRW, XSRD:
-			return fmt.Sprintf("%s %s, %s, %s, %d", op, i.Rd, i.Rs1, i.Rs2, i.Imm)
-		}
-		return fmt.Sprintf("%s %s, %d(%s)", op, i.Rs2, i.Imm, i.Rs1)
-	case ClassCSR:
-		if op == CSRRWI || op == CSRRSI || op == CSRRCI {
-			return fmt.Sprintf("%s %s, %s, %d", op, i.Rd, CSRName(i.CSR), i.Imm)
-		}
-		return fmt.Sprintf("%s %s, %s, %s", op, i.Rd, CSRName(i.CSR), i.Rs1)
-	case ClassSys:
-		if op == SFENCEVMA {
-			return fmt.Sprintf("sfence.vma %s, %s", i.Rs1, i.Rs2)
-		}
-		return op.String()
-	case ClassAMO:
-		if op == LRW || op == LRD {
-			return fmt.Sprintf("%s %s, (%s)", op, i.Rd, i.Rs1)
-		}
-		return fmt.Sprintf("%s %s, %s, (%s)", op, i.Rd, i.Rs2, i.Rs1)
-	case ClassVSet:
-		if op == VSETVLI {
-			return fmt.Sprintf("vsetvli %s, %s, %s", i.Rd, i.Rs1, VType(i.Imm).String())
-		}
-		return fmt.Sprintf("vsetvl %s, %s, %s", i.Rd, i.Rs1, i.Rs2)
-	case ClassVLoad:
-		if op == VLSE || op == VLXEI {
-			return fmt.Sprintf("%s %s, (%s), %s%s", op, i.Rd, i.Rs1, i.Rs2, i.vmSuffix())
-		}
-		return fmt.Sprintf("%s %s, (%s)%s", op, i.Rd, i.Rs1, i.vmSuffix())
-	case ClassVStore:
-		if op == VSSE || op == VSXEI {
-			return fmt.Sprintf("%s %s, (%s), %s%s", op, i.Rs2, i.Rs1, i.Rs3, i.vmSuffix())
-		}
-		return fmt.Sprintf("%s %s, (%s)%s", op, i.Rs2, i.Rs1, i.vmSuffix())
-	case ClassCacheOp:
-		switch op {
-		case XDCACHECVA, XDCACHEIVA, XTLBIASID, XTLBIVA:
-			return fmt.Sprintf("%s %s", op, i.Rs1)
-		}
-		return op.String()
-	case ClassVALU, ClassVFPU:
-		// assembler operand order: vd, vs2, vs1/rs1/imm
-		switch op {
-		case VMVXS:
-			return fmt.Sprintf("%s %s, %s", op, i.Rd, i.Rs2)
-		case VMVSX, VMVVX, VMVVV:
-			return fmt.Sprintf("%s %s, %s", op, i.Rd, i.Rs1)
-		case VADDVI:
-			return fmt.Sprintf("%s %s, %s, %d%s", op, i.Rd, i.Rs2, i.Imm, i.vmSuffix())
-		}
-		return fmt.Sprintf("%s %s, %s, %s%s", op, i.Rd, i.Rs2, i.Rs1, i.vmSuffix())
-	}
-	switch op {
-	case LUI, AUIPC:
-		return fmt.Sprintf("%s %s, %d", op, i.Rd, i.Imm>>12)
-	case XADDSL:
-		return fmt.Sprintf("addsl %s, %s, %s, %d", i.Rd, i.Rs1, i.Rs2, i.Imm)
-	case XEXT, XEXTU:
-		return fmt.Sprintf("%s %s, %s, %d, %d", op, i.Rd, i.Rs1, (i.Imm>>6)&63, i.Imm&63)
-	case FMADDS, FMSUBS, FMADDD, FMSUBD:
-		return fmt.Sprintf("%s %s, %s, %s, %s", op, i.Rd, i.Rs1, i.Rs2, i.Rs3)
-	}
-	if i.Rs2 == RegNone {
-		if i.Rs1 == RegNone {
-			return fmt.Sprintf("%s %s, %d", op, i.Rd, i.Imm)
-		}
-		switch op {
-		case SLLI, SRLI, SRAI, SLLIW, SRLIW, SRAIW, XSRRI,
-			ADDI, SLTI, SLTIU, XORI, ORI, ANDI, ADDIW:
-			return fmt.Sprintf("%s %s, %s, %d", op, i.Rd, i.Rs1, i.Imm)
-		}
-		return fmt.Sprintf("%s %s, %s", op, i.Rd, i.Rs1)
-	}
-	return fmt.Sprintf("%s %s, %s, %s", op, i.Rd, i.Rs1, i.Rs2)
+	return string(i.AppendOperands(append(make([]byte, 0, 32), i.Op.String()...), abiNames{}, NoOperand))
 }

@@ -162,13 +162,35 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpMetaComplete: the op table checks itself. Every op has a name, a
+// class and a format; no mnemonic is used twice (ParseOp finds each op by its
+// own); a match sets no bit its format leaves free (fence's iorw, iorw
+// aside); and no word is matched by two rows — Decode scans its candidates in
+// no particular order.
 func TestOpMetaComplete(t *testing.T) {
 	for op := Op(1); op < numOps; op++ {
-		if opMeta[op].name == "" {
+		m := &opMeta[op]
+		if m.name == "" {
 			t.Errorf("op %d has no metadata", op)
 		}
-		if opMeta[op].class == ClassIllegal && op != ILLEGAL {
+		if m.class == ClassIllegal {
 			t.Errorf("op %v has illegal class", op)
+		}
+		if got, ok := ParseOp(m.name); !ok || got != op {
+			t.Errorf("ParseOp(%q) = op %d, %v; want op %d: is the mnemonic used twice?", m.name, got, ok, op)
+		}
+		if m.form == nil {
+			t.Errorf("op %v has no format", op)
+			continue
+		}
+		if m.match&^m.form.mask != 0 && op != FENCE {
+			t.Errorf("%v: match %08x sets bits outside its format's mask %08x", op, m.match, m.form.mask)
+		}
+		for other := op + 1; other < numOps; other++ {
+			o := &opMeta[other]
+			if o.form != nil && (m.match^o.match)&m.form.mask&o.form.mask == 0 {
+				t.Errorf("%v and %v both match %08x", op, other, m.match&m.form.mask|o.match&o.form.mask)
+			}
 		}
 	}
 }

@@ -51,8 +51,8 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// Operations. Keep this list in sync with opMeta below; TestOpMetaComplete
-// enforces the invariant.
+// Operations. Each has one row in opMeta below; TestOpMetaComplete enforces
+// the invariant.
 const (
 	ILLEGAL Op = iota
 
@@ -300,242 +300,370 @@ const (
 // packages).
 const NumOps = int(numOps)
 
+// Major opcodes (bits [6:0] of a 32-bit instruction).
+const (
+	opcLoad    = 0x03
+	opcLoadFP  = 0x07
+	opcCustom0 = 0x0B
+	opcMiscMem = 0x0F
+	opcOpImm   = 0x13
+	opcAuipc   = 0x17
+	opcOpImm32 = 0x1B
+	opcStore   = 0x23
+	opcStoreFP = 0x27
+	opcAMO     = 0x2F
+	opcOp      = 0x33
+	opcLui     = 0x37
+	opcOp32    = 0x3B
+	opcFMAdd   = 0x43
+	opcFMSub   = 0x47
+	opcOpFP    = 0x53
+	opcOpV     = 0x57
+	opcBranch  = 0x63
+	opcJALR    = 0x67
+	opcJAL     = 0x6F
+	opcSystem  = 0x73
+)
+
+// The fields a format can fix.
+const (
+	mOpc   = 0x0000007F
+	mF3    = 0x00007000
+	mF7    = 0xFE000000
+	mF6    = 0xFC000000 // funct7 without bit 25: the shifts' funct6, and what is left beside a vector op's mask bit
+	mF5    = 0xF8000000 // funct7 without bits [26:25]: aq/rl of an AMO, the 2-bit shift of the custom indexed forms
+	mFmt   = 0x06000000 // the format field of the fused multiply-adds
+	mRs2   = 0x01F00000
+	mImm12 = 0xFFF00000
+)
+
+// format is one instruction layout: the bits every op of the layout fixes —
+// Decode compares those, and only those, with the op's match, which is what
+// leaves a rounding-mode field, aq/rl or the rd of an ecall free — and the
+// operands in the order the source writes them.
+type format struct {
+	mask uint32
+	opds []Operand
+	// readsRd: Rd is read as well — the accumulator of a MAC, the value a
+	// conditional move keeps, the data of a custom indexed store.
+	readsRd bool
+}
+
+func layout(mask uint32, opds ...Operand) *format { return &format{mask, opds, false} }
+
+func readingRd(f *format) *format { return &format{f.mask, f.opds, true} }
+
+var (
+	fU      = layout(mOpc, RdX, ImmU)
+	fJ      = layout(mOpc, RdX, ImmJ)
+	fJalr   = layout(mOpc, RdX, MemI)
+	fB      = layout(mOpc|mF3, Rs1X, Rs2X, ImmB)
+	fLoad   = layout(mOpc|mF3, RdX, MemI)
+	fStore  = layout(mOpc|mF3, Rs2X, MemS)
+	fI      = layout(mOpc|mF3, RdX, Rs1X, ImmI)
+	fSh6    = layout(mOpc|mF3|mF6, RdX, Rs1X, Shamt6)
+	fSh5    = layout(mOpc|mF3|mF7, RdX, Rs1X, Shamt5)
+	fR      = layout(mOpc|mF3|mF7, RdX, Rs1X, Rs2X)
+	fRAcc   = readingRd(fR)
+	fR2     = layout(mOpc|mF3|mF7, RdX, Rs1X)
+	fFence  = layout(mOpc | mF3)
+	fSys    = layout(mOpc | mF3 | mImm12)
+	fSys1   = layout(mOpc|mF3|mImm12, Rs1Opt)
+	fSFence = layout(mOpc|mF3|mF7, Rs1Opt, Rs2Opt)
+	fCSR    = layout(mOpc|mF3, RdX, CSRNum, Rs1X)
+	fCSRI   = layout(mOpc|mF3, RdX, CSRNum, Uimm5)
+	fAMO    = layout(mOpc|mF3|mF5, RdX, Rs2X, Base)
+	fLR     = layout(mOpc|mF3|mF5, RdX, Base)
+
+	// Floating point. OP-FP fixes funct3 only where it selects the operation
+	// (elsewhere it is the rounding mode) and the rs2 field only where the
+	// op has one source.
+	fFLoad  = layout(mOpc|mF3, RdF, MemI)
+	fFStore = layout(mOpc|mF3, Rs2F, MemS)
+	fFR     = layout(mOpc|mF7, RdF, Rs1F, Rs2F)
+	fFR3    = layout(mOpc|mF3|mF7, RdF, Rs1F, Rs2F)
+	fFCmp   = layout(mOpc|mF3|mF7, RdX, Rs1F, Rs2F)
+	fFF     = layout(mOpc|mF7|mRs2, RdF, Rs1F)
+	fFXF    = layout(mOpc|mF7|mRs2, RdX, Rs1F)
+	fFFX    = layout(mOpc|mF7|mRs2, RdF, Rs1X)
+	fFMvXF  = layout(mOpc|mF3|mF7|mRs2, RdX, Rs1F)
+	fFMvFX  = layout(mOpc|mF3|mF7|mRs2, RdF, Rs1X)
+	fR4     = layout(mOpc|mFmt, RdF, Rs1F, Rs2F, Rs3F)
+
+	// Vector: the source order is vd, vs2, then vs1/rs1/imm; a store's data
+	// vector sits in the rd slot as a load's destination does.
+	fVSetVLI = layout(mOpc|mF3|1<<31, RdX, Rs1X, VTypeImm)
+	fVLoad   = layout(mOpc|mF3|mF6, RdV, Base, VMemMask)
+	fVLoadS  = layout(mOpc|mF3|mF6, RdV, Base, Rs2X, VMemMask)
+	fVLoadX  = layout(mOpc|mF3|mF6, RdV, Base, Rs2V, VMemMask)
+	fVStore  = layout(mOpc|mF3|mF6, VData, Base, VMemMask)
+	fVStoreS = layout(mOpc|mF3|mF6, VData, Base, VStride, VMemMask)
+	fVStoreX = layout(mOpc|mF3|mF6, VData, Base, VIndex, VMemMask)
+	fVV      = layout(mOpc|mF3|mF6, RdV, Rs2V, Rs1V, VM)
+	fVVAcc   = readingRd(fVV)
+	fVX      = layout(mOpc|mF3|mF6, RdV, Rs2V, Rs1X, VM)
+	fVI      = layout(mOpc|mF3|mF6, RdV, Rs2V, Simm5, VM)
+	fVMvV    = layout(mOpc|mF3|mF6, RdV, Rs1V, VM)
+	fVMvX    = layout(mOpc|mF3|mF6, RdV, Rs1X, VM)
+	fVMvXS   = layout(mOpc|mF3|mF6, RdX, Rs2V, VM)
+
+	// XT-910 custom: the indexed store carries its data in rd.
+	fXIdx   = layout(mOpc|mF3|mF5, RdX, Rs1X, Rs2X, Shift2)
+	fXIdxSt = readingRd(fXIdx)
+	fXExt   = layout(mOpc|mF3, RdX, Rs1X, MsbLsb)
+)
+
+// opF3, opF7, opImm and opV compose a row's match from the fields it fixes.
+// opV's funct3 is the vector operand category (0 OPIVV, 1 OPFVV, 2 OPMVV,
+// 3 OPIVI, 4 OPIVX, 6 OPMVX); the funct6 values mostly follow the 0.7.1 draft.
+func opF3(opc, f3 uint32) uint32         { return opc | f3<<12 }
+func opF7(opc, f3, f7 uint32) uint32     { return opc | f3<<12 | f7<<25 }
+func opImm(opc, f3, imm12 uint32) uint32 { return opc | f3<<12 | imm12<<20 }
+func opV(f3, f6 uint32) uint32           { return opcOpV | f3<<12 | f6<<26 }
+
+// opMetaInfo is the one statement of an operation: everything Encode, Decode,
+// the disassembler and the assembler know about it follows from its row.
 type opMetaInfo struct {
 	name  string
 	class Class
 	// latency is the default execution latency in cycles used by the pipeline
 	// model (loads/stores add memory time on top of their pipe latency).
 	latency uint8
+	form    *format
+	// match is the word with every field the format fixes set to this op's
+	// value. fence alone also sets bits outside its mask (Encode writes
+	// iorw, iorw; Decode takes any).
+	match uint32
 }
 
 var opMeta = [numOps]opMetaInfo{
-	ILLEGAL: {"illegal", ClassIllegal, 1},
+	ILLEGAL: {"illegal", ClassIllegal, 1, nil, 0},
 
-	LUI:   {"lui", ClassALU, 1},
-	AUIPC: {"auipc", ClassALU, 1},
-	JAL:   {"jal", ClassJump, 1},
-	JALR:  {"jalr", ClassJump, 1},
-	BEQ:   {"beq", ClassBranch, 1},
-	BNE:   {"bne", ClassBranch, 1},
-	BLT:   {"blt", ClassBranch, 1},
-	BGE:   {"bge", ClassBranch, 1},
-	BLTU:  {"bltu", ClassBranch, 1},
-	BGEU:  {"bgeu", ClassBranch, 1},
-	LB:    {"lb", ClassLoad, 1},
-	LH:    {"lh", ClassLoad, 1},
-	LW:    {"lw", ClassLoad, 1},
-	LD:    {"ld", ClassLoad, 1},
-	LBU:   {"lbu", ClassLoad, 1},
-	LHU:   {"lhu", ClassLoad, 1},
-	LWU:   {"lwu", ClassLoad, 1},
-	SB:    {"sb", ClassStore, 1},
-	SH:    {"sh", ClassStore, 1},
-	SW:    {"sw", ClassStore, 1},
-	SD:    {"sd", ClassStore, 1},
-	ADDI:  {"addi", ClassALU, 1},
-	SLTI:  {"slti", ClassALU, 1},
-	SLTIU: {"sltiu", ClassALU, 1},
-	XORI:  {"xori", ClassALU, 1},
-	ORI:   {"ori", ClassALU, 1},
-	ANDI:  {"andi", ClassALU, 1},
-	SLLI:  {"slli", ClassALU, 1},
-	SRLI:  {"srli", ClassALU, 1},
-	SRAI:  {"srai", ClassALU, 1},
-	ADD:   {"add", ClassALU, 1},
-	SUB:   {"sub", ClassALU, 1},
-	SLL:   {"sll", ClassALU, 1},
-	SLT:   {"slt", ClassALU, 1},
-	SLTU:  {"sltu", ClassALU, 1},
-	XOR:   {"xor", ClassALU, 1},
-	SRL:   {"srl", ClassALU, 1},
-	SRA:   {"sra", ClassALU, 1},
-	OR:    {"or", ClassALU, 1},
-	AND:   {"and", ClassALU, 1},
-	ADDIW: {"addiw", ClassALU, 1},
-	SLLIW: {"slliw", ClassALU, 1},
-	SRLIW: {"srliw", ClassALU, 1},
-	SRAIW: {"sraiw", ClassALU, 1},
-	ADDW:  {"addw", ClassALU, 1},
-	SUBW:  {"subw", ClassALU, 1},
-	SLLW:  {"sllw", ClassALU, 1},
-	SRLW:  {"srlw", ClassALU, 1},
-	SRAW:  {"sraw", ClassALU, 1},
+	LUI:   {"lui", ClassALU, 1, fU, opcLui},
+	AUIPC: {"auipc", ClassALU, 1, fU, opcAuipc},
+	JAL:   {"jal", ClassJump, 1, fJ, opcJAL},
+	JALR:  {"jalr", ClassJump, 1, fJalr, opcJALR},
+	BEQ:   {"beq", ClassBranch, 1, fB, opF3(opcBranch, 0)},
+	BNE:   {"bne", ClassBranch, 1, fB, opF3(opcBranch, 1)},
+	BLT:   {"blt", ClassBranch, 1, fB, opF3(opcBranch, 4)},
+	BGE:   {"bge", ClassBranch, 1, fB, opF3(opcBranch, 5)},
+	BLTU:  {"bltu", ClassBranch, 1, fB, opF3(opcBranch, 6)},
+	BGEU:  {"bgeu", ClassBranch, 1, fB, opF3(opcBranch, 7)},
+	LB:    {"lb", ClassLoad, 1, fLoad, opF3(opcLoad, 0)},
+	LH:    {"lh", ClassLoad, 1, fLoad, opF3(opcLoad, 1)},
+	LW:    {"lw", ClassLoad, 1, fLoad, opF3(opcLoad, 2)},
+	LD:    {"ld", ClassLoad, 1, fLoad, opF3(opcLoad, 3)},
+	LBU:   {"lbu", ClassLoad, 1, fLoad, opF3(opcLoad, 4)},
+	LHU:   {"lhu", ClassLoad, 1, fLoad, opF3(opcLoad, 5)},
+	LWU:   {"lwu", ClassLoad, 1, fLoad, opF3(opcLoad, 6)},
+	SB:    {"sb", ClassStore, 1, fStore, opF3(opcStore, 0)},
+	SH:    {"sh", ClassStore, 1, fStore, opF3(opcStore, 1)},
+	SW:    {"sw", ClassStore, 1, fStore, opF3(opcStore, 2)},
+	SD:    {"sd", ClassStore, 1, fStore, opF3(opcStore, 3)},
+	ADDI:  {"addi", ClassALU, 1, fI, opF3(opcOpImm, 0)},
+	SLTI:  {"slti", ClassALU, 1, fI, opF3(opcOpImm, 2)},
+	SLTIU: {"sltiu", ClassALU, 1, fI, opF3(opcOpImm, 3)},
+	XORI:  {"xori", ClassALU, 1, fI, opF3(opcOpImm, 4)},
+	ORI:   {"ori", ClassALU, 1, fI, opF3(opcOpImm, 6)},
+	ANDI:  {"andi", ClassALU, 1, fI, opF3(opcOpImm, 7)},
+	SLLI:  {"slli", ClassALU, 1, fSh6, opF7(opcOpImm, 1, 0)},
+	SRLI:  {"srli", ClassALU, 1, fSh6, opF7(opcOpImm, 5, 0)},
+	SRAI:  {"srai", ClassALU, 1, fSh6, opF7(opcOpImm, 5, 0x10<<1)},
+	ADD:   {"add", ClassALU, 1, fR, opF7(opcOp, 0, 0x00)},
+	SUB:   {"sub", ClassALU, 1, fR, opF7(opcOp, 0, 0x20)},
+	SLL:   {"sll", ClassALU, 1, fR, opF7(opcOp, 1, 0x00)},
+	SLT:   {"slt", ClassALU, 1, fR, opF7(opcOp, 2, 0x00)},
+	SLTU:  {"sltu", ClassALU, 1, fR, opF7(opcOp, 3, 0x00)},
+	XOR:   {"xor", ClassALU, 1, fR, opF7(opcOp, 4, 0x00)},
+	SRL:   {"srl", ClassALU, 1, fR, opF7(opcOp, 5, 0x00)},
+	SRA:   {"sra", ClassALU, 1, fR, opF7(opcOp, 5, 0x20)},
+	OR:    {"or", ClassALU, 1, fR, opF7(opcOp, 6, 0x00)},
+	AND:   {"and", ClassALU, 1, fR, opF7(opcOp, 7, 0x00)},
+	ADDIW: {"addiw", ClassALU, 1, fI, opF3(opcOpImm32, 0)},
+	SLLIW: {"slliw", ClassALU, 1, fSh5, opF7(opcOpImm32, 1, 0x00)},
+	SRLIW: {"srliw", ClassALU, 1, fSh5, opF7(opcOpImm32, 5, 0x00)},
+	SRAIW: {"sraiw", ClassALU, 1, fSh5, opF7(opcOpImm32, 5, 0x20)},
+	ADDW:  {"addw", ClassALU, 1, fR, opF7(opcOp32, 0, 0x00)},
+	SUBW:  {"subw", ClassALU, 1, fR, opF7(opcOp32, 0, 0x20)},
+	SLLW:  {"sllw", ClassALU, 1, fR, opF7(opcOp32, 1, 0x00)},
+	SRLW:  {"srlw", ClassALU, 1, fR, opF7(opcOp32, 5, 0x00)},
+	SRAW:  {"sraw", ClassALU, 1, fR, opF7(opcOp32, 5, 0x20)},
 
-	FENCE:     {"fence", ClassSys, 1},
-	FENCEI:    {"fence.i", ClassSys, 1},
-	ECALL:     {"ecall", ClassSys, 1},
-	EBREAK:    {"ebreak", ClassSys, 1},
-	MRET:      {"mret", ClassSys, 1},
-	SRET:      {"sret", ClassSys, 1},
-	WFI:       {"wfi", ClassSys, 1},
-	SFENCEVMA: {"sfence.vma", ClassSys, 1},
+	FENCE:     {"fence", ClassSys, 1, fFence, opImm(opcMiscMem, 0, 0x0FF)},
+	FENCEI:    {"fence.i", ClassSys, 1, fFence, opImm(opcMiscMem, 1, 0x000)},
+	ECALL:     {"ecall", ClassSys, 1, fSys, opImm(opcSystem, 0, 0x000)},
+	EBREAK:    {"ebreak", ClassSys, 1, fSys, opImm(opcSystem, 0, 0x001)},
+	MRET:      {"mret", ClassSys, 1, fSys, opImm(opcSystem, 0, 0x302)},
+	SRET:      {"sret", ClassSys, 1, fSys, opImm(opcSystem, 0, 0x102)},
+	WFI:       {"wfi", ClassSys, 1, fSys, opImm(opcSystem, 0, 0x105)},
+	SFENCEVMA: {"sfence.vma", ClassSys, 1, fSFence, opF7(opcSystem, 0, 0x09)},
 
-	CSRRW:  {"csrrw", ClassCSR, 1},
-	CSRRS:  {"csrrs", ClassCSR, 1},
-	CSRRC:  {"csrrc", ClassCSR, 1},
-	CSRRWI: {"csrrwi", ClassCSR, 1},
-	CSRRSI: {"csrrsi", ClassCSR, 1},
-	CSRRCI: {"csrrci", ClassCSR, 1},
+	CSRRW:  {"csrrw", ClassCSR, 1, fCSR, opF3(opcSystem, 1)},
+	CSRRS:  {"csrrs", ClassCSR, 1, fCSR, opF3(opcSystem, 2)},
+	CSRRC:  {"csrrc", ClassCSR, 1, fCSR, opF3(opcSystem, 3)},
+	CSRRWI: {"csrrwi", ClassCSR, 1, fCSRI, opF3(opcSystem, 5)},
+	CSRRSI: {"csrrsi", ClassCSR, 1, fCSRI, opF3(opcSystem, 6)},
+	CSRRCI: {"csrrci", ClassCSR, 1, fCSRI, opF3(opcSystem, 7)},
 
-	MUL:    {"mul", ClassMul, 3},
-	MULH:   {"mulh", ClassMul, 3},
-	MULHSU: {"mulhsu", ClassMul, 3},
-	MULHU:  {"mulhu", ClassMul, 3},
-	DIV:    {"div", ClassDiv, 12},
-	DIVU:   {"divu", ClassDiv, 12},
-	REM:    {"rem", ClassDiv, 12},
-	REMU:   {"remu", ClassDiv, 12},
-	MULW:   {"mulw", ClassMul, 3},
-	DIVW:   {"divw", ClassDiv, 8},
-	DIVUW:  {"divuw", ClassDiv, 8},
-	REMW:   {"remw", ClassDiv, 8},
-	REMUW:  {"remuw", ClassDiv, 8},
+	MUL:    {"mul", ClassMul, 3, fR, opF7(opcOp, 0, 0x01)},
+	MULH:   {"mulh", ClassMul, 3, fR, opF7(opcOp, 1, 0x01)},
+	MULHSU: {"mulhsu", ClassMul, 3, fR, opF7(opcOp, 2, 0x01)},
+	MULHU:  {"mulhu", ClassMul, 3, fR, opF7(opcOp, 3, 0x01)},
+	DIV:    {"div", ClassDiv, 12, fR, opF7(opcOp, 4, 0x01)},
+	DIVU:   {"divu", ClassDiv, 12, fR, opF7(opcOp, 5, 0x01)},
+	REM:    {"rem", ClassDiv, 12, fR, opF7(opcOp, 6, 0x01)},
+	REMU:   {"remu", ClassDiv, 12, fR, opF7(opcOp, 7, 0x01)},
+	MULW:   {"mulw", ClassMul, 3, fR, opF7(opcOp32, 0, 0x01)},
+	DIVW:   {"divw", ClassDiv, 8, fR, opF7(opcOp32, 4, 0x01)},
+	DIVUW:  {"divuw", ClassDiv, 8, fR, opF7(opcOp32, 5, 0x01)},
+	REMW:   {"remw", ClassDiv, 8, fR, opF7(opcOp32, 6, 0x01)},
+	REMUW:  {"remuw", ClassDiv, 8, fR, opF7(opcOp32, 7, 0x01)},
 
-	LRW:      {"lr.w", ClassAMO, 1},
-	LRD:      {"lr.d", ClassAMO, 1},
-	SCW:      {"sc.w", ClassAMO, 1},
-	SCD:      {"sc.d", ClassAMO, 1},
-	AMOSWAPW: {"amoswap.w", ClassAMO, 1},
-	AMOSWAPD: {"amoswap.d", ClassAMO, 1},
-	AMOADDW:  {"amoadd.w", ClassAMO, 1},
-	AMOADDD:  {"amoadd.d", ClassAMO, 1},
-	AMOANDW:  {"amoand.w", ClassAMO, 1},
-	AMOANDD:  {"amoand.d", ClassAMO, 1},
-	AMOORW:   {"amoor.w", ClassAMO, 1},
-	AMOORD:   {"amoor.d", ClassAMO, 1},
-	AMOXORW:  {"amoxor.w", ClassAMO, 1},
-	AMOXORD:  {"amoxor.d", ClassAMO, 1},
-	AMOMAXW:  {"amomax.w", ClassAMO, 1},
-	AMOMAXD:  {"amomax.d", ClassAMO, 1},
-	AMOMINW:  {"amomin.w", ClassAMO, 1},
-	AMOMIND:  {"amomin.d", ClassAMO, 1},
+	LRW:      {"lr.w", ClassAMO, 1, fLR, opF7(opcAMO, 2, 0x02<<2)},
+	LRD:      {"lr.d", ClassAMO, 1, fLR, opF7(opcAMO, 3, 0x02<<2)},
+	SCW:      {"sc.w", ClassAMO, 1, fAMO, opF7(opcAMO, 2, 0x03<<2)},
+	SCD:      {"sc.d", ClassAMO, 1, fAMO, opF7(opcAMO, 3, 0x03<<2)},
+	AMOSWAPW: {"amoswap.w", ClassAMO, 1, fAMO, opF7(opcAMO, 2, 0x01<<2)},
+	AMOSWAPD: {"amoswap.d", ClassAMO, 1, fAMO, opF7(opcAMO, 3, 0x01<<2)},
+	AMOADDW:  {"amoadd.w", ClassAMO, 1, fAMO, opF7(opcAMO, 2, 0x00<<2)},
+	AMOADDD:  {"amoadd.d", ClassAMO, 1, fAMO, opF7(opcAMO, 3, 0x00<<2)},
+	AMOANDW:  {"amoand.w", ClassAMO, 1, fAMO, opF7(opcAMO, 2, 0x0C<<2)},
+	AMOANDD:  {"amoand.d", ClassAMO, 1, fAMO, opF7(opcAMO, 3, 0x0C<<2)},
+	AMOORW:   {"amoor.w", ClassAMO, 1, fAMO, opF7(opcAMO, 2, 0x08<<2)},
+	AMOORD:   {"amoor.d", ClassAMO, 1, fAMO, opF7(opcAMO, 3, 0x08<<2)},
+	AMOXORW:  {"amoxor.w", ClassAMO, 1, fAMO, opF7(opcAMO, 2, 0x04<<2)},
+	AMOXORD:  {"amoxor.d", ClassAMO, 1, fAMO, opF7(opcAMO, 3, 0x04<<2)},
+	AMOMAXW:  {"amomax.w", ClassAMO, 1, fAMO, opF7(opcAMO, 2, 0x14<<2)},
+	AMOMAXD:  {"amomax.d", ClassAMO, 1, fAMO, opF7(opcAMO, 3, 0x14<<2)},
+	AMOMINW:  {"amomin.w", ClassAMO, 1, fAMO, opF7(opcAMO, 2, 0x10<<2)},
+	AMOMIND:  {"amomin.d", ClassAMO, 1, fAMO, opF7(opcAMO, 3, 0x10<<2)},
 
-	FLW:     {"flw", ClassLoad, 1},
-	FLD:     {"fld", ClassLoad, 1},
-	FSW:     {"fsw", ClassStore, 1},
-	FSD:     {"fsd", ClassStore, 1},
-	FADDS:   {"fadd.s", ClassFPU, 3},
-	FSUBS:   {"fsub.s", ClassFPU, 3},
-	FMULS:   {"fmul.s", ClassFPU, 5},
-	FDIVS:   {"fdiv.s", ClassFPU, 12},
-	FSQRTS:  {"fsqrt.s", ClassFPU, 14},
-	FADDD:   {"fadd.d", ClassFPU, 3},
-	FSUBD:   {"fsub.d", ClassFPU, 3},
-	FMULD:   {"fmul.d", ClassFPU, 5},
-	FDIVD:   {"fdiv.d", ClassFPU, 18},
-	FSQRTD:  {"fsqrt.d", ClassFPU, 20},
-	FMADDS:  {"fmadd.s", ClassFPU, 5},
-	FMSUBS:  {"fmsub.s", ClassFPU, 5},
-	FMADDD:  {"fmadd.d", ClassFPU, 5},
-	FMSUBD:  {"fmsub.d", ClassFPU, 5},
-	FSGNJS:  {"fsgnj.s", ClassFPU, 1},
-	FSGNJNS: {"fsgnjn.s", ClassFPU, 1},
-	FSGNJXS: {"fsgnjx.s", ClassFPU, 1},
-	FSGNJD:  {"fsgnj.d", ClassFPU, 1},
-	FSGNJND: {"fsgnjn.d", ClassFPU, 1},
-	FSGNJXD: {"fsgnjx.d", ClassFPU, 1},
-	FMINS:   {"fmin.s", ClassFPU, 2},
-	FMAXS:   {"fmax.s", ClassFPU, 2},
-	FMIND:   {"fmin.d", ClassFPU, 2},
-	FMAXD:   {"fmax.d", ClassFPU, 2},
-	FCVTWS:  {"fcvt.w.s", ClassFPU, 3},
-	FCVTLS:  {"fcvt.l.s", ClassFPU, 3},
-	FCVTSW:  {"fcvt.s.w", ClassFPU, 3},
-	FCVTSL:  {"fcvt.s.l", ClassFPU, 3},
-	FCVTWD:  {"fcvt.w.d", ClassFPU, 3},
-	FCVTLD:  {"fcvt.l.d", ClassFPU, 3},
-	FCVTDW:  {"fcvt.d.w", ClassFPU, 3},
-	FCVTDL:  {"fcvt.d.l", ClassFPU, 3},
-	FCVTSD:  {"fcvt.s.d", ClassFPU, 3},
-	FCVTDS:  {"fcvt.d.s", ClassFPU, 3},
-	FMVXW:   {"fmv.x.w", ClassFPU, 1},
-	FMVWX:   {"fmv.w.x", ClassFPU, 1},
-	FMVXD:   {"fmv.x.d", ClassFPU, 1},
-	FMVDX:   {"fmv.d.x", ClassFPU, 1},
-	FEQS:    {"feq.s", ClassFPU, 2},
-	FLTS:    {"flt.s", ClassFPU, 2},
-	FLES:    {"fle.s", ClassFPU, 2},
-	FEQD:    {"feq.d", ClassFPU, 2},
-	FLTD:    {"flt.d", ClassFPU, 2},
-	FLED:    {"fle.d", ClassFPU, 2},
+	FLW:     {"flw", ClassLoad, 1, fFLoad, opF3(opcLoadFP, 2)},
+	FLD:     {"fld", ClassLoad, 1, fFLoad, opF3(opcLoadFP, 3)},
+	FSW:     {"fsw", ClassStore, 1, fFStore, opF3(opcStoreFP, 2)},
+	FSD:     {"fsd", ClassStore, 1, fFStore, opF3(opcStoreFP, 3)},
+	FADDS:   {"fadd.s", ClassFPU, 3, fFR, opF7(opcOpFP, 0, 0x00)},
+	FSUBS:   {"fsub.s", ClassFPU, 3, fFR, opF7(opcOpFP, 0, 0x04)},
+	FMULS:   {"fmul.s", ClassFPU, 5, fFR, opF7(opcOpFP, 0, 0x08)},
+	FDIVS:   {"fdiv.s", ClassFPU, 12, fFR, opF7(opcOpFP, 0, 0x0C)},
+	FSQRTS:  {"fsqrt.s", ClassFPU, 14, fFF, opF7(opcOpFP, 0, 0x2C)},
+	FADDD:   {"fadd.d", ClassFPU, 3, fFR, opF7(opcOpFP, 0, 0x01)},
+	FSUBD:   {"fsub.d", ClassFPU, 3, fFR, opF7(opcOpFP, 0, 0x05)},
+	FMULD:   {"fmul.d", ClassFPU, 5, fFR, opF7(opcOpFP, 0, 0x09)},
+	FDIVD:   {"fdiv.d", ClassFPU, 18, fFR, opF7(opcOpFP, 0, 0x0D)},
+	FSQRTD:  {"fsqrt.d", ClassFPU, 20, fFF, opF7(opcOpFP, 0, 0x2D)},
+	FMADDS:  {"fmadd.s", ClassFPU, 5, fR4, opF7(opcFMAdd, 0, 0)},
+	FMSUBS:  {"fmsub.s", ClassFPU, 5, fR4, opF7(opcFMSub, 0, 0)},
+	FMADDD:  {"fmadd.d", ClassFPU, 5, fR4, opF7(opcFMAdd, 0, 1)},
+	FMSUBD:  {"fmsub.d", ClassFPU, 5, fR4, opF7(opcFMSub, 0, 1)},
+	FSGNJS:  {"fsgnj.s", ClassFPU, 1, fFR3, opF7(opcOpFP, 0, 0x10)},
+	FSGNJNS: {"fsgnjn.s", ClassFPU, 1, fFR3, opF7(opcOpFP, 1, 0x10)},
+	FSGNJXS: {"fsgnjx.s", ClassFPU, 1, fFR3, opF7(opcOpFP, 2, 0x10)},
+	FSGNJD:  {"fsgnj.d", ClassFPU, 1, fFR3, opF7(opcOpFP, 0, 0x11)},
+	FSGNJND: {"fsgnjn.d", ClassFPU, 1, fFR3, opF7(opcOpFP, 1, 0x11)},
+	FSGNJXD: {"fsgnjx.d", ClassFPU, 1, fFR3, opF7(opcOpFP, 2, 0x11)},
+	FMINS:   {"fmin.s", ClassFPU, 2, fFR3, opF7(opcOpFP, 0, 0x14)},
+	FMAXS:   {"fmax.s", ClassFPU, 2, fFR3, opF7(opcOpFP, 1, 0x14)},
+	FMIND:   {"fmin.d", ClassFPU, 2, fFR3, opF7(opcOpFP, 0, 0x15)},
+	FMAXD:   {"fmax.d", ClassFPU, 2, fFR3, opF7(opcOpFP, 1, 0x15)},
+	FCVTWS:  {"fcvt.w.s", ClassFPU, 3, fFXF, opF7(opcOpFP, 0, 0x60)},
+	FCVTLS:  {"fcvt.l.s", ClassFPU, 3, fFXF, opF7(opcOpFP, 0, 0x60) | 2<<20},
+	FCVTSW:  {"fcvt.s.w", ClassFPU, 3, fFFX, opF7(opcOpFP, 0, 0x68)},
+	FCVTSL:  {"fcvt.s.l", ClassFPU, 3, fFFX, opF7(opcOpFP, 0, 0x68) | 2<<20},
+	FCVTWD:  {"fcvt.w.d", ClassFPU, 3, fFXF, opF7(opcOpFP, 0, 0x61)},
+	FCVTLD:  {"fcvt.l.d", ClassFPU, 3, fFXF, opF7(opcOpFP, 0, 0x61) | 2<<20},
+	FCVTDW:  {"fcvt.d.w", ClassFPU, 3, fFFX, opF7(opcOpFP, 0, 0x69)},
+	FCVTDL:  {"fcvt.d.l", ClassFPU, 3, fFFX, opF7(opcOpFP, 0, 0x69) | 2<<20},
+	FCVTSD:  {"fcvt.s.d", ClassFPU, 3, fFF, opF7(opcOpFP, 0, 0x20) | 1<<20},
+	FCVTDS:  {"fcvt.d.s", ClassFPU, 3, fFF, opF7(opcOpFP, 0, 0x21)},
+	FMVXW:   {"fmv.x.w", ClassFPU, 1, fFMvXF, opF7(opcOpFP, 0, 0x70)},
+	FMVWX:   {"fmv.w.x", ClassFPU, 1, fFMvFX, opF7(opcOpFP, 0, 0x78)},
+	FMVXD:   {"fmv.x.d", ClassFPU, 1, fFMvXF, opF7(opcOpFP, 0, 0x71)},
+	FMVDX:   {"fmv.d.x", ClassFPU, 1, fFMvFX, opF7(opcOpFP, 0, 0x79)},
+	FEQS:    {"feq.s", ClassFPU, 2, fFCmp, opF7(opcOpFP, 2, 0x50)},
+	FLTS:    {"flt.s", ClassFPU, 2, fFCmp, opF7(opcOpFP, 1, 0x50)},
+	FLES:    {"fle.s", ClassFPU, 2, fFCmp, opF7(opcOpFP, 0, 0x50)},
+	FEQD:    {"feq.d", ClassFPU, 2, fFCmp, opF7(opcOpFP, 2, 0x51)},
+	FLTD:    {"flt.d", ClassFPU, 2, fFCmp, opF7(opcOpFP, 1, 0x51)},
+	FLED:    {"fle.d", ClassFPU, 2, fFCmp, opF7(opcOpFP, 0, 0x51)},
 
-	VSETVLI:    {"vsetvli", ClassVSet, 1},
-	VSETVL:     {"vsetvl", ClassVSet, 1},
-	VLE:        {"vle.v", ClassVLoad, 1},
-	VSE:        {"vse.v", ClassVStore, 1},
-	VLSE:       {"vlse.v", ClassVLoad, 1},
-	VSSE:       {"vsse.v", ClassVStore, 1},
-	VADDVV:     {"vadd.vv", ClassVALU, 3},
-	VADDVX:     {"vadd.vx", ClassVALU, 3},
-	VADDVI:     {"vadd.vi", ClassVALU, 3},
-	VSUBVV:     {"vsub.vv", ClassVALU, 3},
-	VSUBVX:     {"vsub.vx", ClassVALU, 3},
-	VMULVV:     {"vmul.vv", ClassVALU, 4},
-	VMULVX:     {"vmul.vx", ClassVALU, 4},
-	VMACCVV:    {"vmacc.vv", ClassVALU, 4},
-	VWMACCVV:   {"vwmacc.vv", ClassVALU, 4},
-	VANDVV:     {"vand.vv", ClassVALU, 3},
-	VORVV:      {"vor.vv", ClassVALU, 3},
-	VXORVV:     {"vxor.vv", ClassVALU, 3},
-	VSLLVV:     {"vsll.vv", ClassVALU, 3},
-	VSRLVV:     {"vsrl.vv", ClassVALU, 3},
-	VMINVV:     {"vmin.vv", ClassVALU, 3},
-	VMAXVV:     {"vmax.vv", ClassVALU, 3},
-	VDIVVV:     {"vdiv.vv", ClassVALU, 16},
-	VREMVV:     {"vrem.vv", ClassVALU, 16},
-	VMVVV:      {"vmv.v.v", ClassVALU, 1},
-	VMVVX:      {"vmv.v.x", ClassVALU, 1},
-	VMVSX:      {"vmv.s.x", ClassVALU, 1},
-	VMVXS:      {"vmv.x.s", ClassVALU, 1},
-	VREDSUMVS:  {"vredsum.vs", ClassVALU, 4},
-	VREDMAXVS:  {"vredmax.vs", ClassVALU, 4},
-	VFADDVV:    {"vfadd.vv", ClassVFPU, 3},
-	VFSUBVV:    {"vfsub.vv", ClassVFPU, 3},
-	VFMULVV:    {"vfmul.vv", ClassVFPU, 5},
-	VFDIVVV:    {"vfdiv.vv", ClassVFPU, 16},
-	VFMACCVV:   {"vfmacc.vv", ClassVFPU, 5},
-	VFREDSUMVS: {"vfredsum.vs", ClassVFPU, 4},
-	VLXEI:      {"vlxei.v", ClassVLoad, 1},
-	VSXEI:      {"vsxei.v", ClassVStore, 1},
-	VMSEQVV:    {"vmseq.vv", ClassVALU, 3},
+	VSETVLI:    {"vsetvli", ClassVSet, 1, fVSetVLI, opF3(opcOpV, 7)},
+	VSETVL:     {"vsetvl", ClassVSet, 1, fR, opF7(opcOpV, 7, 0x40)},
+	VLE:        {"vle.v", ClassVLoad, 1, fVLoad, opF7(opcLoadFP, 7, 0x00)},
+	VSE:        {"vse.v", ClassVStore, 1, fVStore, opF7(opcStoreFP, 7, 0x00)},
+	VLSE:       {"vlse.v", ClassVLoad, 1, fVLoadS, opF7(opcLoadFP, 7, 0x08)},
+	VSSE:       {"vsse.v", ClassVStore, 1, fVStoreS, opF7(opcStoreFP, 7, 0x08)},
+	VADDVV:     {"vadd.vv", ClassVALU, 3, fVV, opV(0, 0x00)},
+	VADDVX:     {"vadd.vx", ClassVALU, 3, fVX, opV(4, 0x00)},
+	VADDVI:     {"vadd.vi", ClassVALU, 3, fVI, opV(3, 0x00)},
+	VSUBVV:     {"vsub.vv", ClassVALU, 3, fVV, opV(0, 0x02)},
+	VSUBVX:     {"vsub.vx", ClassVALU, 3, fVX, opV(4, 0x02)},
+	VMULVV:     {"vmul.vv", ClassVALU, 4, fVV, opV(2, 0x25)},
+	VMULVX:     {"vmul.vx", ClassVALU, 4, fVX, opV(6, 0x25)},
+	VMACCVV:    {"vmacc.vv", ClassVALU, 4, fVVAcc, opV(2, 0x2D)},
+	VWMACCVV:   {"vwmacc.vv", ClassVALU, 4, fVVAcc, opV(2, 0x3D)},
+	VANDVV:     {"vand.vv", ClassVALU, 3, fVV, opV(0, 0x09)},
+	VORVV:      {"vor.vv", ClassVALU, 3, fVV, opV(0, 0x0A)},
+	VXORVV:     {"vxor.vv", ClassVALU, 3, fVV, opV(0, 0x0B)},
+	VSLLVV:     {"vsll.vv", ClassVALU, 3, fVV, opV(0, 0x25)},
+	VSRLVV:     {"vsrl.vv", ClassVALU, 3, fVV, opV(0, 0x28)},
+	VMINVV:     {"vmin.vv", ClassVALU, 3, fVV, opV(0, 0x05)},
+	VMAXVV:     {"vmax.vv", ClassVALU, 3, fVV, opV(0, 0x07)},
+	VDIVVV:     {"vdiv.vv", ClassVALU, 16, fVV, opV(2, 0x21)},
+	VREMVV:     {"vrem.vv", ClassVALU, 16, fVV, opV(2, 0x23)},
+	VMVVV:      {"vmv.v.v", ClassVALU, 1, fVMvV, opV(0, 0x17)},
+	VMVVX:      {"vmv.v.x", ClassVALU, 1, fVMvX, opV(4, 0x17)},
+	VMVSX:      {"vmv.s.x", ClassVALU, 1, fVMvX, opV(6, 0x10)},
+	VMVXS:      {"vmv.x.s", ClassVALU, 1, fVMvXS, opV(2, 0x10)},
+	VREDSUMVS:  {"vredsum.vs", ClassVALU, 4, fVV, opV(2, 0x00)},
+	VREDMAXVS:  {"vredmax.vs", ClassVALU, 4, fVV, opV(2, 0x07)},
+	VFADDVV:    {"vfadd.vv", ClassVFPU, 3, fVV, opV(1, 0x00)},
+	VFSUBVV:    {"vfsub.vv", ClassVFPU, 3, fVV, opV(1, 0x02)},
+	VFMULVV:    {"vfmul.vv", ClassVFPU, 5, fVV, opV(1, 0x24)},
+	VFDIVVV:    {"vfdiv.vv", ClassVFPU, 16, fVV, opV(1, 0x20)},
+	VFMACCVV:   {"vfmacc.vv", ClassVFPU, 5, fVVAcc, opV(1, 0x2C)},
+	VFREDSUMVS: {"vfredsum.vs", ClassVFPU, 4, fVV, opV(1, 0x01)},
+	VLXEI:      {"vlxei.v", ClassVLoad, 1, fVLoadX, opF7(opcLoadFP, 7, 0x0C)},
+	VSXEI:      {"vsxei.v", ClassVStore, 1, fVStoreX, opF7(opcStoreFP, 7, 0x0C)},
+	VMSEQVV:    {"vmseq.vv", ClassVALU, 3, fVV, opV(0, 0x18)},
 
-	XLRB:   {"lrb", ClassLoad, 1},
-	XLRH:   {"lrh", ClassLoad, 1},
-	XLRW:   {"lrw", ClassLoad, 1},
-	XLRD:   {"lrd", ClassLoad, 1},
-	XLURB:  {"lurb", ClassLoad, 1},
-	XLURH:  {"lurh", ClassLoad, 1},
-	XLURW:  {"lurw", ClassLoad, 1},
-	XSRB:   {"srb", ClassStore, 1},
-	XSRH:   {"srh", ClassStore, 1},
-	XSRW:   {"srw", ClassStore, 1},
-	XSRD:   {"srd", ClassStore, 1},
-	XADDSL: {"addsl", ClassALU, 1},
+	XLRB:   {"lrb", ClassLoad, 1, fXIdx, opF7(opcCustom0, 1, 0<<2)},
+	XLRH:   {"lrh", ClassLoad, 1, fXIdx, opF7(opcCustom0, 1, 1<<2)},
+	XLRW:   {"lrw", ClassLoad, 1, fXIdx, opF7(opcCustom0, 1, 2<<2)},
+	XLRD:   {"lrd", ClassLoad, 1, fXIdx, opF7(opcCustom0, 1, 3<<2)},
+	XLURB:  {"lurb", ClassLoad, 1, fXIdx, opF7(opcCustom0, 1, 4<<2)},
+	XLURH:  {"lurh", ClassLoad, 1, fXIdx, opF7(opcCustom0, 1, 5<<2)},
+	XLURW:  {"lurw", ClassLoad, 1, fXIdx, opF7(opcCustom0, 1, 6<<2)},
+	XSRB:   {"srb", ClassStore, 1, fXIdxSt, opF7(opcCustom0, 2, 0<<2)},
+	XSRH:   {"srh", ClassStore, 1, fXIdxSt, opF7(opcCustom0, 2, 1<<2)},
+	XSRW:   {"srw", ClassStore, 1, fXIdxSt, opF7(opcCustom0, 2, 2<<2)},
+	XSRD:   {"srd", ClassStore, 1, fXIdxSt, opF7(opcCustom0, 2, 3<<2)},
+	XADDSL: {"addsl", ClassALU, 1, fXIdx, opF7(opcCustom0, 3, 0<<2)},
 
-	XEXT:    {"ext", ClassALU, 1},
-	XEXTU:   {"extu", ClassALU, 1},
-	XFF0:    {"ff0", ClassALU, 1},
-	XFF1:    {"ff1", ClassALU, 1},
-	XREV:    {"rev", ClassALU, 1},
-	XSRRI:   {"srri", ClassALU, 1},
-	XTSTNBZ: {"tstnbz", ClassALU, 1},
-	XMVEQZ:  {"mveqz", ClassALU, 1},
-	XMVNEZ:  {"mvnez", ClassALU, 1},
-	XMULA:   {"mula", ClassMul, 3},
-	XMULS:   {"muls", ClassMul, 3},
-	XMULAH:  {"mulah", ClassMul, 3},
-	XMULSH:  {"mulsh", ClassMul, 3},
-	XMULAW:  {"mulaw", ClassMul, 3},
-	XMULSW:  {"mulsw", ClassMul, 3},
+	XEXT:    {"ext", ClassALU, 1, fXExt, opF3(opcCustom0, 4)},
+	XEXTU:   {"extu", ClassALU, 1, fXExt, opF3(opcCustom0, 5)},
+	XFF0:    {"ff0", ClassALU, 1, fR2, opF7(opcCustom0, 0, 0x03)},
+	XFF1:    {"ff1", ClassALU, 1, fR2, opF7(opcCustom0, 0, 0x04)},
+	XREV:    {"rev", ClassALU, 1, fR2, opF7(opcCustom0, 0, 0x02)},
+	XSRRI:   {"srri", ClassALU, 1, fSh6, opF7(opcCustom0, 6, 0)},
+	XTSTNBZ: {"tstnbz", ClassALU, 1, fR2, opF7(opcCustom0, 0, 0x05)},
+	XMVEQZ:  {"mveqz", ClassALU, 1, fRAcc, opF7(opcCustom0, 0, 0x10)},
+	XMVNEZ:  {"mvnez", ClassALU, 1, fRAcc, opF7(opcCustom0, 0, 0x11)},
+	XMULA:   {"mula", ClassMul, 3, fRAcc, opF7(opcCustom0, 0, 0x20)},
+	XMULS:   {"muls", ClassMul, 3, fRAcc, opF7(opcCustom0, 0, 0x21)},
+	XMULAH:  {"mulah", ClassMul, 3, fRAcc, opF7(opcCustom0, 0, 0x22)},
+	XMULSH:  {"mulsh", ClassMul, 3, fRAcc, opF7(opcCustom0, 0, 0x23)},
+	XMULAW:  {"mulaw", ClassMul, 3, fRAcc, opF7(opcCustom0, 0, 0x24)},
+	XMULSW:  {"mulsw", ClassMul, 3, fRAcc, opF7(opcCustom0, 0, 0x25)},
 
-	XDCACHECALL: {"dcache.call", ClassCacheOp, 1},
-	XDCACHEIALL: {"dcache.iall", ClassCacheOp, 1},
-	XDCACHECVA:  {"dcache.cva", ClassCacheOp, 1},
-	XDCACHEIVA:  {"dcache.iva", ClassCacheOp, 1},
-	XICACHEIALL: {"icache.iall", ClassCacheOp, 1},
-	XSYNC:       {"sync", ClassCacheOp, 1},
-	XTLBIASID:   {"tlbi.asid", ClassCacheOp, 1},
-	XTLBIVA:     {"tlbi.va", ClassCacheOp, 1},
+	XDCACHECALL: {"dcache.call", ClassCacheOp, 1, fSys, opImm(opcCustom0, 7, 0)},
+	XDCACHEIALL: {"dcache.iall", ClassCacheOp, 1, fSys, opImm(opcCustom0, 7, 1)},
+	XDCACHECVA:  {"dcache.cva", ClassCacheOp, 1, fSys1, opImm(opcCustom0, 7, 2)},
+	XDCACHEIVA:  {"dcache.iva", ClassCacheOp, 1, fSys1, opImm(opcCustom0, 7, 3)},
+	XICACHEIALL: {"icache.iall", ClassCacheOp, 1, fSys, opImm(opcCustom0, 7, 4)},
+	XSYNC:       {"sync", ClassCacheOp, 1, fSys, opImm(opcCustom0, 7, 5)},
+	XTLBIASID:   {"tlbi.asid", ClassCacheOp, 1, fSys1, opImm(opcCustom0, 7, 6)},
+	XTLBIVA:     {"tlbi.va", ClassCacheOp, 1, fSys1, opImm(opcCustom0, 7, 7)},
 }
 
 // String returns the assembler mnemonic for the operation.
@@ -558,6 +686,23 @@ func (o Op) Class() Class {
 // add cache/DRAM time on top of this pipe latency; divides return the default
 // and the core adjusts by operand magnitude.
 func (o Op) Latency() int { return int(opMeta[o].latency) }
+
+// format returns the operation's format, nil for an op that has no encoding.
+func (o Op) format() *format {
+	if o < numOps {
+		return opMeta[o].form
+	}
+	return nil
+}
+
+// Operands returns the operation's operands in the order the source writes
+// them (shared: do not modify).
+func (o Op) Operands() []Operand {
+	if f := o.format(); f != nil {
+		return f.opds
+	}
+	return nil
+}
 
 // IsLoad reports whether the operation reads data memory (scalar loads,
 // indexed custom loads, and FP loads; vector loads are ClassVLoad).
