@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke fuzz-native-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke fidelity-track fidelity-smoke tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test race cli-smoke fuzz-native-smoke campaign-smoke campaign-chaos-smoke fidelity-track fidelity-smoke tier1 bench xtbench clean
 
 all: tier1
 
@@ -25,40 +25,15 @@ test:
 race:
 	$(GO) test -race ./internal/sched ./internal/bench
 
-# fuzz-smoke runs the differential co-simulation fuzzer on a fixed seed set:
-# a few seconds of lock-step timing-core-vs-golden-model checking that must
-# stay divergence-free. (The smoke targets run the CLIs; the packages' own
-# suites run once, race-enabled, in tier1's `go test -race ./...`.)
-fuzz-smoke:
-	$(GO) run ./cmd/xtfuzz -n 200 -seed 1
-
-# fuzz-paged-smoke repeats the sweep under the S-mode/SV39 paged profile
-# (identity mapping plus a +1GB alias window), which adds page-crossing,
-# page-fault and VA-vs-PA reservation segments to the generated programs.
-fuzz-paged-smoke:
-	$(GO) run ./cmd/xtfuzz -modes paged -n 60 -seed 1
-
-# fuzz-irq-smoke repeats the sweep with the asynchronous-interrupt protocol
-# armed: every seed carries a deterministic commit-indexed mip schedule driven
-# into both models, so delivery points, mcause/mepc/mstatus CSR state and
-# SquashInterrupt recovery are checked in lock step.
-fuzz-irq-smoke:
-	$(GO) run ./cmd/xtfuzz -modes irq -n 60 -seed 1
-
-# fuzz-smp-smoke repeats the sweep under the SPMD multi-hart profile: every
-# hart runs the generated program against its own golden emulator over one
-# shared memory, with cross-hart contention segments (LR/SC ping-pong, AMO
-# counters, fence-ordered producer/consumer, MSIP IPIs) and the store-order
-# oracle cross-checking every store-class retirement against coherence
-# line ownership. The JSON record stream must be byte-identical at any
-# worker-pool width.
-SMP_SMOKE_DIR := .smp-smoke
-fuzz-smp-smoke:
-	@mkdir -p $(SMP_SMOKE_DIR)
-	$(GO) run ./cmd/xtfuzz -modes smp -n 40 -seed 1 -jobs 1 -json > $(SMP_SMOKE_DIR)/a.jsonl
-	$(GO) run ./cmd/xtfuzz -modes smp -n 40 -seed 1 -json > $(SMP_SMOKE_DIR)/b.jsonl
-	cmp $(SMP_SMOKE_DIR)/a.jsonl $(SMP_SMOKE_DIR)/b.jsonl
-	@rm -rf $(SMP_SMOKE_DIR)
+# cli-smoke runs the CLIs end to end: xtfuzz on a fixed seed set in each of
+# its modes (plain, paged, irq, smp), the xtinject fault campaign and the
+# xttrace self-check, each twice — at -jobs 1 and at the default width — from
+# binaries built once; every run must exit clean and the two outputs of a row
+# must be byte-identical (cmd/smoke_test.go holds the table). Env-gated so the
+# plain `go test ./...` sweep stays cheap. (The packages' own suites run once,
+# race-enabled, in tier1's `go test -race ./...`.)
+cli-smoke:
+	XT_CLI_SMOKE=1 $(GO) test -count=1 -run TestCLISmoke ./cmd
 
 # fuzz-native-smoke gives each native fuzz target ten seconds of mutation on
 # top of its seed corpus. asm.FuzzAssemble (a generated program per cosim
@@ -79,32 +54,6 @@ fuzz-native-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/asm
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 0 ./isa
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cosim
-
-# inject-smoke runs the transient-fault campaign on a fixed seed set: control
-# runs must be divergence-free (no false positives), no architectural-state
-# fault may go silent (the cosim checker must catch or the fault must mask),
-# and the formatted report must be byte-identical at any worker width.
-INJECT_SMOKE_DIR := .inject-smoke
-inject-smoke:
-	@mkdir -p $(INJECT_SMOKE_DIR)
-	$(GO) run ./cmd/xtinject -n 6 -faults 6 -jobs 1 > $(INJECT_SMOKE_DIR)/a.txt
-	$(GO) run ./cmd/xtinject -n 6 -faults 6 > $(INJECT_SMOKE_DIR)/b.txt
-	cmp $(INJECT_SMOKE_DIR)/a.txt $(INJECT_SMOKE_DIR)/b.txt
-	@rm -rf $(INJECT_SMOKE_DIR)
-
-# trace-smoke exercises the pipeline-trace subsystem end to end: xttrace runs
-# a pinned workload with both sinks attached and self-checks the outputs (CPI
-# buckets sum exactly to total cycles; the Konata trace validates with one
-# retired uop per retired instruction), then a second identical run must
-# produce byte-identical trace files.
-TRACE_SMOKE_DIR := .trace-smoke
-trace-smoke:
-	@mkdir -p $(TRACE_SMOKE_DIR)
-	$(GO) run ./cmd/xttrace -selfcheck -iters 2 -konata $(TRACE_SMOKE_DIR)/a.kanata -jsonl $(TRACE_SMOKE_DIR)/a.jsonl eembc-a2time
-	$(GO) run ./cmd/xttrace -selfcheck -iters 2 -konata $(TRACE_SMOKE_DIR)/b.kanata -jsonl $(TRACE_SMOKE_DIR)/b.jsonl eembc-a2time
-	cmp $(TRACE_SMOKE_DIR)/a.kanata $(TRACE_SMOKE_DIR)/b.kanata
-	cmp $(TRACE_SMOKE_DIR)/a.jsonl $(TRACE_SMOKE_DIR)/b.jsonl
-	@rm -rf $(TRACE_SMOKE_DIR)
 
 # campaign-smoke is the end-to-end restart-resume proof for the campaign
 # service: boot the real xtcampd daemon on an ephemeral port, submit a fuzz
@@ -148,13 +97,8 @@ tier1:
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
-	$(MAKE) fuzz-smoke
-	$(MAKE) fuzz-paged-smoke
-	$(MAKE) fuzz-irq-smoke
-	$(MAKE) fuzz-smp-smoke
+	$(MAKE) cli-smoke
 	$(MAKE) fuzz-native-smoke
-	$(MAKE) inject-smoke
-	$(MAKE) trace-smoke
 	$(MAKE) campaign-smoke
 	$(MAKE) campaign-chaos-smoke
 	$(MAKE) fidelity-smoke

@@ -130,25 +130,10 @@ type Core struct {
 	// the coherence fabric.
 	MemWriteHook func(pa uint64, size int, from int)
 
-	// OwnStoresAtCommit makes every committing store re-acquire write
-	// ownership of the line(s) it spans when a remote hart stole them
-	// between the st.addr cache query and commit. Multi-hart sessions set
-	// this so the store-order oracle's invariant — a store retires only
-	// while its hart owns the line — holds by construction; single-core
-	// systems leave it off (no remote thief exists, no timing change).
-	OwnStoresAtCommit bool
-
-	// AtomicsAtCommit defers an atomic's architectural read-modify-write
-	// from its ROB-head cache access to the retirement boundary itself.
-	// Multi-hart sessions set this so no cycle exists where memory holds an
-	// atomic's result before its commit hooks ran (another hart's commits
-	// interleave with the head-stall window); single-core systems leave it
-	// off, keeping the execute-at-head semantics and timing.
-	AtomicsAtCommit bool
-
 	// MMIO, when set by the SoC, claims physical address ranges for devices
-	// (CLINT, PLIC). MMIO loads execute non-speculatively at the ROB head;
-	// MMIO stores take effect at retirement like all stores.
+	// (CLINT, PLIC). MMIO loads start non-speculatively at the ROB head and
+	// read the device at retirement; MMIO stores take effect at retirement
+	// like all stores.
 	MMIO MMIODevice
 
 	// IntSource, when set by the SoC, returns the externally-driven mip bits

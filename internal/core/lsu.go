@@ -168,14 +168,30 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 	return true
 }
 
-// SquashCoherentLoads tags this hart's executed-but-uncommitted loads that
+// BroadcastWrite carries a write hart `from` has committed to the other harts
+// — what the coherence fabric's invalidation does for them. Their LR/SC
+// reservations covering it die (the invalidation a real SC relies on), their
+// predecoded instructions over the range drop (cross-hart self-modifying code
+// stays exact), and their speculatively-executed overlapping loads squash.
+// Whatever sits between the harts (soc.System, a cosim session) calls this
+// from each core's MemWriteHook.
+func BroadcastWrite(harts []*Core, pa uint64, size int, from int) {
+	for _, c := range harts {
+		if c.ID != from {
+			c.KillReservation(pa, size)
+			c.InvalidatePredecode(pa, size)
+			c.squashCoherentLoads(pa, size)
+		}
+	}
+}
+
+// squashCoherentLoads tags this hart's executed-but-uncommitted loads that
 // overlap a remote hart's committed write for squash-and-retry at the ROB
 // head — the snoop-triggered machine clear a real SMP core performs so a
 // speculatively-read value never survives a conflicting remote store. The
-// SoC fabric (and the multi-hart cosimulator) calls this from its committed-
-// write broadcast; the existing §V-A retire-time squash machinery re-fetches
-// the load and it re-reads coherent memory.
-func (c *Core) SquashCoherentLoads(pa uint64, size int) {
+// existing §V-A retire-time squash machinery re-fetches the load and it
+// re-reads coherent memory.
+func (c *Core) squashCoherentLoads(pa uint64, size int) {
 	for i := 0; i < c.lq.len(); i++ {
 		le := c.lq.at(i)
 		if !le.executed || !overlap(pa, size, le.addr, le.size) {
@@ -241,15 +257,13 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 		return true
 	}
 
-	// device loads have side effects (PLIC claim): execute them only at the
-	// ROB head, bypassing the cache hierarchy
+	// device loads have side effects (PLIC claim): they start only at the ROB
+	// head, bypassing the cache hierarchy, and the read itself happens at the
+	// pop (commitDeviceLoad)
 	if c.MMIO != nil && c.MMIO.Covers(pa) {
 		if c.robQ.front().seq != u.seq {
 			return false
 		}
-		v := extendLoad(u.inst.Op, c.MMIO.Read(pa, size), size)
-		done := doneT + 20 // uncached device access
-		c.pf.write(u.newPhys, v, done)
 		if le := c.findLQ(u); le != nil {
 			le.addr = pa
 			le.size = size
@@ -257,7 +271,8 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 		}
 		u.addr = pa
 		u.done, u.issued = true, true
-		u.readyAt = done
+		u.readyAt = doneT + 20 // uncached device access
+		u.effectPending = true
 		c.Stats.Loads++
 		return true
 	}
@@ -342,9 +357,9 @@ func (c *Core) hasOlderPendingVStore(seq uint64) bool {
 		if u.seq >= seq {
 			return false
 		}
-		// an amoPending atomic is done for retirement purposes but its memory
-		// effect has not landed yet — younger loads must keep waiting
-		if (!u.done || u.amoPending) && u.flags&sfBlocksLoads != 0 {
+		// an atomic past its cache access is done for retirement purposes but
+		// its memory effect lands at the pop — younger loads must keep waiting
+		if (!u.done || u.effectPending) && u.flags&sfBlocksLoads != 0 {
 			return true
 		}
 	}

@@ -64,10 +64,17 @@ func (c *Core) retire() {
 			return
 		}
 
-		// atomics apply their architectural effects here, at the boundary
-		if u.amoPending {
-			c.commitAMO(u)
-			u.amoPending = false
+		// what executed at the head takes architectural effect here, at the
+		// pop: had it landed at execute, an interrupt delivered between the
+		// two would squash an instruction that already changed memory or
+		// a device
+		if u.effectPending {
+			if u.class == isa.ClassAMO {
+				c.commitAMO(u)
+			} else {
+				c.commitDeviceLoad(u)
+			}
+			u.effectPending = false
 		}
 
 		// commit memory effects
@@ -177,11 +184,9 @@ func (c *Core) commitStore(u *uop) {
 		c.Stats.Stores++
 		return
 	}
-	if c.OwnStoresAtCommit {
-		c.ensureOwned(e.addr)
-		if crossesLine(e.addr, e.size, c.Cfg.L1D.LineBytes) {
-			c.ensureOwned(e.addr + uint64(e.size) - 1)
-		}
+	c.ensureOwned(e.addr)
+	if crossesLine(e.addr, e.size, c.Cfg.L1D.LineBytes) {
+		c.ensureOwned(e.addr + uint64(e.size) - 1)
 	}
 	c.Mem.Write(e.addr, e.size, e.val)
 	c.notifyWrite(e.addr, e.size)
@@ -190,8 +195,12 @@ func (c *Core) commitStore(u *uop) {
 }
 
 // ensureOwned re-acquires write ownership of addr's line if it was lost (or
-// downgraded) since the st.addr query — the commit-time bus transaction a
-// real machine's write buffer performs when its line was snooped away.
+// downgraded) since the st.addr or head-of-ROB query — the commit-time bus
+// transaction a real machine's write buffer performs when its line is gone.
+// Another hart's store can have taken it, and so can this hart's own traffic:
+// a younger load's fill may evict the line between the query and the commit
+// (about one single-hart fuzz seed in fifty does). Either way a write retires
+// only to a line its hart owns, the invariant the store-order oracle checks.
 func (c *Core) ensureOwned(addr uint64) {
 	if l := c.L1D.Cache.Lookup(addr); l != nil &&
 		(l.State == cache.Modified || l.State == cache.Exclusive) {
@@ -341,12 +350,10 @@ func (c *Core) execCSRAtRetire(u *uop) {
 
 // execAMOAtRetire is the timing phase of an atomic: translation and the data
 // cache access (which acquires write ownership of the line) happen when the op
-// reaches the ROB head. By default the architectural read-modify-write runs
-// here too. Under AtomicsAtCommit (multi-hart sessions) it is instead deferred
-// to commitAMO at the pop itself, so no cycle exists where memory holds an
-// atomic's result before its commit hooks have run — another hart's commits
-// interleave with the head-stall window, and an early write would be observed
-// out of global commit order.
+// reaches the ROB head. The architectural read-modify-write waits for the pop
+// (commitAMO): an interrupt, or another hart's commits, can fall inside the
+// head-stall window, and memory must not hold the result of an atomic that
+// has not retired.
 func (c *Core) execAMOAtRetire(u *uop) bool {
 	va := c.srcVal(u, 0)
 	pa, doneT, err := c.mmuTranslate(va, mmuAccStore)
@@ -362,33 +369,22 @@ func (c *Core) execAMOAtRetire(u *uop) bool {
 	u.addr = pa
 	u.done = true
 	u.readyAt = done
-	c.Stats.Atomics++
-	if c.AtomicsAtCommit {
-		u.amoPending = true
-		return true
-	}
-	c.applyAMO(u, done)
+	u.effectPending = true
 	return true
 }
 
-// commitAMO is the deferred architectural phase of an atomic, run at the
-// retirement boundary under AtomicsAtCommit. The register result becomes
-// readable at u.readyAt — the cycle it is written, since retirement precedes
-// issue within a cycle — so dependent wakeup timing matches the
-// execute-at-head default exactly. hasOlderPendingVStore keeps the hart's own
-// younger loads blocked while the effect is pending, and ownership lost to
-// another hart during the head-stall window is re-acquired before the write,
-// like commitStore.
+// commitAMO is the architectural phase of an atomic, run at the pop. The
+// register result becomes readable at u.readyAt — no later than the cycle it
+// is written, and retirement precedes issue within a cycle — so dependants
+// wake exactly when the cache access completes. hasOlderPendingVStore keeps
+// the hart's own younger loads blocked until then, and ownership lost during
+// the head-stall window is re-acquired before the write, like commitStore.
 func (c *Core) commitAMO(u *uop) {
-	c.applyAMO(u, u.readyAt)
-}
-
-// applyAMO performs an atomic's architectural read-modify-write; ready is the
-// cycle the register result becomes readable.
-func (c *Core) applyAMO(u *uop, ready uint64) {
 	op := u.inst.Op
 	size := u.memSize()
 	pa := u.addr
+	ready := u.readyAt
+	c.Stats.Atomics++
 	switch op {
 	case isa.LRW, isa.LRD:
 		v := c.Mem.Read(pa, size)
@@ -396,9 +392,7 @@ func (c *Core) applyAMO(u *uop, ready uint64) {
 		c.pf.write(u.newPhys, loadExtendSized(v, size), ready)
 	case isa.SCW, isa.SCD:
 		if c.resOK && c.resAddr == pa {
-			if c.OwnStoresAtCommit {
-				c.ensureOwned(pa)
-			}
+			c.ensureOwned(pa)
 			c.Mem.Write(pa, size, c.srcVal(u, 1))
 			c.notifyWrite(pa, size)
 			c.pf.write(u.newPhys, 0, ready)
@@ -407,14 +401,20 @@ func (c *Core) applyAMO(u *uop, ready uint64) {
 		}
 		c.resOK = false
 	default:
-		if c.OwnStoresAtCommit {
-			c.ensureOwned(pa)
-		}
+		c.ensureOwned(pa)
 		old := c.Mem.Read(pa, size)
 		c.Mem.Write(pa, size, isa.EvalAMO(op, old, c.srcVal(u, 1)))
 		c.notifyWrite(pa, size)
 		c.pf.write(u.newPhys, loadExtendSized(old, size), ready)
 	}
+}
+
+// commitDeviceLoad performs a device load's read — which may have a side
+// effect, a PLIC claim for one — at the pop; execLoad charged its latency when
+// the load reached the head, and the value is readable from u.readyAt on.
+func (c *Core) commitDeviceLoad(u *uop) {
+	size := u.memSize()
+	c.pf.write(u.newPhys, extendLoad(u.inst.Op, c.MMIO.Read(u.addr, size), size), u.readyAt)
 }
 
 // notifyWrite publishes a committed write to the SoC fabric and drops any

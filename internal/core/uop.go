@@ -82,9 +82,9 @@ type uopExec struct {
 	dataDone bool
 	fwd      bool
 
-	amoPending  bool // atomic finished its cache access; arch effects at pop
-	flushAfter  bool // serializing: flush the pipeline after retirement
-	squashRetry bool // §V-A ordering violation: squash at retire, refetch
+	effectPending bool // executed at the ROB head (atomic, device load); arch effect at the pop
+	flushAfter    bool // serializing: flush the pipeline after retirement
+	squashRetry   bool // §V-A ordering violation: squash at retire, refetch
 
 	// memLevel is the coherence.Level* the op's cache access was served from,
 	// recorded at execute time (LevelL1 until then). The CPI stack's mem

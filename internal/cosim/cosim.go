@@ -39,18 +39,19 @@
 //
 // # Multi-hart sessions
 //
-// With Options.Harts > 1 (or Modes.SMP) the session runs N lock-step hart
-// pairs: N timing cores sharing one memory and one coherent L2, and N golden
-// emulators sharing a second memory. Each emulator steps inside its own
-// core's commit hook, so the emulator-world interleaving of architectural
-// effects is exactly the core-world global commit order — which is what makes
-// per-commit register compare and shared-memory compare sound across harts.
-// Cross-hart coupling mirrors the SoC fabric: a committed store kills remote
-// reservations, invalidates remote predecode, and squashes remote
-// speculatively-executed overlapping loads (the snoop-triggered machine
-// clear); the emulators broadcast reservation kills the same way. Each world
-// gets its own CLINT (neither ticks — mtime stays 0 and deterministic) so
-// MSIP IPIs deliver at identical commit positions.
+// A session runs N lock-step hart pairs, N = 1 included (Options.Harts > 1 or
+// Modes.SMP asks for more): N timing cores sharing one memory and one
+// coherent L2, and N golden emulators sharing a second memory. Each emulator
+// steps inside its own core's commit hook, so the emulator-world interleaving
+// of architectural effects is exactly the core-world global commit order —
+// which is what makes per-commit register compare and shared-memory compare
+// sound across harts. Cross-hart coupling is the SoC fabric's
+// (core.BroadcastWrite): a committed store kills remote reservations,
+// invalidates remote predecode, and squashes remote speculatively-executed
+// overlapping loads (the snoop-triggered machine clear); the emulators
+// broadcast reservation kills the same way. With more than one hart each
+// world gets its own CLINT (neither ticks — mtime stays 0 and deterministic)
+// so MSIP IPIs deliver at identical commit positions.
 //
 // On top of the per-hart architectural compare, multi-hart sessions run the
 // store-order oracle (see oracle.go): a global commit log of store/AMO/LR-SC
@@ -178,8 +179,8 @@ const (
 	pagedTableBase = 0x100000
 )
 
-// hookModels, when set (tests only), runs after both models are constructed
-// and configured, immediately before the first cycle (single-hart sessions).
+// hookModels, when set (tests only), runs on each hart pair once both models
+// are constructed and wired, before the first cycle.
 // Tests use it to perturb one model and prove the checker catches a given
 // divergence class.
 var hookModels func(c *core.Core, m *emu.Machine)
@@ -281,6 +282,7 @@ func (h *HartSession) Commits() uint64 { return h.k.commits }
 // loops on top of it.
 type Session struct {
 	harts  []*HartSession
+	cores  [maxHarts]*core.Core // harts[i].c, for core.BroadcastWrite
 	l2     *coherence.L2
 	oracle *storeOracle
 
@@ -351,9 +353,9 @@ const (
 
 // NewSession builds the models for an already-assembled program and wires the
 // lock-step checker (each emulator steps once per commit inside its core's
-// retire hook). Single-hart sessions use two private memories; multi-hart
-// sessions share one memory and one coherent L2 per world and run the program
-// SPMD, one stack per hart.
+// retire hook). Each world — timing cores, golden emulators — has one memory
+// that all its harts share, the core world one coherent L2 as well; the
+// program runs SPMD, one stack per hart.
 func NewSession(p *asm.Program, opts Options) *Session {
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = 10_000_000
@@ -371,99 +373,70 @@ func NewSession(p *asm.Program, opts Options) *Session {
 
 	s := &Session{maxCycles: opts.MaxCycles, failHart: -1}
 
-	cmem := mem.NewMemory()
+	cmem, emem := mem.NewMemory(), mem.NewMemory()
 	s.l2 = coherence.NewL2(cache.Config{
 		SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, HitLatency: 10, ECC: true, Parity: true,
 	}, mem.NewDRAM())
+	p.LoadInto(cmem)
+	p.LoadInto(emem)
 
-	if harts == 1 {
-		c := core.New(cfg, 0, cmem, s.l2)
-		p.LoadInto(cmem)
-		c.Reset(p.Entry, stackBase)
+	// Only a second hart gives a CLINT (MSIP IPIs) or the store-order oracle
+	// anything to do. One CLINT per world, and neither ticks, so mtime reads 0
+	// in both and every run stays deterministic.
+	var clintC, clintE *soc.CLINT
+	if harts > 1 {
+		clintC, clintE = soc.NewCLINT(harts), soc.NewCLINT(harts)
+		if !opts.DisableStoreOracle {
+			s.oracle = newStoreOracle(s.l2, clintC)
+		}
+	}
 
-		m := emu.New(mem.NewMemory())
-		p.LoadInto(m.Mem)
+	written := newWrittenLines()
+	// Committed-write broadcast, the SoC fabric's: the other harts' reservations
+	// die, their predecode over the range drops, and their speculatively-
+	// executed overlapping loads squash. The emulators kill reservations alike.
+	coreWrite := func(pa uint64, size int, from int) {
+		written.mark(pa, size)
+		core.BroadcastWrite(s.cores[:len(s.harts)], pa, size, from)
+	}
+	for h := 0; h < harts; h++ {
+		sp := stackBase - uint64(h)*smpStackStride
+		c := core.New(cfg, h, cmem, s.l2)
+		c.Reset(p.Entry, sp)
+		s.cores[h] = c
+
+		m := emu.New(emem)
 		m.PC = p.Entry
-		m.X[isa.SP] = stackBase
-
+		m.X[isa.SP] = sp
+		if harts > 1 {
+			c.MMIO, m.MMIO = clintC, clintE
+			// a lone hart keeps the reset value, 0: a write would add mhartid
+			// to the CSR image of every checkpoint it takes
+			m.SetCSR(isa.CSRMhartid, uint64(h))
+		}
 		if modes.Paged {
 			setupPaged(c, m)
 		}
 
-		k := newChecker(c, m, opts.Window, newWrittenLines())
-		c.CommitHook = k.onCommit
-		c.MemWriteHook = func(pa uint64, size int, from int) { k.written.mark(pa, size) }
-		m.OnStore = func(pa uint64, size int) { k.written.mark(pa, size) }
-
-		hs := &HartSession{id: 0, c: c, m: m, k: k}
-		s.harts = []*HartSession{hs}
-		if sched := scheds[0]; len(sched) > 0 {
-			s.wireIRQ(hs, sched, nil, nil)
-		}
-		if hookModels != nil {
-			hookModels(c, m)
-		}
-		return s
-	}
-
-	// Multi-hart: one memory image per world, shared by every hart of that
-	// world, and a CLINT per world for MSIP IPIs. Neither CLINT ticks, so
-	// mtime reads 0 in both worlds and every run stays deterministic.
-	clintC := soc.NewCLINT(harts)
-	clintE := soc.NewCLINT(harts)
-	if !opts.DisableStoreOracle {
-		s.oracle = newStoreOracle(s.l2, clintC)
-	}
-	emem := mem.NewMemory()
-	p.LoadInto(cmem)
-	p.LoadInto(emem)
-	written := newWrittenLines()
-	for h := 0; h < harts; h++ {
-		c := core.New(cfg, h, cmem, s.l2)
-		// Commit-time ownership re-acquire: makes the oracle's invariant —
-		// a store retires only while its hart owns the line — true by
-		// construction for a healthy fabric.
-		c.OwnStoresAtCommit = true
-		c.AtomicsAtCommit = true
-		c.MMIO = clintC
-		c.Reset(p.Entry, stackBase-uint64(h)*smpStackStride)
-
-		m := emu.New(emem)
-		m.MMIO = clintE
-		m.PC = p.Entry
-		m.X[isa.SP] = stackBase - uint64(h)*smpStackStride
-		m.SetCSR(isa.CSRMhartid, uint64(h))
-
 		k := newChecker(c, m, opts.Window, written)
-		k.hart, k.multi, k.checkIRQ = h, true, true
-		s.harts = append(s.harts, &HartSession{id: h, c: c, m: m, k: k})
-	}
-	for _, hs := range s.harts {
-		hs := hs
-		c, m, k := hs.c, hs.m, hs.k
-		c.CommitHook = func(ci core.Commit) { s.smpCommit(hs, ci) }
-		// Committed-write broadcast, mirroring soc.System.killReservations:
-		// remote reservations die, remote predecode over the range drops,
-		// and remote speculatively-executed overlapping loads squash.
-		c.MemWriteHook = func(pa uint64, size int, from int) {
-			k.written.mark(pa, size)
-			for _, o := range s.harts {
-				if o.c != c {
-					o.c.KillReservation(pa, size)
-					o.c.InvalidatePredecode(pa, size)
-					o.c.SquashCoherentLoads(pa, size)
-				}
-			}
-		}
+		k.hart, k.multi = h, harts > 1
+		hs := &HartSession{id: h, c: c, m: m, k: k}
+		s.harts = append(s.harts, hs)
+
+		c.CommitHook = func(ci core.Commit) { s.commit(hs, ci) }
+		c.MemWriteHook = coreWrite
 		m.OnStore = func(pa uint64, size int) {
-			k.written.mark(pa, size)
+			written.mark(pa, size)
 			for _, o := range s.harts {
 				if o.m != m {
 					o.m.KillReservation(pa, size)
 				}
 			}
 		}
-		s.wireIRQ(hs, scheds[hs.id], clintC, clintE)
+		s.wireIRQ(hs, scheds[h], clintC, clintE)
+		if hookModels != nil {
+			hookModels(c, m)
+		}
 	}
 	return s
 }
@@ -484,7 +457,6 @@ func (s *Session) wireIRQ(hs *HartSession, sched []IRQEvent, clintC, clintE *soc
 		arm = &irqArm{events: append([]IRQEvent(nil), sched...)}
 		hs.arm = arm
 		k.irq = arm
-		k.checkIRQ = true
 	}
 	if arm == nil && clintC == nil {
 		return
@@ -526,9 +498,9 @@ func (s *Session) wireIRQ(hs *HartSession, sched []IRQEvent, clintC, clintE *soc
 	}
 }
 
-// smpCommit is the multi-hart commit hook: the per-hart checker first, then
-// the store-order oracle over the global retirement stream.
-func (s *Session) smpCommit(hs *HartSession, ci core.Commit) {
+// commit is every hart's commit hook: the per-hart checker first, then the
+// store-order oracle (when there is one) over the global retirement stream.
+func (s *Session) commit(hs *HartSession, ci core.Commit) {
 	s.globalCommits++
 	k := hs.k
 	wasFailed := k.failed
@@ -637,15 +609,6 @@ func (s *Session) forceArm(h *HartSession) {
 func (s *Session) Finish() Result {
 	h0 := s.harts[0]
 	res := Result{Commits: s.Commits(), Cycles: h0.c.Now(), ExitCode: h0.c.ExitCode}
-	if s.failHart < 0 {
-		for _, h := range s.harts {
-			if h.k.failed {
-				// Single-hart sessions have no commit wrapper latching this.
-				s.failHart = h.id
-				break
-			}
-		}
-	}
 	if s.failHart < 0 {
 		for _, h := range s.harts {
 			h.k.drain()
@@ -793,10 +756,9 @@ type checker struct {
 	// Interrupt-delivery bookkeeping: each model's delivery latches its
 	// cause here; the next commit — the handler's first instruction —
 	// verifies both delivered the same interrupt and compares the delivery
-	// CSRs. checkIRQ turns the check on (schedule runs and every multi-hart
-	// session); irq is non-nil only when a schedule drives this hart, and
-	// adds the schedule-position compare.
-	checkIRQ   bool
+	// CSRs. Only wireIRQ's hooks latch a delivery, so a hart without an
+	// interrupt source never enters the check; irq is non-nil only when a
+	// schedule drives this hart, and adds the schedule-position compare.
 	irq        *irqArm
 	coreIRQ    bool
 	emuIRQ     bool
@@ -894,7 +856,7 @@ func (k *checker) onCommit(ci core.Commit) {
 	// executing anything) latched emuIRQ; the first commit after delivery —
 	// the handler's first instruction — must see both or neither, the same
 	// cause, and identical post-delivery trap state.
-	if k.checkIRQ && (k.coreIRQ || k.emuIRQ) {
+	if k.coreIRQ || k.emuIRQ {
 		if k.coreIRQ != k.emuIRQ {
 			k.fail(ci, "irq", fmt.Sprintf("delivery mismatch: core took=%v (cause=%d) emu took=%v (cause=%d)",
 				k.coreIRQ, k.coreCause, k.emuIRQ, k.emuCause))

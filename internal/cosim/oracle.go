@@ -17,12 +17,12 @@ import (
 // — which is exactly the class of coherence bug this oracle exists to catch.
 //
 // The invariant it checks ("a store retires only while its hart owns the
-// line") is made true by construction for a healthy fabric: multi-hart
-// sessions set core.OwnStoresAtCommit, so a committing store whose line was
-// stolen between execute and retire re-acquires ownership — and the fabric
-// reports that acquisition as an OwnExcl event — before the oracle looks. Any
-// violation therefore means the fabric granted, lost or failed to revoke
-// ownership without saying so.
+// line") is made true by construction for a healthy fabric: a committing
+// store whose line was lost between execute and retire re-acquires ownership
+// at the pop (core's ensureOwned) — and the fabric reports that acquisition
+// as an OwnExcl event — before the oracle looks. Any violation therefore
+// means the fabric granted, lost or failed to revoke ownership without
+// saying so.
 //
 // Besides the per-commit check, the ownership transitions themselves are
 // cross-validated: an exclusive grant while another hart still holds the line,

@@ -136,7 +136,9 @@ func New(cfg Config) (*System, error) {
 		for i := 0; i < cfg.CoresPerCluster; i++ {
 			c := core.New(cfg.Core, hart, s.Mem, l2)
 			c.TLBBroadcast = s.broadcastTLB
-			c.MemWriteHook = s.killReservations
+			c.MemWriteHook = func(pa uint64, size int, from int) {
+				core.BroadcastWrite(s.Cores, pa, size, from)
+			}
 			c.MMIO = mmioRouter{clint: s.CLINT, plic: s.PLIC}
 			c.IntSource = s.interruptBits
 			cluster.Cores = append(cluster.Cores, c)
@@ -168,22 +170,6 @@ func (s *System) broadcastTLB(op isa.Op, operand uint64, from int) {
 			c.MMU.FlushASID(uint16(operand))
 		case isa.XTLBIVA:
 			c.MMU.FlushVA(operand)
-		}
-	}
-}
-
-// killReservations invalidates other harts' LR/SC reservations covering a
-// committed write (the coherence invalidation a real SC relies on), drops
-// their predecoded instructions over the written range so cross-core
-// self-modifying code stays exact, and squashes their speculatively-executed
-// overlapping loads (the snoop-triggered machine clear that keeps a stale
-// value from committing after a remote store).
-func (s *System) killReservations(pa uint64, size int, from int) {
-	for _, c := range s.Cores {
-		if c.ID != from {
-			c.KillReservation(pa, size)
-			c.InvalidatePredecode(pa, size)
-			c.SquashCoherentLoads(pa, size)
 		}
 	}
 }
