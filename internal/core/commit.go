@@ -5,7 +5,6 @@ import "xt910/isa"
 // Commit is the architectural record of one retired instruction, published
 // through CommitHook for observers (the lock-step co-simulation checker).
 type Commit struct {
-	Seq  uint64 // pipeline sequence number
 	PC   uint64
 	Inst isa.Inst
 
@@ -62,7 +61,7 @@ func (c *Core) ArchRegMismatch(x, f *[32]uint64) (reg isa.Reg, val uint64, diffe
 // commitRecord assembles the Commit for a uop about to be reported. It runs
 // after the retirement map update, so archRAT reads give post-commit values.
 func (c *Core) commitRecord(u *uop) Commit {
-	ci := Commit{Seq: u.seq, PC: u.pc, Inst: u.inst}
+	ci := Commit{PC: u.pc, Inst: u.inst}
 	if u.writesReg() {
 		ci.RdVal = c.pf.read(c.archRAT[int(u.inst.Rd)])
 		ci.HasRd = true

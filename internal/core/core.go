@@ -32,7 +32,13 @@ type Core struct {
 	LoopBuf *branch.LoopBuffer
 	PF      *prefetch.Engine
 
-	Vec *vector.Unit
+	// Vec is the committed vector unit, the rest its speculative side
+	// (vcommit.go); all nil or empty without Cfg.EnableVector.
+	Vec       *vector.Unit
+	specVec   *vector.Unit
+	vecLog    ring[vecEffect]
+	vecBytes  []byte
+	vecStores ring[vecWrite]
 
 	// predec caches raw fetch bytes → decoded instructions (predecode.go);
 	// nil when Cfg.PredecodeCache is off.
@@ -69,10 +75,9 @@ type Core struct {
 	fetchWait    bool // stalled on an unpredictable jalr / post-flush hold
 
 	// vector scoreboard and configuration speculation state
-	vregReady  [32]uint64
-	vecBusy    uint64
-	lastVL     uint64
-	lastVecSeq uint64 // youngest executed vector op (see LastVectorSeq)
+	vregReady [32]uint64
+	vecBusy   uint64
+	lastVL    uint64
 
 	// memory-dependence predictor: load PCs that caused ordering violations
 	// are tagged and later forced to wait for older store addresses (§V-A).
@@ -115,10 +120,10 @@ type Core struct {
 	RetireHook func(pc uint64, in isa.Inst)
 
 	// CommitHook observes every retired instruction with its commit record
-	// (sequence number, destination value, effective address). It fires at
-	// the same point as RetireHook: after the retirement map has been
-	// updated, so Reg() reads post-commit architectural state. Instructions
-	// that take an exception do not commit and are not reported.
+	// (destination value, effective address). It fires at the same point as
+	// RetireHook: after the retirement map has been updated, so Reg() reads
+	// post-commit architectural state. Instructions that take an exception
+	// do not commit and are not reported.
 	CommitHook func(Commit)
 
 	// TLBBroadcast, when set by the SoC, carries tlbi.* maintenance to the
@@ -231,7 +236,11 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 	}
 	c.PF = prefetch.New(cfg.Prefetch, c)
 	if cfg.EnableVector {
-		c.Vec = vector.NewUnit(cfg.VLEN)
+		c.Vec, c.specVec = vector.NewUnit(cfg.VLEN), vector.NewUnit(cfg.VLEN)
+		c.vecLog = newRing(&freeVecEffects, cfg.ROBSize)
+		c.vecBytes = freeVecBytes.Get(cfg.ROBSize * maxGroupRegs * cfg.VLEN / 8)
+		// the most element writes one vector store makes: LMUL 8 of bytes
+		c.vecStores = newRing(&freeVecWrites, cfg.VLEN)
 	}
 	c.pf, c.rat = newPhysFile(cfg.IntPhysRegs, cfg.FpPhysRegs)
 	c.archRAT = append([]int16(nil), c.rat...)
@@ -255,8 +264,8 @@ var (
 )
 
 // Release hands the core's large tables — L1 tags, decode tables, joint TLB,
-// predictor tables, the ROB, IBUF and load/store queue rings — to the cores
-// built after it, each back in the state its constructor expects (DESIGN.md
+// predictor tables, the ROB, IBUF, load/store queue and vector-log rings — to
+// the cores built after it, each back in the state its constructor expects (DESIGN.md
 // "Session storage recycling"). The core must not be used afterwards. Only
 // the code that built a core, and let nobody else see it, may call this.
 func (c *Core) Release() {
@@ -280,6 +289,9 @@ func (c *Core) Release() {
 	c.fq.release(&freeFqEntries)
 	c.lq.release(&freeLqEntries)
 	c.sq.release(&freeSqEntries)
+	c.vecLog.release(&freeVecEffects)
+	freeVecBytes.Put(&c.vecBytes)
+	c.vecStores.release(&freeVecWrites)
 }
 
 // Reset re-points the core at a new entry PC with a given stack pointer. On a

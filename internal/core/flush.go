@@ -82,8 +82,8 @@ func (c *Core) squashYounger(keepSeq uint64) {
 // flushAll empties the whole pipeline (taken at retirement for exceptions,
 // serializing instructions and memory-ordering squashes, Fig. 8) and
 // restarts fetch at pc, attributing every killed µop to cause. The
-// speculative RAT is rebuilt from the retirement RAT and the free list from
-// scratch.
+// speculative RAT is rebuilt from the retirement RAT, the speculative vector
+// unit from the committed one, and the free list from scratch.
 func (c *Core) flushAll(pc uint64, cause trace.SquashCause) {
 	// release every in-flight rename
 	for i := 0; i < c.robQ.len(); i++ {
@@ -106,6 +106,13 @@ func (c *Core) flushAll(pc uint64, cause trace.SquashCause) {
 		c.ckpts[i].used = false
 	}
 	copy(c.rat, c.archRAT)
+	if c.vecLog.len() > 0 {
+		// executed vector µops die here too: their records go, and the
+		// speculative unit is the committed one again
+		c.vecLog.reset()
+		c.vecStores.reset()
+		c.specVec.CopyFrom(c.Vec)
+	}
 	c.fq.reset()
 	c.fetchWait = false
 	c.fetchPC = pc

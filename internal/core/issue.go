@@ -47,8 +47,8 @@ func (c *Core) issueAndExecute() {
 				break // in-order: blocked head blocks the pipe
 			}
 			if p == pipeFV0 && u.class != isa.ClassFPU {
-				// the vector queue is strictly ordered (§VII: vector ops
-				// mutate architectural vector state at execute)
+				// the vector queue is strictly ordered (§VII): vecLog is a
+				// FIFO and the speculative file has no renaming
 				break
 			}
 		}
@@ -279,11 +279,12 @@ func (c *Core) execBranch(u *uop) bool {
 	return true
 }
 
-// execVector runs the ordered vector queue (§VII). Vector operations execute
-// non-speculatively: the head of the vector queue issues only once no older
-// unresolved control flow, unexecuted memory operation, or retire-executed
-// (CSR/system) instruction remains in the ROB, because vector execution
-// mutates the architectural vector file directly.
+// execVector runs the ordered vector queue (§VII) against the speculative
+// vector unit; what the µop produced waits in vecLog for its pop (vcommit.go).
+// The head of the queue issues only once no older unresolved control flow,
+// unexecuted memory operation, or retire-executed (CSR/system) instruction
+// remains in the ROB — a timing gate only: nothing architectural depends on
+// how far the speculative unit runs ahead.
 func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 	if !c.srcsReady(u) || c.vecBusy > c.now {
 		return false
@@ -293,6 +294,7 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 	}
 	op := u.inst.Op
 	cls := u.class
+	spec := c.specVec
 	if cls == isa.ClassVLoad || cls == isa.ClassVStore {
 		// memory-ordered: all older scalar stores must have drained
 		for i := 0; i < c.sq.len(); i++ {
@@ -300,9 +302,17 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 				return false
 			}
 		}
+		// a load reads memory now, so an older vector store must have popped;
+		// a store needs room in the store buffer for its vl element writes
+		if cls == isa.ClassVLoad && c.hasOlderPendingVStore(u.seq) {
+			return false
+		}
+		if cls == isa.ClassVStore && int(spec.VL) > c.vecStores.room() {
+			return false
+		}
 	}
 	// vector register dependencies via the scoreboard
-	vt := c.Vec.VType
+	vt := spec.VType
 	group := vt.LMUL()
 	checkGroup := func(r isa.Reg) bool {
 		if !r.IsV() {
@@ -339,22 +349,33 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 		if u.inst.Rs1 == isa.Zero && u.inst.Rd != isa.Zero {
 			requested = ^uint64(0)
 		}
-		vl := c.Vec.SetVL(requested, nvt)
+		vl := spec.SetVL(requested, nvt)
 		c.pf.write(u.newPhys, vl, c.now+1)
 		// §VII vl speculation: a changed vl breaks the predicted vector
 		// configuration and costs a re-steer of in-flight vector work.
 		if vl != c.lastVL {
-			c.Stats.VlSpecFails++
 			c.vecBusy = c.now + 6
 		}
 		c.lastVL = vl
-		c.lastVecSeq = u.seq
+		c.logVector(u, 0, 0, c.vecStores.len())
 		u.done, u.issued = true, true
 		u.readyAt = c.now + 1
 		return true
 	}
 
-	// execute functionally against architectural vector state
+	// the destination register group: what the µop may write of the file
+	rd, nregs := 0, 0
+	if u.inst.Rd.IsV() {
+		rd, nregs = u.inst.Rd.Index(), group
+		if op == isa.VWMACCVV {
+			nregs = group * 2
+		}
+		if nregs > 32-rd {
+			nregs = 32 - rd
+		}
+	}
+
+	// execute functionally against speculative vector state
 	scalar := uint64(0)
 	if u.nsrc > 0 {
 		scalar = c.srcVal(u, 0)
@@ -382,6 +403,7 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 		}
 		return c.Mem.Read(pa, size)
 	}
+	firstWrite := c.vecStores.len()
 	st := func(addr uint64, size int, v uint64) {
 		pa, done, err := c.translateData(addr, true)
 		if err != nil {
@@ -393,10 +415,10 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 		if done > memDone {
 			memDone = done
 		}
-		c.Mem.Write(pa, size, v)
-		c.notifyWrite(pa, size)
+		c.vecStores.push(vecWrite{pa: pa, val: v, size: uint8(size)})
 	}
-	xres, hasX, err := c.Vec.Exec(vin, scalar, ld, st)
+	xres, hasX, err := spec.Exec(vin, scalar, ld, st)
+	c.logVector(u, rd, nregs, firstWrite)
 	if err != nil || memErr != nil {
 		// same precedence as the golden model: a vector-unit error is an
 		// illegal instruction; otherwise the first element fault reports its
@@ -421,7 +443,7 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 	switch cls {
 	case isa.ClassVLoad, isa.ClassVStore:
 		// one demand access per touched line, 128 bits/cycle through the LSU
-		vl := int(c.Vec.VL)
+		vl := int(spec.VL)
 		bytes := vl * vt.SEW() / 8
 		lineStep := c.Cfg.L1D.LineBytes
 		base := scalar
@@ -451,32 +473,16 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 	}
 	c.vecBusy = c.now + occ
 	// scoreboard: destination group ready after latency
-	if u.inst.Rd.IsV() {
-		base := u.inst.Rd.Index()
-		wide := group
-		if op == isa.VWMACCVV {
-			wide = group * 2
-		}
-		for i := 0; i < wide && base+i < 32; i++ {
-			c.vregReady[base+i] = c.now + lat
-		}
+	for i := 0; i < nregs; i++ {
+		c.vregReady[rd+i] = c.now + lat
 	}
 	if hasX {
 		c.pf.write(u.newPhys, xres, c.now+lat)
 	}
-	c.lastVecSeq = u.seq
 	u.done, u.issued = true, true
 	u.readyAt = c.now + lat
-	c.Stats.VecOps++
 	return true
 }
-
-// LastVectorSeq reports the sequence number of the youngest vector-queue
-// operation that has executed. Vector ops mutate the architectural vector
-// file (and vl/vtype) at execute time, ahead of their own retirement, so a
-// checker can compare vector state at a vector op's commit only when that op
-// is still the youngest executed one.
-func (c *Core) LastVectorSeq() uint64 { return c.lastVecSeq }
 
 // olderQuiesced reports whether everything older than seq is safe to commit
 // past: no unresolved control flow, no unexecuted memory op, no pending

@@ -357,8 +357,9 @@ func (c *Core) hasOlderPendingVStore(seq uint64) bool {
 		if u.seq >= seq {
 			return false
 		}
-		// an atomic past its cache access is done for retirement purposes but
-		// its memory effect lands at the pop — younger loads must keep waiting
+		// an atomic past its cache access, or an executed vector store, is done
+		// for retirement purposes but its memory effect lands at the pop —
+		// younger loads must keep waiting
 		if (!u.done || u.effectPending) && u.flags&sfBlocksLoads != 0 {
 			return true
 		}

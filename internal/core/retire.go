@@ -60,18 +60,24 @@ func (c *Core) retire() {
 
 		// precise exception at the head (Fig. 8)
 		if u.excCause >= 0 {
+			if u.effectPending {
+				c.commitVector(u) // an element faulted: the others land first
+			}
 			c.takeTrap(u)
 			return
 		}
 
-		// what executed at the head takes architectural effect here, at the
-		// pop: had it landed at execute, an interrupt delivered between the
-		// two would squash an instruction that already changed memory or
-		// a device
+		// what executed ahead of the pop takes architectural effect here: had
+		// it landed at execute, an interrupt delivered between the two would
+		// squash an instruction that already changed memory, a device or the
+		// vector file
 		if u.effectPending {
-			if u.class == isa.ClassAMO {
+			switch {
+			case u.class == isa.ClassAMO:
 				c.commitAMO(u)
-			} else {
+			case u.flags&sfVector != 0:
+				c.commitVector(u)
+			default:
 				c.commitDeviceLoad(u)
 			}
 			u.effectPending = false
@@ -179,19 +185,28 @@ func (c *Core) commitStore(u *uop) {
 	}
 	e := *c.sq.at(0)
 	c.sq.popFront()
-	if c.MMIO != nil && c.MMIO.Covers(e.addr) {
-		c.MMIO.Write(e.addr, e.size, e.val)
-		c.Stats.Stores++
-		return
-	}
-	c.ensureOwned(e.addr)
-	if crossesLine(e.addr, e.size, c.Cfg.L1D.LineBytes) {
-		c.ensureOwned(e.addr + uint64(e.size) - 1)
-	}
-	c.Mem.Write(e.addr, e.size, e.val)
-	c.notifyWrite(e.addr, e.size)
 	c.Stats.Stores++
-	c.PF.Train(e.addr, c.now)
+	if c.commitWrite(e.addr, e.size, e.val) {
+		c.PF.Train(e.addr, c.now)
+	}
+}
+
+// commitWrite is the one write a retiring instruction makes — scalar store,
+// successful SC, AMO, each element of a vector store. A device address goes
+// to the device (false: the write bypassed the cache hierarchy); anything
+// else is written to memory on a line this hart owns and published.
+func (c *Core) commitWrite(pa uint64, size int, v uint64) bool {
+	if c.MMIO != nil && c.MMIO.Covers(pa) {
+		c.MMIO.Write(pa, size, v)
+		return false
+	}
+	c.ensureOwned(pa)
+	if crossesLine(pa, size, c.Cfg.L1D.LineBytes) {
+		c.ensureOwned(pa + uint64(size) - 1)
+	}
+	c.Mem.Write(pa, size, v)
+	c.notifyWrite(pa, size)
+	return true
 }
 
 // ensureOwned re-acquires write ownership of addr's line if it was lost (or
@@ -378,7 +393,7 @@ func (c *Core) execAMOAtRetire(u *uop) bool {
 // is written, and retirement precedes issue within a cycle — so dependants
 // wake exactly when the cache access completes. hasOlderPendingVStore keeps
 // the hart's own younger loads blocked until then, and ownership lost during
-// the head-stall window is re-acquired before the write, like commitStore.
+// the head-stall window is re-acquired before the write (commitWrite).
 func (c *Core) commitAMO(u *uop) {
 	op := u.inst.Op
 	size := u.memSize()
@@ -392,19 +407,15 @@ func (c *Core) commitAMO(u *uop) {
 		c.pf.write(u.newPhys, loadExtendSized(v, size), ready)
 	case isa.SCW, isa.SCD:
 		if c.resOK && c.resAddr == pa {
-			c.ensureOwned(pa)
-			c.Mem.Write(pa, size, c.srcVal(u, 1))
-			c.notifyWrite(pa, size)
+			c.commitWrite(pa, size, c.srcVal(u, 1))
 			c.pf.write(u.newPhys, 0, ready)
 		} else {
 			c.pf.write(u.newPhys, 1, ready)
 		}
 		c.resOK = false
 	default:
-		c.ensureOwned(pa)
 		old := c.Mem.Read(pa, size)
-		c.Mem.Write(pa, size, isa.EvalAMO(op, old, c.srcVal(u, 1)))
-		c.notifyWrite(pa, size)
+		c.commitWrite(pa, size, isa.EvalAMO(op, old, c.srcVal(u, 1)))
 		c.pf.write(u.newPhys, loadExtendSized(old, size), ready)
 	}
 }

@@ -24,6 +24,7 @@ func (r *ring[T]) release(free *recycle.Slices[T]) { free.Put(&r.buf) }
 func (r *ring[T]) len() int    { return r.n }
 func (r *ring[T]) empty() bool { return r.n == 0 }
 func (r *ring[T]) full() bool  { return r.n == len(r.buf) }
+func (r *ring[T]) room() int   { return len(r.buf) - r.n }
 
 func (r *ring[T]) wrap(i int) int {
 	if i >= len(r.buf) {

@@ -139,5 +139,28 @@ func (c *Core) CheckInvariants() string {
 	if blocking != c.blockingMemOps {
 		return "in-flight vector-store/atomic count out of step with the ROB"
 	}
+	// vecLog: one record per executed, unretired vector µop, in ROB order and
+	// none past an unresolved branch; vecStores: their element writes; with
+	// nothing logged the speculative unit is the committed one
+	logged, writes, unresolved := 0, 0, false
+	for i := 0; i < c.robQ.len(); i++ {
+		u := c.robQ.at(i)
+		unresolved = unresolved || u.isCtrl() && !u.done
+		if u.flags&sfVector == 0 || !u.effectPending {
+			continue
+		}
+		if unresolved || logged == c.vecLog.len() || c.vecLog.at(logged).seq != u.seq {
+			return "vector log out of step with the ROB, or past an unresolved branch"
+		}
+		writes += int(c.vecLog.at(logged).writes)
+		logged++
+	}
+	if logged != c.vecLog.len() || writes != c.vecStores.len() {
+		return "vector log holds records or element writes no µop in the ROB owns"
+	}
+	if logged == 0 && c.Vec != nil && (c.specVec.VL != c.Vec.VL ||
+		c.specVec.VType != c.Vec.VType || !c.specVec.File.Equal(c.Vec.File)) {
+		return "speculative vector unit differs from the committed one with nothing in flight"
+	}
 	return ""
 }

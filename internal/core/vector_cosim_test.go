@@ -27,7 +27,12 @@ func TestRandomVectorCoSim(t *testing.T) {
 			c, cm := buildCore(XT910Config())
 			p.LoadInto(cm)
 			c.Reset(p.Entry, 0x80000)
-			c.Run(10_000_000)
+			for !c.Halted && c.Now() < 10_000_000 {
+				c.Step()
+				if msg := c.CheckInvariants(); msg != "" {
+					t.Fatalf("cycle %d: %s", c.Now(), msg)
+				}
+			}
 
 			m := emu.New(mem.NewMemory())
 			p.LoadInto(m.Mem)

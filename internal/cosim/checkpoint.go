@@ -41,9 +41,9 @@ type Checkpoint struct {
 // architectural state, every line either model has written and the program
 // output must all match the golden model, exactly as the checker's halt-time
 // drain would demand. A mismatch returns an error rather than a checkpoint — either the
-// models have truly diverged (the checker will report it), or an instruction
-// is architecturally in flight (a vector op executed ahead of retirement);
-// in the latter case stepping further and retrying yields a clean boundary.
+// models have truly diverged (the checker will report it), or the core has
+// taken a trap or interrupt the emulator takes at the next commit; in the
+// latter case stepping further and retrying yields a clean boundary.
 // Multi-hart sessions are not checkpointable: their state spans a shared
 // memory mid-interleaving with no single-hart-local commit boundary.
 func (s *Session) Checkpoint() (*Checkpoint, error) {

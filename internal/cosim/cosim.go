@@ -18,17 +18,13 @@
 //     checkpoint, every line ever written. A line that compared equal and has
 //     not been written through either hook since can differ only by
 //     corruption that bypasses the hooks, which the full sweep still catches.
-//     Vector stores write memory at execute time in the pipeline (their own
-//     ordered queue guarantees older stores have drained), so their lines are
-//     checked at the vector store's own commit when no younger vector op has
-//     executed yet, and otherwise at the next scalar memory commit or at halt.
+//     A vector store writes memory at its commit like a scalar store, and
+//     its lines are checked there.
 //   - trap CSRs (mstatus, mepc/mcause/mtval, sepc/scause/stval, mscratch,
 //     sscratch, satp, mie, medeleg, mtvec, stvec): at CSR/system commits and
 //     at halt.
-//   - vector register file, vl and vtype: at each vector store's commit while
-//     that store is still the youngest executed vector op (vector ops execute
-//     early relative to retirement, so an unconditional per-commit comparison
-//     would race younger in-flight vector ops), and again at halt.
+//   - vector register file, vl and vtype: at every vector instruction's
+//     commit, and again at halt.
 //   - cycle/time/mcycle CSR reads: compared modulo the clock. The golden
 //     model has no cycle-accurate clock (emu.Machine.Cycles is a coarse
 //     retired-instruction model), so after the emulator steps such a read the
@@ -923,22 +919,14 @@ func (k *checker) onCommit(ci core.Commit) {
 		k.compareMemory(ci)
 	case isa.ClassCSR, isa.ClassSys:
 		k.compareCSRState(ci)
-	case isa.ClassVStore:
+	case isa.ClassVSet, isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore:
 		k.compareVector(ci)
 	}
 }
 
-// compareVector checks the full vector file, vl and vtype at a vector
-// store's commit — plus the pending memory lines, which are safe to compare
-// here for the same reason the file is. Vector ops execute (and mutate the
-// architectural file) ahead of retirement, so the comparison only runs when
-// the committing op is still the youngest executed vector op; otherwise a
-// younger in-flight vector op would make the core look diverged. Halt-time
-// comparison in drain covers whatever this skips.
+// compareVector checks vl, vtype and the full vector file at a vector
+// instruction's commit, and at a vector store's the pending memory lines too.
 func (k *checker) compareVector(ci core.Commit) {
-	if k.c.Vec == nil || k.c.LastVectorSeq() != ci.Seq {
-		return
-	}
 	if cv, ev := k.c.Vec.VL, k.m.CSR(isa.CSRVl); cv != ev {
 		k.fail(ci, "vec", fmt.Sprintf("vl: core=%d emu=%d", cv, ev))
 		return
@@ -947,13 +935,17 @@ func (k *checker) compareVector(ci core.Commit) {
 		k.fail(ci, "vec", fmt.Sprintf("vtype: core=%#x emu=%#x", cv, ev))
 		return
 	}
-	for r := 0; r < 32; r++ {
-		if cb, eb := k.c.Vec.File.Bytes(r), k.m.Vec.File.Bytes(r); !bytes.Equal(cb, eb) {
-			k.fail(ci, "vec", fmt.Sprintf("v%d: core=%x emu=%x", r, cb, eb))
-			return
+	if !k.c.Vec.File.Equal(k.m.Vec.File) {
+		for r := 0; r < 32; r++ {
+			if cb, eb := k.c.Vec.File.Bytes(r), k.m.Vec.File.Bytes(r); !bytes.Equal(cb, eb) {
+				k.fail(ci, "vec", fmt.Sprintf("v%d: core=%x emu=%x", r, cb, eb))
+				return
+			}
 		}
 	}
-	k.compareMemory(ci)
+	if ci.Inst.Op.Class() == isa.ClassVStore {
+		k.compareMemory(ci)
+	}
 }
 
 // isCycleCSRRead reports whether a commit is a CSR-class access of a clock
@@ -973,8 +965,7 @@ func isCycleCSRRead(ci core.Commit) bool {
 }
 
 // compareMemory is the store-commit memory check: every line written since
-// the last clean compare. It is only sound at scalar store/AMO commits and at
-// the vector-store commits compareVector admits (see the package comment).
+// the last clean compare, run at scalar store, AMO and vector store commits.
 func (k *checker) compareMemory(ci core.Commit) {
 	w := k.written
 	for _, line := range w.pending {

@@ -50,7 +50,7 @@ func TestCSRFileKeysGolden(t *testing.T) {
 		for cp == nil && !s.Done() {
 			var err error
 			if cp, err = s.Checkpoint(); err != nil {
-				s.Step() // a vector op is in flight: not a boundary yet
+				s.Step() // the core took a trap the emulator has yet to: not a boundary
 			}
 		}
 		if cp == nil {

@@ -353,36 +353,38 @@ _start:
 	}
 }
 
-// TestInjectedVectorBugCaught proves the vector file is compared at a
-// vector store's own commit rather than only at halt: the golden model's v7
-// is corrupted up front, and the program rewrites v7 in both models after
-// the store (behind a serializing CSR read, so the rewrite cannot execute
-// ahead of the store's retirement) — at halt the files agree again, and
-// only the per-vector-store compare can catch the transient difference.
+// TestInjectedVectorBugCaught proves the vector file is compared at every
+// vector instruction's commit: a vadd.vv whose result is wrong in one model is
+// reported `vec` at its own commit. The golden model's copy of a source
+// register is corrupted just before the vadd.vv commits — behind a CSR read,
+// which holds the vadd.vv back until it has retired — and both source and
+// destination are rewritten right after, so no later vector store's compare
+// and no halt-time compare could see the difference.
 func TestInjectedVectorBugCaught(t *testing.T) {
-	hookModels = func(c *core.Core, m *emu.Machine) {
-		m.Vec.File.Bytes(7)[0] ^= 1
-	}
-	defer func() { hookModels = nil }()
-	r := mustRun(t, `
+	s := NewSession(mustAssemble(t, `
 _start:
-    la x8, buf
     li x29, 4
     vsetvli x5, x29, e32, m1
-    vle.v v1, (x8)
-    addi x29, x8, 64
-    vse.v v1, (x29)
+    li x5, 3
+    vmv.v.x v2, x5
+    vmv.v.x v3, x5
     csrr x6, mscratch
-    li x5, 5
-    vmv.v.x v7, x5
-`+exitEpilogue+`
-.align 6
-buf:
-    .dword 1, 2, 3, 4, 5, 6, 7, 8
-`)
-	if !r.Diverged || r.Kind != "vec" || !strings.Contains(r.Report, "v7") {
-		t.Fatalf("injected vector-element bug not caught at the store commit: diverged=%v kind=%q\n%s",
-			r.Diverged, r.Kind, r.Report)
+    vadd.vv v1, v2, v3
+    vmv.v.x v1, x5
+    vmv.v.x v3, x5
+`+exitEpilogue), Options{})
+	const vadd = 7 // the vadd.vv's commit index
+	for s.Commits() < vadd-1 {
+		s.Step()
+	}
+	if s.Commits() != vadd-1 {
+		t.Fatalf("stopped at commit %d, want %d: the vadd.vv did not wait for the csrr", s.Commits(), vadd-1)
+	}
+	s.Hart(0).Emu().Vec.File.Bytes(3)[0] ^= 1
+	r := stepToEnd(s)
+	if !r.Diverged || r.Kind != "vec" || r.FailCommit != vadd || !strings.Contains(r.Report, "v1:") {
+		t.Fatalf("wrong vadd.vv result not reported at its commit: diverged=%v kind=%q failCommit=%d\n%s",
+			r.Diverged, r.Kind, r.FailCommit, r.Report)
 	}
 }
 

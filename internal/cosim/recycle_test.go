@@ -68,8 +68,9 @@ func (fc fuzzCase) run(t testing.TB, release bool) outcome {
 // sessions dirtied and released ends exactly as one built on empty free lists
 // does — Result with its report text, every hart's pipeline and L1 counters,
 // the L2 counters and both final memories — whatever ran before it, in
-// whatever order, and on two workers at once. One irq seed diverges (see
-// TestIRQKnownDivergences), so the report text is not always empty.
+// whatever order, and on two workers at once. The last smp case is an smp,irq
+// seed that diverges (an interrupt-cause mismatch of the multi-hart delivery
+// protocol), so the report text is not always empty.
 func TestRecycledSessionsAreFresh(t *testing.T) {
 	perMode := int64(40)
 	if testing.Short() {
@@ -78,8 +79,8 @@ func TestRecycledSessionsAreFresh(t *testing.T) {
 	var cases []fuzzCase
 	for _, modes := range []string{"", "paged", "irq", "smp"} {
 		for seed := int64(1); seed <= perMode; seed++ {
-			if modes == "irq" && seed == perMode {
-				seed = 2951
+			if modes == "smp" && seed == perMode {
+				modes, seed = "smp,irq", 83
 			}
 			cases = append(cases, fuzzCase{modes, seed})
 		}
@@ -89,8 +90,8 @@ func TestRecycledSessionsAreFresh(t *testing.T) {
 		recycle.Drain()
 		want[fc] = fc.run(t, false)
 	}
-	if r := want[fuzzCase{"irq", 2951}].Result; !r.Diverged || r.Report == "" {
-		t.Fatalf("irq seed 2951 no longer diverges: pick another seed with a report")
+	if r := want[fuzzCase{"smp,irq", 83}].Result; !r.Diverged || r.Report == "" {
+		t.Fatalf("smp,irq seed 83 no longer diverges: pick another seed with a report")
 	}
 
 	reversed := make([]fuzzCase, len(cases))
@@ -116,7 +117,7 @@ func TestRecycledSessionsAreFresh(t *testing.T) {
 	}
 
 	// The same list on two workers, through the code that releases for real.
-	for _, modes := range []string{"", "paged", "irq", "smp"} {
+	for _, modes := range []string{"", "paged", "irq", "smp", "smp,irq"} {
 		var seeds []int64
 		for _, fc := range interleaved {
 			if fc.modes == modes {

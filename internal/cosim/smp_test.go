@@ -245,6 +245,87 @@ func TestSMPFuzzFixedSeeds(t *testing.T) {
 	}
 }
 
+// TestSMPVectorStoreRace: hart 0's vse.v and hart 1's sd hit one line. Each
+// vse.v executes behind a cold load that holds the ROB head, so hart 1's
+// stores commit between its execute and its pop; it must write memory at the
+// pop, on a line it owns again, or the two worlds order the writes differently.
+func TestSMPVectorStoreRace(t *testing.T) {
+	checkSMPClean(t, `
+_start:
+    la x8, buf
+    csrr x5, mhartid
+    bnez x5, scalar
+    li x9, 0x100000
+    li x6, 4
+    vsetvli x6, x6, e32, m1
+    li x7, 150
+vloop:
+    ld x10, 0(x9)
+    addi x9, x9, 64
+    vmv.v.x v1, x7
+    vse.v v1, (x8)
+    addi x7, x7, -1
+    bnez x7, vloop
+    beq x0, x0, done
+scalar:
+    li x7, 6000
+sloop:
+    sd x7, 8(x8)
+    addi x7, x7, -1
+    bnez x7, sloop
+done:
+`+exitEpilogue+`
+.align 6
+buf:
+    .dword 0, 0, 0, 0, 0, 0, 0, 0
+`, 2)
+}
+
+// TestSMPCoherentSquashOverVector: a load that hart 1's store squashes
+// (squashCoherentLoads) is older than a vmacc.vv that has already executed.
+// The flush must take the vmacc.vv's result with it: 150 of them sum to 150.
+func TestSMPCoherentSquashOverVector(t *testing.T) {
+	s, _ := checkSMPClean(t, `
+_start:
+    la x8, buf
+    csrr x5, mhartid
+    bnez x5, scalar
+    li x9, 0x100000
+    li x6, 4
+    vsetvli x6, x6, e32, m1
+    li x6, 1
+    vmv.v.x v1, x6
+    vmv.v.x v2, x6
+    vmv.v.x v4, x0
+    li x7, 150
+vloop:
+    ld x10, 0(x9)
+    addi x9, x9, 64
+    ld x11, 0(x8)
+    vmacc.vv v4, v1, v2
+    addi x7, x7, -1
+    bnez x7, vloop
+    vmv.x.s x12, v4
+    li x13, 150
+    beq x12, x13, done
+    ebreak
+scalar:
+    li x7, 6000
+sloop:
+    sd x7, 0(x8)
+    addi x7, x7, -1
+    bnez x7, sloop
+done:
+`+exitEpilogue+`
+.align 6
+buf:
+    .dword 0, 0, 0, 0, 0, 0, 0, 0
+`, 2)
+	if n := s.Hart(0).Core().Stats.CrossHartSquashes; n == 0 {
+		t.Fatal("no coherent-load squash landed on hart 0: the test no longer exercises the flush")
+	}
+}
+
 // TestSMPDeterministicAcrossJobs checks the acceptance criterion that a
 // multi-hart sweep is byte-identical at any worker width.
 func TestSMPDeterministicAcrossJobs(t *testing.T) {

@@ -372,21 +372,17 @@ poll:
 	}
 }
 
-// TestVectorUnderTimerKnownViolation pins the violator of the retirement rule
-// that is still open: vector ops write the architectural vector file at
-// execute, so one squashed by an interrupt has already accumulated and is
-// replayed on top of itself. 2000 vmacc.vv of 1·1 into v4 must read 2000; the
-// table records what each period yields today. ROADMAP item 2(a) — vector
-// effects at commit or an undo log, the fix the seven masked-vse.v seeds of
-// cosim.TestIRQKnownDivergences wait for too — empties it.
-func TestVectorUnderTimerKnownViolation(t *testing.T) {
-	const n = 2000
-	for _, tc := range []struct{ period, got int }{
-		{97, 2095},
-		{131, 2069},
-		{173, 2050},
-	} {
-		s := runIRQ(t, DefaultConfig(), fmt.Sprintf(".equ TIMER_PERIOD, %d\n.equ N, %d\n", tc.period, n)+timerPrologue+`
+// TestVectorUnderTimer: a vector op squashed by an interrupt between its
+// execute and its retirement must leave the vector file, vl, memory and the
+// vector counters untouched, and replay from committed state. 2000 vmacc.vv of
+// 1·1 into v4 must read 2000 (executed against the architectural file they
+// read 2050–2095); then each iteration of a masked vse.v loop stores a running
+// count to elements 0 and 2 of its own cold line, and the buffer must hold
+// exactly that. Stats.VecOps counts retirements, not executions.
+func TestVectorUnderTimer(t *testing.T) {
+	const n, stores, buf = 2000, 300, 0x100000
+	for _, period := range timerPeriods {
+		s := runIRQ(t, DefaultConfig(), fmt.Sprintf(".equ TIMER_PERIOD, %d\n.equ N, %d\n.equ STORES, %d\n", period, n, stores)+timerPrologue+`
     li   t0, 4
     vsetvli t0, t0, e32, m1
     li   t0, 1
@@ -398,17 +394,68 @@ loop:
     vmacc.vv v4, v0, v2
     addi s1, s1, -1
     bnez s1, loop
+
+    li   t0, 5            # mask: elements 0 and 2
+    vmv.v.x v0, t0
+    vmv.v.x v6, zero
+    li   s0, 0x100000
+    li   s1, STORES
+fill:
+    vadd.vi v6, v6, 1
+    vse.v v6, (s0), v0.t
+    addi s0, s0, 64
+    addi s1, s1, -1
+    bnez s1, fill
     csrw mie, zero
     vmv.x.s a0, v4
     li   a7, 93
     ecall
 `+timerHandler, 5_000_000)
-		switch got := s.Cores[0].ExitCode; got {
-		case n:
-			t.Errorf("period %d: vector ops squashed by an interrupt no longer replay — drop it from this table", tc.period)
-		case tc.got:
-		default:
-			t.Errorf("period %d: %d vmacc.vv accumulate %d, pinned at %d", tc.period, n, got, tc.got)
+		c := s.Cores[0]
+		if c.Stats.Interrupts == 0 {
+			t.Fatalf("period %d: no timer interrupt was delivered", period)
 		}
+		if c.ExitCode != n {
+			t.Errorf("period %d: %d vmacc.vv accumulate %d (%d interrupts)", period, n, c.ExitCode, c.Stats.Interrupts)
+		}
+		// three vmv.v.x, the vmacc.vv loop, two vmv.v.x, the fill loop's pairs, vmv.x.s
+		if want := uint64(3 + n + 2 + 2*stores + 1); c.Stats.VecOps != want || c.Stats.VlSpecFails != 1 {
+			t.Errorf("period %d: Stats.VecOps = %d, VlSpecFails = %d, want %d and 1", period, c.Stats.VecOps, c.Stats.VlSpecFails, want)
+		}
+		for i := 0; i < stores; i++ {
+			for w, want := range [4]uint64{uint64(i + 1), 0, uint64(i + 1), 0} {
+				if got := s.Mem.Read(buf+uint64(64*i+4*w), 4); got != want {
+					t.Fatalf("period %d: store %d word %d = %d, want %d", period, i, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestVectorStoreToDevice: a vse.v to mtimecmp reaches the CLINT exactly as
+// the scalar sd to the same address does, and neither writes RAM behind it.
+func TestVectorStoreToDevice(t *testing.T) {
+	const mtimecmp, val = 0x02004000, 0x123456789A
+	var got [2]uint64
+	for i, store := range []string{
+		"sd   t0, 0(t1)",
+		"li   t2, 1\n    vsetvli t2, t2, e64, m1\n    vmv.v.x v1, t0\n    vse.v v1, (t1)",
+	} {
+		s := runIRQ(t, DefaultConfig(), fmt.Sprintf(`
+_start:
+    li   t0, %d
+    li   t1, %d
+    %s
+    li   a0, 0
+    li   a7, 93
+    ecall
+`, val, mtimecmp, store), 100_000)
+		got[i] = s.CLINT.mtimecmp[0]
+		if ram := s.Mem.Read(mtimecmp, 8); ram != 0 {
+			t.Errorf("%q wrote %#x to RAM behind the CLINT", store, ram)
+		}
+	}
+	if got[0] != val || got[1] != got[0] {
+		t.Errorf("mtimecmp after sd = %#x, after vse.v = %#x, want %#x both", got[0], got[1], uint64(val))
 	}
 }

@@ -9,6 +9,7 @@
 package vector
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -20,82 +21,65 @@ import (
 // with 128-bit VLEN and SLEN are recommended".
 const DefaultVLEN = 128
 
-// File is the vector register file: 32 registers of VLEN bits.
+// File is the vector register file: 32 registers of VLEN bits, back to back in
+// one array, so that a register group is one run of bytes.
 type File struct {
 	VLENBits int
-	regs     [32][]byte
+	data     []byte
 }
 
 // NewFile allocates a register file.
 func NewFile(vlenBits int) *File {
-	f := &File{VLENBits: vlenBits}
-	for i := range f.regs {
-		f.regs[i] = make([]byte, vlenBits/8)
-	}
-	return f
+	return &File{VLENBits: vlenBits, data: make([]byte, 32*vlenBits/8)}
 }
 
 // Bytes exposes register r's backing storage.
-func (f *File) Bytes(r int) []byte { return f.regs[r] }
+func (f *File) Bytes(r int) []byte { return f.Group(r, 1) }
+
+// Group exposes the backing storage of the n registers from r on.
+func (f *File) Group(r, n int) []byte {
+	b := f.VLENBits / 8
+	return f.data[r*b : (r+n)*b : (r+n)*b]
+}
 
 // Clone deep-copies the file (used for co-simulation checks).
 func (f *File) Clone() *File {
-	n := NewFile(f.VLENBits)
-	for i := range f.regs {
-		copy(n.regs[i], f.regs[i])
-	}
-	return n
+	return &File{VLENBits: f.VLENBits, data: bytes.Clone(f.data)}
 }
 
 // Equal reports whether two files hold identical contents.
 func (f *File) Equal(o *File) bool {
-	if f.VLENBits != o.VLENBits {
-		return false
-	}
-	for i := range f.regs {
-		for j := range f.regs[i] {
-			if f.regs[i][j] != o.regs[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return f.VLENBits == o.VLENBits && bytes.Equal(f.data, o.data)
 }
 
 // elem reads element idx of width sew bits from the register group starting
-// at reg. Register groups are contiguous: element byte offset i*sew/8 simply
-// runs across consecutive registers.
+// at reg: element byte offset idx*sew/8 simply runs across consecutive
+// registers.
 func (f *File) elem(reg, idx, sew int) uint64 {
-	bytesPerReg := f.VLENBits / 8
-	off := idx * sew / 8
-	r := reg + off/bytesPerReg
-	o := off % bytesPerReg
+	o := reg*f.VLENBits/8 + idx*sew/8
 	switch sew {
 	case 8:
-		return uint64(f.regs[r][o])
+		return uint64(f.data[o])
 	case 16:
-		return uint64(binary.LittleEndian.Uint16(f.regs[r][o:]))
+		return uint64(binary.LittleEndian.Uint16(f.data[o:]))
 	case 32:
-		return uint64(binary.LittleEndian.Uint32(f.regs[r][o:]))
+		return uint64(binary.LittleEndian.Uint32(f.data[o:]))
 	default:
-		return binary.LittleEndian.Uint64(f.regs[r][o:])
+		return binary.LittleEndian.Uint64(f.data[o:])
 	}
 }
 
 func (f *File) setElem(reg, idx, sew int, v uint64) {
-	bytesPerReg := f.VLENBits / 8
-	off := idx * sew / 8
-	r := reg + off/bytesPerReg
-	o := off % bytesPerReg
+	o := reg*f.VLENBits/8 + idx*sew/8
 	switch sew {
 	case 8:
-		f.regs[r][o] = byte(v)
+		f.data[o] = byte(v)
 	case 16:
-		binary.LittleEndian.PutUint16(f.regs[r][o:], uint16(v))
+		binary.LittleEndian.PutUint16(f.data[o:], uint16(v))
 	case 32:
-		binary.LittleEndian.PutUint32(f.regs[r][o:], uint32(v))
+		binary.LittleEndian.PutUint32(f.data[o:], uint32(v))
 	default:
-		binary.LittleEndian.PutUint64(f.regs[r][o:], v)
+		binary.LittleEndian.PutUint64(f.data[o:], v)
 	}
 }
 
@@ -118,6 +102,12 @@ func NewUnit(vlenBits int) *Unit {
 	return &Unit{File: NewFile(vlenBits)}
 }
 
+// CopyFrom makes u, a unit of the same VLEN, hold exactly what o holds.
+func (u *Unit) CopyFrom(o *Unit) {
+	copy(u.File.data, o.File.data)
+	u.VL, u.VType = o.VL, o.VType
+}
+
 // VLMax returns VLMAX for the current vtype.
 func (u *Unit) VLMax() uint64 {
 	return uint64(u.VType.VLMAX(u.File.VLENBits))
@@ -138,7 +128,7 @@ func (u *Unit) SetVL(requested uint64, vt isa.VType) uint64 {
 // maskBit reads bit i of the mask register v0 (mask layout: one bit per
 // element, packed LSB-first).
 func (f *File) maskBit(i int) bool {
-	return f.regs[0][i/8]>>(uint(i)%8)&1 == 1
+	return f.data[i/8]>>(uint(i)%8)&1 == 1
 }
 
 func sextTo(v uint64, sew int) int64 {
@@ -230,9 +220,9 @@ func (u *Unit) Exec(in isa.Inst, scalar uint64, ld MemLoad, st MemStore) (xres u
 			}
 			bit := byte(1) << (uint(i) % 8)
 			if f.elem(vs2, i, sew) == f.elem(vs1, i, sew) {
-				f.regs[vd][i/8] |= bit
+				f.Bytes(vd)[i/8] |= bit
 			} else {
-				f.regs[vd][i/8] &^= bit
+				f.Bytes(vd)[i/8] &^= bit
 			}
 		}
 		return 0, false, nil
