@@ -26,7 +26,9 @@
 //
 // Every divergence prints the first-mismatch report, a windowed commit
 // trace, and a minimized reproducer program. A watchdog-killed seed is
-// reported as status "timeout" and does NOT fail the run. Exit status: 0
+// reported as status "timeout" and does NOT fail the run. The last stderr
+// line counts the hart-cycles stepped and those the session clock jumped
+// (cycles_stepped N cycles_elided M); -json records never carry them. Exit status: 0
 // when all seeds agree, 1 on any divergence or run error, 2 on usage errors.
 package main
 
@@ -41,6 +43,7 @@ import (
 
 	"xt910/internal/asm"
 	"xt910/internal/cliflags"
+	"xt910/internal/core"
 	"xt910/internal/cosim"
 )
 
@@ -121,10 +124,13 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	}
 	enc := json.NewEncoder(stdout)
 	var diverged, timedOut int
-	var commits, cycles2 uint64
+	var commits, cycles2, hartCycles uint64
+	var ff core.FFStats
 	for _, fr := range frs {
 		commits += fr.Result.Commits
 		cycles2 += fr.Result.Cycles
+		hartCycles += fr.Clock.Cycles
+		ff.Add(fr.Clock.FF)
 		if cf.JSON {
 			// cosim.SeedRecord is the shared row format: the campaign
 			// service emits the same struct, keeping sharded merged reports
@@ -150,6 +156,9 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	wall := time.Since(start)
 	fmt.Fprintf(stderr, "xtfuzz: %d seeds  %d diverged  %d timeout  %d commits  %.2f Mcyc/s  %.2fs\n",
 		len(frs), diverged, timedOut, commits, float64(cycles2)/1e6/wall.Seconds(), wall.Seconds())
+	// the event-driven clock's host-side counters, in hart-cycles; never in -json
+	fmt.Fprintf(stderr, "xtfuzz: cycles_stepped %d cycles_elided %d (windows %d backend %d frontend %d irq-armed %d)\n",
+		hartCycles-ff.Elided(), ff.Elided(), ff.Windows, ff.Backend, ff.Frontend, ff.Armed)
 	if diverged > 0 {
 		return 1
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,17 @@ func TestCleanSweep(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "5 seeds  0 diverged") {
 		t.Fatalf("unexpected summary: %s", errb.String())
+	}
+	// the host clock's counters go to stderr, and under -json never to stdout
+	var stepped, elided uint64
+	i := strings.Index(errb.String(), "cycles_stepped")
+	if _, err := fmt.Sscanf(errb.String()[max(i, 0):], "cycles_stepped %d cycles_elided %d", &stepped, &elided); err != nil || elided <= stepped {
+		t.Fatalf("want a clock summary with most cycles elided (%v): %s", err, errb.String())
+	}
+	out.Reset()
+	if rc := run([]string{"-json", "-n", "5", "-seed", "1"}, &out, &errb); rc != 0 || strings.Contains(out.String(), "elided") ||
+		strings.Count(out.String(), "\n") != 5 {
+		t.Fatalf("-json: exit %d, stdout %s", rc, out.String())
 	}
 }
 

@@ -84,10 +84,10 @@ type Config struct {
 	// toggling it changes nothing but the Predecode*/Superblock* counters.
 	PredecodeSuperblock bool
 
-	// FastForward enables event-driven cycle skipping in Run (fastforward.go):
-	// windows where provably no pipeline stage can make progress are jumped in
-	// one step, with every per-cycle counter and CPI bucket replicated exactly.
-	// Host-only; Stats are byte-identical with it on or off.
+	// FastForward enables the event-driven clock (fastforward.go) in Run and
+	// in cosim sessions: windows where provably no pipeline stage can make
+	// progress are jumped, every per-cycle counter and CPI bucket replicated
+	// exactly. Host-only; Stats are byte-identical with it on or off.
 	FastForward bool
 }
 

@@ -65,9 +65,10 @@ type Core struct {
 	lq ring[lqEntry]
 	sq ring[sqEntry]
 	// blockingMemOps counts the in-flight vector stores and atomics (µops
-	// flagged sfBlocksLoads anywhere in the ROB): while it is zero no load
-	// has to search the ROB for one (hasOlderPendingVStore).
+	// flagged sfBlocksLoads anywhere in the ROB) and oldestBlocker is the seq
+	// of the oldest: a load younger than it waits (hasOlderPendingVStore).
 	blockingMemOps int
+	oldestBlocker  uint64
 
 	fq           ring[fqEntry] // IBUF
 	fetchPC      uint64
@@ -88,10 +89,7 @@ type Core struct {
 	// guarded by a nil check, so a detached core pays one predictable branch
 	// per event point and nothing else.
 	tr *trace.Tracer
-	// ffSkippedCycles counts cycles elided by fast-forward. Host-side
-	// observability only — deliberately kept out of Stats so the byte-identity
-	// contract covers the whole Stats struct.
-	ffSkippedCycles uint64
+	ff FFStats // the event-driven clock's host-side counters (fastforward.go)
 	// badSpecUntil marks the recovery window after a misprediction or
 	// memory-order squash; empty-ROB cycles inside it are attributed to the
 	// bad-speculation CPI bucket rather than frontend-bound.
@@ -544,18 +542,20 @@ func memSub(level uint8) trace.SubClass {
 	return trace.SubMemL1
 }
 
-// Run steps until halt or maxCycles. With Config.FastForward it jumps over
-// provably inert stall windows (fastforward.go) instead of stepping them;
-// interactive drivers (cosim sessions, the SoC's lock-step loop) call Step
-// directly and are unaffected.
+// Run steps until halt or maxCycles, jumping over inert windows on the
+// event-driven clock (fastforward.go). It has no device model to vouch for,
+// so with an interrupt source or an MMIO window attached it steps every cycle.
 func (c *Core) Run(maxCycles uint64) {
 	target := c.now + maxCycles
 	if target < c.now {
 		target = ^uint64(0) // saturate: callers pass huge budgets
 	}
 	for !c.Halted && c.now < target {
-		if c.Cfg.FastForward && c.ffSkip(target) {
-			continue
+		if c.IntSource == nil && c.MMIO == nil {
+			if next := c.NextEvent(); next > c.now {
+				c.AdvanceIdle(min(next, target))
+				continue
+			}
 		}
 		c.Step()
 	}

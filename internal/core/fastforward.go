@@ -4,96 +4,110 @@ import (
 	"xt910/isa"
 )
 
-// Event-driven fast-forward: Run skips stall windows — spans of cycles where
-// provably no pipeline stage can make progress — in one jump, generalizing
-// the WFI-parking special case from the interrupt protocol. It is a host
+// The event-driven clock: every driver passes idle time the same way. It asks
+// NextEvent for the earliest cycle at which any stage of this core could act
+// and, when that lies in the future, has AdvanceIdle replicate the per-cycle
+// counters over the window instead of stepping it — Core.Run for itself, a
+// cosim session (Session.Advance) for all its harts at once. It is a host
 // optimization with the same contract as the predecode cache: Stats, CPI
 // buckets and architectural state are byte-identical with it on or off.
 //
 // The soundness argument rests on the model being pull-based: caches, DRAM,
 // the MMU and the prefetcher are all keyed on the `now` passed into an
 // access, and nothing in the machine mutates state in a cycle where no stage
-// acts. A cycle is provably inert when
+// acts. A cycle is inert when
 //
-//   - retire cannot act: the ROB head is stalled (not done, or done with a
-//     future readyAt) and is not squash/at-retire special-cased,
+//   - no interrupt is both pending and deliverable, and the hart is not parked,
+//   - retire cannot act: the ROB is empty, or its head is stalled (not done,
+//     or done with a future readyAt) and not squash/at-retire special-cased,
 //   - issue cannot act: every queued µop's earliest-possible issue cycle — a
 //     lower bound from its minIssue, its pipe's busy window and its sources'
-//     register-file ready times — lies in the future,
+//     ready times, for the vector queue's head its scoreboards too — lies in
+//     the future, or only another µop's execute or pop can release it,
 //   - rename cannot act: the fetch queue is empty, its head is not yet
-//     decoded, or the ROB is full,
+//     decoded, the ROB is full, or a structural gate blocks it,
 //   - fetch cannot act: stalled on a jalr, throttled by fetchAllowed, or the
 //     fetch queue is full.
 //
-// The skip lands on the earliest of those future events, so the cycle where
-// work resumes is stepped normally. Issue estimates are lower bounds, never
-// exact: a µop whose estimate arrives may still fail its full gating (store-
-// queue conflicts, dependence prediction), but that only wakes the stepped
-// loop early, never late — and every failure path in the issue/LSU code is
-// side-effect-free, so a skipped cycle and a stepped-but-inert cycle are
-// indistinguishable once the per-cycle stall counters (HeadStall*, StallROB)
-// and the CPI bucket are replicated over the window.
-//
-// The skip self-disables whenever an interrupt source or MMIO device is
-// attached (per-cycle sampling must observe every boundary; cosim sessions
-// drive Step directly and never enter this path) and whenever a vector µop
-// is in flight (the vector queue gates on scoreboards and quiesce state the
-// estimator does not model).
+// Estimates are lower bounds: a µop whose estimate arrives may still fail its
+// full gating, which only wakes the stepped loop early — every failure path
+// in the issue/LSU code is side-effect-free. Devices are outside the model:
+// an IntSource or MMIO window may change only in a stepped cycle, and the
+// driver vouches for that. A session can (its schedule and its non-ticking
+// CLINT change only at some hart's commit, and a cycle with a commit is never
+// inert, so every compare runs in a stepped cycle); Run cannot and refuses.
 
 const ffNever = ^uint64(0)
 
-// ffSkip jumps c.now to the next event if the current cycle is provably
-// inert, replicating per-cycle counters over the window. It reports whether
-// it advanced time; the caller steps normally otherwise. target caps the jump
-// (Run's cycle budget), so an event-free machine — a genuine hang — burns its
-// budget in one skip exactly as the stepped loop would burn it spinning.
-func (c *Core) ffSkip(target uint64) bool {
-	if c.IntSource != nil || c.MMIO != nil || c.wfiWait || c.robQ.empty() {
-		return false
-	}
-	head := c.robQ.front()
-	if head.squashRetry {
-		return false
+// FFStats are the host fast-path counters of the event-driven clock. They
+// stay out of Stats so the byte-identity contract covers that whole struct.
+type FFStats struct {
+	Windows           uint64 // idle windows jumped
+	Backend, Frontend uint64 // cycles elided behind a stalled ROB head / with an empty ROB
+	Armed             uint64 // of those, cycles elided with an interrupt source attached
+}
+
+// Elided is the number of cycles that were never stepped.
+func (f FFStats) Elided() uint64 { return f.Backend + f.Frontend }
+
+// Add accumulates another core's counters.
+func (f *FFStats) Add(o FFStats) {
+	f.Windows += o.Windows
+	f.Backend += o.Backend
+	f.Frontend += o.Frontend
+	f.Armed += o.Armed
+}
+
+// FastForwardStats returns the clock's host-side counters.
+func (c *Core) FastForwardStats() FFStats { return c.ff }
+
+// NextEvent returns the earliest cycle at which any stage of the core could
+// act: Now() when one can this cycle (or Cfg.FastForward is off), later when
+// every cycle before it is inert. It changes nothing. The caller vouches that
+// IntSource and MMIO change only in cycles it steps.
+func (c *Core) NextEvent() uint64 {
+	if !c.Cfg.FastForward || c.wfiWait || (c.pendingBits() != 0 && c.deliverable()) {
+		return c.now
 	}
 	next := uint64(ffNever)
-	if head.done {
+	if c.robQ.empty() {
+		// the CPI class of an empty-ROB cycle turns at these; stop at the first
+		for _, t := range [...]uint64{c.badSpecUntil, c.feICacheUntil, c.feITLBUntil, c.feRedirectUntil} {
+			if t > c.now {
+				next = min(next, t)
+			}
+		}
+	} else if head := c.robQ.front(); head.squashRetry {
+		return c.now
+	} else if head.done {
 		if head.readyAt <= c.now {
-			return false // head retires this cycle
+			return c.now // head retires this cycle
 		}
 		next = head.readyAt
 	} else if head.atRetire {
-		return false // executes at the head; each attempt may touch the cache
+		return c.now // executes at the head; each attempt may touch the cache
 	}
 
 	// fetch: inert iff stalled, throttled into the future, or queue-full
 	if !c.fetchWait && c.fq.len() < c.Cfg.FetchQueue {
 		if c.fetchAllowed <= c.now {
-			return false
+			return c.now
 		}
-		if c.fetchAllowed < next {
-			next = c.fetchAllowed
-		}
+		next = min(next, c.fetchAllowed)
 	}
 
-	// rename: inert iff nothing decoded, head entry not ready, ROB full (the
-	// ROB-full case wakes via head.readyAt; StallROB accrues below), or
-	// structurally blocked — a per-cycle stall counter accrues in that case
-	var renameStall *uint64
+	// rename: inert iff nothing decoded, head entry not ready, ROB full (which
+	// wakes via head.readyAt) or structurally blocked. The gates read only
+	// queue lengths, checkpoint occupancy and the phys free list, none of
+	// which change across an inert window, so the gate that blocks this cycle
+	// blocks every cycle of it. (An instruction wider than the rename stage is
+	// silently stuck: blocked, no counter.)
 	if c.fq.len() > 0 && !c.robQ.full() {
-		r := c.fq.front().readyAt
-		if r > c.now {
-			if r < next {
-				next = r
-			}
-		} else if e := c.fq.front(); c.renameCost(e) <= c.Cfg.RenameWidth {
-			// The gates read only queue lengths, checkpoint occupancy and the
-			// phys free list, none of which change across an inert window, so
-			// the gate that blocks this cycle blocks every cycle of it. (An
-			// instruction wider than the rename stage is silently stuck:
-			// blocked, no counter.)
-			if renameStall = c.renameGates(e).stall; renameStall == nil {
-				return false // rename would make progress this cycle
-			}
+		e := c.fq.front()
+		if e.readyAt > c.now {
+			next = min(next, e.readyAt)
+		} else if c.renameCost(e) <= c.Cfg.RenameWidth && c.renameGates(e).stall == nil {
+			return c.now // rename would make progress this cycle
 		}
 	}
 
@@ -102,66 +116,69 @@ func (c *Core) ffSkip(target uint64) bool {
 		floor := c.pipeBusy[p]
 		for _, idx := range c.queues[p] {
 			u := c.robQ.slot(idx)
-			if (p == pipeFV0 || p == pipeFV1) && u.class != isa.ClassFPU {
-				return false // vector µop in flight: never skip
-			}
+			// An unknown estimate carries no event of its own: a source's
+			// producer has not issued yet (its own estimate is tracked), or an
+			// ordering gate holds the µop that only another µop's execute or
+			// pop releases — a load behind an atomic or vector store (the
+			// head's event tracks the pop), the vector queue's head.
 			est, known := c.ffIssueEstimate(p, u, floor)
+			vec := u.flags&sfVector != 0
+			if vec && known {
+				at, held := c.vectorGates(u)
+				est = max(est, at)
+				known = est > c.now || !held
+			}
 			if known {
-				if est <= c.now {
-					return false // an issue attempt could happen this cycle
-				}
-				if est < next {
-					next = est
+				if est > c.now {
+					next = min(next, est)
+				} else if p != pipeLD || !c.hasOlderPendingVStore(u.seq) {
+					return c.now // an issue attempt could happen this cycle
 				}
 			}
-			// unknown estimate: a source's producer has not issued yet, so
-			// this µop cannot act before an event already tracked (the
-			// producer's own issue estimate)
-			if !c.Cfg.OutOfOrder {
-				break // in-order: the queue head gates everything younger
+			if vec || !c.Cfg.OutOfOrder {
+				break // nothing passes the ordered vector queue's head, or an in-order queue's
 			}
 		}
 	}
+	return next
+}
 
-	if next <= c.now {
-		return false
+// AdvanceIdle jumps the clock to cycle `to`, recording exactly what the
+// to-Now() stepped-but-inert cycles would have: retire's head-stall
+// attribution, rename's stall counter and the cycle's CPI bucket. Every cycle
+// in [Now(), to) must be inert: to may not pass NextEvent(). A genuine hang —
+// no event at all — burns its budget in one jump exactly as stepping would.
+func (c *Core) AdvanceIdle(to uint64) {
+	n := to - c.now
+	if c.robQ.empty() {
+		c.Stats.HeadStallEmpty += n
+		c.ff.Frontend += n
+	} else {
+		*c.headStallCounter(c.robQ.front()) += n
+		c.ff.Backend += n
 	}
-	skipTo := next
-	if skipTo > target {
-		skipTo = target
-	}
-	n := skipTo - c.now
-	if n == 0 {
-		return false
-	}
-
-	// Replicate exactly what n stepped-but-inert cycles would have recorded:
-	// retire's head-stall attribution, rename's ROB-full stall, and the CPI
-	// bucket for a backend-bound cycle with this head class.
-	*c.headStallCounter(head) += n
-	if renameStall != nil {
-		*renameStall += n
-	}
-	if c.robQ.full() && c.fq.len() > 0 {
-		from := c.fq.front().readyAt
-		if from < c.now {
-			from = c.now
-		}
-		if from < skipTo {
-			c.Stats.StallROB += skipTo - from
+	if c.fq.len() > 0 {
+		if e := c.fq.front(); c.robQ.full() {
+			if from := max(e.readyAt, c.now); from < to {
+				c.Stats.StallROB += to - from
+			}
+		} else if e.readyAt <= c.now && c.renameCost(e) <= c.Cfg.RenameWidth {
+			*c.renameGates(e).stall += n // inert with a decoded head: a gate blocks it
 		}
 	}
 	if c.tr != nil {
-		// The window's head cannot retire, issue or change memLevel across an
-		// inert window, so n batched cycles attribute exactly as n stepped
-		// ones would: same class, same mem sub-bucket, same owning PC.
-		cl, sub, pc := headCycleAttr(head)
+		// Nothing retires, issues or changes memLevel across an inert window,
+		// and an empty-ROB window ends where its class would turn, so n
+		// batched cycles attribute exactly as n stepped ones would.
+		cl, sub, pc := c.cycleAttr(0)
 		c.tr.CycleN(cl, sub, pc, n)
 	}
-	c.ffSkippedCycles += n
-	c.now = skipTo
-	c.Stats.Cycles = c.now
-	return true
+	c.ff.Windows++
+	if c.IntSource != nil {
+		c.ff.Armed += n
+	}
+	c.now = to
+	c.Stats.Cycles = to
 }
 
 // ffIssueEstimate lower-bounds the cycle µop u could issue on pipe p: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"xt910/internal/asm"
@@ -8,6 +9,7 @@ import (
 	"xt910/internal/coherence"
 	"xt910/internal/mem"
 	"xt910/internal/trace"
+	"xt910/isa"
 )
 
 // ffStallProgram leans on every stall source the fast-forward path must
@@ -67,10 +69,37 @@ loop:
     ecall
 `
 
-// ffRunTraced runs src with the given config and a tracer attached,
-// verifying the CPI stack still partitions total cycles exactly (the
-// two-level tree invariant) and that the per-PC table reconciles with it.
-func ffRunTraced(t *testing.T, cfg Config, src string) (*Core, *trace.Tracer) {
+// ffColdCodeProgram is frontend-bound: 1500 distinct instructions run once,
+// straight through a cold I-cache, so the ROB sits empty waiting on one line
+// fill after another.
+var ffColdCodeProgram = "_start:\n" + strings.Repeat("    addi a0, a0, 3\n    xor a1, a1, a0\n", 750) +
+	"    andi a0, a1, 255\n    li a7, 93\n    ecall\n"
+
+// ffArmMasked attaches an interrupt source whose timer bit is always pending
+// and enabled in mie, but never deliverable: the programs below run in M-mode
+// with mstatus.MIE clear.
+func ffArmMasked(c *Core) {
+	c.IntSource = func(int) uint64 { return 1 << isa.IntMTimer }
+	c.SetCSR(isa.CSRMie, 1<<isa.IntMTimer)
+}
+
+// ffDriven passes time the way a cosim session does — the NextEvent/
+// AdvanceIdle pair with no refusal — vouching for what Run cannot.
+func ffDriven(c *Core, maxCycles uint64) {
+	for !c.Halted && c.now < maxCycles {
+		if next := c.NextEvent(); next > c.now {
+			c.AdvanceIdle(min(next, maxCycles))
+		} else {
+			c.Step()
+		}
+	}
+}
+
+// ffRunTraced runs src with the given config and a tracer attached, after
+// setup (if any) and by drive (Run if nil), verifying the CPI stack still
+// partitions total cycles exactly (the two-level tree invariant) and that the
+// per-PC table reconciles with it.
+func ffRunTraced(t *testing.T, cfg Config, src string, setup func(*Core), drive func(*Core, uint64)) (*Core, *trace.Tracer) {
 	t.Helper()
 	p, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
 	if err != nil {
@@ -86,7 +115,13 @@ func ffRunTraced(t *testing.T, cfg Config, src string) (*Core, *trace.Tracer) {
 	c.AttachTracer(tr)
 	p.LoadInto(memory)
 	c.Reset(p.Entry, 0x80000)
-	c.Run(20_000_000)
+	if setup != nil {
+		setup(c)
+	}
+	if drive == nil {
+		drive = (*Core).Run
+	}
+	drive(c, 20_000_000)
 	if !c.Halted {
 		t.Fatalf("core did not halt: %s", c.Stats.String())
 	}
@@ -113,7 +148,10 @@ func pcRows(pcs *trace.PCStack) []trace.PCEntry {
 // a pure host optimization, so every Stats field, the exit code, every
 // CPI-stack bucket — both levels of the tree, sub-buckets included — and the
 // whole per-PC attribution table must be byte-identical with it on and off,
-// on both the out-of-order and the in-order machine.
+// on both the out-of-order and the in-order machine. The cold-code run sits
+// in empty-ROB frontend windows; the armed runs carry a pending-but-masked
+// interrupt source, which Run must refuse to skip under (it has no device
+// model to vouch for) and a vouching driver (ffDriven) skips under all the same.
 func TestFastForwardStatsIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -123,34 +161,57 @@ func TestFastForwardStatsIdentity(t *testing.T) {
 		{"u74", U74Config()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, src := range []string{ffStallProgram, ffChaseProgram, selfModifyingProgram} {
+			for _, run := range []struct {
+				name   string
+				src    string
+				setup  func(*Core)
+				drive  func(*Core, uint64)
+				elides func(FFStats, Stats) bool // what the fast-forward arm must have skipped
+			}{
+				{"stall", ffStallProgram, nil, nil, func(ff FFStats, _ Stats) bool { return ff.Elided() > 0 }},
+				{"chase", ffChaseProgram, nil, nil, func(ff FFStats, _ Stats) bool { return ff.Backend > 0 }},
+				{"selfmod", selfModifyingProgram, nil, nil, func(ff FFStats, _ Stats) bool { return ff.Elided() > 0 }},
+				{"coldcode", ffColdCodeProgram, nil, nil, func(ff FFStats, st Stats) bool { return ff.Frontend > st.Cycles/2 && ff.Armed == 0 }},
+				{"armed-run", ffChaseProgram, ffArmMasked, nil, func(ff FFStats, _ Stats) bool { return ff == FFStats{} }},
+				{"armed-driven", ffChaseProgram, ffArmMasked, ffDriven, func(ff FFStats, st Stats) bool { return ff.Armed == ff.Elided() && ff.Armed > st.Cycles/10 }},
+				{"armed-driven-coldcode", ffColdCodeProgram, ffArmMasked, ffDriven, func(ff FFStats, st Stats) bool { return ff.Armed == ff.Elided() && ff.Frontend > st.Cycles/2 }},
+			} {
 				on := tc.cfg
 				on.FastForward = true
 				off := tc.cfg
 				off.FastForward = false
-				cOn, trOn := ffRunTraced(t, on, src)
-				cOff, trOff := ffRunTraced(t, off, src)
+				cOn, trOn := ffRunTraced(t, on, run.src, run.setup, run.drive)
+				cOff, trOff := ffRunTraced(t, off, run.src, run.setup, run.drive)
+				if ff := cOn.FastForwardStats(); !run.elides(ff, cOn.Stats) {
+					t.Fatalf("%s: fast-forward elided %+v of %d cycles", run.name, ff, cOn.Stats.Cycles)
+				}
+				if ff := cOff.FastForwardStats(); ff != (FFStats{}) {
+					t.Fatalf("%s: skipped %+v with Cfg.FastForward off", run.name, ff)
+				}
+				if cOn.Stats.Interrupts != 0 {
+					t.Fatalf("%s: a masked interrupt was delivered", run.name)
+				}
 				if cOn.ExitCode != cOff.ExitCode {
-					t.Fatalf("fast-forward changed the exit code: %d vs %d",
-						cOn.ExitCode, cOff.ExitCode)
+					t.Fatalf("%s: fast-forward changed the exit code: %d vs %d",
+						run.name, cOn.ExitCode, cOff.ExitCode)
 				}
 				if cOn.Stats != cOff.Stats {
-					t.Fatalf("fast-forward changed stats:\n on: %+v\noff: %+v",
-						cOn.Stats, cOff.Stats)
+					t.Fatalf("%s: fast-forward changed stats:\n on: %+v\noff: %+v",
+						run.name, cOn.Stats, cOff.Stats)
 				}
 				if *trOn.CPI() != *trOff.CPI() {
-					t.Fatalf("fast-forward changed the CPI stack:\n on: %v\noff: %v",
-						trOn.CPI(), trOff.CPI())
+					t.Fatalf("%s: fast-forward changed the CPI stack:\n on: %v\noff: %v",
+						run.name, trOn.CPI(), trOff.CPI())
 				}
 				rowsOn, rowsOff := pcRows(trOn.PCs()), pcRows(trOff.PCs())
 				if len(rowsOn) != len(rowsOff) {
-					t.Fatalf("fast-forward changed the per-PC table size: %d vs %d",
-						len(rowsOn), len(rowsOff))
+					t.Fatalf("%s: fast-forward changed the per-PC table size: %d vs %d",
+						run.name, len(rowsOn), len(rowsOff))
 				}
 				for i := range rowsOn {
 					if rowsOn[i] != rowsOff[i] {
-						t.Fatalf("fast-forward changed per-PC row %d:\n on: %+v\noff: %+v",
-							i, rowsOn[i], rowsOff[i])
+						t.Fatalf("%s: fast-forward changed per-PC row %d:\n on: %+v\noff: %+v",
+							run.name, i, rowsOn[i], rowsOff[i])
 					}
 				}
 			}
@@ -164,7 +225,7 @@ func TestFastForwardStatsIdentity(t *testing.T) {
 // the backend-mem cycles, and the mem sub-buckets must blame DRAM (the 4 KiB
 // stride misses cold lines every iteration), not the L1 array.
 func TestPerPCAttributionPointerChase(t *testing.T) {
-	c, tr := ffRunTraced(t, XT910Config(), ffChaseProgram)
+	c, tr := ffRunTraced(t, XT910Config(), ffChaseProgram, nil, nil)
 	cpi := tr.CPI()
 	memCycles := cpi.Buckets[trace.CycleBackendMem]
 	if memCycles < c.Stats.Cycles/4 {
@@ -200,12 +261,13 @@ func TestFastForwardActuallySkips(t *testing.T) {
 	cfg := XT910Config()
 	cfg.FastForward = true
 	c := runCore(t, cfg, ffChaseProgram)
-	if c.ffSkippedCycles == 0 {
+	ff := c.FastForwardStats()
+	if ff.Windows == 0 || ff.Elided() == 0 {
 		t.Fatal("fast-forward never engaged on the stall-heavy kernel")
 	}
-	if c.ffSkippedCycles < c.Stats.Cycles/10 {
-		t.Fatalf("fast-forward elided only %d of %d cycles; the skip conditions regressed",
-			c.ffSkippedCycles, c.Stats.Cycles)
+	if ff.Elided() < c.Stats.Cycles/10 || ff.Backend < ff.Frontend || ff.Armed != 0 {
+		t.Fatalf("fast-forward elided %+v of %d cycles; want over a tenth, mostly behind a stalled head, no interrupt source",
+			ff, c.Stats.Cycles)
 	}
 	c2, memory := buildCore(cfg)
 	p, err := asm.Assemble(ffChaseProgram, asm.Options{Base: 0x1000})

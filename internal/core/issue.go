@@ -286,54 +286,17 @@ func (c *Core) execBranch(u *uop) bool {
 // remains in the ROB — a timing gate only: nothing architectural depends on
 // how far the speculative unit runs ahead.
 func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
-	if !c.srcsReady(u) || c.vecBusy > c.now {
+	if !c.srcsReady(u) {
 		return false
 	}
-	if !c.olderQuiesced(u.seq) {
+	if at, held := c.vectorGates(u); at > c.now || held {
 		return false
 	}
 	op := u.inst.Op
 	cls := u.class
 	spec := c.specVec
-	if cls == isa.ClassVLoad || cls == isa.ClassVStore {
-		// memory-ordered: all older scalar stores must have drained
-		for i := 0; i < c.sq.len(); i++ {
-			if c.sq.at(i).seq < u.seq {
-				return false
-			}
-		}
-		// a load reads memory now, so an older vector store must have popped;
-		// a store needs room in the store buffer for its vl element writes
-		if cls == isa.ClassVLoad && c.hasOlderPendingVStore(u.seq) {
-			return false
-		}
-		if cls == isa.ClassVStore && int(spec.VL) > c.vecStores.room() {
-			return false
-		}
-	}
-	// vector register dependencies via the scoreboard
 	vt := spec.VType
 	group := vt.LMUL()
-	checkGroup := func(r isa.Reg) bool {
-		if !r.IsV() {
-			return true
-		}
-		base := r.Index()
-		for i := 0; i < group && base+i < 32; i++ {
-			if c.vregReady[base+i] > c.now {
-				return false
-			}
-		}
-		return true
-	}
-	if !checkGroup(u.inst.Rs1) || !checkGroup(u.inst.Rs2) || !checkGroup(u.inst.Rs3) ||
-		!checkGroup(u.inst.Rd) {
-		return false
-	}
-	// masked ops read v0 as the mask source regardless of operand fields
-	if u.inst.Masked && c.vregReady[0] > c.now {
-		return false
-	}
 
 	if op == isa.VSETVLI || op == isa.VSETVL {
 		requested := uint64(0)
@@ -482,6 +445,43 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 	u.done, u.issued = true, true
 	u.readyAt = c.now + lat
 	return true
+}
+
+// vectorGates is what holds the vector queue's head u besides its scalar
+// sources, for execVector and for the clock's estimate of it (NextEvent),
+// touching nothing. at is when the clocked gates clear: the unit itself
+// (vecBusy) and the scoreboard of u's register groups, and of v0 under a mask.
+// held, meaningful once at has come, is an ordering gate that only another
+// µop's execute or pop releases: something older not quiesced, and for a
+// memory op an older scalar store still in the SQ (all must have drained), for
+// a load — it reads memory now — an older vector store or atomic not popped,
+// for a store no room in the store buffer for its vl element writes.
+func (c *Core) vectorGates(u *uop) (at uint64, held bool) {
+	at = c.vecBusy
+	group := c.specVec.VType.LMUL()
+	for _, r := range [...]isa.Reg{u.inst.Rs1, u.inst.Rs2, u.inst.Rs3, u.inst.Rd} {
+		for i := 0; r.IsV() && i < group && r.Index()+i < 32; i++ {
+			at = max(at, c.vregReady[r.Index()+i])
+		}
+	}
+	if u.inst.Masked {
+		at = max(at, c.vregReady[0])
+	}
+	if at > c.now {
+		return at, false
+	}
+	if !c.olderQuiesced(u.seq) {
+		return at, true
+	}
+	switch u.class {
+	case isa.ClassVLoad:
+		held = c.hasOlderPendingVStore(u.seq)
+	case isa.ClassVStore:
+		held = int(c.specVec.VL) > c.vecStores.room()
+	default:
+		return at, false
+	}
+	return at, held || c.sq.len() > 0 && c.sq.front().seq < u.seq
 }
 
 // olderQuiesced reports whether everything older than seq is safe to commit

@@ -348,23 +348,26 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 	return true
 }
 
+// hasOlderPendingVStore reports whether a vector store or atomic older than
+// seq is in flight. Every one in the ROB counts: until its pop it either has
+// not executed or holds a memory effect that lands there (an atomic past its
+// cache access, an executed vector store), and one that faulted traps in the
+// cycle it reaches the head.
 func (c *Core) hasOlderPendingVStore(seq uint64) bool {
-	if c.blockingMemOps == 0 {
-		return false
-	}
-	for i := 0; i < c.robQ.len(); i++ {
-		u := c.robQ.at(i)
-		if u.seq >= seq {
-			return false
+	return c.blockingMemOps > 0 && c.oldestBlocker < seq
+}
+
+// popBlocker retires the oldest in-flight vector store or atomic — the ROB
+// head that just popped — and finds the one that is oldest now. One ROB walk
+// per retired blocker replaces one per failed load poll.
+func (c *Core) popBlocker() {
+	c.blockingMemOps--
+	for i := 0; c.blockingMemOps > 0 && i < c.robQ.len(); i++ {
+		if u := c.robQ.at(i); u.flags&sfBlocksLoads != 0 {
+			c.oldestBlocker = u.seq
+			return
 		}
-		// an atomic past its cache access, or an executed vector store, is done
-		// for retirement purposes but its memory effect lands at the pop —
-		// younger loads must keep waiting
-		if (!u.done || u.effectPending) && u.flags&sfBlocksLoads != 0 {
-			return true
-		}
 	}
-	return false
 }
 
 func extendLoad(op isa.Op, v uint64, size int) uint64 {

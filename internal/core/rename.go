@@ -181,6 +181,9 @@ func (c *Core) tryRename(e *fqEntry) bool {
 		}
 	}
 	if u.flags&sfBlocksLoads != 0 {
+		if c.blockingMemOps == 0 {
+			c.oldestBlocker = u.seq
+		}
 		c.blockingMemOps++
 	}
 	c.robQ.commit()

@@ -131,10 +131,11 @@ func (c *Core) retire() {
 
 		flushAfter := u.flushAfter
 		redirect := u.redirectTo
-		if u.flags&sfBlocksLoads != 0 {
-			c.blockingMemOps--
-		}
+		blocker := u.flags&sfBlocksLoads != 0
 		c.robQ.popFront()
+		if blocker {
+			c.popBlocker()
+		}
 		if c.Halted {
 			return
 		}
@@ -546,8 +547,7 @@ func (c *Core) sampleInterrupts() bool {
 		return false
 	}
 	c.wfiWait = false
-	// M-mode interrupts fire when running below M, or in M with MIE set
-	if c.priv == isa.PrivM && c.csr.Get(isa.CSRMstatus)&(1<<3) == 0 {
+	if !c.deliverable() {
 		return false
 	}
 	var cause uint64
@@ -559,13 +559,23 @@ func (c *Core) sampleInterrupts() bool {
 	default:
 		cause = isa.IntMTimer
 	}
-	return c.takeInterrupt(cause)
+	c.takeInterrupt(cause)
+	return true
+}
+
+// deliverable reports whether a pending machine interrupt would be taken now:
+// the hart runs below M, or in M with mstatus.MIE set, and a handler is
+// installed (without one the interrupt stays pending).
+func (c *Core) deliverable() bool {
+	if c.priv == isa.PrivM && c.csr.Get(isa.CSRMstatus)&(1<<3) == 0 {
+		return false
+	}
+	return c.csr.Get(isa.CSRMtvec)&^3 != 0
 }
 
 // takeInterrupt flushes the pipeline and vectors to mtvec with the interrupt
-// bit set in mcause; mepc points at the oldest unretired instruction. It
-// returns false when no handler is installed (the interrupt stays pending).
-func (c *Core) takeInterrupt(cause uint64) bool {
+// bit set in mcause; mepc points at the oldest unretired instruction.
+func (c *Core) takeInterrupt(cause uint64) {
 	resume := c.fetchPC
 	if !c.robQ.empty() {
 		resume = c.robQ.front().pc
@@ -573,9 +583,6 @@ func (c *Core) takeInterrupt(cause uint64) bool {
 		resume = c.fq.front().pc
 	}
 	target := c.csr.Get(isa.CSRMtvec) &^ 3
-	if target == 0 {
-		return false // no handler installed: leave the interrupt pending
-	}
 	c.csr.Set(isa.CSRMepc, resume)
 	c.csr.Set(isa.CSRMcause, 1<<63|cause)
 	c.csr.Set(isa.CSRMtval, 0)
@@ -594,7 +601,6 @@ func (c *Core) takeInterrupt(cause uint64) bool {
 	if c.InterruptHook != nil {
 		c.InterruptHook(cause, resume)
 	}
-	return true
 }
 
 // takeTrap implements precise exception entry with medeleg delegation,

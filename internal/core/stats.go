@@ -132,8 +132,10 @@ func (c *Core) CheckInvariants() string {
 	// the vector-store/atomic counter must match what is in the ROB
 	blocking := 0
 	for i := 0; i < c.robQ.len(); i++ {
-		if c.robQ.at(i).flags&sfBlocksLoads != 0 {
-			blocking++
+		if u := c.robQ.at(i); u.flags&sfBlocksLoads != 0 {
+			if blocking++; blocking == 1 && u.seq != c.oldestBlocker {
+				return "oldest in-flight vector store/atomic is not the one recorded"
+			}
 		}
 	}
 	if blocking != c.blockingMemOps {

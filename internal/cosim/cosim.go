@@ -275,7 +275,7 @@ func (h *HartSession) Commits() uint64 { return h.k.commits }
 // It exposes both models of every pair so fault-injection campaigns can
 // perturb microarchitectural state at a chosen cycle and let the checker
 // decide whether the corruption is detected; Run and RunContext are thin
-// loops on top of it.
+// loops of Advance on top of it.
 type Session struct {
 	harts  []*HartSession
 	cores  [maxHarts]*core.Core // harts[i].c, for core.BroadcastWrite
@@ -564,9 +564,13 @@ const wfiParkWindow = 16
 // cycles force-arms its next schedule event — derived purely from simulation
 // state, so runs stay deterministic — instead of idling to the cycle budget.
 func (s *Session) Step() {
-	if s.Done() {
-		return
+	if !s.Done() {
+		s.step()
 	}
+}
+
+// step is Step for a caller that has just seen Done report false.
+func (s *Session) step() {
 	for _, h := range s.harts {
 		if !h.c.Halted {
 			h.c.Step()
@@ -583,6 +587,48 @@ func (s *Session) Step() {
 			h.parkRun = 0
 		}
 	}
+}
+
+// Advance passes time the way the run loops do, and reports whether the
+// session was still running: when every live hart's next event (see
+// core.NextEvent) lies in the future, all of them jump to the earliest one —
+// no further than session cycle limit or the cycle budget — and otherwise the
+// session steps one cycle. The session is the driver that vouches for the
+// cores' devices: schedules and the CLINTs change only at a commit, a cycle
+// with a commit is never jumped, and so every compare runs exactly where it
+// does under Step. A WFI-parked hart counts as acting (forceArm counts its
+// parked cycles one by one).
+func (s *Session) Advance(limit uint64) bool {
+	if s.Done() {
+		return false
+	}
+	// live harts step together from cycle 0, so each one's Now() is s.cyc
+	to := min(limit, s.maxCycles)
+	for _, h := range s.harts {
+		if !h.c.Halted && to > s.cyc {
+			to = min(to, h.c.NextEvent())
+		}
+	}
+	if to <= s.cyc {
+		s.step()
+		return true
+	}
+	for _, h := range s.harts {
+		if !h.c.Halted {
+			h.c.AdvanceIdle(to)
+		}
+	}
+	s.cyc = to
+	return true
+}
+
+// FastForward sums the harts' event-driven-clock counters: how many of the
+// session's hart-cycles were jumped, not stepped.
+func (s *Session) FastForward() (ff core.FFStats) {
+	for _, h := range s.harts {
+		ff.Add(h.c.FastForwardStats())
+	}
+	return ff
 }
 
 // forceArm wakes a WFI-parked hart: the next schedule event's arm point is
@@ -661,30 +707,45 @@ func (s *Session) Release() {
 
 // Run drives a program to completion under the lock-step checker.
 func Run(p *asm.Program, opts Options) Result {
-	s := NewSession(p, opts)
-	defer s.Release()
-	for !s.Done() {
-		s.Step()
-	}
-	return s.Finish()
+	r, _ := run(context.Background(), p, opts)
+	return r
 }
 
 // RunContext is Run with cancellation: the context is polled every 1024
-// cycles, and an expired deadline returns a Result with TimedOut set (not a
+// advances, and an expired deadline returns a Result with TimedOut set (not a
 // divergence) holding whatever had been compared so far.
 func RunContext(ctx context.Context, p *asm.Program, opts Options) Result {
+	r, _ := run(ctx, p, opts)
+	return r
+}
+
+// run is RunContext plus how the session's hart-cycles passed on the host.
+func run(ctx context.Context, p *asm.Program, opts Options) (Result, HostClock) {
 	s := NewSession(p, opts)
 	defer s.Release()
-	for !s.Done() {
-		for i := 0; i < 1024 && !s.Done(); i++ {
-			s.Step()
-		}
-		if ctx.Err() != nil {
-			h0 := s.harts[0]
-			return Result{Commits: s.Commits(), Cycles: h0.c.Now(), ExitCode: h0.c.ExitCode, TimedOut: true}
+	for n := 1; s.Advance(^uint64(0)); n++ {
+		if n&1023 == 0 && ctx.Err() != nil {
+			break
 		}
 	}
-	return s.Finish()
+	hc := HostClock{FF: s.FastForward()}
+	for _, h := range s.harts {
+		hc.Cycles += h.c.Now()
+	}
+	if ctx.Err() != nil {
+		h0 := s.harts[0]
+		return Result{Commits: s.Commits(), Cycles: h0.c.Now(), ExitCode: h0.c.ExitCode, TimedOut: true}, hc
+	}
+	return s.Finish(), hc
+}
+
+// HostClock says how a run's simulated hart-cycles passed on the host: Cycles
+// in all, summed over harts, FF.Elided() of them jumped over and the rest
+// stepped. Host-side observability: it is no part of a Result or a SeedRecord,
+// which are the same with the event-driven clock on or off.
+type HostClock struct {
+	Cycles uint64
+	FF     core.FFStats
 }
 
 // setupPaged builds the identity-plus-offset SV39 page table into both

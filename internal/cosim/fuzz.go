@@ -58,6 +58,8 @@ type FuzzResult struct {
 	// finished within the doubled budget.
 	TimedOut bool
 	Retried  bool
+
+	Clock HostClock // of the full program's run
 }
 
 // Fuzz generates the program for seed, runs it in lock-step, and minimizes
@@ -84,7 +86,7 @@ func FuzzContext(ctx context.Context, seed int64, nSegs int, opts Options) FuzzR
 		fr.Err = fmt.Errorf("seed %d: assemble: %w", seed, err)
 		return fr
 	}
-	fr.Result = RunContext(ctx, p, opts)
+	fr.Result, fr.Clock = run(ctx, p, opts)
 	if fr.Result.TimedOut {
 		fr.TimedOut = true
 		return fr

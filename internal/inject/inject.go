@@ -248,8 +248,7 @@ func runFault(ctx context.Context, f Fault, opts Options, maxCycles uint64) Faul
 	}
 	s := cosim.NewSession(prog, cosim.Options{MaxCycles: maxCycles})
 	defer s.Release()
-	for !s.Done() && s.Cycles() < f.Cycle {
-		s.Step()
+	for s.Cycles() < f.Cycle && s.Advance(f.Cycle) {
 	}
 	// Inject, retrying for a bounded window when the target is transiently
 	// unavailable (empty ROB, no valid L1D lines yet).
@@ -278,8 +277,7 @@ func runFault(ctx context.Context, f Fault, opts Options, maxCycles uint64) Faul
 		return fr
 	}
 	fr.CommitsAtInject = s.Commits()
-	for i := 0; !s.Done(); i++ {
-		s.Step()
+	for i := 0; s.Advance(^uint64(0)); i++ {
 		if i&1023 == 0 && ctx.Err() != nil {
 			fr.Outcome = Timeout
 			return fr

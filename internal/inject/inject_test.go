@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"xt910/internal/cosim"
 )
 
 func smallCampaign(t *testing.T, jobs int) *Report {
@@ -75,5 +77,33 @@ func TestArchRegFaultsNeverSilent(t *testing.T) {
 				t.Errorf("archreg fault %+v classified %s", f, fr.Outcome)
 			}
 		}
+	}
+}
+
+// TestFaultLandsOnItsCycle: a fault run reaches its injection cycle on the
+// session's event-driven clock, jumping idle windows, and must stand exactly
+// where a session stepped cycle by cycle stands — seen as the commit count at
+// injection, over a stretch of consecutive cycles that crosses both.
+func TestFaultLandsOnItsCycle(t *testing.T) {
+	prog, _, err := cosim.GenerateProgram(2, 0, cosim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cosim.NewSession(prog, cosim.Options{})
+	distinct := map[uint64]bool{}
+	for cycle := uint64(600); cycle < 760; cycle++ {
+		for s.Cycles() < cycle {
+			s.Step()
+		}
+		f := Fault{Seed: 2, Target: TargetMem, Cycle: cycle, Addr: 0x8f000}
+		fr := runFault(context.Background(), f, Options{Timeout: time.Minute}, 200_000)
+		if fr.Outcome == NotInjected || fr.CommitsAtInject != s.Commits() {
+			t.Fatalf("fault at cycle %d: %s at commit %d, a stepped session stands at commit %d",
+				cycle, fr.Outcome, fr.CommitsAtInject, s.Commits())
+		}
+		distinct[fr.CommitsAtInject] = true
+	}
+	if len(distinct) < 4 || len(distinct) > 100 {
+		t.Fatalf("160 cycles saw %d distinct commit counts: the stretch no longer crosses idle windows and commits", len(distinct))
 	}
 }
