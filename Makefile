@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race cli-smoke fuzz-native-smoke campaign-smoke campaign-chaos-smoke fidelity-track fidelity-smoke tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test race cli-smoke fuzz-native-smoke campaign-smoke campaign-chaos-smoke fidelity-track tier1 bench xtbench clean
 
 all: tier1
 
@@ -27,9 +27,10 @@ race:
 
 # cli-smoke runs the CLIs end to end: xtfuzz on a fixed seed set in each of
 # its modes (plain, paged, irq, smp), the xtinject fault campaign and the
-# xttrace self-check, each twice — at -jobs 1 and at the default width — from
-# binaries built once; every run must exit clean and the two outputs of a row
-# must be byte-identical (cmd/smoke_test.go holds the table). Env-gated so the
+# xttrace self-check, each twice — at -jobs 1 and at the default width — and
+# the five examples/ programs, twice each, from binaries built once; every run
+# must exit clean and the two outputs of a row must be byte-identical
+# (cmd/smoke_test.go holds the table). Env-gated so the
 # plain `go test ./...` sweep stays cheap. (The packages' own suites run once,
 # race-enabled, in tier1's `go test -race ./...`.)
 cli-smoke:
@@ -82,9 +83,6 @@ campaign-chaos-smoke:
 fidelity-track:
 	$(GO) run ./cmd/xtbench -fidelity -quick -track > /dev/null
 
-# fidelity-smoke is tier1's name for fidelity-track.
-fidelity-smoke: fidelity-track
-
 # tier1 is the required bar for every change: everything compiles, vet is
 # clean, every file is gofmt-formatted, the full suite passes with the race
 # detector enabled, the co-simulation smoke sweep finds no divergence, the
@@ -101,7 +99,7 @@ tier1:
 	$(MAKE) fuzz-native-smoke
 	$(MAKE) campaign-smoke
 	$(MAKE) campaign-chaos-smoke
-	$(MAKE) fidelity-smoke
+	$(MAKE) fidelity-track
 
 # bench regenerates the paper's tables/figures as testing.B benchmarks.
 bench:

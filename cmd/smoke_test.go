@@ -16,8 +16,9 @@ import (
 // verdict: xtfuzz found no divergence in the fixed seed set of that mode,
 // xtinject's control runs stayed clean and no architectural-state fault went
 // silent, xttrace's -selfcheck held (CPI buckets sum to total cycles, the
-// Konata trace validates with one retired µop per retired instruction).
-// Gated behind XT_CLI_SMOKE=1 so the ordinary test sweep does not pay for
+// Konata trace validates with one retired µop per retired instruction), and
+// each examples/ program ran to its end (they have no worker pool: both runs
+// are the same). Gated behind XT_CLI_SMOKE=1 so the ordinary test sweep does not pay for
 // the binary builds.
 func TestCLISmoke(t *testing.T) {
 	if os.Getenv("XT_CLI_SMOKE") == "" {
@@ -42,11 +43,18 @@ func TestCLISmoke(t *testing.T) {
 		{"inject", "xtinject", []string{"-n", "6", "-faults", "6"}, true, nil},
 		{"trace", "xttrace", []string{"-selfcheck", "-iters", "2", "-konata", "{dir}/t.kanata", "-jsonl", "{dir}/t.jsonl", "eembc-a2time"},
 			false, []string{"t.kanata", "t.jsonl"}},
+		{"example-quickstart", "quickstart", nil, false, nil},
+		{"example-toolchain", "toolchain", nil, false, nil},
+		{"example-vector-ai", "vector_ai", nil, false, nil},
+		{"example-multicore-smp", "multicore_smp", nil, false, nil},
+		{"example-prefetch-tuning", "prefetch_tuning", nil, false, nil},
 	}
 
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"xt910/cmd/xtfuzz", "xt910/cmd/xtinject", "xt910/cmd/xttrace")
+		"xt910/cmd/xtfuzz", "xt910/cmd/xtinject", "xt910/cmd/xttrace",
+		"xt910/examples/quickstart", "xt910/examples/toolchain", "xt910/examples/vector_ai",
+		"xt910/examples/multicore_smp", "xt910/examples/prefetch_tuning")
 	if b, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, b)
 	}

@@ -1,7 +1,7 @@
 // Toolchain example (§IX / Fig. 20): compiles the same IR kernel with the
-// baseline backend and the optimized+extensions backend, prints both
-// assembly listings side by side conceptually (static instruction counts),
-// and times them on the XT-910 model.
+// baseline backend and the optimized backends, compares their static
+// instruction counts and times them on the XT-910 model, then prints the
+// optimized+ext code.
 package main
 
 import (
@@ -9,17 +9,22 @@ import (
 	"log"
 
 	"xt910"
+	"xt910/internal/asm"
 	"xt910/internal/compiler"
 )
 
-func timeIt(src string) (uint64, int) {
+func timeIt(items []asm.Item) (uint64, int) {
+	b := asm.NewBuilder(xt910.AsmOptions{Base: 0x1000, Compress: true}, 0)
+	b.Add(items)
+	p, err := b.Program()
+	if err != nil {
+		log.Fatal(err)
+	}
 	sys, err := xt910.NewSystem(xt910.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sys.LoadAssembly(src, xt910.AsmOptions{Base: 0x1000, Compress: true}); err != nil {
-		log.Fatal(err)
-	}
+	sys.LoadProgram(p)
 	sys.Run(500_000_000)
 	h := sys.Hart(0)
 	return h.Stats().Cycles, h.ExitCode()
@@ -37,54 +42,32 @@ func main() {
 	}
 	var baseCycles uint64
 	var baseExit int
+	var items []asm.Item
 	for i, be := range backends {
-		src, err := be.Compile(kernel)
-		if err != nil {
+		var err error
+		if items, err = be.Compile(kernel); err != nil {
 			log.Fatal(err)
 		}
-		cycles, exit := timeIt(src)
+		cycles, exit := timeIt(items)
 		if i == 0 {
 			baseCycles, baseExit = cycles, exit
 		} else if exit != baseExit {
 			log.Fatalf("%s computes a different result: %d vs %d", be.Name(), exit, baseExit)
 		}
 		fmt.Printf("%-14s static insts %3d   cycles %8d   speedup %.2fx\n",
-			be.Name(), compiler.StaticInsts(src), cycles,
+			be.Name(), compiler.StaticInsts(items), cycles,
 			float64(baseCycles)/float64(cycles))
 	}
 	fmt.Println("\npaper §X: extensions + optimized compiler ≈ +20% end to end (Fig. 20)")
 
-	// show what the optimized backend actually emits
-	src, _ := (compiler.Optimized{UseCustomExt: true}).Compile(kernel)
-	fmt.Println("\noptimized+ext assembly (code section):")
-	for i, line := range splitCode(src) {
-		fmt.Println("   ", line)
-		if i > 24 {
-			fmt.Println("    ...")
+	// what the last backend emits, up to the globals block
+	code := items
+	for i, it := range items {
+		if it.Kind == asm.KindAlign {
+			code = items[:i]
 			break
 		}
 	}
-}
-
-func splitCode(src string) []string {
-	var out []string
-	for _, line := range split(src, '\n') {
-		if line == "" {
-			break // data section follows the first blank line
-		}
-		out = append(out, line)
-	}
-	return out
-}
-
-func split(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
+	fmt.Println("\noptimized+ext code:")
+	fmt.Print(string(asm.AppendSource(nil, code)))
 }

@@ -148,12 +148,13 @@ func Fig20(ctx context.Context, o Options) (*perf.Result, error) {
 			name := [2]string{"base", "opt"}[bi]
 			ids = append(ids, "fig20/"+f.Name+"/"+name)
 			fns = append(fns, func(ctx context.Context) (armOut, error) {
-				src, err := be.Compile(f)
+				items, err := be.Compile(f)
 				if err != nil {
 					return armOut{}, err
 				}
-				static := compiler.StaticInsts(src)
-				p, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
+				b := asm.NewBuilder(asm.Options{Base: 0x1000, Compress: true}, 0)
+				b.Add(items)
+				p, err := b.Program()
 				if err != nil {
 					return armOut{}, err
 				}
@@ -161,7 +162,7 @@ func Fig20(ctx context.Context, o Options) (*perf.Result, error) {
 				if err != nil {
 					return armOut{}, err
 				}
-				return armOut{cycles: r.Cycles, exit: r.Exit, static: static}, nil
+				return armOut{cycles: r.Cycles, exit: r.Exit, static: compiler.StaticInsts(items)}, nil
 			})
 		}
 	}

@@ -1,8 +1,8 @@
 package compiler
 
 import (
-	"fmt"
-	"strings"
+	"xt910/internal/asm"
+	"xt910/isa"
 )
 
 // Baseline is the stock-compiler backend: no induction-variable optimization,
@@ -14,177 +14,56 @@ type Baseline struct{}
 func (Baseline) Name() string { return "baseline" }
 
 // Compile implements Backend.
-func (Baseline) Compile(f *Function) (string, error) {
-	var b strings.Builder
-	al := newAllocator()
-	emit := func(format string, args ...any) {
-		fmt.Fprintf(&b, "    "+format+"\n", args...)
+func (b Baseline) Compile(f *Function) ([]asm.Item, error) { return compile(f, b) }
+
+func (Baseline) prologue(*emitter) {}
+
+func (b Baseline) stmt(e *emitter, s *Stmt) {
+	switch {
+	case s.Kind == SAddImm:
+		e.emit(asm.RRI(isa.ADDIW, e.reg(s.Dst), e.reg(s.A), s.Imm)) // 32-bit churn (§IX item 1)
+	case s.Kind == SAccum:
+		e.mac(s)
+	default: // a memory access re-materializes its global's address every time
+		e.emit(asm.La(rAnchor, s.G))
+		b.access(e, s, rAnchor)
 	}
-	b.WriteString("_start:\n")
-	if f.Repeat > 1 {
-		emit("li   s11, %d", f.Repeat)
-		b.WriteString("bench_rep:\n")
-	}
-	label := 0
-	var genStmt func(s *Stmt) error
-	genStmt = func(s *Stmt) error {
-		dst, err := al.reg(s.Dst)
-		if err != nil {
-			return err
-		}
-		ra, _ := al.reg(s.A)
-		rb, _ := al.reg(s.B)
-		switch s.Kind {
-		case SConst:
-			emit("li   %s, %d", dst, s.Imm)
-		case SAdd:
-			emit("add  %s, %s, %s", dst, ra, rb)
-		case SSub:
-			emit("sub  %s, %s, %s", dst, ra, rb)
-		case SMul:
-			emit("mul  %s, %s, %s", dst, ra, rb)
-		case SAddImm:
-			emit("addiw %s, %s, %d", dst, ra, s.Imm) // 32-bit churn (§IX item 1)
-		case SShl:
-			emit("slli %s, %s, %d", dst, ra, s.Imm)
-		case SLoadIdx:
-			idx, _ := al.reg(s.Idx)
-			// the stock compiler re-materializes the base and sign-extends
-			// the index at every access
-			emit("la   s0, %s", s.G) // re-materialized at every access
-			emit("sext.w s1, %s", idx)
-			emit("slli s1, s1, 2")
-			emit("add  s1, s1, s0")
-			emit("lw   %s, 0(s1)", dst)
-		case SStoreIdx:
-			idx, _ := al.reg(s.Idx)
-			emit("la   s0, %s", s.G)
-			emit("sext.w s1, %s", idx)
-			emit("slli s1, s1, 2")
-			emit("add  s1, s1, s0")
-			emit("sw   %s, 0(s1)", ra)
-		case SLoadG:
-			emit("la   s0, %s", s.G)
-			emit("lw   %s, 0(s0)", dst)
-		case SStoreG:
-			emit("la   s0, %s", s.G)
-			emit("sw   %s, 0(s0)", ra)
-		case SAccum:
-			emit("mul  s1, %s, %s", ra, rb)
-			emit("add  %s, %s, s1", dst, dst)
-		default:
-			return fmt.Errorf("compiler: unknown stmt kind %d", s.Kind)
-		}
-		return nil
-	}
-	for _, n := range f.Code {
-		switch {
-		case n.Stmt != nil:
-			if err := genStmt(n.Stmt); err != nil {
-				return "", err
-			}
-		case n.Loop != nil:
-			// The baseline is -O2-class: array bases are hoisted out of the
-			// loop. What it lacks is exactly what §IX lists — induction
-			// variable optimization (each access still sign-extends the
-			// 32-bit index and rebuilds the element address), the anchor
-			// scheme (each global gets its own base register / reload), and
-			// DSE (every store is emitted).
-			lp := n.Loop
-			iv, err := al.reg(lp.Induction)
-			if err != nil {
-				return "", err
-			}
-			bases := map[string]string{}
-			var order []string
-			baseRegs := []string{"s3", "s4", "s5", "s6", "s7"}
-			for i := range lp.Body {
-				s := &lp.Body[i]
-				switch s.Kind {
-				case SLoadIdx, SStoreIdx, SLoadG, SStoreG:
-					if bases[s.G] == "" {
-						if len(order) >= len(baseRegs) {
-							return "", fmt.Errorf("compiler: too many arrays in loop")
-						}
-						bases[s.G] = baseRegs[len(order)]
-						order = append(order, s.G)
-					}
-				}
-			}
-			for _, g := range order {
-				emit("la   %s, %s", bases[g], g)
-			}
-			label++
-			emit("li   %s, 0", iv)
-			fmt.Fprintf(&b, "loop%d:\n", label)
-			genInLoop := func(s *Stmt) error {
-				base := bases[s.G]
-				dst, err := al.reg(s.Dst)
-				if err != nil {
-					return err
-				}
-				ra, _ := al.reg(s.A)
-				switch s.Kind {
-				case SLoadIdx:
-					idx, _ := al.reg(s.Idx)
-					emit("sext.w s1, %s", idx) // §IX item 1 churn
-					emit("slli s1, s1, 2")
-					emit("add  s1, s1, %s", base)
-					emit("lw   %s, 0(s1)", dst)
-				case SStoreIdx:
-					idx, _ := al.reg(s.Idx)
-					emit("sext.w s1, %s", idx)
-					emit("slli s1, s1, 2")
-					emit("add  s1, s1, %s", base)
-					emit("sw   %s, 0(s1)", ra)
-				case SLoadG:
-					emit("lw   %s, 0(%s)", dst, base)
-				case SStoreG:
-					emit("sw   %s, 0(%s)", ra, base)
-				default:
-					return genStmt(s)
-				}
-				return nil
-			}
-			for i := range lp.Body {
-				if err := genInLoop(&lp.Body[i]); err != nil {
-					return "", err
-				}
-			}
-			// index auto-increment with the control code inside the loop
-			emit("addiw %s, %s, 1", iv, iv)
-			emit("li   s0, %d", lp.N)
-			emit("blt  %s, s0, loop%d", iv, label)
-		}
-	}
-	res, err := al.reg(f.Result)
-	if err != nil {
-		return "", err
-	}
-	if f.Repeat > 1 {
-		emit("addi s11, s11, -1")
-		emit("bnez s11, bench_rep")
-	}
-	emit("mv   a0, %s", res)
-	emit("li   a7, 93")
-	emit("ecall")
-	emitGlobals(&b, f)
-	return b.String(), nil
 }
 
-// emitGlobals lays all globals out contiguously under a single label so the
-// optimized backend can anchor them; the baseline simply addresses each one
-// absolutely.
-func emitGlobals(b *strings.Builder, f *Function) {
-	b.WriteString("\n.align 3\nglobals:\n")
-	for _, g := range f.Globals {
-		fmt.Fprintf(b, "%s:\n", g.Name)
-		for i := 0; i < g.Words; i++ {
-			v := int32(0)
-			if g.Init != nil {
-				v = g.Init(i)
-			}
-			fmt.Fprintf(b, "    .word %d\n", v)
+// access emits a memory statement against base, its global's address. An
+// indexed access sign-extends the 32-bit index and rebuilds the element
+// address every time (§IX item 1 churn).
+func (Baseline) access(e *emitter, s *Stmt, base isa.Reg) {
+	if s.Kind.indexed() {
+		e.emit(asm.RRI(isa.ADDIW, rAddr, e.reg(s.Idx), 0), // sext.w
+			asm.RRI(isa.SLLI, rAddr, rAddr, 2),
+			asm.RRR(isa.ADD, rAddr, rAddr, base))
+		base = rAddr
+	}
+	e.loadStore(s, 0, base)
+}
+
+// loop is -O2-class: array bases are hoisted out of the loop. What it lacks
+// is exactly what §IX lists — induction variable optimization (each access
+// still sign-extends the 32-bit index and rebuilds the element address, and
+// the control code stays inside the loop), the anchor scheme (each global
+// gets its own base register) and DSE (every store is emitted).
+func (b Baseline) loop(e *emitter, lp *Loop) {
+	iv := e.reg(lp.Induction)
+	bases, order := e.pointers(lp.Body, func(s *Stmt) bool { return s.Kind.memory() })
+	for _, g := range order {
+		e.emit(asm.La(bases[g], g))
+	}
+	top := e.label()
+	e.emit(asm.Li(iv, 0), asm.Label(top))
+	for i := range lp.Body {
+		if s := &lp.Body[i]; s.Kind.memory() {
+			b.access(e, s, bases[s.G])
+		} else {
+			e.stmt(s)
 		}
 	}
+	e.emit(asm.RRI(isa.ADDIW, iv, iv, 1),
+		asm.Li(rAnchor, int64(lp.N)),
+		asm.Branch(isa.BLT, iv, rAnchor, top))
 }

@@ -1,58 +1,56 @@
 package compiler
 
 import (
+	"fmt"
 	"testing"
 
 	"xt910/internal/asm"
-	"xt910/internal/cache"
-	"xt910/internal/coherence"
 	"xt910/internal/core"
-	"xt910/internal/emu"
-	"xt910/internal/mem"
+	"xt910/internal/cosim"
+	"xt910/isa"
 )
 
-func compileAndRun(t *testing.T, f *Function, be Backend) (int, *core.Core) {
-	t.Helper()
-	src, err := be.Compile(f)
-	if err != nil {
-		t.Fatalf("%s/%s: %v", f.Name, be.Name(), err)
+// configs are the core configurations that accept be's code: the §VIII
+// instructions exist on XT-910 only.
+func configs(be Backend) []core.Config {
+	if o, ok := be.(Optimized); ok && o.UseCustomExt {
+		return []core.Config{core.XT910Config()}
 	}
-	p, err := asm.Assemble(src, asm.Options{Base: 0x1000})
-	if err != nil {
-		t.Fatalf("%s/%s assemble: %v\n%s", f.Name, be.Name(), err, src)
-	}
-	// golden reference
-	m := emu.New(mem.NewMemory())
-	p.LoadInto(m.Mem)
-	m.PC = p.Entry
-	if err := m.Run(50_000_000); err != nil || !m.Halted {
-		t.Fatalf("%s/%s: emulator did not finish (%v)", f.Name, be.Name(), err)
-	}
-	// pipeline run
-	memory := mem.NewMemory()
-	l2 := coherence.NewL2(cache.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64, HitLatency: 10}, mem.NewDRAM())
-	c := core.New(core.XT910Config(), 0, memory, l2)
-	p.LoadInto(memory)
-	c.Reset(p.Entry, 0x400000)
-	c.Run(100_000_000)
-	if !c.Halted {
-		t.Fatalf("%s/%s: pipeline did not halt", f.Name, be.Name())
-	}
-	if c.ExitCode != m.ExitCode {
-		t.Fatalf("%s/%s: pipeline=%d emulator=%d", f.Name, be.Name(), c.ExitCode, m.ExitCode)
-	}
-	return c.ExitCode, c
+	return []core.Config{core.XT910Config(), core.U74Config(), core.A73Config()}
 }
 
+// run compiles f with be and runs it on cfg in lock-step with the golden
+// model; the run must halt with no divergence.
+func run(t *testing.T, f *Function, be Backend, cfg core.Config, rvc bool) cosim.Result {
+	t.Helper()
+	p, _ := image(t, f, be, rvc)
+	r := cosim.Run(p, cosim.Options{Config: cfg})
+	if r.Diverged || r.TimedOut {
+		t.Fatalf("%s/%s on %s, rvc=%v: %s", f.Name, be.Name(), cfg.Name, rvc, r.Report)
+	}
+	return r
+}
+
+// TestBackendsAgreeOnSemantics runs every kernel as every backend compiles
+// it, with and without RVC, on every core configuration that accepts the
+// code, each in lock-step with the golden model: no run may diverge, and all
+// of a kernel's runs exit alike.
 func TestBackendsAgreeOnSemantics(t *testing.T) {
 	for _, f := range Fig20Kernels() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			base, _ := compileAndRun(t, f, Baseline{})
-			opt, _ := compileAndRun(t, f, Optimized{})
-			ext, _ := compileAndRun(t, f, Optimized{UseCustomExt: true})
-			if base != opt || base != ext {
-				t.Fatalf("backends disagree: base=%d opt=%d ext=%d", base, opt, ext)
+			exits := map[int]string{} // exit code → the first run to give it
+			for _, be := range backends {
+				for _, cfg := range configs(be) {
+					for _, rvc := range []bool{false, true} {
+						if code := run(t, f, be, cfg, rvc).ExitCode; exits[code] == "" {
+							exits[code] = fmt.Sprintf("%s on %s, rvc=%v", be.Name(), cfg.Name, rvc)
+						}
+					}
+				}
+			}
+			if len(exits) != 1 {
+				t.Fatalf("the runs disagree on the exit code: %v", exits)
 			}
 		})
 	}
@@ -61,13 +59,11 @@ func TestBackendsAgreeOnSemantics(t *testing.T) {
 func TestOptimizedIsFaster(t *testing.T) {
 	var totBase, totExt uint64
 	for _, f := range Fig20Kernels() {
-		_, cb := compileAndRun(t, f, Baseline{})
-		_, ce := compileAndRun(t, f, Optimized{UseCustomExt: true})
-		totBase += cb.Stats.Cycles
-		totExt += ce.Stats.Cycles
-		t.Logf("%-12s base=%8d ext=%8d speedup=%.2fx", f.Name,
-			cb.Stats.Cycles, ce.Stats.Cycles,
-			float64(cb.Stats.Cycles)/float64(ce.Stats.Cycles))
+		cb := run(t, f, Baseline{}, core.XT910Config(), true).Cycles
+		ce := run(t, f, Optimized{UseCustomExt: true}, core.XT910Config(), true).Cycles
+		totBase += cb
+		totExt += ce
+		t.Logf("%-12s base=%8d ext=%8d speedup=%.2fx", f.Name, cb, ce, float64(cb)/float64(ce))
 	}
 	gain := float64(totBase)/float64(totExt) - 1
 	t.Logf("overall toolchain gain: %.1f%% (paper: ~20%%)", gain*100)
@@ -76,19 +72,50 @@ func TestOptimizedIsFaster(t *testing.T) {
 	}
 }
 
+// TestAllocatorKeepsBackendRegisters: a function with more live values than
+// t0–t5 and a2–a7 hold computes its result under every backend. The
+// allocator used to hand out s2–s7 too, which the backends' loops use for
+// their countdown, array bases and walking pointers: keep landed in s2 and
+// sum in s3, and all three backends exited with a wrong checksum.
+func TestAllocatorKeepsBackendRegisters(t *testing.T) {
+	f := &Function{Name: "pressure", Globals: []Global{
+		{Name: "arr", Words: 8, Init: func(i int) int32 { return int32(i + 1) }},
+	}}
+	for i := 0; i < 12; i++ {
+		f.Code = append(f.Code, S(Stmt{Kind: SConst, Dst: VReg(i), Imm: int64(i)}))
+	}
+	const keep, sum, iv, elem, res VReg = 12, 13, 14, 15, 16
+	f.Code = append(f.Code,
+		S(Stmt{Kind: SConst, Dst: keep, Imm: 1000}),
+		S(Stmt{Kind: SConst, Dst: sum}),
+		L(Loop{N: 8, Induction: iv, Body: []Stmt{
+			{Kind: SLoadIdx, Dst: elem, G: "arr", Idx: iv},
+			{Kind: SAdd, Dst: sum, A: sum, B: elem},
+		}}),
+		S(Stmt{Kind: SAdd, Dst: res, A: sum, B: keep}))
+	f.Result = res
+	for _, be := range backends {
+		for _, rvc := range []bool{false, true} {
+			if got := run(t, f, be, core.XT910Config(), rvc).ExitCode; got != 1036 {
+				t.Errorf("%s, rvc=%v: exit %d, want 1036", be.Name(), rvc, got)
+			}
+		}
+	}
+}
+
 func TestDSERemovesDeadStores(t *testing.T) {
 	f := RedundantStores()
-	srcBase, err := (Baseline{}).Compile(f)
+	base, err := (Baseline{}).Compile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcOpt, err := (Optimized{}).Compile(f)
+	opt, err := (Optimized{}).Compile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if StaticInsts(srcOpt) >= StaticInsts(srcBase) {
+	if StaticInsts(opt) >= StaticInsts(base) {
 		t.Fatalf("DSE should shrink the program: base=%d opt=%d",
-			StaticInsts(srcBase), StaticInsts(srcOpt))
+			StaticInsts(base), StaticInsts(opt))
 	}
 }
 
@@ -116,28 +143,28 @@ func TestDeadStoreEliminationUnit(t *testing.T) {
 
 func TestAllocatorOverflow(t *testing.T) {
 	f := &Function{Name: "big", Result: 0}
-	var body []Stmt
 	for i := 0; i < 40; i++ {
-		body = append(body, Stmt{Kind: SConst, Dst: VReg(i), Imm: int64(i)})
+		f.Code = append(f.Code, S(Stmt{Kind: SConst, Dst: VReg(i), Imm: int64(i)}))
 	}
-	for i := range body {
-		f.Code = append(f.Code, S(body[i]))
-	}
-	if _, err := (Baseline{}).Compile(f); err == nil {
-		t.Fatal("expected register allocator overflow error")
+	for _, be := range backends {
+		if _, err := be.Compile(f); err == nil {
+			t.Fatalf("%s: expected register allocator overflow error", be.Name())
+		}
 	}
 }
 
 func TestStaticInstsCountsCode(t *testing.T) {
-	src := `
-_start:
-    li a0, 1
-    # comment
-    add a0, a0, a0
-.align 3
-data: .word 5
-`
-	if n := StaticInsts(src); n != 2 {
-		t.Fatalf("static count = %d, want 2", n)
+	items := []asm.Item{
+		asm.Label("_start"),
+		asm.Li(isa.A0, 0x12345678), // two instructions in the image, one here
+		asm.La(isa.A1, "data"),
+		asm.RRR(isa.ADD, isa.A0, isa.A0, isa.A0),
+		asm.Bz(isa.BNE, isa.A0, "_start"),
+		asm.Align(3),
+		asm.Label("data"),
+		asm.Data(4, []int64{5}),
+	}
+	if n := StaticInsts(items); n != 4 {
+		t.Fatalf("static count = %d, want 4", n)
 	}
 }

@@ -1,6 +1,6 @@
 // Package compiler is the toolchain model for the §IX co-optimization study
-// (Fig. 20). It compiles a small three-address IR to XT-910 assembly through
-// two backends:
+// (Fig. 20). It compiles a small three-address IR to XT-910 machine code —
+// asm.Items, which asm.Builder turns into an image — through two backends:
 //
 //   - Baseline: the "native RISC-V ISA and compiler" code generator — global
 //     variables materialize their address at every access, loop bodies
@@ -17,8 +17,6 @@
 // target, so compiling the same kernel both ways reproduces Fig. 20's
 // ~20% end-to-end improvement.
 package compiler
-
-import "fmt"
 
 // VReg is a virtual register.
 type VReg int
@@ -40,6 +38,12 @@ const (
 	SStoreG                   // global scalar = a
 	SAccum                    // dst = dst + a*b (MAC pattern)
 )
+
+// memory reports whether the statement reads or writes its global G.
+func (k StmtKind) memory() bool { return k >= SLoadIdx && k <= SStoreG }
+
+// indexed reports whether the statement addresses element Idx of its global.
+func (k StmtKind) indexed() bool { return k == SLoadIdx || k == SStoreIdx }
 
 // Stmt is one IR statement.
 type Stmt struct {
@@ -88,38 +92,3 @@ func S(s Stmt) Node { return Node{Stmt: &s} }
 
 // L creates a loop node.
 func L(l Loop) Node { return Node{Loop: &l} }
-
-// Backend compiles a function to assembly source.
-type Backend interface {
-	// Compile returns the assembly text; the program exits with Result.
-	Compile(f *Function) (string, error)
-	// Name identifies the backend in reports.
-	Name() string
-}
-
-// maxVRegs bounds the trivial register allocator.
-var physRegs = []string{
-	"t0", "t1", "t2", "t3", "t4", "t5",
-	"a2", "a3", "a4", "a5", "a6", "a7",
-	"s2", "s3", "s4", "s5", "s6", "s7",
-}
-
-// allocator maps virtual registers onto physical names (s0/s1/a0/s11/t6 are
-// reserved for the backends' own use).
-type allocator struct {
-	m map[VReg]string
-}
-
-func newAllocator() *allocator { return &allocator{m: map[VReg]string{}} }
-
-func (a *allocator) reg(v VReg) (string, error) {
-	if r, ok := a.m[v]; ok {
-		return r, nil
-	}
-	if len(a.m) >= len(physRegs) {
-		return "", fmt.Errorf("compiler: out of registers (%d virtuals)", len(a.m)+1)
-	}
-	r := physRegs[len(a.m)]
-	a.m[v] = r
-	return r, nil
-}

@@ -1,8 +1,8 @@
 package compiler
 
 import (
-	"fmt"
-	"strings"
+	"xt910/internal/asm"
+	"xt910/isa"
 )
 
 // Optimized is the XT-910 toolchain backend (§IX + §VIII custom extensions).
@@ -21,233 +21,105 @@ func (o Optimized) Name() string {
 }
 
 // Compile implements Backend.
-func (o Optimized) Compile(f *Function) (string, error) {
-	var b strings.Builder
-	al := newAllocator()
-	emit := func(format string, args ...any) {
-		fmt.Fprintf(&b, "    "+format+"\n", args...)
-	}
-
-	// global layout offsets from the anchor (§IX item 2: "allocates the
+func (o Optimized) Compile(f *Function) ([]asm.Item, error) {
+	// Each global's offset from the anchor (§IX item 2: "allocates the
 	// variables of the same function to a continuous address space, saves
-	// the starting address of this space to a register")
+	// the starting address of this space to a register").
 	offsets := map[string]int{}
 	off := 0
 	for _, g := range f.Globals {
 		offsets[g.Name] = off
 		off += g.Words * 4
 	}
-
-	b.WriteString("_start:\n")
-	emit("la   s0, globals        # anchor register (§IX)")
-	// addrOf emits "s1 = anchor + off" regardless of offset magnitude
-	addrOf := func(off int) {
-		if off >= -2048 && off <= 2047 {
-			emit("addi s1, s0, %d", off)
-		} else {
-			emit("li   s1, %d", off)
-			emit("add  s1, s1, s0")
-		}
-	}
-	if f.Repeat > 1 {
-		emit("li   s11, %d", f.Repeat)
-		b.WriteString("bench_rep:\n")
-	}
-
-	label := 0
-	// genStmt generates one statement outside loops (no strength reduction).
-	genStmt := func(s *Stmt) error {
-		dst, err := al.reg(s.Dst)
-		if err != nil {
-			return err
-		}
-		ra, _ := al.reg(s.A)
-		rb, _ := al.reg(s.B)
-		switch s.Kind {
-		case SConst:
-			emit("li   %s, %d", dst, s.Imm)
-		case SAdd:
-			emit("add  %s, %s, %s", dst, ra, rb)
-		case SSub:
-			emit("sub  %s, %s, %s", dst, ra, rb)
-		case SMul:
-			emit("mul  %s, %s, %s", dst, ra, rb)
-		case SAddImm:
-			emit("addi %s, %s, %d", dst, ra, s.Imm) // churn removed (§IX item 1)
-		case SShl:
-			emit("slli %s, %s, %d", dst, ra, s.Imm)
-		case SLoadIdx:
-			idx, _ := al.reg(s.Idx)
-			if o.UseCustomExt {
-				addrOf(offsets[s.G])
-				emit("lrw  %s, s1, %s, 2", dst, idx) // §VIII-A indexed load
-			} else {
-				addrOf(offsets[s.G])
-				emit("slli t6, %s, 2", idx)
-				emit("add  s1, s1, t6")
-				emit("lw   %s, 0(s1)", dst)
-			}
-		case SStoreIdx:
-			idx, _ := al.reg(s.Idx)
-			if o.UseCustomExt {
-				addrOf(offsets[s.G])
-				emit("srw  %s, s1, %s, 2", ra, idx)
-			} else {
-				addrOf(offsets[s.G])
-				emit("slli t6, %s, 2", idx)
-				emit("add  s1, s1, t6")
-				emit("sw   %s, 0(s1)", ra)
-			}
-		case SLoadG:
-			if off := offsets[s.G]; off >= -2048 && off <= 2047 {
-				emit("lw   %s, %d(s0)", dst, off)
-			} else {
-				addrOf(off)
-				emit("lw   %s, 0(s1)", dst)
-			}
-		case SStoreG:
-			if off := offsets[s.G]; off >= -2048 && off <= 2047 {
-				emit("sw   %s, %d(s0)", ra, off)
-			} else {
-				addrOf(off)
-				emit("sw   %s, 0(s1)", ra)
-			}
-		case SAccum:
-			if o.UseCustomExt {
-				emit("mula %s, %s, %s", dst, ra, rb) // §VIII-B MAC
-			} else {
-				emit("mul  s1, %s, %s", ra, rb)
-				emit("add  %s, %s, s1", dst, dst)
-			}
-		default:
-			return fmt.Errorf("compiler: unknown stmt kind %d", s.Kind)
-		}
-		return nil
-	}
-
-	for _, n := range f.Code {
-		switch {
-		case n.Stmt != nil:
-			if err := genStmt(n.Stmt); err != nil {
-				return "", err
-			}
-		case n.Loop != nil:
-			if err := o.genLoop(&b, al, n.Loop, offsets, &label, genStmt); err != nil {
-				return "", err
-			}
-		}
-	}
-	res, err := al.reg(f.Result)
-	if err != nil {
-		return "", err
-	}
-	if f.Repeat > 1 {
-		emit("addi s11, s11, -1")
-		emit("bnez s11, bench_rep")
-	}
-	emit("mv   a0, %s", res)
-	emit("li   a7, 93")
-	emit("ecall")
-	emitGlobals(&b, f)
-	return b.String(), nil
+	return compile(f, optimizer{ext: o.UseCustomExt, offsets: offsets})
 }
 
-// genLoop applies DSE and induction-variable strength reduction, then emits a
-// count-down loop with walking pointers for induction-indexed arrays.
-func (o Optimized) genLoop(b *strings.Builder, al *allocator, lp *Loop,
-	offsets map[string]int, label *int, genStmt func(*Stmt) error) error {
+// optimizer is the Optimized backend at work on one function.
+type optimizer struct {
+	ext     bool
+	offsets map[string]int
+}
 
-	emit := func(format string, args ...any) {
-		fmt.Fprintf(b, "    "+format+"\n", args...)
+func (optimizer) prologue(e *emitter) { e.emit(asm.La(rAnchor, "globals")) } // the anchor register (§IX)
+
+func fitsImm12(v int) bool { return v >= -2048 && v <= 2047 }
+
+// anchored sets rd to the anchor plus off, whatever off's magnitude.
+func anchored(e *emitter, rd isa.Reg, off int) {
+	if fitsImm12(off) {
+		e.emit(asm.RRI(isa.ADDI, rd, rAnchor, int64(off)))
+	} else {
+		e.emit(asm.Li(rd, int64(off)), asm.RRR(isa.ADD, rd, rd, rAnchor))
 	}
-	body := deadStoreEliminate(lp.Body)
+}
 
-	// find arrays indexed by the induction variable → walking pointers
-	type ptrInfo struct{ reg string }
-	ptrs := map[string]*ptrInfo{}
-	var ptrOrder []string // deterministic emit order
-	ptrRegs := []string{"s3", "s4", "s5", "s6", "s7"}
+// stmt lowers a statement outside the strength-reduced form of a loop.
+func (o optimizer) stmt(e *emitter, s *Stmt) {
+	off := o.offsets[s.G]
+	switch {
+	case s.Kind == SAddImm:
+		e.emit(asm.RRI(isa.ADDI, e.reg(s.Dst), e.reg(s.A), s.Imm)) // churn removed (§IX item 1)
+	case s.Kind == SAccum && o.ext:
+		e.emit(asm.RRR(isa.XMULA, e.reg(s.Dst), e.reg(s.A), e.reg(s.B))) // §VIII-B MAC
+	case s.Kind == SAccum:
+		e.mac(s)
+	case s.Kind == SLoadIdx && o.ext:
+		anchored(e, rAddr, off)
+		e.emit(asm.Inst(isa.XLRW, e.reg(s.Dst), rAddr, e.reg(s.Idx), 2)) // §VIII-A indexed load
+	case s.Kind == SStoreIdx && o.ext:
+		anchored(e, rAddr, off)
+		e.emit(asm.Inst(isa.XSRW, e.reg(s.A), rAddr, e.reg(s.Idx), 2))
+	case s.Kind.indexed():
+		anchored(e, rAddr, off)
+		e.emit(asm.RRI(isa.SLLI, rScale, e.reg(s.Idx), 2), asm.RRR(isa.ADD, rAddr, rAddr, rScale))
+		e.loadStore(s, 0, rAddr)
+	case fitsImm12(off): // a scalar global, straight off the anchor
+		e.loadStore(s, off, rAnchor)
+	default:
+		anchored(e, rAddr, off)
+		e.loadStore(s, 0, rAddr)
+	}
+}
+
+// loop applies DSE and induction-variable strength reduction, then emits a
+// count-down loop with walking pointers for induction-indexed arrays.
+func (o optimizer) loop(e *emitter, lp *Loop) {
+	body := deadStoreEliminate(lp.Body)
+	walks := func(s *Stmt) bool { return s.Kind.indexed() && s.Idx == lp.Induction }
+	ptrs, order := e.pointers(body, walks)
 	needsIV := false
 	for i := range body {
 		s := &body[i]
-		switch s.Kind {
-		case SLoadIdx, SStoreIdx:
-			if s.Idx == lp.Induction {
-				if ptrs[s.G] == nil {
-					if len(ptrs) >= len(ptrRegs) {
-						return fmt.Errorf("compiler: too many strength-reduced arrays")
-					}
-					ptrs[s.G] = &ptrInfo{reg: ptrRegs[len(ptrs)]}
-					ptrOrder = append(ptrOrder, s.G)
-				}
-			} else {
-				needsIV = true
-			}
-		default:
-			for _, v := range []VReg{s.A, s.B, s.Idx} {
-				if v == lp.Induction {
-					needsIV = true
-				}
-			}
-		}
+		needsIV = needsIV || !walks(s) && (s.A == lp.Induction || s.B == lp.Induction || s.Idx == lp.Induction)
 	}
 
-	// preheader: pointers start at the array bases; a count-down register
-	// replaces the compare-against-bound (§IX item 1: control code moved
-	// out of the loop)
-	for _, g := range ptrOrder {
-		if off := offsets[g]; off >= -2048 && off <= 2047 {
-			emit("addi %s, s0, %d", ptrs[g].reg, off)
-		} else {
-			emit("li   %s, %d", ptrs[g].reg, off)
-			emit("add  %s, %s, s0", ptrs[g].reg, ptrs[g].reg)
-		}
+	// Preheader: pointers start at the array bases; a count-down register
+	// replaces the compare against the bound (§IX item 1: control code moved
+	// out of the loop).
+	for _, g := range order {
+		anchored(e, ptrs[g], o.offsets[g])
 	}
-	var iv string
+	iv := isa.RegNone
 	if needsIV {
-		var err error
-		iv, err = al.reg(lp.Induction)
-		if err != nil {
-			return err
-		}
-		emit("li   %s, 0", iv)
+		iv = e.reg(lp.Induction)
+		e.emit(asm.Li(iv, 0))
 	}
-	emit("li   s2, %d", lp.N)
-	*label++
-	lbl := *label
-	fmt.Fprintf(b, "loop%d:\n", lbl)
+	top := e.label()
+	e.emit(asm.Li(rCount, int64(lp.N)), asm.Label(top))
 	for i := range body {
-		s := &body[i]
-		switch s.Kind {
-		case SLoadIdx:
-			if p := ptrs[s.G]; p != nil && s.Idx == lp.Induction {
-				dst, err := al.reg(s.Dst)
-				if err != nil {
-					return err
-				}
-				emit("lw   %s, 0(%s)", dst, p.reg)
-				continue
-			}
-		case SStoreIdx:
-			if p := ptrs[s.G]; p != nil && s.Idx == lp.Induction {
-				ra, _ := al.reg(s.A)
-				emit("sw   %s, 0(%s)", ra, p.reg)
-				continue
-			}
-		}
-		if err := genStmt(s); err != nil {
-			return err
+		if s := &body[i]; walks(s) {
+			e.loadStore(s, 0, ptrs[s.G])
+		} else {
+			e.stmt(s)
 		}
 	}
-	for _, g := range ptrOrder {
-		emit("addi %s, %s, 4", ptrs[g].reg, ptrs[g].reg)
+	for _, g := range order {
+		e.emit(asm.RRI(isa.ADDI, ptrs[g], ptrs[g], 4))
 	}
 	if needsIV {
-		emit("addi %s, %s, 1", iv, iv)
+		e.emit(asm.RRI(isa.ADDI, iv, iv, 1))
 	}
-	emit("addi s2, s2, -1")
-	emit("bnez s2, loop%d", lbl)
-	return nil
+	e.emit(asm.RRI(isa.ADDI, rCount, rCount, -1), asm.Bz(isa.BNE, rCount, top))
 }
 
 // deadStoreEliminate removes stores that are overwritten by a later store to
@@ -280,21 +152,4 @@ func deadStoreEliminate(body []Stmt) []Stmt {
 		}
 	}
 	return out
-}
-
-// StaticInsts counts the instructions a compiled program contains (the §IX
-// "total number of the instructions" metric).
-func StaticInsts(asmSrc string) int {
-	n := 0
-	for _, line := range strings.Split(asmSrc, "\n") {
-		t := strings.TrimSpace(line)
-		if i := strings.IndexByte(t, ':'); i >= 0 && !strings.ContainsAny(t[:i], " \t") {
-			t = strings.TrimSpace(t[i+1:]) // strip a leading label
-		}
-		if t == "" || strings.HasPrefix(t, ".") || strings.HasPrefix(t, "#") {
-			continue
-		}
-		n++
-	}
-	return n
 }

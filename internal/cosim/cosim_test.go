@@ -208,7 +208,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	// segment; with a healthy HEAD there is none, so instead verify the
 	// shrinker preserves a diverging predicate by driving it directly.
 	p := &program{
-		inits: []asm.Item{li(isa.T0, 1)},
+		inits: []asm.Item{asm.Li(isa.T0, 1)},
 		segs: [][]asm.Item{
 			{rri(isa.ADDI, isa.X(6), operand(isa.T0), 1)},
 			{rri(isa.ADDI, isa.X(7), operand(isa.T0), 2)},

@@ -140,19 +140,19 @@ func (p *program) handler() bool { return p.smp || len(p.irq) > 0 }
 
 // The fixed parts of every program.
 var (
-	progStart = []asm.Item{label("_start"), la(xBuf, "buf")}
+	progStart = []asm.Item{asm.Label("_start"), asm.La(xBuf, "buf")}
 	// Install the handler and enable all three machine sources. Only x29
 	// (never in the random pool) is clobbered, before its first use.
 	progInstall = []asm.Item{
-		la(xTmp, "irq_handler"),
-		csrw(isa.CSRMtvec, xTmp),
-		li(xTmp, 0x888), // MSIE|MTIE|MEIE
-		csrw(isa.CSRMie, xTmp),
-		csri(isa.CSRRSI, isa.Zero, isa.CSRMstatus, 8), // mstatus.MIE
+		asm.La(xTmp, "irq_handler"),
+		asm.CSRW(isa.CSRMtvec, xTmp),
+		asm.Li(xTmp, 0x888), // MSIE|MTIE|MEIE
+		asm.CSRW(isa.CSRMie, xTmp),
+		asm.CSRI(isa.CSRRSI, isa.Zero, isa.CSRMstatus, 8), // mstatus.MIE
 	}
-	progTrap = []asm.Item{sys(isa.EBREAK)}
-	progExit = []asm.Item{li(isa.A7, 93), li(isa.A0, 0), sys(isa.ECALL)}
-	progBuf  = []asm.Item{align(6), label("buf")}
+	progTrap = []asm.Item{asm.Sys(isa.EBREAK)}
+	progExit = []asm.Item{asm.Li(isa.A7, 93), asm.Li(isa.A0, 0), asm.Sys(isa.ECALL)}
+	progBuf  = []asm.Item{asm.Align(6), asm.Label("buf")}
 
 	// The handler is transparent up to its trace in the buffer tail: x29 is
 	// preserved through mscratch, mcause/mepc and a delivery counter are
@@ -172,28 +172,28 @@ var (
 )
 
 func irqHandler(smp bool) []asm.Item {
-	h := []asm.Item{align(2), label("irq_handler"), csrw(isa.CSRMscratch, xTmp)}
+	h := []asm.Item{asm.Align(2), asm.Label("irq_handler"), asm.CSRW(isa.CSRMscratch, xTmp)}
 	if smp {
-		h = append(h, csrw(isa.CSRSscratch, isa.T5))
+		h = append(h, asm.CSRW(isa.CSRSscratch, isa.T5))
 	}
 	h = append(h,
-		csrr(xTmp, isa.CSRMcause),
+		asm.CSRR(xTmp, isa.CSRMcause),
 		store(isa.SD, operand(xTmp), 2024, xBuf),
-		csrr(xTmp, isa.CSRMepc),
+		asm.CSRR(xTmp, isa.CSRMepc),
 		store(isa.SD, operand(xTmp), 2032, xBuf),
-		load(isa.LD, xTmp, 2040, xBuf),
+		asm.Load(isa.LD, xTmp, 2040, xBuf),
 		rri(isa.ADDI, xTmp, operand(xTmp), 1),
 		store(isa.SD, operand(xTmp), 2040, xBuf))
 	if smp {
 		h = append(h,
-			csrr(xTmp, isa.CSRMhartid),
+			asm.CSRR(xTmp, isa.CSRMhartid),
 			rri(isa.SLLI, xTmp, operand(xTmp), 2),
-			li(isa.T5, 0x02000000), // CLINT msip base
+			asm.Li(isa.T5, 0x02000000), // CLINT msip base
 			rrr(isa.ADD, xTmp, operand(xTmp), operand(isa.T5)),
 			store(isa.SW, operand(isa.Zero), 0, xTmp),
-			csrr(isa.T5, isa.CSRSscratch))
+			asm.CSRR(isa.T5, isa.CSRSscratch))
 	}
-	return append(h, csrr(xTmp, isa.CSRMscratch), sys(isa.MRET))
+	return append(h, asm.CSRR(xTmp, isa.CSRMscratch), asm.Sys(isa.MRET))
 }
 
 // each calls f on the program's parts in image order, leaving the masked-out
@@ -250,35 +250,12 @@ const (
 
 func (o operand) reg() isa.Reg { return isa.Reg(o & 0xFF) }
 
-// Item constructors, one per operand shape the generator writes.
+// The generator's own Item constructors: the shapes whose source operands
+// may be the RAW-chain register, which carries its spelling (the asm
+// constructors write the rest).
 
-func label(name string) asm.Item { return asm.Item{Kind: asm.KindLabel, Ref: name} }
-
-func align(pow int64) asm.Item {
-	it := asm.Item{Kind: asm.KindAlign}
-	it.Inst.Imm = pow
-	return it
-}
-
-func li(rd isa.Reg, v int64) asm.Item {
-	it := asm.Item{Kind: asm.KindLi}
-	it.Inst.Rd, it.Inst.Imm = rd, v
-	return it
-}
-
-func la(rd isa.Reg, target string) asm.Item {
-	it := asm.Item{Kind: asm.KindLa, Ref: target}
-	it.Inst.Rd = rd
-	return it
-}
-
-func sys(op isa.Op) asm.Item { return asm.Item{Inst: isa.NewInst(op)} }
-
-// inst is op with whichever of rd, rs1, rs2 it has (isa.RegNone, noOperand
-// for the rest) and its immediate.
-func inst(op isa.Op, rd isa.Reg, rs1, rs2 operand, imm int64) asm.Item {
-	it := asm.Item{Inst: isa.NewInst(op)}
-	it.Inst.Rd, it.Inst.Rs1, it.Inst.Rs2, it.Inst.Imm = rd, rs1.reg(), rs2.reg(), imm
+// spelled marks the operands the generator remembers by ABI name.
+func spelled(it asm.Item, rs1, rs2 operand) asm.Item {
 	if rs1&abiName != 0 {
 		it.Spell |= asm.SpellABIRs1
 	}
@@ -288,94 +265,35 @@ func inst(op isa.Op, rd isa.Reg, rs1, rs2 operand, imm int64) asm.Item {
 	return it
 }
 
+func inst(op isa.Op, rd isa.Reg, rs1, rs2 operand, imm int64) asm.Item {
+	return spelled(asm.Inst(op, rd, rs1.reg(), rs2.reg(), imm), rs1, rs2)
+}
+
 func rrr(op isa.Op, rd isa.Reg, rs1, rs2 operand) asm.Item { return inst(op, rd, rs1, rs2, 0) }
 func rr(op isa.Op, rd isa.Reg, rs1 operand) asm.Item       { return inst(op, rd, rs1, noOperand, 0) }
 func rri(op isa.Op, rd isa.Reg, rs1 operand, imm int64) asm.Item {
 	return inst(op, rd, rs1, noOperand, imm)
 }
 
-// load is "op rd, off(base)"; store is "op data, off(base)".
-func load(op isa.Op, rd isa.Reg, off int, base isa.Reg) asm.Item {
-	return inst(op, rd, operand(base), noOperand, int64(off))
-}
-
 func store(op isa.Op, data operand, off int, base isa.Reg) asm.Item {
-	return inst(op, isa.RegNone, operand(base), data, int64(off))
+	return spelled(asm.Store(op, data.reg(), off, base), noOperand, data)
 }
 
-// amo is "op rd, data, (base)"; lr has no data operand.
 func amo(op isa.Op, rd isa.Reg, data operand, base isa.Reg) asm.Item {
-	return inst(op, rd, operand(base), data, 0)
+	return spelled(asm.AMO(op, rd, data.reg(), base), noOperand, data)
 }
 
-// branch is "op rs1, rs2, target".
 func branch(op isa.Op, rs1, rs2 operand, target string) asm.Item {
-	it := inst(op, isa.RegNone, rs1, rs2, 0)
-	it.Kind, it.Ref = asm.KindBranch, target
-	return it
+	return spelled(asm.Branch(op, rs1.reg(), rs2.reg(), target), rs1, rs2)
 }
 
-// bz is "beqz rs, target" (or bnez).
-func bz(op isa.Op, rs isa.Reg, target string) asm.Item {
-	it := branch(op, operand(rs), operand(isa.Zero), target)
-	it.Spell |= asm.SpellPseudo
-	return it
-}
-
-// csr is "op rd, csr, rs1"; csri takes a 5-bit immediate instead.
 func csr(op isa.Op, rd isa.Reg, num uint16, rs1 operand) asm.Item {
-	it := rr(op, rd, rs1)
-	it.Inst.CSR = num
-	return it
-}
-
-func csri(op isa.Op, rd isa.Reg, num uint16, imm int64) asm.Item {
-	it := inst(op, rd, noOperand, noOperand, imm)
-	it.Inst.CSR = num
-	return it
-}
-
-func csrr(rd isa.Reg, num uint16) asm.Item {
-	it := csr(isa.CSRRS, rd, num, operand(isa.Zero))
-	it.Spell |= asm.SpellPseudo
-	return it
-}
-
-func csrw(num uint16, rs isa.Reg) asm.Item {
-	it := csr(isa.CSRRW, isa.Zero, num, operand(rs))
-	it.Spell |= asm.SpellPseudo
-	return it
-}
-
-// fp is "op rd, rs1, rs2, rs3" over FP (and, for rd or rs1, integer)
-// registers, with the absent trailing operands RegNone.
-func fp(op isa.Op, rd, rs1, rs2, rs3 isa.Reg) asm.Item {
-	it := inst(op, rd, operand(rs1), operand(rs2), 0)
-	it.Inst.Rs3 = rs3
-	return it
-}
-
-// vec is a vector instruction in the text's operand order "op vd, vs2, vs1";
-// vmem is "op vd, (base)[, rs2]" for loads and "op vs, (base)[, rs3]" for stores.
-func vec(op isa.Op, vd, vs2, vs1 isa.Reg, masked bool) asm.Item {
-	it := inst(op, vd, operand(vs1), operand(vs2), 0)
-	it.Inst.Masked = masked
-	return it
-}
-
-func vload(op isa.Op, vd, base, rs2 isa.Reg) asm.Item {
-	return inst(op, vd, operand(base), operand(rs2), 0)
-}
-
-func vstore(op isa.Op, vs, base, rs3 isa.Reg, masked bool) asm.Item {
-	it := inst(op, isa.RegNone, operand(base), operand(vs), 0)
-	it.Inst.Rs3, it.Inst.Masked = rs3, masked
-	return it
+	return spelled(asm.CSR(op, rd, num, rs1.reg()), rs1, noOperand)
 }
 
 // vsetvli is "vsetvli rd, x29, e32, m1".
 func vsetvli(rd isa.Reg) asm.Item {
-	return inst(isa.VSETVLI, rd, operand(xTmp), noOperand, int64(isa.MakeVType(isa.SEW32, 0)))
+	return asm.RRI(isa.VSETVLI, rd, xTmp, int64(isa.MakeVType(isa.SEW32, 0)))
 }
 
 type gen struct {
@@ -439,7 +357,7 @@ func generate(seed int64, nSegs int, modes Modes, harts int) *program {
 	// always end on the exit ecall.
 	p := &program{smp: modes.SMP, trapEnd: !modes.IRQ && !modes.SMP && g.rng.Intn(10) == 0}
 	for _, r := range gpPool {
-		g.emit(li(r, int64(g.rng.Uint64())))
+		g.emit(asm.Li(r, int64(g.rng.Uint64())))
 	}
 	for f := 0; f < fpRegs; f++ {
 		g.emit(rr(isa.FMVDX, isa.F(f), operand(g.reg())))
@@ -459,7 +377,7 @@ func generate(seed int64, nSegs int, modes Modes, harts int) *program {
 	for i := range words {
 		words[i] = int64(g.rng.Uint64())
 	}
-	p.data = []asm.Item{{Kind: asm.KindData, Size: 8, Words: words}}
+	p.data = []asm.Item{asm.Data(8, words)}
 	if modes.IRQ {
 		// One schedule per hart, drawn in hart order from the same stream
 		// (hart 0's draw matches the single-hart stream exactly).
@@ -599,12 +517,12 @@ func (g *gen) segMem() {
 				g.emit(store(isa.SD, operand(g.reg()), g.rng.Intn(32)*8, isa.SP))
 			case 1:
 				rd := g.reg()
-				g.emit(load(isa.LD, rd, g.rng.Intn(32)*8, isa.SP))
+				g.emit(asm.Load(isa.LD, rd, g.rng.Intn(32)*8, isa.SP))
 				g.dest(rd)
 			case 2: // FP spill: the full 9-bit c.fsdsp range (0..504)
 				g.emit(store(isa.FSD, operand(g.freg()), g.rng.Intn(64)*8, isa.SP))
 			default: // FP reload via c.fldsp
-				g.emit(load(isa.FLD, g.freg(), g.rng.Intn(64)*8, isa.SP))
+				g.emit(asm.Load(isa.FLD, g.freg(), g.rng.Intn(64)*8, isa.SP))
 			}
 			continue
 		}
@@ -623,11 +541,11 @@ func (g *gen) segMem() {
 		} else {
 			ld := loadOps[lg][g.rng.Intn(len(loadOps[lg]))]
 			if size >= 4 && g.rng.Intn(6) == 0 {
-				g.emit(load(fpLoadOps[lg], g.freg(), off, xBuf))
+				g.emit(asm.Load(fpLoadOps[lg], g.freg(), off, xBuf))
 				continue
 			}
 			rd := g.reg()
-			g.emit(load(ld, rd, off, xBuf))
+			g.emit(asm.Load(ld, rd, off, xBuf))
 			g.dest(rd)
 		}
 	}
@@ -648,17 +566,17 @@ func (g *gen) segBranch() {
 	for i := 0; i < 1+g.rng.Intn(3); i++ {
 		g.emit(g.aluInst())
 	}
-	g.emit(label(l))
+	g.emit(asm.Label(l))
 }
 
 // segLoop emits a counted loop on the dedicated counter (loop-buffer food).
 func (g *gen) segLoop() {
 	l := g.newLabel("loop")
-	g.emit(li(xTmp, int64(2+g.rng.Intn(5))), label(l))
+	g.emit(asm.Li(xTmp, int64(2+g.rng.Intn(5))), asm.Label(l))
 	for i := 0; i < 1+g.rng.Intn(3); i++ {
 		g.emit(g.aluInst())
 	}
-	g.emit(rri(isa.ADDI, xTmp, operand(xTmp), -1), bz(isa.BNE, xTmp, l))
+	g.emit(rri(isa.ADDI, xTmp, operand(xTmp), -1), asm.Bz(isa.BNE, xTmp, l))
 }
 
 // Atomics come as a {.w, .d} pair; width picks one and gives its alignment.
@@ -754,16 +672,16 @@ func (g *gen) segSMPLRSC() {
 	done := g.newLabel("smp_done")
 	g.dest(rd)
 	g.emit(
-		li(cnt, int64(2+g.rng.Intn(4))),
+		asm.Li(cnt, int64(2+g.rng.Intn(4))),
 		rri(isa.ADDI, xTmp, operand(xBuf), int64(off)),
-		label(retry),
+		asm.Label(retry),
 		amo(lrOps[d], rd, noOperand, xTmp),
 		rri(isa.ADDI, rd, operand(rd), 1),
 		amo(scOps[d], ok, operand(rd), xTmp),
-		bz(isa.BEQ, ok, done),
+		asm.Bz(isa.BEQ, ok, done),
 		rri(isa.ADDI, cnt, operand(cnt), -1),
-		bz(isa.BNE, cnt, retry),
-		label(done))
+		asm.Bz(isa.BNE, cnt, retry),
+		asm.Label(done))
 }
 
 // segSMPAMO hammers the shared contention line with one atomic op: AMOs from
@@ -792,20 +710,20 @@ func (g *gen) segSMPProdCons() {
 	done := g.newLabel("smp_pc_done")
 	g.dest(d)
 	g.emit(
-		csrr(t, isa.CSRMhartid),
-		bz(isa.BNE, t, cons),
-		li(d, int64(g.rng.Uint64())),
+		asm.CSRR(t, isa.CSRMhartid),
+		asm.Bz(isa.BNE, t, cons),
+		asm.Li(d, int64(g.rng.Uint64())),
 		store(isa.SD, operand(d), smpDataSlot, xBuf),
-		sys(isa.FENCE),
-		li(f, int64(1+g.rng.Intn(255))),
+		asm.Sys(isa.FENCE),
+		asm.Li(f, int64(1+g.rng.Intn(255))),
 		store(isa.SD, operand(f), smpFlagSlot, xBuf),
 		branch(isa.BEQ, operand(isa.Zero), operand(isa.Zero), done),
-		label(cons),
-		load(isa.LD, f, smpFlagSlot, xBuf),
-		bz(isa.BEQ, f, done),
-		sys(isa.FENCE),
-		load(isa.LD, d, smpDataSlot, xBuf),
-		label(done))
+		asm.Label(cons),
+		asm.Load(isa.LD, f, smpFlagSlot, xBuf),
+		asm.Bz(isa.BEQ, f, done),
+		asm.Sys(isa.FENCE),
+		asm.Load(isa.LD, d, smpDataSlot, xBuf),
+		asm.Label(done))
 }
 
 // segSMPIPI sends a machine-software IPI by storing to a CLINT msip doorbell:
@@ -817,14 +735,14 @@ func (g *gen) segSMPIPI() {
 	t, v := regs[0], regs[1]
 	hop := g.rng.Intn(g.harts)
 	g.emit(
-		csrr(xTmp, isa.CSRMhartid),
+		asm.CSRR(xTmp, isa.CSRMhartid),
 		rri(isa.ADDI, xTmp, operand(xTmp), int64(hop)),
-		li(t, int64(g.harts)),
+		asm.Li(t, int64(g.harts)),
 		rrr(isa.REMU, xTmp, operand(xTmp), operand(t)),
 		rri(isa.SLLI, xTmp, operand(xTmp), 2),
-		li(t, 0x02000000), // CLINT msip base
+		asm.Li(t, 0x02000000), // CLINT msip base
 		rrr(isa.ADD, xTmp, operand(xTmp), operand(t)),
-		li(v, 1),
+		asm.Li(v, 1),
 		store(isa.SW, operand(v), 0, xTmp))
 }
 
@@ -847,20 +765,20 @@ func (g *gen) segFPU() {
 		switch g.rng.Intn(8) {
 		case 0:
 			rd := g.reg()
-			g.emit(fp(fcmp[g.rng.Intn(3)][sz], rd, g.freg(), g.freg(), isa.RegNone))
+			g.emit(asm.FP(fcmp[g.rng.Intn(3)][sz], rd, g.freg(), g.freg(), isa.RegNone))
 			g.dest(rd)
 		case 1:
-			g.emit(fp(fsqrt[sz], g.freg(), g.freg(), isa.RegNone, isa.RegNone))
+			g.emit(asm.FP(fsqrt[sz], g.freg(), g.freg(), isa.RegNone, isa.RegNone))
 		case 2:
 			g.emit(rr(isa.FMVDX, g.freg(), g.src()))
 		case 3:
 			rd := g.reg()
-			g.emit(fp(isa.FMVXD, rd, g.freg(), isa.RegNone, isa.RegNone))
+			g.emit(asm.FP(isa.FMVXD, rd, g.freg(), isa.RegNone, isa.RegNone))
 			g.dest(rd)
 		case 4:
 			cv := fcvtXF[g.rng.Intn(4)]
 			rd := g.reg()
-			g.emit(fp(cv, rd, g.freg(), isa.RegNone, isa.RegNone))
+			g.emit(asm.FP(cv, rd, g.freg(), isa.RegNone, isa.RegNone))
 			g.dest(rd)
 		case 5:
 			k := g.rng.Intn(6)
@@ -870,9 +788,9 @@ func (g *gen) segFPU() {
 			}
 			g.emit(rr(fcvtFX[k], g.freg(), src))
 		case 6:
-			g.emit(fp(fma[g.rng.Intn(2)][sz], g.freg(), g.freg(), g.freg(), g.freg()))
+			g.emit(asm.FP(fma[g.rng.Intn(2)][sz], g.freg(), g.freg(), g.freg(), g.freg()))
 		default:
-			g.emit(fp(fpu2[g.rng.Intn(len(fpu2))][sz], g.freg(), g.freg(), g.freg(), isa.RegNone))
+			g.emit(asm.FP(fpu2[g.rng.Intn(len(fpu2))][sz], g.freg(), g.freg(), g.freg(), isa.RegNone))
 		}
 	}
 }
@@ -892,13 +810,13 @@ func (g *gen) segCSR() {
 		g.emit(csr(isa.CSRRC, rd, isa.CSRSscratch, g.src()))
 	case 3:
 		op := []isa.Op{isa.CSRRWI, isa.CSRRSI, isa.CSRRCI}[g.rng.Intn(3)]
-		g.emit(csri(op, rd, isa.CSRMscratch, int64(g.rng.Intn(32))))
+		g.emit(asm.CSRI(op, rd, isa.CSRMscratch, int64(g.rng.Intn(32))))
 	case 4:
-		g.emit(csrr(rd, []uint16{isa.CSRMisa, isa.CSRMhartid, isa.CSRMscratch, isa.CSRSscratch}[g.rng.Intn(4)]))
+		g.emit(asm.CSRR(rd, []uint16{isa.CSRMisa, isa.CSRMhartid, isa.CSRMscratch, isa.CSRSscratch}[g.rng.Intn(4)]))
 	case 5: // clock CSRs: compared modulo the clock, then folded into state
-		g.emit(csrr(rd, []uint16{isa.CSRCycle, isa.CSRTime, isa.CSRMcycle}[g.rng.Intn(3)]))
+		g.emit(asm.CSRR(rd, []uint16{isa.CSRCycle, isa.CSRTime, isa.CSRMcycle}[g.rng.Intn(3)]))
 	default:
-		g.emit(csrr(rd, isa.CSRInstret))
+		g.emit(asm.CSRR(rd, isa.CSRInstret))
 	}
 }
 
@@ -953,11 +871,11 @@ func (g *gen) segSMC() {
 	g.lastDest = operand(in.Rd) | abiName
 	carrier := g.reg()
 	g.emit(
-		la(xTmp, site),
-		li(carrier, int64(raw)),
+		asm.La(xTmp, site),
+		asm.Li(carrier, int64(raw)),
 		store(isa.SW, operand(carrier), 0, xTmp),
-		sys(isa.FENCEI),
-		label(site),
+		asm.Sys(isa.FENCEI),
+		asm.Label(site),
 		rrr(isa.XOR, isa.Zero, operand(isa.Zero), operand(isa.Zero)))
 }
 
@@ -988,13 +906,13 @@ func (g *gen) segVectorUnit() {
 	g.dest(rd)
 	stOff := 1024 + g.rng.Intn(bufBytes/2-64)&^63
 	g.emit(
-		li(xTmp, int64(1+g.rng.Intn(16))),
+		asm.Li(xTmp, int64(1+g.rng.Intn(16))),
 		vsetvli(g.reg()),
-		vload(isa.VLE, v(), xBuf, isa.RegNone),
-		vec(g.vvOp(), v(), v(), v(), false),
+		asm.VLoad(isa.VLE, v(), xBuf, isa.RegNone),
+		asm.Vec(g.vvOp(), v(), v(), v(), false),
 		rri(isa.ADDI, xTmp, operand(xBuf), int64(stOff)),
-		vstore(isa.VSE, v(), xTmp, isa.RegNone, false),
-		vec(isa.VMVXS, rd, v(), isa.RegNone, false))
+		asm.VStore(isa.VSE, v(), xTmp, isa.RegNone, false),
+		asm.Vec(isa.VMVXS, rd, v(), isa.RegNone, false))
 }
 
 // segVectorMasked builds a data-dependent mask in v0 with vmseq and runs a
@@ -1009,18 +927,18 @@ func (g *gen) segVectorMasked() {
 	ldOff := g.rng.Intn(256) &^ 3
 	stOff := 1024 + g.rng.Intn(bufBytes/2-64)&^63
 	g.emit(
-		li(xTmp, int64(1+g.rng.Intn(16))),
+		asm.Li(xTmp, int64(1+g.rng.Intn(16))),
 		vsetvli(rd),
 		rri(isa.ADDI, xTmp, operand(xBuf), int64(ldOff)),
-		vload(isa.VLE, v1, xTmp, isa.RegNone),
-		li(one, 1),
+		asm.VLoad(isa.VLE, v1, xTmp, isa.RegNone),
+		asm.Li(one, 1),
 		rr(isa.VMVVX, v2, operand(one)),
-		vec(isa.VANDVV, v3, v1, v2, false),
-		vec(isa.VMSEQVV, v0, v3, v2, false), // mask: elements of v1 with bit 0 set
-		vec(g.vvOp(), v3, v1, v1, true),
+		asm.Vec(isa.VANDVV, v3, v1, v2, false),
+		asm.Vec(isa.VMSEQVV, v0, v3, v2, false), // mask: elements of v1 with bit 0 set
+		asm.Vec(g.vvOp(), v3, v1, v1, true),
 		rri(isa.ADDI, xTmp, operand(xBuf), int64(stOff)),
-		vstore(isa.VSE, v3, xTmp, isa.RegNone, true),
-		vec(isa.VMVXS, rd, v3, isa.RegNone, false))
+		asm.VStore(isa.VSE, v3, xTmp, isa.RegNone, true),
+		asm.Vec(isa.VMVXS, rd, v3, isa.RegNone, false))
 }
 
 // segVectorStrided loads and stores with a constant byte stride, including
@@ -1034,14 +952,14 @@ func (g *gen) segVectorStrided() {
 	stride := 4 * g.rng.Intn(15) // 0..56 bytes
 	stOff := 1024 + g.rng.Intn(256)&^7
 	g.emit(
-		li(xTmp, int64(1+g.rng.Intn(8))),
+		asm.Li(xTmp, int64(1+g.rng.Intn(8))),
 		vsetvli(rd),
-		li(sreg, int64(stride)),
-		vload(isa.VLSE, v1, xBuf, sreg),
-		vec(g.vvOp(), v2, v1, v1, false),
+		asm.Li(sreg, int64(stride)),
+		asm.VLoad(isa.VLSE, v1, xBuf, sreg),
+		asm.Vec(g.vvOp(), v2, v1, v1, false),
 		rri(isa.ADDI, xTmp, operand(xBuf), int64(stOff)),
-		vstore(isa.VSSE, v2, xTmp, sreg, false),
-		vec(isa.VMVXS, rd, v2, isa.RegNone, false))
+		asm.VStore(isa.VSSE, v2, xTmp, sreg, false),
+		asm.Vec(isa.VMVXS, rd, v2, isa.RegNone, false))
 }
 
 // segVectorIndexed derives a bounded index vector from buffer data (each
@@ -1054,32 +972,32 @@ func (g *gen) segVectorIndexed() {
 	mreg := g.reg()
 	ldOff := g.rng.Intn(512) &^ 3
 	g.emit(
-		li(xTmp, int64(1+g.rng.Intn(8))),
+		asm.Li(xTmp, int64(1+g.rng.Intn(8))),
 		vsetvli(rd),
 		rri(isa.ADDI, xTmp, operand(xBuf), int64(ldOff)),
-		vload(isa.VLE, v2, xTmp, isa.RegNone),
-		li(mreg, 0x1F8),
+		asm.VLoad(isa.VLE, v2, xTmp, isa.RegNone),
+		asm.Li(mreg, 0x1F8),
 		rr(isa.VMVVX, v3, operand(mreg)),
-		vec(isa.VANDVV, v2, v2, v3, false), // offsets: 8-aligned, 0..504
-		vload(isa.VLXEI, v1, xBuf, v2),
-		vec(isa.VADDVV, v1, v1, v2, false),
+		asm.Vec(isa.VANDVV, v2, v2, v3, false), // offsets: 8-aligned, 0..504
+		asm.VLoad(isa.VLXEI, v1, xBuf, v2),
+		asm.Vec(isa.VADDVV, v1, v1, v2, false),
 		rri(isa.ADDI, xTmp, operand(xBuf), 1024))
 	if g.rng.Intn(2) == 0 {
 		g.emit(
-			li(mreg, 8),
+			asm.Li(mreg, 8),
 			rr(isa.VMVVX, v3, operand(mreg)),
-			vec(isa.VANDVV, v4, v2, v3, false),
-			vec(isa.VMSEQVV, v0, v4, v3, false), // mask: offsets with bit 3 set
-			vstore(isa.VSXEI, v1, xTmp, v2, true))
+			asm.Vec(isa.VANDVV, v4, v2, v3, false),
+			asm.Vec(isa.VMSEQVV, v0, v4, v3, false), // mask: offsets with bit 3 set
+			asm.VStore(isa.VSXEI, v1, xTmp, v2, true))
 	} else {
-		g.emit(vstore(isa.VSXEI, v1, xTmp, v2, false))
+		g.emit(asm.VStore(isa.VSXEI, v1, xTmp, v2, false))
 	}
-	g.emit(vec(isa.VMVXS, rd, v1, isa.RegNone, false))
+	g.emit(asm.Vec(isa.VMVXS, rd, v1, isa.RegNone, false))
 }
 
 // mstatusMIE is "op x0, mstatus, 8": csrrci closes the interrupt window,
 // csrrsi reopens it.
-func mstatusMIE(op isa.Op) asm.Item { return csri(op, isa.Zero, isa.CSRMstatus, 8) }
+func mstatusMIE(op isa.Op) asm.Item { return asm.CSRI(op, isa.Zero, isa.CSRMstatus, 8) }
 
 // segIRQ only appears in interrupt-injection mode: WFI parks (the schedule's
 // force-arm wakes it), mstatus.MIE toggles open windows where an armed source
@@ -1092,7 +1010,7 @@ func (g *gen) segIRQ() {
 	rd := g.reg()
 	switch g.rng.Intn(8) {
 	case 0, 1: // park; delivery or wake-without-take follows
-		g.emit(sys(isa.WFI))
+		g.emit(asm.Sys(isa.WFI))
 	case 2: // interrupts-off window: delivery defers to the closing csrrsi
 		g.emit(mstatusMIE(isa.CSRRCI))
 		for i := 0; i < 1+g.rng.Intn(3); i++ {
@@ -1100,17 +1018,17 @@ func (g *gen) segIRQ() {
 		}
 		g.emit(mstatusMIE(isa.CSRRSI))
 	case 3: // nested toggle with a WFI inside: pending-but-disabled unparks
-		g.emit(mstatusMIE(isa.CSRRCI), g.aluInst(), sys(isa.WFI), mstatusMIE(isa.CSRRSI))
+		g.emit(mstatusMIE(isa.CSRRCI), g.aluInst(), asm.Sys(isa.WFI), mstatusMIE(isa.CSRRSI))
 	case 4: // observe the live mip bits and the interrupt enables
 		g.dest(rd)
-		g.emit(csrr(rd, []uint16{isa.CSRMip, isa.CSRMie, isa.CSRMideleg, isa.CSRMstatus}[g.rng.Intn(4)]))
+		g.emit(asm.CSRR(rd, []uint16{isa.CSRMip, isa.CSRMie, isa.CSRMideleg, isa.CSRMstatus}[g.rng.Intn(4)]))
 	case 5: // WARL probe: set every bit, read back the writable window
 		g.dest(rd)
 		t := g.reg()
 		num := []uint16{isa.CSRMie, isa.CSRMideleg}[g.rng.Intn(2)]
-		g.emit(li(t, -1), csr(isa.CSRRS, rd, num, operand(t)))
+		g.emit(asm.Li(t, -1), csr(isa.CSRRS, rd, num, operand(t)))
 	default: // mtimecmp-style doorbell write
-		g.emit(li(xTmp, 0x02004000), // CLINT mtimecmp
+		g.emit(asm.Li(xTmp, 0x02004000), // CLINT mtimecmp
 			store(isa.SD, g.src(), 0, xTmp))
 	}
 }
@@ -1125,27 +1043,27 @@ func (g *gen) segFFlags() {
 	f := g.freg()
 	// seed puts a chosen bit pattern in f.
 	seed := func(bits int64) {
-		g.emit(li(t, bits), rr(isa.FMVDX, f, operand(t)))
+		g.emit(asm.Li(t, bits), rr(isa.FMVDX, f, operand(t)))
 	}
 	none := isa.RegNone
 	switch g.rng.Intn(6) {
 	case 0: // a random divide is almost always inexact, sometimes much worse
-		g.emit(fp(isa.FDIVD, g.freg(), g.freg(), g.freg(), none), csrr(rd, isa.CSRFflags))
+		g.emit(asm.FP(isa.FDIVD, g.freg(), g.freg(), g.freg(), none), asm.CSRR(rd, isa.CSRFflags))
 	case 1: // invalid: signaling NaN through an add
 		seed(0x7FF0000000000001)
-		g.emit(fp(isa.FADDD, g.freg(), f, g.freg(), none), csrr(rd, isa.CSRFflags))
+		g.emit(asm.FP(isa.FADDD, g.freg(), f, g.freg(), none), asm.CSRR(rd, isa.CSRFflags))
 	case 2: // overflow: square the largest finite exponent
 		seed(0x7FE0000000000000)
-		g.emit(fp(isa.FMULD, g.freg(), f, f, none), csrr(rd, isa.CSRFcsr))
+		g.emit(asm.FP(isa.FMULD, g.freg(), f, f, none), asm.CSRR(rd, isa.CSRFcsr))
 	case 3: // underflow: square the smallest normal
 		seed(0x0010000000000000)
-		g.emit(fp(isa.FMULD, g.freg(), f, f, none), csrr(rd, isa.CSRFflags))
+		g.emit(asm.FP(isa.FMULD, g.freg(), f, f, none), asm.CSRR(rd, isa.CSRFflags))
 	case 4: // clear, accrue, read back
-		g.emit(csri(isa.CSRRWI, isa.Zero, isa.CSRFflags, 0),
-			fp(isa.FSQRTD, g.freg(), g.freg(), none, none),
-			csrr(rd, isa.CSRFflags))
+		g.emit(asm.CSRI(isa.CSRRWI, isa.Zero, isa.CSRFflags, 0),
+			asm.FP(isa.FSQRTD, g.freg(), g.freg(), none, none),
+			asm.CSRR(rd, isa.CSRFflags))
 	default: // frm write (non-functional rounding, but state must match)
-		g.emit(csri(isa.CSRRWI, rd, isa.CSRFrm, int64(g.rng.Intn(8))), csrr(t, isa.CSRFcsr))
+		g.emit(asm.CSRI(isa.CSRRWI, rd, isa.CSRFrm, int64(g.rng.Intn(8))), asm.CSRR(t, isa.CSRFcsr))
 	}
 }
 
@@ -1178,7 +1096,7 @@ func (g *gen) segAliasLRSC() {
 		// is physical, so the SC must succeed in both models.
 		g.emit(
 			rri(isa.ADDI, xTmp, operand(xBuf), int64(off)),
-			li(t, pagedOffset),
+			asm.Li(t, pagedOffset),
 			rrr(isa.ADD, t, operand(t), operand(xTmp)),
 			amo(lrOps[d], g.reg(), noOperand, t),
 			amo(scOps[d], g.reg(), g.src(), xTmp))
@@ -1195,7 +1113,7 @@ func (g *gen) segAliasLRSC() {
 	g.emit(
 		rri(isa.ADDI, xTmp, operand(xBuf), int64(off)),
 		amo(lrOps[d], g.reg(), noOperand, xTmp),
-		li(t, pagedOffset),
+		asm.Li(t, pagedOffset),
 		rrr(isa.ADD, t, operand(t), operand(xBuf)),
 		store(isa.SD, g.src(), aliasOff, t),
 		amo(scOps[d], g.reg(), g.src(), xTmp))
@@ -1209,10 +1127,10 @@ func (g *gen) segAliasStore() {
 	t := g.reg()
 	off := g.rng.Intn(bufBytes-8) &^ 7
 	g.emit(
-		li(t, pagedOffset),
+		asm.Li(t, pagedOffset),
 		rrr(isa.ADD, t, operand(t), operand(xBuf)),
 		store(isa.SD, g.src(), off, t),
-		load(isa.LD, rd, off, xBuf))
+		asm.Load(isa.LD, rd, off, xBuf))
 }
 
 // segPageCross accesses a doubleword straddling a 4K page boundary through
@@ -1224,11 +1142,11 @@ func (g *gen) segPageCross() {
 	g.dest(rd)
 	t := g.reg()
 	addr := pagedOffset + stackBase - uint64(1+g.rng.Intn(7))
-	g.emit(li(t, int64(addr)))
+	g.emit(asm.Li(t, int64(addr)))
 	if g.rng.Intn(2) == 0 {
 		g.emit(store(isa.SD, g.src(), 0, t))
 	}
-	g.emit(load(isa.LD, rd, 0, t))
+	g.emit(asm.Load(isa.LD, rd, 0, t))
 }
 
 // segPageFault runs off the end of the alias window into the first unmapped
@@ -1237,9 +1155,9 @@ func (g *gen) segPageCross() {
 func (g *gen) segPageFault() {
 	t := g.reg()
 	addr := pagedOffset + pagedPhysSize + uint64(g.rng.Intn(4096)&^7)
-	g.emit(li(t, int64(addr)))
+	g.emit(asm.Li(t, int64(addr)))
 	if g.rng.Intn(2) == 0 {
-		g.emit(load(isa.LD, g.reg(), 0, t))
+		g.emit(asm.Load(isa.LD, g.reg(), 0, t))
 	} else {
 		g.emit(store(isa.SD, g.src(), 0, t))
 	}
