@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race cli-smoke fuzz-native-smoke campaign-smoke campaign-chaos-smoke fidelity-track tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test race cli-smoke fuzz-native-smoke bench-smoke campaign-smoke campaign-chaos-smoke fidelity-track tier1 bench xtbench clean
 
 all: tier1
 
@@ -56,6 +56,15 @@ fuzz-native-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 0 ./isa
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cosim
 
+# bench-smoke runs each per-package benchmark once, so none can rot unseen:
+# the golden model (BenchmarkEmuRun), the checked commit
+# (BenchmarkLockstepCommit), the fuzz front end (BenchmarkFuzzProgram), the
+# timing core (BenchmarkSimCycle), the decoder and encoder
+# (BenchmarkDecode/Encode) and the assembler (BenchmarkAssembleFuzz). `make
+# bench` runs only the root package's paper benchmarks.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/emu ./internal/cosim ./internal/core ./internal/asm ./isa
+
 # campaign-smoke is the end-to-end restart-resume proof for the campaign
 # service: boot the real xtcampd daemon on an ephemeral port, submit a fuzz
 # campaign over HTTP, SIGKILL the daemon mid-campaign, restart it over the
@@ -86,9 +95,10 @@ fidelity-track:
 # tier1 is the required bar for every change: everything compiles, vet is
 # clean, every file is gofmt-formatted, the full suite passes with the race
 # detector enabled, the co-simulation smoke sweep finds no divergence, the
-# assembler and the decoders survive a short native fuzz pass, the trace subsystem's
-# smoke checks hold, the campaign daemon survives a kill-and-resume with a
-# byte-identical report, the distributed worker fleet survives a SIGKILLed
+# assembler and the decoders survive a short native fuzz pass, every
+# per-package benchmark still runs, the trace subsystem's smoke checks hold,
+# the campaign daemon survives a kill-and-resume with a byte-identical
+# report, the distributed worker fleet survives a SIGKILLed
 # worker likewise, and the paper-fidelity error table has not regressed.
 tier1:
 	$(GO) build ./...
@@ -97,6 +107,7 @@ tier1:
 	$(GO) test -race ./...
 	$(MAKE) cli-smoke
 	$(MAKE) fuzz-native-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) campaign-smoke
 	$(MAKE) campaign-chaos-smoke
 	$(MAKE) fidelity-track

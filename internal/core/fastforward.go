@@ -111,11 +111,20 @@ func (c *Core) NextEvent() uint64 {
 		}
 	}
 
-	// issue: earliest lower-bound issue cycle over every queued µop
+	// issue: earliest lower-bound issue cycle over every queued µop. In order,
+	// a head younger than the oldest unissued µop waits for that one
+	// (allOlderIssued), which heads its own queue and carries the event.
+	gate := uint64(ffNever)
+	if !c.Cfg.OutOfOrder {
+		gate = c.oldestUnissued()
+	}
 	for p := pipeID(0); p < numPipes; p++ {
 		floor := c.pipeBusy[p]
 		for _, idx := range c.queues[p] {
 			u := c.robQ.slot(idx)
+			if u.seq > gate {
+				break
+			}
 			// An unknown estimate carries no event of its own: a source's
 			// producer has not issued yet (its own estimate is tracked), or an
 			// ordering gate holds the µop that only another µop's execute or

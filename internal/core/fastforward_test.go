@@ -69,6 +69,30 @@ loop:
     ecall
 `
 
+// ffMissALUProgram misses DRAM once per iteration (a fresh 4 KiB page each
+// time) with the load's use right behind it and independent ALU work behind
+// that. In order, nothing younger than the use issues during a miss although
+// the ALU work's sources are ready, so nearly every cycle is idle.
+const ffMissALUProgram = `
+_start:
+    li   t0, 200
+    li   a1, 0x40000
+    li   a0, 0
+    li   a5, 4096
+loop:
+    ld   t2, 0(a1)
+    add  a0, a0, t2
+    add  a1, a1, a5
+    addi a2, a2, 1
+    xor  a3, a3, a2
+    slli a4, a2, 3
+    addi t0, t0, -1
+    bnez t0, loop
+    andi a0, a0, 255
+    li   a7, 93
+    ecall
+`
+
 // ffColdCodeProgram is frontend-bound: 1500 distinct instructions run once,
 // straight through a cold I-cache, so the ROB sits empty waiting on one line
 // fill after another.
@@ -170,6 +194,7 @@ func TestFastForwardStatsIdentity(t *testing.T) {
 			}{
 				{"stall", ffStallProgram, nil, nil, func(ff FFStats, _ Stats) bool { return ff.Elided() > 0 }},
 				{"chase", ffChaseProgram, nil, nil, func(ff FFStats, _ Stats) bool { return ff.Backend > 0 }},
+				{"miss-alu", ffMissALUProgram, nil, nil, func(ff FFStats, st Stats) bool { return ff.Elided() > st.Cycles*2/3 }},
 				{"selfmod", selfModifyingProgram, nil, nil, func(ff FFStats, _ Stats) bool { return ff.Elided() > 0 }},
 				{"coldcode", ffColdCodeProgram, nil, nil, func(ff FFStats, st Stats) bool { return ff.Frontend > st.Cycles/2 && ff.Armed == 0 }},
 				{"armed-run", ffChaseProgram, ffArmMasked, nil, func(ff FFStats, _ Stats) bool { return ff == FFStats{} }},

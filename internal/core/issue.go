@@ -104,18 +104,18 @@ func (c *Core) traceIssue(p pipeID, seq uint64) {
 
 // allOlderIssued enforces in-order issue for the U74-class configuration:
 // a micro-op may issue only when every older one has issued.
-func (c *Core) allOlderIssued(seq uint64) bool {
+func (c *Core) allOlderIssued(seq uint64) bool { return c.oldestUnissued() >= seq }
+
+// oldestUnissued is the sequence number of the oldest micro-op in-order
+// issue waits for, ffNever when there is none. The store-data leg (its µop
+// is issued once the address leg is) and atRetire ops do not gate.
+func (c *Core) oldestUnissued() uint64 {
 	for i := 0; i < c.robQ.len(); i++ {
-		u := c.robQ.at(i)
-		if u.seq >= seq {
-			break
-		}
-		// the store-data leg and atRetire ops do not gate in-order issue
-		if !u.issued && !u.atRetire && u.excCause < 0 {
-			return false
+		if u := c.robQ.at(i); !u.issued && !u.atRetire && u.excCause < 0 {
+			return u.seq
 		}
 	}
-	return true
+	return ffNever
 }
 
 func (c *Core) srcsReady(u *uop) bool {

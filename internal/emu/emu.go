@@ -72,6 +72,14 @@ type Machine struct {
 	// tab holds the soft TLB and the decode memo.
 	tab *tables
 
+	// code is the physical page fetchPage last read a word from, based at
+	// codeBase and taken from codeMem at its generation codeGen; nil before
+	// the first. fetch reads it directly while translation is off.
+	code     *[mem.PageSize]byte
+	codeBase uint64
+	codeMem  *mem.Memory
+	codeGen  uint64
+
 	// BreakOnEbreak stops execution at ebreak instead of trapping.
 	BreakOnEbreak bool
 
@@ -120,18 +128,6 @@ type stlbEntry struct {
 
 // stlbSize gives each of the three access classes 32 pages.
 const stlbSize = 128
-
-// memoEntry is one decode-memo slot: a raw instruction word and what it
-// decodes to. inst.Size is 0 in a slot never filled.
-type memoEntry struct {
-	raw  uint32
-	inst isa.Inst
-}
-
-// memoSize is enough for the hot loops of every kernel in the tree: their
-// code is a few hundred bytes, and only first executions miss, at this size
-// as at sixteen times it.
-const memoSize = 256
 
 // tables are a machine's two host-side caches, neither architectural state:
 // the soft TLB (translate; invalidated on satp writes and sfence) and the
@@ -284,11 +280,23 @@ func (t *trapError) Error() string {
 	return fmt.Sprintf("trap cause=%d tval=%#x", t.cause, t.tval)
 }
 
+// untranslated reports whether virtual addresses are physical as they stand:
+// in M-mode, or under a bare satp.
+func (m *Machine) untranslated() bool {
+	return m.Priv == isa.PrivM || isa.SatpMode(m.csr.Get(isa.CSRSatp)) != isa.SatpModeSV39
+}
+
 // translate resolves a virtual address or raises a page fault.
 func (m *Machine) translate(va uint64, acc mmu.Access) (uint64, error) {
 	if m.Priv == isa.PrivM {
-		return va, nil
+		return va, nil // small enough to inline for this, the common case
 	}
+	return m.translateBelowM(va, acc)
+}
+
+// translateBelowM is translate below M-mode: bare satp, or the soft TLB and
+// a walk.
+func (m *Machine) translateBelowM(va uint64, acc mmu.Access) (uint64, error) {
 	satp := m.csr.Get(isa.CSRSatp)
 	if isa.SatpMode(satp) != isa.SatpModeSV39 {
 		return va, nil
@@ -372,65 +380,14 @@ func (m *Machine) KillReservation(pa uint64, size int) {
 	}
 }
 
-// Fetch decodes the instruction at va. The bytes are read from memory on
-// every call; only their decoding is remembered, in a memo slot chosen by the
-// physical address and trusted only while it holds exactly the word just
-// read. Decoding is a pure function of that word, so whoever changed the
-// bytes — this program, another hart, a loader, a restored checkpoint — the
-// memo cannot answer with anything a fresh decode would not.
-func (m *Machine) Fetch(va uint64) (isa.Inst, error) {
-	in, err := m.fetch(va)
-	if err != nil {
-		return isa.Inst{}, err
-	}
-	return *in, nil
-}
-
-// fetch is Fetch without the copy, for Step: the instruction returned is the
-// memo's own, good until the next fetch and not to be written to.
-func (m *Machine) fetch(va uint64) (*isa.Inst, error) {
-	pa, err := m.translate(va, mmu.AccFetch)
-	if err != nil {
-		return nil, err
-	}
-	var raw uint32
-	if pa&0xFFF <= 0xFFC {
-		// a 32-bit instruction would end on this page: one read serves both forms
-		if raw = uint32(m.Mem.Read(pa, 4)); raw&3 != 3 {
-			raw &= 0xFFFF
-		}
-	} else if raw = uint32(m.Mem.Read(pa, 2)); raw&3 == 3 {
-		// 32-bit: the upper half sits on the next (possibly different) page
-		pa2, err := m.translate(va+2, mmu.AccFetch)
-		if err != nil {
-			return nil, err
-		}
-		raw |= uint32(m.Mem.Read(pa2, 2)) << 16
-	}
-	e := m.memoSlot(pa)
-	if e.raw != raw || e.inst.Size == 0 {
-		if e.raw = raw; raw&3 == 3 {
-			e.inst = isa.Decode(raw)
-		} else {
-			e.inst = isa.Decode16(uint16(raw))
-		}
-	}
-	return &e.inst, nil
-}
-
-// memoSlot is the memo slot of the instruction at pa.
-func (m *Machine) memoSlot(pa uint64) *memoEntry { return &m.tab.memo[pa>>1&(memoSize-1)] }
-
 // checkInterrupt takes the highest-priority enabled machine interrupt
 // (MEI > MSI > MTI) before an instruction executes, mirroring the core's
 // retirement-boundary sample: mcause gets bit 63, mepc points at the
 // not-yet-executed instruction, and the MIE/MPIE/MPP dance matches
 // core.takeInterrupt bit for bit. It returns true when a trap was taken —
-// the step is consumed without executing or counting an instruction.
+// the step is consumed without executing or counting an instruction. Step
+// calls it only with an IntSource attached.
 func (m *Machine) checkInterrupt() bool {
-	if m.IntSource == nil {
-		return false
-	}
 	pend := m.IntSource() & m.csr.Get(isa.CSRMie)
 	if pend == 0 {
 		return false
@@ -474,19 +431,67 @@ func (m *Machine) Step() error {
 	if m.Halted {
 		return nil
 	}
-	if m.checkInterrupt() {
+	if m.IntSource != nil && m.checkInterrupt() {
 		return nil
 	}
-	in, err := m.fetch(m.PC)
+	pc := m.PC
+	e, err := m.fetch(pc)
 	if err != nil {
 		m.enterTrap(err.(*trapError))
 		return nil
 	}
+	in := &e.inst
 	if m.Trace != nil {
-		m.Trace(m.PC, *in)
+		m.Trace(pc, *in)
 	}
-	nextPC := m.PC + uint64(in.Size)
-	err = m.exec(in, &nextPC)
+	next := pc + uint64(in.Size)
+	// The integer kinds write x0 like any register and zero it again after.
+	switch e.kind {
+	case kindALU:
+		m.X[e.rd&31], _ = isa.EvalIntALU(in.Op, m.X[e.rs1&31], m.X[e.rs2&31], pc, in.Imm, in.Size)
+		m.X[0] = 0
+	case kindBranch:
+		if isa.EvalBranch(in.Op, m.X[e.rs1&31], m.X[e.rs2&31]) {
+			next = pc + uint64(in.Imm)
+		}
+	case kindJAL:
+		m.X[e.rd&31], m.X[0] = next, 0
+		next = pc + uint64(in.Imm)
+	case kindJALR:
+		target := (m.X[e.rs1&31] + uint64(in.Imm)) &^ 1
+		m.X[e.rd&31], m.X[0] = next, 0
+		next = target
+	case kindLoad:
+		var v uint64
+		if v, err = m.load(m.X[e.rs1&31]+uint64(in.Imm), int(e.size)); err == nil {
+			m.X[e.rd&31], m.X[0] = uint64(int64(v<<e.ext)>>e.ext), 0
+		}
+	case kindStore:
+		err = m.store(m.X[e.rs1&31]+uint64(in.Imm), int(e.size), m.X[e.rs2&31])
+	case kindALU3:
+		m.X[e.rd&31], _ = isa.EvalIntALU3(in.Op, m.X[e.rs1&31], m.X[e.rs2&31], m.X[e.rd&31])
+		m.X[0] = 0
+	case kindLoadAny:
+		err = m.execLoad(in)
+	case kindStoreAny:
+		err = m.execStore(in)
+	case kindFPU:
+		err = m.execFPU(in)
+	case kindAMO:
+		err = m.execAMO(in)
+	case kindCSR:
+		err = m.execCSR(in)
+	case kindSys:
+		err = m.execSys(in, &next)
+	case kindVSet:
+		m.execVSet(in)
+	case kindVector:
+		err = m.execVector(in)
+	case kindCacheOp:
+		m.execCacheOp(in)
+	default:
+		err = &trapError{cause: isa.ExcIllegalInst, tval: 0}
+	}
 	if err != nil {
 		if te, ok := err.(*trapError); ok {
 			// A trapping instruction does not retire: instret must not
@@ -496,7 +501,7 @@ func (m *Machine) Step() error {
 		}
 		return err
 	}
-	m.PC = nextPC
+	m.PC = next
 	m.Instret++
 	return nil
 }
@@ -511,111 +516,65 @@ func (m *Machine) Run(maxInsts uint64) error {
 	return nil
 }
 
-func (m *Machine) exec(in *isa.Inst, nextPC *uint64) error {
-	op := in.Op
-	switch op.Class() {
-	case isa.ClassALU, isa.ClassMul, isa.ClassDiv:
-		a, b := m.Reg(in.Rs1), m.Reg(in.Rs2)
-		if res, ok := isa.EvalIntALU(op, a, b, m.PC, in.Imm, in.Size); ok {
-			m.setReg(in.Rd, res)
-			return nil
-		}
-		if res, ok := isa.EvalIntALU3(op, a, b, m.Reg(in.Rd)); ok {
-			m.setReg(in.Rd, res)
-			return nil
-		}
-		return &trapError{cause: isa.ExcIllegalInst, tval: 0}
-
-	case isa.ClassBranch:
-		if isa.EvalBranch(op, m.Reg(in.Rs1), m.Reg(in.Rs2)) {
-			*nextPC = m.PC + uint64(in.Imm)
-		}
-		return nil
-
-	case isa.ClassJump:
-		link := m.PC + uint64(in.Size)
-		if op == isa.JAL {
-			*nextPC = m.PC + uint64(in.Imm)
-		} else {
-			*nextPC = (m.Reg(in.Rs1) + uint64(in.Imm)) &^ 1
-		}
-		m.setReg(in.Rd, link)
-		return nil
-
-	case isa.ClassLoad:
-		addr := m.memAddr(in)
-		size := op.MemBytes()
-		v, err := m.load(addr, size)
-		if err != nil {
-			return err
-		}
-		m.setReg(in.Rd, loadExtend(op, v, size))
-		if in.Rd.IsF() {
-			m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
-		}
-		return nil
-
-	case isa.ClassStore:
-		addr := m.memAddr(in)
-		size := op.MemBytes()
-		data := m.Reg(in.Rs2)
-		switch op {
-		case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
-			data = m.Reg(in.Rd) // custom stores carry data in rd
-		}
-		return m.store(addr, size, data)
-
-	case isa.ClassAMO:
-		return m.execAMO(in)
-
-	case isa.ClassFPU:
-		a := m.Reg(in.Rs1)
-		b := m.Reg(in.Rs2)
-		c := m.Reg(in.Rs3)
-		res, flags, ok := isa.EvalFPUFlags(op, a, b, c)
-		if !ok {
-			return &trapError{cause: isa.ExcIllegalInst, tval: 0}
-		}
-		m.setReg(in.Rd, res)
-		m.accrueFFlags(flags)
-		return nil
-
-	case isa.ClassCSR:
-		return m.execCSR(in)
-
-	case isa.ClassSys:
-		return m.execSys(in, nextPC)
-
-	case isa.ClassVSet:
-		requested := m.Reg(in.Rs1)
-		var vt isa.VType
-		if op == isa.VSETVLI {
-			vt = isa.VType(in.Imm)
-		} else {
-			vt = isa.VType(m.Reg(in.Rs2))
-		}
-		if in.Rs1 == isa.Zero && in.Rd != isa.Zero {
-			// rs1=x0: request VLMAX
-			requested = ^uint64(0)
-		}
-		vl := m.Vec.SetVL(requested, vt)
-		m.setReg(in.Rd, vl)
-		return nil
-
-	case isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore:
-		return m.execVector(in)
-
-	case isa.ClassCacheOp:
-		operand := m.Reg(in.Rs1)
-		if m.OnCacheOp != nil {
-			m.OnCacheOp(op, operand)
-		}
-		if op == isa.XTLBIASID || op == isa.XTLBIVA {
-			m.flushTLB()
-		}
-		return nil
+// execLoad executes a load Step has no integer kind for: an FP destination
+// or an indexed address.
+func (m *Machine) execLoad(in *isa.Inst) error {
+	size := in.Op.MemBytes()
+	v, err := m.load(m.memAddr(in), size)
+	if err != nil {
+		return err
 	}
-	return &trapError{cause: isa.ExcIllegalInst, tval: 0}
+	m.setReg(in.Rd, loadExtend(in.Op, v, size))
+	if in.Rd.IsF() {
+		m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
+	}
+	return nil
+}
+
+// execStore executes a store Step has no integer kind for: FP data or an
+// indexed address.
+func (m *Machine) execStore(in *isa.Inst) error {
+	data := m.Reg(in.Rs2)
+	switch in.Op {
+	case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
+		data = m.Reg(in.Rd) // custom stores carry data in rd
+	}
+	return m.store(m.memAddr(in), in.Op.MemBytes(), data)
+}
+
+func (m *Machine) execFPU(in *isa.Inst) error {
+	res, flags, ok := isa.EvalFPUFlags(in.Op, m.Reg(in.Rs1), m.Reg(in.Rs2), m.Reg(in.Rs3))
+	if !ok {
+		return &trapError{cause: isa.ExcIllegalInst, tval: 0}
+	}
+	m.setReg(in.Rd, res)
+	m.accrueFFlags(flags)
+	return nil
+}
+
+func (m *Machine) execVSet(in *isa.Inst) {
+	requested := m.Reg(in.Rs1)
+	var vt isa.VType
+	if in.Op == isa.VSETVLI {
+		vt = isa.VType(in.Imm)
+	} else {
+		vt = isa.VType(m.Reg(in.Rs2))
+	}
+	if in.Rs1 == isa.Zero && in.Rd != isa.Zero {
+		// rs1=x0: request VLMAX
+		requested = ^uint64(0)
+	}
+	m.setReg(in.Rd, m.Vec.SetVL(requested, vt))
+}
+
+func (m *Machine) execCacheOp(in *isa.Inst) {
+	operand := m.Reg(in.Rs1)
+	if m.OnCacheOp != nil {
+		m.OnCacheOp(in.Op, operand)
+	}
+	if in.Op == isa.XTLBIASID || in.Op == isa.XTLBIVA {
+		m.flushTLB()
+	}
 }
 
 // memAddr computes the effective address of any scalar memory op, including

@@ -48,7 +48,10 @@ donor:
 // decoded in the memo, is overwritten in memory; its next execution runs the
 // new bytes, as it does on a machine with no memo at all — whether the store
 // came from the program itself, through a second virtual alias of the code
-// page, or from another machine sharing the memory.
+// page, or from another machine sharing the memory. Nor does the page fetch
+// reads from while translation is off, and holds between calls: whatever
+// allocates, replaces or rewrites it, or turns translation on, the next fetch
+// answers as a fresh decode of the bytes in memory does.
 func TestMemoNeverServesStaleBytes(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("self/rvc=%v", compress), func(t *testing.T) {
@@ -120,6 +123,104 @@ func TestMemoNeverServesStaleBytes(t *testing.T) {
 			t.Fatalf("a0 = %d after another machine patched the loop, want 2", m.X[10])
 		}
 	})
+
+	addi := func(imm int64) uint64 { return encode(t, isa.ADDI, isa.A0, isa.A1, imm) }
+
+	t.Run("untouched page, then written", func(t *testing.T) {
+		m := New(mem.NewMemory())
+		wantFetch(t, m, 0x5000, 0x5000) // reads as zero: no page to hold
+		m.Mem.Write(0x5000, 4, addi(1))
+		wantFetch(t, m, 0x5000, 0x5000)
+		m.Mem.Write(0x5000, 4, addi(2)) // now through the held page
+		wantFetch(t, m, 0x5000, 0x5000)
+	})
+
+	t.Run("restored snapshot", func(t *testing.T) {
+		m := New(mem.NewMemory())
+		m.Mem.Write(0x1000, 4, addi(1))
+		snap := m.Mem.Snapshot()
+		m.Mem.Write(0x1000, 4, addi(2))
+		wantFetch(t, m, 0x1000, 0x1000)
+		m.Mem.RestoreSnapshot(snap) // new page arrays: the held one is not the memory's
+		wantFetch(t, m, 0x1000, 0x1000)
+	})
+
+	t.Run("recycled memory", func(t *testing.T) {
+		m := New(mem.NewMemory())
+		m.Mem.Write(0x1000, 4, addi(1))
+		wantFetch(t, m, 0x1000, 0x1000)
+		m.Mem.Release() // the held page goes to the next memory
+		other := mem.NewMemory()
+		other.Write(0x1000, 4, addi(3))
+		wantFetch(t, m, 0x1000, 0x1000) // empty: a zero word, not the other memory's
+		m.Mem = other
+		wantFetch(t, m, 0x1000, 0x1000)
+	})
+
+	t.Run("another memory", func(t *testing.T) {
+		m := New(mem.NewMemory())
+		m.Mem.Write(0x1000, 4, addi(1))
+		wantFetch(t, m, 0x1000, 0x1000)
+		m.Mem = mem.NewMemory() // as young as the first: only its identity differs
+		m.Mem.Write(0x1000, 4, addi(4))
+		wantFetch(t, m, 0x1000, 0x1000)
+	})
+
+	t.Run("straddling a page end", func(t *testing.T) {
+		m := New(mem.NewMemory())
+		m.Mem.Write(0x1ffe, 4, addi(1))
+		wantFetch(t, m, 0x1ffc, 0x1ffc) // holds the first page
+		wantFetch(t, m, 0x1ffe, 0x1ffe)
+		m.Mem.Write(0x2000, 2, addi(5)>>16) // the upper half, on the next page
+		wantFetch(t, m, 0x1ffe, 0x1ffe)
+		wantFetch(t, m, 0x2000, 0x2000) // holds the second page
+		m.Mem.Write(0x1ffe, 2, addi(7))
+		wantFetch(t, m, 0x1ffe, 0x1ffe)
+	})
+
+	t.Run("SV39 against M-mode on the same page", func(t *testing.T) {
+		m := New(mem.NewMemory())
+		tb := mmu.NewTableBuilder(m.Mem, 0x100000)
+		if err := tb.Map(0x5000, 0x1000, 12, mmu.PteR|mmu.PteX); err != nil {
+			t.Fatal(err)
+		}
+		m.Mem.Write(0x5000, 4, addi(1))
+		m.Mem.Write(0x1000, 4, addi(2))
+		wantFetch(t, m, 0x5000, 0x5000) // M-mode holds physical page 0x5000
+		m.Priv = isa.PrivS
+		wantFetch(t, m, 0x5000, 0x5000) // bare satp: still untranslated
+		m.SetCSR(isa.CSRSatp, tb.Satp(0))
+		wantFetch(t, m, 0x5000, 0x1000) // SV39 maps it to 0x1000
+		m.Priv = isa.PrivM
+		wantFetch(t, m, 0x5000, 0x5000)
+	})
+}
+
+// encode assembles one instruction word.
+func encode(t *testing.T, op isa.Op, rd, rs1 isa.Reg, imm int64) uint64 {
+	t.Helper()
+	raw, err := isa.Encode(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: isa.RegNone, Rs3: isa.RegNone, Imm: imm, Size: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uint64(raw)
+}
+
+// wantFetch checks that fetching va gives what a fresh decode of the bytes at
+// pa, read through the memory, gives.
+func wantFetch(t *testing.T, m *Machine, va, pa uint64) {
+	t.Helper()
+	want := isa.Decode16(uint16(m.Mem.Read(pa, 2)))
+	if raw := uint32(m.Mem.Read(pa, 4)); raw&3 == 3 {
+		want = isa.Decode(raw)
+	}
+	got, err := m.Fetch(va)
+	if err != nil {
+		t.Fatalf("fetch %#x: %v", va, err)
+	}
+	if got != want {
+		t.Fatalf("fetch %#x = %v, a fresh decode of %#x gives %v", va, got, pa, want)
+	}
 }
 
 func runToExit(t *testing.T, m *Machine, want int) {

@@ -13,28 +13,33 @@ import (
 )
 
 const pageBits = 12
-const pageSize = 1 << pageBits
+
+// PageSize is the size of the unit memory is allocated in (Page).
+const PageSize = 1 << pageBits
 
 // Memory is a sparse little-endian physical memory. The zero value is ready
 // to use. It is not safe for concurrent use; the SoC model steps cores in a
 // deterministic lock-step loop, so no locking is needed.
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
+	pages map[uint64]*[PageSize]byte
 
 	// last is the most recently resolved allocated page and lastPN its page
 	// number: consecutive accesses mostly stay on one page, and this skips
 	// the map for them. nil means no memo (and is what RestoreSnapshot leaves,
 	// since it replaces every page).
-	last   *[pageSize]byte
+	last   *[PageSize]byte
 	lastPN uint64
+
+	// gen counts the calls that took page arrays away (Generation).
+	gen uint64
 }
 
 // NewMemory returns an empty physical memory.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
+	return &Memory{pages: make(map[uint64]*[PageSize]byte)}
 }
 
-func (m *Memory) page(addr uint64, alloc bool) *[pageSize]byte {
+func (m *Memory) page(addr uint64, alloc bool) *[PageSize]byte {
 	pn := addr >> pageBits
 	if m.last != nil && pn == m.lastPN {
 		return m.last
@@ -45,7 +50,7 @@ func (m *Memory) page(addr uint64, alloc bool) *[pageSize]byte {
 			return nil // an untouched page: not allocated, not remembered
 		}
 		if p = freePages.Get(); p == nil {
-			p = new([pageSize]byte)
+			p = new([PageSize]byte)
 		}
 		m.pages[pn] = p
 	}
@@ -55,7 +60,7 @@ func (m *Memory) page(addr uint64, alloc bool) *[pageSize]byte {
 
 // freePages recycles pages between memories: every page on it is all zero,
 // as a new one is.
-var freePages recycle.Objects[[pageSize]byte]
+var freePages recycle.Objects[[PageSize]byte]
 
 // Release hands every page to the memories that come after, zeroed. The
 // memory reads as empty afterwards and must not be written again.
@@ -65,25 +70,38 @@ func (m *Memory) Release() {
 		freePages.Put(p)
 	}
 	m.pages, m.last = nil, nil
+	m.gen++
 }
+
+// Page returns the page holding addr, to be read and never written, or nil
+// when the page was never touched (a write allocates it, as a new array). The
+// array stays the page's until Generation moves: it is allocated once and
+// replaced only by Release and RestoreSnapshot, so whoever writes the page
+// later writes it, and a holder reads what Read would.
+func (m *Memory) Page(addr uint64) *[PageSize]byte { return m.page(addr, false) }
+
+// Generation counts the calls to Release and RestoreSnapshot, the only ones
+// that take page arrays from the memory; a page Page returned is still the
+// memory's while Generation reads as it did then.
+func (m *Memory) Generation() uint64 { return m.gen }
 
 // LoadByte returns the byte at addr (0 for untouched memory).
 func (m *Memory) LoadByte(addr uint64) byte {
 	if p := m.page(addr, false); p != nil {
-		return p[addr&(pageSize-1)]
+		return p[addr&(PageSize-1)]
 	}
 	return 0
 }
 
 // StoreByte stores one byte.
 func (m *Memory) StoreByte(addr uint64, v byte) {
-	m.page(addr, true)[addr&(pageSize-1)] = v
+	m.page(addr, true)[addr&(PageSize-1)] = v
 }
 
 // Read returns size bytes starting at addr as a little-endian integer.
 // size must be 1, 2, 4 or 8; the access may cross page boundaries.
 func (m *Memory) Read(addr uint64, size int) uint64 {
-	if off := addr & (pageSize - 1); off+uint64(size) <= pageSize {
+	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize {
 		p := m.page(addr, false)
 		if p == nil {
 			return 0
@@ -108,7 +126,7 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 
 // Write stores size bytes of v at addr, little-endian.
 func (m *Memory) Write(addr uint64, size int, v uint64) {
-	if off := addr & (pageSize - 1); off+uint64(size) <= pageSize {
+	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize {
 		p := m.page(addr, true)
 		switch size {
 		case 1:
@@ -140,7 +158,7 @@ func (m *Memory) LoadBytes(addr uint64, dst []byte) {
 // StoreBytes stores src at addr, a page at a time.
 func (m *Memory) StoreBytes(addr uint64, src []byte) {
 	for len(src) > 0 {
-		n := copy(m.page(addr, true)[addr&(pageSize-1):], src)
+		n := copy(m.page(addr, true)[addr&(PageSize-1):], src)
 		addr += uint64(n)
 		src = src[n:]
 	}
@@ -148,7 +166,7 @@ func (m *Memory) StoreBytes(addr uint64, src []byte) {
 
 // FootprintBytes reports how much memory has been touched (allocated pages).
 func (m *Memory) FootprintBytes() uint64 {
-	return uint64(len(m.pages)) * pageSize
+	return uint64(len(m.pages)) * PageSize
 }
 
 // Snapshot returns a deep copy of every touched page, keyed by page number
@@ -167,10 +185,11 @@ func (m *Memory) Snapshot() map[uint64][]byte {
 // by Snapshot. Pages absent from the snapshot are dropped (they read as zero
 // again); short page images are zero-padded.
 func (m *Memory) RestoreSnapshot(pages map[uint64][]byte) {
-	m.pages = make(map[uint64]*[pageSize]byte, len(pages))
+	m.pages = make(map[uint64]*[PageSize]byte, len(pages))
 	m.last = nil
+	m.gen++
 	for pn, data := range pages {
-		p := new([pageSize]byte)
+		p := new([PageSize]byte)
 		copy(p[:], data)
 		m.pages[pn] = p
 	}

@@ -125,17 +125,17 @@ func TestDRAMBandwidthSaturation(t *testing.T) {
 // whichever pages it picks up.
 func TestReleaseZeroesPages(t *testing.T) {
 	m := NewMemory()
-	for a := uint64(0); a < 64*pageSize; a += 24 {
+	for a := uint64(0); a < 64*PageSize; a += 24 {
 		m.Write(a, 8, ^a)
 	}
 	m.StoreBytes(0x7FFF0, []byte("a string across a page boundary, twice over: 0x80000 and on"))
-	var pages []*[pageSize]byte
+	var pages []*[PageSize]byte
 	for _, p := range m.pages {
 		pages = append(pages, p)
 	}
 	m.Release()
 	for _, p := range pages {
-		if *p != ([pageSize]byte{}) {
+		if *p != ([PageSize]byte{}) {
 			t.Fatal("Release left a dirty page behind")
 		}
 	}
@@ -154,22 +154,22 @@ func TestReleaseZeroesPages(t *testing.T) {
 // TestStoreBytesSpansPages: the page-at-a-time copy lands every byte where
 // the byte-at-a-time one did.
 func TestStoreBytesSpansPages(t *testing.T) {
-	src := make([]byte, 3*pageSize+17)
+	src := make([]byte, 3*PageSize+17)
 	for i := range src {
 		src[i] = byte(i*7 + 1)
 	}
 	m := NewMemory()
-	m.StoreBytes(pageSize-5, src)
+	m.StoreBytes(PageSize-5, src)
 	for i, b := range src {
-		if got := m.LoadByte(pageSize - 5 + uint64(i)); got != b {
+		if got := m.LoadByte(PageSize - 5 + uint64(i)); got != b {
 			t.Fatalf("byte %d: got %#x want %#x", i, got, b)
 		}
 	}
-	if m.FootprintBytes() != 5*pageSize {
+	if m.FootprintBytes() != 5*PageSize {
 		t.Fatalf("footprint %d, want five pages", m.FootprintBytes())
 	}
 	m.StoreBytes(0x100000, nil)
-	if m.FootprintBytes() != 5*pageSize {
+	if m.FootprintBytes() != 5*PageSize {
 		t.Fatal("an empty store must not touch a page")
 	}
 }

@@ -244,7 +244,7 @@ func (e *Engine) issue(s *stream, addr uint64, now uint64) {
 		}
 	}
 	emitRange := func(depth int, cursor *uint64, toL1 bool) {
-		for i := 1; i <= depth; i++ {
+		for i := firstUncovered(addr, step, depth, *cursor, line); i <= depth; i++ {
 			target := uint64(int64(addr) + step*int64(i))
 			lineAddr := target &^ uint64(line-1)
 			if *cursor != 0 && sameDirectionCovered(stride, lineAddr, *cursor) {
@@ -273,6 +273,29 @@ func (e *Engine) issue(s *stream, addr uint64, now uint64) {
 	if e.cfg.L2Enable {
 		emitRange(l2Depth, &s.lastL2, false)
 	}
+}
+
+// firstUncovered is where the walk over the depth targets addr + step·i
+// (i ≥ 1) starts issuing: one past the targets that lie, without wrapping
+// around the address space, on or behind the cursor's line in the step's
+// direction, which the walk would skip one by one (the cursor is the last
+// line issued, 0 for none). The targets move monotonically, so those form a
+// prefix; any target past a wrap comes after them, where the walk's own
+// coverage check still applies.
+func firstUncovered(addr uint64, step int64, depth int, cursor uint64, line int64) int {
+	if cursor == 0 {
+		return 1
+	}
+	mag := uint64(absI(step))
+	var covered uint64
+	if step > 0 {
+		if last := cursor | uint64(line-1); addr <= last {
+			covered = (last - addr) / mag
+		}
+	} else if addr >= cursor {
+		covered = (addr - cursor) / mag
+	}
+	return int(min(covered, uint64(depth))) + 1
 }
 
 func sameDirectionCovered(stride int64, lineAddr, lastIssued uint64) bool {

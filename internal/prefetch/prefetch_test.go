@@ -1,6 +1,9 @@
 package prefetch
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -166,6 +169,104 @@ func TestNoDuplicateLines(t *testing.T) {
 	for a, n := range seen {
 		if n > 2 { // allow an L1/L2 overlap but not repeated spam
 			t.Fatalf("line %#x prefetched %d times", a, n)
+		}
+	}
+}
+
+// walkIssue is issue without firstUncovered: every target walked, the
+// covered prefix skipped one by one.
+func walkIssue(e *Engine, s *stream, addr, now uint64) {
+	l1Depth, l2Depth := e.depths()
+	line := int64(e.cfg.LineBytes)
+	stride := s.stride
+	step := stride
+	if absI(step) < line {
+		if step > 0 {
+			step = line
+		} else {
+			step = -line
+		}
+	}
+	emitRange := func(depth int, cursor *uint64, toL1 bool) {
+		for i := 1; i <= depth; i++ {
+			lineAddr := uint64(int64(addr)+step*int64(i)) &^ uint64(line-1)
+			if *cursor != 0 && sameDirectionCovered(stride, lineAddr, *cursor) {
+				continue
+			}
+			if toL1 {
+				e.sink.PrefetchL1(lineAddr, now)
+				e.Stats.L1Issued++
+			} else {
+				e.sink.PrefetchL2(lineAddr, now)
+				e.Stats.L2Issued++
+			}
+			*cursor = lineAddr
+			if e.cfg.TLBPrefetch && crossesPage(lineAddr, uint64(line), uint64(e.cfg.PageBytes)) {
+				e.sink.PrefetchTLB(nextPage(lineAddr, stride, uint64(e.cfg.PageBytes)))
+				e.Stats.TLBIssued++
+			}
+		}
+	}
+	if e.cfg.L1Enable {
+		emitRange(l1Depth, &s.lastL1, true)
+	}
+	if e.cfg.L2Enable {
+		emitRange(l2Depth, &s.lastL2, false)
+	}
+}
+
+// TestIssueMatchesTheWalk: starting at the first uncovered target issues
+// exactly what walking every target does — the same lines in the same order
+// to each destination, the same TLB requests, cursors and counts — for random
+// addresses (wrapping ones included), strides below a line, at one, between
+// multiples and beyond, in both directions, and cursors that are unset, behind
+// the targets, among them and past them.
+func TestIssueMatchesTheWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	strides := []int64{1, 8, 63, 64, 65, 100, 192, 4096, 5000, 1 << 40}
+	for n := 0; n < 50000; n++ {
+		cfg := DefaultConfig()
+		if rng.Intn(2) == 0 {
+			cfg.Mode = ModeGlobal
+		}
+		cfg.LargeDistance = rng.Intn(4) != 0
+		cfg.LineBytes = []int{32, 64, 128}[rng.Intn(3)]
+		stride := strides[rng.Intn(len(strides))]
+		if rng.Intn(2) == 0 {
+			stride = -stride
+		}
+		var addr uint64
+		switch rng.Intn(3) {
+		case 0:
+			addr = rng.Uint64()
+		case 1:
+			addr = uint64(rng.Intn(1 << 16)) // targets may wrap below zero
+		default:
+			addr = math.MaxUint64 - uint64(rng.Intn(1<<16)) // or past the top
+		}
+		cursor := func() uint64 {
+			var c uint64
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				c = rng.Uint64()
+			default: // among the targets, or just either side of them
+				c = uint64(int64(addr) + stride*int64(rng.Intn(80)-8) + int64(rng.Intn(256)-128))
+			}
+			return c &^ uint64(cfg.LineBytes-1)
+		}
+		s := stream{valid: true, lastAddr: addr, stride: stride, confidence: confidenceArm,
+			lastL1: cursor(), lastL2: cursor()}
+		want, got := s, s
+		wantSink, gotSink := &recordSink{}, &recordSink{}
+		walk, fast := New(cfg, wantSink), New(cfg, gotSink)
+		walkIssue(walk, &want, addr, 9)
+		fast.issue(&got, addr, 9)
+		if got != want || fast.Stats != walk.Stats || !slices.Equal(gotSink.l1, wantSink.l1) ||
+			!slices.Equal(gotSink.l2, wantSink.l2) || !slices.Equal(gotSink.tlb, wantSink.tlb) {
+			t.Fatalf("addr %#x stride %d line %d cursors %#x/%#x: issue gave %+v %+v, the walk %+v %+v",
+				addr, stride, cfg.LineBytes, s.lastL1, s.lastL2, got, fast.Stats, want, walk.Stats)
 		}
 	}
 }
