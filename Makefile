@@ -59,11 +59,13 @@ fuzz-native-smoke:
 # bench-smoke runs each per-package benchmark once, so none can rot unseen:
 # the golden model (BenchmarkEmuRun), the checked commit
 # (BenchmarkLockstepCommit), the fuzz front end (BenchmarkFuzzProgram), the
-# timing core (BenchmarkSimCycle), the decoder and encoder
-# (BenchmarkDecode/Encode) and the assembler (BenchmarkAssembleFuzz). `make
-# bench` runs only the root package's paper benchmarks.
+# timing core (BenchmarkSimCycle), the SoC driver on a 2-hart timer + IPI
+# program (BenchmarkSystemRun: ns per simulated cycle and the elided share),
+# the decoder and encoder (BenchmarkDecode/Encode) and the assembler
+# (BenchmarkAssembleFuzz). `make bench` runs only the root package's paper
+# benchmarks.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/emu ./internal/cosim ./internal/core ./internal/asm ./isa
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/emu ./internal/cosim ./internal/core ./internal/soc ./internal/asm ./isa
 
 # campaign-smoke is the end-to-end restart-resume proof for the campaign
 # service: boot the real xtcampd daemon on an ephemeral port, submit a fuzz

@@ -16,7 +16,7 @@
 //	xtfuzz -modes smp          # SPMD multi-hart with cross-hart contention
 //	                           # segments and the store-order oracle
 //	xtfuzz -modes smp,irq      # combinable when legal (paged excludes both)
-//	xtfuzz -harts 4            # hart pairs for smp (default 2, max 4)
+//	xtfuzz -harts 4            # hart pairs for smp (default 2; 1, 2 or 4)
 //	xtfuzz -timeout 30s        # per-seed watchdog (timeout ≠ failure)
 //	xtfuzz -json               # one JSON record per seed on stdout
 //	xtfuzz -repro case.s       # re-run one (shrunk) program under the checker
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	prof := cliflags.RegisterProfile(fs)
 	segs := fs.Int("segs", 0, "segments per program (0 = default)")
 	cycles := fs.Uint64("cycles", 0, "per-program cycle budget (0 = default)")
-	harts := fs.Int("harts", 0, "hart pairs for -modes smp (0 = default 2, max 4)")
+	harts := fs.Int("harts", 0, "hart pairs for -modes smp: 1, 2 or 4 (0 = default 2)")
 	repro := fs.String("repro", "", "run one assembly file under the checker instead of fuzzing")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -47,13 +47,22 @@ func TestRepro(t *testing.T) {
 
 func TestHartsModeConflict(t *testing.T) {
 	// -modes paged alone is legal, but -harts 2 implies SMP and paged+smp is
-	// not: this must be a usage error, not a silent paged+SMP run.
-	var out, errb bytes.Buffer
-	if rc := run([]string{"-modes", "paged", "-harts", "2", "-n", "1"}, &out, &errb); rc != 2 {
-		t.Fatalf("exit = %d, want 2\nstderr: %s", rc, errb.String())
-	}
-	if !strings.Contains(errb.String(), "paged") {
-		t.Fatalf("error should name the conflicting mode: %s", errb.String())
+	// not; and no cluster has three cores. Each must be a usage error naming
+	// the rule, not a silent run.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-modes", "paged", "-harts", "2", "-n", "1"}, "paged"},
+		{[]string{"-modes", "smp", "-harts", "3", "-n", "1"}, "Table I"},
+	} {
+		var out, errb bytes.Buffer
+		if rc := run(tc.args, &out, &errb); rc != 2 {
+			t.Fatalf("%v: exit = %d, want 2\nstderr: %s", tc.args, rc, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Fatalf("%v: error should name %q: %s", tc.args, tc.want, errb.String())
+		}
 	}
 }
 

@@ -32,10 +32,9 @@ import (
 	"strings"
 
 	"xt910/internal/asm"
-	"xt910/internal/cache"
-	"xt910/internal/coherence"
+	"xt910/internal/bench"
 	"xt910/internal/core"
-	"xt910/internal/mem"
+	"xt910/internal/soc"
 	"xt910/internal/trace"
 	"xt910/internal/workloads"
 )
@@ -125,19 +124,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		KeepLast:    *last,
 	}, sinks...)
 
-	// a fresh single-hart system, mirroring the bench harness environment
-	memory := mem.NewMemory()
-	dram := &mem.DRAM{Latency: 200, GapCycles: 4}
-	l2 := coherence.NewL2(cache.Config{
-		SizeBytes: 2 << 20, Ways: 16, LineBytes: 64,
-		HitLatency: 10, ECC: true, Parity: true,
-	}, dram)
-	c := core.New(cfg, 0, memory, l2)
-	prog.LoadInto(memory)
-	c.Reset(prog.Entry, 0x400000)
+	sys, err := soc.New(bench.Machine(cfg)) // the machine the bench harness runs
+	if err != nil {
+		fmt.Fprintf(stderr, "xttrace: %v\n", err)
+		return 1
+	}
+	sys.LoadProgram(prog)
+	c := sys.Cores[0]
 	c.AttachTracer(tr)
 
-	c.Run(*maxCycles)
+	sys.Run(*maxCycles)
 	if !c.Halted {
 		fmt.Fprintf(stderr, "xttrace: did not halt within %d cycles\n", *maxCycles)
 		return 1

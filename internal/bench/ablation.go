@@ -59,7 +59,7 @@ func Ablations(ctx context.Context, o Options) (*perf.Result, error) {
 		for ai, cfg := range []core.Config{full, cut} {
 			ids = append(ids, "ablation/"+s.name+"/"+[2]string{"full", "cut"}[ai])
 			fns = append(fns, func(ctx context.Context) (runResult, error) {
-				return runWorkload(ctx, o, s.w, iters, cfg, defaultSys())
+				return runWorkload(ctx, o, s.w, iters, Machine(cfg))
 			})
 		}
 	}
@@ -101,7 +101,7 @@ func Density(ctx context.Context, o Options) (*perf.Result, error) {
 			if err != nil {
 				return armOut{}, err
 			}
-			r, err := runProgram(ctx, o, p, core.XT910Config(), defaultSys(), nil)
+			r, err := runProgram(ctx, o, p, Machine(core.XT910Config()), nil)
 			if err != nil {
 				return armOut{}, err
 			}

@@ -44,7 +44,7 @@ func TestCPIStackExactAndKonataComplete(t *testing.T) {
 					var konata, jsonl bytes.Buffer
 					tr := trace.New(trace.Config{},
 						trace.NewKonataWriter(&konata), trace.NewJSONLWriter(&jsonl))
-					r, err := runProgram(ctx, o, p, cfg, defaultSys(),
+					r, err := runProgram(ctx, o, p, Machine(cfg),
 						setupFunc(func(c *core.Core, _ *mem.Memory) { c.AttachTracer(tr) }))
 					if err != nil {
 						t.Fatal(err)

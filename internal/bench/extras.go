@@ -27,7 +27,7 @@ func SpecInt(ctx context.Context, o Options) (*perf.Result, error) {
 	}
 	arm := func(cfg core.Config) func(context.Context) (runResult, error) {
 		return func(ctx context.Context) (runResult, error) {
-			return runWorkload(ctx, o, w, iters, cfg, defaultSys())
+			return runWorkload(ctx, o, w, iters, Machine(cfg))
 		}
 	}
 	runs, err := runJobs(ctx, o, []string{"spec/xt910", "spec/a73"},
@@ -123,7 +123,7 @@ func VectorMAC(ctx context.Context, o Options) (*perf.Result, error) {
 	}
 	arm := func(w workloads.Workload) func(context.Context) (runResult, error) {
 		return func(ctx context.Context) (runResult, error) {
-			return runWorkload(ctx, o, w, iters, core.XT910Config(), defaultSys())
+			return runWorkload(ctx, o, w, iters, Machine(core.XT910Config()))
 		}
 	}
 	runs, err := runJobs(ctx, o, []string{"vector/scalar", "vector/vector", "vector/fp16"},
@@ -193,7 +193,6 @@ func HugePages(ctx context.Context, o Options) (*perf.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := sysConfig{L2Size: 256 << 10, L2Ways: 8, DRAMLatency: 200, DRAMGap: 12}
 	arm := func(huge bool) func(context.Context) (runResult, error) {
 		return func(ctx context.Context) (runResult, error) {
 			cfg := core.XT910Config()
@@ -201,7 +200,9 @@ func HugePages(ctx context.Context, o Options) (*perf.Result, error) {
 			cfg.JTLBEntries = 32
 			cfg.L1D.MSHRs = 2
 			cfg.Prefetch.Mode = prefetch.ModeOff // expose the raw TLB behaviour
-			return runProgram(ctx, o, prog, cfg, sys, pagedSetup{tableBase: 0x600000, mapBytes: 0x800000, huge: huge})
+			sys := Machine(cfg)
+			sys.L2SizeBytes, sys.L2Ways, sys.DRAMGap = 256<<10, 8, 12
+			return runProgram(ctx, o, prog, sys, pagedSetup{tableBase: 0x600000, mapBytes: 0x800000, huge: huge})
 		}
 	}
 	runs, err := runJobs(ctx, o, []string{"hugepage/4k", "hugepage/2m"},
@@ -230,7 +231,7 @@ func Blockchain(ctx context.Context, o Options) (*perf.Result, error) {
 	iters := o.iters(workloads.BlockchainBase)
 	arm := func(w workloads.Workload) func(context.Context) (runResult, error) {
 		return func(ctx context.Context) (runResult, error) {
-			return runWorkload(ctx, o, w, iters, core.XT910Config(), defaultSys())
+			return runWorkload(ctx, o, w, iters, Machine(core.XT910Config()))
 		}
 	}
 	runs, err := runJobs(ctx, o, []string{"blockchain/base", "blockchain/ext"},

@@ -36,7 +36,7 @@ func Fig17(ctx context.Context, o Options) (*perf.Result, error) {
 		cfg := p.cfg
 		ids[i] = "fig17/" + cfg.Name
 		fns[i] = func(ctx context.Context) (runResult, error) {
-			return runWorkload(ctx, o, w, iters, cfg, defaultSys())
+			return runWorkload(ctx, o, w, iters, Machine(cfg))
 		}
 	}
 	runs, err := runJobs(ctx, o, ids, fns)
@@ -91,7 +91,7 @@ func suiteVsA73(ctx context.Context, id, title string, suite []workloads.Workloa
 			cfg := cfgOf()
 			ids = append(ids, id+"/"+w.Name+"/"+cfg.Name)
 			fns = append(fns, func(ctx context.Context) (runResult, error) {
-				return runWorkload(ctx, o, w, iters, cfg, defaultSys())
+				return runWorkload(ctx, o, w, iters, Machine(cfg))
 			})
 		}
 	}
@@ -158,7 +158,7 @@ func Fig20(ctx context.Context, o Options) (*perf.Result, error) {
 				if err != nil {
 					return armOut{}, err
 				}
-				r, err := runProgram(ctx, o, p, core.XT910Config(), defaultSys(), nil)
+				r, err := runProgram(ctx, o, p, Machine(core.XT910Config()), nil)
 				if err != nil {
 					return armOut{}, err
 				}
@@ -228,7 +228,6 @@ func Fig21(ctx context.Context, o Options) (*perf.Result, error) {
 	// a small L2 and a scaled-down TLB keep the 128 KB arrays memory-bound,
 	// matching the paper's configured 200-cycle DDR environment; the FPGA
 	// memory path supports only two outstanding demand misses (MSHRs below)
-	sys := sysConfig{L2Size: 256 << 10, L2Ways: 8, DRAMLatency: 200, DRAMGap: 12}
 	setup := pagedSetup{tableBase: 0x600000, mapBytes: 0x800000}
 
 	ids := make([]string, len(scenarios))
@@ -240,7 +239,9 @@ func Fig21(ctx context.Context, o Options) (*perf.Result, error) {
 			cfg := core.XT910Config()
 			cfg.Prefetch = sc.pf
 			cfg.L1D.MSHRs = 1 // FPGA-harness memory path concurrency (see DESIGN.md)
-			r, err := runProgram(ctx, o, prog, cfg, sys, setup)
+			sys := Machine(cfg)
+			sys.L2SizeBytes, sys.L2Ways, sys.DRAMGap = 256<<10, 8, 12
+			r, err := runProgram(ctx, o, prog, sys, setup)
 			if err != nil {
 				return runResult{}, fmt.Errorf("scenario %q: %w", sc.label, err)
 			}

@@ -18,13 +18,12 @@ import (
 	"time"
 
 	"xt910/internal/asm"
-	"xt910/internal/cache"
-	"xt910/internal/coherence"
 	"xt910/internal/core"
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
 	"xt910/internal/perf"
 	"xt910/internal/sched"
+	"xt910/internal/soc"
 	"xt910/internal/trace"
 	"xt910/internal/workloads"
 	"xt910/internal/xterrors"
@@ -119,17 +118,14 @@ type runResult struct {
 
 func (r runResult) IPC() float64 { return float64(r.Retired) / float64(r.Cycles) }
 
-// sysConfig describes the memory system around a core for a run.
-type sysConfig struct {
-	L2Size      int
-	L2Ways      int
-	L2Hit       int // L2 array hit latency (0 = the stock 10 cycles)
-	DRAMLatency int
-	DRAMGap     int
-}
-
-func defaultSys() sysConfig {
-	return sysConfig{L2Size: 2 << 20, L2Ways: 16, DRAMLatency: 200, DRAMGap: 4}
+// Machine is the system every harness run simulates unless an experiment
+// varies it: one core of cfg over a 2 MB, 16-way L2 and the paper's
+// 200-cycle DRAM, its stack below 0x400000. cmd/xttrace traces on the same
+// machine.
+func Machine(cfg core.Config) soc.Config {
+	m := soc.DefaultConfig()
+	m.Core, m.L2SizeBytes = cfg, 2<<20
+	return m
 }
 
 // setup prepares a freshly reset core before its first cycle.
@@ -143,62 +139,46 @@ type setupFunc func(*core.Core, *mem.Memory)
 
 func (f setupFunc) apply(c *core.Core, m *mem.Memory) { f(c, m) }
 
-// runProgram executes an assembled program on a fresh single-core system, or
-// returns what the invocation's scope already holds for the same run.
-// Simulated cycles are credited to the enclosing sched job for the metrics
-// stream either way.
-func runProgram(ctx context.Context, o Options, p *asm.Program, cfg core.Config, sys sysConfig, su setup) (runResult, error) {
+// runProgram executes an assembled program on a fresh system, or returns
+// what the invocation's scope already holds for the same run. Simulated
+// cycles are credited to the enclosing sched job for the metrics stream
+// either way.
+func runProgram(ctx context.Context, o Options, p *asm.Program, sys soc.Config, su setup) (runResult, error) {
 	ctx, sc := Scoped(ctx, o.workers())
-	key, keyed := keyOf(o, p, cfg, sys, su)
+	key, keyed := keyOf(o, p, sys, su)
 	return sc.run(ctx, key, keyed, func(ctx context.Context) (runResult, error) {
-		return simulate(ctx, o, p, cfg, sys, su)
+		return simulate(ctx, o, p, sys, su)
 	})
 }
 
-// simulate is the one place a simulator is built and run, polling ctx
-// between simulation chunks so a cancelled or timed-out experiment stops
-// promptly. With o.CPIStack set a sink-less tracer is attached before the
-// set-up runs, so a set-up that attaches its own (sink-carrying) tracer wins;
-// whichever tracer observed the run supplies runResult.CPI.
-func simulate(ctx context.Context, o Options, p *asm.Program, cfg core.Config, sys sysConfig, su setup) (runResult, error) {
-	memory := mem.NewMemory()
-	gap := sys.DRAMGap
-	if gap == 0 {
-		gap = 4
+// simulate is the one place a harness run is built and run, on hart 0 of
+// sys, polling ctx as the run goes so a cancelled or timed-out experiment
+// stops promptly. With o.CPIStack set a sink-less tracer is attached before
+// the set-up runs, so a set-up that attaches its own (sink-carrying) tracer
+// wins; whichever tracer observed the run supplies runResult.CPI.
+func simulate(ctx context.Context, o Options, p *asm.Program, sys soc.Config, su setup) (runResult, error) {
+	s, err := soc.New(sys)
+	if err != nil {
+		return runResult{}, fmt.Errorf("bench: %w", err)
 	}
-	dram := &mem.DRAM{Latency: sys.DRAMLatency, GapCycles: gap}
-	l2hit := sys.L2Hit
-	if l2hit == 0 {
-		l2hit = 10
-	}
-	l2 := coherence.NewL2(cache.Config{
-		SizeBytes: sys.L2Size, Ways: sys.L2Ways, LineBytes: 64,
-		HitLatency: l2hit, ECC: true, Parity: true,
-	}, dram)
-	c := core.New(cfg, 0, memory, l2)
-	p.LoadInto(memory)
-	c.Reset(p.Entry, 0x400000)
+	defer s.Release() // the runResult holds nothing of the system
+	s.LoadProgram(p)
+	c := s.Cores[0]
 	if o.CPIStack {
 		c.AttachTracer(trace.New(trace.Config{}))
 	}
 	if su != nil {
-		su.apply(c, memory)
+		su.apply(c, s.Mem)
 	}
-	const maxCycles = 2_000_000_000
-	const chunk = 1 << 16
 	start := time.Now()
-	for !c.Halted && c.Stats.Cycles < maxCycles {
-		if err := ctx.Err(); err != nil {
-			sched.AddCycles(ctx, c.Stats.Cycles)
-			sched.AddInstrs(ctx, c.Stats.Retired)
-			return runResult{}, err
-		}
-		c.Run(chunk)
-	}
+	_, err = s.RunContext(ctx, 2_000_000_000)
 	sched.AddCycles(ctx, c.Stats.Cycles)
 	sched.AddInstrs(ctx, c.Stats.Retired)
+	if err != nil {
+		return runResult{}, err
+	}
 	if !c.Halted {
-		return runResult{}, fmt.Errorf("bench: %s (%s): %w", cfg.Name, c.Stats.String(), xterrors.ErrDidNotHalt)
+		return runResult{}, fmt.Errorf("bench: %s (%s): %w", sys.Core.Name, c.Stats.String(), xterrors.ErrDidNotHalt)
 	}
 	rr := runResult{
 		Cycles:     c.Stats.Cycles,
@@ -218,12 +198,12 @@ func simulate(ctx context.Context, o Options, p *asm.Program, cfg core.Config, s
 }
 
 // runWorkload assembles and runs a workload.
-func runWorkload(ctx context.Context, o Options, w workloads.Workload, iters int, cfg core.Config, sys sysConfig) (runResult, error) {
+func runWorkload(ctx context.Context, o Options, w workloads.Workload, iters int, sys soc.Config) (runResult, error) {
 	p, err := w.Program(iters, true)
 	if err != nil {
 		return runResult{}, err
 	}
-	return runProgram(ctx, o, p, cfg, sys, nil)
+	return runProgram(ctx, o, p, sys, nil)
 }
 
 // cpiColumn renders a run's CPI-stack breakdown for a table row ("" when no

@@ -22,13 +22,6 @@ type MeasureRun struct {
 // IPC is retired instructions per cycle.
 func (r MeasureRun) IPC() float64 { return float64(r.Retired) / float64(r.Cycles) }
 
-// MeasureSys carries the memory-system knobs MeasureWorkload exposes to the
-// calibration sweep (zero values select the harness defaults, the same
-// environment the figure experiments run in).
-type MeasureSys struct {
-	L2HitLatency int
-}
-
 // FindWorkload resolves a kernel by name across the whole suite, including
 // the dedicated-configuration workloads (STREAM, SPEC-like) that All() omits.
 func FindWorkload(name string) (workloads.Workload, bool) {
@@ -41,11 +34,12 @@ func FindWorkload(name string) (workloads.Workload, bool) {
 }
 
 // MeasureWorkload assembles and runs one named kernel for iters iterations
-// (iters <= 0 selects the workload's default, scaled down by o.Quick) on cfg
-// with the harness's default memory system modified by sys — the calibration
-// harness's measurement primitive. The run is credited to the enclosing sched
-// job like every other harness run.
-func MeasureWorkload(ctx context.Context, o Options, name string, iters int, cfg core.Config, sys MeasureSys) (MeasureRun, error) {
+// (iters <= 0 selects the workload's default, scaled down by o.Quick) on
+// Machine(cfg) with its L2 hit latency set to l2Hit (0: the stock one, the
+// environment the figure experiments run in) — the calibration harness's
+// measurement primitive. The run is credited to the enclosing sched job like
+// every other harness run.
+func MeasureWorkload(ctx context.Context, o Options, name string, iters int, cfg core.Config, l2Hit int) (MeasureRun, error) {
 	w, ok := FindWorkload(name)
 	if !ok {
 		return MeasureRun{}, fmt.Errorf("bench: %w: workload %q", xterrors.ErrUnknownWorkload, name)
@@ -53,9 +47,9 @@ func MeasureWorkload(ctx context.Context, o Options, name string, iters int, cfg
 	if iters <= 0 {
 		iters = o.iters(w)
 	}
-	sc := defaultSys()
-	sc.L2Hit = sys.L2HitLatency
-	r, err := runWorkload(ctx, o, w, iters, cfg, sc)
+	m := Machine(cfg)
+	m.L2HitLatency = l2Hit
+	r, err := runWorkload(ctx, o, w, iters, m)
 	if err != nil {
 		return MeasureRun{}, err
 	}

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"xt910/internal/asm"
-	"xt910/internal/core"
 	"xt910/internal/sched"
+	"xt910/internal/soc"
 )
 
 // Scope is what the runs of one harness invocation share: a cache that
@@ -195,14 +195,13 @@ func (g *gate) release() {
 // run has no key and is never shared.
 type runKey struct {
 	image [sha256.Size]byte // Base, Entry, Data
-	cfg   core.Config
-	sys   sysConfig
+	sys   soc.Config
 	paged pagedSetup
 	cpi   bool
 }
 
-func keyOf(o Options, p *asm.Program, cfg core.Config, sys sysConfig, su setup) (runKey, bool) {
-	k := runKey{cfg: cfg, sys: sys, cpi: o.CPIStack}
+func keyOf(o Options, p *asm.Program, sys soc.Config, su setup) (runKey, bool) {
+	k := runKey{sys: sys, cpi: o.CPIStack}
 	switch s := su.(type) {
 	case nil:
 	case pagedSetup:

@@ -56,7 +56,7 @@ func runAllQuick(jobs int, uncached bool) (quickRun, error) {
 	if err != nil {
 		return q, err
 	}
-	key, _ := keyOf(o, p, core.XT910Config(), defaultSys(), nil)
+	key, _ := keyOf(o, p, Machine(core.XT910Config()), nil)
 	q.coremarkOnXT910 = sc.runs[key] != nil
 	return q, nil
 }
@@ -183,7 +183,7 @@ func TestAskersShareOneSimulation(t *testing.T) {
 	jobs := make([]sched.Job, 8)
 	for i := range jobs {
 		jobs[i] = sched.Job{ID: "asker", Run: func(ctx context.Context) (any, error) {
-			return runProgram(ctx, o, p, core.XT910Config(), defaultSys(), nil)
+			return runProgram(ctx, o, p, Machine(core.XT910Config()), nil)
 		}}
 	}
 	rs := sched.Run(ctx, jobs, sched.Options{Workers: len(jobs)})
@@ -206,7 +206,7 @@ func TestAskersShareOneSimulation(t *testing.T) {
 	// a caller's own set-up has no identity: never shared
 	own := setupFunc(func(*core.Core, *mem.Memory) {})
 	for i := 0; i < 2; i++ {
-		if _, err := runProgram(ctx, o, p, core.XT910Config(), defaultSys(), own); err != nil {
+		if _, err := runProgram(ctx, o, p, Machine(core.XT910Config()), own); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestCancelledOwnerIsNotInherited(t *testing.T) {
 	}
 	ctx, sc := Scoped(context.Background(), 2)
 	ask := func(ctx context.Context) (runResult, error) {
-		return runProgram(ctx, o, p, core.XT910Config(), defaultSys(), nil)
+		return runProgram(ctx, o, p, Machine(core.XT910Config()), nil)
 	}
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
@@ -304,7 +304,7 @@ func TestQueueingIsNotChargedToTheDeadline(t *testing.T) {
 		return Experiment{ID: id, Fn: func(ctx context.Context, o Options) (*perf.Result, error) {
 			_, err := runJobs(ctx, o, []string{id + "/arm"}, []func(context.Context) (runResult, error){
 				func(ctx context.Context) (runResult, error) {
-					return runProgram(ctx, o, p, core.XT910Config(), defaultSys(), su)
+					return runProgram(ctx, o, p, Machine(core.XT910Config()), su)
 				},
 			})
 			return &perf.Result{ID: id}, err

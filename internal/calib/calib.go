@@ -16,13 +16,13 @@ import (
 )
 
 // Env is the knob-application surface: the three comparison-core
-// configurations plus the harness memory-system knobs. A Knob mutates one
+// configurations plus the harness machine's L2 hit latency. A Knob mutates one
 // field; the measurement functions read whichever configs their point needs.
 type Env struct {
 	XT910 core.Config
 	U74   core.Config
 	A73   core.Config
-	Sys   bench.MeasureSys
+	L2Hit int
 }
 
 // BaseEnv is the uncalibrated model: the stock configurations every
@@ -32,7 +32,7 @@ func BaseEnv() Env {
 		XT910: core.XT910Config(),
 		U74:   core.U74Config(),
 		A73:   core.A73Config(),
-		Sys:   bench.MeasureSys{L2HitLatency: 10},
+		L2Hit: 10,
 	}
 }
 
@@ -61,7 +61,7 @@ func Knobs() []Knob {
 		{"u74.mispredict_min", []int{3, 2, 1}, func(e *Env, v int) { e.U74.MispredictMin = v }},
 		{"u74.issue_width", []int{2, 3, 4}, func(e *Env, v int) { e.U74.IssueWidth = v }},
 		{"u74.frontend_delay", []int{1, 0}, func(e *Env, v int) { e.U74.FrontendDelay = v }},
-		{"sys.l2_hit_latency", []int{10, 6, 14, 20, 28}, func(e *Env, v int) { e.Sys.L2HitLatency = v }},
+		{"sys.l2_hit_latency", []int{10, 6, 14, 20, 28}, func(e *Env, v int) { e.L2Hit = v }},
 	}
 }
 
@@ -101,7 +101,7 @@ func measureRuns(ctx context.Context, o bench.Options, env Env, specs []runSpec)
 	for i, s := range specs {
 		s := s
 		jobs[i] = sched.Job{ID: "calib/" + s.workload + "/" + s.cfg.Name, Run: func(ctx context.Context) (any, error) {
-			return bench.MeasureWorkload(ctx, o, s.workload, s.iters, s.cfg, env.Sys)
+			return bench.MeasureWorkload(ctx, o, s.workload, s.iters, s.cfg, env.L2Hit)
 		}}
 	}
 	rs := sched.Run(ctx, jobs, sched.Options{Workers: len(jobs)})

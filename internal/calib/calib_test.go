@@ -17,7 +17,7 @@ import (
 // visit order, while the inert knob must stay at its stock index 0.
 func synLandscape() ([]Knob, []Point, Measurer) {
 	knobs := []Knob{
-		{"syn.l2_hit", []int{10, 12, 14, 16}, func(e *Env, v int) { e.Sys.L2HitLatency = v }},
+		{"syn.l2_hit", []int{10, 12, 14, 16}, func(e *Env, v int) { e.L2Hit = v }},
 		{"syn.width", []int{2, 6}, func(e *Env, v int) { e.XT910.IssueWidth = v }},
 		{"syn.inert", []int{1, 2, 3}, func(e *Env, v int) { e.U74.TakenPenalty = v }},
 	}
@@ -28,11 +28,11 @@ func synLandscape() ([]Knob, []Point, Measurer) {
 	measure := func(ctx context.Context, o bench.Options, env Env, id string) (float64, error) {
 		switch id {
 		case "syn/objective":
-			d := 0.1 * (math.Abs(float64(env.Sys.L2HitLatency-14)) +
+			d := 0.1 * (math.Abs(float64(env.L2Hit-14)) +
 				math.Abs(float64(env.XT910.IssueWidth-6)))
 			return math.Exp(d), nil // Err(m, 1.0) == d
 		case "syn/holdout":
-			return 2.0 * math.Exp(0.05*math.Abs(float64(env.Sys.L2HitLatency-10))), nil
+			return 2.0 * math.Exp(0.05*math.Abs(float64(env.L2Hit-10))), nil
 		}
 		return 0, fmt.Errorf("unknown synthetic point %q", id)
 	}

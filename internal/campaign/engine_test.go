@@ -310,8 +310,10 @@ func TestSpecValidate(t *testing.T) {
 	bad := []*Spec{
 		{Tool: "nope"},
 		{Tool: "fuzz"}, // n == 0
-		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1, Modes: "warp"}},      // bad mode
-		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1, Modes: "paged,smp"}}, // illegal combo
+		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1, Modes: "warp"}},            // bad mode
+		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1, Modes: "paged,smp"}},       // illegal combo
+		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1}, Harts: 3},                 // no 3-core cluster (Table I)
+		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1, Modes: "paged"}, Harts: 2}, // harts imply smp
 		{Tool: "bench", Experiments: []string{"no-such-exp"}},
 		{Tool: "fuzz", Knobs: cliflags.Knobs{N: 1}, Shards: -1},
 	}

@@ -56,13 +56,8 @@ func (toolRunner) Run(ctx context.Context, spec *Spec, it Item) (ItemResult, err
 }
 
 func runFuzzItem(ctx context.Context, spec *Spec, it Item) (ItemResult, error) {
-	modes, err := spec.CosimModes()
+	opts, err := spec.fuzzOptions()
 	if err != nil {
-		return ItemResult{}, err
-	}
-	opts := cosim.Options{MaxCycles: spec.Cycles, Modes: modes, Harts: spec.Harts,
-		SeedTimeout: spec.SeedTimeout()}
-	if err := opts.Validate(); err != nil {
 		return ItemResult{}, err
 	}
 	fr := cosim.FuzzWatched(ctx, it.Seed, spec.Segs, opts)
@@ -87,7 +82,7 @@ func runFuzzItem(ctx context.Context, spec *Spec, it Item) (ItemResult, error) {
 			Seed:      fr.Seed,
 			Signature: fr.Result.Signature(),
 			Kind:      fr.Result.Kind,
-			Modes:     modes.String(),
+			Modes:     opts.Modes.String(),
 			Report:    fr.Result.Report,
 			Shrunk:    fr.Shrunk,
 		}

@@ -75,13 +75,19 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatal("submit returned no id")
 	}
 
-	// invalid spec -> 400
-	resp, _ = http.Post(srv.URL+"/api/v1/campaigns", "application/json",
-		strings.NewReader(`{"tool":"warp"}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec: status %d, want 400", resp.StatusCode)
+	// invalid spec -> 400, including a legal mode spec whose harts make an
+	// illegal machine
+	for _, bad := range []string{
+		`{"tool":"warp"}`,
+		`{"tool":"fuzz","n":1,"harts":3}`,
+		`{"tool":"fuzz","n":1,"modes":"paged","harts":2}`,
+	} {
+		resp, _ = http.Post(srv.URL+"/api/v1/campaigns", "application/json", strings.NewReader(bad))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad spec %s: status %d, want 400", bad, resp.StatusCode)
+		}
+		resp.Body.Close()
 	}
-	resp.Body.Close()
 
 	// poll status to done
 	deadline := time.Now().Add(60 * time.Second)

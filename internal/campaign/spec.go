@@ -19,6 +19,7 @@ import (
 
 	"xt910/internal/bench"
 	"xt910/internal/cliflags"
+	"xt910/internal/cosim"
 )
 
 // Spec is a campaign manifest: which tool to run, the uniform campaign knobs
@@ -78,7 +79,7 @@ func (s *Spec) Validate() error {
 		if s.N <= 0 {
 			return fmt.Errorf("campaign: tool %q needs n > 0 seeds", s.Tool)
 		}
-		if _, err := s.CosimModes(); err != nil {
+		if _, err := s.fuzzOptions(); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
 	case "bench":
@@ -97,6 +98,17 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("campaign: negative timeout")
 	}
 	return nil
+}
+
+// fuzzOptions are the session options a fuzz item runs with, validated: a
+// legal mode spec can still make an illegal machine with harts.
+func (s *Spec) fuzzOptions() (cosim.Options, error) {
+	modes, err := s.CosimModes()
+	if err != nil {
+		return cosim.Options{}, err
+	}
+	opts := cosim.Options{MaxCycles: s.Cycles, Modes: modes, Harts: s.Harts, SeedTimeout: s.SeedTimeout()}
+	return opts, opts.Validate()
 }
 
 // Items expands the manifest into its full work list, in report order.

@@ -39,15 +39,31 @@ func TestSeedsExpansion(t *testing.T) {
 	}
 }
 
+// TestModeSpecRejectsIllegal: a spec that is illegal alone, and legal specs
+// that a hart count makes illegal, once resolved into the cosim Options a CLI
+// runs.
 func TestModeSpecRejectsIllegal(t *testing.T) {
-	var m ModeSpec
-	fs := newFS()
-	m.Register(fs)
-	if err := fs.Parse([]string{"-modes", "smp,paged"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Modes(); err == nil {
-		t.Fatal("paged+smp accepted, want error")
+	for _, tc := range []struct {
+		spec  string
+		harts int
+	}{
+		{"smp,paged", 0},
+		{"paged", 2}, // harts imply smp
+		{"smp", 3},   // no 3-core cluster (Table I)
+	} {
+		var m ModeSpec
+		fs := newFS()
+		m.Register(fs)
+		if err := fs.Parse([]string{"-modes", tc.spec}); err != nil {
+			t.Fatal(err)
+		}
+		md, err := m.Modes()
+		if err == nil {
+			err = cosim.Options{Modes: md, Harts: tc.harts}.Validate()
+		}
+		if err == nil {
+			t.Errorf("-modes %s with %d harts accepted, want error", tc.spec, tc.harts)
+		}
 	}
 }
 

@@ -455,8 +455,7 @@ func (c *Core) Step() {
 	}
 	if c.wfiWait {
 		if c.tr != nil {
-			// a parked hart supplies nothing: frontend-bound by convention
-			c.tr.Cycle(trace.CycleFrontend, trace.SubFeOther, trace.NoPC)
+			c.tr.Cycle(c.cycleAttr(0))
 		}
 		c.Stats.WFIParkedCycles++
 		c.now++
@@ -489,8 +488,12 @@ func (c *Core) Step() {
 // not counted in Stats.Cycles and gets no bucket, so the partition stays
 // exact.
 func (c *Core) cycleAttr(retired uint64) (trace.CycleClass, trace.SubClass, uint64) {
-	if retired > 0 {
+	switch {
+	case retired > 0:
 		return trace.CycleRetiring, trace.SubNone, trace.NoPC
+	case c.wfiWait:
+		// a parked hart supplies nothing: frontend-bound by convention
+		return trace.CycleFrontend, trace.SubFeOther, trace.NoPC
 	}
 	if c.robQ.empty() {
 		if c.now < c.badSpecUntil {

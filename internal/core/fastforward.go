@@ -7,17 +7,18 @@ import (
 // The event-driven clock: every driver passes idle time the same way. It asks
 // NextEvent for the earliest cycle at which any stage of this core could act
 // and, when that lies in the future, has AdvanceIdle replicate the per-cycle
-// counters over the window instead of stepping it — Core.Run for itself, a
-// cosim session (Session.Advance) for all its harts at once. It is a host
+// counters over the window instead of stepping it — Core.Run for a bare core,
+// soc.System.Advance for every machine's harts at once. It is a host
 // optimization with the same contract as the predecode cache: Stats, CPI
 // buckets and architectural state are byte-identical with it on or off.
 //
 // The soundness argument rests on the model being pull-based: caches, DRAM,
 // the MMU and the prefetcher are all keyed on the `now` passed into an
 // access, and nothing in the machine mutates state in a cycle where no stage
-// acts. A cycle is inert when
+// acts. A cycle is inert when the hart is parked on WFI with no enabled
+// interrupt pending (no stage acts), or when
 //
-//   - no interrupt is both pending and deliverable, and the hart is not parked,
+//   - no interrupt is both pending and deliverable,
 //   - retire cannot act: the ROB is empty, or its head is stalled (not done,
 //     or done with a future readyAt) and not squash/at-retire special-cased,
 //   - issue cannot act: every queued µop's earliest-possible issue cycle — a
@@ -32,10 +33,10 @@ import (
 // Estimates are lower bounds: a µop whose estimate arrives may still fail its
 // full gating, which only wakes the stepped loop early — every failure path
 // in the issue/LSU code is side-effect-free. Devices are outside the model:
-// an IntSource or MMIO window may change only in a stepped cycle, and the
-// driver vouches for that. A session can (its schedule and its non-ticking
-// CLINT change only at some hart's commit, and a cycle with a commit is never
-// inert, so every compare runs in a stepped cycle); Run cannot and refuses.
+// an IntSource or MMIO window may change only in a stepped cycle or between
+// windows, and the driver vouches for that. System.Advance can (registers
+// and schedules change only at a commit, which is never inert, and it ends a
+// window at mtime's next compare edge); Run cannot and refuses.
 
 const ffNever = ^uint64(0)
 
@@ -43,7 +44,7 @@ const ffNever = ^uint64(0)
 // stay out of Stats so the byte-identity contract covers that whole struct.
 type FFStats struct {
 	Windows           uint64 // idle windows jumped
-	Backend, Frontend uint64 // cycles elided behind a stalled ROB head / with an empty ROB
+	Backend, Frontend uint64 // cycles elided behind a stalled ROB head / with an empty ROB or parked
 	Armed             uint64 // of those, cycles elided with an interrupt source attached
 }
 
@@ -63,11 +64,15 @@ func (c *Core) FastForwardStats() FFStats { return c.ff }
 
 // NextEvent returns the earliest cycle at which any stage of the core could
 // act: Now() when one can this cycle (or Cfg.FastForward is off), later when
-// every cycle before it is inert. It changes nothing. The caller vouches that
-// IntSource and MMIO change only in cycles it steps.
+// every cycle before it is inert (for a parked hart: never, until an enabled
+// interrupt pends). It changes nothing. The caller vouches that IntSource and
+// MMIO change only in cycles it steps.
 func (c *Core) NextEvent() uint64 {
-	if !c.Cfg.FastForward || c.wfiWait || (c.pendingBits() != 0 && c.deliverable()) {
+	if !c.Cfg.FastForward || c.pendingBits() != 0 && (c.wfiWait || c.deliverable()) {
 		return c.now
+	}
+	if c.wfiWait {
+		return ffNever
 	}
 	next := uint64(ffNever)
 	if c.robQ.empty() {
@@ -154,19 +159,24 @@ func (c *Core) NextEvent() uint64 {
 
 // AdvanceIdle jumps the clock to cycle `to`, recording exactly what the
 // to-Now() stepped-but-inert cycles would have: retire's head-stall
-// attribution, rename's stall counter and the cycle's CPI bucket. Every cycle
-// in [Now(), to) must be inert: to may not pass NextEvent(). A genuine hang —
-// no event at all — burns its budget in one jump exactly as stepping would.
+// attribution, rename's stall counter and the cycle's CPI bucket, or for a
+// parked hart the park counter and its frontend bucket. Every cycle in
+// [Now(), to) must be inert: to may not pass NextEvent(). A genuine hang — no
+// event at all — burns its budget in one jump exactly as stepping would.
 func (c *Core) AdvanceIdle(to uint64) {
 	n := to - c.now
-	if c.robQ.empty() {
+	switch {
+	case c.wfiWait: // as Step's park branch counts each cycle
+		c.Stats.WFIParkedCycles += n
+		c.ff.Frontend += n
+	case c.robQ.empty():
 		c.Stats.HeadStallEmpty += n
 		c.ff.Frontend += n
-	} else {
+	default:
 		*c.headStallCounter(c.robQ.front()) += n
 		c.ff.Backend += n
 	}
-	if c.fq.len() > 0 {
+	if c.fq.len() > 0 && !c.wfiWait {
 		if e := c.fq.front(); c.robQ.full() {
 			if from := max(e.readyAt, c.now); from < to {
 				c.Stats.StallROB += to - from

@@ -107,8 +107,9 @@ func ffArmMasked(c *Core) {
 	c.SetCSR(isa.CSRMie, 1<<isa.IntMTimer)
 }
 
-// ffDriven passes time the way a cosim session does — the NextEvent/
-// AdvanceIdle pair with no refusal — vouching for what Run cannot.
+// ffDriven passes time the way soc.System.Advance does — the NextEvent/
+// AdvanceIdle pair with no refusal — vouching for the devices Run does not
+// model.
 func ffDriven(c *Core, maxCycles uint64) {
 	for !c.Halted && c.now < maxCycles {
 		if next := c.NextEvent(); next > c.now {

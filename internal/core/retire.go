@@ -530,12 +530,13 @@ func (c *Core) setArchReg(r isa.Reg, v uint64) {
 	// in flight was fetched after this serializing ecall anyway
 }
 
-// pendingBits returns the externally-driven mip bits masked by mie.
+// pendingBits returns the externally-driven mip bits masked by mie (without
+// asking the source when mie masks everything, as it does for most programs).
 func (c *Core) pendingBits() uint64 {
-	if c.IntSource == nil {
-		return 0
+	if mie := c.csr.Get(isa.CSRMie); c.IntSource != nil && mie != 0 {
+		return c.IntSource(c.ID) & mie
 	}
-	return c.IntSource(c.ID) & c.csr.Get(isa.CSRMie)
+	return 0
 }
 
 // sampleInterrupts takes the highest-priority enabled machine interrupt

@@ -36,18 +36,19 @@
 // # Multi-hart sessions
 //
 // A session runs N lock-step hart pairs, N = 1 included (Options.Harts > 1 or
-// Modes.SMP asks for more): N timing cores sharing one memory and one
-// coherent L2, and N golden emulators sharing a second memory. Each emulator
-// steps inside its own core's commit hook, so the emulator-world interleaving
-// of architectural effects is exactly the core-world global commit order —
-// which is what makes per-commit register compare and shared-memory compare
-// sound across harts. Cross-hart coupling is the SoC fabric's
-// (core.BroadcastWrite): a committed store kills remote reservations,
+// Modes.SMP asks for more): a soc.System of N timing cores sharing one memory
+// and one coherent L2, and N golden emulators sharing a second memory. Each
+// emulator steps inside its own core's commit hook, so the emulator-world
+// interleaving of architectural effects is exactly the core-world global
+// commit order — which is what makes per-commit register compare and
+// shared-memory compare sound across harts. Cross-hart coupling is the SoC
+// fabric's (core.BroadcastWrite): a committed store kills remote reservations,
 // invalidates remote predecode, and squashes remote speculatively-executed
 // overlapping loads (the snoop-triggered machine clear); the emulators
-// broadcast reservation kills the same way. With more than one hart each
-// world gets its own CLINT (neither ticks — mtime stays 0 and deterministic)
-// so MSIP IPIs deliver at identical commit positions.
+// broadcast reservation kills the same way. The system's CLINT is frozen
+// (mtime stays 0) and the emulators get one of their own, so MSIP IPIs
+// deliver at identical commit positions; a lone hart's device window is
+// detached, so a store to mtimecmp is plain memory in both worlds.
 //
 // On top of the per-hart architectural compare, multi-hart sessions run the
 // store-order oracle (see oracle.go): a global commit log of store/AMO/LR-SC
@@ -58,13 +59,13 @@ package cosim
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"xt910/internal/asm"
-	"xt910/internal/cache"
 	"xt910/internal/coherence"
 	"xt910/internal/core"
 	"xt910/internal/emu"
@@ -84,8 +85,8 @@ type Options struct {
 	// implies SMP.
 	Modes Modes
 
-	// Harts is the number of lock-step hart pairs. 0 means 1, or 2 when
-	// Modes.SMP is set; values are clamped to [1, 4] (one cluster, Table I).
+	// Harts is the number of lock-step hart pairs, one cluster's: 1, 2 or 4
+	// (Table I). 0 means 1, or 2 when Modes.SMP is set.
 	Harts int
 
 	// IRQSchedule, when non-empty, drives both models' external interrupt
@@ -122,25 +123,41 @@ func (o Options) modes() Modes {
 }
 
 // Validate checks the fully resolved mode set — including the SMP implied by
-// Harts > 1 — against the Modes legality rules. A validated -modes spec is not enough on its own: Harts
-// can smuggle SMP into a set whose spec alone was legal (e.g. paged with
-// -harts 2), so callers that accept a hart count must validate the Options,
-// not just the spec.
-func (o Options) Validate() error { return o.modes().Validate() }
+// Harts > 1 — against the Modes legality rules, and the session's machine
+// against Table I. Callers that accept a hart count must validate the Options,
+// not just the -modes spec: Harts can make an illegal set of a legal one
+// (paged with -harts 2), or ask for a cluster no XT-910 has (-harts 3).
+func (o Options) Validate() error {
+	if err := o.modes().Validate(); err != nil {
+		return err
+	}
+	m := o.machine()
+	return m.Validate()
+}
+
+// machine is the core world a session runs: one cluster of its harts over a
+// 2 MB L2 and the paper's 200-cycle DRAM, stacks 32 KB apart below stackBase.
+func (o Options) machine() soc.Config {
+	cfg := o.Config
+	if cfg.RetireWidth == 0 {
+		cfg = core.XT910Config()
+	}
+	return soc.Config{
+		CoresPerCluster: o.effectiveHarts(), Clusters: 1, Core: cfg,
+		L2SizeBytes: 2 << 20, L2Ways: 16, DRAMLatency: 200, DRAMGap: 4,
+		StackBase: stackBase, StackSize: 0x8000,
+	}
+}
 
 // effectiveHarts resolves the hart-pair count (see Options.Harts).
 func (o Options) effectiveHarts() int {
-	h := o.Harts
-	if h <= 0 {
-		if o.modes().SMP {
-			return 2
-		}
-		return 1
+	switch {
+	case o.Harts > 0:
+		return o.Harts
+	case o.modes().SMP:
+		return 2
 	}
-	if h > maxHarts {
-		return maxHarts
-	}
-	return h
+	return 1
 }
 
 // hartSchedules normalizes the two schedule fields into one per-hart slice.
@@ -270,20 +287,18 @@ func (h *HartSession) Emu() *emu.Machine { return h.m }
 func (h *HartSession) Commits() uint64 { return h.k.commits }
 
 // Session is one in-progress lock-step run that the caller drives cycle by
-// cycle: an array of hart pairs (one in single-hart runs) over shared
-// memories, plus the store-order oracle when more than one hart is present.
-// It exposes both models of every pair so fault-injection campaigns can
-// perturb microarchitectural state at a chosen cycle and let the checker
+// cycle: an array of hart pairs (one in single-hart runs) whose cores make up
+// a soc.System, plus the store-order oracle when more than one hart is
+// present. It exposes both models of every pair so fault-injection campaigns
+// can perturb microarchitectural state at a chosen cycle and let the checker
 // decide whether the corruption is detected; Run and RunContext are thin
 // loops of Advance on top of it.
 type Session struct {
 	harts  []*HartSession
-	cores  [maxHarts]*core.Core // harts[i].c, for core.BroadcastWrite
-	l2     *coherence.L2
+	sys    *soc.System // the core world
 	oracle *storeOracle
 
 	maxCycles     uint64
-	cyc           uint64
 	globalCommits uint64
 	failHart      int // first hart pair to diverge, -1 while clean
 }
@@ -336,54 +351,40 @@ func (a *irqArm) consumeEmu(cause, instret uint64) {
 	}
 }
 
-const (
-	stackBase = 0x80000
-
-	// maxHarts bounds a session to one cluster's worth of cores (Table I).
-	maxHarts = 4
-
-	// smpStackStride separates per-hart stacks in multi-hart sessions
-	// (32 KB each, descending from stackBase).
-	smpStackStride = 0x8000
-)
+const stackBase = 0x80000
 
 // NewSession builds the models for an already-assembled program and wires the
 // lock-step checker (each emulator steps once per commit inside its core's
 // retire hook). Each world — timing cores, golden emulators — has one memory
 // that all its harts share, the core world one coherent L2 as well; the
-// program runs SPMD, one stack per hart.
+// program runs SPMD, one stack per hart. It panics on Options that Validate
+// rejects.
 func NewSession(p *asm.Program, opts Options) *Session {
-	if opts.MaxCycles == 0 {
-		opts.MaxCycles = 10_000_000
-	}
+	opts.MaxCycles = cmp.Or(opts.MaxCycles, 10_000_000)
 	if opts.Window <= 0 {
 		opts.Window = 16
 	}
-	cfg := opts.Config
-	if cfg.RetireWidth == 0 {
-		cfg = core.XT910Config()
-	}
 	modes := opts.modes()
-	harts := opts.effectiveHarts()
+	sys, err := soc.New(opts.machine())
+	if err != nil {
+		panic("cosim: " + err.Error())
+	}
+	sys.CLINT.Divider = 0 // frozen: mtime reads 0 in both worlds
+	sys.LoadProgram(p)
+	harts := len(sys.Cores)
 	scheds := opts.hartSchedules(harts)
 
-	s := &Session{maxCycles: opts.MaxCycles, failHart: -1}
-
-	cmem, emem := mem.NewMemory(), mem.NewMemory()
-	s.l2 = coherence.NewL2(cache.Config{
-		SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, HitLatency: 10, ECC: true, Parity: true,
-	}, mem.NewDRAM())
-	p.LoadInto(cmem)
+	s := &Session{sys: sys, maxCycles: opts.MaxCycles, failHart: -1}
+	emem := mem.NewMemory()
 	p.LoadInto(emem)
 
-	// Only a second hart gives a CLINT (MSIP IPIs) or the store-order oracle
-	// anything to do. One CLINT per world, and neither ticks, so mtime reads 0
-	// in both and every run stays deterministic.
+	// Only a second hart gives the CLINT (MSIP IPIs) or the store-order oracle
+	// anything to do; the emulators get a CLINT of their own.
 	var clintC, clintE *soc.CLINT
 	if harts > 1 {
-		clintC, clintE = soc.NewCLINT(harts), soc.NewCLINT(harts)
+		clintC, clintE = &sys.CLINT, soc.NewCLINT(harts)
 		if !opts.DisableStoreOracle {
-			s.oracle = newStoreOracle(s.l2, clintC)
+			s.oracle = newStoreOracle(sys.Clusters[0].L2, sys.Cores[0].MMIO)
 		}
 	}
 
@@ -393,22 +394,19 @@ func NewSession(p *asm.Program, opts Options) *Session {
 	// executed overlapping loads squash. The emulators kill reservations alike.
 	coreWrite := func(pa uint64, size int, from int) {
 		written.mark(pa, size)
-		core.BroadcastWrite(s.cores[:len(s.harts)], pa, size, from)
+		core.BroadcastWrite(sys.Cores, pa, size, from)
 	}
-	for h := 0; h < harts; h++ {
-		sp := stackBase - uint64(h)*smpStackStride
-		c := core.New(cfg, h, cmem, s.l2)
-		c.Reset(p.Entry, sp)
-		s.cores[h] = c
-
+	for h, c := range sys.Cores {
 		m := emu.New(emem)
 		m.PC = p.Entry
-		m.X[isa.SP] = sp
+		m.X[isa.SP] = c.Reg(isa.SP)
 		if harts > 1 {
-			c.MMIO, m.MMIO = clintC, clintE
+			m.MMIO = clintE
 			// a lone hart keeps the reset value, 0: a write would add mhartid
 			// to the CSR image of every checkpoint it takes
 			m.SetCSR(isa.CSRMhartid, uint64(h))
+		} else {
+			c.MMIO, c.IntSource = nil, nil // the device window detached
 		}
 		if modes.Paged {
 			setupPaged(c, m)
@@ -519,7 +517,7 @@ func (s *Session) Hart(i int) *HartSession { return s.harts[i] }
 
 // L2 exposes the (core-world) shared L2 so experiments can perturb coherence
 // state — coherence.InjectOwnershipGrant in particular — mid-run.
-func (s *Session) L2() *coherence.L2 { return s.l2 }
+func (s *Session) L2() *coherence.L2 { return s.sys.Clusters[0].L2 }
 
 // Commits returns the number of lock-step-compared commits so far, summed
 // over all harts.
@@ -537,19 +535,12 @@ func (s *Session) Cycles() uint64 { return s.harts[0].c.Now() }
 // Done reports whether the run is over: every core halted, any checker
 // failed, or the cycle budget ran out.
 func (s *Session) Done() bool {
-	if s.cyc >= s.maxCycles {
-		return true
-	}
-	all := true
 	for _, h := range s.harts {
 		if h.k.failed {
 			return true
 		}
-		if !h.c.Halted {
-			all = false
-		}
 	}
-	return all
+	return s.sys.Now() >= s.maxCycles || s.sys.AllHalted()
 }
 
 // wfiParkWindow is how many cycles a WFI-parked hart idles before the session
@@ -560,23 +551,26 @@ const wfiParkWindow = 16
 
 // Step advances every live core by one cycle (each emulator follows inside
 // its core's commit hook; cores step in hart order, so the global commit
-// interleaving is deterministic). A hart parked on WFI for wfiParkWindow
-// cycles force-arms its next schedule event — derived purely from simulation
-// state, so runs stay deterministic — instead of idling to the cycle budget.
-func (s *Session) Step() {
-	if !s.Done() {
-		s.step()
-	}
-}
+// interleaving is deterministic).
+func (s *Session) Step() { s.Advance(0) }
 
-// step is Step for a caller that has just seen Done report false.
-func (s *Session) step() {
+// Advance passes time the way the run loops do, and reports whether the
+// session was still running: one System.Advance, no further than limit or
+// the cycle budget. Schedules move only at a commit, so every compare runs
+// where it does under Step. While an armed hart is WFI-parked the session
+// steps, and one parked for wfiParkWindow cycles force-arms its next schedule
+// event — simulation state only, so runs stay deterministic.
+func (s *Session) Advance(limit uint64) bool {
+	if s.Done() {
+		return false
+	}
+	limit = min(limit, s.maxCycles)
 	for _, h := range s.harts {
-		if !h.c.Halted {
-			h.c.Step()
+		if h.arm != nil && h.c.WFIParked() {
+			limit = 0
 		}
 	}
-	s.cyc++
+	s.sys.Advance(limit)
 	for _, h := range s.harts {
 		if h.arm != nil && h.c.WFIParked() {
 			h.parkRun++
@@ -587,49 +581,12 @@ func (s *Session) step() {
 			h.parkRun = 0
 		}
 	}
-}
-
-// Advance passes time the way the run loops do, and reports whether the
-// session was still running: when every live hart's next event (see
-// core.NextEvent) lies in the future, all of them jump to the earliest one —
-// no further than session cycle limit or the cycle budget — and otherwise the
-// session steps one cycle. The session is the driver that vouches for the
-// cores' devices: schedules and the CLINTs change only at a commit, a cycle
-// with a commit is never jumped, and so every compare runs exactly where it
-// does under Step. A WFI-parked hart counts as acting (forceArm counts its
-// parked cycles one by one).
-func (s *Session) Advance(limit uint64) bool {
-	if s.Done() {
-		return false
-	}
-	// live harts step together from cycle 0, so each one's Now() is s.cyc
-	to := min(limit, s.maxCycles)
-	for _, h := range s.harts {
-		if !h.c.Halted && to > s.cyc {
-			to = min(to, h.c.NextEvent())
-		}
-	}
-	if to <= s.cyc {
-		s.step()
-		return true
-	}
-	for _, h := range s.harts {
-		if !h.c.Halted {
-			h.c.AdvanceIdle(to)
-		}
-	}
-	s.cyc = to
 	return true
 }
 
 // FastForward sums the harts' event-driven-clock counters: how many of the
 // session's hart-cycles were jumped, not stepped.
-func (s *Session) FastForward() (ff core.FFStats) {
-	for _, h := range s.harts {
-		ff.Add(h.c.FastForwardStats())
-	}
-	return ff
-}
+func (s *Session) FastForward() core.FFStats { return s.sys.FastForward() }
 
 // forceArm wakes a WFI-parked hart: the next schedule event's arm point is
 // pulled down to the current commit index, or a synthetic timer event is
@@ -677,14 +634,13 @@ func (s *Session) Finish() Result {
 	return res
 }
 
-// Release hands the session's large tables — the L2 tags, every core's (see
-// core.Core.Release), every emulator's and the pages of both memories — to
+// Release hands the session's large tables — the core world's (see
+// soc.System.Release), every emulator's and the emulators' memory pages — to
 // the sessions built after it, each zeroed back to what its constructor
-// expects, so that a fuzz
-// seed does not pay for allocating and clearing a full-size memory system it
-// barely touches (DESIGN.md "Session storage recycling"). The session and
-// everything reached through it must not be used afterwards; a second call
-// does nothing.
+// expects, so that a fuzz seed does not pay for allocating and clearing a
+// full-size memory system it barely touches (DESIGN.md "Session storage
+// recycling"). The session and everything reached through it must not be
+// used afterwards; a second call does nothing.
 //
 // Only the code that built the session may release it, and only when nothing
 // it handed out can still reach the models: Run and RunContext do, and return
@@ -694,15 +650,12 @@ func (s *Session) Release() {
 	if s.harts == nil {
 		return
 	}
+	s.sys.Release()
 	for _, h := range s.harts {
-		h.c.Release()
 		h.m.Release()
 	}
-	s.l2.Cache.Release()
-	// one memory per world, shared by every hart of it
-	s.harts[0].c.Mem.Release()
-	s.harts[0].m.Mem.Release()
-	s.harts, s.l2 = nil, nil
+	s.harts[0].m.Mem.Release() // one memory, shared by every emulator
+	s.harts, s.sys = nil, nil
 }
 
 // Run drives a program to completion under the lock-step checker.

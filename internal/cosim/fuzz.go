@@ -72,11 +72,11 @@ func Fuzz(seed int64, nSegs int, opts Options) FuzzResult {
 // TimedOut instead of blocking on a pathological seed.
 func FuzzContext(ctx context.Context, seed int64, nSegs int, opts Options) FuzzResult {
 	fr := FuzzResult{Seed: seed}
-	modes := opts.modes()
-	if err := modes.Validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		fr.Err = fmt.Errorf("seed %d: %w", seed, err)
 		return fr
 	}
+	modes := opts.modes()
 	prog := generate(seed, nSegs, modes, opts.effectiveHarts())
 	if modes.IRQ {
 		opts.IRQSchedules = prog.irqs

@@ -409,4 +409,8 @@ func TestOptionsValidateHartsFold(t *testing.T) {
 	if err := (Options{Modes: Modes{IRQ: true}, Harts: 4}).Validate(); err != nil {
 		t.Fatalf("irq + Harts 4: %v", err)
 	}
+	// the session's core world is a soc.System, and no cluster has three cores
+	if err := (Options{Harts: 3}).Validate(); err == nil || !strings.Contains(err.Error(), "Table I") {
+		t.Fatalf("Harts 3: %v, want an error naming Table I", err)
+	}
 }

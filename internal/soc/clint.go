@@ -1,5 +1,7 @@
 package soc
 
+import "math/bits"
+
 // CLINT is the core-local interruptor (§II: "standard CLint and PLIC
 // multi-core interrupt controllers, timers"): the memory-mapped mtime /
 // mtimecmp / msip registers at their conventional addresses, driving the
@@ -9,11 +11,12 @@ type CLINT struct {
 	harts int
 
 	mtime    uint64
-	mtimecmp []uint64
-	msip     []uint32
+	mtimecmp [maxHarts]uint64
+	msip     [maxHarts]uint32
 
 	// Divider slows mtime relative to the CPU clock (default 1: one tick
-	// per cycle, keeping tests crisp).
+	// per cycle, keeping tests crisp). 0 freezes mtime: it never ticks, so
+	// a run that reads it is deterministic whatever its timing.
 	Divider uint64
 	phase   uint64
 }
@@ -26,16 +29,10 @@ const (
 	clintSize        = 0xC000
 )
 
-// NewCLINT builds a CLINT for the given hart count at the conventional base.
+// NewCLINT builds a CLINT for up to maxHarts harts at the conventional base.
 func NewCLINT(harts int) *CLINT {
-	c := &CLINT{
-		Base:     0x02000000,
-		harts:    harts,
-		mtimecmp: make([]uint64, harts),
-		msip:     make([]uint32, harts),
-		Divider:  1,
-	}
-	for i := range c.mtimecmp {
+	c := &CLINT{Base: 0x02000000, harts: harts, Divider: 1}
+	for i := range harts {
 		c.mtimecmp[i] = ^uint64(0) // timer disarmed at reset
 	}
 	return c
@@ -46,13 +43,29 @@ func (c *CLINT) Covers(pa uint64) bool {
 	return pa >= c.Base && pa < c.Base+clintSize
 }
 
-// Tick advances mtime (called once per SoC cycle).
-func (c *CLINT) Tick() {
-	c.phase++
-	if c.phase >= c.Divider {
-		c.phase = 0
-		c.mtime++
+// Advance passes n CPU cycles.
+func (c *CLINT) Advance(n uint64) {
+	if c.Divider == 1 {
+		c.mtime += n // the common case, without a division
+	} else if c.Divider > 1 {
+		c.phase += n
+		c.mtime += c.phase / c.Divider
+		c.phase %= c.Divider
 	}
+}
+
+// NextEdge returns how many more CPU cycles pass before mtime reaches a
+// hart's mtimecmp that it is below now, the one change to MTIP no register
+// write makes; ^0 when none will come (frozen, reached or disarmed).
+func (c *CLINT) NextEdge() uint64 {
+	next := ^uint64(0)
+	for _, cmp := range c.mtimecmp[:c.harts] {
+		// in ticks; none overflows, none comes with mtime frozen (lo == 0)
+		if hi, lo := bits.Mul64(cmp-c.mtime, c.Divider); cmp > c.mtime && hi == 0 && lo > 0 {
+			next = min(next, lo-c.phase)
+		}
+	}
+	return next
 }
 
 // MTime returns the current timer value.
@@ -60,12 +73,12 @@ func (c *CLINT) MTime() uint64 { return c.mtime }
 
 // TimerPending reports MTIP for a hart.
 func (c *CLINT) TimerPending(hart int) bool {
-	return hart < len(c.mtimecmp) && c.mtime >= c.mtimecmp[hart]
+	return hart < c.harts && c.mtime >= c.mtimecmp[hart]
 }
 
 // SoftPending reports MSIP for a hart.
 func (c *CLINT) SoftPending(hart int) bool {
-	return hart < len(c.msip) && c.msip[hart]&1 != 0
+	return hart < c.harts && c.msip[hart]&1 != 0
 }
 
 // Read services a load from the register window.
@@ -128,8 +141,9 @@ func insertBits(reg, sh uint64, size int, v uint64) uint64 {
 // raise lines with Raise.
 type PLIC struct {
 	Base    uint64
+	harts   int
 	pending uint64
-	enable  []uint64 // per hart
+	enable  [maxHarts]uint64
 	claimed uint64
 }
 
@@ -140,11 +154,6 @@ const (
 	plicClaimOff   = 0x200004
 	plicSize       = 0x400000
 )
-
-// NewPLIC builds a PLIC at the conventional base.
-func NewPLIC(harts int) *PLIC {
-	return &PLIC{Base: 0x0C000000, enable: make([]uint64, harts)}
-}
 
 // Covers reports whether pa falls inside the PLIC window.
 func (p *PLIC) Covers(pa uint64) bool {
@@ -158,7 +167,7 @@ func (p *PLIC) Raise(line int) {
 
 // ExtPending reports MEIP for a hart: any enabled, unclaimed source pending.
 func (p *PLIC) ExtPending(hart int) bool {
-	return hart < len(p.enable) && p.pending&p.enable[hart]&^p.claimed != 0
+	return hart < p.harts && p.pending&p.enable[hart]&^p.claimed != 0
 }
 
 // Read services loads (pending word, enables, claim).
@@ -167,7 +176,7 @@ func (p *PLIC) Read(pa uint64, size int) uint64 {
 	switch {
 	case off == plicPendingOff:
 		return p.pending & mask(size)
-	case off >= plicEnableOff && off < plicEnableOff+uint64(8*len(p.enable)):
+	case off >= plicEnableOff && off < plicEnableOff+uint64(8*p.harts):
 		return p.enable[(off-plicEnableOff)/8] & mask(size)
 	case off == plicClaimOff:
 		// claim: highest pending enabled source (hart 0 semantics kept
@@ -188,7 +197,7 @@ func (p *PLIC) Read(pa uint64, size int) uint64 {
 func (p *PLIC) Write(pa uint64, size int, v uint64) {
 	off := pa - p.Base
 	switch {
-	case off >= plicEnableOff && off < plicEnableOff+uint64(8*len(p.enable)):
+	case off >= plicEnableOff && off < plicEnableOff+uint64(8*p.harts):
 		p.enable[(off-plicEnableOff)/8] = v
 	case off == plicClaimOff:
 		// complete: clear pending + claimed for the source

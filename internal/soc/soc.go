@@ -1,11 +1,13 @@
 // Package soc assembles XT-910 cores into the paper's multi-core topology
 // (§VI): one to four cores per cluster sharing an inclusive L2 with MOSEI
 // coherence and a snoop filter, and up to four clusters joined by an
-// Ncore-style interconnect. Cores step in deterministic lock-step, so every
-// simulation is exactly reproducible.
+// Ncore-style interconnect. It is the one place a machine is built, and
+// System.Advance its one clock. Cores step in deterministic lock-step, so
+// every simulation is exactly reproducible.
 package soc
 
 import (
+	"cmp"
 	"context"
 
 	"xt910/internal/asm"
@@ -24,6 +26,7 @@ type Config struct {
 	Core            core.Config
 	L2SizeBytes     int // 256 KB – 8 MB per cluster
 	L2Ways          int // 8 or 16
+	L2HitLatency    int // L2 array hit latency in cycles (0: the stock 10)
 	DRAMLatency     int // CPU cycles (§X uses ~200)
 	DRAMGap         int
 
@@ -31,6 +34,9 @@ type Config struct {
 	StackBase uint64
 	StackSize uint64
 }
+
+// maxHarts is four clusters of four cores (Table I).
+const maxHarts = 16
 
 // DefaultConfig is a single-core XT-910 with a 1 MB L2 and 200-cycle memory.
 func DefaultConfig() Config {
@@ -63,6 +69,9 @@ func (c *Config) Validate() error {
 	if c.L2Ways != 8 && c.L2Ways != 16 {
 		return &core.ConfigError{Config: "soc", Reason: "L2 is 8- or 16-way (§II)"}
 	}
+	if c.L2HitLatency < 0 {
+		return &core.ConfigError{Config: "soc", Reason: "negative L2 hit latency"}
+	}
 	return c.Core.Validate()
 }
 
@@ -72,41 +81,39 @@ type Cluster struct {
 	Cores []*core.Core
 }
 
-// System is the whole SMP machine.
+// System is the whole SMP machine: one allocation besides what it holds, as
+// a cosim session builds one per fuzz seed.
 type System struct {
 	Cfg      Config
 	Mem      *mem.Memory
-	DRAM     *mem.DRAM
+	DRAM     mem.DRAM
 	Ncore    *coherence.Ncore
-	Clusters []*Cluster
+	Clusters []Cluster
 	Cores    []*core.Core // flattened, hart id order
-	CLINT    *CLINT
-	PLIC     *PLIC
+	CLINT    CLINT
+	PLIC     PLIC
+
+	now      uint64 // cycles passed
+	clusters [4]Cluster
+	cores    [maxHarts]*core.Core
 }
 
-// mmioRouter multiplexes the CLINT and PLIC register windows.
-type mmioRouter struct {
-	clint *CLINT
-	plic  *PLIC
-}
+// devices is a System as its cores' device window: the CLINT and PLIC
+// register windows, multiplexed.
+type devices System
 
-func (r mmioRouter) Covers(pa uint64) bool {
-	return r.clint.Covers(pa) || r.plic.Covers(pa)
-}
+func (d *devices) Covers(pa uint64) bool { return d.CLINT.Covers(pa) || d.PLIC.Covers(pa) }
 
-func (r mmioRouter) Read(pa uint64, size int) uint64 {
-	if r.clint.Covers(pa) {
-		return r.clint.Read(pa, size)
+func (d *devices) Read(pa uint64, size int) uint64 { return d.at(pa).Read(pa, size) }
+
+func (d *devices) Write(pa uint64, size int, v uint64) { d.at(pa).Write(pa, size, v) }
+
+// at is the device whose window covers pa.
+func (d *devices) at(pa uint64) core.MMIODevice {
+	if d.CLINT.Covers(pa) {
+		return &d.CLINT
 	}
-	return r.plic.Read(pa, size)
-}
-
-func (r mmioRouter) Write(pa uint64, size int, v uint64) {
-	if r.clint.Covers(pa) {
-		r.clint.Write(pa, size, v)
-		return
-	}
-	r.plic.Write(pa, size, v)
+	return &d.PLIC
 }
 
 // New builds the system.
@@ -114,38 +121,35 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{Cfg: cfg, Mem: mem.NewMemory()}
-	s.DRAM = &mem.DRAM{Latency: cfg.DRAMLatency, GapCycles: cfg.DRAMGap}
-	totalHarts := cfg.Clusters * cfg.CoresPerCluster
-	s.CLINT = NewCLINT(totalHarts)
-	s.PLIC = NewPLIC(totalHarts)
+	harts := cfg.Clusters * cfg.CoresPerCluster
+	s := &System{Cfg: cfg, Mem: mem.NewMemory(), DRAM: mem.DRAM{Latency: cfg.DRAMLatency, GapCycles: cfg.DRAMGap},
+		CLINT: *NewCLINT(harts), PLIC: PLIC{Base: 0x0C000000, harts: harts}}
 	if cfg.Clusters > 1 {
-		s.Ncore = coherence.NewNcore(s.DRAM)
+		s.Ncore = coherence.NewNcore(&s.DRAM)
 	}
-	hart := 0
-	for cl := 0; cl < cfg.Clusters; cl++ {
-		l2cfg := cache.Config{
+	intSource := s.interruptBits // one function value for every core
+	s.Cores = s.cores[:harts]
+	s.Clusters = s.clusters[:cfg.Clusters]
+	for cl := range s.Clusters {
+		l2 := coherence.NewL2(cache.Config{
 			SizeBytes: cfg.L2SizeBytes, Ways: cfg.L2Ways, LineBytes: 64,
-			HitLatency: 10, ECC: true, Parity: true, // §II: ECC and parity
-		}
-		l2 := coherence.NewL2(l2cfg, s.DRAM)
+			HitLatency: cmp.Or(cfg.L2HitLatency, 10), ECC: true, Parity: true, // §II: ECC and parity
+		}, &s.DRAM)
 		if s.Ncore != nil {
 			s.Ncore.Attach(l2)
 		}
-		cluster := &Cluster{L2: l2}
-		for i := 0; i < cfg.CoresPerCluster; i++ {
-			c := core.New(cfg.Core, hart, s.Mem, l2)
-			c.TLBBroadcast = s.broadcastTLB
-			c.MemWriteHook = func(pa uint64, size int, from int) {
-				core.BroadcastWrite(s.Cores, pa, size, from)
+		first := cl * cfg.CoresPerCluster
+		cores := s.Cores[first : first+cfg.CoresPerCluster : first+cfg.CoresPerCluster]
+		for i := range cores {
+			c := core.New(cfg.Core, first+i, s.Mem, l2)
+			c.MMIO, c.IntSource = (*devices)(s), intSource
+			if harts > 1 { // a lone core has nobody to broadcast to
+				c.TLBBroadcast = s.broadcastTLB
+				c.MemWriteHook = func(pa uint64, size int, from int) { core.BroadcastWrite(s.Cores, pa, size, from) }
 			}
-			c.MMIO = mmioRouter{clint: s.CLINT, plic: s.PLIC}
-			c.IntSource = s.interruptBits
-			cluster.Cores = append(cluster.Cores, c)
-			s.Cores = append(s.Cores, c)
-			hart++
+			cores[i] = c
 		}
-		s.Clusters = append(s.Clusters, cluster)
+		s.Clusters[cl] = Cluster{L2: l2, Cores: cores}
 	}
 	return s, nil
 }
@@ -200,50 +204,76 @@ func (s *System) interruptBits(hart int) uint64 {
 	return v
 }
 
-// Step advances every core by one cycle (deterministic lock-step).
-func (s *System) Step() {
-	s.CLINT.Tick()
-	for _, c := range s.Cores {
-		c.Step()
+// Now returns the number of cycles the system has passed.
+func (s *System) Now() uint64 { return s.now }
+
+// Advance passes time: it begins cycle Now() — the CLINT ticks — and then
+// jumps every live core over the inert window that starts there, to the
+// earliest of their next events (core.NextEvent), the CLINT's next
+// mtime ≥ mtimecmp edge and limit, or, with no such window (or a limit at or
+// before Now()), steps each live core once in hart order. It reports false,
+// counting no cycle, when no core is live (the tick stands). Jumping is sound
+// because the CLINT and PLIC registers change only at a core's commit, which
+// no inert window holds, or between calls.
+func (s *System) Advance(limit uint64) bool {
+	s.CLINT.Advance(1)
+	var window uint64 // cycles every live core can jump; 0 steps one
+	if limit > s.now {
+		window = limit - s.now
 	}
+	live := false
+	for _, c := range s.Cores {
+		if !c.Halted {
+			live = true
+			if window > 0 {
+				window = min(window, c.NextEvent()-c.Now())
+			}
+		}
+	}
+	if !live {
+		return false
+	}
+	if window > 0 {
+		window = min(window, s.CLINT.NextEdge())
+	}
+	for _, c := range s.Cores {
+		if c.Halted {
+			continue
+		}
+		if window == 0 {
+			c.Step()
+		} else {
+			c.AdvanceIdle(c.Now() + window)
+		}
+	}
+	window = max(window, 1)
+	s.CLINT.Advance(window - 1) // the cycles after this one begin too
+	s.now += window
+	return true
 }
 
-// runCheckMask controls how often RunContext polls for cancellation: every
-// 1024 simulated cycles, cheap enough to disappear in the noise yet prompt
-// enough that a cancelled experiment stops within microseconds of host time.
-const runCheckMask = 1<<10 - 1
-
-// RunContext steps until every core halts, maxCycles elapse, or ctx is
-// cancelled. It returns the number of cycles simulated and the context's
-// error when the run was cut short by cancellation or deadline; the cycle
-// count up to that point is still meaningful. Stepping is identical to Run,
-// so a given program and configuration produce the same cycle count whether
-// or not a context carries a (non-expiring) deadline.
+// RunContext advances until every core halts, maxCycles elapse, or ctx is
+// cancelled (polled every 1024 advances). It returns the number of cycles
+// passed, and the context's error when the run was cut short; the machine
+// stays resumable. The clock is the same with or without a deadline.
 func (s *System) RunContext(ctx context.Context, maxCycles uint64) (uint64, error) {
-	var cycles uint64
-	for ; cycles < maxCycles; cycles++ {
-		if cycles&runCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return cycles, err
-			}
+	start, limit := s.now, s.now+maxCycles
+	if limit < start {
+		limit = ^uint64(0) // saturate: callers pass huge budgets
+	}
+	for n := 0; s.now < limit; n++ {
+		if n&1023 == 0 && ctx.Err() != nil {
+			return s.now - start, ctx.Err()
 		}
-		allHalted := true
-		s.CLINT.Tick()
-		for _, c := range s.Cores {
-			if !c.Halted {
-				c.Step()
-				allHalted = false
-			}
-		}
-		if allHalted {
+		if !s.Advance(limit) {
 			break
 		}
 	}
-	return cycles, nil
+	return s.now - start, nil
 }
 
-// Run steps until every core halts or maxCycles elapse. It returns the number
-// of cycles simulated.
+// Run advances until every core halts or maxCycles elapse. It returns the
+// number of cycles passed.
 func (s *System) Run(maxCycles uint64) uint64 {
 	cycles, _ := s.RunContext(context.Background(), maxCycles)
 	return cycles
@@ -257,4 +287,25 @@ func (s *System) AllHalted() bool {
 		}
 	}
 	return true
+}
+
+// FastForward sums the cores' event-driven-clock counters.
+func (s *System) FastForward() (ff core.FFStats) {
+	for _, c := range s.Cores {
+		ff.Add(c.FastForwardStats())
+	}
+	return ff
+}
+
+// Release hands the tables of every core, every L2 and the memory to the
+// systems built after it (DESIGN.md "Session storage recycling"). Only the
+// code that built the system may call it, once nothing can reach the system.
+func (s *System) Release() {
+	for _, c := range s.Cores {
+		c.Release()
+	}
+	for _, cl := range s.Clusters {
+		cl.L2.Cache.Release()
+	}
+	s.Mem.Release()
 }

@@ -114,8 +114,8 @@ func (s *System) LoadAssembly(src string, opts AsmOptions) (*Program, error) {
 	return p, nil
 }
 
-// RunContext steps the machine until every hart halts, maxCycles elapse, or
-// ctx is cancelled. It returns the number of cycles simulated along with:
+// RunContext advances the machine until every hart halts, maxCycles elapse,
+// or ctx is cancelled. It returns the number of cycles simulated along with:
 //
 //   - nil when every hart reached the host exit syscall;
 //   - a ctx error (matching context.Canceled / context.DeadlineExceeded via
@@ -135,14 +135,6 @@ func (s *System) RunContext(ctx context.Context, maxCycles uint64) (uint64, erro
 		return cycles, fmt.Errorf("xt910: %w after %d cycles", ErrDidNotHalt, cycles)
 	}
 	return cycles, nil
-}
-
-// Run steps until every hart halts or maxCycles elapse and returns the number
-// of cycles simulated — the pre-context API, kept as a thin wrapper so
-// existing callers compile unchanged. Use RunContext for cancellation,
-// deadlines and typed errors.
-func (s *System) Run(maxCycles uint64) uint64 {
-	return s.System.Run(maxCycles)
 }
 
 // Hart is a handle on one hardware thread of a System. It is the unit of
