@@ -102,9 +102,8 @@ type Core struct {
 	feITLBUntil     uint64 // until the in-flight ITLB walk completes
 	feRedirectUntil uint64 // until the current redirect/flush bubble drains
 
-	// architectural system state (CSRs, privilege) — owned by retire.
-	csr     isa.CSRFile
-	priv    int
+	// architectural system state (privilege, CSRs) — owned by retire.
+	priv    isa.Priv
 	resAddr uint64
 	resOK   bool
 
@@ -137,7 +136,7 @@ type Core struct {
 	// (CLINT, PLIC). MMIO loads start non-speculatively at the ROB head and
 	// read the device at retirement; MMIO stores take effect at retirement
 	// like all stores.
-	MMIO MMIODevice
+	MMIO mem.Device
 
 	// IntSource, when set by the SoC, returns the externally-driven mip bits
 	// (MSIP/MTIP/MEIP) for this hart, sampled at every cycle boundary and
@@ -155,13 +154,6 @@ type Core struct {
 // WFIParked reports whether the hart is parked on a wfi waiting for an
 // interrupt source.
 func (c *Core) WFIParked() bool { return c.wfiWait }
-
-// MMIODevice is a memory-mapped device window.
-type MMIODevice interface {
-	Covers(pa uint64) bool
-	Read(pa uint64, size int) uint64
-	Write(pa uint64, size int, v uint64)
-}
 
 type lqEntry struct {
 	seq      uint64
@@ -220,7 +212,7 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 		sq:     newRing(&freeSqEntries, cfg.SQSize),
 		ckpts:  make([]checkpoint, cfg.Checkpoints),
 		memDep: make(map[uint64]bool),
-		priv:   isa.PrivM,
+		priv:   isa.Priv{Level: isa.PrivM},
 	}
 	c.LoopBuf = branch.NewLoopBuffer()
 	c.MMU = mmu.New(func(pa uint64, now uint64) (uint64, uint64) {
@@ -242,7 +234,7 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 	}
 	c.pf, c.rat = newPhysFile(cfg.IntPhysRegs, cfg.FpPhysRegs)
 	c.archRAT = append([]int16(nil), c.rat...)
-	c.csr.Set(isa.CSRMhartid, uint64(id))
+	c.priv.Write(isa.CSRMhartid, uint64(id))
 	if cfg.PredecodeCache {
 		c.predec = newPredecode()
 	}
@@ -348,34 +340,23 @@ func (c *Core) Tracer() *trace.Tracer { return c.tr }
 // SetPrivilege places the core in the given privilege level (harness setup
 // for runs under SV39 translation).
 func (c *Core) SetPrivilege(p int) {
-	c.priv = p
+	c.priv.Level = p
 	c.MMU.Priv = p
 }
 
-// CSR reads a CSR value (retire-time architectural state).
+// CSR reads a CSR value (retire-time architectural state): the clocks, the
+// hpm counters, the vector configuration and mip's source bits are the
+// core's, the rest isa.Priv's.
 func (c *Core) CSR(num uint16) uint64 {
 	switch num {
 	case isa.CSRCycle, isa.CSRMcycle, isa.CSRTime:
 		return c.now
 	case isa.CSRInstret, isa.CSRMinstret:
 		return c.Stats.Retired
-	case isa.CSRVl:
-		if c.Vec != nil {
-			return c.Vec.VL
-		}
-		return 0
-	case isa.CSRVtype:
-		if c.Vec != nil {
-			return uint64(c.Vec.VType)
-		}
-		return 0
-	case isa.CSRVlenb:
-		if c.Vec != nil {
-			return uint64(c.Vec.File.VLENBits / 8)
-		}
-		return 0
+	case isa.CSRVl, isa.CSRVtype, isa.CSRVlenb:
+		return c.Vec.CSR(num)
 	case isa.CSRMip:
-		v := c.csr.Get(num)
+		v := c.priv.Read(num)
 		if c.IntSource != nil {
 			v |= c.IntSource(c.ID)
 		}
@@ -402,43 +383,16 @@ func (c *Core) CSR(num uint16) uint64 {
 		return c.MMU.Stats.Walks
 	case isa.CSRMhpmcounter12:
 		return c.Stats.VecOps
-	case isa.CSRFflags:
-		return c.csr.Get(isa.CSRFcsr) & 0x1F
-	case isa.CSRFrm:
-		return c.csr.Get(isa.CSRFcsr) >> 5 & 7
 	}
-	return c.csr.Get(num)
+	return c.priv.Read(num)
 }
 
-// SetCSR writes a CSR (setup / retire-time execution).
+// SetCSR writes a CSR (setup / retire-time execution) through isa.Priv's
+// window; a satp write reaches the MMU too.
 func (c *Core) SetCSR(num uint16, v uint64) {
-	switch num {
-	case isa.CSRSatp:
-		c.csr.Set(num, v)
+	c.priv.Write(num, v)
+	if num == isa.CSRSatp {
 		c.MMU.Satp = v
-	case isa.CSRVl, isa.CSRVtype, isa.CSRVlenb, isa.CSRCycle, isa.CSRInstret:
-		// read-only
-	// The fflags/frm windows alias into fcsr, which is the canonical
-	// storage; any write to the family dirties mstatus.FS.
-	case isa.CSRFflags:
-		c.csr.Set(isa.CSRFcsr, c.csr.Get(isa.CSRFcsr)&^uint64(0x1F)|v&0x1F)
-		c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
-	case isa.CSRFrm:
-		c.csr.Set(isa.CSRFcsr, c.csr.Get(isa.CSRFcsr)&^uint64(0xE0)|v&7<<5)
-		c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
-	case isa.CSRFcsr:
-		c.csr.Set(isa.CSRFcsr, v&0xFF)
-		c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
-	// Interrupt CSR WARL windows, identical to emu.SetCSR: unimplemented
-	// bits read back zero, and mip's machine-level bits are source-driven.
-	case isa.CSRMie:
-		c.csr.Set(num, v&isa.MieWritableMask)
-	case isa.CSRMip:
-		c.csr.Set(num, v&isa.MipWritableMask)
-	case isa.CSRMideleg:
-		c.csr.Set(num, v&isa.MidelegWritableMask)
-	default:
-		c.csr.Set(num, v)
 	}
 }
 

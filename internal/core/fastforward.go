@@ -68,7 +68,7 @@ func (c *Core) FastForwardStats() FFStats { return c.ff }
 // interrupt pends). It changes nothing. The caller vouches that IntSource and
 // MMIO change only in cycles it steps.
 func (c *Core) NextEvent() uint64 {
-	if !c.Cfg.FastForward || c.pendingBits() != 0 && (c.wfiWait || c.deliverable()) {
+	if !c.Cfg.FastForward || c.pendingBits() != 0 && (c.wfiWait || c.priv.Deliverable()) {
 		return c.now
 	}
 	if c.wfiWait {

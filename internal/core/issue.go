@@ -299,20 +299,14 @@ func (c *Core) execVector(p pipeID, idx int, u *uop) bool {
 	group := vt.LMUL()
 
 	if op == isa.VSETVLI || op == isa.VSETVL {
-		requested := uint64(0)
+		var rs1, rs2 uint64
 		if u.nsrc > 0 {
-			requested = c.srcVal(u, 0)
+			rs1 = c.srcVal(u, 0)
 		}
-		var nvt isa.VType
-		if op == isa.VSETVLI {
-			nvt = isa.VType(u.inst.Imm)
-		} else {
-			nvt = isa.VType(c.srcVal(u, 1))
+		if op == isa.VSETVL {
+			rs2 = c.srcVal(u, 1)
 		}
-		if u.inst.Rs1 == isa.Zero && u.inst.Rd != isa.Zero {
-			requested = ^uint64(0)
-		}
-		vl := spec.SetVL(requested, nvt)
+		vl := spec.VSet(&u.inst, rs1, rs2)
 		c.pf.write(u.newPhys, vl, c.now+1)
 		// §VII vl speculation: a changed vl breaks the predicted vector
 		// configuration and costs a re-steer of in-flight vector work.

@@ -44,20 +44,6 @@ func (c *Core) findLQ(u *uop) *lqEntry {
 	return nil
 }
 
-// memAddr computes a scalar memory op's effective address, including the
-// custom indexed forms (§VIII-A).
-func (c *Core) memAddr(u *uop) uint64 {
-	switch u.inst.Op {
-	case isa.XLRB, isa.XLRH, isa.XLRW, isa.XLRD:
-		return c.srcVal(u, 0) + c.srcVal(u, 1)<<uint(u.inst.Imm&3)
-	case isa.XLURB, isa.XLURH, isa.XLURW:
-		return c.srcVal(u, 0) + uint64(uint32(c.srcVal(u, 1)))<<uint(u.inst.Imm&3)
-	case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
-		return c.srcVal(u, 0) + c.srcVal(u, 1)<<uint(u.inst.Imm&3)
-	}
-	return c.srcVal(u, 0) + uint64(u.inst.Imm)
-}
-
 // storeDataVal extracts the store's data value from its renamed sources.
 // Standard stores read data from Rs2 (the second renamed source); custom
 // indexed stores read data from Rd (the third renamed source, via Sources).
@@ -119,7 +105,7 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 			e.dataDone = true
 		}
 	}
-	va := c.memAddr(u)
+	va := isa.MemAddr(u.inst.Op, c.srcVal(u, 0), c.srcVal(u, 1), u.inst.Imm)
 	pa, doneT, err := c.mmuTranslate(va, mmuAccStore)
 	if err != nil {
 		u.excCause = int16(err.(*mmu.PageFault).Cause())
@@ -247,7 +233,7 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 		return false
 	}
 	size := u.memSize()
-	va := c.memAddr(u)
+	va := isa.MemAddr(u.inst.Op, c.srcVal(u, 0), c.srcVal(u, 1), u.inst.Imm)
 	pa, doneT, err := c.mmuTranslate(va, mmuAccLoad)
 	if err != nil {
 		u.excCause = int16(err.(*mmu.PageFault).Cause())
@@ -334,7 +320,7 @@ func (c *Core) execLoad(idx int, u *uop) bool {
 	}
 	c.PF.Train(va, c.now)
 
-	value = extendLoad(u.inst.Op, value, size)
+	value = isa.ExtendLoad(u.inst.Op, value, size)
 	c.pf.write(u.newPhys, value, done+1) // WB stage
 	if le := c.findLQ(u); le != nil {
 		le.addr = pa
@@ -368,24 +354,6 @@ func (c *Core) popBlocker() {
 			return
 		}
 	}
-}
-
-func extendLoad(op isa.Op, v uint64, size int) uint64 {
-	switch op {
-	case isa.FLW:
-		return isa.BoxF32(uint32(v))
-	case isa.FLD:
-		return v
-	}
-	if size == 8 {
-		return v
-	}
-	v &= 1<<(8*size) - 1
-	if op.LoadUnsigned() {
-		return v
-	}
-	sh := uint(64 - 8*size)
-	return uint64(int64(v<<sh) >> sh)
 }
 
 func overlap(a uint64, an int, b uint64, bn int) bool {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"xt910/internal/cache"
-	"xt910/internal/emu"
 	"xt910/internal/trace"
 	"xt910/isa"
 )
@@ -102,16 +101,13 @@ func (c *Core) retire() {
 
 		// Floating-point architectural side effects land here, before the
 		// commit hooks observe state: IEEE flags accrue into fcsr, and any
-		// FP execution or f-register load leaves mstatus.FS dirty. The same
-		// rule runs in the golden model's exec, keeping fcsr and mstatus
-		// comparable per commit.
+		// FP execution or f-register load leaves mstatus.FS dirty.
 		switch u.class {
 		case isa.ClassFPU:
-			c.csr.Or(isa.CSRFcsr, uint64(u.fpFlags))
-			c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
+			c.priv.AccrueFP(u.fpFlags)
 		case isa.ClassLoad:
 			if u.inst.Rd.IsF() {
-				c.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
+				c.priv.DirtyFS()
 			}
 		}
 
@@ -239,66 +235,29 @@ func (c *Core) executeAtRetire(u *uop) bool {
 	case isa.ClassSys:
 		switch op {
 		case isa.ECALL:
-			if c.handleHostEcall() {
-				u.done = true
-				u.readyAt = c.now
+			if c.hostCall() {
 				u.flushAfter = true
-				u.redirectTo = nextPC
-				return true
+				break
 			}
-			cause := isa.ExcEcallU + c.priv
-			if c.priv == isa.PrivM {
-				cause = isa.ExcEcallM
-			}
-			u.excCause = int16(cause)
-			u.done = true
-			u.readyAt = c.now
-			return true
+			u.excCause = int16(c.priv.EcallCause())
 		case isa.EBREAK:
 			u.excCause = isa.ExcBreakpoint
 			u.excTval = u.pc
-			u.done = true
-			u.readyAt = c.now
-			return true
 		case isa.MRET:
-			st := c.csr.Get(isa.CSRMstatus)
-			c.priv = int(st >> 11 & 3)
-			st = st&^(1<<3) | (st&(1<<7))>>4&(1<<3)
-			st |= 1 << 7
-			st &^= 3 << 11
-			c.csr.Set(isa.CSRMstatus, st)
-			c.MMU.Priv = c.priv
-			u.redirectTo = c.csr.Get(isa.CSRMepc)
+			u.redirectTo = c.priv.Mret()
+			c.MMU.Priv = c.priv.Level
 			u.flushAfter = true
 		case isa.SRET:
-			st := c.csr.Get(isa.CSRMstatus)
-			if st&(1<<8) != 0 {
-				c.priv = isa.PrivS
-			} else {
-				c.priv = isa.PrivU
-			}
-			st = st&^(1<<1) | (st&(1<<5))>>4&(1<<1)
-			st |= 1 << 5
-			st &^= 1 << 8
-			c.csr.Set(isa.CSRMstatus, st)
-			c.MMU.Priv = c.priv
-			u.redirectTo = c.csr.Get(isa.CSRSepc)
+			u.redirectTo = c.priv.Sret()
+			c.MMU.Priv = c.priv.Level
 			u.flushAfter = true
 		case isa.SFENCEVMA:
 			c.MMU.FlushAll()
 			c.PF.Flush()
 			u.flushAfter = true
-			u.redirectTo = nextPC
 		case isa.FENCEI:
-			c.L1I.Cache.InvalidateAll()
-			if c.predec != nil {
-				c.predec.flush()
-			}
-			if c.sblk != nil {
-				c.sblk.flush()
-			}
+			c.flushICache()
 			u.flushAfter = true
-			u.redirectTo = nextPC
 		case isa.WFI:
 			// §II timers: wait-for-interrupt parks the hart until an
 			// interrupt source pends (taken or not, per the privileged spec)
@@ -306,7 +265,6 @@ func (c *Core) executeAtRetire(u *uop) bool {
 				c.wfiWait = true
 			}
 			u.flushAfter = true
-			u.redirectTo = nextPC
 		case isa.FENCE:
 			// full drain is implied by at-retire execution
 		}
@@ -322,7 +280,7 @@ func (c *Core) executeAtRetire(u *uop) bool {
 	u.done = true
 	u.readyAt = c.now
 	if u.flushAfter && u.redirectTo == 0 {
-		u.redirectTo = nextPC
+		u.redirectTo = nextPC // a serializing op resumes after itself unless it redirected
 	}
 	return true
 }
@@ -336,17 +294,8 @@ func (c *Core) execCSRAtRetire(u *uop) {
 		src = c.srcVal(u, 0)
 	}
 	old := c.CSR(u.inst.CSR)
-	switch op {
-	case isa.CSRRW, isa.CSRRWI:
-		c.SetCSR(u.inst.CSR, src)
-	case isa.CSRRS, isa.CSRRSI:
-		if src != 0 {
-			c.SetCSR(u.inst.CSR, old|src)
-		}
-	case isa.CSRRC, isa.CSRRCI:
-		if src != 0 {
-			c.SetCSR(u.inst.CSR, old&^src)
-		}
+	if v, ok := isa.CSRUpdate(op, old, src); ok {
+		c.SetCSR(u.inst.CSR, v)
 	}
 	c.pf.write(u.newPhys, old, c.now)
 	// writes to translation or mode state serialize the pipeline
@@ -405,7 +354,7 @@ func (c *Core) commitAMO(u *uop) {
 	case isa.LRW, isa.LRD:
 		v := c.Mem.Read(pa, size)
 		c.resAddr, c.resOK = pa, true
-		c.pf.write(u.newPhys, loadExtendSized(v, size), ready)
+		c.pf.write(u.newPhys, isa.ExtendAMO(v, size), ready)
 	case isa.SCW, isa.SCD:
 		if c.resOK && c.resAddr == pa {
 			c.commitWrite(pa, size, c.srcVal(u, 1))
@@ -417,7 +366,7 @@ func (c *Core) commitAMO(u *uop) {
 	default:
 		old := c.Mem.Read(pa, size)
 		c.commitWrite(pa, size, isa.EvalAMO(op, old, c.srcVal(u, 1)))
-		c.pf.write(u.newPhys, loadExtendSized(old, size), ready)
+		c.pf.write(u.newPhys, isa.ExtendAMO(old, size), ready)
 	}
 }
 
@@ -426,7 +375,7 @@ func (c *Core) commitAMO(u *uop) {
 // the load reached the head, and the value is readable from u.readyAt on.
 func (c *Core) commitDeviceLoad(u *uop) {
 	size := u.memSize()
-	c.pf.write(u.newPhys, extendLoad(u.inst.Op, c.MMIO.Read(u.addr, size), size), u.readyAt)
+	c.pf.write(u.newPhys, isa.ExtendLoad(u.inst.Op, c.MMIO.Read(u.addr, size), size), u.readyAt)
 }
 
 // notifyWrite publishes a committed write to the SoC fabric and drops any
@@ -450,15 +399,7 @@ func (c *Core) KillReservation(pa uint64, size int) {
 	}
 }
 
-func loadExtendSized(v uint64, size int) uint64 {
-	if size == 4 {
-		return uint64(int64(int32(uint32(v))))
-	}
-	return v
-}
-
 func (c *Core) execCacheOpAtRetire(u *uop) {
-	nextPC := u.pc + uint64(u.inst.Size)
 	switch u.inst.Op {
 	case isa.XDCACHECALL:
 		c.L1D.Cache.CleanAll()
@@ -469,18 +410,10 @@ func (c *Core) execCacheOpAtRetire(u *uop) {
 	case isa.XDCACHEIVA:
 		c.L1D.FlushVA(c.srcVal(u, 0), true, c.now)
 	case isa.XICACHEIALL:
-		c.L1I.Cache.InvalidateAll()
-		if c.predec != nil {
-			c.predec.flush()
-		}
-		if c.sblk != nil {
-			c.sblk.flush()
-		}
+		c.flushICache()
 		u.flushAfter = true
-		u.redirectTo = nextPC
 	case isa.XSYNC:
 		u.flushAfter = true
-		u.redirectTo = nextPC
 	case isa.XTLBIASID:
 		// §V-E: broadcast maintenance over the interconnect, no IPIs
 		c.MMU.FlushASID(uint16(c.srcVal(u, 0)))
@@ -488,112 +421,86 @@ func (c *Core) execCacheOpAtRetire(u *uop) {
 			c.TLBBroadcast(u.inst.Op, c.srcVal(u, 0), c.ID)
 		}
 		u.flushAfter = true
-		u.redirectTo = nextPC
 	case isa.XTLBIVA:
 		c.MMU.FlushVA(c.srcVal(u, 0))
 		if c.TLBBroadcast != nil {
 			c.TLBBroadcast(u.inst.Op, c.srcVal(u, 0), c.ID)
 		}
 		u.flushAfter = true
-		u.redirectTo = nextPC
 	}
 }
 
-// handleHostEcall services the bare-metal host ABI shared with the emulator.
-func (c *Core) handleHostEcall() bool {
-	a7 := c.Reg(isa.A7)
-	switch a7 {
-	case emu.SysExit:
-		c.Halted = true
-		c.ExitCode = int(int64(c.Reg(isa.A0)))
-		return true
-	case emu.SysWrite:
-		addr, n := c.Reg(isa.A1), c.Reg(isa.A2)
-		for i := uint64(0); i < n; i++ {
-			pa, _, err := c.mmuTranslate(addr+i, mmuAccLoad)
+// flushICache invalidates the L1I and every decode cached from it.
+func (c *Core) flushICache() {
+	c.L1I.Cache.InvalidateAll()
+	if c.predec != nil {
+		c.predec.flush()
+	}
+	if c.sblk != nil {
+		c.sblk.flush()
+	}
+}
+
+// hostCall serves the ecall at the ROB head under the bare-metal host ABI
+// (isa.HostCall) and reports whether it did; a write reads its bytes through
+// the MMU as the program would.
+func (c *Core) hostCall() bool {
+	a0, exit, ok := isa.HostCall(c.Reg(isa.A7), c.Reg(isa.A0), c.Reg(isa.A1), c.Reg(isa.A2), &c.Output,
+		func(va uint64) (byte, bool) {
+			pa, _, err := c.mmuTranslate(va, mmuAccLoad)
 			if err != nil {
-				break
+				return 0, false
 			}
-			c.Output = append(c.Output, c.Mem.LoadByte(pa))
-		}
-		c.setArchReg(isa.A0, n)
-		return true
+			return c.Mem.LoadByte(pa), true
+		})
+	switch {
+	case exit:
+		c.Halted, c.ExitCode = true, int(int64(a0))
+	case ok:
+		// a0's retirement-map register is written in place: the speculative
+		// map may alias it, but anything in flight was fetched after this
+		// serializing ecall anyway
+		c.pf.write(c.archRAT[isa.A0], a0, c.now)
 	}
-	return false
-}
-
-// setArchReg writes an architectural register at retire time (host-ecall
-// results): the retirement map's physical register is updated in place.
-func (c *Core) setArchReg(r isa.Reg, v uint64) {
-	c.pf.write(c.archRAT[int(r)], v, c.now)
-	// the speculative map may alias the same physical register; anything
-	// in flight was fetched after this serializing ecall anyway
+	return ok
 }
 
 // pendingBits returns the externally-driven mip bits masked by mie (without
 // asking the source when mie masks everything, as it does for most programs).
 func (c *Core) pendingBits() uint64 {
-	if mie := c.csr.Get(isa.CSRMie); c.IntSource != nil && mie != 0 {
-		return c.IntSource(c.ID) & mie
+	if c.IntSource == nil || c.priv.Enabled() == 0 {
+		return 0
 	}
-	return 0
+	return c.priv.Pending(c.IntSource(c.ID))
 }
 
-// sampleInterrupts takes the highest-priority enabled machine interrupt
-// (MEI > MSI > MTI) and reports whether one was delivered. It runs at the
-// cycle boundary and again between same-cycle retirements.
+// sampleInterrupts takes the highest-priority enabled machine interrupt and
+// reports whether one was delivered. It runs at the cycle boundary and again
+// between same-cycle retirements.
 func (c *Core) sampleInterrupts() bool {
 	pend := c.pendingBits()
 	if pend == 0 {
 		return false
 	}
 	c.wfiWait = false
-	if !c.deliverable() {
+	if !c.priv.Deliverable() {
 		return false
 	}
-	var cause uint64
-	switch {
-	case pend&(1<<isa.IntMExt) != 0:
-		cause = isa.IntMExt
-	case pend&(1<<isa.IntMSoft) != 0:
-		cause = isa.IntMSoft
-	default:
-		cause = isa.IntMTimer
-	}
-	c.takeInterrupt(cause)
+	c.takeInterrupt(pend)
 	return true
 }
 
-// deliverable reports whether a pending machine interrupt would be taken now:
-// the hart runs below M, or in M with mstatus.MIE set, and a handler is
-// installed (without one the interrupt stays pending).
-func (c *Core) deliverable() bool {
-	if c.priv == isa.PrivM && c.csr.Get(isa.CSRMstatus)&(1<<3) == 0 {
-		return false
-	}
-	return c.csr.Get(isa.CSRMtvec)&^3 != 0
-}
-
-// takeInterrupt flushes the pipeline and vectors to mtvec with the interrupt
-// bit set in mcause; mepc points at the oldest unretired instruction.
-func (c *Core) takeInterrupt(cause uint64) {
+// takeInterrupt flushes the pipeline and vectors to the handler of the
+// interrupt pend selects; mepc points at the oldest unretired instruction.
+func (c *Core) takeInterrupt(pend uint64) {
 	resume := c.fetchPC
 	if !c.robQ.empty() {
 		resume = c.robQ.front().pc
 	} else if c.fq.len() > 0 {
 		resume = c.fq.front().pc
 	}
-	target := c.csr.Get(isa.CSRMtvec) &^ 3
-	c.csr.Set(isa.CSRMepc, resume)
-	c.csr.Set(isa.CSRMcause, 1<<63|cause)
-	c.csr.Set(isa.CSRMtval, 0)
-	st := c.csr.Get(isa.CSRMstatus)
-	st = st&^(1<<7) | (st&(1<<3))<<4
-	st &^= 1 << 3
-	st = st&^(3<<11) | uint64(c.priv)<<11
-	c.csr.Set(isa.CSRMstatus, st)
-	c.priv = isa.PrivM
-	c.MMU.Priv = c.priv
+	cause, target := c.priv.Interrupt(pend, resume)
+	c.MMU.Priv = c.priv.Level
 	c.Stats.Interrupts++
 	c.flushAll(target, trace.SquashInterrupt)
 	// everything in flight was squashed by the delivery: the refill window is
@@ -604,45 +511,15 @@ func (c *Core) takeInterrupt(cause uint64) {
 	}
 }
 
-// takeTrap implements precise exception entry with medeleg delegation,
-// flushing the pipeline and redirecting to the handler.
+// takeTrap takes the precise exception at the ROB head, flushing the
+// pipeline and redirecting to the handler, or halting without one.
 func (c *Core) takeTrap(u *uop) {
 	cause := int(u.excCause)
-	deleg := c.csr.Get(isa.CSRMedeleg)
-	toS := c.priv != isa.PrivM && deleg>>uint(cause)&1 == 1
-	st := c.csr.Get(isa.CSRMstatus)
-	var target uint64
-	if toS {
-		c.csr.Set(isa.CSRSepc, u.pc)
-		c.csr.Set(isa.CSRScause, uint64(cause))
-		c.csr.Set(isa.CSRStval, u.excTval)
-		st = st&^(1<<5) | (st&(1<<1))<<4
-		st &^= 1 << 1
-		if c.priv == isa.PrivS {
-			st |= 1 << 8
-		} else {
-			st &^= 1 << 8
-		}
-		c.csr.Set(isa.CSRMstatus, st)
-		c.priv = isa.PrivS
-		target = c.csr.Get(isa.CSRStvec) &^ 3
-	} else {
-		c.csr.Set(isa.CSRMepc, u.pc)
-		c.csr.Set(isa.CSRMcause, uint64(cause))
-		c.csr.Set(isa.CSRMtval, u.excTval)
-		st = st&^(1<<7) | (st&(1<<3))<<4
-		st &^= 1 << 3
-		st = st&^(3<<11) | uint64(c.priv)<<11
-		c.csr.Set(isa.CSRMstatus, st)
-		c.priv = isa.PrivM
-		target = c.csr.Get(isa.CSRMtvec) &^ 3
-	}
-	c.MMU.Priv = c.priv
+	target, ok := c.priv.Trap(cause, u.pc, u.excTval)
+	c.MMU.Priv = c.priv.Level
 	c.Stats.Traps++
-	if target == 0 {
-		// no handler installed: halt distinctively, mirroring the emulator
-		c.Halted = true
-		c.ExitCode = -(16 + cause)
+	if !ok {
+		c.Halted, c.ExitCode = true, isa.NoHandlerExit(cause)
 		return
 	}
 	c.flushAll(target, trace.SquashException)

@@ -22,7 +22,9 @@
 //     its lines are checked there.
 //   - trap CSRs (mstatus, mepc/mcause/mtval, sepc/scause/stval, mscratch,
 //     sscratch, satp, mie, medeleg, mtvec, stvec): at CSR/system commits and
-//     at halt.
+//     at halt. Both models take traps through the one isa.Priv, so what this
+//     verifies is what each decides alone — which instruction traps, with
+//     which cause, and where it resumes; isa/priv_test.go checks the rules.
 //   - vector register file, vl and vtype: at every vector instruction's
 //     commit, and again at halt.
 //   - cycle/time/mcycle CSR reads: compared modulo the clock. The golden
@@ -719,7 +721,7 @@ func setupPaged(c *core.Core, m *emu.Machine) {
 	c.SetPrivilege(isa.PrivS)
 	m.SetCSR(isa.CSRSatp, satp)
 	m.SetCSR(isa.CSRMedeleg, 0xFFFF)
-	m.Priv = isa.PrivS
+	m.SetPrivilege(isa.PrivS)
 }
 
 // writtenLines tracks the 64-byte lines either model has written through
@@ -1076,7 +1078,7 @@ func (k *checker) drain() {
 // normalized to the emulator's (the drained core has no architectural PC to
 // read back, and both models' trap CSRs are compared separately).
 func (k *checker) coreState() emu.ArchState {
-	s := emu.ArchState{PC: k.m.PC, Priv: k.m.Priv, Instret: k.c.Stats.Retired}
+	s := emu.ArchState{PC: k.m.PC, Priv: k.m.Privilege(), Instret: k.c.Stats.Retired}
 	for i := 0; i < 32; i++ {
 		s.X[i] = k.c.Reg(isa.X(i))
 		s.F[i] = k.c.Reg(isa.F(i))

@@ -166,6 +166,50 @@ _start:
 	}
 }
 
+// TestNoHandlerTrapVectorBase checks the no-handler rule on a trap vector
+// whose base is 0 but whose mode bits are not: both models must halt with
+// exit -(16+cause), not jump to address 0. Once, the emulator halted only on
+// a vector of exactly 0 and diverged `halt` on both programs.
+func TestNoHandlerTrapVectorBase(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		want int
+	}{
+		{"mtvec_ebreak", `
+_start:
+    li t0, 1
+    csrw mtvec, t0
+    ebreak
+`, -(16 + isa.ExcBreakpoint)},
+		{"stvec_delegated_ecall", `
+_start:
+    li t0, 0x200             # delegate ecall from S
+    csrw medeleg, t0
+    li t0, 1
+    csrw stvec, t0
+    la t1, smode
+    csrw mepc, t1
+    li t2, 0x1800
+    csrrc zero, mstatus, t2
+    li t2, 0x0800            # MPP = S
+    csrrs zero, mstatus, t2
+    mret
+smode:
+    li a7, 1234              # not a host call: traps
+    ecall
+`, -(16 + isa.ExcEcallS)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := checkClean(t, tc.src)
+			if r.ExitCode != tc.want {
+				t.Fatalf("exit code = %d, want %d", r.ExitCode, tc.want)
+			}
+		})
+	}
+}
+
 // TestFuzzFixedSeeds is the property-test entry point: a fixed-seed sweep
 // that must stay divergence-free at HEAD. Budget is a fraction of a second.
 func TestFuzzFixedSeeds(t *testing.T) {

@@ -16,23 +16,6 @@ import (
 	"xt910/isa"
 )
 
-// EcallMode selects how ecall is handled.
-type EcallMode int
-
-const (
-	// EcallHost services the minimal host ABI (exit/write) directly, the way
-	// the benchmarks run bare-metal. Unknown syscalls fall through to a trap.
-	EcallHost EcallMode = iota
-	// EcallTrap always raises the architectural environment-call exception.
-	EcallTrap
-)
-
-// Host syscall numbers (RISC-V Linux ABI subset).
-const (
-	SysExit  = 93
-	SysWrite = 64
-)
-
 // Machine is one hart's architectural state.
 type Machine struct {
 	X   [32]uint64
@@ -41,9 +24,7 @@ type Machine struct {
 	PC  uint64
 	Mem *mem.Memory
 
-	Priv int
-
-	csr isa.CSRFile
+	priv isa.Priv
 
 	Instret uint64
 
@@ -54,8 +35,6 @@ type Machine struct {
 	ExitCode int
 	Output   []byte
 
-	Ecall EcallMode
-
 	// Trace, when set, observes every retired instruction.
 	Trace func(pc uint64, in isa.Inst)
 
@@ -64,10 +43,6 @@ type Machine struct {
 	// co-simulation checker can track touched memory independently of which
 	// virtual alias the program stored through.
 	OnStore func(pa uint64, size int)
-
-	// OnCacheOp observes custom cache/TLB maintenance ops (the SoC model
-	// hooks this; standalone emulation treats them as no-ops).
-	OnCacheOp func(op isa.Op, operand uint64)
 
 	// tab holds the soft TLB and the decode memo.
 	tab *tables
@@ -80,9 +55,6 @@ type Machine struct {
 	codeMem  *mem.Memory
 	codeGen  uint64
 
-	// BreakOnEbreak stops execution at ebreak instead of trapping.
-	BreakOnEbreak bool
-
 	// CycleModel, when set, derives the value the cycle/time/mcycle CSRs read
 	// from the retired-instruction count — a coarse timing model for the
 	// functional machine (e.g. instret/IPC from a prior pipeline run). Nil
@@ -92,7 +64,7 @@ type Machine struct {
 	// IntSource, when set, returns the externally-driven mip bits
 	// (MSIP/MTIP/MEIP), checked before every instruction — the synchronous
 	// model's equivalent of the core's per-retirement interrupt sample. mip
-	// reads OR these bits in, mirroring core.CSR.
+	// reads OR these bits in.
 	IntSource func() uint64
 
 	// OnInterrupt observes every taken machine interrupt with its cause
@@ -104,15 +76,7 @@ type Machine struct {
 	// IPIs work in the golden world too). Device accesses bypass memory,
 	// the LR/SC reservation and OnStore, mirroring the pipeline's
 	// uncached-device path.
-	MMIO MMIODevice
-}
-
-// MMIODevice is a memory-mapped device window (structurally identical to the
-// core package's interface; redeclared here because core imports emu).
-type MMIODevice interface {
-	Covers(pa uint64) bool
-	Read(pa uint64, size int) uint64
-	Write(pa uint64, size int, v uint64)
+	MMIO mem.Device
 }
 
 // stlbEntry is one soft-TLB slot: the translation of one 4 KB virtual page
@@ -152,7 +116,7 @@ func New(m *mem.Memory) *Machine {
 	return &Machine{
 		Mem:  m,
 		Vec:  vector.NewUnit(vector.DefaultVLEN),
-		Priv: isa.PrivM,
+		priv: isa.Priv{Level: isa.PrivM},
 		tab:  tab,
 	}
 }
@@ -199,75 +163,40 @@ func (m *Machine) Cycles() uint64 {
 	return m.Instret
 }
 
-// CSR reads a CSR (modelled subset; unknown CSRs read as 0).
+// Privilege returns the current privilege level.
+func (m *Machine) Privilege() int { return m.priv.Level }
+
+// SetPrivilege places the machine in the given privilege level.
+func (m *Machine) SetPrivilege(p int) { m.priv.Level = p }
+
+// CSR reads a CSR (modelled subset; unknown CSRs read as 0): the clocks, the
+// vector configuration and mip's source bits are the machine's, the rest
+// isa.Priv's.
 func (m *Machine) CSR(num uint16) uint64 {
 	switch num {
 	case isa.CSRCycle, isa.CSRMcycle, isa.CSRTime:
 		return m.Cycles() // the functional model has no real cycles
 	case isa.CSRInstret, isa.CSRMinstret:
 		return m.Instret
-	case isa.CSRVl:
-		return m.Vec.VL
-	case isa.CSRVtype:
-		return uint64(m.Vec.VType)
-	case isa.CSRVlenb:
-		return uint64(m.Vec.File.VLENBits / 8)
-	case isa.CSRFflags:
-		return m.csr.Get(isa.CSRFcsr) & 0x1F
-	case isa.CSRFrm:
-		return m.csr.Get(isa.CSRFcsr) >> 5 & 7
+	case isa.CSRVl, isa.CSRVtype, isa.CSRVlenb:
+		return m.Vec.CSR(num)
 	case isa.CSRMip:
-		v := m.csr.Get(num)
+		v := m.priv.Read(num)
 		if m.IntSource != nil {
 			v |= m.IntSource()
 		}
 		return v
 	}
-	return m.csr.Get(num)
+	return m.priv.Read(num)
 }
 
-// SetCSR writes a CSR, applying side effects (satp flushes the soft TLB;
-// the fflags/frm windows alias into fcsr, which is the canonical storage).
+// SetCSR writes a CSR through isa.Priv's window; a satp write flushes the
+// soft TLB.
 func (m *Machine) SetCSR(num uint16, v uint64) {
-	switch num {
-	case isa.CSRSatp:
+	if num == isa.CSRSatp {
 		m.flushTLB()
-	case isa.CSRVl, isa.CSRVtype, isa.CSRVlenb, isa.CSRCycle, isa.CSRInstret:
-		return // read-only
-	case isa.CSRFflags:
-		m.csr.Set(isa.CSRFcsr, m.csr.Get(isa.CSRFcsr)&^uint64(0x1F)|v&0x1F)
-		m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
-		return
-	case isa.CSRFrm:
-		m.csr.Set(isa.CSRFcsr, m.csr.Get(isa.CSRFcsr)&^uint64(0xE0)|v&7<<5)
-		m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
-		return
-	case isa.CSRFcsr:
-		m.csr.Set(isa.CSRFcsr, v&0xFF)
-		m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
-		return
-	// Interrupt CSR WARL windows: unimplemented bits are wired to zero, and
-	// mip's machine-level bits are device-driven (IntSource), never stored.
-	// The same masks live in core.SetCSR — csr_window_test pins the parity.
-	case isa.CSRMie:
-		m.csr.Set(num, v&isa.MieWritableMask)
-		return
-	case isa.CSRMip:
-		m.csr.Set(num, v&isa.MipWritableMask)
-		return
-	case isa.CSRMideleg:
-		m.csr.Set(num, v&isa.MidelegWritableMask)
-		return
 	}
-	m.csr.Set(num, v)
-}
-
-// accrueFFlags ORs newly raised IEEE exception flags into fcsr and marks the
-// floating-point context dirty in mstatus. Called for every executed FP
-// instruction even when flags is 0: any FP-unit execution leaves FS=Dirty.
-func (m *Machine) accrueFFlags(flags uint8) {
-	m.csr.Or(isa.CSRFcsr, uint64(flags))
-	m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
+	m.priv.Write(num, v)
 }
 
 // trapError carries an architectural exception through the execute switch.
@@ -283,12 +212,12 @@ func (t *trapError) Error() string {
 // untranslated reports whether virtual addresses are physical as they stand:
 // in M-mode, or under a bare satp.
 func (m *Machine) untranslated() bool {
-	return m.Priv == isa.PrivM || isa.SatpMode(m.csr.Get(isa.CSRSatp)) != isa.SatpModeSV39
+	return m.priv.Level == isa.PrivM || isa.SatpMode(m.priv.Read(isa.CSRSatp)) != isa.SatpModeSV39
 }
 
 // translate resolves a virtual address or raises a page fault.
 func (m *Machine) translate(va uint64, acc mmu.Access) (uint64, error) {
-	if m.Priv == isa.PrivM {
+	if m.priv.Level == isa.PrivM {
 		return va, nil // small enough to inline for this, the common case
 	}
 	return m.translateBelowM(va, acc)
@@ -297,7 +226,7 @@ func (m *Machine) translate(va uint64, acc mmu.Access) (uint64, error) {
 // translateBelowM is translate below M-mode: bare satp, or the soft TLB and
 // a walk.
 func (m *Machine) translateBelowM(va uint64, acc mmu.Access) (uint64, error) {
-	satp := m.csr.Get(isa.CSRSatp)
+	satp := m.priv.Read(isa.CSRSatp)
 	if isa.SatpMode(satp) != isa.SatpModeSV39 {
 		return va, nil
 	}
@@ -308,13 +237,13 @@ func (m *Machine) translateBelowM(va uint64, acc mmu.Access) (uint64, error) {
 	if e.valid && e.key == key {
 		// The entry was filled at the privilege of that moment; like the
 		// pipeline's TLBs, a hit answers for the current one.
-		if !mmu.PermOK(e.perms, acc, m.Priv) {
+		if !mmu.PermOK(e.perms, acc, m.priv.Level) {
 			return 0, pageFault(va, acc)
 		}
 		return e.base | va&(1<<e.bits-1), nil
 	}
 	res, err := mmu.Walk(func(pa uint64) uint64 { return m.Mem.Read(pa, 8) },
-		satp, va, acc, m.Priv)
+		satp, va, acc, m.priv.Level)
 	if err != nil {
 		return 0, pageFault(va, acc) // Walk fails in no other way
 	}
@@ -352,13 +281,9 @@ func (m *Machine) store(va uint64, size int, v uint64) error {
 		return nil
 	}
 	m.Mem.Write(pa, size, v)
-	// Any store that touches the reserved line invalidates an LR/SC
-	// reservation (64-byte granule, mirroring the pipeline's cache line).
-	// The granule is tracked in PHYSICAL addresses, like the core's, so a
-	// store through a virtual alias of the reserved line kills it too.
-	if m.resValid && pa>>6 == m.resAddr>>6 {
-		m.resValid = false
-	}
+	// The reservation granule is tracked in PHYSICAL addresses, so a store
+	// through a virtual alias of the reserved line kills it too.
+	m.KillReservation(pa, size)
 	if m.OnStore != nil {
 		m.OnStore(pa, size)
 	}
@@ -380,45 +305,18 @@ func (m *Machine) KillReservation(pa uint64, size int) {
 	}
 }
 
-// checkInterrupt takes the highest-priority enabled machine interrupt
-// (MEI > MSI > MTI) before an instruction executes, mirroring the core's
-// retirement-boundary sample: mcause gets bit 63, mepc points at the
-// not-yet-executed instruction, and the MIE/MPIE/MPP dance matches
-// core.takeInterrupt bit for bit. It returns true when a trap was taken —
-// the step is consumed without executing or counting an instruction. Step
-// calls it only with an IntSource attached.
+// checkInterrupt takes the highest-priority deliverable interrupt before an
+// instruction executes — the synchronous model's equivalent of the core's
+// retirement-boundary sample — with mepc at the not-yet-executed instruction.
+// It returns true when one was taken: the step is consumed without executing
+// or counting an instruction. Step calls it only with an IntSource attached.
 func (m *Machine) checkInterrupt() bool {
-	pend := m.IntSource() & m.csr.Get(isa.CSRMie)
-	if pend == 0 {
+	pend := m.priv.Pending(m.IntSource())
+	if pend == 0 || !m.priv.Deliverable() {
 		return false
 	}
-	// M-mode interrupts fire when running below M, or in M with MIE set.
-	if m.Priv == isa.PrivM && m.csr.Get(isa.CSRMstatus)&mstatusMIE == 0 {
-		return false
-	}
-	var cause uint64
-	switch {
-	case pend&(1<<isa.IntMExt) != 0:
-		cause = isa.IntMExt
-	case pend&(1<<isa.IntMSoft) != 0:
-		cause = isa.IntMSoft
-	default:
-		cause = isa.IntMTimer
-	}
-	target := m.csr.Get(isa.CSRMtvec) &^ 3
-	if target == 0 {
-		return false // no handler installed: leave it pending, like the core
-	}
-	m.csr.Set(isa.CSRMepc, m.PC)
-	m.csr.Set(isa.CSRMcause, 1<<63|cause)
-	m.csr.Set(isa.CSRMtval, 0)
-	st := m.csr.Get(isa.CSRMstatus)
-	st = st&^mstatusMPIE | (st&mstatusMIE)<<4&mstatusMPIE
-	st &^= mstatusMIE
-	st = st&^mstatusMPP | uint64(m.Priv)<<11
-	m.csr.Set(isa.CSRMstatus, st)
-	m.Priv = isa.PrivM
-	m.PC = target
+	cause, handler := m.priv.Interrupt(pend, m.PC)
+	m.PC = handler
 	if m.OnInterrupt != nil {
 		m.OnInterrupt(cause)
 	}
@@ -484,11 +382,13 @@ func (m *Machine) Step() error {
 	case kindSys:
 		err = m.execSys(in, &next)
 	case kindVSet:
-		m.execVSet(in)
+		m.setReg(in.Rd, m.Vec.VSet(in, m.Reg(in.Rs1), m.Reg(in.Rs2)))
 	case kindVector:
 		err = m.execVector(in)
 	case kindCacheOp:
-		m.execCacheOp(in)
+		if in.Op == isa.XTLBIASID || in.Op == isa.XTLBIVA {
+			m.flushTLB()
+		}
 	default:
 		err = &trapError{cause: isa.ExcIllegalInst, tval: 0}
 	}
@@ -520,13 +420,13 @@ func (m *Machine) Run(maxInsts uint64) error {
 // or an indexed address.
 func (m *Machine) execLoad(in *isa.Inst) error {
 	size := in.Op.MemBytes()
-	v, err := m.load(m.memAddr(in), size)
+	v, err := m.load(isa.MemAddr(in.Op, m.Reg(in.Rs1), m.Reg(in.Rs2), in.Imm), size)
 	if err != nil {
 		return err
 	}
-	m.setReg(in.Rd, loadExtend(in.Op, v, size))
+	m.setReg(in.Rd, isa.ExtendLoad(in.Op, v, size))
 	if in.Rd.IsF() {
-		m.csr.Or(isa.CSRMstatus, isa.MstatusFSDirty)
+		m.priv.DirtyFS()
 	}
 	return nil
 }
@@ -539,7 +439,7 @@ func (m *Machine) execStore(in *isa.Inst) error {
 	case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
 		data = m.Reg(in.Rd) // custom stores carry data in rd
 	}
-	return m.store(m.memAddr(in), in.Op.MemBytes(), data)
+	return m.store(isa.MemAddr(in.Op, m.Reg(in.Rs1), m.Reg(in.Rs2), in.Imm), in.Op.MemBytes(), data)
 }
 
 func (m *Machine) execFPU(in *isa.Inst) error {
@@ -548,60 +448,8 @@ func (m *Machine) execFPU(in *isa.Inst) error {
 		return &trapError{cause: isa.ExcIllegalInst, tval: 0}
 	}
 	m.setReg(in.Rd, res)
-	m.accrueFFlags(flags)
+	m.priv.AccrueFP(flags)
 	return nil
-}
-
-func (m *Machine) execVSet(in *isa.Inst) {
-	requested := m.Reg(in.Rs1)
-	var vt isa.VType
-	if in.Op == isa.VSETVLI {
-		vt = isa.VType(in.Imm)
-	} else {
-		vt = isa.VType(m.Reg(in.Rs2))
-	}
-	if in.Rs1 == isa.Zero && in.Rd != isa.Zero {
-		// rs1=x0: request VLMAX
-		requested = ^uint64(0)
-	}
-	m.setReg(in.Rd, m.Vec.SetVL(requested, vt))
-}
-
-func (m *Machine) execCacheOp(in *isa.Inst) {
-	operand := m.Reg(in.Rs1)
-	if m.OnCacheOp != nil {
-		m.OnCacheOp(in.Op, operand)
-	}
-	if in.Op == isa.XTLBIASID || in.Op == isa.XTLBIVA {
-		m.flushTLB()
-	}
-}
-
-// memAddr computes the effective address of any scalar memory op, including
-// the custom indexed forms (§VIII-A).
-func (m *Machine) memAddr(in *isa.Inst) uint64 {
-	switch in.Op {
-	case isa.XLRB, isa.XLRH, isa.XLRW, isa.XLRD,
-		isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
-		return m.Reg(in.Rs1) + m.Reg(in.Rs2)<<uint(in.Imm&3)
-	case isa.XLURB, isa.XLURH, isa.XLURW:
-		return m.Reg(in.Rs1) + uint64(uint32(m.Reg(in.Rs2)))<<uint(in.Imm&3)
-	}
-	return m.Reg(in.Rs1) + uint64(in.Imm)
-}
-
-func loadExtend(op isa.Op, v uint64, size int) uint64 {
-	if op == isa.FLW {
-		return isa.BoxF32(uint32(v))
-	}
-	if op == isa.FLD {
-		return v
-	}
-	if op.LoadUnsigned() {
-		return v
-	}
-	sh := uint(64 - 8*size)
-	return uint64(int64(v<<sh) >> sh)
 }
 
 func (m *Machine) execAMO(in *isa.Inst) error {
@@ -624,7 +472,7 @@ func (m *Machine) execAMO(in *isa.Inst) error {
 	case isa.LRW, isa.LRD:
 		v := m.Mem.Read(pa, size)
 		m.resValid, m.resAddr = true, pa
-		m.setReg(in.Rd, loadExtendSized(v, size))
+		m.setReg(in.Rd, isa.ExtendAMO(v, size))
 	case isa.SCW, isa.SCD:
 		if m.resValid && m.resAddr == pa {
 			m.Mem.Write(pa, size, m.Reg(in.Rs2))
@@ -639,98 +487,55 @@ func (m *Machine) execAMO(in *isa.Inst) error {
 	default:
 		old := m.Mem.Read(pa, size)
 		m.Mem.Write(pa, size, isa.EvalAMO(op, old, m.Reg(in.Rs2)))
-		if m.resValid && pa>>6 == m.resAddr>>6 {
-			m.resValid = false
-		}
+		m.KillReservation(pa, size)
 		if m.OnStore != nil {
 			m.OnStore(pa, size)
 		}
-		m.setReg(in.Rd, loadExtendSized(old, size))
+		m.setReg(in.Rd, isa.ExtendAMO(old, size))
 	}
 	return nil
 }
 
-func loadExtendSized(v uint64, size int) uint64 {
-	if size == 4 {
-		return uint64(int64(int32(uint32(v))))
-	}
-	return v
-}
-
 func (m *Machine) execCSR(in *isa.Inst) error {
-	var src uint64
-	useImm := in.Op == isa.CSRRWI || in.Op == isa.CSRRSI || in.Op == isa.CSRRCI
-	if useImm {
+	src := m.Reg(in.Rs1)
+	if in.Op == isa.CSRRWI || in.Op == isa.CSRRSI || in.Op == isa.CSRRCI {
 		src = uint64(in.Imm)
-	} else {
-		src = m.Reg(in.Rs1)
 	}
 	old := m.CSR(in.CSR)
-	switch in.Op {
-	case isa.CSRRW, isa.CSRRWI:
-		m.SetCSR(in.CSR, src)
-	case isa.CSRRS, isa.CSRRSI:
-		if src != 0 {
-			m.SetCSR(in.CSR, old|src)
-		}
-	case isa.CSRRC, isa.CSRRCI:
-		if src != 0 {
-			m.SetCSR(in.CSR, old&^src)
-		}
+	if v, ok := isa.CSRUpdate(in.Op, old, src); ok {
+		m.SetCSR(in.CSR, v)
 	}
 	m.setReg(in.Rd, old)
 	return nil
 }
 
-// mstatus bit positions used by the trap machinery.
-const (
-	mstatusSIE  = 1 << 1
-	mstatusMIE  = 1 << 3
-	mstatusSPIE = 1 << 5
-	mstatusMPIE = 1 << 7
-	mstatusSPP  = 1 << 8
-	mstatusMPP  = 3 << 11
-)
-
 func (m *Machine) execSys(in *isa.Inst, nextPC *uint64) error {
 	switch in.Op {
 	case isa.ECALL:
-		if m.Ecall == EcallHost && m.handleHostEcall() {
-			return nil
+		a0, exit, ok := isa.HostCall(m.X[17], m.X[10], m.X[11], m.X[12], &m.Output,
+			func(va uint64) (byte, bool) {
+				pa, err := m.translate(va, mmu.AccLoad)
+				if err != nil {
+					return 0, false
+				}
+				return m.Mem.LoadByte(pa), true
+			})
+		switch {
+		case exit:
+			m.Halted, m.ExitCode = true, int(int64(a0))
+		case ok:
+			m.X[10] = a0
+		default:
+			return &trapError{cause: m.priv.EcallCause()}
 		}
-		cause := isa.ExcEcallU + m.Priv
-		if m.Priv == isa.PrivM {
-			cause = isa.ExcEcallM
-		}
-		return &trapError{cause: cause}
+		return nil
 	case isa.EBREAK:
-		if m.BreakOnEbreak {
-			m.Halted = true
-			return nil
-		}
 		return &trapError{cause: isa.ExcBreakpoint, tval: m.PC}
 	case isa.MRET:
-		st := m.csr.Get(isa.CSRMstatus)
-		m.Priv = int(st >> 11 & 3)
-		// MIE ← MPIE, MPIE ← 1, MPP ← U
-		st = st&^mstatusMIE | (st&mstatusMPIE)>>4&mstatusMIE
-		st |= mstatusMPIE
-		st &^= mstatusMPP
-		m.csr.Set(isa.CSRMstatus, st)
-		*nextPC = m.csr.Get(isa.CSRMepc)
+		*nextPC = m.priv.Mret()
 		return nil
 	case isa.SRET:
-		st := m.csr.Get(isa.CSRMstatus)
-		if st&mstatusSPP != 0 {
-			m.Priv = isa.PrivS
-		} else {
-			m.Priv = isa.PrivU
-		}
-		st = st&^mstatusSIE | (st&mstatusSPIE)>>4&mstatusSIE
-		st |= mstatusSPIE
-		st &^= mstatusSPP
-		m.csr.Set(isa.CSRMstatus, st)
-		*nextPC = m.csr.Get(isa.CSRSepc)
+		*nextPC = m.priv.Sret()
 		return nil
 	case isa.SFENCEVMA:
 		m.flushTLB()
@@ -739,29 +544,6 @@ func (m *Machine) execSys(in *isa.Inst, nextPC *uint64) error {
 		return nil
 	}
 	return &trapError{cause: isa.ExcIllegalInst}
-}
-
-// handleHostEcall services the bare-metal host ABI; returns false when the
-// syscall number is unknown (which then traps architecturally).
-func (m *Machine) handleHostEcall() bool {
-	switch m.X[17] { // a7
-	case SysExit:
-		m.Halted = true
-		m.ExitCode = int(int64(m.X[10]))
-		return true
-	case SysWrite:
-		addr, n := m.X[11], m.X[12]
-		for i := uint64(0); i < n; i++ {
-			pa, err := m.translate(addr+i, mmu.AccLoad)
-			if err != nil {
-				break
-			}
-			m.Output = append(m.Output, m.Mem.LoadByte(pa))
-		}
-		m.X[10] = n
-		return true
-	}
-	return false
 }
 
 func (m *Machine) execVector(in *isa.Inst) error {
@@ -799,47 +581,12 @@ func (m *Machine) execVector(in *isa.Inst) error {
 	return nil
 }
 
-// enterTrap implements the M/S trap entry flow with medeleg-based delegation.
+// enterTrap takes an exception (isa.Priv.Trap), halting when no handler is
+// installed.
 func (m *Machine) enterTrap(t *trapError) {
-	deleg := m.csr.Get(isa.CSRMedeleg)
-	toS := m.Priv != isa.PrivM && deleg>>uint(t.cause)&1 == 1
-	st := m.csr.Get(isa.CSRMstatus)
-	if toS {
-		m.csr.Set(isa.CSRSepc, m.PC)
-		m.csr.Set(isa.CSRScause, uint64(t.cause))
-		m.csr.Set(isa.CSRStval, t.tval)
-		// SPIE ← SIE, SIE ← 0, SPP ← prior priv
-		st = st&^mstatusSPIE | (st&mstatusSIE)<<4&mstatusSPIE
-		st &^= mstatusSIE
-		if m.Priv == isa.PrivS {
-			st |= mstatusSPP
-		} else {
-			st &^= mstatusSPP
-		}
-		m.csr.Set(isa.CSRMstatus, st)
-		m.Priv = isa.PrivS
-		m.PC = m.csr.Get(isa.CSRStvec) &^ 3
-		if m.csr.Get(isa.CSRStvec) == 0 {
-			// Same no-handler convention as the mtvec==0 path below, so a
-			// delegated fault halts instead of spinning at VA 0.
-			m.Halted = true
-			m.ExitCode = -(16 + t.cause)
-		}
-		return
-	}
-	m.csr.Set(isa.CSRMepc, m.PC)
-	m.csr.Set(isa.CSRMcause, uint64(t.cause))
-	m.csr.Set(isa.CSRMtval, t.tval)
-	st = st&^mstatusMPIE | (st&mstatusMIE)<<4&mstatusMPIE
-	st &^= mstatusMIE
-	st = st&^mstatusMPP | uint64(m.Priv)<<11
-	m.csr.Set(isa.CSRMstatus, st)
-	m.Priv = isa.PrivM
-	m.PC = m.csr.Get(isa.CSRMtvec) &^ 3
-	if m.csr.Get(isa.CSRMtvec) == 0 {
-		// No trap handler installed: a real bare-metal harness would spin;
-		// halt with a distinctive code so tests notice immediately.
-		m.Halted = true
-		m.ExitCode = -(16 + t.cause)
+	handler, ok := m.priv.Trap(t.cause, m.PC, t.tval)
+	m.PC = handler
+	if !ok {
+		m.Halted, m.ExitCode = true, isa.NoHandlerExit(t.cause)
 	}
 }

@@ -79,7 +79,7 @@ func TestMemoNeverServesStaleBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.SetCSR(isa.CSRSatp, tb.Satp(0))
-		m.Priv = isa.PrivS
+		m.SetPrivilege(isa.PrivS)
 		m.PC = p.Entry
 		runToExit(t, m, 10)
 	})
@@ -187,11 +187,11 @@ func TestMemoNeverServesStaleBytes(t *testing.T) {
 		m.Mem.Write(0x5000, 4, addi(1))
 		m.Mem.Write(0x1000, 4, addi(2))
 		wantFetch(t, m, 0x5000, 0x5000) // M-mode holds physical page 0x5000
-		m.Priv = isa.PrivS
+		m.SetPrivilege(isa.PrivS)
 		wantFetch(t, m, 0x5000, 0x5000) // bare satp: still untranslated
 		m.SetCSR(isa.CSRSatp, tb.Satp(0))
 		wantFetch(t, m, 0x5000, 0x1000) // SV39 maps it to 0x1000
-		m.Priv = isa.PrivM
+		m.SetPrivilege(isa.PrivM)
 		wantFetch(t, m, 0x5000, 0x5000)
 	})
 }
@@ -294,28 +294,28 @@ func TestSoftTLBHonoursPrivilege(t *testing.T) {
 
 	t.Run("S-only page from U after an S touch", func(t *testing.T) {
 		m := build()
-		m.Priv = isa.PrivU
+		m.SetPrivilege(isa.PrivU)
 		_, err := m.load(sPage, 8)
 		wantTrap(t, err, isa.ExcLoadPageFault, sPage) // cold
-		m.Priv = isa.PrivS
+		m.SetPrivilege(isa.PrivS)
 		if _, err := m.load(sPage, 8); err != nil {
 			t.Fatalf("S-mode load: %v", err)
 		}
-		m.Priv = isa.PrivU
+		m.SetPrivilege(isa.PrivU)
 		_, err = m.load(sPage, 8)
 		wantTrap(t, err, isa.ExcLoadPageFault, sPage)
 	})
 
 	t.Run("U page fetched from S after a U fetch", func(t *testing.T) {
 		m := build()
-		m.Priv = isa.PrivS
+		m.SetPrivilege(isa.PrivS)
 		_, err := m.Fetch(uPage)
 		wantTrap(t, err, isa.ExcInstPageFault, uPage) // cold
-		m.Priv = isa.PrivU
+		m.SetPrivilege(isa.PrivU)
 		if _, err := m.Fetch(uPage); err != nil {
 			t.Fatalf("U-mode fetch: %v", err)
 		}
-		m.Priv = isa.PrivS
+		m.SetPrivilege(isa.PrivS)
 		_, err = m.Fetch(uPage)
 		wantTrap(t, err, isa.ExcInstPageFault, uPage)
 	})
@@ -331,7 +331,7 @@ func TestReleaseZeroesTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetCSR(isa.CSRSatp, tb.Satp(0))
-	m.Priv = isa.PrivS
+	m.SetPrivilege(isa.PrivS)
 	m.Mem.Write(0x1000, 4, 0x00a00513) // li a0, 10
 	if _, err := m.Fetch(0x1000); err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func (m *Machine) Snapshot(csrs ...uint16) ArchState {
 		PC:       m.PC,
 		X:        m.X,
 		F:        m.F,
-		Priv:     m.Priv,
+		Priv:     m.priv.Level,
 		Instret:  m.Instret,
 		ResValid: m.resValid,
 		ResAddr:  m.resAddr,
@@ -66,14 +66,14 @@ func (m *Machine) Snapshot(csrs ...uint16) ArchState {
 // which is what a checkpoint needs: Snapshot records only the CSRs a checker
 // compares, DumpCSRs records everything the machine would keep behaving on.
 func (m *Machine) DumpCSRs() map[uint16]uint64 {
-	return m.csr.Dump()
+	return m.priv.Dump()
 }
 
 // RestoreCSRs replaces the machine's raw CSR file with the given values
 // (as produced by DumpCSRs) and invalidates the translation cache, since
 // satp/privilege-dependent state may have changed.
 func (m *Machine) RestoreCSRs(csrs map[uint16]uint64) {
-	m.csr.Restore(csrs)
+	m.priv.Restore(csrs)
 	m.flushTLB()
 }
 
@@ -91,7 +91,7 @@ func (m *Machine) RestoreArch(s ArchState) {
 	m.PC = s.PC
 	m.X = s.X
 	m.F = s.F
-	m.Priv = s.Priv
+	m.priv.Level = s.Priv
 	m.Instret = s.Instret
 	m.resValid, m.resAddr = s.ResValid, s.ResAddr
 	if m.Vec != nil && s.V != nil {

@@ -17,6 +17,14 @@ const pageBits = 12
 // PageSize is the size of the unit memory is allocated in (Page).
 const PageSize = 1 << pageBits
 
+// Device is a memory-mapped device window: the physical addresses it covers
+// are read and written through it instead of through a Memory.
+type Device interface {
+	Covers(pa uint64) bool
+	Read(pa uint64, size int) uint64
+	Write(pa uint64, size int, v uint64)
+}
+
 // Memory is a sparse little-endian physical memory. The zero value is ready
 // to use. It is not safe for concurrent use; the SoC model steps cores in a
 // deterministic lock-step loop, so no locking is needed.

@@ -109,7 +109,7 @@ func (d *devices) Read(pa uint64, size int) uint64 { return d.at(pa).Read(pa, si
 func (d *devices) Write(pa uint64, size int, v uint64) { d.at(pa).Write(pa, size, v) }
 
 // at is the device whose window covers pa.
-func (d *devices) at(pa uint64) core.MMIODevice {
+func (d *devices) at(pa uint64) mem.Device {
 	if d.CLINT.Covers(pa) {
 		return &d.CLINT
 	}

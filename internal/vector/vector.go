@@ -108,11 +108,6 @@ func (u *Unit) CopyFrom(o *Unit) {
 	u.VL, u.VType = o.VL, o.VType
 }
 
-// VLMax returns VLMAX for the current vtype.
-func (u *Unit) VLMax() uint64 {
-	return uint64(u.VType.VLMAX(u.File.VLENBits))
-}
-
 // SetVL applies a vsetvl/vsetvli request: vl = min(requested, VLMAX),
 // per the 0.7.1 rule that hardware picks the element count.
 func (u *Unit) SetVL(requested uint64, vt isa.VType) uint64 {
@@ -123,6 +118,36 @@ func (u *Unit) SetVL(requested uint64, vt isa.VType) uint64 {
 	}
 	u.VL = requested
 	return requested
+}
+
+// VSet executes vsetvl or vsetvli in, whose rs1 and rs2 read the given
+// values, and returns the new vl. The vtype is vsetvli's immediate or
+// vsetvl's rs2; rs1 = x0 with a destination other than x0 requests VLMAX.
+func (u *Unit) VSet(in *isa.Inst, rs1, rs2 uint64) uint64 {
+	vt := isa.VType(rs2)
+	if in.Op == isa.VSETVLI {
+		vt = isa.VType(in.Imm)
+	}
+	if in.Rs1 == isa.Zero && in.Rd != isa.Zero {
+		rs1 = ^uint64(0)
+	}
+	return u.SetVL(rs1, vt)
+}
+
+// CSR reads vl, vtype or vlenb; a hart without a vector unit (u nil) reads 0.
+func (u *Unit) CSR(num uint16) uint64 {
+	if u == nil {
+		return 0
+	}
+	switch num {
+	case isa.CSRVl:
+		return u.VL
+	case isa.CSRVtype:
+		return uint64(u.VType)
+	case isa.CSRVlenb:
+		return uint64(u.File.VLENBits / 8)
+	}
+	return 0
 }
 
 // maskBit reads bit i of the mask register v0 (mask layout: one bit per

@@ -14,10 +14,6 @@ const (
 	FFlagNV uint8 = 1 << 4 // invalid operation
 )
 
-// MstatusFSDirty is the mstatus pattern a floating-point state write leaves
-// behind: FS (bits 14:13) = Dirty plus the SD summary bit.
-const MstatusFSDirty uint64 = 3<<13 | 1<<63
-
 // bigPrec is wide enough that sums, products, and fused multiply-adds of
 // float64 operands are always exact: the worst case (a subnormal product
 // added to a value at the opposite end of the exponent range) spans about

@@ -270,6 +270,49 @@ func UnboxF32(v uint64) float32 {
 	return math.Float32frombits(uint32(v))
 }
 
+// MemAddr is a scalar memory op's effective address from its base rs1 and
+// index rs2: rs1 + imm, or for the custom indexed forms (§VIII-A) rs1 +
+// rs2<<imm[1:0], the index's low word zero-extended for xlur*.
+func MemAddr(op Op, rs1, rs2 uint64, imm int64) uint64 {
+	switch op {
+	case XLRB, XLRH, XLRW, XLRD, XSRB, XSRH, XSRW, XSRD:
+		return rs1 + rs2<<uint(imm&3)
+	case XLURB, XLURH, XLURW:
+		return rs1 + uint64(uint32(rs2))<<uint(imm&3)
+	}
+	return rs1 + uint64(imm)
+}
+
+// ExtendLoad is the register value a load op writes for the size bytes v it
+// read: flw NaN-boxes, fld and full-width loads keep v, and a narrower
+// integer load zero- or sign-extends it as op says.
+func ExtendLoad(op Op, v uint64, size int) uint64 {
+	switch op {
+	case FLW:
+		return BoxF32(uint32(v))
+	case FLD:
+		return v
+	}
+	if size == 8 {
+		return v
+	}
+	v &= 1<<(8*size) - 1
+	if op.LoadUnsigned() {
+		return v
+	}
+	sh := uint(64 - 8*size)
+	return uint64(int64(v<<sh) >> sh)
+}
+
+// ExtendAMO is the register value an LR or AMO of size bytes returns for the
+// memory value v: a word sign-extends, a doubleword is v.
+func ExtendAMO(v uint64, size int) uint64 {
+	if size == 4 {
+		return uint64(int64(int32(uint32(v))))
+	}
+	return v
+}
+
 // F32 converts a float32 value to its boxed register representation.
 func F32(f float32) uint64 { return BoxF32(math.Float32bits(f)) }
 
