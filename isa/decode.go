@@ -1,11 +1,5 @@
 package isa
 
-func bf(v uint32, hi, lo uint) uint32 { return v >> lo & (1<<(hi-lo+1) - 1) }
-
-func signExtend(v uint32, width uint) int64 {
-	return int64(int32(v<<(32-width))) >> (32 - width)
-}
-
 // decRow is one candidate of the decoder: the op whose word it is when
 // raw&mask == match.
 type decRow struct {

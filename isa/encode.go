@@ -22,8 +22,11 @@ func Encode(in Inst) (uint32, error) {
 // an op whose encoding carries no immediate.
 func ImmRange(op Op) (lo, hi, align int64, ok bool) {
 	for _, o := range op.Operands() {
-		if r := &operands[o]; r.align != 0 {
-			return r.lo, r.hi, r.align, true
+		if m := &operands[o].imm; m.segs != nil {
+			if o == ImmU {
+				return m.lo, 1<<32 - m.align, m.align, true // the 20-bit field may be written unsigned as well
+			}
+			return m.lo, m.hi, m.align, true
 		}
 	}
 	return 0, 0, 0, false

@@ -14,7 +14,8 @@ import (
 // golden model's decode memo, fetching the word from memory (twice: the
 // second answer comes from the memo), must agree with the fresh decode. The
 // seed corpus is one encoding of every operation randInst can build, which
-// TestEncodeDecodeRoundTrip proves is all of them.
+// TestEncodeDecodeRoundTrip proves is all of them, and one parcel of every
+// RV64C form.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(910))
 	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
@@ -33,6 +34,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(uint32(0))
 	f.Add(^uint32(0))
+	for _, c := range isa.RVCSeeds() {
+		f.Add(uint32(c))
+	}
 
 	const pc = 0x1000
 	m := emu.New(mem.NewMemory())

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -165,9 +166,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestOpMetaComplete: the op table checks itself. Every op has a name, a
 // class and a format; no mnemonic is used twice (ParseOp finds each op by its
 // own); a match sets no bit its format leaves free (fence's iorw, iorw
-// aside); and no word is matched by two rows — Decode scans its candidates in
-// no particular order.
+// aside); no word is matched by two rows — Decode scans its candidates in
+// no particular order; and every operand's immediate layout is sound.
 func TestOpMetaComplete(t *testing.T) {
+	for o := Operand(1); o < numOperands; o++ {
+		checkImmField(t, fmt.Sprintf("operand %d", o), &operands[o].imm)
+	}
 	for op := Op(1); op < numOps; op++ {
 		m := &opMeta[op]
 		if m.name == "" {

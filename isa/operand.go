@@ -1,6 +1,9 @@
 package isa
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+)
 
 // Operand is one operand of an instruction format. The set is closed, and an
 // operand knows four things: where its bits go in the word (place), how to
@@ -62,12 +65,11 @@ const (
 )
 
 // operands holds what the kinds differ in only by number: the register part
-// (Inst field, file, bit position) and the bounds of the immediate part
-// (align 0: none).
+// (Inst field, file, bit position) and the immediate's layout.
 var operands = [numOperands]struct {
-	field, shift  uint8
-	file          Reg
-	lo, hi, align int64
+	field, shift uint8
+	file         Reg
+	imm          immField
 }{
 	RdX: {field: fRd, shift: 7}, RdF: {field: fRd, shift: 7, file: RegF0}, RdV: {field: fRd, shift: 7, file: RegV0},
 	Rs1X: {field: fRs1, shift: 15}, Rs1F: {field: fRs1, shift: 15, file: RegF0}, Rs1V: {field: fRs1, shift: 15, file: RegV0},
@@ -77,17 +79,96 @@ var operands = [numOperands]struct {
 	VData:   {field: fRs2, shift: 7, file: RegV0},
 	VStride: {field: fRs3, shift: 20}, VIndex: {field: fRs3, shift: 20, file: RegV0},
 	Base: {field: fRs1, shift: 15},
-	MemI: {field: fRs1, shift: 15, lo: -1 << 11, hi: 1<<11 - 1, align: 1},
-	MemS: {field: fRs1, shift: 15, lo: -1 << 11, hi: 1<<11 - 1, align: 1},
+	MemI: {field: fRs1, shift: 15, imm: simm("31=11:0")},
+	MemS: {field: fRs1, shift: 15, imm: simm("31=11:5 11=4:0")},
 
-	ImmI:   {lo: -1 << 11, hi: 1<<11 - 1, align: 1},
-	ImmB:   {lo: -1 << 12, hi: 1<<12 - 2, align: 2},
-	ImmU:   {lo: -1 << 31, hi: 1<<32 - 1<<12, align: 1 << 12}, // the 20-bit field may be written signed or unsigned
-	ImmJ:   {lo: -1 << 20, hi: 1<<20 - 2, align: 2},
-	Shamt6: {hi: 63, align: 1}, Shamt5: {hi: 31, align: 1},
-	Uimm5: {hi: 31, align: 1}, Simm5: {lo: -16, hi: 15, align: 1},
-	Shift2: {hi: 3, align: 1}, MsbLsb: {hi: 0xFFF, align: 1}, VTypeImm: {hi: 0x7FF, align: 1},
+	ImmI:   {imm: simm("31=11:0")},
+	ImmB:   {imm: simm("31=12|10:5 11=4:1|11")},
+	ImmU:   {imm: simm("31=31:12")},
+	ImmJ:   {imm: simm("31=20|10:1|11|19:12")},
+	Shamt6: {imm: uimm("25=5:0")}, Shamt5: {imm: uimm("24=4:0")},
+	Uimm5: {imm: uimm("19=4:0")}, Simm5: {imm: simm("19=4:0")},
+	Shift2: {imm: uimm("26=1:0")}, MsbLsb: {imm: uimm("31=11:0")}, VTypeImm: {imm: uimm("30=10:0")},
 }
+
+// immField is an immediate's bit layout: segments, each holding immediate
+// bits hi:lo at instruction bits at+hi-lo:at, sign-extended from bit
+// width-1 when signed; and what follows from them, the values it holds
+// exactly: lo..hi in steps of align. It is the one statement of the layout:
+// place, extract, ImmRange and both RVC directions read it. The zero
+// immField is no immediate: it extracts as 0 and holds only 0.
+type immField struct {
+	segs          []immSeg
+	signed        bool
+	width         uint
+	lo, hi, align int64
+}
+
+type immSeg struct{ hi, lo, at uint8 }
+
+func (s immSeg) ones() uint32 { return 1<<(s.hi-s.lo+1) - 1 }
+
+// simm and uimm read a layout as the RISC-V spec draws it: groups "P=bits",
+// each filling the instruction downwards from bit P with the immediate bits
+// listed, "|"-separated single bits or hi:lo runs. The B-type
+// "31=12|10:5 11=4:1|11" puts imm[12] at bit 31, imm[10:5] at bits 30:25,
+// imm[4:1] at 11:8 and imm[11] at 7. TestOpMetaComplete and
+// TestRVCFormsComplete check every layout.
+func simm(layout string) immField { return newImmField(layout, true) }
+func uimm(layout string) immField { return newImmField(layout, false) }
+
+func newImmField(layout string, signed bool) immField {
+	num := func(s string) uint8 { n, _ := strconv.Atoi(s); return uint8(n) }
+	m := immField{signed: signed}
+	low := uint8(63)
+	for _, group := range strings.Fields(layout) {
+		top, bits, _ := strings.Cut(group, "=")
+		at := num(top) + 1
+		for _, run := range strings.Split(bits, "|") {
+			hi, lo, isRun := strings.Cut(run, ":")
+			s := immSeg{hi: num(hi), lo: num(hi)}
+			if isRun {
+				s.lo = num(lo)
+			}
+			at -= s.hi - s.lo + 1
+			s.at = at
+			m.segs = append(m.segs, s)
+			m.width, low = max(m.width, uint(s.hi)+1), min(low, s.lo)
+		}
+	}
+	m.align = 1 << low
+	if signed {
+		m.lo, m.hi = -1<<(m.width-1), 1<<(m.width-1)-m.align
+	} else {
+		m.hi = 1<<m.width - m.align
+	}
+	return m
+}
+
+// get is the one extract loop: it gathers the segments of raw.
+func (m *immField) get(raw uint32) int64 {
+	var v uint32
+	for _, s := range m.segs {
+		v |= raw >> s.at & s.ones() << s.lo
+	}
+	if m.signed {
+		return int64(int32(v<<(32-m.width))) >> (32 - m.width)
+	}
+	return int64(v)
+}
+
+// put is the one place loop: it scatters v into the segments, truncated to
+// them.
+func (m *immField) put(v int64) uint32 {
+	var raw uint32
+	for _, s := range m.segs {
+		raw |= uint32(v) >> s.lo & s.ones() << s.at
+	}
+	return raw
+}
+
+// holds reports whether v is one of the values the layout holds exactly.
+func (m *immField) holds(v int64) bool { return v >= m.lo && v <= m.hi && v&(m.align-1) == 0 }
 
 // Reg returns the Inst field a register operand names (the base register of
 // a memory operand included), nil for an operand that is not a register.
@@ -112,28 +193,8 @@ func (o Operand) place(in *Inst) uint32 {
 	if r := o.Reg(in); r != nil && *r != RegNone {
 		w = uint32(*r) & 31 << operands[o].shift
 	}
-	imm := uint32(in.Imm)
+	w |= operands[o].imm.put(in.Imm)
 	switch o {
-	case ImmI, MemI, MsbLsb:
-		w |= imm << 20
-	case MemS:
-		w |= imm&0x1F<<7 | imm>>5<<25
-	case ImmB:
-		w |= imm>>11&1<<7 | imm>>1&0xF<<8 | imm>>5&0x3F<<25 | imm>>12<<31
-	case ImmU:
-		w |= imm &^ 0xFFF
-	case ImmJ:
-		w |= imm>>12&0xFF<<12 | imm>>11&1<<20 | imm>>1&0x3FF<<21 | imm>>20<<31
-	case Shamt6:
-		w |= imm & 0x3F << 20
-	case Shamt5:
-		w |= imm & 0x1F << 20
-	case Uimm5, Simm5:
-		w |= imm & 0x1F << 15
-	case Shift2:
-		w |= imm & 3 << 25
-	case VTypeImm:
-		w |= imm & 0x7FF << 20
 	case CSRNum:
 		w |= uint32(in.CSR) << 20
 	case VM:
@@ -153,31 +214,10 @@ func (o Operand) extract(raw uint32, in *Inst) {
 	if r := o.Reg(in); r != nil {
 		*r = operands[o].file + Reg(raw>>operands[o].shift&31)
 	}
+	if m := &operands[o].imm; m.segs != nil {
+		in.Imm = m.get(raw)
+	}
 	switch o {
-	case ImmI, MemI:
-		in.Imm = int64(int32(raw)) >> 20
-	case MemS:
-		in.Imm = signExtend(bf(raw, 31, 25)<<5|bf(raw, 11, 7), 12)
-	case ImmB:
-		in.Imm = signExtend(bf(raw, 31, 31)<<12|bf(raw, 7, 7)<<11|bf(raw, 30, 25)<<5|bf(raw, 11, 8)<<1, 13)
-	case ImmU:
-		in.Imm = int64(int32(raw &^ 0xFFF))
-	case ImmJ:
-		in.Imm = signExtend(bf(raw, 31, 31)<<20|bf(raw, 19, 12)<<12|bf(raw, 20, 20)<<11|bf(raw, 30, 21)<<1, 21)
-	case Shamt6:
-		in.Imm = int64(raw >> 20 & 0x3F)
-	case Shamt5:
-		in.Imm = int64(raw >> 20 & 0x1F)
-	case Uimm5:
-		in.Imm = int64(raw >> 15 & 0x1F)
-	case Simm5:
-		in.Imm = signExtend(bf(raw, 19, 15), 5)
-	case Shift2:
-		in.Imm = int64(raw >> 25 & 3)
-	case MsbLsb:
-		in.Imm = int64(raw >> 20)
-	case VTypeImm:
-		in.Imm = int64(raw >> 20 & 0x7FF)
 	case CSRNum:
 		in.CSR = uint16(raw >> 20)
 	case VM:

@@ -1,6 +1,6 @@
-// Package isa models the XT-910 instruction set: the RV64IMAFD base, the RVC
-// compressed subset, the RISC-V Vector extension (0.7.1 draft subset), and the
-// XT-910 non-standard custom extensions (indexed load/store, bit manipulation,
+// Package isa models the XT-910 instruction set: the RV64IMAFD base, all of
+// RV64C, the RISC-V Vector extension (0.7.1 draft subset), and the XT-910
+// non-standard custom extensions (indexed load/store, bit manipulation,
 // multiply-accumulate, cache/TLB maintenance).
 //
 // The package provides bit-level encoding and decoding, disassembly, and pure

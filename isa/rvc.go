@@ -1,352 +1,190 @@
 package isa
 
-// RVC (compressed) support. The XT-910 fetches 128-bit lines holding up to 8
-// compressed instructions (§III), so code density directly shapes front-end
-// behaviour. The model implements the RV64C subset that covers the compiler
-// and assembler output: loads/stores (including stack-relative), immediates,
-// register arithmetic, and control flow.
+// RVC, the compressed instructions. The XT-910 fetches 128-bit lines holding
+// up to eight of them (§III), so code density shapes the front end. The model
+// implements all of RV64C, one row of rvcForms per form; Decode16 and
+// Compress both read the rows.
 
-func cReg(v uint32) Reg  { return X(int(8 + v&7)) } // the x8–x15 window
-func cFReg(v uint32) Reg { return F(int(8 + v&7)) } // the f8–f15 window
+// cForm is one RV64C form: the bits it fixes, the op it expands to, and where
+// that op's operands sit in the parcel.
+type cForm struct {
+	name         string
+	match        uint16
+	op           Op
+	rd, rs1, rs2 cReg
+	imm          immField
+	// except: a parcel whose expansion meets one of these is not this form
+	// but another row's, or reserved (ILLEGAL). hint: encodings Decode16
+	// expands and Compress does not emit (the spec's HINTs).
+	except, hint cCond
+	mask         uint16 // every bit no operand holds; set at init
+}
+
+// cReg is where a register operand comes from: the parcel field
+// mask<<at, naming base+field (mask 0: base itself). The zero cReg is an
+// operand the expansion does not have.
+type cReg struct {
+	at   uint8
+	mask uint16
+	base Reg
+	set  bool
+}
+
+// The register operands, by file and parcel bits; a three-bit field is the
+// x8–x15 or f8–f15 window. An rs1 in rd's field is tied to rd.
+var (
+	x11_7  = cReg{7, 31, RegX0, true}
+	x6_2   = cReg{2, 31, RegX0, true}
+	f11_7  = cReg{7, 31, RegF0, true}
+	f6_2   = cReg{2, 31, RegF0, true}
+	x9_7   = cReg{7, 7, RegX0 + 8, true}
+	x4_2   = cReg{2, 7, RegX0 + 8, true}
+	f4_2   = cReg{2, 7, RegF0 + 8, true}
+	isZero = cReg{base: Zero, set: true}
+	isRA   = cReg{base: RA, set: true}
+	isSP   = cReg{base: SP, set: true}
+)
+
+// cCond is a set of conditions on an expansion.
+type cCond uint8
+
+const (
+	rdZero cCond = 1 << iota
+	rdSP
+	rs1Zero
+	rs2Zero
+	immZero
+)
+
+func (c cCond) any(in *Inst) bool {
+	return c&rdZero != 0 && in.Rd == Zero || c&rdSP != 0 && in.Rd == SP ||
+		c&rs1Zero != 0 && in.Rs1 == Zero || c&rs2Zero != 0 && in.Rs2 == Zero ||
+		c&immZero != 0 && in.Imm == 0
+}
+
+// rvcForms is RV64C in the spec's order, quadrant then funct3. Compress tries
+// an op's rows in this order; the one choice that settles is `addi sp, sp, 16`
+// (c.addi, not c.addi16sp).
+var rvcForms = [...]cForm{
+	{name: "c.addi4spn", match: 0x0000, op: ADDI, rd: x4_2, rs1: isSP, imm: uimm("12=5:4|9:6|2|3"), except: immZero},
+	{name: "c.fld", match: 0x2000, op: FLD, rd: f4_2, rs1: x9_7, imm: uimm("12=5:3 6=7:6")},
+	{name: "c.lw", match: 0x4000, op: LW, rd: x4_2, rs1: x9_7, imm: uimm("12=5:3 6=2|6")},
+	{name: "c.ld", match: 0x6000, op: LD, rd: x4_2, rs1: x9_7, imm: uimm("12=5:3 6=7:6")},
+	{name: "c.fsd", match: 0xa000, op: FSD, rs1: x9_7, rs2: f4_2, imm: uimm("12=5:3 6=7:6")},
+	{name: "c.sw", match: 0xc000, op: SW, rs1: x9_7, rs2: x4_2, imm: uimm("12=5:3 6=2|6")},
+	{name: "c.sd", match: 0xe000, op: SD, rs1: x9_7, rs2: x4_2, imm: uimm("12=5:3 6=7:6")},
+
+	{name: "c.addi", match: 0x0001, op: ADDI, rd: x11_7, rs1: x11_7, imm: simm("12=5 6=4:0"), hint: rdZero | immZero},
+	{name: "c.addiw", match: 0x2001, op: ADDIW, rd: x11_7, rs1: x11_7, imm: simm("12=5 6=4:0"), except: rdZero},
+	{name: "c.li", match: 0x4001, op: ADDI, rd: x11_7, rs1: isZero, imm: simm("12=5 6=4:0")},
+	{name: "c.addi16sp", match: 0x6101, op: ADDI, rd: isSP, rs1: isSP, imm: simm("12=9 6=4|6|8:7|5"), except: immZero},
+	{name: "c.lui", match: 0x6001, op: LUI, rd: x11_7, imm: simm("12=17 6=16:12"), except: rdZero | rdSP | immZero},
+	{name: "c.srli", match: 0x8001, op: SRLI, rd: x9_7, rs1: x9_7, imm: uimm("12=5 6=4:0"), hint: immZero},
+	{name: "c.srai", match: 0x8401, op: SRAI, rd: x9_7, rs1: x9_7, imm: uimm("12=5 6=4:0"), hint: immZero},
+	{name: "c.andi", match: 0x8801, op: ANDI, rd: x9_7, rs1: x9_7, imm: simm("12=5 6=4:0")},
+	{name: "c.sub", match: 0x8c01, op: SUB, rd: x9_7, rs1: x9_7, rs2: x4_2},
+	{name: "c.xor", match: 0x8c21, op: XOR, rd: x9_7, rs1: x9_7, rs2: x4_2},
+	{name: "c.or", match: 0x8c41, op: OR, rd: x9_7, rs1: x9_7, rs2: x4_2},
+	{name: "c.and", match: 0x8c61, op: AND, rd: x9_7, rs1: x9_7, rs2: x4_2},
+	{name: "c.subw", match: 0x9c01, op: SUBW, rd: x9_7, rs1: x9_7, rs2: x4_2},
+	{name: "c.addw", match: 0x9c21, op: ADDW, rd: x9_7, rs1: x9_7, rs2: x4_2},
+	{name: "c.j", match: 0xa001, op: JAL, rd: isZero, imm: simm("12=11|4|9:8|10|6|7|3:1|5")},
+	{name: "c.beqz", match: 0xc001, op: BEQ, rs1: x9_7, rs2: isZero, imm: simm("12=8|4:3 6=7:6|2:1|5")},
+	{name: "c.bnez", match: 0xe001, op: BNE, rs1: x9_7, rs2: isZero, imm: simm("12=8|4:3 6=7:6|2:1|5")},
+
+	{name: "c.slli", match: 0x0002, op: SLLI, rd: x11_7, rs1: x11_7, imm: uimm("12=5 6=4:0"), hint: rdZero | immZero},
+	{name: "c.fldsp", match: 0x2002, op: FLD, rd: f11_7, rs1: isSP, imm: uimm("12=5 6=4:3|8:6")},
+	{name: "c.lwsp", match: 0x4002, op: LW, rd: x11_7, rs1: isSP, imm: uimm("12=5 6=4:2|7:6"), except: rdZero},
+	{name: "c.ldsp", match: 0x6002, op: LD, rd: x11_7, rs1: isSP, imm: uimm("12=5 6=4:3|8:6"), except: rdZero},
+	{name: "c.jr", match: 0x8002, op: JALR, rd: isZero, rs1: x11_7, except: rs1Zero},
+	{name: "c.mv", match: 0x8002, op: ADD, rd: x11_7, rs1: isZero, rs2: x6_2, except: rs2Zero, hint: rdZero},
+	{name: "c.ebreak", match: 0x9002, op: EBREAK},
+	{name: "c.jalr", match: 0x9002, op: JALR, rd: isRA, rs1: x11_7, except: rs1Zero},
+	{name: "c.add", match: 0x9002, op: ADD, rd: x11_7, rs1: x11_7, rs2: x6_2, except: rs2Zero, hint: rdZero},
+	{name: "c.fsdsp", match: 0xa002, op: FSD, rs1: isSP, rs2: f6_2, imm: uimm("12=5:3|8:6")},
+	{name: "c.swsp", match: 0xc002, op: SW, rs1: isSP, rs2: x6_2, imm: uimm("12=5:2|7:6")},
+	{name: "c.sdsp", match: 0xe002, op: SD, rs1: isSP, rs2: x6_2, imm: uimm("12=5:3|8:6")},
+}
+
+// The indexes, built once from the table: the rows a parcel of quadrant q and
+// funct3 f3 may be are rvcByBucket[q<<3|f3]; the rows that expand to op, in
+// table order, rvcByOp[op].
+var (
+	rvcByBucket [32][]*cForm
+	rvcByOp     [numOps][]*cForm
+)
+
+func init() {
+	for i := range rvcForms {
+		f := &rvcForms[i]
+		f.mask = ^(f.rd.bits() | f.rs1.bits() | f.rs2.bits() | uint16(f.imm.put(-1)))
+		b := f.match&3<<3 | f.match>>13
+		rvcByBucket[b] = append(rvcByBucket[b], f)
+		rvcByOp[f.op] = append(rvcByOp[f.op], f)
+	}
+}
+
+func (r cReg) bits() uint16 { return r.mask << r.at }
+
+func (r cReg) get(raw uint16) Reg {
+	if !r.set {
+		return RegNone
+	}
+	return r.base + Reg(raw>>r.at&r.mask)
+}
+
+// put places v truncated to the field; holds then says whether it fit.
+func (r cReg) put(v Reg) uint16 { return uint16(v-r.base) & r.mask << r.at }
+
+// holds reports whether raw names v, or the form has no such operand.
+func (r cReg) holds(raw uint16, v Reg) bool { return !r.set || r.get(raw) == v }
+
+// decode expands raw as this form into in, reporting false when raw is not
+// one.
+func (f *cForm) decode(raw uint16, in *Inst) bool {
+	if raw&f.mask != f.match {
+		return false
+	}
+	*in = Inst{Op: f.op, Rd: f.rd.get(raw), Rs1: f.rs1.get(raw), Rs2: f.rs2.get(raw), Rs3: RegNone,
+		Imm: f.imm.get(uint32(raw)), Size: 2}
+	return !f.except.any(in)
+}
+
+// compress places in's operands as this form, reporting false unless each
+// register reads back as placed (which checks windows, files and tied
+// registers) and the immediate is one its layout holds.
+func (f *cForm) compress(in *Inst) (uint16, bool) {
+	raw := f.match | f.rd.put(in.Rd) | f.rs1.put(in.Rs1) | f.rs2.put(in.Rs2)
+	if !f.rd.holds(raw, in.Rd) || !f.rs1.holds(raw, in.Rs1) || !f.rs2.holds(raw, in.Rs2) ||
+		!f.imm.holds(in.Imm) || (f.except | f.hint).any(in) {
+		return 0, false
+	}
+	return raw | uint16(f.imm.put(in.Imm)), true
+}
 
 // Decode16 expands a 16-bit compressed instruction to its full Inst.
 // Unrecognized encodings decode to ILLEGAL with Size 2.
-func Decode16(raw uint16) Inst {
-	in := NewInst(ILLEGAL)
-	in.Size = 2
-	r := uint32(raw)
-	f3 := bf(r, 15, 13)
-	switch r & 3 {
-	case 0: // quadrant 0
-		switch f3 {
-		case 1: // c.fld
-			imm := bf(r, 12, 10)<<3 | bf(r, 6, 5)<<6
-			in.Op, in.Rd, in.Rs1, in.Imm = FLD, cFReg(bf(r, 4, 2)), cReg(bf(r, 9, 7)), int64(imm)
-		case 5: // c.fsd
-			imm := bf(r, 12, 10)<<3 | bf(r, 6, 5)<<6
-			in.Op, in.Rs1, in.Rs2, in.Imm = FSD, cReg(bf(r, 9, 7)), cFReg(bf(r, 4, 2)), int64(imm)
-		case 0: // c.addi4spn
-			imm := bf(r, 12, 11)<<4 | bf(r, 10, 7)<<6 | bf(r, 6, 6)<<2 | bf(r, 5, 5)<<3
-			if imm == 0 {
-				return in // reserved (includes the all-zero illegal encoding)
-			}
-			in.Op, in.Rd, in.Rs1, in.Imm = ADDI, cReg(bf(r, 4, 2)), SP, int64(imm)
-		case 2: // c.lw
-			imm := bf(r, 12, 10)<<3 | bf(r, 6, 6)<<2 | bf(r, 5, 5)<<6
-			in.Op, in.Rd, in.Rs1, in.Imm = LW, cReg(bf(r, 4, 2)), cReg(bf(r, 9, 7)), int64(imm)
-		case 3: // c.ld
-			imm := bf(r, 12, 10)<<3 | bf(r, 6, 5)<<6
-			in.Op, in.Rd, in.Rs1, in.Imm = LD, cReg(bf(r, 4, 2)), cReg(bf(r, 9, 7)), int64(imm)
-		case 6: // c.sw
-			imm := bf(r, 12, 10)<<3 | bf(r, 6, 6)<<2 | bf(r, 5, 5)<<6
-			in.Op, in.Rs1, in.Rs2, in.Imm = SW, cReg(bf(r, 9, 7)), cReg(bf(r, 4, 2)), int64(imm)
-		case 7: // c.sd
-			imm := bf(r, 12, 10)<<3 | bf(r, 6, 5)<<6
-			in.Op, in.Rs1, in.Rs2, in.Imm = SD, cReg(bf(r, 9, 7)), cReg(bf(r, 4, 2)), int64(imm)
-		}
-	case 1: // quadrant 1
-		switch f3 {
-		case 0: // c.addi / c.nop
-			rd := X(int(bf(r, 11, 7)))
-			imm := signExtend(bf(r, 12, 12)<<5|bf(r, 6, 2), 6)
-			in.Op, in.Rd, in.Rs1, in.Imm = ADDI, rd, rd, imm
-		case 1: // c.addiw
-			rd := X(int(bf(r, 11, 7)))
-			if rd == Zero {
-				return in
-			}
-			imm := signExtend(bf(r, 12, 12)<<5|bf(r, 6, 2), 6)
-			in.Op, in.Rd, in.Rs1, in.Imm = ADDIW, rd, rd, imm
-		case 2: // c.li
-			rd := X(int(bf(r, 11, 7)))
-			imm := signExtend(bf(r, 12, 12)<<5|bf(r, 6, 2), 6)
-			in.Op, in.Rd, in.Rs1, in.Imm = ADDI, rd, Zero, imm
-		case 3:
-			rd := X(int(bf(r, 11, 7)))
-			if rd == SP { // c.addi16sp
-				imm := signExtend(bf(r, 12, 12)<<9|bf(r, 6, 6)<<4|bf(r, 5, 5)<<6|
-					bf(r, 4, 3)<<7|bf(r, 2, 2)<<5, 10)
-				if imm == 0 {
-					return in
-				}
-				in.Op, in.Rd, in.Rs1, in.Imm = ADDI, SP, SP, imm
-			} else { // c.lui
-				imm := signExtend(bf(r, 12, 12)<<17|bf(r, 6, 2)<<12, 18)
-				if imm == 0 || rd == Zero {
-					return in
-				}
-				in.Op, in.Rd, in.Imm = LUI, rd, imm
-			}
-		case 4:
-			rd := cReg(bf(r, 9, 7))
-			switch bf(r, 11, 10) {
-			case 0: // c.srli
-				in.Op, in.Rd, in.Rs1, in.Imm = SRLI, rd, rd, int64(bf(r, 12, 12)<<5|bf(r, 6, 2))
-			case 1: // c.srai
-				in.Op, in.Rd, in.Rs1, in.Imm = SRAI, rd, rd, int64(bf(r, 12, 12)<<5|bf(r, 6, 2))
-			case 2: // c.andi
-				in.Op, in.Rd, in.Rs1, in.Imm = ANDI, rd, rd, signExtend(bf(r, 12, 12)<<5|bf(r, 6, 2), 6)
-			case 3:
-				rs2 := cReg(bf(r, 4, 2))
-				sel := bf(r, 6, 5)
-				if bf(r, 12, 12) == 0 {
-					ops := [4]Op{SUB, XOR, OR, AND}
-					in.Op, in.Rd, in.Rs1, in.Rs2 = ops[sel], rd, rd, rs2
-				} else {
-					switch sel {
-					case 0:
-						in.Op, in.Rd, in.Rs1, in.Rs2 = SUBW, rd, rd, rs2
-					case 1:
-						in.Op, in.Rd, in.Rs1, in.Rs2 = ADDW, rd, rd, rs2
-					}
-				}
-			}
-		case 5: // c.j
-			imm := signExtend(bf(r, 12, 12)<<11|bf(r, 11, 11)<<4|bf(r, 10, 9)<<8|
-				bf(r, 8, 8)<<10|bf(r, 7, 7)<<6|bf(r, 6, 6)<<7|
-				bf(r, 5, 3)<<1|bf(r, 2, 2)<<5, 12)
-			in.Op, in.Rd, in.Imm = JAL, Zero, imm
-		case 6, 7: // c.beqz / c.bnez
-			imm := signExtend(bf(r, 12, 12)<<8|bf(r, 11, 10)<<3|bf(r, 6, 5)<<6|
-				bf(r, 4, 3)<<1|bf(r, 2, 2)<<5, 9)
-			op := BEQ
-			if f3 == 7 {
-				op = BNE
-			}
-			in.Op, in.Rs1, in.Rs2, in.Imm = op, cReg(bf(r, 9, 7)), Zero, imm
-		}
-	case 2: // quadrant 2
-		rd := X(int(bf(r, 11, 7)))
-		rs2 := X(int(bf(r, 6, 2)))
-		switch f3 {
-		case 0: // c.slli
-			in.Op, in.Rd, in.Rs1, in.Imm = SLLI, rd, rd, int64(bf(r, 12, 12)<<5|bf(r, 6, 2))
-		case 1: // c.fldsp
-			imm := bf(r, 12, 12)<<5 | bf(r, 6, 5)<<3 | bf(r, 4, 2)<<6
-			in.Op, in.Rd, in.Rs1, in.Imm = FLD, F(int(bf(r, 11, 7))), SP, int64(imm)
-		case 5: // c.fsdsp
-			imm := bf(r, 12, 10)<<3 | bf(r, 9, 7)<<6
-			in.Op, in.Rs1, in.Rs2, in.Imm = FSD, SP, F(int(bf(r, 6, 2))), int64(imm)
-		case 2: // c.lwsp
-			if rd == Zero {
-				return in
-			}
-			imm := bf(r, 12, 12)<<5 | bf(r, 6, 4)<<2 | bf(r, 3, 2)<<6
-			in.Op, in.Rd, in.Rs1, in.Imm = LW, rd, SP, int64(imm)
-		case 3: // c.ldsp
-			if rd == Zero {
-				return in
-			}
-			imm := bf(r, 12, 12)<<5 | bf(r, 6, 5)<<3 | bf(r, 4, 2)<<6
-			in.Op, in.Rd, in.Rs1, in.Imm = LD, rd, SP, int64(imm)
-		case 4:
-			if bf(r, 12, 12) == 0 {
-				if rs2 == Zero { // c.jr
-					if rd == Zero {
-						return in
-					}
-					in.Op, in.Rd, in.Rs1, in.Imm = JALR, Zero, rd, 0
-				} else { // c.mv
-					in.Op, in.Rd, in.Rs1, in.Rs2 = ADD, rd, Zero, rs2
-				}
-			} else {
-				switch {
-				case rd == Zero && rs2 == Zero: // c.ebreak
-					in.Op = EBREAK
-				case rs2 == Zero: // c.jalr
-					in.Op, in.Rd, in.Rs1, in.Imm = JALR, RA, rd, 0
-				default: // c.add
-					in.Op, in.Rd, in.Rs1, in.Rs2 = ADD, rd, rd, rs2
-				}
-			}
-		case 6: // c.swsp
-			imm := bf(r, 12, 9)<<2 | bf(r, 8, 7)<<6
-			in.Op, in.Rs1, in.Rs2, in.Imm = SW, SP, rs2, int64(imm)
-		case 7: // c.sdsp
-			imm := bf(r, 12, 10)<<3 | bf(r, 9, 7)<<6
-			in.Op, in.Rs1, in.Rs2, in.Imm = SD, SP, rs2, int64(imm)
+func Decode16(raw uint16) (in Inst) {
+	for _, f := range rvcByBucket[raw&3<<3|raw>>13] {
+		if f.decode(raw, &in) {
+			return in
 		}
 	}
+	in = NewInst(ILLEGAL)
+	in.Size = 2
 	return in
 }
-
-func isCReg(r Reg) bool  { return r.IsX() && r >= 8 && r <= 15 }
-func isCFReg(r Reg) bool { return r.IsF() && r.Index() >= 8 && r.Index() <= 15 }
 
 // Compress attempts to produce a 16-bit encoding of the instruction. It
 // returns (0, false) when no compressed form exists. The assembler uses it to
 // model the code density the XT-910 front end was designed around.
 func Compress(in Inst) (uint16, bool) {
-	u := func(v int64, bits uint) bool { return v >= 0 && v < int64(1)<<bits }
-	s := func(v int64, bits uint) bool {
-		return v >= -(int64(1)<<(bits-1)) && v < int64(1)<<(bits-1)
-	}
-	switch in.Op {
-	case ADDI:
-		switch {
-		case in.Rs1 == Zero && s(in.Imm, 6): // c.li
-			return uint16(1 | 2<<13 | uint32(in.Rd.Index())<<7 |
-				uint32(in.Imm>>5&1)<<12 | uint32(in.Imm&0x1F)<<2), true
-		case in.Rd == in.Rs1 && in.Rd != Zero && s(in.Imm, 6) && in.Imm != 0: // c.addi
-			return uint16(1 | uint32(in.Rd.Index())<<7 |
-				uint32(in.Imm>>5&1)<<12 | uint32(in.Imm&0x1F)<<2), true
-		case in.Rd == SP && in.Rs1 == SP && in.Imm != 0 && in.Imm&15 == 0 && s(in.Imm, 10): // c.addi16sp
-			v := uint32(in.Imm)
-			return uint16(1 | 3<<13 | uint32(SP)<<7 |
-				(v>>9&1)<<12 | (v>>4&1)<<6 | (v>>6&1)<<5 | (v>>7&3)<<3 | (v>>5&1)<<2), true
-		case in.Rs1 == SP && isCReg(in.Rd) && in.Imm > 0 && in.Imm&3 == 0 && u(in.Imm, 10): // c.addi4spn
-			v := uint32(in.Imm)
-			return uint16(0 | (v>>4&3)<<11 | (v>>6&15)<<7 |
-				(v>>2&1)<<6 | (v>>3&1)<<5 | uint32(in.Rd.Index()-8)<<2), true
-		}
-	case ADDIW:
-		if in.Rd == in.Rs1 && in.Rd != Zero && s(in.Imm, 6) {
-			return uint16(1 | 1<<13 | uint32(in.Rd.Index())<<7 |
-				uint32(in.Imm>>5&1)<<12 | uint32(in.Imm&0x1F)<<2), true
-		}
-	case LUI:
-		if in.Rd != Zero && in.Rd != SP && in.Imm != 0 && s(in.Imm>>12, 6) {
-			v := uint32(in.Imm >> 12)
-			return uint16(1 | 3<<13 | uint32(in.Rd.Index())<<7 | (v>>5&1)<<12 | (v&0x1F)<<2), true
-		}
-	case LW:
-		switch {
-		case in.Rs1 == SP && in.Rd != Zero && in.Rd.IsX() && in.Imm&3 == 0 && u(in.Imm, 8): // c.lwsp
-			v := uint32(in.Imm)
-			return uint16(2 | 2<<13 | uint32(in.Rd.Index())<<7 |
-				(v>>5&1)<<12 | (v>>2&7)<<4 | (v>>6&3)<<2), true
-		case isCReg(in.Rd) && isCReg(in.Rs1) && in.Imm&3 == 0 && u(in.Imm, 7): // c.lw
-			v := uint32(in.Imm)
-			return uint16(0 | 2<<13 | (v>>3&7)<<10 | uint32(in.Rs1.Index()-8)<<7 |
-				(v>>2&1)<<6 | (v>>6&1)<<5 | uint32(in.Rd.Index()-8)<<2), true
-		}
-	case LD:
-		switch {
-		case in.Rs1 == SP && in.Rd != Zero && in.Rd.IsX() && in.Imm&7 == 0 && u(in.Imm, 9): // c.ldsp
-			v := uint32(in.Imm)
-			return uint16(2 | 3<<13 | uint32(in.Rd.Index())<<7 |
-				(v>>5&1)<<12 | (v>>3&3)<<5 | (v>>6&7)<<2), true
-		case isCReg(in.Rd) && isCReg(in.Rs1) && in.Imm&7 == 0 && u(in.Imm, 8): // c.ld
-			v := uint32(in.Imm)
-			return uint16(0 | 3<<13 | (v>>3&7)<<10 | uint32(in.Rs1.Index()-8)<<7 |
-				(v>>6&3)<<5 | uint32(in.Rd.Index()-8)<<2), true
-		}
-	case SW:
-		switch {
-		case in.Rs1 == SP && in.Rs2.IsX() && in.Imm&3 == 0 && u(in.Imm, 8): // c.swsp
-			v := uint32(in.Imm)
-			return uint16(2 | 6<<13 | (v>>2&15)<<9 | (v>>6&3)<<7 | uint32(in.Rs2.Index())<<2), true
-		case isCReg(in.Rs1) && isCReg(in.Rs2) && in.Imm&3 == 0 && u(in.Imm, 7): // c.sw
-			v := uint32(in.Imm)
-			return uint16(0 | 6<<13 | (v>>3&7)<<10 | uint32(in.Rs1.Index()-8)<<7 |
-				(v>>2&1)<<6 | (v>>6&1)<<5 | uint32(in.Rs2.Index()-8)<<2), true
-		}
-	case SD:
-		switch {
-		case in.Rs1 == SP && in.Rs2.IsX() && in.Imm&7 == 0 && u(in.Imm, 9): // c.sdsp
-			v := uint32(in.Imm)
-			return uint16(2 | 7<<13 | (v>>3&7)<<10 | (v>>6&7)<<7 | uint32(in.Rs2.Index())<<2), true
-		case isCReg(in.Rs1) && isCReg(in.Rs2) && in.Imm&7 == 0 && u(in.Imm, 8): // c.sd
-			v := uint32(in.Imm)
-			return uint16(0 | 7<<13 | (v>>3&7)<<10 | uint32(in.Rs1.Index()-8)<<7 |
-				(v>>6&3)<<5 | uint32(in.Rs2.Index()-8)<<2), true
-		}
-	case FLD:
-		switch {
-		case in.Rs1 == SP && in.Rd.IsF() && in.Imm&7 == 0 && u(in.Imm, 9): // c.fldsp
-			v := uint32(in.Imm)
-			return uint16(2 | 1<<13 | uint32(in.Rd.Index())<<7 |
-				(v>>5&1)<<12 | (v>>3&3)<<5 | (v>>6&7)<<2), true
-		case isCFReg(in.Rd) && isCReg(in.Rs1) && in.Imm&7 == 0 && u(in.Imm, 8): // c.fld
-			v := uint32(in.Imm)
-			return uint16(0 | 1<<13 | (v>>3&7)<<10 | uint32(in.Rs1.Index()-8)<<7 |
-				(v>>6&3)<<5 | uint32(in.Rd.Index()-8)<<2), true
-		}
-	case FSD:
-		switch {
-		case in.Rs1 == SP && in.Rs2.IsF() && in.Imm&7 == 0 && u(in.Imm, 9): // c.fsdsp
-			v := uint32(in.Imm)
-			return uint16(2 | 5<<13 | (v>>3&7)<<10 | (v>>6&7)<<7 | uint32(in.Rs2.Index())<<2), true
-		case isCReg(in.Rs1) && isCFReg(in.Rs2) && in.Imm&7 == 0 && u(in.Imm, 8): // c.fsd
-			v := uint32(in.Imm)
-			return uint16(0 | 5<<13 | (v>>3&7)<<10 | uint32(in.Rs1.Index()-8)<<7 |
-				(v>>6&3)<<5 | uint32(in.Rs2.Index()-8)<<2), true
-		}
-	case SLLI:
-		if in.Rd == in.Rs1 && in.Rd != Zero && in.Imm != 0 && u(in.Imm, 6) {
-			return uint16(2 | uint32(in.Rd.Index())<<7 |
-				uint32(in.Imm>>5&1)<<12 | uint32(in.Imm&0x1F)<<2), true
-		}
-	case SRLI, SRAI:
-		if in.Rd == in.Rs1 && isCReg(in.Rd) && in.Imm != 0 && u(in.Imm, 6) {
-			sel := uint32(0)
-			if in.Op == SRAI {
-				sel = 1
+	if in.Op < numOps {
+		for _, f := range rvcByOp[in.Op] {
+			if raw, ok := f.compress(&in); ok {
+				return raw, true
 			}
-			return uint16(1 | 4<<13 | uint32(in.Imm>>5&1)<<12 | sel<<10 |
-				uint32(in.Rd.Index()-8)<<7 | uint32(in.Imm&0x1F)<<2), true
 		}
-	case ANDI:
-		if in.Rd == in.Rs1 && isCReg(in.Rd) && s(in.Imm, 6) {
-			return uint16(1 | 4<<13 | uint32(in.Imm>>5&1)<<12 | 2<<10 |
-				uint32(in.Rd.Index()-8)<<7 | uint32(in.Imm&0x1F)<<2), true
-		}
-	case SUB, XOR, OR, AND, SUBW, ADDW:
-		if in.Rd != in.Rs1 || !isCReg(in.Rd) || !isCReg(in.Rs2) {
-			break
-		}
-		var hi, sel uint32
-		switch in.Op {
-		case SUB:
-			hi, sel = 0, 0
-		case XOR:
-			hi, sel = 0, 1
-		case OR:
-			hi, sel = 0, 2
-		case AND:
-			hi, sel = 0, 3
-		case SUBW:
-			hi, sel = 1, 0
-		case ADDW:
-			hi, sel = 1, 1
-		}
-		return uint16(1 | 4<<13 | hi<<12 | 3<<10 |
-			uint32(in.Rd.Index()-8)<<7 | sel<<5 | uint32(in.Rs2.Index()-8)<<2), true
-	case ADD:
-		switch {
-		case in.Rs1 == Zero && in.Rd != Zero && in.Rs2 != Zero: // c.mv
-			return uint16(2 | 4<<13 | uint32(in.Rd.Index())<<7 | uint32(in.Rs2.Index())<<2), true
-		case in.Rd == in.Rs1 && in.Rd != Zero && in.Rs2 != Zero: // c.add
-			return uint16(2 | 4<<13 | 1<<12 | uint32(in.Rd.Index())<<7 | uint32(in.Rs2.Index())<<2), true
-		}
-	case JAL:
-		if in.Rd == Zero && s(in.Imm, 12) && in.Imm&1 == 0 { // c.j
-			v := uint32(in.Imm)
-			return uint16(1 | 5<<13 | (v>>11&1)<<12 | (v>>4&1)<<11 | (v>>8&3)<<9 |
-				(v>>10&1)<<8 | (v>>6&1)<<7 | (v>>7&1)<<6 | (v>>1&7)<<3 | (v>>5&1)<<2), true
-		}
-	case JALR:
-		if in.Imm != 0 || in.Rs1 == Zero {
-			break
-		}
-		if in.Rd == Zero { // c.jr
-			return uint16(2 | 4<<13 | uint32(in.Rs1.Index())<<7), true
-		}
-		if in.Rd == RA { // c.jalr
-			return uint16(2 | 4<<13 | 1<<12 | uint32(in.Rs1.Index())<<7), true
-		}
-	case BEQ, BNE:
-		if in.Rs2 == Zero && isCReg(in.Rs1) && s(in.Imm, 9) && in.Imm&1 == 0 {
-			f3 := uint32(6)
-			if in.Op == BNE {
-				f3 = 7
-			}
-			v := uint32(in.Imm)
-			return uint16(1 | f3<<13 | (v>>8&1)<<12 | (v>>3&3)<<10 |
-				uint32(in.Rs1.Index()-8)<<7 | (v>>6&3)<<5 | (v>>1&3)<<3 | (v>>5&1)<<2), true
-		}
-	case EBREAK:
-		return uint16(2 | 4<<13 | 1<<12), true
 	}
 	return 0, false
 }
