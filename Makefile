@@ -21,9 +21,11 @@ test:
 	$(GO) test ./...
 
 # race runs the packages where goroutines actually interact (the worker-pool
-# engine and the parallel bench harness) under the race detector.
+# engine, the parallel bench harness, and the campaign service's
+# coordinator/worker engine, whose divergence corpus takes reports in
+# whatever order parallel shards deliver them) under the race detector.
 race:
-	$(GO) test -race ./internal/sched ./internal/bench
+	$(GO) test -race ./internal/sched ./internal/bench ./internal/campaign
 
 # cli-smoke runs the CLIs end to end: xtfuzz on a fixed seed set in each of
 # its modes (plain, paged, irq, smp), the xtinject fault campaign and the

@@ -21,6 +21,7 @@ import (
 
 	"xt910"
 	"xt910/internal/cliflags"
+	"xt910/internal/core"
 	"xt910/isa"
 )
 
@@ -31,7 +32,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (rc int) {
 	fs := flag.NewFlagSet("xt910sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	cfgName := fs.String("config", "xt910", "core config: xt910, u74, a73")
+	coreCfg := cliflags.RegisterCoreConfig(fs)
 	useEmu := fs.Bool("emu", false, "run on the functional emulator")
 	trace := fs.Bool("trace", false, "print every retired instruction")
 	stats := fs.Bool("stats", false, "print the performance counters")
@@ -88,15 +89,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	}
 
 	cfg := xt910.DefaultConfig()
-	switch *cfgName {
-	case "xt910":
-	case "u74":
-		cfg.Core = xt910.U74Core()
-	case "a73":
-		cfg.Core = xt910.A73Core()
-	default:
-		return fail(fmt.Errorf("unknown config %q", *cfgName))
-	}
+	cfg.Core = *coreCfg
 	cfg.CoresPerCluster = *cores
 	cfg.Clusters = *clusters
 	sys, err := xt910.NewSystem(cfg)
@@ -105,8 +98,8 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	}
 	sys.LoadProgram(prog)
 	if *trace {
-		sys.Hart(0).Core().RetireHook = func(pc uint64, in isa.Inst) {
-			fmt.Fprintf(stdout, "%8x: %v\n", pc, in)
+		sys.Hart(0).Core().CommitHook = func(ci core.Commit) {
+			fmt.Fprintf(stdout, "%8x: %v\n", ci.PC, ci.Inst)
 		}
 	}
 	sys.Run(*maxCycles)

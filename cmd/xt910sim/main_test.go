@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -45,5 +46,54 @@ func TestProfileFlags(t *testing.T) {
 
 	if rc := run([]string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.pb"), src}, &out, &errb); rc != 2 {
 		t.Errorf("unwritable -cpuprofile: exit = %d, want 2", rc)
+	}
+}
+
+// traceLines keeps the instruction lines of a -trace run ("    1000: addi
+// ..."), dropping the program output and the closing summary.
+func traceLines(out string) []string {
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		pc, _, ok := strings.Cut(l, ": ")
+		if _, err := strconv.ParseUint(strings.TrimSpace(pc), 16, 64); ok && err == nil {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+// TestTraceMatchesEmulator: -trace prints the pipeline's commits, -emu -trace
+// the golden model's instructions; on one program they are the same lines.
+func TestTraceMatchesEmulator(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "loop.s")
+	if err := os.WriteFile(src, []byte(loopProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	trace := func(args ...string) []string {
+		var out, errb bytes.Buffer
+		if rc := run(append(args, src), &out, &errb); rc != 0 {
+			t.Fatalf("%v: exit %d\nstderr: %s", args, rc, errb.String())
+		}
+		return traceLines(out.String())
+	}
+	core, emu := trace("-trace"), trace("-emu", "-trace")
+	if len(core) != 6005 { // 2000 iterations of three, five set-up and exit
+		t.Fatalf("-trace printed %d instruction lines, want 6005", len(core))
+	}
+	if strings.Join(core, "\n") != strings.Join(emu, "\n") {
+		for i := range core {
+			if i >= len(emu) || core[i] != emu[i] {
+				t.Fatalf("line %d: -trace %q, -emu -trace %q", i, core[i], emu[min(i, len(emu)-1)])
+			}
+		}
+		t.Fatalf("-emu -trace printed %d lines, -trace %d", len(emu), len(core))
+	}
+}
+
+// TestUnknownConfigIsUsageError: a bad -config exits 2, as in xttrace.
+func TestUnknownConfigIsUsageError(t *testing.T) {
+	var out, errb bytes.Buffer
+	if rc := run([]string{"-config", "bogus", "loop.s"}, &out, &errb); rc != 2 {
+		t.Errorf("-config bogus: exit %d, want 2", rc)
 	}
 }

@@ -33,10 +33,10 @@ import (
 
 	"xt910/internal/asm"
 	"xt910/internal/bench"
+	"xt910/internal/cliflags"
 	"xt910/internal/core"
 	"xt910/internal/soc"
 	"xt910/internal/trace"
-	"xt910/internal/workloads"
 )
 
 func main() {
@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xttrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	iters := fs.Int("iters", 0, "workload iteration count (0 = a small trace-friendly default)")
-	cfgName := fs.String("config", "xt910", "core configuration: xt910, u74 or a73")
+	cfg := cliflags.RegisterCoreConfig(fs)
 	konataPath := fs.String("konata", "", "write a Kanata pipeline trace to this file")
 	jsonlPath := fs.String("jsonl", "", "write a JSONL µop trace to this file")
 	start := fs.Uint64("start", 0, "first traced cycle")
@@ -62,26 +62,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *list {
-		for _, w := range workloads.All() {
+		for _, w := range bench.Workloads() {
 			fmt.Fprintln(stdout, w.Name)
 		}
 		return 0
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "xttrace: exactly one workload name or .s file required (see -list)")
-		return 2
-	}
-
-	var cfg core.Config
-	switch *cfgName {
-	case "xt910":
-		cfg = core.XT910Config()
-	case "u74":
-		cfg = core.U74Config()
-	case "a73":
-		cfg = core.A73Config()
-	default:
-		fmt.Fprintf(stderr, "xttrace: unknown config %q (xt910, u74, a73)\n", *cfgName)
 		return 2
 	}
 
@@ -124,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		KeepLast:    *last,
 	}, sinks...)
 
-	sys, err := soc.New(bench.Machine(cfg)) // the machine the bench harness runs
+	sys, err := soc.New(bench.Machine(*cfg)) // the machine the bench harness runs
 	if err != nil {
 		fmt.Fprintf(stderr, "xttrace: %v\n", err)
 		return 1
@@ -226,18 +213,13 @@ func loadTarget(name string, iters int) (*asm.Program, error) {
 		}
 		return asm.Assemble(string(src), asm.Options{Base: 0x1000, Compress: true})
 	}
-	for _, w := range workloads.All() {
-		if w.Name == name {
-			n := iters
-			if n <= 0 {
-				// traces get big fast: default to a handful of iterations
-				n = w.DefaultIters / 10
-				if n < 1 {
-					n = 1
-				}
-			}
-			return w.Program(n, true)
-		}
+	w, ok := bench.FindWorkload(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q (see -list)", name)
 	}
-	return nil, fmt.Errorf("unknown workload %q (see -list)", name)
+	if iters <= 0 {
+		// traces get big fast: default to a handful of iterations
+		iters = max(w.DefaultIters/10, 1)
+	}
+	return w.Program(iters, true)
 }

@@ -69,15 +69,6 @@ func (b *Builder) parse(lines []stmt) (*Program, error) {
 	return b.Program()
 }
 
-// MustAssemble panics on error; for known-good embedded kernels.
-func MustAssemble(src string, opts Options) *Program {
-	p, err := Assemble(src, opts)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // srcLine is what an error message quotes: the 1-based line number and the
 // line without its comment and surrounding space.
 type srcLine struct {

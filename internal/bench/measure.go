@@ -22,10 +22,15 @@ type MeasureRun struct {
 // IPC is retired instructions per cycle.
 func (r MeasureRun) IPC() float64 { return float64(r.Retired) / float64(r.Cycles) }
 
-// FindWorkload resolves a kernel by name across the whole suite, including
-// the dedicated-configuration workloads (STREAM, SPEC-like) that All() omits.
+// Workloads is the whole suite: workloads.All() plus the
+// dedicated-configuration workloads (STREAM, SPEC-like) it omits.
+func Workloads() []workloads.Workload {
+	return append(workloads.All(), workloads.Stream, workloads.SpecLike)
+}
+
+// FindWorkload resolves a kernel of Workloads by name.
 func FindWorkload(name string) (workloads.Workload, bool) {
-	for _, w := range append(workloads.All(), workloads.Stream, workloads.SpecLike) {
+	for _, w := range Workloads() {
 		if w.Name == name {
 			return w, true
 		}

@@ -14,13 +14,6 @@ import (
 type Stats struct {
 	DirLookups   uint64
 	DirMispred   uint64
-	L0Hits       uint64
-	L1Hits       uint64
-	BTBMispred   uint64
-	RASPushes    uint64
-	RASPops      uint64
-	IndLookups   uint64
-	IndMispred   uint64
 	BufBypass    uint64 // back-to-back predictions served from BUF1/BUF2
 	LoopBufHits  uint64
 	LoopBufFills uint64
@@ -146,9 +139,6 @@ type BTBEntry struct {
 	valid  bool
 	tag    uint64
 	target uint64
-	isRet  bool
-	isCall bool
-	isInd  bool
 	lru    uint64
 }
 
@@ -194,7 +184,7 @@ func (b *BTB) Lookup(pc uint64) (*BTBEntry, bool) {
 }
 
 // Insert installs or updates the target for pc.
-func (b *BTB) Insert(pc, target uint64, isCall, isRet, isInd bool) {
+func (b *BTB) Insert(pc, target uint64) {
 	set := b.set(pc)
 	victim := &set[0]
 	for i := range set {
@@ -211,21 +201,11 @@ func (b *BTB) Insert(pc, target uint64, isCall, isRet, isInd bool) {
 		}
 	}
 	b.tick++
-	*victim = BTBEntry{valid: true, tag: pc, target: target,
-		isCall: isCall, isRet: isRet, isInd: isInd, lru: b.tick}
+	*victim = BTBEntry{valid: true, tag: pc, target: target, lru: b.tick}
 }
 
 // Target returns the stored target.
 func (e *BTBEntry) Target() uint64 { return e.target }
-
-// IsReturn reports whether the entry was trained as a function return.
-func (e *BTBEntry) IsReturn() bool { return e.isRet }
-
-// IsCall reports whether the entry was trained as a call.
-func (e *BTBEntry) IsCall() bool { return e.isCall }
-
-// IsIndirect reports whether the entry was trained as an indirect jump.
-func (e *BTBEntry) IsIndirect() bool { return e.isInd }
 
 // RAS is the return-address stack used for subroutine return prediction.
 type RAS struct {

@@ -56,7 +56,7 @@ func TestTwoLevelBufferBypass(t *testing.T) {
 func TestBTBInsertLookupLRU(t *testing.T) {
 	l0 := NewBTB(16, 16) // fully associative
 	for i := 0; i < 16; i++ {
-		l0.Insert(uint64(0x1000+i*4), uint64(0x2000+i*4), false, false, false)
+		l0.Insert(uint64(0x1000+i*4), uint64(0x2000+i*4))
 	}
 	if _, ok := l0.Lookup(0x1000); !ok {
 		t.Fatal("entry should be present")
@@ -67,7 +67,7 @@ func TestBTBInsertLookupLRU(t *testing.T) {
 			l0.Lookup(uint64(0x1000 + i*4))
 		}
 	}
-	l0.Insert(0x9000, 0xA000, false, false, false)
+	l0.Insert(0x9000, 0xA000)
 	if _, ok := l0.Lookup(0x1004); ok {
 		t.Fatal("LRU entry should have been evicted")
 	}
@@ -78,10 +78,10 @@ func TestBTBInsertLookupLRU(t *testing.T) {
 
 func TestBTBUpdateExisting(t *testing.T) {
 	b := NewBTB(1024, 4)
-	b.Insert(0x5000, 0x6000, false, false, false)
-	b.Insert(0x5000, 0x7000, false, false, true)
+	b.Insert(0x5000, 0x6000)
+	b.Insert(0x5000, 0x7000)
 	e, ok := b.Lookup(0x5000)
-	if !ok || e.Target() != 0x7000 || !e.IsIndirect() {
+	if !ok || e.Target() != 0x7000 {
 		t.Fatal("insert must update in place")
 	}
 }
@@ -253,7 +253,7 @@ func TestReleaseZeroesPredictorTables(t *testing.T) {
 	p := NewDirectionPredictor(14)
 	for i := 0; i < 20000; i++ {
 		pc := uint64(rng.Intn(1<<16)) &^ 1
-		b.Insert(pc, pc+64, i%3 == 0, i%5 == 0, i%7 == 0)
+		b.Insert(pc, pc+64)
 		b.Lookup(pc)
 		pred, idx := p.Predict(pc)
 		p.Update(idx, i%2 == 0, pred)

@@ -69,9 +69,6 @@ func (l *LoopBuffer) Covers(pc uint64) bool {
 // Active reports whether a loop is currently captured.
 func (l *LoopBuffer) Active() bool { return l.active }
 
-// Head and End expose the captured range.
-func (l *LoopBuffer) Head() uint64 { return l.head }
-
 // End returns the loop-closing branch PC.
 func (l *LoopBuffer) End() uint64 { return l.end }
 

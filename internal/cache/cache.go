@@ -312,9 +312,6 @@ func (c *Cache) ForEachValid(fn func(addr uint64)) {
 	}
 }
 
-// ResetStats clears counters without disturbing contents.
-func (c *Cache) ResetStats() { c.Stats = Stats{} }
-
 // MissRate returns misses/accesses (0 when idle).
 func (s *Stats) MissRate() float64 {
 	if s.Accesses == 0 {

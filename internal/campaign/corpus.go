@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,10 +13,12 @@ import (
 
 // Corpus is the cross-campaign divergence corpus: shrunken reproducers
 // deduplicated by divergence signature (compare kind + first diverging field
-// + opcode class — see cosim.Result.Signature). The first repro of each
-// signature is kept as a fixed-seed regression fixture, an assembly file
-// runnable directly with `xtfuzz -repro`; later repros with the same
-// signature are overwhelmingly the same root cause and are dropped.
+// + opcode class — see cosim.Result.Signature). Per signature the repro with
+// the lowest (campaign number, seed) is kept as a fixed-seed regression
+// fixture, an assembly file runnable directly with `xtfuzz -repro`; the other
+// repros are overwhelmingly the same root cause and are only counted. Which
+// one is kept therefore does not depend on the order parallel shards report
+// them in.
 type Corpus struct {
 	dir string
 
@@ -26,12 +29,12 @@ type Corpus struct {
 // CorpusEntry is one deduplicated divergence class.
 type CorpusEntry struct {
 	Signature string `json:"signature"`
-	Seed      int64  `json:"seed"` // first seed that exposed the class
+	Seed      int64  `json:"seed"` // lowest seed that exposed the class
 	Kind      string `json:"kind"`
 	Modes     string `json:"modes,omitempty"`
-	Campaign  string `json:"campaign"`       // campaign that first found it
+	Campaign  string `json:"campaign"`       // earliest campaign that found it
 	File      string `json:"file,omitempty"` // fixture filename (repro source present)
-	Dups      int    `json:"dups"`           // later repros folded into this entry
+	Dups      int    `json:"dups"`           // other repros folded into this entry
 }
 
 // OpenCorpus loads (or initializes) the corpus in dir.
@@ -58,8 +61,10 @@ func OpenCorpus(dir string) (*Corpus, error) {
 }
 
 // Add records a divergence under its signature. The first sighting of a
-// signature creates a fixture and an index entry and returns true; repeats
-// only bump the duplicate count. Divergences without a signature (timeouts
+// signature creates a fixture and an index entry and returns true. A repeat
+// bumps the duplicate count; when it comes from a lower (campaign number,
+// seed) than the entry holds, it also takes the entry's place — seed, kind,
+// modes, campaign and fixture. Divergences without a signature (timeouts
 // have none) are ignored.
 func (c *Corpus) Add(campaignID string, d *Divergence) (bool, error) {
 	if d == nil || d.Signature == "" {
@@ -67,25 +72,36 @@ func (c *Corpus) Add(campaignID string, d *Divergence) (bool, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[d.Signature]; ok {
+	e, seen := c.entries[d.Signature]
+	if seen {
 		e.Dups++
-		return false, c.saveIndexLocked()
+		if !reproBefore(campaignID, d.Seed, e.Campaign, e.Seed) {
+			return false, c.saveIndexLocked()
+		}
+	} else {
+		e = &CorpusEntry{Signature: d.Signature}
+		c.entries[d.Signature] = e
 	}
-	e := &CorpusEntry{
-		Signature: d.Signature,
-		Seed:      d.Seed,
-		Kind:      d.Kind,
-		Modes:     d.Modes,
-		Campaign:  campaignID,
-	}
+	e.Seed, e.Kind, e.Modes, e.Campaign = d.Seed, d.Kind, d.Modes, campaignID
+	e.File = ""
+	path := filepath.Join(c.dir, fixtureName(d.Signature))
 	if d.Shrunk != "" {
-		e.File = fixtureName(d.Signature)
-		if err := writeAtomic(filepath.Join(c.dir, e.File), []byte(fixtureSource(d))); err != nil {
+		e.File = filepath.Base(path)
+		if err := writeAtomic(path, []byte(fixtureSource(d))); err != nil {
 			return false, err
 		}
+	} else if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return false, err
 	}
-	c.entries[d.Signature] = e
-	return true, c.saveIndexLocked()
+	return !seen, c.saveIndexLocked()
+}
+
+// reproBefore orders repros by (campaign number, seed). The engine names
+// campaigns c0001, c0002, …, so of two IDs the shorter is the lower number
+// and IDs of one length compare as strings.
+func reproBefore(campA string, seedA int64, campB string, seedB int64) bool {
+	return cmp.Or(cmp.Compare(len(campA), len(campB)), strings.Compare(campA, campB),
+		cmp.Compare(seedA, seedB)) < 0
 }
 
 // Entries returns the corpus sorted by signature (a stable order for the API

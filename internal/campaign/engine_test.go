@@ -179,7 +179,7 @@ func (s stubRunner) Run(ctx context.Context, spec *Spec, it Item) (ItemResult, e
 }
 
 // TestCorpusDedupBySignature: same-signature repros fold into one corpus
-// entry (first seed wins, duplicates counted); distinct signatures get
+// entry (lowest seed wins, duplicates counted); distinct signatures get
 // distinct entries and fixtures.
 func TestCorpusDedupBySignature(t *testing.T) {
 	dir := t.TempDir()
@@ -214,7 +214,7 @@ func TestCorpusDedupBySignature(t *testing.T) {
 	}
 	alu := bySig["xreg/x5/alu"]
 	if alu == nil || alu.Seed != 1 || alu.Dups != 2 {
-		t.Fatalf("xreg/x5/alu entry wrong (want first seed 1, 2 dups): %+v", alu)
+		t.Fatalf("xreg/x5/alu entry wrong (want lowest seed 1, 2 dups): %+v", alu)
 	}
 	mem := bySig["mem/addr/store"]
 	if mem == nil || mem.Seed != 5 || mem.Dups != 0 {

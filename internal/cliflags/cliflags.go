@@ -3,12 +3,14 @@
 // -n / -seed / -jobs / -json / -timeout plus the composable -modes spec, so
 // every tool spells them the same way and the seed-range and mode parsing
 // live in exactly one place. Defaults differ per tool; names and meanings
-// never do. The host-profiling flags -cpuprofile / -memprofile, and the
-// daemons' live -pprof endpoint, live here too.
+// never do. The host-profiling flags -cpuprofile / -memprofile, the
+// daemons' live -pprof endpoint, and the -config core preset name that
+// xt910sim and xttrace take, live here too.
 package cliflags
 
 import (
 	"flag"
+	"fmt"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -17,8 +19,26 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"xt910/internal/core"
 	"xt910/internal/cosim"
 )
+
+// RegisterCoreConfig adds -config, which names the core: the paper's XT-910
+// (the default) or one of its two comparison cores. fs.Parse rejects any
+// other name, so a bad one is a usage error in every tool.
+func RegisterCoreConfig(fs *flag.FlagSet) *core.Config {
+	cfg := core.XT910Config()
+	fs.Func("config", "core configuration: xt910, u74 or a73 (default xt910)", func(name string) error {
+		preset, ok := map[string]func() core.Config{
+			"xt910": core.XT910Config, "u74": core.U74Config, "a73": core.A73Config}[name]
+		if !ok {
+			return fmt.Errorf("unknown config %q (xt910, u74, a73)", name)
+		}
+		cfg = preset()
+		return nil
+	})
+	return &cfg
+}
 
 // Campaign holds the uniform campaign knobs. A tool registers the subset it
 // supports with the Register* helpers and reads the fields after fs.Parse.

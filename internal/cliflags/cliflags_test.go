@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"xt910/internal/core"
 	"xt910/internal/cosim"
 )
 
@@ -246,5 +248,32 @@ func TestServePprof(t *testing.T) {
 	}
 	if _, _, err := ServePprof("127.0.0.1:notaport"); err == nil {
 		t.Error("an unbindable -pprof address must be an error")
+	}
+}
+
+// TestCoreConfigFlag: -config picks one of the three presets, defaults to the
+// XT-910, and any other name fails fs.Parse.
+func TestCoreConfigFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want core.Config
+	}{
+		{nil, core.XT910Config()},
+		{[]string{"-config", "u74"}, core.U74Config()},
+		{[]string{"-config", "a73"}, core.A73Config()},
+	} {
+		fs := newFS()
+		cfg := RegisterCoreConfig(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if !reflect.DeepEqual(*cfg, tc.want) {
+			t.Errorf("%v: got %+v, want %+v", tc.args, *cfg, tc.want)
+		}
+	}
+	fs := newFS()
+	RegisterCoreConfig(fs)
+	if err := fs.Parse([]string{"-config", "bogus"}); err == nil || !strings.Contains(err.Error(), `unknown config "bogus"`) {
+		t.Errorf("-config bogus: err = %v", err)
 	}
 }

@@ -283,12 +283,6 @@ func (l2 *L2) Prefetch(addr uint64, now uint64) {
 	l2.installL2(addr, ready, t, true)
 }
 
-// HasLine reports whether the line is resident (used by tests and the
-// inclusion property checker).
-func (l2 *L2) HasLine(addr uint64) bool {
-	return l2.Cache.Lookup(l2.Cache.LineAddr(addr)) != nil
-}
-
 // CheckInclusion verifies the inclusive-hierarchy invariant: every valid L1
 // line is present in the L2. It returns the number of violations (0 when the
 // invariant holds); property tests call it after random workloads.

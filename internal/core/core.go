@@ -113,14 +113,10 @@ type Core struct {
 
 	Stats Stats
 
-	// RetireHook observes every retired instruction (co-simulation tests).
-	RetireHook func(pc uint64, in isa.Inst)
-
 	// CommitHook observes every retired instruction with its commit record
-	// (destination value, effective address). It fires at the same point as
-	// RetireHook: after the retirement map has been updated, so Reg() reads
-	// post-commit architectural state. Instructions that take an exception
-	// do not commit and are not reported.
+	// (destination value, effective address). It fires after the retirement
+	// map has been updated, so Reg() reads post-commit architectural state.
+	// Instructions that take an exception do not commit and are not reported.
 	CommitHook func(Commit)
 
 	// TLBBroadcast, when set by the SoC, carries tlbi.* maintenance to the
@@ -313,11 +309,6 @@ func (c *Core) InvalidatePredecode(pa uint64, size int) {
 	if c.sblk != nil {
 		c.sblk.invalidate(pa, size)
 	}
-}
-
-// SetReg writes an architectural integer/FP register (pre-run setup).
-func (c *Core) SetReg(r isa.Reg, v uint64) {
-	c.pf.write(c.rat[int(r)], v, 0)
 }
 
 // Reg reads an architectural register through the retirement map (valid when

@@ -249,9 +249,9 @@ func (c *Core) execBranch(u *uop) bool {
 	if u.class == isa.ClassBranch {
 		c.Dir.Update(u.br.dirIdx, actTaken, u.predTaken)
 		if actTaken {
-			c.L1BTB.Insert(u.pc, actTarget, false, false, false)
+			c.L1BTB.Insert(u.pc, actTarget)
 			if c.Cfg.EnableL0BTB {
-				c.L0BTB.Insert(u.pc, actTarget, false, false, false)
+				c.L0BTB.Insert(u.pc, actTarget)
 			}
 			if c.Cfg.EnableLoopBuf && actTarget < u.pc {
 				body := int(u.pc-actTarget)/2 + 1
@@ -262,7 +262,7 @@ func (c *Core) execBranch(u *uop) bool {
 		}
 	}
 	if op == isa.JALR {
-		c.L1BTB.Insert(u.pc, actTarget, u.inst.Rd == isa.RA, u.inst.Rs1 == isa.RA, true)
+		c.L1BTB.Insert(u.pc, actTarget)
 		if c.Cfg.EnableIndirect {
 			c.Ind.Update(u.pc, u.br.histBefore, actTarget)
 		}

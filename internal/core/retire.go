@@ -100,7 +100,7 @@ func (c *Core) retire() {
 		}
 
 		// Floating-point architectural side effects land here, before the
-		// commit hooks observe state: IEEE flags accrue into fcsr, and any
+		// commit hook observes state: IEEE flags accrue into fcsr, and any
 		// FP execution or f-register load leaves mstatus.FS dirty.
 		switch u.class {
 		case isa.ClassFPU:
@@ -113,9 +113,6 @@ func (c *Core) retire() {
 
 		if c.tr != nil {
 			c.traceRetire(u.seq, u.readyAt)
-		}
-		if c.RetireHook != nil {
-			c.RetireHook(u.pc, u.inst)
 		}
 		if c.CommitHook != nil {
 			c.CommitHook(c.commitRecord(u))

@@ -268,7 +268,7 @@ func TestIRQVectorStoreSeedsClean(t *testing.T) {
 // one number: instructions retired, a trapping instruction counted by none.
 // The golden model run on its own reaches the same number unless the program
 // reads a clock (cycle, time, instret and their m-twins) — a standalone
-// emulator answers from its own CycleModel, and a fuzz program may branch on
+// emulator answers from its own instret count, and a fuzz program may branch on
 // what it read (seed 713: 374 standalone, 376 in lock-step).
 func TestStandaloneInstretForksOnlyOnClockReads(t *testing.T) {
 	n := int64(2000)

@@ -55,12 +55,6 @@ type Machine struct {
 	codeMem  *mem.Memory
 	codeGen  uint64
 
-	// CycleModel, when set, derives the value the cycle/time/mcycle CSRs read
-	// from the retired-instruction count — a coarse timing model for the
-	// functional machine (e.g. instret/IPC from a prior pipeline run). Nil
-	// keeps the historical behaviour of reporting Instret.
-	CycleModel func(instret uint64) uint64
-
 	// IntSource, when set, returns the externally-driven mip bits
 	// (MSIP/MTIP/MEIP), checked before every instruction — the synchronous
 	// model's equivalent of the core's per-retirement interrupt sample. mip
@@ -153,16 +147,6 @@ func (m *Machine) setReg(r isa.Reg, v uint64) {
 	}
 }
 
-// Cycles is the functional machine's notion of elapsed cycles: CycleModel
-// applied to the retired-instruction count, or Instret itself (an IPC-1
-// machine) when no model is installed.
-func (m *Machine) Cycles() uint64 {
-	if m.CycleModel != nil {
-		return m.CycleModel(m.Instret)
-	}
-	return m.Instret
-}
-
 // Privilege returns the current privilege level.
 func (m *Machine) Privilege() int { return m.priv.Level }
 
@@ -174,9 +158,8 @@ func (m *Machine) SetPrivilege(p int) { m.priv.Level = p }
 // isa.Priv's.
 func (m *Machine) CSR(num uint16) uint64 {
 	switch num {
-	case isa.CSRCycle, isa.CSRMcycle, isa.CSRTime:
-		return m.Cycles() // the functional model has no real cycles
-	case isa.CSRInstret, isa.CSRMinstret:
+	case isa.CSRCycle, isa.CSRMcycle, isa.CSRTime, // no real clock: these read instret
+		isa.CSRInstret, isa.CSRMinstret:
 		return m.Instret
 	case isa.CSRVl, isa.CSRVtype, isa.CSRVlenb:
 		return m.Vec.CSR(num)

@@ -77,11 +77,6 @@ func (m *Machine) RestoreCSRs(csrs map[uint16]uint64) {
 	m.flushTLB()
 }
 
-// SetReservation restores the LR/SC reservation (checkpoint restore).
-func (m *Machine) SetReservation(valid bool, addr uint64) {
-	m.resValid, m.resAddr = valid, addr
-}
-
 // RestoreArch loads the scalar architectural state from a snapshot: PC,
 // register files, privilege, instret, the reservation and — when the snapshot
 // carries vector state and the machine has a vector unit — the vector file,

@@ -20,18 +20,17 @@ type Stats struct {
 // cache hierarchy so page-table walks are charged realistically.
 type TimedRead func(pa uint64, now uint64) (val uint64, done uint64)
 
+// jtlbProbeCycles is the extra latency per jTLB probe round.
+const jtlbProbeCycles = 2
+
 // MMU is one hart's translation machinery.
 type MMU struct {
 	Micro *MicroTLB
 	Joint *JointTLB
-	PMP   *PMP
 
 	// Satp mirrors the satp CSR; Priv is the current privilege level.
 	Satp uint64
 	Priv int
-
-	// JTLBProbeCycles is the extra latency per jTLB probe round (default 2).
-	JTLBProbeCycles int
 
 	read  TimedRead
 	Stats Stats
@@ -41,11 +40,9 @@ type MMU struct {
 // 4-way jTLB) reading PTEs through the supplied timed reader.
 func New(read TimedRead) *MMU {
 	return &MMU{
-		Micro:           NewMicroTLB(32),
-		Joint:           NewJointTLB(1024, 4),
-		PMP:             NewPMP(),
-		JTLBProbeCycles: 2,
-		read:            read,
+		Micro: NewMicroTLB(32),
+		Joint: NewJointTLB(1024, 4),
+		read:  read,
 	}
 }
 
@@ -59,9 +56,6 @@ func (m *MMU) Enabled() bool {
 // On a page fault it returns the *PageFault error.
 func (m *MMU) Translate(va uint64, acc Access, now uint64) (pa uint64, done uint64, err error) {
 	if !m.Enabled() {
-		if !m.PMP.Allows(va, acc, m.Priv) {
-			return 0, now, &PageFault{VA: va, Access: acc}
-		}
 		return va, now, nil
 	}
 	m.Stats.Lookups++
@@ -82,12 +76,12 @@ func (m *MMU) Translate(va uint64, acc Access, now uint64) (pa uint64, done uint
 			return 0, now, &PageFault{VA: va, Access: acc}
 		}
 		m.Micro.Insert(*e)
-		return e.pa(va), now + uint64(probes*m.JTLBProbeCycles), nil
+		return e.pa(va), now + uint64(probes*jtlbProbeCycles), nil
 	}
 	m.Stats.JointProbes += uint64(len(probeOrder))
 	// Page-table walk through the memory hierarchy.
 	m.Stats.Walks++
-	t := now + uint64(len(probeOrder)*m.JTLBProbeCycles)
+	t := now + uint64(len(probeOrder)*jtlbProbeCycles)
 	res, werr := Walk(func(ptePA uint64) uint64 {
 		v, d := m.read(ptePA, t)
 		t = d
@@ -107,10 +101,6 @@ func (m *MMU) Translate(va uint64, acc Access, now uint64) (pa uint64, done uint
 	}
 	m.Joint.Insert(e)
 	m.Micro.Insert(e)
-	if !m.PMP.Allows(res.PA, acc, m.Priv) {
-		m.Stats.Faults++
-		return 0, t, &PageFault{VA: va, Access: acc}
-	}
 	return res.PA, t, nil
 }
 

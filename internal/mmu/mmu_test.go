@@ -211,32 +211,6 @@ func TestMMUPrefill(t *testing.T) {
 	}
 }
 
-func TestPMP(t *testing.T) {
-	p := NewPMP()
-	if !p.Allows(0x1234, AccStore, isa.PrivU) {
-		t.Fatal("no regions -> allow")
-	}
-	p.AddRegion(PMPRegion{Base: 0x1000, Size: 0x1000, R: true, W: false, X: false})
-	if !p.Allows(0x1800, AccLoad, isa.PrivU) {
-		t.Fatal("read allowed")
-	}
-	if p.Allows(0x1800, AccStore, isa.PrivU) {
-		t.Fatal("write denied")
-	}
-	if p.Allows(0x5000, AccLoad, isa.PrivU) {
-		t.Fatal("outside all regions denied when regions configured")
-	}
-	if !p.Allows(0x1800, AccStore, isa.PrivM) {
-		t.Fatal("M-mode bypasses PMP")
-	}
-	for i := 0; i < MaxRegions+4; i++ {
-		p.AddRegion(PMPRegion{Base: uint64(i) << 20, Size: 1 << 20, R: true})
-	}
-	if p.NumRegions() != MaxRegions {
-		t.Fatalf("regions capped at %d, got %d", MaxRegions, p.NumRegions())
-	}
-}
-
 func TestASIDAllocatorWraps(t *testing.T) {
 	// Simulate process churn: many short-lived processes, as in the §V-E
 	// context-switch measurement.

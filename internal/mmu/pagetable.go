@@ -36,9 +36,6 @@ func (b *TableBuilder) allocPage() uint64 {
 	return p
 }
 
-// Root returns the root page-table physical address.
-func (b *TableBuilder) Root() uint64 { return b.root }
-
 // Satp composes a satp value for this table with the given ASID.
 func (b *TableBuilder) Satp(asid uint16) uint64 {
 	return isa.MakeSatp(isa.SatpModeSV39, asid, b.root>>12)

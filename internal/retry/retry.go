@@ -88,9 +88,6 @@ func (b *Backoff) Next() (time.Duration, bool) {
 	return time.Duration(d), true
 }
 
-// Attempt reports how many delays Next has yielded so far.
-func (b *Backoff) Attempt() int { return b.n }
-
 // Reset rewinds the attempt counter (the jitter stream keeps advancing, so a
 // reset loop still never repeats a schedule).
 func (b *Backoff) Reset() { b.n = 0 }

@@ -704,23 +704,6 @@ func (o Op) Operands() []Operand {
 	return nil
 }
 
-// IsLoad reports whether the operation reads data memory (scalar loads,
-// indexed custom loads, and FP loads; vector loads are ClassVLoad).
-func (o Op) IsLoad() bool { return o.Class() == ClassLoad }
-
-// IsStore reports whether the operation writes data memory (scalar stores;
-// vector stores are ClassVStore).
-func (o Op) IsStore() bool { return o.Class() == ClassStore }
-
-// IsBranch reports whether the operation is a conditional branch.
-func (o Op) IsBranch() bool { return o.Class() == ClassBranch }
-
-// IsControlFlow reports whether the operation can redirect the PC.
-func (o Op) IsControlFlow() bool {
-	c := o.Class()
-	return c == ClassBranch || c == ClassJump || o == MRET || o == SRET || o == ECALL || o == EBREAK
-}
-
 // MemBytes returns the access width in bytes for scalar loads/stores/AMOs,
 // or 0 for non-memory operations.
 func (o Op) MemBytes() int {
