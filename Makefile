@@ -64,10 +64,12 @@ fuzz-native-smoke:
 # timing core (BenchmarkSimCycle), the SoC driver on a 2-hart timer + IPI
 # program (BenchmarkSystemRun: ns per simulated cycle and the elided share),
 # the decoder and encoder (BenchmarkDecode/Encode) and the assembler
-# (BenchmarkAssembleFuzz). `make bench` runs only the root package's paper
-# benchmarks.
+# (BenchmarkAssembleFuzz). -benchmem puts allocs/op and B/op beside every
+# one, so each tier-1 run shows what a fuzz program, a checked session, an
+# emulator run and a core run allocate. `make bench` runs only the root
+# package's paper benchmarks.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/emu ./internal/cosim ./internal/core ./internal/soc ./internal/asm ./isa
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/emu ./internal/cosim ./internal/core ./internal/soc ./internal/asm ./isa
 
 # campaign-smoke is the end-to-end restart-resume proof for the campaign
 # service: boot the real xtcampd daemon on an ephemeral port, submit a fuzz

@@ -66,6 +66,15 @@ func NewL2(cfg cache.Config, dram *mem.DRAM) *L2 {
 	}
 }
 
+// Release hands the L2's line array and snoop filter to the L2s built after
+// it, each back in its constructor's state (DESIGN.md "Session storage
+// recycling"). The L2 must not be used afterwards.
+func (l2 *L2) Release() {
+	l2.Cache.Release()
+	l2.snoop.release()
+	l2.snoop = nil
+}
+
 // RegisterL1 attaches a core's L1 data cache to the cluster bus and returns
 // its port number.
 func (l2 *L2) RegisterL1(c *cache.Cache) int {

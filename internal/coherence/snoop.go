@@ -1,5 +1,7 @@
 package coherence
 
+import "xt910/internal/recycle"
+
 // SnoopFilter tracks, per line, which L1 data caches may hold a copy. §VI:
 // "A snoop filter that monitors access by the cores to the shared L2 cache
 // effectively reduces the inter-core communications." Snoops are only sent to
@@ -8,9 +10,23 @@ type SnoopFilter struct {
 	sharers map[uint64]uint32
 }
 
+// freeSnoopFilters recycles filters between L2s (DESIGN.md "Session storage
+// recycling"): every filter on it is empty, its map cleared rather than
+// dropped, so the next L2 starts without regrowing it.
+var freeSnoopFilters recycle.Objects[SnoopFilter]
+
 // NewSnoopFilter returns an empty filter.
 func NewSnoopFilter() *SnoopFilter {
+	if f := freeSnoopFilters.Get(); f != nil {
+		return f
+	}
 	return &SnoopFilter{sharers: make(map[uint64]uint32)}
+}
+
+// release empties the filter and hands it to the L2s built after it.
+func (f *SnoopFilter) release() {
+	clear(f.sharers)
+	freeSnoopFilters.Put(f)
 }
 
 // Sharers returns the bitmap of cores that may hold the line.

@@ -54,11 +54,12 @@ type Core struct {
 	// pipeline state
 	now      uint64
 	seq      uint64
-	pf       *physFile
+	pf       physFile
 	rat      []int16         // speculative front-end map
 	archRAT  []int16         // retirement map
 	robQ     ring[uop]       // re-order buffer: in-order retirement (§IV)
-	queues   [numPipes][]int // ROB indices per issue queue
+	queues   [numPipes][]int // ROB indices per issue queue, cut from queueBuf
+	queueBuf []int
 	pipeBusy [numPipes]uint64
 	ckpts    []checkpoint
 
@@ -206,7 +207,7 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 		fq:     newRing(&freeFqEntries, cfg.FetchQueue),
 		lq:     newRing(&freeLqEntries, cfg.LQSize),
 		sq:     newRing(&freeSqEntries, cfg.SQSize),
-		ckpts:  make([]checkpoint, cfg.Checkpoints),
+		ckpts:  freeCkpts.Get(cfg.Checkpoints),
 		memDep: make(map[uint64]bool),
 		priv:   isa.Priv{Level: isa.PrivM},
 	}
@@ -228,8 +229,8 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 		// the most element writes one vector store makes: LMUL 8 of bytes
 		c.vecStores = newRing(&freeVecWrites, cfg.VLEN)
 	}
-	c.pf, c.rat = newPhysFile(cfg.IntPhysRegs, cfg.FpPhysRegs)
-	c.archRAT = append([]int16(nil), c.rat...)
+	c.pf, c.rat, c.archRAT = newPhysFile(cfg.IntPhysRegs, cfg.FpPhysRegs)
+	c.newQueues()
 	c.priv.Write(isa.CSRMhartid, uint64(id))
 	if cfg.PredecodeCache {
 		c.predec = newPredecode()
@@ -240,17 +241,42 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 	return c
 }
 
-// The free lists behind Release: the ring arrays here, the decode tables in
-// predecode.go and superblock.go, everything else in the package that owns it.
+// newQueues cuts the per-pipe issue queues out of one array from
+// freeQueueSlots. renameGates holds a pipe's queue at IssueQueue entries; the
+// st.data queue, which rename fills beside st.addr's, holds at most one entry
+// per store-queue slot. Each queue is a three-index slice, so an append past
+// its bound could only reallocate, never run into the next queue.
+func (c *Core) newQueues() {
+	std := max(c.Cfg.IssueQueue, c.Cfg.SQSize)
+	c.queueBuf = freeQueueSlots.Get(int(numPipes-1)*c.Cfg.IssueQueue + std)
+	at := 0
+	for p := range c.queues {
+		n := c.Cfg.IssueQueue
+		if p == int(pipeSTD) {
+			n = std
+		}
+		c.queues[p] = c.queueBuf[at : at : at+n]
+		at += n
+	}
+}
+
+// The free lists behind Release: the ring arrays, issue queues, register
+// file and checkpoints here, the decode tables in predecode.go and
+// superblock.go, everything else in the package that owns it.
 var (
-	freeUops      recycle.Slices[uop]
-	freeFqEntries recycle.Slices[fqEntry]
-	freeLqEntries recycle.Slices[lqEntry]
-	freeSqEntries recycle.Slices[sqEntry]
+	freeUops       recycle.Slices[uop]
+	freeFqEntries  recycle.Slices[fqEntry]
+	freeLqEntries  recycle.Slices[lqEntry]
+	freeSqEntries  recycle.Slices[sqEntry]
+	freeQueueSlots recycle.Slices[int]
+	freeRegWords   recycle.Slices[uint64]
+	freeRegMaps    recycle.Slices[int16]
+	freeCkpts      recycle.Slices[checkpoint]
 )
 
 // Release hands the core's large tables — L1 tags, decode tables, joint TLB,
-// predictor tables, the ROB, IBUF, load/store queue and vector-log rings — to
+// predictor tables, the ROB, IBUF, load/store queue and vector-log rings, the
+// issue queues, register file, rename maps, checkpoints and vector units — to
 // the cores built after it, each back in the state its constructor expects (DESIGN.md
 // "Session storage recycling"). The core must not be used afterwards. Only
 // the code that built a core, and let nobody else see it, may call this.
@@ -278,6 +304,15 @@ func (c *Core) Release() {
 	c.vecLog.release(&freeVecEffects)
 	freeVecBytes.Put(&c.vecBytes)
 	c.vecStores.release(&freeVecWrites)
+	if c.Vec != nil {
+		c.Vec.Release()
+		c.specVec.Release()
+		c.Vec, c.specVec = nil, nil
+	}
+	freeQueueSlots.Put(&c.queueBuf)
+	c.pf.releaseStorage()
+	c.queues, c.rat, c.archRAT = [numPipes][]int{}, nil, nil
+	freeCkpts.Put(&c.ckpts)
 }
 
 // Reset re-points the core at a new entry PC with a given stack pointer. On a

@@ -2,8 +2,14 @@ package core
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"xt910/internal/asm"
+	"xt910/internal/cache"
+	"xt910/internal/coherence"
+	"xt910/internal/mem"
 	"xt910/internal/workloads"
 )
 
@@ -98,5 +104,97 @@ func TestResetDropsDecodesOnlyOnceStepped(t *testing.T) {
 	c.Reset(p.Entry, 0x400000)
 	if n := live(); n != 0 {
 		t.Fatalf("Reset on a stepped core left %d decoded entries", n)
+	}
+}
+
+// newCoreObjects bounds what a core's New/Release pair allocates once the
+// free lists hold a core's tables: the measured 22 objects plus 10 %. It was
+// 40 while the register file, both rename maps, the checkpoints and the
+// vector units were made afresh for every core (the issue queues, empty until
+// the first rename, cost nothing yet).
+const newCoreObjects = 24
+
+// TestNewReleaseAllocBudget: after a warm-up pair has filled the free lists,
+// building and releasing a core allocates at most newCoreObjects objects.
+func TestNewReleaseAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := XT910Config()
+	memory := mem.NewMemory()
+	l2 := func() *coherence.L2 {
+		return coherence.NewL2(cache.Config{SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, HitLatency: 10}, mem.NewDRAM())
+	}
+	New(cfg, 0, memory, l2()).Release() // warm-up
+	for i := 0; i < 4; i++ {
+		l := l2() // RegisterL1 appends to the L2's port list
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(cfg, 0, memory, l).Release()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n > newCoreObjects {
+			t.Errorf("run %d: New/Release allocates %d objects, budget %d", i, n, newCoreObjects)
+		}
+	}
+}
+
+// TestIssueQueuesKeepTheirArray: a run leaves every issue queue at the
+// capacity New cut it to — no append reallocated one out of the shared
+// array. speclike fills the issue queues (StallIQ); the store burst, on its
+// second pass with the code in the L1I, renames twenty stores of a
+// DRAM-missing load's value, more st.data entries than an issue queue holds,
+// which renameGates does not bound.
+func TestIssueQueuesKeepTheirArray(t *testing.T) {
+	cfg := XT910Config()
+	spec, err := workloads.SpecLike.Program(1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst, err := asm.Assemble(`
+_start:
+    li   s0, 2
+    li   a0, 0x300000
+again:
+    li   a1, 0x20000
+    ld   t0, 0(a0)
+`+strings.Repeat("    sd   t0, 0(a1)\n    addi a1, a1, 8\n", 20)+`
+    li   t1, 0x40000
+    add  a0, a0, t1
+    addi s0, s0, -1
+    bnez s0, again
+`+exitSeq, asm.Options{Base: 0x1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    *asm.Program
+	}{{"speclike", spec}, {"store burst", burst}} {
+		c, m := buildCore(cfg)
+		tc.p.LoadInto(m)
+		c.Reset(tc.p.Entry, 0x400000)
+		var caps [numPipes]int
+		for q := range c.queues {
+			caps[q] = cap(c.queues[q])
+		}
+		maxSTD := 0
+		for !c.Halted && c.Stats.Cycles < 50_000_000 {
+			c.Step()
+			maxSTD = max(maxSTD, len(c.queues[pipeSTD]))
+		}
+		switch {
+		case !c.Halted:
+			t.Fatalf("%s did not halt", tc.name)
+		case tc.p == spec && c.Stats.StallIQ == 0:
+			t.Fatalf("speclike never filled an issue queue")
+		case tc.p == burst && maxSTD <= cfg.IssueQueue:
+			t.Fatalf("the store burst held at most %d st.data entries, want more than %d", maxSTD, cfg.IssueQueue)
+		}
+		for q := range c.queues {
+			if cap(c.queues[q]) != caps[q] {
+				t.Errorf("%s: %s queue capacity %d after the run, %d from New", tc.name, pipeNames[q], cap(c.queues[q]), caps[q])
+			}
+		}
+		c.Release()
 	}
 }

@@ -116,26 +116,38 @@ type physFile struct {
 	val     []uint64
 	readyAt []uint64 // pendingCycle while unwritten
 	free    []int16
+
+	words []uint64 // val and readyAt: one array from freeRegWords
+	maps  []int16  // both rename maps and free's storage: one array from freeRegMaps
 }
 
 const pendingCycle = ^uint64(0)
 
-// newPhysFile maps the 64 scalar architectural registers onto phys 0–63 and
-// places the remainder on the free list.
-func newPhysFile(intRegs, fpRegs int) (*physFile, []int16) {
+// newPhysFile maps the 64 scalar architectural registers onto phys 0–63 in
+// the speculative and the retirement map and places the remainder on the free
+// list. The free list's capacity is every register, more than it can hold, so
+// its appends stay inside the array; releaseStorage hands both arrays back.
+func newPhysFile(intRegs, fpRegs int) (pf physFile, rat, archRAT []int16) {
 	total := intRegs + fpRegs
-	pf := &physFile{
-		val:     make([]uint64, total),
-		readyAt: make([]uint64, total),
-	}
-	rat := make([]int16, 64)
+	pf.words = freeRegWords.Get(2 * total)
+	pf.val, pf.readyAt = pf.words[:total:total], pf.words[total:]
+	pf.maps = freeRegMaps.Get(128 + total)
+	rat, archRAT, pf.free = pf.maps[:64:64], pf.maps[64:128:128], pf.maps[128:128]
 	for i := 0; i < 64; i++ {
-		rat[i] = int16(i)
+		rat[i], archRAT[i] = int16(i), int16(i)
 	}
 	for i := total - 1; i >= 64; i-- {
 		pf.free = append(pf.free, int16(i))
 	}
-	return pf, rat
+	return pf, rat, archRAT
+}
+
+// releaseStorage hands the register file's arrays to the cores built after
+// it; the file and its core's rename maps must not be used afterwards.
+func (pf *physFile) releaseStorage() {
+	freeRegWords.Put(&pf.words)
+	freeRegMaps.Put(&pf.maps)
+	*pf = physFile{}
 }
 
 func (pf *physFile) alloc() (int16, bool) {

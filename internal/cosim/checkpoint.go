@@ -58,12 +58,10 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if string(h.c.Output) != string(h.m.Output) {
 		return nil, fmt.Errorf("cosim: output differs at boundary: core=%q emu=%q", h.c.Output, h.m.Output)
 	}
-	for line := range k.written.epoch {
-		if addr, cv, ev, differs := lineDiff(h.c.Mem, h.m.Mem, line); differs {
-			return nil, fmt.Errorf("cosim: memory differs at boundary: [%#x] core=%#x emu=%#x", addr, cv, ev)
-		}
+	if addr, cv, ev, differs := k.written.lowestDiff(h.c.Mem, h.m.Mem); differs {
+		return nil, fmt.Errorf("cosim: memory differs at boundary: [%#x] core=%#x emu=%#x", addr, cv, ev)
 	}
-	if diffs := k.coreState().Diff(h.m.Snapshot(compareCSRs...)); len(diffs) > 0 {
+	if diffs := k.archDiff(); len(diffs) > 0 {
 		return nil, fmt.Errorf("cosim: models differ at boundary: %s", diffs[0])
 	}
 	return &Checkpoint{

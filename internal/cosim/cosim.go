@@ -73,6 +73,7 @@ import (
 	"xt910/internal/emu"
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
+	"xt910/internal/recycle"
 	"xt910/internal/soc"
 	"xt910/isa"
 )
@@ -296,9 +297,10 @@ func (h *HartSession) Commits() uint64 { return h.k.commits }
 // decide whether the corruption is detected; Run and RunContext are thin
 // loops of Advance on top of it.
 type Session struct {
-	harts  []*HartSession
-	sys    *soc.System // the core world
-	oracle *storeOracle
+	harts   []*HartSession
+	sys     *soc.System // the core world
+	oracle  *storeOracle
+	written *writtenLines // shared by every hart's checker
 
 	maxCycles     uint64
 	globalCommits uint64
@@ -376,7 +378,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 	harts := len(sys.Cores)
 	scheds := opts.hartSchedules(harts)
 
-	s := &Session{sys: sys, maxCycles: opts.MaxCycles, failHart: -1}
+	s := &Session{sys: sys, maxCycles: opts.MaxCycles, failHart: -1, written: newWrittenLines()}
 	emem := mem.NewMemory()
 	p.LoadInto(emem)
 
@@ -390,7 +392,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 		}
 	}
 
-	written := newWrittenLines()
+	written := s.written
 	// Committed-write broadcast, the SoC fabric's: the other harts' reservations
 	// die, their predecode over the range drops, and their speculatively-
 	// executed overlapping loads squash. The emulators kill reservations alike.
@@ -637,12 +639,12 @@ func (s *Session) Finish() Result {
 }
 
 // Release hands the session's large tables — the core world's (see
-// soc.System.Release), every emulator's and the emulators' memory pages — to
-// the sessions built after it, each zeroed back to what its constructor
-// expects, so that a fuzz seed does not pay for allocating and clearing a
-// full-size memory system it barely touches (DESIGN.md "Session storage
-// recycling"). The session and everything reached through it must not be
-// used afterwards; a second call does nothing.
+// soc.System.Release), every emulator's, the emulators' memory pages and the
+// written-line tracker — to the sessions built after it, each zeroed back to
+// what its constructor expects, so that a fuzz seed does not pay for
+// allocating and clearing a full-size memory system it barely touches
+// (DESIGN.md "Session storage recycling"). The session and everything
+// reached through it must not be used afterwards; a second call does nothing.
 //
 // Only the code that built the session may release it, and only when nothing
 // it handed out can still reach the models: Run and RunContext do, and return
@@ -657,7 +659,8 @@ func (s *Session) Release() {
 		h.m.Release()
 	}
 	s.harts[0].m.Mem.Release() // one memory, shared by every emulator
-	s.harts, s.sys = nil, nil
+	s.written.release()
+	s.harts, s.sys, s.written = nil, nil, nil
 }
 
 // Run drives a program to completion under the lock-step checker.
@@ -742,8 +745,33 @@ type writtenLines struct {
 	now     uint64 // current epoch; starts at 1 so the map's zero value means "never"
 }
 
+// freeWrittenLines recycles the trackers between sessions: each is empty,
+// its map cleared rather than dropped and its pending list cut to length 0,
+// so the next session starts without regrowing either.
+var freeWrittenLines recycle.Objects[writtenLines]
+
+// recycledLines bounds the trackers worth listing: the lines of the 16 pages
+// a fuzz session touches at most. A cleared map keeps its capacity and the
+// halt-time sweep walks all of it, so a kernel's tracker of thousands of
+// lines would make every later fuzz seed's sweep that long.
+const recycledLines = 16 * mem.PageSize / 64
+
 func newWrittenLines() *writtenLines {
+	if w := freeWrittenLines.Get(); w != nil {
+		return w
+	}
 	return &writtenLines{epoch: make(map[uint64]uint64), now: 1}
+}
+
+// release empties the tracker and hands it to the sessions built after it,
+// unless it grew past recycledLines.
+func (w *writtenLines) release() {
+	if len(w.epoch) > recycledLines {
+		return
+	}
+	clear(w.epoch)
+	w.pending, w.now = w.pending[:0], 1
+	freeWrittenLines.Put(w)
 }
 
 func (w *writtenLines) mark(addr uint64, size int) {
@@ -994,13 +1022,29 @@ func (k *checker) compareMemory(ci core.Commit) {
 }
 
 // sweepMemory checks every line either model has ever written, which also
-// covers corruption that reached an already-compared line behind the hooks.
+// covers corruption that reached an already-compared line behind the hooks,
+// and fails the run on the lowest line that differs.
 func (k *checker) sweepMemory(ci core.Commit) {
-	for line := range k.written.epoch {
-		if k.compareLine(ci, line) {
-			return
+	if addr, cv, ev, differs := k.written.lowestDiff(k.c.Mem, k.m.Mem); differs {
+		k.fail(ci, "mem", fmt.Sprintf("[%#x]: core=%#x emu=%#x", addr, cv, ev))
+	}
+}
+
+// lowestDiff returns the first differing word of the lowest written line on
+// which the two memories differ. The lines are a map's keys, so every one is
+// visited and the minimum kept: which line a report names must not depend on
+// the order a map happens to be walked in.
+func (w *writtenLines) lowestDiff(cm, em *mem.Memory) (addr, cv, ev uint64, differs bool) {
+	lowest := ^uint64(0)
+	for line := range w.epoch {
+		if line >= lowest {
+			continue
+		}
+		if a, c, e, d := lineDiff(cm, em, line); d {
+			lowest, addr, cv, ev, differs = line, a, c, e, true
 		}
 	}
+	return addr, cv, ev, differs
 }
 
 // compareLine fails the run on the first 8-byte word of a line that differs
@@ -1068,9 +1112,47 @@ func (k *checker) drain() {
 	if k.failed {
 		return
 	}
-	if diffs := k.coreState().Diff(k.m.Snapshot(compareCSRs...)); len(diffs) > 0 {
+	if diffs := k.archDiff(); len(diffs) > 0 {
 		k.fail(last, "final", diffs...)
 	}
+}
+
+// archDiff is the halt-time and checkpoint state compare:
+// coreState().Diff(Snapshot(compareCSRs...)), one line per differing field.
+// The two snapshots are built only when archMayDiffer finds a difference, so
+// a run that ends in agreement allocates nothing here.
+func (k *checker) archDiff() []string {
+	if !k.archMayDiffer() {
+		return nil
+	}
+	return k.coreState().Diff(k.m.Snapshot(compareCSRs...))
+}
+
+// archMayDiffer compares, in place, every field archDiff's Diff compares —
+// the x and f registers (x0 is equal by construction, as ArchRegMismatch
+// relies on), the reservation, Stats.Retired against Instret, the compared
+// CSRs, vl, vtype and the vector file — and reports whether any differs. PC
+// and privilege need no compare: coreState takes the emulator's. A model
+// without a vector unit answers true, leaving that case to Diff.
+func (k *checker) archMayDiffer() bool {
+	c, m := k.c, k.m
+	if _, _, differs := c.ArchRegMismatch(&m.X, &m.F); differs {
+		return true
+	}
+	cOK, cAddr := c.Reservation()
+	eOK, eAddr := m.Reservation()
+	if cOK != eOK || (cOK && cAddr != eAddr) || c.Stats.Retired != m.Instret {
+		return true
+	}
+	for _, n := range compareCSRs {
+		if c.CSR(n) != m.CSR(n) {
+			return true
+		}
+	}
+	if c.Vec == nil || m.Vec == nil {
+		return true
+	}
+	return c.Vec.VL != m.Vec.VL || c.Vec.VType != m.Vec.VType || !c.Vec.File.Equal(m.Vec.File)
 }
 
 // coreState assembles the core's architectural state as an emu.ArchState so

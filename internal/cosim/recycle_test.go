@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"xt910/internal/asm"
 	"xt910/internal/cache"
@@ -173,45 +174,48 @@ func TestReleaseAfterFaultInjection(t *testing.T) {
 	}
 }
 
-// maxSeedObjects bounds what one FuzzContext seed allocates in any mode
-// (seed 7, 40 segments). A seed takes 289 to 542 objects now that the
-// generator hands the assembler Items; it took 1411 to 1699 while the program
-// was printed and parsed back, and 2903 to 3592 before session storage was
-// recycled.
-const maxSeedObjects = 700
+// seedObjects bounds what one campaign item allocates in each mode: a
+// FuzzWatched seed (seed 7, 40 segments) under a one-minute watchdog, once the
+// free lists hold a session's worth of storage. Each bound is the measured
+// count plus 10 %: 70, 93, 131 and 147 objects. A seed took 230, 240, 274 and
+// 422 while the halt-time compare built two ArchStates and every core regrew
+// its issue queues, register file and vector units; 289 to 542 before the
+// generator handed the assembler Items; 2903 to 3592 before session storage
+// was recycled.
+var seedObjects = map[string]float64{"": 77, "paged": 102, "irq": 144, "smp": 161}
 
-// TestFuzzSeedAllocBudget: once the free lists hold a session's worth of
-// storage, every fuzz seed — each one, not the average: what a list holds may
-// not depend on when the garbage collector last ran — allocates under 256 KB
-// (it was 2.5 MB, nine tenths of it the memory system's tables) and at most
-// maxSeedObjects objects.
+// TestFuzzSeedAllocBudget: every fuzz seed — each one, not the average: what
+// a list holds may not depend on when the garbage collector last ran —
+// allocates under 256 KB (it was 2.5 MB, nine tenths of it the memory
+// system's tables) and at most its mode's seedObjects.
 func TestFuzzSeedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	for _, modes := range []string{"", "paged", "irq", "smp"} {
 		m, _ := ParseModes(modes)
+		opts := Options{Modes: m, SeedTimeout: time.Minute}
 		seed := func() {
-			if fr := FuzzContext(context.Background(), 7, 0, Options{Modes: m}); fr.Err != nil || fr.Diverged {
-				t.Fatalf("%q seed 7: err=%v diverged=%v", modes, fr.Err, fr.Diverged)
+			if fr := FuzzWatched(context.Background(), 7, 0, opts); fr.Err != nil || fr.Diverged || fr.TimedOut {
+				t.Fatalf("%q seed 7: err=%v diverged=%v timed out=%v", modes, fr.Err, fr.Diverged, fr.TimedOut)
 			}
 		}
 		seed() // warm-up: fills the free lists
-		var objects, bytes uint64
-		for i := 0; i < 20; i++ {
-			if i%5 == 0 {
-				runtime.GC() // two collections would empty a sync.Pool
-				runtime.GC()
-			}
+		var objects float64
+		for i := 0; i < 4; i++ {
+			runtime.GC() // two collections would empty a sync.Pool
+			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			seed()
 			runtime.ReadMemStats(&after)
-			objects, bytes = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-			if bytes > 256<<10 {
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 256<<10 {
 				t.Errorf("%q: run %d allocates %d bytes, budget %d", modes, i, bytes, 256<<10)
 			}
-			if objects > maxSeedObjects {
-				t.Errorf("%q: run %d allocates %d objects, budget %d", modes, i, objects, maxSeedObjects)
+			if objects = testing.AllocsPerRun(1, seed); objects > seedObjects[modes] {
+				t.Errorf("%q: run %d allocates %v objects, budget %v", modes, i, objects, seedObjects[modes])
 			}
 		}
-		t.Logf("%q: %d objects, %d bytes a seed", modes, objects, bytes)
+		t.Logf("%q: %v objects a seed", modes, objects)
 	}
 }

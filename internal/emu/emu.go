@@ -115,14 +115,16 @@ func New(m *mem.Memory) *Machine {
 	}
 }
 
-// Release hands the machine's soft TLB and decode memo, zeroed, to the
-// machines built after it (DESIGN.md "Session storage recycling"). The
+// Release hands the machine's soft TLB, decode memo and vector unit, zeroed,
+// to the machines built after it (DESIGN.md "Session storage recycling"). The
 // machine must not be used afterwards. Only the code that built a machine,
 // and let nobody else see it, may call this.
 func (m *Machine) Release() {
 	*m.tab = tables{}
 	freeTables.Put(m.tab)
 	m.tab = nil
+	m.Vec.Release()
+	m.Vec = nil
 }
 
 // Reg reads an architectural register by unified number.

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 
 	"xt910/isa"
 )
@@ -105,7 +106,8 @@ func (m *Machine) RestoreArch(s ArchState) {
 
 // Diff returns one human-readable line per field where the two states differ;
 // an empty slice means the states are architecturally identical. CSRs are
-// compared over the union of the two snapshots' recorded sets.
+// compared over the union of the two snapshots' recorded sets and listed in
+// ascending CSR number.
 func (a ArchState) Diff(b ArchState) []string {
 	var out []string
 	if a.PC != b.PC {
@@ -131,17 +133,17 @@ func (a ArchState) Diff(b ArchState) []string {
 		out = append(out, fmt.Sprintf("reservation: valid=%v addr=%#x != valid=%v addr=%#x",
 			a.ResValid, a.ResAddr, b.ResValid, b.ResAddr))
 	}
-	seen := make(map[uint16]bool)
+	var csrs []uint16
 	for _, m := range []map[uint16]uint64{a.CSR, b.CSR} {
 		for n := range m {
-			if seen[n] {
-				continue
-			}
-			seen[n] = true
-			if a.CSR[n] != b.CSR[n] {
-				out = append(out, fmt.Sprintf("csr %s: %#x != %#x", isa.CSRName(n), a.CSR[n], b.CSR[n]))
+			if a.CSR[n] != b.CSR[n] && !slices.Contains(csrs, n) {
+				csrs = append(csrs, n)
 			}
 		}
+	}
+	slices.Sort(csrs) // in CSR-number order, not the maps' walk order
+	for _, n := range csrs {
+		out = append(out, fmt.Sprintf("csr %s: %#x != %#x", isa.CSRName(n), a.CSR[n], b.CSR[n]))
 	}
 	if a.VL != b.VL {
 		out = append(out, fmt.Sprintf("vl: %d != %d", a.VL, b.VL))

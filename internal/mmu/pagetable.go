@@ -139,11 +139,12 @@ func (a *ASIDAllocator) Assign(pid uint64) (asid uint16, flush bool) {
 	}
 	max := uint64(1)<<a.Width - 1
 	if a.next > max {
-		// generation rollover: flush everything, restart numbering
+		// generation rollover: flush everything, restart numbering (the
+		// map is cleared, not re-made: every generation fills it again)
 		a.next = 1
 		a.gen++
 		a.Wraps++
-		a.perGen = make(map[uint64]uint16)
+		clear(a.perGen)
 		flush = true
 	}
 	asid = uint16(a.next)

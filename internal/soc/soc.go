@@ -305,7 +305,7 @@ func (s *System) Release() {
 		c.Release()
 	}
 	for _, cl := range s.Clusters {
-		cl.L2.Cache.Release()
+		cl.L2.Release()
 	}
 	s.Mem.Release()
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"xt910/internal/recycle"
 	"xt910/isa"
 )
 
@@ -97,9 +98,26 @@ type Unit struct {
 	VType isa.VType
 }
 
-// NewUnit creates a vector unit with the given VLEN.
+// freeUnits recycles units between the models that own them (DESIGN.md
+// "Session storage recycling"): every unit on it is in the state NewUnit
+// returns a new one in.
+var freeUnits recycle.Objects[Unit]
+
+// NewUnit creates a vector unit with the given VLEN: a released one when the
+// newest on the free list has that VLEN, a new one otherwise.
 func NewUnit(vlenBits int) *Unit {
+	if u := freeUnits.Get(); u != nil && u.File.VLENBits == vlenBits {
+		return u
+	}
 	return &Unit{File: NewFile(vlenBits)}
+}
+
+// Release zeroes the unit and hands it to the units created after it. The
+// caller must not use it afterwards.
+func (u *Unit) Release() {
+	clear(u.File.data)
+	u.VL, u.VType = 0, 0
+	freeUnits.Put(u)
 }
 
 // CopyFrom makes u, a unit of the same VLEN, hold exactly what o holds.

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -40,13 +41,21 @@ func aiData() string {
 	var b strings.Builder
 	b.WriteString("\n.align 4\nvec_x:\n")
 	for i := 0; i < aiN; i++ {
-		b.WriteString(fmt.Sprintf("    .half %d\n", (i*37+11)%251-125))
+		halfLine(&b, (i*37+11)%251-125)
 	}
 	b.WriteString("vec_w:\n")
 	for i := 0; i < aiN; i++ {
-		b.WriteString(fmt.Sprintf("    .half %d\n", (i*91+43)%199-99))
+		halfLine(&b, (i*91+43)%199-99)
 	}
 	return b.String()
+}
+
+// halfLine writes one ".half v" directive line.
+func halfLine(b *strings.Builder, v int) {
+	var num [20]byte
+	b.WriteString("    .half ")
+	b.Write(strconv.AppendInt(num[:0], int64(v), 10))
+	b.WriteByte('\n')
 }
 
 func genAIDotScalar(iters int) string {

@@ -2,8 +2,8 @@ package isa
 
 import "math"
 
-// The allocation-free path for the flags of add, subtract, multiply and fused
-// multiply-add, in both widths. It computes the rounding error of the
+// The allocation-free path for the flags of add, subtract, multiply, fused
+// multiply-add, divide and square root, in both widths. It computes the rounding error of the
 // operation with error-free transformations — sequences of ordinary
 // floating-point operations whose result is provably the exact error — and
 // raises NX when that error is not zero. Each helper first checks that its
@@ -37,6 +37,23 @@ import "math"
 // float32 rounding overflows or lands below the normal range is open; that is
 // settled when s is at least a binade away from both ends, else the case goes
 // to the reference.
+//
+// Division and square root are decided the way the reference decides them: a
+// finite quotient r = fl(x/y) is exact iff r·y = x, a square root
+// r = fl(√x) iff r·r = x. In single precision both sides are exact in
+// float64 (24-bit by 24-bit products, far inside its range), so that compare
+// needs no range at all. In double precision the residual r·y − x (r·r − x) is
+// one fma, and it is zero exactly when the exact residual is, provided a
+// nonzero exact residual cannot round to zero: x is a multiple of 2^-1074, so
+// the residual is whenever the product r·y is, which holds when the weights
+// of the last mantissa bits of r and y sum to at least −1074 (the lsb of a
+// double with biased exponent b weighs 2^(max(b,1)−1075)). For a square root
+// that is r ≥ 2^-485, which holds for x ≥ 2^-970. The residual cannot
+// overflow: it is at most about 2^-52·|x|, or 2^-51 when r is subnormal.
+// The flags then follow the reference: NX when inexact, OF|NX for an
+// infinite quotient of finite operands, UF with NX when the quotient is zero
+// or below the normal range, NV for the square root of a negative number. A
+// zero divisor goes to the reference, which answers DZ or NV without math/big.
 
 const (
 	expMask64  = 0x7FF
@@ -62,9 +79,18 @@ func twoSum(x, y float64) (s, e float64) {
 }
 
 // fpuFlagsFast is fpuFlags for the cases it can prove; ok=false means "ask
-// fpuFlagsBig". No operand is a NaN when ok is true, so NV is never due.
+// fpuFlagsBig". No operand is a NaN when ok is true, so NV is due only for
+// the square root of a negative number.
 func fpuFlagsFast(op Op, a, b, c uint64) (flags uint8, ok bool) {
 	switch op {
+	case FDIVD:
+		return div64Fast(math.Float64frombits(a), math.Float64frombits(b))
+	case FSQRTD:
+		return sqrt64Fast(math.Float64frombits(a))
+	case FDIVS:
+		return div32Fast(UnboxF32(a), UnboxF32(b))
+	case FSQRTS:
+		return sqrt32Fast(UnboxF32(a))
 	case FADDD:
 		return add64Fast(math.Float64frombits(a), math.Float64frombits(b))
 	case FSUBD:
@@ -183,4 +209,79 @@ func flags32Exact(s float64) uint8 {
 		return FFlagNX | FFlagUF
 	}
 	return FFlagNX
+}
+
+// lsbExp64 is the exponent of the weight of v's last mantissa bit.
+func lsbExp64(v float64) int { return max(int(biasedExp64(v)), 1) - 1075 }
+
+func div64Fast(x, y float64) (uint8, bool) {
+	if biasedExp64(x) == expMask64 || biasedExp64(y) == expMask64 || y == 0 {
+		return 0, false
+	}
+	if x == 0 {
+		return 0, true
+	}
+	r := x / y
+	if math.IsInf(r, 0) {
+		return FFlagOF | FFlagNX, true
+	}
+	if lsbExp64(r)+lsbExp64(y) < -1074 {
+		return 0, false
+	}
+	if math.FMA(r, y, -x) == 0 {
+		return 0, true
+	}
+	if r == 0 || math.Abs(r) < 0x1p-1022 {
+		return FFlagNX | FFlagUF, true
+	}
+	return FFlagNX, true
+}
+
+func sqrt64Fast(x float64) (uint8, bool) {
+	switch {
+	case biasedExp64(x) == expMask64:
+		return 0, false
+	case x == 0:
+		return 0, true
+	case x < 0:
+		return FFlagNV, true
+	}
+	r := math.Sqrt(x)
+	if r < 0x1p-485 {
+		return 0, false
+	}
+	if math.FMA(r, r, -x) == 0 {
+		return 0, true
+	}
+	return FFlagNX, true
+}
+
+func div32Fast(x, y float32) (uint8, bool) {
+	if !finite32(x) || !finite32(y) || y == 0 {
+		return 0, false
+	}
+	r := x / y
+	switch {
+	case isInf32(r):
+		return FFlagOF | FFlagNX, true
+	case float64(r)*float64(y) == float64(x):
+		return 0, true
+	case r == 0 || abs32(r) < 0x1p-126:
+		return FFlagNX | FFlagUF, true
+	}
+	return FFlagNX, true
+}
+
+func sqrt32Fast(x float32) (uint8, bool) {
+	switch {
+	case !finite32(x):
+		return 0, false
+	case x < 0:
+		return FFlagNV, true
+	}
+	r := float64(float32(math.Sqrt(float64(x))))
+	if r*r == float64(x) {
+		return 0, true
+	}
+	return FFlagNX, true
 }

@@ -6,11 +6,14 @@ import (
 	"testing"
 )
 
-var fastFlagOps = []Op{FADDD, FSUBD, FMULD, FMADDD, FMSUBD, FADDS, FSUBS, FMULS, FMADDS, FMSUBS}
+var fastFlagOps = []Op{
+	FADDD, FSUBD, FMULD, FMADDD, FMSUBD, FDIVD, FSQRTD,
+	FADDS, FSUBS, FMULS, FMADDS, FMSUBS, FDIVS, FSQRTS,
+}
 
 func isSingleOp(op Op) bool {
 	switch op {
-	case FADDS, FSUBS, FMULS, FMADDS, FMSUBS:
+	case FADDS, FSUBS, FMULS, FMADDS, FMSUBS, FDIVS, FSQRTS:
 		return true
 	}
 	return false
@@ -213,6 +216,25 @@ func TestFPFlagsFastRangePredicate(t *testing.T) {
 		{"fmadd.s inexact in double near overflow", FMADDS, F32(math.MaxFloat32), F32(1), F32(0x1p-149), false},
 		{"fmadd.s inexact in double near underflow", FMADDS, F32(0x1.fffffep-91), F32(0x1.fffffep-91), F32(0x1p-126), false},
 		{"fmsub.s snan", FMSUBS, F32(1), F32(1), sNaN32(), false},
+		{"div ordinary", FDIVD, F64(1), F64(3), 0, true},
+		{"div by zero", FDIVD, F64(1), F64(0), 0, false},
+		{"div zero by zero", FDIVD, F64(0), F64(0), 0, false},
+		{"div overflow", FDIVD, F64(0x1p1000), F64(0x1p-100), 0, true},
+		{"div subnormal quotient", FDIVD, F64(0x1p-1000), F64(0x1.8p100), 0, true},
+		{"div small quotient and divisor", FDIVD, F64(0x1p-1000), F64(0x1p-30), 0, false},
+		{"div small dividend", FDIVD, F64(0x1p-1000), F64(3), 0, false},
+		{"div inf", FDIVD, F64(inf), F64(3), 0, false},
+		{"div nan", FDIVD, F64(1), F64(nan), 0, false},
+		{"sqrt ordinary", FSQRTD, F64(2), 0, 0, true},
+		{"sqrt negative", FSQRTD, F64(-2), 0, 0, true},
+		{"sqrt at 2^-970", FSQRTD, F64(0x1p-970), 0, 0, true},
+		{"sqrt below 2^-970", FSQRTD, F64(0x1p-972), 0, 0, false},
+		{"sqrt inf", FSQRTD, F64(inf), 0, 0, false},
+		{"div.s subnormal quotient", FDIVS, F32(0x1p-120), F32(0x1.8p20), 0, true},
+		{"div.s by zero", FDIVS, F32(1), F32(0), 0, false},
+		{"div.s unboxed", FDIVS, 0x3F800000, F32(1), 0, false},
+		{"sqrt.s subnormal", FSQRTS, F32(0x1p-149), 0, 0, true},
+		{"sqrt.s nan", FSQRTS, F32(float32(nan)), 0, 0, false},
 	} {
 		if _, ok := fpuFlagsFast(tc.op, tc.a, tc.b, tc.c); ok != tc.fast {
 			t.Errorf("%s: fast path taken=%v, want %v", tc.name, ok, tc.fast)
@@ -222,7 +244,8 @@ func TestFPFlagsFastRangePredicate(t *testing.T) {
 }
 
 // TestFPFlagsFastNoAllocs: the fast path exists so that a kernel's fadd.d /
-// fmul.d / fmadd.d stop allocating math/big floats.
+// fmul.d / fmadd.d / fdiv.d / fsqrt.d, and their single-precision twins, stop
+// allocating math/big floats.
 func TestFPFlagsFastNoAllocs(t *testing.T) {
 	var sink uint8
 	if n := testing.AllocsPerRun(100, func() {
