@@ -71,9 +71,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (rc int) {
 	fs := flag.NewFlagSet("xtbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var cf cliflags.Campaign
+	var cf cliflags.Knobs
 	cf.RegisterPool(fs)
-	cf.RegisterJSON(fs)
+	jsonOut := cliflags.RegisterJSON(fs)
 	cf.RegisterTimeout(fs, 0, "per-experiment deadline (0 = none)")
 	quick := fs.Bool("quick", false, "reduced iteration counts")
 	only := fs.String("only", "", "run a single experiment by id")
@@ -86,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	jsonOut := &cf.JSON
 	if *track && !*fidelity {
 		fmt.Fprintln(stderr, "xtbench: -track only applies with -fidelity (host speed is measured by ./benchmark)")
 		return 2

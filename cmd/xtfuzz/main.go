@@ -54,14 +54,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (rc int) {
 	fs := flag.NewFlagSet("xtfuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var cf cliflags.Campaign
-	var ms cliflags.ModeSpec
+	var cf cliflags.Knobs
 	cf.RegisterSeeds(fs, 100)
 	cf.RegisterPool(fs)
-	cf.RegisterJSON(fs)
+	jsonOut := cliflags.RegisterJSON(fs)
 	cf.RegisterTimeout(fs, 0,
 		"per-seed wall-clock watchdog (0 = none; timed-out seeds retry once at 2x)")
-	ms.Register(fs)
+	cf.RegisterModes(fs)
 	prof := cliflags.RegisterProfile(fs)
 	segs := fs.Int("segs", 0, "segments per program (0 = default)")
 	cycles := fs.Uint64("cycles", 0, "per-program cycle budget (0 = default)")
@@ -70,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	modes, err := ms.Modes()
+	modes, err := cf.CosimModes()
 	if err != nil {
 		fmt.Fprintf(stderr, "xtfuzz: %v\n", err)
 		return 2
@@ -131,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		cycles2 += fr.Result.Cycles
 		hartCycles += fr.Clock.Cycles
 		ff.Add(fr.Clock.FF)
-		if cf.JSON {
+		if *jsonOut {
 			// cosim.SeedRecord is the shared row format: the campaign
 			// service emits the same struct, keeping sharded merged reports
 			// byte-identical to this output.
@@ -148,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 			continue
 		}
 		diverged++
-		if !cf.JSON {
+		if !*jsonOut {
 			fmt.Fprintf(stdout, "=== seed %d ===\n%s\n--- minimized reproducer (run with -repro) ---\n%s\n",
 				fr.Seed, fr.Result.Report, fr.Shrunk)
 		}

@@ -47,14 +47,16 @@ func TestRepro(t *testing.T) {
 
 func TestHartsModeConflict(t *testing.T) {
 	// -modes paged alone is legal, but -harts 2 implies SMP and paged+smp is
-	// not; and no cluster has three cores. Each must be a usage error naming
-	// the rule, not a silent run.
+	// not; no cluster has three cores; and the -paged/-irq aliases of -modes
+	// are long gone. Each must be a usage error naming the rule or the flag,
+	// not a silent run.
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-modes", "paged", "-harts", "2", "-n", "1"}, "paged"},
 		{[]string{"-modes", "smp", "-harts", "3", "-n", "1"}, "Table I"},
+		{[]string{"-modes", "irq", "-paged", "-n", "1"}, "-paged"},
 	} {
 		var out, errb bytes.Buffer
 		if rc := run(tc.args, &out, &errb); rc != 2 {

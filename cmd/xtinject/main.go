@@ -36,7 +36,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xtinject", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var cf cliflags.Campaign
+	var cf cliflags.Knobs
 	cf.RegisterSeeds(fs, 10)
 	cf.RegisterPool(fs)
 	cf.RegisterTimeout(fs, 60*time.Second, "per-run wall deadline")

@@ -138,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printCPIPC(stdout, tr, st.Cycles, *cpipc)
 	}
 	if tr.Dropped > 0 {
-		fmt.Fprintf(stdout, "dropped %d in-flight records (raise BufferCap)\n", tr.Dropped)
+		fmt.Fprintf(stdout, "dropped %d in-flight records\n", tr.Dropped)
 	}
 
 	if *selfcheck {

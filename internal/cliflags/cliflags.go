@@ -40,53 +40,11 @@ func RegisterCoreConfig(fs *flag.FlagSet) *core.Config {
 	return &cfg
 }
 
-// Campaign holds the uniform campaign knobs. A tool registers the subset it
-// supports with the Register* helpers and reads the fields after fs.Parse.
-type Campaign struct {
-	N       int
-	Seed    int64
-	Jobs    int
-	JSON    bool
-	Timeout time.Duration
-}
-
-// RegisterSeeds registers -n (seed count, tool-specific default) and -seed
-// (first seed).
-func (c *Campaign) RegisterSeeds(fs *flag.FlagSet, defaultN int) {
-	fs.IntVar(&c.N, "n", defaultN, "number of seeds to run")
-	fs.Int64Var(&c.Seed, "seed", 1, "first seed")
-}
-
-// Seeds expands (-seed, -n) into the campaign's seed list.
-func (c *Campaign) Seeds() []int64 {
-	s := make([]int64, c.N)
-	for i := range s {
-		s[i] = c.Seed + int64(i)
-	}
-	return s
-}
-
-// RegisterPool registers -jobs with the shared default and wording.
-func (c *Campaign) RegisterPool(fs *flag.FlagSet) {
-	fs.IntVar(&c.Jobs, "jobs", runtime.GOMAXPROCS(0),
-		"worker-pool width (1 = serial; results identical at any width)")
-}
-
-// RegisterJSON registers -json.
-func (c *Campaign) RegisterJSON(fs *flag.FlagSet) {
-	fs.BoolVar(&c.JSON, "json", false, "emit machine-readable JSON on stdout")
-}
-
-// RegisterTimeout registers -timeout (tool-specific default and usage).
-func (c *Campaign) RegisterTimeout(fs *flag.FlagSet, def time.Duration, usage string) {
-	fs.DurationVar(&c.Timeout, "timeout", def, usage)
-}
-
-// Knobs is the serializable image of the uniform campaign knob set: the same
-// -n / -seed / -jobs / -timeout / -modes values a CLI invocation would carry,
-// as a JSON document a campaign manifest can record and a service can
-// reconstruct the exact run from. Round trip: Campaign.Knobs → JSON →
-// Knobs.Campaign yields the identical knob values.
+// Knobs is the uniform campaign knob set: the -n / -seed / -jobs / -timeout /
+// -modes values a CLI invocation carries. A tool registers the subset it
+// supports with the Register* methods and reads the fields after fs.Parse.
+// As JSON it is the image a campaign manifest records and a service
+// reconstructs the exact run from.
 type Knobs struct {
 	N       int           `json:"n,omitempty"`
 	Seed    int64         `json:"seed,omitempty"`
@@ -95,45 +53,46 @@ type Knobs struct {
 	Modes   string        `json:"modes,omitempty"`
 }
 
-// Knobs packages the parsed campaign flags (plus a -modes spec string) for a
-// manifest.
-func (c *Campaign) Knobs(modes string) Knobs {
-	return Knobs{N: c.N, Seed: c.Seed, Jobs: c.Jobs, Timeout: c.Timeout, Modes: modes}
+// RegisterSeeds registers -n (seed count, tool-specific default) and -seed
+// (first seed).
+func (k *Knobs) RegisterSeeds(fs *flag.FlagSet, defaultN int) {
+	fs.IntVar(&k.N, "n", defaultN, "number of seeds to run")
+	fs.Int64Var(&k.Seed, "seed", 1, "first seed")
 }
 
-// Campaign reconstructs the flag values the knobs were captured from.
-func (k Knobs) Campaign() Campaign {
-	return Campaign{N: k.N, Seed: k.Seed, Jobs: k.Jobs, Timeout: k.Timeout}
+// RegisterPool registers -jobs with the shared default and wording.
+func (k *Knobs) RegisterPool(fs *flag.FlagSet) {
+	fs.IntVar(&k.Jobs, "jobs", runtime.GOMAXPROCS(0),
+		"worker-pool width (1 = serial; results identical at any width)")
 }
 
-// Seeds expands the knob set's seed range, identically to Campaign.Seeds.
+// RegisterTimeout registers -timeout (tool-specific default and usage).
+func (k *Knobs) RegisterTimeout(fs *flag.FlagSet, def time.Duration, usage string) {
+	fs.DurationVar(&k.Timeout, "timeout", def, usage)
+}
+
+// RegisterModes registers -modes, the composable mode spec CosimModes parses.
+func (k *Knobs) RegisterModes(fs *flag.FlagSet) {
+	fs.StringVar(&k.Modes, "modes", "", "comma-separated fuzz modes: paged, irq, smp")
+}
+
+// Seeds expands (-seed, -n) into the campaign's seed list.
 func (k Knobs) Seeds() []int64 {
-	c := k.Campaign()
-	return c.Seeds()
-}
-
-// CosimModes parses and validates the recorded -modes spec.
-func (k Knobs) CosimModes() (cosim.Modes, error) {
-	md, err := cosim.ParseModes(k.Modes)
-	if err != nil {
-		return md, err
+	s := make([]int64, k.N)
+	for i := range s {
+		s[i] = k.Seed + int64(i)
 	}
-	return md, md.Validate()
+	return s
 }
 
-// ModeSpec is the composable -modes flag. Register it, parse the FlagSet, then
-// call Modes.
-type ModeSpec struct {
-	spec string
-}
+// CosimModes parses the -modes spec into a validated mode set.
+func (k Knobs) CosimModes() (cosim.Modes, error) { return cosim.ParseModes(k.Modes) }
 
-// Register registers -modes.
-func (m *ModeSpec) Register(fs *flag.FlagSet) {
-	fs.StringVar(&m.spec, "modes", "", "comma-separated fuzz modes: paged, irq, smp")
+// RegisterJSON registers -json. Output format is no part of a run, so it is
+// not one of the Knobs.
+func RegisterJSON(fs *flag.FlagSet) *bool {
+	return fs.Bool("json", false, "emit machine-readable JSON on stdout")
 }
-
-// Modes parses the spec into a validated mode set.
-func (m *ModeSpec) Modes() (cosim.Modes, error) { return cosim.ParseModes(m.spec) }
 
 // Profile holds the host-profiling flags -cpuprofile / -memprofile. They
 // observe the tool itself, not the simulated machine, so they are not part of

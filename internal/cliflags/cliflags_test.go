@@ -23,7 +23,7 @@ func newFS() *flag.FlagSet {
 }
 
 func TestSeedsExpansion(t *testing.T) {
-	var c Campaign
+	var c Knobs
 	fs := newFS()
 	c.RegisterSeeds(fs, 100)
 	if err := fs.Parse([]string{"-n", "3", "-seed", "7"}); err != nil {
@@ -53,13 +53,13 @@ func TestModeSpecRejectsIllegal(t *testing.T) {
 		{"paged", 2}, // harts imply smp
 		{"smp", 3},   // no 3-core cluster (Table I)
 	} {
-		var m ModeSpec
+		var k Knobs
 		fs := newFS()
-		m.Register(fs)
+		k.RegisterModes(fs)
 		if err := fs.Parse([]string{"-modes", tc.spec}); err != nil {
 			t.Fatal(err)
 		}
-		md, err := m.Modes()
+		md, err := k.CosimModes()
 		if err == nil {
 			err = cosim.Options{Modes: md, Harts: tc.harts}.Validate()
 		}
@@ -69,72 +69,20 @@ func TestModeSpecRejectsIllegal(t *testing.T) {
 	}
 }
 
-// TestModeSpecAliasMatrix keeps the rows of the sweep that once checked how
-// the -paged/-irq alias flags merged into -modes, and now pins their removal:
-// a row that spells an alias is an unknown-flag parse error whatever the
-// spec, and an alias-free row resolves through -modes alone. The legality
-// rule is restated here independently of cosim.Modes.Validate: paged
-// excludes both irq and smp.
-func TestModeSpecAliasMatrix(t *testing.T) {
-	specs := []struct {
-		spec string
-		md   cosim.Modes
-	}{
-		{"", cosim.Modes{}},
-		{"paged", cosim.Modes{Paged: true}},
-		{"irq", cosim.Modes{IRQ: true}},
-		{"smp", cosim.Modes{SMP: true}},
-		{"paged,irq", cosim.Modes{Paged: true, IRQ: true}},
-		{"paged,smp", cosim.Modes{Paged: true, SMP: true}},
-		{"irq,smp", cosim.Modes{IRQ: true, SMP: true}},
-		{"paged,irq,smp", cosim.Modes{Paged: true, IRQ: true, SMP: true}},
-	}
-	for _, aliases := range [][]string{nil, {"-irq"}, {"-paged"}, {"-paged", "-irq"}} {
-		for _, s := range specs {
-			s, args := s, append([]string{"-modes", s.spec}, aliases...)
-			t.Run(strings.Join(args, " "), func(t *testing.T) {
-				var m ModeSpec
-				fs := newFS()
-				m.Register(fs)
-				err := fs.Parse(args)
-				if len(args) > 2 {
-					if err == nil {
-						t.Fatal("removed alias flag accepted")
-					}
-					return
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := m.Modes()
-				if s.md.Paged && (s.md.IRQ || s.md.SMP) {
-					if err == nil {
-						t.Fatalf("Modes() = %+v, nil; want error for an illegal set", got)
-					}
-					return
-				}
-				if err != nil || got != s.md {
-					t.Fatalf("Modes() = %+v, %v; want %+v", got, err, s.md)
-				}
-			})
-		}
-	}
-}
-
 // TestKnobsRoundTrip pins the manifest contract: parsed campaign flags survive
-// Campaign.Knobs → JSON → Knobs.Campaign with identical values, and the
-// recorded -modes spec re-parses through the same validator the CLIs use.
+// Knobs → JSON → Knobs with identical values, and the recorded -modes spec
+// re-parses through the same validator the CLIs use.
 func TestKnobsRoundTrip(t *testing.T) {
 	fs := newFS()
-	var cf Campaign
-	cf.RegisterSeeds(fs, 100)
-	cf.RegisterPool(fs)
-	cf.RegisterTimeout(fs, 0, "t")
-	if err := fs.Parse([]string{"-n", "37", "-seed", "9", "-jobs", "3", "-timeout", "250ms"}); err != nil {
+	var k Knobs
+	k.RegisterSeeds(fs, 100)
+	k.RegisterPool(fs)
+	k.RegisterTimeout(fs, 0, "t")
+	k.RegisterModes(fs)
+	if err := fs.Parse([]string{"-n", "37", "-seed", "9", "-jobs", "3", "-timeout", "250ms", "-modes", "paged"}); err != nil {
 		t.Fatal(err)
 	}
 
-	k := cf.Knobs("paged")
 	data, err := json.Marshal(k)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +94,8 @@ func TestKnobsRoundTrip(t *testing.T) {
 	if back != k {
 		t.Fatalf("knobs changed across JSON: %+v != %+v", back, k)
 	}
-	if got := back.Campaign(); got != (Campaign{N: 37, Seed: 9, Jobs: 3, Timeout: 250 * time.Millisecond}) {
-		t.Fatalf("Campaign() = %+v", got)
+	if back != (Knobs{N: 37, Seed: 9, Jobs: 3, Timeout: 250 * time.Millisecond, Modes: "paged"}) {
+		t.Fatalf("Knobs = %+v", back)
 	}
 	if seeds := back.Seeds(); len(seeds) != 37 || seeds[0] != 9 || seeds[36] != 45 {
 		t.Fatalf("Seeds() = len %d, first %d, last %d", len(seeds), seeds[0], seeds[len(seeds)-1])

@@ -146,7 +146,7 @@ func TestAdvanceNeverPassesLimit(t *testing.T) {
 	s := NewSession(p, opts)
 	for s.Advance(^uint64(0)) {
 	}
-	if r := s.Finish(); s.Cycles() != from+3 || r.Kind != "hang" {
-		t.Fatalf("budget of %d cycles: stopped at %d with kind %q, want a hang at the budget", from+3, s.Cycles(), r.Kind)
+	if r := s.Finish(); s.Cycles() != from+3 || r.Kind != "hang" || r.Field != "" {
+		t.Fatalf("budget of %d cycles: stopped at %d with kind %q field %q, want a hang at the budget", from+3, s.Cycles(), r.Kind, r.Field)
 	}
 }

@@ -93,8 +93,8 @@ spin:
 			s := NewSession(mustAssemble(t, tc.src), tc.opts)
 			s.Hart(0).Emu().Mem.Write(tc.poison, 8, 0xdeadbeef)
 			r := stepToEnd(s)
-			if !r.Diverged || r.Kind != "xreg" {
-				t.Fatalf("want an xreg divergence, got diverged=%v kind=%q", r.Diverged, r.Kind)
+			if !r.Diverged || r.Kind != "xreg" || r.Field != "a2" {
+				t.Fatalf("want an xreg divergence in a2, got diverged=%v kind=%q field=%q", r.Diverged, r.Kind, r.Field)
 			}
 			if r.Report != tc.want {
 				t.Errorf("report differs\n--- got ---\n%s--- want ---\n%s", r.Report, tc.want)
@@ -148,6 +148,53 @@ const goldenSMP = `cosim divergence: hart=1 kind=xreg commit=47 pc=0x101a
     #46    pc=0x001016  sd t0, 8(a1)  [addr=0x20048]
     #47    pc=0x00101a  ld a2, 1024(a1)  => a2=0x0  [addr=0x20440]
 `
+
+// TestDivergenceFields: the kinds no other test provokes each end with the
+// field their compare names. A loop runs under a live reservation and reads
+// mhartid, a CSR-class commit, every iteration; each row corrupts the golden
+// model once, mid-loop or after both models halted.
+func TestDivergenceFields(t *testing.T) {
+	const src = `
+_start:
+    li   a1, 0x20000
+    lr.d t3, (a1)
+    li   t1, 100
+loop:
+    csrr t2, mhartid
+    addi t1, t1, -1
+    bnez t1, loop
+` + exitEpilogue
+	prog := mustAssemble(t, src)
+	for _, tc := range []struct {
+		kind, field string
+		halted      bool // corrupt after both models halted, not mid-loop
+		corrupt     func(m *emu.Machine)
+	}{
+		{"pc", "", false, func(m *emu.Machine) { m.PC = prog.Entry }},
+		{"halt", "", false, func(m *emu.Machine) { m.Halted = true }},
+		{"lrsc", "reservation", false, func(m *emu.Machine) { m.KillReservation(poisonAddr, 8) }},
+		{"instret", "", false, func(m *emu.Machine) { m.Instret += 2 }},
+		{"csr", "mscratch", false, func(m *emu.Machine) { m.SetCSR(isa.CSRMscratch, 0x77) }},
+		{"exit", "", true, func(m *emu.Machine) { m.ExitCode = 7 }},
+		{"output", "output", true, func(m *emu.Machine) { m.Output = []byte("x") }},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			s := NewSession(prog, Options{})
+			defer s.Release()
+			for !s.Done() && (tc.halted || s.Commits() < 40) {
+				s.Step()
+			}
+			if s.Done() != tc.halted {
+				t.Fatalf("done=%v at commit %d, want %v", s.Done(), s.Commits(), tc.halted)
+			}
+			tc.corrupt(s.Hart(0).Emu())
+			if r := stepToEnd(s); !r.Diverged || r.Kind != tc.kind || r.Field != tc.field {
+				t.Fatalf("diverged=%v kind=%q field=%q, want %s field %q\n%s",
+					r.Diverged, r.Kind, r.Field, tc.kind, tc.field, r.Report)
+			}
+		})
+	}
+}
 
 // TestStepSteadyStateAllocs asserts the lock-step steady state allocates
 // nothing: after warm-up (queues, maps and the page tables of both memories

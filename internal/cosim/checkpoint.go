@@ -61,7 +61,7 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if addr, cv, ev, differs := k.written.lowestDiff(h.c.Mem, h.m.Mem); differs {
 		return nil, fmt.Errorf("cosim: memory differs at boundary: [%#x] core=%#x emu=%#x", addr, cv, ev)
 	}
-	if diffs := k.archDiff(); len(diffs) > 0 {
+	if _, diffs := k.archDiff(); diffs != nil {
 		return nil, fmt.Errorf("cosim: models differ at boundary: %s", diffs[0])
 	}
 	return &Checkpoint{

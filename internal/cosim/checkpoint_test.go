@@ -121,8 +121,8 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	if string(m.Output) != string(ref.Output) {
 		t.Fatalf("output: resumed=%q reference=%q", m.Output, ref.Output)
 	}
-	if diffs := m.Snapshot().Diff(ref.Snapshot()); len(diffs) > 0 {
-		t.Fatalf("final architectural state differs: %v", diffs)
+	if got, want := m.Snapshot(), ref.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("final architectural state differs:\n got %+v\nwant %+v", got, want)
 	}
 	if !reflect.DeepEqual(m.DumpCSRs(), ref.DumpCSRs()) {
 		t.Fatalf("final CSR file differs: resumed=%v reference=%v", m.DumpCSRs(), ref.DumpCSRs())
@@ -152,8 +152,8 @@ func TestPagedCheckpointResumes(t *testing.T) {
 	if !m.Halted || m.ExitCode != ref.ExitCode {
 		t.Fatalf("resumed: halted=%v exit=%d, session's golden model exit=%d", m.Halted, m.ExitCode, ref.ExitCode)
 	}
-	if diffs := m.Snapshot().Diff(ref.Snapshot()); len(diffs) > 0 {
-		t.Fatalf("final architectural state differs: %v", diffs)
+	if got, want := m.Snapshot(), ref.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("final architectural state differs:\n got %+v\nwant %+v", got, want)
 	}
 	if !reflect.DeepEqual(m.DumpCSRs(), ref.DumpCSRs()) {
 		t.Fatalf("final CSR file differs: resumed=%v session=%v", m.DumpCSRs(), ref.DumpCSRs())

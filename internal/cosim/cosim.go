@@ -64,6 +64,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,6 +76,7 @@ import (
 	"xt910/internal/mmu"
 	"xt910/internal/recycle"
 	"xt910/internal/soc"
+	"xt910/internal/vector"
 	"xt910/isa"
 )
 
@@ -106,11 +108,6 @@ type Options struct {
 	// IRQSchedules are per-hart interrupt schedules for multi-hart runs
 	// (index = hart id). When empty, IRQSchedule serves as hart 0's.
 	IRQSchedules [][]IRQEvent
-
-	// DisableStoreOracle turns the multi-hart store-order oracle off. The
-	// oracle is a passive observer — simulated timing is identical either
-	// way — so A/B runs isolate exactly what only the oracle can see.
-	DisableStoreOracle bool
 
 	// SeedTimeout, when positive, bounds the wall time of one fuzz seed in
 	// RunSeeds. A seed that blows the deadline is retried once at twice the
@@ -219,9 +216,10 @@ type Result struct {
 	FailCommit uint64
 
 	// Field names the first diverging architectural field within the Kind
-	// ("x5", "fcsr", "pc", ...): the label the checker printed before the
-	// first ':' of its detail line. Empty for divergence kinds without a
-	// field-granular detail.
+	// ("t0", "fcsr", "v2", ...), as the compare that failed names it; every
+	// memory divergence is "addr", the address being incidental to the root
+	// cause. Empty for a detail that names no field (a pc or halt mismatch,
+	// the exit code, the store-order oracle).
 	Field string
 
 	// OpClass is the instruction class of the committing instruction at the
@@ -387,9 +385,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 	var clintC, clintE *soc.CLINT
 	if harts > 1 {
 		clintC, clintE = &sys.CLINT, soc.NewCLINT(harts)
-		if !opts.DisableStoreOracle {
-			s.oracle = newStoreOracle(sys.Clusters[0].L2, sys.Cores[0].MMIO)
-		}
+		s.oracle = newStoreOracle(sys.Clusters[0].L2, sys.Cores[0].MMIO)
 	}
 
 	written := s.written
@@ -505,7 +501,7 @@ func (s *Session) commit(hs *HartSession, ci core.Commit) {
 	k.onCommit(ci)
 	if s.oracle != nil && !k.failed {
 		if detail := s.oracle.commit(hs.id, s.globalCommits, ci); detail != nil {
-			k.fail(ci, "order", detail...)
+			k.fail(ci, "order", "", detail...)
 		}
 	}
 	if k.failed && !wasFailed && s.failHart < 0 {
@@ -815,41 +811,19 @@ type checker struct {
 	failInst   isa.Inst
 }
 
-// divergenceField extracts the diverging-field label from the first detail
-// line: the "x5" of "x5: core=... emu=...". Memory lines carry an address,
-// not a field — the address is incidental to the root cause, so every memory
-// divergence buckets under "addr". Prose details (no "label:" prefix) yield
-// the empty string.
-func divergenceField(detail []string) string {
-	if len(detail) == 0 {
-		return ""
-	}
-	d := detail[0]
-	i := strings.IndexByte(d, ':')
-	if i <= 0 {
-		return ""
-	}
-	f := d[:i]
-	if strings.ContainsAny(f, " =") {
-		return "" // a sentence, not a field label
-	}
-	if strings.HasPrefix(f, "[") {
-		return "addr"
-	}
-	return f
-}
-
 func newChecker(c *core.Core, m *emu.Machine, window int, written *writtenLines) *checker {
 	return &checker{c: c, m: m, written: written, trace: make([]core.Commit, window)}
 }
 
-func (k *checker) fail(ci core.Commit, kind string, detail ...string) {
+// fail records the first divergence: its kind, the field the failing compare
+// names ("" when the detail names none) and the detail lines of the report.
+func (k *checker) fail(ci core.Commit, kind, field string, detail ...string) {
 	if k.failed {
 		return
 	}
 	k.failed = true
 	k.kind = kind
-	k.field = divergenceField(detail)
+	k.field = field
 	k.detail = detail
 	k.failCommit = k.commits
 	k.failPC = ci.PC
@@ -864,7 +838,7 @@ func (k *checker) onCommit(ci core.Commit) {
 		return
 	}
 	if k.m.Halted {
-		k.fail(ci, "halt", "emulator halted while the core is still committing")
+		k.fail(ci, "halt", "", "emulator halted while the core is still committing")
 		return
 	}
 	if k.m.PC != ci.PC {
@@ -872,20 +846,20 @@ func (k *checker) onCommit(ci core.Commit) {
 		// without committing (trap handlers redirect without a commit
 		// record). Give it exactly one catch-up step.
 		if err := k.m.Step(); err != nil {
-			k.fail(ci, "emuerr", err.Error())
+			k.fail(ci, "emuerr", "", err.Error())
 			return
 		}
 	}
 	if k.m.Halted {
-		k.fail(ci, "halt", "emulator halted while the core is still committing")
+		k.fail(ci, "halt", "", "emulator halted while the core is still committing")
 		return
 	}
 	if k.m.PC != ci.PC {
-		k.fail(ci, "pc", fmt.Sprintf("core commits pc=%#x but emulator is at pc=%#x", ci.PC, k.m.PC))
+		k.fail(ci, "pc", "", fmt.Sprintf("core commits pc=%#x but emulator is at pc=%#x", ci.PC, k.m.PC))
 		return
 	}
 	if err := k.m.Step(); err != nil {
-		k.fail(ci, "emuerr", err.Error())
+		k.fail(ci, "emuerr", "", err.Error())
 		return
 	}
 	k.commits++
@@ -898,25 +872,25 @@ func (k *checker) onCommit(ci core.Commit) {
 	// cause, and identical post-delivery trap state.
 	if k.coreIRQ || k.emuIRQ {
 		if k.coreIRQ != k.emuIRQ {
-			k.fail(ci, "irq", fmt.Sprintf("delivery mismatch: core took=%v (cause=%d) emu took=%v (cause=%d)",
+			k.fail(ci, "irq", "", fmt.Sprintf("delivery mismatch: core took=%v (cause=%d) emu took=%v (cause=%d)",
 				k.coreIRQ, k.coreCause, k.emuIRQ, k.emuCause))
 			return
 		}
 		if k.coreCause != k.emuCause {
-			k.fail(ci, "irq", fmt.Sprintf("cause: core=%d emu=%d", k.coreCause, k.emuCause))
+			k.fail(ci, "irq", "cause", fmt.Sprintf("cause: core=%d emu=%d", k.coreCause, k.emuCause))
 			return
 		}
 		if k.irq != nil && k.irq.coreIdx != k.irq.emuIdx {
-			k.fail(ci, "irq", fmt.Sprintf("schedule position: core=%d emu=%d", k.irq.coreIdx, k.irq.emuIdx))
+			k.fail(ci, "irq", "", fmt.Sprintf("schedule position: core=%d emu=%d", k.irq.coreIdx, k.irq.emuIdx))
 			return
 		}
 		if ev := k.m.CSR(isa.CSRMepc); ev != k.coreResume {
-			k.fail(ci, "irq", fmt.Sprintf("resume pc: core mepc=%#x emu mepc=%#x", k.coreResume, ev))
+			k.fail(ci, "irq", "", fmt.Sprintf("resume pc: core mepc=%#x emu mepc=%#x", k.coreResume, ev))
 			return
 		}
 		for _, n := range []uint16{isa.CSRMcause, isa.CSRMepc, isa.CSRMstatus, isa.CSRMtvec} {
 			if cv, ev := k.c.CSR(n), k.m.CSR(n); cv != ev {
-				k.fail(ci, "irq", fmt.Sprintf("%s at delivery: core=%#x emu=%#x", isa.CSRName(n), cv, ev))
+				k.fail(ci, "irq", "", fmt.Sprintf("%s at delivery: core=%#x emu=%#x", isa.CSRName(n), cv, ev))
 				return
 			}
 		}
@@ -936,18 +910,18 @@ func (k *checker) onCommit(ci core.Commit) {
 		if r.IsF() {
 			kind = "freg"
 		}
-		k.fail(ci, kind, fmt.Sprintf("%s: core=%#x emu=%#x", r, cv, k.m.Reg(r)))
+		k.fail(ci, kind, r.String(), fmt.Sprintf("%s: core=%#x emu=%#x", r, cv, k.m.Reg(r)))
 		return
 	}
 	cOK, cAddr := k.c.Reservation()
 	eOK, eAddr := k.m.Reservation()
 	if cOK != eOK || (cOK && cAddr != eAddr) {
-		k.fail(ci, "lrsc", fmt.Sprintf("reservation: core valid=%v addr=%#x, emu valid=%v addr=%#x",
+		k.fail(ci, "lrsc", "reservation", fmt.Sprintf("reservation: core valid=%v addr=%#x, emu valid=%v addr=%#x",
 			cOK, cAddr, eOK, eAddr))
 		return
 	}
 	if k.m.Instret != k.commits {
-		k.fail(ci, "instret", fmt.Sprintf("emulator instret=%d after %d core commits",
+		k.fail(ci, "instret", "", fmt.Sprintf("emulator instret=%d after %d core commits",
 			k.m.Instret, k.commits))
 		return
 	}
@@ -955,7 +929,7 @@ func (k *checker) onCommit(ci core.Commit) {
 	// speculative in the core and land at retire), so it is comparable at
 	// every commit, unlike the clocked counters.
 	if cv, ev := k.c.CSR(isa.CSRFcsr), k.m.CSR(isa.CSRFcsr); cv != ev {
-		k.fail(ci, "fcsr", fmt.Sprintf("fcsr: core=%#x emu=%#x", cv, ev))
+		k.fail(ci, "fcsr", "fcsr", fmt.Sprintf("fcsr: core=%#x emu=%#x", cv, ev))
 		return
 	}
 	switch ci.Inst.Op.Class() {
@@ -972,17 +946,17 @@ func (k *checker) onCommit(ci core.Commit) {
 // instruction's commit, and at a vector store's the pending memory lines too.
 func (k *checker) compareVector(ci core.Commit) {
 	if cv, ev := k.c.Vec.VL, k.m.CSR(isa.CSRVl); cv != ev {
-		k.fail(ci, "vec", fmt.Sprintf("vl: core=%d emu=%d", cv, ev))
+		k.fail(ci, "vec", "vl", fmt.Sprintf("vl: core=%d emu=%d", cv, ev))
 		return
 	}
 	if cv, ev := uint64(k.c.Vec.VType), k.m.CSR(isa.CSRVtype); cv != ev {
-		k.fail(ci, "vec", fmt.Sprintf("vtype: core=%#x emu=%#x", cv, ev))
+		k.fail(ci, "vec", "vtype", fmt.Sprintf("vtype: core=%#x emu=%#x", cv, ev))
 		return
 	}
 	if !k.c.Vec.File.Equal(k.m.Vec.File) {
 		for r := 0; r < 32; r++ {
 			if cb, eb := k.c.Vec.File.Bytes(r), k.m.Vec.File.Bytes(r); !bytes.Equal(cb, eb) {
-				k.fail(ci, "vec", fmt.Sprintf("v%d: core=%x emu=%x", r, cb, eb))
+				k.fail(ci, "vec", isa.V(r).String(), fmt.Sprintf("%s: core=%x emu=%x", isa.V(r), cb, eb))
 				return
 			}
 		}
@@ -1026,7 +1000,7 @@ func (k *checker) compareMemory(ci core.Commit) {
 // and fails the run on the lowest line that differs.
 func (k *checker) sweepMemory(ci core.Commit) {
 	if addr, cv, ev, differs := k.written.lowestDiff(k.c.Mem, k.m.Mem); differs {
-		k.fail(ci, "mem", fmt.Sprintf("[%#x]: core=%#x emu=%#x", addr, cv, ev))
+		k.fail(ci, "mem", "addr", fmt.Sprintf("[%#x]: core=%#x emu=%#x", addr, cv, ev))
 	}
 }
 
@@ -1052,7 +1026,7 @@ func (w *writtenLines) lowestDiff(cm, em *mem.Memory) (addr, cv, ev uint64, diff
 func (k *checker) compareLine(ci core.Commit, line uint64) bool {
 	addr, cv, ev, differs := lineDiff(k.c.Mem, k.m.Mem, line)
 	if differs {
-		k.fail(ci, "mem", fmt.Sprintf("[%#x]: core=%#x emu=%#x", addr, cv, ev))
+		k.fail(ci, "mem", "addr", fmt.Sprintf("[%#x]: core=%#x emu=%#x", addr, cv, ev))
 	}
 	return differs
 }
@@ -1072,7 +1046,7 @@ func lineDiff(cm, em *mem.Memory, line uint64) (addr, cv, ev uint64, differs boo
 func (k *checker) compareCSRState(ci core.Commit) {
 	for _, n := range compareCSRs {
 		if cv, ev := k.c.CSR(n), k.m.CSR(n); cv != ev {
-			k.fail(ci, "csr", fmt.Sprintf("%s: core=%#x emu=%#x", isa.CSRName(n), cv, ev))
+			k.fail(ci, "csr", isa.CSRName(n), fmt.Sprintf("%s: core=%#x emu=%#x", isa.CSRName(n), cv, ev))
 			return
 		}
 	}
@@ -1083,28 +1057,28 @@ func (k *checker) compareCSRState(ci core.Commit) {
 func (k *checker) drain() {
 	last := core.Commit{PC: k.m.PC}
 	if !k.c.Halted {
-		k.fail(last, "hang", fmt.Sprintf("core did not halt within the cycle budget (%d commits so far)", k.commits))
+		k.fail(last, "hang", "", fmt.Sprintf("core did not halt within the cycle budget (%d commits so far)", k.commits))
 		return
 	}
 	// The core may have halted on a trap it never committed; let the
 	// emulator execute that trapping instruction.
 	if !k.m.Halted {
 		if err := k.m.Step(); err != nil {
-			k.fail(last, "emuerr", err.Error())
+			k.fail(last, "emuerr", "", err.Error())
 			return
 		}
 	}
 	if !k.m.Halted {
-		k.fail(last, "halt", fmt.Sprintf("core halted (exit=%d) but emulator is still running at pc=%#x",
+		k.fail(last, "halt", "", fmt.Sprintf("core halted (exit=%d) but emulator is still running at pc=%#x",
 			k.c.ExitCode, k.m.PC))
 		return
 	}
 	if k.c.ExitCode != k.m.ExitCode {
-		k.fail(last, "exit", fmt.Sprintf("exit code: core=%d emu=%d", k.c.ExitCode, k.m.ExitCode))
+		k.fail(last, "exit", "", fmt.Sprintf("exit code: core=%d emu=%d", k.c.ExitCode, k.m.ExitCode))
 		return
 	}
 	if string(k.c.Output) != string(k.m.Output) {
-		k.fail(last, "output", fmt.Sprintf("output: core=%q emu=%q", k.c.Output, k.m.Output))
+		k.fail(last, "output", "output", fmt.Sprintf("output: core=%q emu=%q", k.c.Output, k.m.Output))
 		return
 	}
 	k.sweepMemory(last)
@@ -1112,73 +1086,83 @@ func (k *checker) drain() {
 	if k.failed {
 		return
 	}
-	if diffs := k.archDiff(); len(diffs) > 0 {
-		k.fail(last, "final", diffs...)
+	if field, diffs := k.archDiff(); diffs != nil {
+		k.fail(last, "final", field, diffs...)
 	}
 }
 
-// archDiff is the halt-time and checkpoint state compare:
-// coreState().Diff(Snapshot(compareCSRs...)), one line per differing field.
-// The two snapshots are built only when archMayDiffer finds a difference, so
-// a run that ends in agreement allocates nothing here.
-func (k *checker) archDiff() []string {
-	if !k.archMayDiffer() {
-		return nil
-	}
-	return k.coreState().Diff(k.m.Snapshot(compareCSRs...))
-}
-
-// archMayDiffer compares, in place, every field archDiff's Diff compares —
-// the x and f registers (x0 is equal by construction, as ArchRegMismatch
-// relies on), the reservation, Stats.Retired against Instret, the compared
-// CSRs, vl, vtype and the vector file — and reports whether any differs. PC
-// and privilege need no compare: coreState takes the emulator's. A model
-// without a vector unit answers true, leaving that case to Diff.
-func (k *checker) archMayDiffer() bool {
+// archDiff is the halt-time and checkpoint compare, one walk over both models
+// in place: instret (Stats.Retired against Instret), the x and f registers,
+// the reservation, the compared CSRs in ascending CSR number, vl, vtype and
+// the first differing byte of each vector register. It returns a line
+// "core != emu" for each field that differs and the field of the first; when
+// every field matches it formats and allocates nothing. PC and privilege are
+// not compared: the drained core has no architectural PC to read back, and
+// the trap CSRs carry what the privilege decided.
+func (k *checker) archDiff() (field string, diffs []string) {
 	c, m := k.c, k.m
-	if _, _, differs := c.ArchRegMismatch(&m.X, &m.F); differs {
-		return true
+	differs := func(f, format string, args ...any) {
+		if diffs == nil {
+			field = f
+		}
+		diffs = append(diffs, fmt.Sprintf(format, args...))
+	}
+	if c.Stats.Retired != m.Instret {
+		differs("instret", "instret: %d != %d", c.Stats.Retired, m.Instret)
+	}
+	for r := isa.X(0); r < isa.V(0); r++ { // x0–x31, then f0–f31
+		if cv, ev := c.Reg(r), m.Reg(r); cv != ev {
+			differs(r.String(), "%s: %#x != %#x", r, cv, ev)
+		}
 	}
 	cOK, cAddr := c.Reservation()
 	eOK, eAddr := m.Reservation()
-	if cOK != eOK || (cOK && cAddr != eAddr) || c.Stats.Retired != m.Instret {
-		return true
+	if cOK != eOK || (cOK && cAddr != eAddr) {
+		differs("reservation", "reservation: valid=%v addr=%#x != valid=%v addr=%#x", cOK, cAddr, eOK, eAddr)
 	}
-	for _, n := range compareCSRs {
-		if c.CSR(n) != m.CSR(n) {
-			return true
+	for _, n := range sortedCSRs {
+		if cv, ev := c.CSR(n), m.CSR(n); cv != ev {
+			differs(isa.CSRName(n), "csr %s: %#x != %#x", isa.CSRName(n), cv, ev)
 		}
 	}
-	if c.Vec == nil || m.Vec == nil {
-		return true
+	cVL, cVType, cFile := vectorState(c.Vec)
+	eVL, eVType, eFile := vectorState(m.Vec)
+	if cVL != eVL {
+		differs("vl", "vl: %d != %d", cVL, eVL)
 	}
-	return c.Vec.VL != m.Vec.VL || c.Vec.VType != m.Vec.VType || !c.Vec.File.Equal(m.Vec.File)
+	if cVType != eVType {
+		differs("vtype", "vtype: %#x != %#x", cVType, eVType)
+	}
+	if cFile == nil || eFile == nil || cFile.Equal(eFile) {
+		return field, diffs
+	}
+	for r := 0; r < 32; r++ {
+		cb, eb := cFile.Bytes(r), eFile.Bytes(r)
+		for i := 0; i < len(cb) && i < len(eb); i++ {
+			if cb[i] != eb[i] {
+				differs(isa.V(r).String(), "%s byte %d: %02x != %02x", isa.V(r), i, cb[i], eb[i])
+				break
+			}
+		}
+	}
+	return field, diffs
 }
 
-// coreState assembles the core's architectural state as an emu.ArchState so
-// the final comparison can reuse ArchState.Diff. PC and privilege are
-// normalized to the emulator's (the drained core has no architectural PC to
-// read back, and both models' trap CSRs are compared separately).
-func (k *checker) coreState() emu.ArchState {
-	s := emu.ArchState{PC: k.m.PC, Priv: k.m.Privilege(), Instret: k.c.Stats.Retired}
-	for i := 0; i < 32; i++ {
-		s.X[i] = k.c.Reg(isa.X(i))
-		s.F[i] = k.c.Reg(isa.F(i))
-	}
-	s.ResValid, s.ResAddr = k.c.Reservation()
-	s.CSR = make(map[uint16]uint64, len(compareCSRs))
-	for _, n := range compareCSRs {
-		s.CSR[n] = k.c.CSR(n)
-	}
-	if k.c.Vec != nil {
-		s.VL = k.c.Vec.VL
-		s.VType = uint64(k.c.Vec.VType)
-		s.V = make([][]byte, 32)
-		for r := 0; r < 32; r++ {
-			s.V[r] = append([]byte(nil), k.c.Vec.File.Bytes(r)...)
-		}
-	}
+// sortedCSRs is compareCSRs in ascending CSR number, the order archDiff
+// reports them in.
+var sortedCSRs = func() []uint16 {
+	s := slices.Clone(compareCSRs)
+	slices.Sort(s)
 	return s
+}()
+
+// vectorState reads a vector unit as archDiff compares it: a model without
+// one has vl 0, vtype 0 and no register file.
+func vectorState(u *vector.Unit) (vl, vtype uint64, file *vector.File) {
+	if u == nil {
+		return 0, 0, nil
+	}
+	return u.VL, uint64(u.VType), u.File
 }
 
 // traceLine renders commit n as a line of the report.

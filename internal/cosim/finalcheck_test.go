@@ -23,37 +23,39 @@ _start:
     lr.d t3, (a1)
 ` + exitEpilogue
 
-// TestFinalCheckInPlaceMatchesDiff: the halt-time compare decides in place and
-// builds the two ArchStates only for a report, so each field it covers is
+// TestFinalCheckInPlaceMatchesDiff: each field the halt-time compare covers is
 // corrupted here in the golden model, one at a time, after the core halted;
-// every run must end with the kind and detail lines the snapshot compare gave
-// (a CSR is still caught first by compareCSRState, as kind csr). Checkpoint,
-// which runs the same compare at a boundary, must fail on the same field.
+// every run must end with the kind and detail lines the snapshot compare
+// (ArchState.Diff, since replaced by the in-place walk) gave, and the field
+// the walk names (a CSR is still caught first by compareCSRState, as kind
+// csr). Checkpoint, which runs the same compare at a boundary, must fail on
+// the same line.
 func TestFinalCheckInPlaceMatchesDiff(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		inject func(h *HartSession)
 		kind   string
+		field  string
 		detail string // the report's detail lines
 		cp     string // Checkpoint's error text
 	}{
 		{"xreg", func(h *HartSession) { h.Emu().X[isa.T0.Index()] ^= 1 << 40 },
-			"final", "t0: 0x5 != 0x10000000005", "t0: 0x5 != 0x10000000005"},
+			"final", "t0", "t0: 0x5 != 0x10000000005", "t0: 0x5 != 0x10000000005"},
 		{"freg", func(h *HartSession) { h.Emu().F[1] ^= 1 },
-			"final", "ft1: 0x4014000000000000 != 0x4014000000000001", "ft1: 0x4014000000000000 != 0x4014000000000001"},
+			"final", "ft1", "ft1: 0x4014000000000000 != 0x4014000000000001", "ft1: 0x4014000000000000 != 0x4014000000000001"},
 		{"reservation", func(h *HartSession) { h.Emu().KillReservation(0x20000, 8) },
-			"final", "reservation: valid=true addr=0x20000 != valid=false addr=0x20000",
+			"final", "reservation", "reservation: valid=true addr=0x20000 != valid=false addr=0x20000",
 			"reservation: valid=true addr=0x20000 != valid=false addr=0x20000"},
 		{"csr", func(h *HartSession) { h.Emu().SetCSR(isa.CSRMscratch, 0x77) },
-			"csr", "mscratch: core=0x0 emu=0x77", "csr mscratch: 0x0 != 0x77"},
+			"csr", "mscratch", "mscratch: core=0x0 emu=0x77", "csr mscratch: 0x0 != 0x77"},
 		{"vl", func(h *HartSession) { h.Emu().Vec.VL = 3 },
-			"final", "vl: 4 != 3", "vl: 4 != 3"},
+			"final", "vl", "vl: 4 != 3", "vl: 4 != 3"},
 		{"vtype", func(h *HartSession) { h.Emu().Vec.VType ^= 1 },
-			"final", "vtype: 0x8 != 0x9", "vtype: 0x8 != 0x9"},
+			"final", "vtype", "vtype: 0x8 != 0x9", "vtype: 0x8 != 0x9"},
 		{"vector byte", func(h *HartSession) { h.Emu().Vec.File.Bytes(2)[9] ^= 0x80 },
-			"final", "v2 byte 9: 00 != 80", "v2 byte 9: 00 != 80"},
+			"final", "v2", "v2 byte 9: 00 != 80", "v2 byte 9: 00 != 80"},
 		{"instret", func(h *HartSession) { h.Emu().Instret += 2 },
-			"final", "instret: 11 != 13", "instret: 11 != 13"},
+			"final", "instret", "instret: 11 != 13", "instret: 11 != 13"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewSession(mustAssemble(t, finalStateProgram), Options{})
@@ -70,13 +72,53 @@ func TestFinalCheckInPlaceMatchesDiff(t *testing.T) {
 				t.Errorf("Checkpoint: %v, want %s", err, want)
 			}
 			r := s.Finish()
-			if r.Kind != tc.kind {
-				t.Fatalf("kind %q, want %q\n%s", r.Kind, tc.kind, r.Report)
+			if r.Kind != tc.kind || r.Field != tc.field {
+				t.Fatalf("kind %q field %q, want %q %q\n%s", r.Kind, r.Field, tc.kind, tc.field, r.Report)
 			}
 			if !strings.Contains(r.Report, "\n  "+tc.detail+"\n") {
 				t.Errorf("report lacks detail %q:\n%s", tc.detail, r.Report)
 			}
 		})
+	}
+}
+
+// TestFinalVectorDivergenceNamesItsRegister: a vector register that differs
+// only at halt is filed under its own name, so unrelated vector bugs do not
+// share one corpus signature. Parsing the field back out of the detail line
+// "v2 byte 9: 00 != 80" gave none, the label holding a space.
+func TestFinalVectorDivergenceNamesItsRegister(t *testing.T) {
+	s := NewSession(mustAssemble(t, finalStateProgram), Options{})
+	defer s.Release()
+	for !s.Done() {
+		s.Step()
+	}
+	s.Hart(0).Emu().Vec.File.Bytes(2)[9] ^= 0x80
+	r := s.Finish()
+	if r.Field != "v2" || r.Signature() != "final/v2/none" {
+		t.Fatalf("field %q signature %q, want v2 and final/v2/none\n%s", r.Field, r.Signature(), r.Report)
+	}
+}
+
+// TestHaltCompareAllocatesNothing: on a clean, halted session the halt-time
+// drain and the compare a checkpoint runs format no line and allocate nothing.
+func TestHaltCompareAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := NewSession(mustAssemble(t, finalStateProgram), Options{})
+	defer s.Release()
+	for !s.Done() {
+		s.Step()
+	}
+	k := s.Hart(0).k
+	allocs := testing.AllocsPerRun(100, func() {
+		k.drain()
+		if _, diffs := k.archDiff(); diffs != nil || k.failed {
+			t.Fatalf("a clean halt differs: %v\n%s", diffs, k.report())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the halt and checkpoint compare allocate %v objects, want 0", allocs)
 	}
 }
 
@@ -115,8 +157,8 @@ loop:
 		}
 		r := stepToEnd(s)
 		s.Release()
-		if r.Kind != "mem" || !strings.Contains(r.Report, "\n  "+wantLine+"\n") {
-			t.Fatalf("run %d: want a mem divergence naming %q, got kind %q:\n%s", i, wantLine, r.Kind, r.Report)
+		if r.Kind != "mem" || r.Field != "addr" || !strings.Contains(r.Report, "\n  "+wantLine+"\n") {
+			t.Fatalf("run %d: want a mem/addr divergence naming %q, got kind %q field %q:\n%s", i, wantLine, r.Kind, r.Field, r.Report)
 		}
 		if i == 0 {
 			first = r.Report
@@ -127,7 +169,7 @@ loop:
 }
 
 // TestCheckpointNamesTheLowestCSR: a checkpoint refused over several differing
-// CSRs names the lowest-numbered one, as ArchState.Diff lists them.
+// CSRs names the lowest-numbered one, as the halt-time compare lists them.
 func TestCheckpointNamesTheLowestCSR(t *testing.T) {
 	prog := mustAssemble(t, finalStateProgram)
 	for i := 0; i < 20; i++ {

@@ -3,6 +3,7 @@ package cosim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"xt910/internal/core"
 	"xt910/internal/emu"
 	"xt910/internal/trace"
+	"xt910/isa"
 )
 
 // irqSession builds and runs one IRQ-mode session for seed, returning the
@@ -124,8 +126,11 @@ func TestIRQWatchdog(t *testing.T) {
 }
 
 // TestIRQDeliveryMismatchCaught proves the checker catches a model that
-// swallows interrupts: the emulator's interrupt source is detached after
-// construction, so the core delivers and the emulator does not.
+// swallows interrupts — the emulator's interrupt source is detached after
+// construction, so the core delivers and the emulator does not, and the
+// handler's first commit finds the emulator elsewhere — one that takes a
+// different interrupt than the core (its delivery reported one cause up),
+// and one that delivers with a wrong mcause.
 func TestIRQDeliveryMismatchCaught(t *testing.T) {
 	src, sched := GenerateSource(1, 0, Options{Modes: Modes{IRQ: true}})
 	prog, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
@@ -133,9 +138,30 @@ func TestIRQDeliveryMismatchCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { hookModels = nil }()
-	hookModels = func(c *core.Core, m *emu.Machine) { m.IntSource = nil }
-	r := Run(prog, Options{Modes: Modes{IRQ: true}, IRQSchedule: sched})
-	if !r.Diverged {
-		t.Fatal("emulator with a detached interrupt source was not caught")
+	for _, tc := range []struct {
+		name        string
+		hook        func(c *core.Core, m *emu.Machine)
+		kind, field string
+		line        string // the start of the detail line
+	}{
+		{"swallowed", func(c *core.Core, m *emu.Machine) { m.IntSource = nil }, "pc", "", "core commits pc="},
+		{"cause", func(c *core.Core, m *emu.Machine) {
+			took := m.OnInterrupt
+			m.OnInterrupt = func(cause uint64) { took(cause + 1) }
+		}, "irq", "cause", "cause: "},
+		{"mcause", func(c *core.Core, m *emu.Machine) {
+			took := m.OnInterrupt
+			m.OnInterrupt = func(cause uint64) {
+				took(cause)
+				m.SetCSR(isa.CSRMcause, m.CSR(isa.CSRMcause)^1)
+			}
+		}, "irq", "", "mcause at delivery: "},
+	} {
+		hookModels = tc.hook
+		r := Run(prog, Options{Modes: Modes{IRQ: true}, IRQSchedule: sched})
+		if !r.Diverged || r.Kind != tc.kind || r.Field != tc.field || !strings.Contains(r.Report, "\n  "+tc.line) {
+			t.Fatalf("%s: diverged=%v kind=%q field=%q, want %s field %q with a %q line\n%s",
+				tc.name, r.Diverged, r.Kind, r.Field, tc.kind, tc.field, tc.line, r.Report)
+		}
 	}
 }

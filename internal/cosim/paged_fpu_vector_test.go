@@ -347,9 +347,9 @@ _start:
     addi x5, x5, 2
     csrrwi x0, fcsr, 0
 `+exitEpilogue)
-	if !r.Diverged || r.Kind != "fcsr" {
-		t.Fatalf("injected fflags bug not caught per-commit: diverged=%v kind=%q\n%s",
-			r.Diverged, r.Kind, r.Report)
+	if !r.Diverged || r.Kind != "fcsr" || r.Field != "fcsr" {
+		t.Fatalf("injected fflags bug not caught per-commit: diverged=%v kind=%q field=%q\n%s",
+			r.Diverged, r.Kind, r.Field, r.Report)
 	}
 }
 
@@ -382,9 +382,9 @@ _start:
 	}
 	s.Hart(0).Emu().Vec.File.Bytes(3)[0] ^= 1
 	r := stepToEnd(s)
-	if !r.Diverged || r.Kind != "vec" || r.FailCommit != vadd || !strings.Contains(r.Report, "v1:") {
-		t.Fatalf("wrong vadd.vv result not reported at its commit: diverged=%v kind=%q failCommit=%d\n%s",
-			r.Diverged, r.Kind, r.FailCommit, r.Report)
+	if !r.Diverged || r.Kind != "vec" || r.Field != "v1" || r.FailCommit != vadd || !strings.Contains(r.Report, "v1:") {
+		t.Fatalf("wrong vadd.vv result not reported at its commit: diverged=%v kind=%q field=%q failCommit=%d\n%s",
+			r.Diverged, r.Kind, r.Field, r.FailCommit, r.Report)
 	}
 }
 

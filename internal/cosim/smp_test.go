@@ -201,18 +201,21 @@ done:
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	run := func(disable bool) Result {
-		s := NewSession(prog, Options{Harts: 2, MaxCycles: 1_000_000, DisableStoreOracle: disable})
+	run := func(oracle bool) Result {
+		s := NewSession(prog, Options{Harts: 2, MaxCycles: 1_000_000})
+		if !oracle {
+			s.oracle = nil
+		}
 		s.L2().InjectOwnershipGrant(262144, 1)
 		for !s.Done() {
 			s.Step()
 		}
 		return s.Finish()
 	}
-	r := run(false)
-	if !r.Diverged || r.Kind != "order" {
-		t.Fatalf("oracle run: diverged=%v kind=%q, want an order violation\n%s",
-			r.Diverged, r.Kind, r.Report)
+	r := run(true)
+	if !r.Diverged || r.Kind != "order" || r.Field != "" {
+		t.Fatalf("oracle run: diverged=%v kind=%q field=%q, want an order violation naming no field\n%s",
+			r.Diverged, r.Kind, r.Field, r.Report)
 	}
 	if r.Hart != 1 {
 		t.Fatalf("order violation attributed to hart %d, want 1:\n%s", r.Hart, r.Report)
@@ -220,7 +223,7 @@ done:
 	if !strings.Contains(r.Report, "without owning line") {
 		t.Fatalf("report missing ownership detail:\n%s", r.Report)
 	}
-	if rb := run(true); rb.Diverged {
+	if rb := run(false); rb.Diverged {
 		t.Fatalf("oracle disabled but run still diverged (%s):\n%s", rb.Kind, rb.Report)
 	}
 }
@@ -376,22 +379,40 @@ func TestSMPGeneratorEmitsContentionSegments(t *testing.T) {
 	}
 }
 
-// TestModesParsing pins the mode-spec grammar shared by every campaign CLI.
+// TestModesParsing pins the mode-spec grammar shared by every campaign CLI:
+// each of the eight mode sets parses to its Modes, or, when it combines paged
+// with irq or smp, is rejected. The legality rule is restated here
+// independently of Validate.
 func TestModesParsing(t *testing.T) {
-	m, err := ParseModes("smp,irq")
-	if err != nil || !m.SMP || !m.IRQ || m.Paged {
-		t.Fatalf("ParseModes(smp,irq) = %+v, %v", m, err)
-	}
-	if m.String() != "irq,smp" {
-		t.Fatalf("String() = %q, want irq,smp", m.String())
-	}
-	for _, bad := range []string{"paged,smp", "paged,irq", "bogus"} {
-		if _, err := ParseModes(bad); err == nil {
-			t.Fatalf("ParseModes(%q) accepted, want error", bad)
+	for _, tc := range []struct {
+		spec string
+		want Modes
+	}{
+		{"", Modes{}},
+		{"paged", Modes{Paged: true}},
+		{"irq", Modes{IRQ: true}},
+		{"smp", Modes{SMP: true}},
+		{"paged,irq", Modes{Paged: true, IRQ: true}},
+		{"paged,smp", Modes{Paged: true, SMP: true}},
+		{"smp,irq", Modes{IRQ: true, SMP: true}},
+		{"paged,irq,smp", Modes{Paged: true, IRQ: true, SMP: true}},
+	} {
+		m, err := ParseModes(tc.spec)
+		if tc.want.Paged && (tc.want.IRQ || tc.want.SMP) {
+			if err == nil {
+				t.Errorf("ParseModes(%q) = %+v, accepted; want an error", tc.spec, m)
+			}
+			continue
+		}
+		if err != nil || m != tc.want {
+			t.Errorf("ParseModes(%q) = %+v, %v; want %+v", tc.spec, m, err, tc.want)
 		}
 	}
-	if m, err := ParseModes(""); err != nil || m != (Modes{}) {
-		t.Fatalf("ParseModes(\"\") = %+v, %v", m, err)
+	if m, _ := ParseModes("smp,irq"); m.String() != "irq,smp" {
+		t.Fatalf("String() = %q, want irq,smp", m.String())
+	}
+	if _, err := ParseModes("bogus"); err == nil {
+		t.Fatal("ParseModes(bogus) accepted, want error")
 	}
 }
 

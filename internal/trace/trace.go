@@ -113,15 +113,13 @@ type Config struct {
 	// last KeepLast completed records are kept (ring buffer) and emitted to
 	// the sinks at Close. 0 streams records to the sinks as they complete.
 	KeepLast int
-
-	// BufferCap bounds in-flight (renamed, not yet committed or squashed)
-	// records; the oldest is dropped on overflow. The pipeline bounds
-	// in-flight µops by the ROB size, so the default (1024) never evicts
-	// under the stock configurations.
-	BufferCap int
 }
 
-const defaultBufferCap = 1024
+// bufferCap bounds in-flight (renamed, not yet committed or squashed)
+// records; the oldest is dropped on overflow. The pipeline bounds in-flight
+// µops by the ROB size, so the stock configurations (192 entries at most)
+// never evict.
+const bufferCap = 1024
 
 // Tracer receives pipeline events from one core. It is not safe for
 // concurrent use; each core owns at most one tracer.
@@ -152,9 +150,6 @@ type Tracer struct {
 // New builds a tracer with the given sinks. A tracer with no sinks still
 // accumulates the CPI stack — the cheap always-on consumer.
 func New(cfg Config, sinks ...Sink) *Tracer {
-	if cfg.BufferCap <= 0 {
-		cfg.BufferCap = defaultBufferCap
-	}
 	t := &Tracer{cfg: cfg, sinks: sinks, live: make(map[uint64]*Record)}
 	if cfg.KeepLast > 0 {
 		t.ring = make([]*Record, 0, cfg.KeepLast)
@@ -172,7 +167,7 @@ func (t *Tracer) Begin(seq, pc uint64, in isa.Inst, now uint64) {
 	if t.cfg.SampleEvery > 1 && (t.nSeen-1)%t.cfg.SampleEvery != 0 {
 		return
 	}
-	if len(t.order) >= t.cfg.BufferCap {
+	if len(t.order) >= bufferCap {
 		oldest := t.order[0]
 		t.order = t.order[1:]
 		if old, ok := t.live[oldest]; ok {
@@ -259,7 +254,7 @@ func (t *Tracer) getRecord() *Record {
 // putRecord returns a dead record to the freelist. KeepLast mode keeps every
 // emitted record alive in the ring until Close, so nothing is recycled there.
 func (t *Tracer) putRecord(r *Record) {
-	if t.cfg.KeepLast > 0 || len(t.freel) >= t.cfg.BufferCap {
+	if t.cfg.KeepLast > 0 || len(t.freel) >= bufferCap {
 		return
 	}
 	t.freel = append(t.freel, r)

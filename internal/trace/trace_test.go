@@ -144,11 +144,13 @@ func TestSampling(t *testing.T) {
 	}
 }
 
+// TestBufferCapEviction: one µop more in flight than the buffer holds evicts
+// the oldest.
 func TestBufferCapEviction(t *testing.T) {
-	tr := New(Config{BufferCap: 2})
-	tr.Begin(1, 0x1000, addInst(), 1)
-	tr.Begin(2, 0x1004, addInst(), 2)
-	tr.Begin(3, 0x1008, addInst(), 3)
+	tr := New(Config{})
+	for seq := uint64(1); seq <= bufferCap+1; seq++ {
+		tr.Begin(seq, 0x1000+4*seq, addInst(), seq)
+	}
 	if tr.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1", tr.Dropped)
 	}
