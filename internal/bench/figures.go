@@ -204,7 +204,7 @@ func Fig21(ctx context.Context, o Options) (*perf.Result, error) {
 		pf    prefetch.Config
 	}
 	pfOff := prefetch.Config{Mode: prefetch.ModeOff}
-	base := prefetch.Config{Mode: prefetch.ModeMultiStream, LineBytes: 64, PageBytes: 4096}
+	base := prefetch.Config{Mode: prefetch.ModeMultiStream}
 	b := base
 	b.L1Enable = true
 	c := b

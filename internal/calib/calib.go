@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"xt910/internal/bench"
+	"xt910/internal/coherence"
 	"xt910/internal/core"
 	"xt910/internal/perf"
 	"xt910/internal/sched"
@@ -32,7 +33,7 @@ func BaseEnv() Env {
 		XT910: core.XT910Config(),
 		U74:   core.U74Config(),
 		A73:   core.A73Config(),
-		L2Hit: 10,
+		L2Hit: coherence.StockHitLatency,
 	}
 }
 
@@ -61,7 +62,7 @@ func Knobs() []Knob {
 		{"u74.mispredict_min", []int{3, 2, 1}, func(e *Env, v int) { e.U74.MispredictMin = v }},
 		{"u74.issue_width", []int{2, 3, 4}, func(e *Env, v int) { e.U74.IssueWidth = v }},
 		{"u74.frontend_delay", []int{1, 0}, func(e *Env, v int) { e.U74.FrontendDelay = v }},
-		{"sys.l2_hit_latency", []int{10, 6, 14, 20, 28}, func(e *Env, v int) { e.L2Hit = v }},
+		{"sys.l2_hit_latency", []int{coherence.StockHitLatency, 6, 14, 20, 28}, func(e *Env, v int) { e.L2Hit = v }},
 	}
 }
 
@@ -186,10 +187,11 @@ type Options struct {
 	Quick bool
 	Jobs  int
 	Seed  int64
-	// Passes bounds the coordinate-descent passes over the knob set
-	// (default 2; the descent also stops early once a pass changes nothing).
-	Passes int
 }
+
+// maxPasses bounds the coordinate-descent passes over the knob set; the
+// descent also stops early once a pass changes nothing.
+const maxPasses = 2
 
 // KnobReport records one knob's sweep outcome.
 type KnobReport struct {
@@ -243,18 +245,14 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 // assignment, it visits the knobs in a seed-permuted order and greedily
 // adopts, per knob, the grid value minimizing the weighted mean shape error
 // over the Weight > 0 points (ties resolve to the earliest grid index, so a
-// flat landscape keeps the stock setting). Passes repeat until a pass
-// changes nothing. The descent only ever adopts improvements, so the
-// calibrated objective is never worse than the uncalibrated one; every
+// flat landscape keeps the stock setting). Passes repeat, at most maxPasses,
+// until a pass changes nothing. The descent only ever adopts improvements, so
+// the calibrated objective is never worse than the uncalibrated one; every
 // point — weighted or not — is then re-measured at both assignments for the
 // error table. The whole sweep is one run scope: an assignment that moves
 // one core's knob re-simulates that core's arms only.
 func Sweep(ctx context.Context, o Options, knobs []Knob, points []Point, measure Measurer) (*Result, error) {
 	ctx, _ = bench.Scoped(ctx, o.Jobs)
-	passes := o.Passes
-	if passes <= 0 {
-		passes = 2
-	}
 	bo := bench.Options{Quick: o.Quick, Jobs: o.Jobs}
 
 	var weighted []Point
@@ -299,7 +297,7 @@ func Sweep(ctx context.Context, o Options, knobs []Knob, points []Point, measure
 
 	order := rand.New(rand.NewSource(o.Seed)).Perm(len(knobs))
 	ranPasses := 0
-	for pass := 0; pass < passes && len(weighted) > 0; pass++ {
+	for pass := 0; pass < maxPasses && len(weighted) > 0; pass++ {
 		changed := false
 		for _, ki := range order {
 			bestIdx, bestObj := -1, math.Inf(1)

@@ -1,7 +1,9 @@
 // Package coherence implements the XT-910 multi-core memory fabric (§VI):
 // the shared, inclusive L2 cache with its MOSEI coherence protocol, the snoop
 // filter that limits inter-core traffic, the intra-cluster bus, and the
-// Ncore-style interconnect joining up to four clusters.
+// Ncore-style interconnect joining up to four clusters. The cluster bus
+// timing is fixed (the constants beside NewL2); only the L2 hit latency is
+// set per L2, defaulting to StockHitLatency.
 package coherence
 
 import (
@@ -29,13 +31,8 @@ type L2 struct {
 	Cache *cache.Cache
 	DRAM  *mem.DRAM
 
-	// BusLatency is the L1→L2 request latency; HitLatency is the L2 array
-	// access time; TransferLatency is a cache-to-cache dirty supply.
-	BusLatency      int
-	HitLatency      int
-	TransferLatency int
-	// GapCycles models L2 port bandwidth (minimum spacing between requests).
-	GapCycles int
+	// HitLatency is the L2 array access time.
+	HitLatency int
 
 	l1s      []*cache.Cache
 	snoop    *SnoopFilter
@@ -50,19 +47,25 @@ type L2 struct {
 	OwnerHook func(OwnerEvent)
 }
 
+// L2 timing: the cluster bus's is the same on every L2; the array access time
+// is the cache config's HitLatency, StockHitLatency when it sets none.
+const (
+	busLatency      = 4  // L1→L2 request latency
+	transferLatency = 12 // cache-to-cache supply of a dirty line
+	gapCycles       = 2  // port bandwidth: minimum spacing between requests
+	StockHitLatency = 10
+)
+
 // NewL2 builds a cluster L2 with XT-910-like latencies.
 func NewL2(cfg cache.Config, dram *mem.DRAM) *L2 {
 	if cfg.HitLatency == 0 {
-		cfg.HitLatency = 10
+		cfg.HitLatency = StockHitLatency
 	}
 	return &L2{
-		Cache:           cache.New(cfg),
-		DRAM:            dram,
-		BusLatency:      4,
-		HitLatency:      cfg.HitLatency,
-		TransferLatency: 12,
-		GapCycles:       2,
-		snoop:           NewSnoopFilter(),
+		Cache:      cache.New(cfg),
+		DRAM:       dram,
+		HitLatency: cfg.HitLatency,
+		snoop:      NewSnoopFilter(),
 	}
 }
 
@@ -84,11 +87,11 @@ func (l2 *L2) RegisterL1(c *cache.Cache) int {
 
 // port arbitration: returns the cycle the request starts service.
 func (l2 *L2) arbitrate(now uint64) uint64 {
-	start := now + uint64(l2.BusLatency)
+	start := now + busLatency
 	if l2.nextFree > start {
 		start = l2.nextFree
 	}
-	l2.nextFree = start + uint64(l2.GapCycles)
+	l2.nextFree = start + gapCycles
 	return start
 }
 
@@ -152,7 +155,7 @@ func (l2 *L2) FetchLine(who int, addr uint64, excl bool, now uint64) (done uint6
 			done = l2line.ReadyAt // in-flight prefetch fill
 		}
 		if dirtySupply {
-			done += uint64(l2.TransferLatency)
+			done += transferLatency
 			l2.Stats.DirtyTransfers++
 		}
 	} else {

@@ -13,11 +13,15 @@ package core
 
 import (
 	"xt910/internal/cache"
+	"xt910/internal/mem"
 	"xt910/internal/prefetch"
 )
 
 // Config selects a microarchitecture. XT910Config is the paper's machine;
 // U74Config and A73Config model the comparison cores in Figs. 17–19.
+// Dimensions every config shares are constants, not fields: the vector
+// register width is vector.VLEN, the line size mem.LineSize, and New builds
+// the direction predictor, L0 BTB, RAS and indirect predictor at fixed sizes.
 type Config struct {
 	Name string
 
@@ -28,10 +32,7 @@ type Config struct {
 	EnableL0BTB    bool // zero-bubble redirects at IF
 	EnableLoopBuf  bool // 16-entry LBUF (§III-C)
 	EnableIndirect bool // indirect-branch predictor
-	DirBits        uint // direction-predictor index bits
-	L0BTBEntries   int
 	L1BTBEntries   int
-	RASDepth       int
 	TakenPenalty   int // IP-stage redirect bubble for taken branches missing L0
 
 	// Mid pipeline (§IV).
@@ -63,9 +64,8 @@ type Config struct {
 	L1D      cache.Config
 	Prefetch prefetch.Config
 
-	// Vector engine (§VII).
+	// Vector engine (§VII), of vector.VLEN-bit registers.
 	EnableVector bool
-	VLEN         int
 
 	// EnableCustomExt gates the non-standard instructions (§VIII); with it
 	// off the core traps on them, operating "fully compatible with the
@@ -102,10 +102,7 @@ func XT910Config() Config {
 		EnableL0BTB:    true,
 		EnableLoopBuf:  true,
 		EnableIndirect: true,
-		DirBits:        14,
-		L0BTBEntries:   16,
 		L1BTBEntries:   1024,
-		RASDepth:       16,
 		TakenPenalty:   2,
 
 		DecodeWidth:   3,
@@ -126,12 +123,11 @@ func XT910Config() Config {
 		SQSize:        24,
 		MispredictMin: 5,
 
-		L1I:      cache.Config{SizeBytes: 64 << 10, Ways: 4, LineBytes: 64, HitLatency: 1},
-		L1D:      cache.Config{SizeBytes: 64 << 10, Ways: 4, LineBytes: 64, HitLatency: 2},
+		L1I:      cache.Config{SizeBytes: 64 << 10, Ways: 4, LineBytes: mem.LineSize, HitLatency: 1},
+		L1D:      cache.Config{SizeBytes: 64 << 10, Ways: 4, LineBytes: mem.LineSize, HitLatency: 2},
 		Prefetch: prefetch.DefaultConfig(),
 
 		EnableVector:    true,
-		VLEN:            128,
 		EnableCustomExt: true,
 
 		PredecodeCache:      true,
@@ -151,7 +147,6 @@ func U74Config() Config {
 	c.FrontendDelay = 1
 	c.EnableL0BTB = false
 	c.EnableLoopBuf = false
-	c.DirBits = 14
 	c.L1BTBEntries = 256
 	c.TakenPenalty = 1
 	c.DecodeWidth = 2
@@ -220,7 +215,6 @@ func (c *Config) Validate() error {
 		{c.LQSize >= 2 && c.SQSize >= 2, "LQ/SQ too small"},
 		{c.L1I.SizeBytes == 32<<10 || c.L1I.SizeBytes == 64<<10, "L1I must be 32KB or 64KB (Table I)"},
 		{c.L1D.SizeBytes == 32<<10 || c.L1D.SizeBytes == 64<<10, "L1D must be 32KB or 64KB (Table I)"},
-		{!c.EnableVector || c.VLEN == 128, "vector config uses the recommended VLEN=128 (§VII)"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {

@@ -198,10 +198,10 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 		L2:     l2,
 		L1I:    coherence.NewL1I(cfg.L1I, l2),
 		L1D:    coherence.NewL1D(cfg.L1D, l2),
-		Dir:    branch.NewDirectionPredictor(cfg.DirBits),
-		L0BTB:  branch.NewBTB(cfg.L0BTBEntries, cfg.L0BTBEntries),
+		Dir:    branch.NewDirectionPredictor(14),
+		L0BTB:  branch.NewBTB(16, 16),
 		L1BTB:  branch.NewBTB(cfg.L1BTBEntries, 4),
-		RAS:    branch.NewRAS(cfg.RASDepth),
+		RAS:    branch.NewRAS(16),
 		Ind:    branch.NewIndirectPredictor(12),
 		robQ:   newRing(&freeUops, cfg.ROBSize),
 		fq:     newRing(&freeFqEntries, cfg.FetchQueue),
@@ -223,11 +223,11 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 	}
 	c.PF = prefetch.New(cfg.Prefetch, c)
 	if cfg.EnableVector {
-		c.Vec, c.specVec = vector.NewUnit(cfg.VLEN), vector.NewUnit(cfg.VLEN)
+		c.Vec, c.specVec = vector.NewUnit(), vector.NewUnit()
 		c.vecLog = newRing(&freeVecEffects, cfg.ROBSize)
-		c.vecBytes = freeVecBytes.Get(cfg.ROBSize * maxGroupRegs * cfg.VLEN / 8)
+		c.vecBytes = freeVecBytes.Get(cfg.ROBSize * maxGroupBytes)
 		// the most element writes one vector store makes: LMUL 8 of bytes
-		c.vecStores = newRing(&freeVecWrites, cfg.VLEN)
+		c.vecStores = newRing(&freeVecWrites, vector.VLEN)
 	}
 	c.pf, c.rat, c.archRAT = newPhysFile(cfg.IntPhysRegs, cfg.FpPhysRegs)
 	c.newQueues()

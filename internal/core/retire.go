@@ -2,6 +2,7 @@ package core
 
 import (
 	"xt910/internal/cache"
+	"xt910/internal/mem"
 	"xt910/internal/trace"
 	"xt910/isa"
 )
@@ -389,9 +390,9 @@ func (c *Core) notifyWrite(pa uint64, size int) {
 }
 
 // KillReservation drops this hart's LR/SC reservation if the written range
-// touches the reserved line (64-byte granule, matching the cache line).
+// touches the reserved line (the mem.LineSize granule).
 func (c *Core) KillReservation(pa uint64, size int) {
-	if c.resOK && pa>>6 == c.resAddr>>6 {
+	if c.resOK && mem.WriteTouchesLine(pa, size, c.resAddr) {
 		c.resOK = false
 	}
 }

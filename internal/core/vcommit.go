@@ -2,6 +2,7 @@ package core
 
 import (
 	"xt910/internal/recycle"
+	"xt910/internal/vector"
 	"xt910/isa"
 )
 
@@ -26,8 +27,9 @@ type vecWrite struct {
 	size    uint8
 }
 
-// maxGroupRegs bounds a destination group: LMUL 8, doubled by a widening op.
-const maxGroupRegs = 16
+// maxGroupBytes bounds a destination group: LMUL 8, doubled by a widening op,
+// of VLEN-bit registers.
+const maxGroupBytes = 16 * vector.VLEN / 8
 
 var (
 	freeVecEffects recycle.Slices[vecEffect]
@@ -37,8 +39,7 @@ var (
 
 // groupBytes is the room vecLog slot s has in vecBytes.
 func (c *Core) groupBytes(s int) []byte {
-	n := maxGroupRegs * c.Cfg.VLEN / 8
-	return c.vecBytes[s*n : (s+1)*n]
+	return c.vecBytes[s*maxGroupBytes : (s+1)*maxGroupBytes]
 }
 
 // logVector records what vector µop u just did to specVec: vl and vtype, the

@@ -85,7 +85,7 @@ spin:
 		want   string
 	}{
 		{name: "short", src: short, poison: poisonAddr + 1024, want: goldenShort},
-		{name: "wrapped", src: wrapped, opts: Options{Window: 5}, poison: poisonAddr + 1024, want: goldenWrapped},
+		{name: "wrapped", src: wrapped, poison: poisonAddr + 1024, want: goldenWrapped},
 		{name: "smp", src: smp, opts: Options{Harts: 2}, poison: poisonAddr + 64 + 1024, want: goldenSMP},
 	}
 	for _, tc := range cases {
@@ -119,7 +119,18 @@ const goldenShort = `cosim divergence: kind=xreg commit=7 pc=0x1014
 const goldenWrapped = `cosim divergence: kind=xreg commit=505 pc=0x1022
   inst: ld a2, 1024(a1)
   a2: core=0x0 emu=0xdeadbeef
-  last 5 commits:
+  last 16 commits:
+    #490   pc=0x001010  amoadd.d t2, t0, (a1)  => t2=0x13b4  [addr=0x20000]
+    #491   pc=0x001014  addi t0, t0, -1  => t0=0x2
+    #492   pc=0x001016  bne t0, zero, -14
+    #493   pc=0x001008  sd t0, 64(a1)  [addr=0x20040]
+    #494   pc=0x00100c  lw t1, 64(a1)  => t1=0x2  [addr=0x20040]
+    #495   pc=0x001010  amoadd.d t2, t0, (a1)  => t2=0x13b7  [addr=0x20000]
+    #496   pc=0x001014  addi t0, t0, -1  => t0=0x1
+    #497   pc=0x001016  bne t0, zero, -14
+    #498   pc=0x001008  sd t0, 64(a1)  [addr=0x20040]
+    #499   pc=0x00100c  lw t1, 64(a1)  => t1=0x1  [addr=0x20040]
+    #500   pc=0x001010  amoadd.d t2, t0, (a1)  => t2=0x13b9  [addr=0x20000]
     #501   pc=0x001014  addi t0, t0, -1  => t0=0x0
     #502   pc=0x001016  bne t0, zero, -14
     #503   pc=0x00101a  sd zero, 0(a1)  [addr=0x20000]

@@ -4,8 +4,8 @@
 // program and compares architectural state at every commit — PC, integer and
 // FP register files, touched memory, the LR/SC reservation and the trap/CSR
 // state. The first divergence is reported with a windowed commit trace,
-// rendered from a ring of the last Options.Window commit records only when a
-// run diverges.
+// rendered from a ring of the last traceWindow (16) commit records only when
+// a run diverges.
 //
 // Comparison policy (see DESIGN.md "Differential co-simulation"):
 //
@@ -84,7 +84,6 @@ import (
 type Options struct {
 	Config    core.Config // pipeline configuration; zero value means XT910Config
 	MaxCycles uint64      // core cycle budget before declaring a hang (0: 10M)
-	Window    int         // commit-trace window kept for the report (0: 16)
 
 	// Modes is the composable mode set (paged / irq / smp); Harts > 1
 	// implies SMP.
@@ -363,9 +362,6 @@ const stackBase = 0x80000
 // rejects.
 func NewSession(p *asm.Program, opts Options) *Session {
 	opts.MaxCycles = cmp.Or(opts.MaxCycles, 10_000_000)
-	if opts.Window <= 0 {
-		opts.Window = 16
-	}
 	modes := opts.modes()
 	sys, err := soc.New(opts.machine())
 	if err != nil {
@@ -412,8 +408,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 			setupPaged(c, m)
 		}
 
-		k := newChecker(c, m, opts.Window, written)
-		k.hart, k.multi = h, harts > 1
+		k := &checker{c: c, m: m, hart: h, multi: harts > 1, written: written}
 		hs := &HartSession{id: h, c: c, m: m, k: k}
 		s.harts = append(s.harts, hs)
 
@@ -723,7 +718,7 @@ func setupPaged(c *core.Core, m *emu.Machine) {
 	m.SetPrivilege(isa.PrivS)
 }
 
-// writtenLines tracks the 64-byte lines either model has written through
+// writtenLines tracks the mem.LineSize lines either model has written through
 // core.MemWriteHook or emu.OnStore. One instance is shared by every hart of a
 // session: the memories are shared and both worlds apply stores in the same
 // global commit order, so any hart's store commit may compare any hart's lines.
@@ -750,7 +745,7 @@ var freeWrittenLines recycle.Objects[writtenLines]
 // a fuzz session touches at most. A cleared map keeps its capacity and the
 // halt-time sweep walks all of it, so a kernel's tracker of thousands of
 // lines would make every later fuzz seed's sweep that long.
-const recycledLines = 16 * mem.PageSize / 64
+const recycledLines = 16 * mem.PageSize / mem.LineSize
 
 func newWrittenLines() *writtenLines {
 	if w := freeWrittenLines.Get(); w != nil {
@@ -771,7 +766,7 @@ func (w *writtenLines) release() {
 }
 
 func (w *writtenLines) mark(addr uint64, size int) {
-	for line := addr >> 6; line <= (addr+uint64(size)-1)>>6; line++ {
+	for line := addr / mem.LineSize; line <= (addr+uint64(size)-1)/mem.LineSize; line++ {
 		if w.epoch[line] != w.now {
 			w.epoch[line] = w.now
 			w.pending = append(w.pending, line)
@@ -787,7 +782,7 @@ type checker struct {
 
 	commits uint64
 	written *writtenLines
-	trace   []core.Commit // ring of the last len(trace) commits; commit n sits at (n-1) % len
+	trace   [traceWindow]core.Commit // ring of the last commits; commit n sits at (n-1) % traceWindow
 
 	// Interrupt-delivery bookkeeping: each model's delivery latches its
 	// cause here; the next commit — the handler's first instruction —
@@ -811,9 +806,8 @@ type checker struct {
 	failInst   isa.Inst
 }
 
-func newChecker(c *core.Core, m *emu.Machine, window int, written *writtenLines) *checker {
-	return &checker{c: c, m: m, written: written, trace: make([]core.Commit, window)}
-}
+// traceWindow is how many of the last commits a divergence report lists.
+const traceWindow = 16
 
 // fail records the first divergence: its kind, the field the failing compare
 // names ("" when the detail names none) and the detail lines of the report.
@@ -863,7 +857,7 @@ func (k *checker) onCommit(ci core.Commit) {
 		return
 	}
 	k.commits++
-	k.trace[(k.commits-1)%uint64(len(k.trace))] = ci
+	k.trace[(k.commits-1)%traceWindow] = ci
 
 	// Interrupt-delivery check: the core's delivery latched coreIRQ and the
 	// emulator's catch-up step (which consumed the same schedule event before
@@ -1031,11 +1025,11 @@ func (k *checker) compareLine(ci core.Commit, line uint64) bool {
 	return differs
 }
 
-// lineDiff returns the first 8-byte word of 64-byte line on which the two
-// memories differ.
+// lineDiff returns the first 8-byte word of line (an address / mem.LineSize)
+// on which the two memories differ.
 func lineDiff(cm, em *mem.Memory, line uint64) (addr, cv, ev uint64, differs bool) {
-	base := line << 6
-	for off := uint64(0); off < 64; off += 8 {
+	base := line * mem.LineSize
+	for off := uint64(0); off < mem.LineSize; off += 8 {
 		if cv, ev := cm.Read(base+off, 8), em.Read(base+off, 8); cv != ev {
 			return base + off, cv, ev, true
 		}
@@ -1193,15 +1187,10 @@ func (k *checker) report() string {
 	for _, d := range k.detail {
 		fmt.Fprintf(&b, "  %s\n", d)
 	}
-	size := uint64(len(k.trace))
-	held := k.commits
-	if held > size {
-		held = size
-	}
-	if held > 0 {
+	if held := min(k.commits, traceWindow); held > 0 {
 		fmt.Fprintf(&b, "  last %d commits:\n", held)
 		for n := k.commits - held + 1; n <= k.commits; n++ {
-			fmt.Fprintf(&b, "    %s\n", traceLine(n, k.trace[(n-1)%size]))
+			fmt.Fprintf(&b, "    %s\n", traceLine(n, k.trace[(n-1)%traceWindow]))
 		}
 	}
 	return b.String()

@@ -107,8 +107,9 @@ skip2:
 }
 
 // TestLRSCReservation pins the reservation semantics both models must share:
-// any store to the reserved 64-byte line — including the hart's own — kills
-// the reservation, and an SC without a live reservation fails. A wrong path
+// any store touching the reserved 64-byte line — including the hart's own,
+// and one that starts below the line and crosses into it — kills the
+// reservation, and an SC without a live reservation fails. A wrong path
 // hits ebreak, so the exit code checks the semantics themselves, not just
 // that both models agree.
 func TestLRSCReservation(t *testing.T) {
@@ -137,6 +138,15 @@ sc_ok:
     bnez x10, orphan_failed
     ebreak
 orphan_failed:
+    # a store starting below the reserved line and crossing into it kills
+    # the reservation too: SC must fail
+    addi x11, x8, 64
+    lr.d x9, (x11)
+    sd x5, 60(x8)
+    sc.d x10, x6, (x11)
+    bnez x10, cross_failed
+    ebreak
+cross_failed:
 `+exitEpilogue+`
 .align 6
 buf:

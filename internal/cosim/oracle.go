@@ -5,6 +5,7 @@ import (
 
 	"xt910/internal/coherence"
 	"xt910/internal/core"
+	"xt910/internal/mem"
 	"xt910/isa"
 )
 
@@ -131,7 +132,7 @@ func (o *storeOracle) commit(hart int, global uint64, ci core.Commit) []string {
 	if o.mmio != nil && o.mmio.Covers(ci.Addr) {
 		return flush() // device stores bypass the cache hierarchy
 	}
-	o.push(orderEntry{hart: hart, line: ci.Addr &^ 63, commit: global, pc: ci.PC, inst: ci.Inst, addr: ci.Addr})
+	o.push(orderEntry{hart: hart, line: ci.Addr &^ (mem.LineSize - 1), commit: global, pc: ci.PC, inst: ci.Inst, addr: ci.Addr})
 	if d := flush(); d != nil {
 		return d
 	}
@@ -150,7 +151,7 @@ func (o *storeOracle) commit(hart int, global uint64, ci core.Commit) []string {
 	if size <= 0 {
 		size = 1
 	}
-	for line := ci.Addr &^ 63; line <= (ci.Addr+uint64(size)-1)&^63; line += 64 {
+	for line := ci.Addr &^ (mem.LineSize - 1); line <= (ci.Addr+uint64(size)-1)&^(mem.LineSize-1); line += mem.LineSize {
 		if ow, ok := o.exclOwner[line]; !ok || ow != hart {
 			owner := "nobody"
 			if ok {

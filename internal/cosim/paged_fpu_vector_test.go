@@ -11,6 +11,7 @@ import (
 	"xt910/internal/emu"
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
+	"xt910/internal/vector"
 	"xt910/isa"
 )
 
@@ -247,7 +248,8 @@ buf:
 
 // TestVectorMaskedStore is the hand-written repro for the masked-vector
 // class: a vmseq-derived mask in v0 predicates a unit-stride store, and the
-// masked-off destination words must keep their previous memory contents.
+// masked-off destination words must keep their previous memory contents. The
+// program exits with vlenb, which both models must read as VLEN/8.
 func TestVectorMaskedStore(t *testing.T) {
 	r := checkClean(t, `
 _start:
@@ -273,7 +275,9 @@ _start:
     lw x6, 76(x8)
     li x7, 9
     bne x6, x7, bad
-`+exitEpilogue+`
+    csrr a0, vlenb
+    li a7, 93
+    ecall
 bad:
     ebreak
 .align 6
@@ -282,8 +286,8 @@ buf:
     .dword 0, 0, 0, 0, 0, 0
     .dword 0x0000000900000009, 0x0000000900000009
 `)
-	if r.ExitCode != 0 {
-		t.Fatalf("exit code = %d, want 0 (a masked-store word check failed)", r.ExitCode)
+	if r.ExitCode != vector.VLEN/8 {
+		t.Fatalf("exit code = %d, want vlenb = %d (-19: a masked-store word check failed)", r.ExitCode, vector.VLEN/8)
 	}
 }
 

@@ -48,8 +48,17 @@ func checkSMPClean(t *testing.T, src string, harts int) (*Session, Result) {
 // harts increment one shared counter through bounded LR/SC retry loops, so SC
 // failures, cross-hart reservation kills and ownership ping-pong on a single
 // line are all exercised under the lock-step compare and the store oracle.
+// The second program pins the kill itself: hart 1's store that starts below
+// hart 0's reserved line and crosses into it must fail hart 0's SC, in the
+// core world (core.BroadcastWrite) and the emulator world (the session's
+// OnStore broadcast) alike.
 func TestSMPLRSCPingPong(t *testing.T) {
-	checkSMPClean(t, `
+	for _, src := range []string{lrscPingPong, lrscRemoteCrossingStore} {
+		checkSMPClean(t, src, 2)
+	}
+}
+
+const lrscPingPong = `
 _start:
     la x8, buf
     li x5, 8
@@ -66,12 +75,44 @@ next:
     addi x5, x5, -1
     bnez x5, outer
     ld x11, 0(x8)
-`+exitEpilogue+`
+` + exitEpilogue + `
 .align 6
 buf:
     .dword 0, 0, 0, 0, 0, 0, 0, 0
-`, 2)
-}
+`
+
+// Hart 0 reserves the line at buf+64 and raises a flag; hart 1 waits for it,
+// stores 8 bytes at buf+60 and raises its own flag; hart 0 waits for that and
+// must see its SC fail. The flags sit on lines of their own.
+const lrscRemoteCrossingStore = `
+_start:
+    la x8, buf
+    li x5, 1
+    csrr x13, mhartid
+    bnez x13, remote
+    addi x11, x8, 64
+    lr.d x9, (x11)
+    sd x5, 128(x8)
+wait_store:
+    ld x12, 192(x8)
+    beqz x12, wait_store
+    sc.d x10, x5, (x11)
+    bnez x10, done
+    ebreak
+remote:
+    ld x12, 128(x8)
+    beqz x12, remote
+    sd x5, 60(x8)
+    sd x5, 192(x8)
+done:
+` + exitEpilogue + `
+.align 6
+buf:
+    .dword 0, 0, 0, 0, 0, 0, 0, 0
+    .dword 0, 0, 0, 0, 0, 0, 0, 0
+    .dword 0, 0, 0, 0, 0, 0, 0, 0
+    .dword 0, 0, 0, 0, 0, 0, 0, 0
+`
 
 // TestSMPAMOCounterRace is the AMO contention repro: each hart atomically
 // adds 1 to a shared counter 16 times, then spins until the counter reaches

@@ -109,7 +109,7 @@ func New(m *mem.Memory) *Machine {
 	}
 	return &Machine{
 		Mem:  m,
-		Vec:  vector.NewUnit(vector.DefaultVLEN),
+		Vec:  vector.NewUnit(),
 		priv: isa.Priv{Level: isa.PrivM},
 		tab:  tab,
 	}
@@ -281,11 +281,11 @@ func (m *Machine) Reservation() (valid bool, addr uint64) {
 }
 
 // KillReservation drops the reservation when a write to [pa, pa+size) touches
-// the reserved 64-byte granule. The multi-hart cosimulator broadcasts every
-// emulator's store here so a remote hart's write invalidates this hart's LR/SC
-// reservation exactly as the coherence fabric does in the pipeline world.
+// the reserved mem.LineSize granule. The multi-hart cosimulator broadcasts
+// every emulator's store here so a remote hart's write invalidates this hart's
+// LR/SC reservation exactly as the coherence fabric does in the pipeline world.
 func (m *Machine) KillReservation(pa uint64, size int) {
-	if m.resValid && pa>>6 == m.resAddr>>6 {
+	if m.resValid && mem.WriteTouchesLine(pa, size, m.resAddr) {
 		m.resValid = false
 	}
 }

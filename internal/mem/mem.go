@@ -14,8 +14,20 @@ import (
 
 const pageBits = 12
 
-// PageSize is the size of the unit memory is allocated in (Page).
+// PageSize is the size of the unit memory is allocated in (Page), and the
+// page the prefetcher's next-page TLB requests step by.
 const PageSize = 1 << pageBits
+
+// LineSize is the machine's cache line in bytes: every cache's, the
+// prefetcher's, the LR/SC reservation granule and the checker's compare unit.
+const LineSize = 64
+
+// WriteTouchesLine reports whether a write of size bytes at pa touches the
+// line holding addr.
+func WriteTouchesLine(pa uint64, size int, addr uint64) bool {
+	line := addr / LineSize
+	return pa/LineSize <= line && line <= (pa+uint64(size)-1)/LineSize
+}
 
 // Device is a memory-mapped device window: the physical addresses it covers
 // are read and written through it instead of through a Memory.

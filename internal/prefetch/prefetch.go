@@ -4,8 +4,11 @@
 // mode tracking up to 8 concurrent streams with independent strides (depth up
 // to 32 lines each). Operation follows the paper's three steps: stride
 // detection, policy/confidence control, and issue. Cross-page virtual
-// prefetch requests a translation for the next page (TLB prefetch).
+// prefetch requests a translation for the next page (TLB prefetch). Lines and
+// pages are the machine's fixed mem.LineSize and mem.PageSize.
 package prefetch
+
+import "xt910/internal/mem"
 
 // Mode selects the prefetch mode.
 type Mode int
@@ -29,17 +32,13 @@ type Config struct {
 	TLBPrefetch bool
 	// LargeDistance selects the aggressive distance (scenario d vs b/c).
 	LargeDistance bool
-	// LineBytes is the cache line size used to align prefetch addresses.
-	LineBytes int
-	// PageBytes is the page size used for cross-page TLB prefetch.
-	PageBytes int
 }
 
 // DefaultConfig returns the full-featured configuration (scenario d).
 func DefaultConfig() Config {
 	return Config{
 		Mode: ModeMultiStream, L1Enable: true, L2Enable: true,
-		TLBPrefetch: true, LargeDistance: true, LineBytes: 64, PageBytes: 4096,
+		TLBPrefetch: true, LargeDistance: true,
 	}
 }
 
@@ -96,12 +95,6 @@ type Engine struct {
 
 // New builds an engine delivering into sink.
 func New(cfg Config, sink Sink) *Engine {
-	if cfg.LineBytes == 0 {
-		cfg.LineBytes = 64
-	}
-	if cfg.PageBytes == 0 {
-		cfg.PageBytes = 4096
-	}
 	return &Engine{cfg: cfg, streams: make([]stream, maxStreams), sink: sink}
 }
 
@@ -195,7 +188,7 @@ func (e *Engine) pick(addr uint64) *stream {
 		if d < 0 {
 			d = -d
 		}
-		if d <= 4*int64(e.cfg.LineBytes)*8 { // generous match window
+		if d <= 4*mem.LineSize*8 { // generous match window
 			if best == nil || absI(int64(addr)-int64(s.lastAddr)) < absI(int64(addr)-int64(best.lastAddr)) {
 				best = s
 			}
@@ -232,7 +225,7 @@ func absI(v int64) int64 {
 // their own distances in steady state.
 func (e *Engine) issue(s *stream, addr uint64, now uint64) {
 	l1Depth, l2Depth := e.depths()
-	line := int64(e.cfg.LineBytes)
+	const line = mem.LineSize
 	stride := s.stride
 	// normalize tiny strides to line-granular stepping
 	step := stride
@@ -244,7 +237,7 @@ func (e *Engine) issue(s *stream, addr uint64, now uint64) {
 		}
 	}
 	emitRange := func(depth int, cursor *uint64, toL1 bool) {
-		for i := firstUncovered(addr, step, depth, *cursor, line); i <= depth; i++ {
+		for i := firstUncovered(addr, step, depth, *cursor); i <= depth; i++ {
 			target := uint64(int64(addr) + step*int64(i))
 			lineAddr := target &^ uint64(line-1)
 			if *cursor != 0 && sameDirectionCovered(stride, lineAddr, *cursor) {
@@ -261,8 +254,8 @@ func (e *Engine) issue(s *stream, addr uint64, now uint64) {
 			// Cross-page prefetch: "when data is prefetched at the page
 			// boundary, a conversion for the next virtual page is
 			// automatically requested" (§V-C).
-			if e.cfg.TLBPrefetch && crossesPage(lineAddr, uint64(line), uint64(e.cfg.PageBytes)) {
-				e.sink.PrefetchTLB(nextPage(lineAddr, stride, uint64(e.cfg.PageBytes)))
+			if e.cfg.TLBPrefetch && crossesPage(lineAddr) {
+				e.sink.PrefetchTLB(nextPage(lineAddr, stride))
 				e.Stats.TLBIssued++
 			}
 		}
@@ -282,14 +275,14 @@ func (e *Engine) issue(s *stream, addr uint64, now uint64) {
 // line issued, 0 for none). The targets move monotonically, so those form a
 // prefix; any target past a wrap comes after them, where the walk's own
 // coverage check still applies.
-func firstUncovered(addr uint64, step int64, depth int, cursor uint64, line int64) int {
+func firstUncovered(addr uint64, step int64, depth int, cursor uint64) int {
 	if cursor == 0 {
 		return 1
 	}
 	mag := uint64(absI(step))
 	var covered uint64
 	if step > 0 {
-		if last := cursor | uint64(line-1); addr <= last {
+		if last := cursor | (mem.LineSize - 1); addr <= last {
 			covered = (last - addr) / mag
 		}
 	} else if addr >= cursor {
@@ -305,17 +298,17 @@ func sameDirectionCovered(stride int64, lineAddr, lastIssued uint64) bool {
 	return lineAddr >= lastIssued
 }
 
-func crossesPage(lineAddr, lineBytes, pageBytes uint64) bool {
-	return lineAddr/pageBytes != (lineAddr+lineBytes)/pageBytes ||
-		lineAddr%pageBytes == 0
+func crossesPage(lineAddr uint64) bool {
+	return lineAddr/mem.PageSize != (lineAddr+mem.LineSize)/mem.PageSize ||
+		lineAddr%mem.PageSize == 0
 }
 
-func nextPage(lineAddr uint64, stride int64, pageBytes uint64) uint64 {
-	page := lineAddr &^ (pageBytes - 1)
+func nextPage(lineAddr uint64, stride int64) uint64 {
+	page := lineAddr &^ (mem.PageSize - 1)
 	if stride < 0 {
-		return page - pageBytes
+		return page - mem.PageSize
 	}
-	return page + pageBytes
+	return page + mem.PageSize
 }
 
 // Flush drops all trained state (context switch / sfence).

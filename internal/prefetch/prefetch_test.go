@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"xt910/internal/mem"
 )
 
 // recordSink collects issued prefetches.
@@ -25,7 +27,7 @@ func trainSequential(e *Engine, base uint64, stride int64, n int) {
 
 func TestStrideDetectionAndIssue(t *testing.T) {
 	sink := &recordSink{}
-	e := New(Config{Mode: ModeGlobal, L1Enable: true, L2Enable: true, LineBytes: 64}, sink)
+	e := New(Config{Mode: ModeGlobal, L1Enable: true, L2Enable: true}, sink)
 	trainSequential(e, 0x10000, 64, 10)
 	if len(sink.l1) == 0 {
 		t.Fatal("sequential stream must trigger L1 prefetches")
@@ -40,7 +42,7 @@ func TestStrideDetectionAndIssue(t *testing.T) {
 
 func TestNoIssueWhenOff(t *testing.T) {
 	sink := &recordSink{}
-	e := New(Config{Mode: ModeOff, LineBytes: 64}, sink)
+	e := New(Config{Mode: ModeOff}, sink)
 	trainSequential(e, 0x10000, 64, 100)
 	if len(sink.l1)+len(sink.l2)+len(sink.tlb) != 0 {
 		t.Fatal("disabled prefetcher must stay silent")
@@ -51,7 +53,7 @@ func TestLargeDistanceRunsFurtherAhead(t *testing.T) {
 	far := func(large bool) uint64 {
 		sink := &recordSink{}
 		e := New(Config{Mode: ModeGlobal, L1Enable: true, L2Enable: true,
-			LargeDistance: large, LineBytes: 64}, sink)
+			LargeDistance: large}, sink)
 		trainSequential(e, 0x10000, 64, 8)
 		max := uint64(0)
 		for _, a := range append(sink.l1, sink.l2...) {
@@ -69,7 +71,7 @@ func TestLargeDistanceRunsFurtherAhead(t *testing.T) {
 func TestArbitraryStrides(t *testing.T) {
 	for _, stride := range []int64{8, 64, 256, 1024, -64} {
 		sink := &recordSink{}
-		e := New(Config{Mode: ModeGlobal, L1Enable: true, LineBytes: 64}, sink)
+		e := New(Config{Mode: ModeGlobal, L1Enable: true}, sink)
 		trainSequential(e, 0x100000, stride, 10)
 		if len(sink.l1) == 0 {
 			t.Fatalf("stride %d not detected", stride)
@@ -87,7 +89,7 @@ func TestArbitraryStrides(t *testing.T) {
 
 func TestMultiStreamTracksEightStreams(t *testing.T) {
 	sink := &recordSink{}
-	e := New(Config{Mode: ModeMultiStream, L1Enable: true, LineBytes: 64}, sink)
+	e := New(Config{Mode: ModeMultiStream, L1Enable: true}, sink)
 	// interleave 8 streams at widely separated bases
 	for round := 0; round < 12; round++ {
 		for s := 0; s < 8; s++ {
@@ -105,7 +107,7 @@ func TestMultiStreamTracksEightStreams(t *testing.T) {
 
 func TestConfidenceThrottlesRandomPattern(t *testing.T) {
 	sink := &recordSink{}
-	e := New(Config{Mode: ModeGlobal, L1Enable: true, LineBytes: 64}, sink)
+	e := New(Config{Mode: ModeGlobal, L1Enable: true}, sink)
 	// pseudo-random addresses: no stable stride, prefetcher must stay quiet
 	addr := uint64(0x5000)
 	for i := 0; i < 200; i++ {
@@ -123,7 +125,7 @@ func TestConfidenceThrottlesRandomPattern(t *testing.T) {
 func TestTLBPrefetchAtPageBoundary(t *testing.T) {
 	sink := &recordSink{}
 	e := New(Config{Mode: ModeGlobal, L1Enable: true, L2Enable: true,
-		TLBPrefetch: true, LargeDistance: true, LineBytes: 64, PageBytes: 4096}, sink)
+		TLBPrefetch: true, LargeDistance: true}, sink)
 	trainSequential(e, 0x10000, 64, 80) // sweeps across page boundaries
 	if len(sink.tlb) == 0 {
 		t.Fatal("cross-page stream must issue TLB prefetches")
@@ -138,7 +140,7 @@ func TestTLBPrefetchAtPageBoundary(t *testing.T) {
 
 func TestL2OnlyConfiguration(t *testing.T) {
 	sink := &recordSink{}
-	e := New(Config{Mode: ModeGlobal, L2Enable: true, LineBytes: 64}, sink)
+	e := New(Config{Mode: ModeGlobal, L2Enable: true}, sink)
 	trainSequential(e, 0x10000, 64, 10)
 	if len(sink.l1) != 0 {
 		t.Fatal("L1 disabled but L1 prefetches issued")
@@ -160,7 +162,7 @@ func TestFlushForgetsStreams(t *testing.T) {
 
 func TestNoDuplicateLines(t *testing.T) {
 	sink := &recordSink{}
-	e := New(Config{Mode: ModeGlobal, L1Enable: true, L2Enable: true, LineBytes: 64}, sink)
+	e := New(Config{Mode: ModeGlobal, L1Enable: true, L2Enable: true}, sink)
 	trainSequential(e, 0x10000, 64, 50)
 	seen := map[uint64]int{}
 	for _, a := range append(sink.l1, sink.l2...) {
@@ -177,7 +179,7 @@ func TestNoDuplicateLines(t *testing.T) {
 // covered prefix skipped one by one.
 func walkIssue(e *Engine, s *stream, addr, now uint64) {
 	l1Depth, l2Depth := e.depths()
-	line := int64(e.cfg.LineBytes)
+	const line = mem.LineSize
 	stride := s.stride
 	step := stride
 	if absI(step) < line {
@@ -201,8 +203,8 @@ func walkIssue(e *Engine, s *stream, addr, now uint64) {
 				e.Stats.L2Issued++
 			}
 			*cursor = lineAddr
-			if e.cfg.TLBPrefetch && crossesPage(lineAddr, uint64(line), uint64(e.cfg.PageBytes)) {
-				e.sink.PrefetchTLB(nextPage(lineAddr, stride, uint64(e.cfg.PageBytes)))
+			if e.cfg.TLBPrefetch && crossesPage(lineAddr) {
+				e.sink.PrefetchTLB(nextPage(lineAddr, stride))
 				e.Stats.TLBIssued++
 			}
 		}
@@ -230,7 +232,6 @@ func TestIssueMatchesTheWalk(t *testing.T) {
 			cfg.Mode = ModeGlobal
 		}
 		cfg.LargeDistance = rng.Intn(4) != 0
-		cfg.LineBytes = []int{32, 64, 128}[rng.Intn(3)]
 		stride := strides[rng.Intn(len(strides))]
 		if rng.Intn(2) == 0 {
 			stride = -stride
@@ -254,7 +255,7 @@ func TestIssueMatchesTheWalk(t *testing.T) {
 			default: // among the targets, or just either side of them
 				c = uint64(int64(addr) + stride*int64(rng.Intn(80)-8) + int64(rng.Intn(256)-128))
 			}
-			return c &^ uint64(cfg.LineBytes-1)
+			return c &^ (mem.LineSize - 1)
 		}
 		s := stream{valid: true, lastAddr: addr, stride: stride, confidence: confidenceArm,
 			lastL1: cursor(), lastL2: cursor()}
@@ -265,8 +266,8 @@ func TestIssueMatchesTheWalk(t *testing.T) {
 		fast.issue(&got, addr, 9)
 		if got != want || fast.Stats != walk.Stats || !slices.Equal(gotSink.l1, wantSink.l1) ||
 			!slices.Equal(gotSink.l2, wantSink.l2) || !slices.Equal(gotSink.tlb, wantSink.tlb) {
-			t.Fatalf("addr %#x stride %d line %d cursors %#x/%#x: issue gave %+v %+v, the walk %+v %+v",
-				addr, stride, cfg.LineBytes, s.lastL1, s.lastL2, got, fast.Stats, want, walk.Stats)
+			t.Fatalf("addr %#x stride %d cursors %#x/%#x: issue gave %+v %+v, the walk %+v %+v",
+				addr, stride, s.lastL1, s.lastL2, got, fast.Stats, want, walk.Stats)
 		}
 	}
 }

@@ -7,7 +7,6 @@
 package soc
 
 import (
-	"cmp"
 	"context"
 
 	"xt910/internal/asm"
@@ -26,7 +25,7 @@ type Config struct {
 	Core            core.Config
 	L2SizeBytes     int // 256 KB – 8 MB per cluster
 	L2Ways          int // 8 or 16
-	L2HitLatency    int // L2 array hit latency in cycles (0: the stock 10)
+	L2HitLatency    int // L2 array hit latency in cycles (0: coherence.StockHitLatency)
 	DRAMLatency     int // CPU cycles (§X uses ~200)
 	DRAMGap         int
 
@@ -132,8 +131,8 @@ func New(cfg Config) (*System, error) {
 	s.Clusters = s.clusters[:cfg.Clusters]
 	for cl := range s.Clusters {
 		l2 := coherence.NewL2(cache.Config{
-			SizeBytes: cfg.L2SizeBytes, Ways: cfg.L2Ways, LineBytes: 64,
-			HitLatency: cmp.Or(cfg.L2HitLatency, 10), ECC: true, Parity: true, // §II: ECC and parity
+			SizeBytes: cfg.L2SizeBytes, Ways: cfg.L2Ways, LineBytes: mem.LineSize,
+			HitLatency: cfg.L2HitLatency, ECC: true, Parity: true, // §II: ECC and parity
 		}, &s.DRAM)
 		if s.Ncore != nil {
 			s.Ncore.Attach(l2)

@@ -1,5 +1,5 @@
 // Package vector implements the XT-910 vector engine (§VII): the 0.7.1-draft
-// register state (VLEN/SLEN = 128 recommended configuration), the functional
+// register state (VLEN = SLEN = 128, the constant VLEN), the functional
 // semantics of the implemented vector operations, and the slice-based timing
 // parameters the pipeline model charges.
 //
@@ -9,7 +9,6 @@
 package vector
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -18,20 +17,18 @@ import (
 	"xt910/isa"
 )
 
-// DefaultVLEN is the recommended configuration from §VII: "two vector slices
-// with 128-bit VLEN and SLEN are recommended".
-const DefaultVLEN = 128
+// VLEN is the vector register width in bits of both models, the §VII
+// recommendation: "two vector slices with 128-bit VLEN and SLEN are
+// recommended". vlenb is the same in bytes.
+const (
+	VLEN  = 128
+	vlenb = VLEN / 8
+)
 
 // File is the vector register file: 32 registers of VLEN bits, back to back in
 // one array, so that a register group is one run of bytes.
 type File struct {
-	VLENBits int
-	data     []byte
-}
-
-// NewFile allocates a register file.
-func NewFile(vlenBits int) *File {
-	return &File{VLENBits: vlenBits, data: make([]byte, 32*vlenBits/8)}
+	data [32 * vlenb]byte
 }
 
 // Bytes exposes register r's backing storage.
@@ -39,25 +36,25 @@ func (f *File) Bytes(r int) []byte { return f.Group(r, 1) }
 
 // Group exposes the backing storage of the n registers from r on.
 func (f *File) Group(r, n int) []byte {
-	b := f.VLENBits / 8
-	return f.data[r*b : (r+n)*b : (r+n)*b]
+	return f.data[r*vlenb : (r+n)*vlenb : (r+n)*vlenb]
 }
 
-// Clone deep-copies the file (used for co-simulation checks).
+// Clone deep-copies the file.
 func (f *File) Clone() *File {
-	return &File{VLENBits: f.VLENBits, data: bytes.Clone(f.data)}
+	c := *f
+	return &c
 }
 
 // Equal reports whether two files hold identical contents.
 func (f *File) Equal(o *File) bool {
-	return f.VLENBits == o.VLENBits && bytes.Equal(f.data, o.data)
+	return f.data == o.data
 }
 
 // elem reads element idx of width sew bits from the register group starting
 // at reg: element byte offset idx*sew/8 simply runs across consecutive
 // registers.
 func (f *File) elem(reg, idx, sew int) uint64 {
-	o := reg*f.VLENBits/8 + idx*sew/8
+	o := reg*vlenb + idx*sew/8
 	switch sew {
 	case 8:
 		return uint64(f.data[o])
@@ -71,7 +68,7 @@ func (f *File) elem(reg, idx, sew int) uint64 {
 }
 
 func (f *File) setElem(reg, idx, sew int, v uint64) {
-	o := reg*f.VLENBits/8 + idx*sew/8
+	o := reg*vlenb + idx*sew/8
 	switch sew {
 	case 8:
 		f.data[o] = byte(v)
@@ -103,26 +100,26 @@ type Unit struct {
 // returns a new one in.
 var freeUnits recycle.Objects[Unit]
 
-// NewUnit creates a vector unit with the given VLEN: a released one when the
-// newest on the free list has that VLEN, a new one otherwise.
-func NewUnit(vlenBits int) *Unit {
-	if u := freeUnits.Get(); u != nil && u.File.VLENBits == vlenBits {
+// NewUnit creates a vector unit: a released one when the free list has one, a
+// new one otherwise.
+func NewUnit() *Unit {
+	if u := freeUnits.Get(); u != nil {
 		return u
 	}
-	return &Unit{File: NewFile(vlenBits)}
+	return &Unit{File: new(File)}
 }
 
 // Release zeroes the unit and hands it to the units created after it. The
 // caller must not use it afterwards.
 func (u *Unit) Release() {
-	clear(u.File.data)
+	*u.File = File{}
 	u.VL, u.VType = 0, 0
 	freeUnits.Put(u)
 }
 
-// CopyFrom makes u, a unit of the same VLEN, hold exactly what o holds.
+// CopyFrom makes u hold exactly what o holds.
 func (u *Unit) CopyFrom(o *Unit) {
-	copy(u.File.data, o.File.data)
+	*u.File = *o.File
 	u.VL, u.VType = o.VL, o.VType
 }
 
@@ -130,7 +127,7 @@ func (u *Unit) CopyFrom(o *Unit) {
 // per the 0.7.1 rule that hardware picks the element count.
 func (u *Unit) SetVL(requested uint64, vt isa.VType) uint64 {
 	u.VType = vt
-	max := uint64(vt.VLMAX(u.File.VLENBits))
+	max := uint64(vt.VLMAX(VLEN))
 	if requested > max {
 		requested = max
 	}
@@ -163,7 +160,7 @@ func (u *Unit) CSR(num uint16) uint64 {
 	case isa.CSRVtype:
 		return uint64(u.VType)
 	case isa.CSRVlenb:
-		return uint64(u.File.VLENBits / 8)
+		return vlenb
 	}
 	return 0
 }

@@ -56,7 +56,7 @@ func TestFp16RoundToNearestEven(t *testing.T) {
 }
 
 func TestSetVLClamping(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	if vl := u.SetVL(100, isa.MakeVType(isa.SEW32, 0)); vl != 4 {
 		t.Fatalf("e32,m1 VLMAX = 4, got %d", vl)
 	}
@@ -78,7 +78,7 @@ func execVV(t *testing.T, u *Unit, op isa.Op, vd, vs2, vs1 int) {
 }
 
 func TestIntegerElementwise(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(4, isa.MakeVType(isa.SEW32, 0))
 	for i := 0; i < 4; i++ {
 		u.File.setElem(1, i, 32, uint64(i+1))     // v1 = 1,2,3,4
@@ -102,7 +102,7 @@ func TestIntegerElementwise(t *testing.T) {
 }
 
 func TestSignedSemantics(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(2, isa.MakeVType(isa.SEW16, 0))
 	u.File.setElem(1, 0, 16, 0xFFFF) // -1
 	u.File.setElem(1, 1, 16, 0x8000) // -32768
@@ -124,7 +124,7 @@ func TestSignedSemantics(t *testing.T) {
 
 func TestWideningMAC16(t *testing.T) {
 	// the §X AI claim: 16-bit MACs accumulate into 32-bit elements
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(8, isa.MakeVType(isa.SEW16, 0)) // 8 x int16 in one 128-bit reg
 	for i := 0; i < 8; i++ {
 		u.File.setElem(1, i, 16, uint64(i+1))
@@ -143,7 +143,7 @@ func TestWideningMAC16(t *testing.T) {
 }
 
 func TestReduction(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(4, isa.MakeVType(isa.SEW32, 0))
 	for i := 0; i < 4; i++ {
 		u.File.setElem(2, i, 32, uint64(i+1)) // 1..4
@@ -160,7 +160,7 @@ func TestReduction(t *testing.T) {
 }
 
 func TestFP32Elementwise(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(4, isa.MakeVType(isa.SEW32, 0))
 	for i := 0; i < 4; i++ {
 		u.File.setElem(1, i, 32, uint64(math.Float32bits(float32(i)+0.5)))
@@ -176,7 +176,7 @@ func TestFP32Elementwise(t *testing.T) {
 }
 
 func TestFP16Elementwise(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(8, isa.MakeVType(isa.SEW16, 0))
 	for i := 0; i < 8; i++ {
 		u.File.setElem(1, i, 16, uint64(F32ToF16(1.5)))
@@ -191,7 +191,7 @@ func TestFP16Elementwise(t *testing.T) {
 }
 
 func TestVectorLoadStore(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(4, isa.MakeVType(isa.SEW32, 0))
 	memory := map[uint64]uint64{}
 	ld := func(addr uint64, size int) uint64 { return memory[addr] }
@@ -217,7 +217,7 @@ func TestVectorLoadStore(t *testing.T) {
 }
 
 func TestStridedLoad(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(4, isa.MakeVType(isa.SEW32, 0))
 	memory := map[uint64]uint64{}
 	for i := uint64(0); i < 4; i++ {
@@ -238,7 +238,7 @@ func TestStridedLoad(t *testing.T) {
 }
 
 func TestLMULGroupsSpanRegisters(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	u.SetVL(8, isa.MakeVType(isa.SEW32, 1)) // e32,m2: 8 elements across v2,v3
 	for i := 0; i < 8; i++ {
 		u.File.setElem(2, i, 32, uint64(i))
@@ -265,7 +265,7 @@ func TestOccupancyAndMemCycles(t *testing.T) {
 }
 
 func TestFileCloneEqual(t *testing.T) {
-	u := NewUnit(128)
+	u := NewUnit()
 	rng := rand.New(rand.NewSource(5))
 	for r := 0; r < 32; r++ {
 		for b := 0; b < 16; b++ {
