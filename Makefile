@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race cli-smoke fuzz-native-smoke bench-smoke campaign-smoke campaign-chaos-smoke fidelity-track tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test cli-smoke fuzz-native-smoke bench-smoke campaign-smoke campaign-chaos-smoke fidelity-track tier1 bench xtbench clean
 
 all: tier1
 
@@ -19,13 +19,6 @@ fmt-check:
 
 test:
 	$(GO) test ./...
-
-# race runs the packages where goroutines actually interact (the worker-pool
-# engine, the parallel bench harness, and the campaign service's
-# coordinator/worker engine, whose divergence corpus takes reports in
-# whatever order parallel shards deliver them) under the race detector.
-race:
-	$(GO) test -race ./internal/sched ./internal/bench ./internal/campaign
 
 # cli-smoke runs the CLIs end to end: xtfuzz on a fixed seed set in each of
 # its modes (plain, paged, irq, smp), the xtinject fault campaign and the

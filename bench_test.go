@@ -1,7 +1,8 @@
-// Package-level benchmark harness: one testing.B benchmark per table/figure
-// of the paper's evaluation (§X). `go test -bench=. -benchmem` regenerates
-// them; each benchmark reports the reproduced quantity as a custom metric so
-// the -bench output doubles as the paper-vs-measured record.
+// Package-level benchmark harness: every experiment of the paper's
+// evaluation (§X) that xtbench runs, as a sub-benchmark named by its id.
+// `go test -bench=. -benchmem` regenerates them; each sub-benchmark reports
+// the reproduced quantities as custom metrics so the -bench output doubles
+// as the paper-vs-measured record.
 package xt910_test
 
 import (
@@ -12,22 +13,26 @@ import (
 	"xt910/internal/perf"
 )
 
-// runFigure executes one reproduction inside a testing.B, reporting every row
-// as a custom benchmark metric.
-func runFigure(b *testing.B, fn func(context.Context, bench.Options) (*perf.Result, error)) {
-	b.ReportAllocs()
-	var res *perf.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = fn(context.Background(), bench.Options{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments runs each registered experiment at Quick size through
+// bench.Run, reporting every row as a custom benchmark metric.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *perf.Result
+			for i := 0; i < b.N; i++ {
+				r := bench.Run(context.Background(), bench.Options{Quick: true}, []bench.Experiment{e})[0]
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+				res = r.Value.(*perf.Result)
+			}
+			for _, row := range res.Rows {
+				b.ReportMetric(row.Measured, metricName(row.Label))
+			}
+			b.Logf("\n%s", res.Format())
+		})
 	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.Measured, metricName(row.Label))
-	}
-	b.Logf("\n%s", res.Format())
 }
 
 func metricName(label string) string {
@@ -42,43 +47,3 @@ func metricName(label string) string {
 	}
 	return string(out)
 }
-
-// BenchmarkTable1Configs regenerates Table I (core configuration matrix).
-func BenchmarkTable1Configs(b *testing.B) { runFigure(b, bench.Table1) }
-
-// BenchmarkTable2AreaPower regenerates Table II (frequency/area/power model).
-func BenchmarkTable2AreaPower(b *testing.B) { runFigure(b, bench.Table2) }
-
-// BenchmarkFig17CoreMark regenerates Fig. 17 (CoreMark comparison,
-// XT-910 ≈ 1.39x the U74-class).
-func BenchmarkFig17CoreMark(b *testing.B) { runFigure(b, bench.Fig17) }
-
-// BenchmarkFig18EEMBC regenerates Fig. 18 (EEMBC vs Cortex-A73-class).
-func BenchmarkFig18EEMBC(b *testing.B) { runFigure(b, bench.Fig18) }
-
-// BenchmarkFig19NBench regenerates Fig. 19 (NBench vs Cortex-A73-class).
-func BenchmarkFig19NBench(b *testing.B) { runFigure(b, bench.Fig19) }
-
-// BenchmarkSpecLike regenerates the §X SPECInt2006 comparison
-// (XT-910 ≈ 0.9x the A73 on large-footprint work).
-func BenchmarkSpecLike(b *testing.B) { runFigure(b, bench.SpecInt) }
-
-// BenchmarkFig20Toolchain regenerates Fig. 20 (extensions + optimized
-// compiler ≈ +20%).
-func BenchmarkFig20Toolchain(b *testing.B) { runFigure(b, bench.Fig20) }
-
-// BenchmarkFig21Prefetch regenerates Fig. 21 (prefetch scenarios a–e on
-// STREAM over a 200-cycle memory).
-func BenchmarkFig21Prefetch(b *testing.B) { runFigure(b, bench.Fig21) }
-
-// BenchmarkVectorMAC regenerates the §VII/§X 16-bit MAC throughput claim.
-func BenchmarkVectorMAC(b *testing.B) { runFigure(b, bench.VectorMAC) }
-
-// BenchmarkASIDFlushes regenerates the §V-E 16-bit-ASID flush-reduction claim.
-func BenchmarkASIDFlushes(b *testing.B) { runFigure(b, bench.ASID) }
-
-// BenchmarkHugePages regenerates the §V-E huge-page TLB-miss claim.
-func BenchmarkHugePages(b *testing.B) { runFigure(b, bench.HugePages) }
-
-// BenchmarkBlockchain regenerates the §I custom-extension hash acceleration.
-func BenchmarkBlockchain(b *testing.B) { runFigure(b, bench.Blockchain) }

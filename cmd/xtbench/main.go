@@ -98,10 +98,10 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		fmt.Fprintln(stderr, "xtbench: -baseline only applies with -track")
 		return 2
 	}
-	var e bench.Experiment
+	exps := bench.Experiments()
 	if *only != "" {
-		var ok bool
-		if e, ok = bench.Find(*only); !ok {
+		e, ok := bench.Find(*only)
+		if !ok {
 			var ids []string
 			for _, x := range bench.Experiments() {
 				ids = append(ids, x.ID)
@@ -110,6 +110,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 				*only, strings.Join(ids, " "))
 			return 2
 		}
+		exps = []bench.Experiment{e}
 	}
 	trackPath := *baseline
 	if *track && trackPath == "" {
@@ -185,33 +186,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		}
 	}
 
-	if *only != "" {
-		if cf.Timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, cf.Timeout)
-			defer cancel()
-		}
-		start := time.Now()
-		r, err := e.Fn(ctx, o)
-		if err != nil {
-			fmt.Fprintf(stderr, "xtbench: %v\n", err)
-			if *jsonOut {
-				emitJSON(stdout, stderr, []jsonResult{{
-					ID: e.ID, Error: err.Error(),
-					WallSeconds: time.Since(start).Seconds(),
-				}})
-			}
-			return 1
-		}
-		if *jsonOut {
-			return emitJSON(stdout, stderr,
-				[]jsonResult{{ID: e.ID, Result: r, WallSeconds: time.Since(start).Seconds()}})
-		}
-		fmt.Fprint(stdout, r.Format())
-		return 0
-	}
-
-	rs := bench.RunAll(ctx, o)
+	rs := bench.Run(ctx, o, exps)
 	out := make([]jsonResult, len(rs))
 	for i, r := range rs {
 		out[i] = jsonResult{

@@ -22,6 +22,29 @@ func TestFig17Shape(t *testing.T) {
 	}
 }
 
+// TestEnvReachesExperiments: Fig17 reads its cores from Options.Env — a
+// wider U74-class issue moves the ratio — and the zero Env is StockEnv.
+func TestEnvReachesExperiments(t *testing.T) {
+	ctx, _ := Scoped(context.Background(), 2)
+	ratio := func(env Env) float64 {
+		t.Helper()
+		r, err := Fig17(ctx, Options{Quick: true, Jobs: 2, Env: env})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Rows[len(r.Rows)-1].Measured
+	}
+	stock := ratio(Env{})
+	if got := ratio(StockEnv()); got != stock {
+		t.Fatalf("StockEnv ratio %v, zero Env %v", got, stock)
+	}
+	wide := StockEnv()
+	wide.U74.IssueWidth = 4
+	if got := ratio(wide); got >= stock {
+		t.Fatalf("U74-class issue width 2 -> 4 left the ratio at %v (stock %v)", got, stock)
+	}
+}
+
 func TestFig18Shape(t *testing.T) {
 	r, err := Fig18(context.Background(), Options{Quick: true})
 	if err != nil {

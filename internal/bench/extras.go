@@ -25,13 +25,14 @@ func SpecInt(ctx context.Context, o Options) (*perf.Result, error) {
 	if !o.Quick {
 		iters = w.DefaultIters
 	}
+	env := o.env()
 	arm := func(cfg core.Config) func(context.Context) (runResult, error) {
 		return func(ctx context.Context) (runResult, error) {
-			return runWorkload(ctx, o, w, iters, Machine(cfg))
+			return runWorkload(ctx, o, w, iters, env.machine(cfg))
 		}
 	}
 	runs, err := runJobs(ctx, o, []string{"spec/xt910", "spec/a73"},
-		[]func(context.Context) (runResult, error){arm(core.XT910Config()), arm(core.A73Config())})
+		[]func(context.Context) (runResult, error){arm(env.XT910), arm(env.A73)})
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +259,7 @@ type Experiment struct {
 	Fn func(context.Context, Options) (*perf.Result, error)
 }
 
-// Experiments returns all 14 reproductions in paper order — the order All
+// Experiments returns all 14 reproductions in paper order — the order RunAll
 // runs and cmd/xtbench prints.
 func Experiments() []Experiment {
 	return []Experiment{
@@ -280,18 +281,20 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment in one scope Options.Jobs wide and returns
-// the full per-job results — values, errors and host metrics — in paper
-// order regardless of completion order. Experiments are started in paper
-// order, each once its predecessor holds its first slot (or has returned
-// without simulating): all of them queue at the gate together, yet first
-// slots — the start of each experiment's Wall and deadline — are taken in
-// order, and Jobs 1 is the serial run.
+// RunAll runs the whole registry: Run over Experiments().
 func RunAll(ctx context.Context, o Options) []sched.Result {
-	return runAll(ctx, o, Experiments())
+	return Run(ctx, o, Experiments())
 }
 
-func runAll(ctx context.Context, o Options, exps []Experiment) []sched.Result {
+// Run executes exps in one scope Options.Jobs wide (the caller's, when ctx
+// carries one) and returns the full per-job results — values, errors and
+// host metrics — in the given order regardless of completion order. Each
+// experiment gets its own Options.Timeout, counted from its first slot.
+// Experiments are started in order, each once its predecessor holds its
+// first slot (or has returned without simulating): all of them queue at the
+// gate together, yet first slots — the start of each experiment's Wall and
+// deadline — are taken in order, and Jobs 1 is the serial run.
+func Run(ctx context.Context, o Options, exps []Experiment) []sched.Result {
 	ctx, sc := Scoped(ctx, o.workers())
 	rs := make([]sched.Result, len(exps))
 	var wg sync.WaitGroup
@@ -317,18 +320,4 @@ func runAll(ctx context.Context, o Options, exps []Experiment) []sched.Result {
 	}
 	wg.Wait()
 	return rs
-}
-
-// All runs every reproduction and returns the results in paper order: the
-// successful prefix and, when a job failed, the first error in that order
-// (matching what a serial run would have reported).
-func All(ctx context.Context, o Options) ([]*perf.Result, error) {
-	var out []*perf.Result
-	for _, r := range RunAll(ctx, o) {
-		if r.Err != nil {
-			return out, r.Err
-		}
-		out = append(out, r.Value.(*perf.Result))
-	}
-	return out, nil
 }

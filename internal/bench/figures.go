@@ -20,15 +20,16 @@ import (
 func Fig17(ctx context.Context, o Options) (*perf.Result, error) {
 	w := workloads.CoreMark
 	iters := o.iters(w)
+	env := o.env()
 	res := &perf.Result{ID: "fig17", Title: "CoreMark scores (iterations per Mcycle; ratio vs U74-class)"}
 	type pt struct {
 		cfg   core.Config
 		paper float64 // paper's CoreMark/MHz for the corresponding core
 	}
 	points := []pt{
-		{core.XT910Config(), 7.1},
-		{core.U74Config(), 5.1},
-		{core.A73Config(), 0}, // not in Fig. 17; shown for context
+		{env.XT910, 7.1},
+		{env.U74, 5.1},
+		{env.A73, 0}, // not in Fig. 17; shown for context
 	}
 	ids := make([]string, len(points))
 	fns := make([]func(context.Context) (runResult, error), len(points))
@@ -36,16 +37,18 @@ func Fig17(ctx context.Context, o Options) (*perf.Result, error) {
 		cfg := p.cfg
 		ids[i] = "fig17/" + cfg.Name
 		fns[i] = func(ctx context.Context) (runResult, error) {
-			return runWorkload(ctx, o, w, iters, Machine(cfg))
+			return runWorkload(ctx, o, w, iters, env.machine(cfg))
 		}
 	}
 	runs, err := runJobs(ctx, o, ids, fns)
 	if err != nil {
 		return nil, err
 	}
-	var xt, u74 float64
 	for i, p := range points {
 		r := runs[i]
+		if r.Exit != runs[0].Exit {
+			return nil, fmt.Errorf("bench: coremark architectural mismatch across configs")
+		}
 		score := float64(iters) / (float64(r.Cycles) / 1e6)
 		res.Rows = append(res.Rows, counterRow(perf.Row{
 			Label: p.cfg.Name, Measured: score, Paper: p.paper,
@@ -53,15 +56,11 @@ func Fig17(ctx context.Context, o Options) (*perf.Result, error) {
 			Note: fmt.Sprintf("IPC %.2f", r.IPC()),
 			CPI:  cpiColumn(r),
 		}, r))
-		switch p.cfg.Name {
-		case "XT-910":
-			xt = score
-		case "U74-class":
-			u74 = score
-		}
 	}
+	xt, u74 := runs[0], runs[1]
 	res.Rows = append(res.Rows, perf.Row{
-		Label: "XT-910 / U74 ratio", Measured: xt / u74, Paper: 7.1 / 5.1, Unit: "x",
+		Label: "XT-910 / U74 ratio", Measured: float64(u74.Cycles) / float64(xt.Cycles),
+		Paper: 7.1 / 5.1, Unit: "x",
 	})
 	res.Notes = append(res.Notes,
 		"absolute CoreMark/MHz is binary-specific; the reproduced claim is the ratio (paper: ~1.39x)")
@@ -82,16 +81,16 @@ func Fig19(ctx context.Context, o Options) (*perf.Result, error) {
 // suiteVsA73 runs every workload on both configurations — one job per
 // (workload, config) arm — and reports per-workload ratios plus the geomean.
 func suiteVsA73(ctx context.Context, id, title string, suite []workloads.Workload, o Options) (*perf.Result, error) {
+	env := o.env()
 	var ids []string
 	var fns []func(context.Context) (runResult, error)
 	for _, w := range suite {
 		w := w
 		iters := o.iters(w)
-		for _, cfgOf := range []func() core.Config{core.XT910Config, core.A73Config} {
-			cfg := cfgOf()
+		for _, cfg := range []core.Config{env.XT910, env.A73} {
 			ids = append(ids, id+"/"+w.Name+"/"+cfg.Name)
 			fns = append(fns, func(ctx context.Context) (runResult, error) {
-				return runWorkload(ctx, o, w, iters, Machine(cfg))
+				return runWorkload(ctx, o, w, iters, env.machine(cfg))
 			})
 		}
 	}

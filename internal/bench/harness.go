@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"xt910/internal/asm"
+	"xt910/internal/coherence"
 	"xt910/internal/core"
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
@@ -42,7 +43,7 @@ type Options struct {
 	// either way.
 	Jobs int
 
-	// Timeout, when positive, is the per-experiment deadline of RunAll (the
+	// Timeout, when positive, is the per-experiment deadline of Run (the
 	// xtbench -timeout flag), counted from the experiment's first
 	// simulation slot; an overrun surfaces as a *sched.JobError wrapping
 	// context.DeadlineExceeded.
@@ -56,6 +57,45 @@ type Options struct {
 	// adds a top-down cycle breakdown (retiring / frontend / badspec / mem /
 	// core) to the per-run table rows (the xtbench -cpistack flag).
 	CPIStack bool
+
+	// Env is the machine the paper's core comparisons run on (the zero Env:
+	// StockEnv). The calibration sweep varies it.
+	Env Env
+}
+
+// Env is what Fig17, Fig18, Fig19 and SpecInt compare: their three cores
+// and the harness L2's hit latency.
+type Env struct {
+	XT910 core.Config
+	U74   core.Config
+	A73   core.Config
+	L2Hit int
+}
+
+// StockEnv is the uncalibrated model: the stock configurations every other
+// experiment runs with too.
+func StockEnv() Env {
+	return Env{
+		XT910: core.XT910Config(),
+		U74:   core.U74Config(),
+		A73:   core.A73Config(),
+		L2Hit: coherence.StockHitLatency,
+	}
+}
+
+// env is the Env the comparisons run on: o.Env, or StockEnv when it is zero.
+func (o Options) env() Env {
+	if o.Env == (Env{}) {
+		return StockEnv()
+	}
+	return o.Env
+}
+
+// machine is Machine(cfg) with the env's L2 hit latency.
+func (e Env) machine(cfg core.Config) soc.Config {
+	m := Machine(cfg)
+	m.L2HitLatency = e.L2Hit
+	return m
 }
 
 func (o Options) iters(w workloads.Workload) int {
@@ -80,7 +120,7 @@ func (o Options) workers() int {
 // runJobs starts the experiment's arms all at once — the scope's gate, not a
 // pool, bounds how many simulate — and returns their values in submission
 // order (deterministic regardless of concurrency), or the first job-order
-// error. An experiment called outside RunAll opens its own scope here.
+// error. An experiment called outside Run opens its own scope here.
 func runJobs[T any](ctx context.Context, o Options, ids []string, fns []func(context.Context) (T, error)) ([]T, error) {
 	ctx, _ = Scoped(ctx, o.workers())
 	l := ticketOf(ctx).lane
@@ -121,10 +161,11 @@ func (r runResult) IPC() float64 { return float64(r.Retired) / float64(r.Cycles)
 // Machine is the system every harness run simulates unless an experiment
 // varies it: one core of cfg over a 2 MB, 16-way L2 and the paper's
 // 200-cycle DRAM, its stack below 0x400000. cmd/xttrace traces on the same
-// machine.
+// machine. The L2 hit latency is set to the stock one rather than left 0, so
+// that a StockEnv run is the same run, shared by the scope, as a Machine one.
 func Machine(cfg core.Config) soc.Config {
 	m := soc.DefaultConfig()
-	m.Core, m.L2SizeBytes = cfg, 2<<20
+	m.Core, m.L2SizeBytes, m.L2HitLatency = cfg, 2<<20, coherence.StockHitLatency
 	return m
 }
 
@@ -195,6 +236,22 @@ func simulate(ctx context.Context, o Options, p *asm.Program, sys soc.Config, su
 		rr.CPIPC = t.PCs().Summary(3, c.Stats.Cycles)
 	}
 	return rr, nil
+}
+
+// Workloads is the whole suite: workloads.All() plus the
+// dedicated-configuration workloads (STREAM, SPEC-like) it omits.
+func Workloads() []workloads.Workload {
+	return append(workloads.All(), workloads.Stream, workloads.SpecLike)
+}
+
+// FindWorkload resolves a kernel of Workloads by name.
+func FindWorkload(name string) (workloads.Workload, bool) {
+	for _, w := range Workloads() {
+		if w.Name == name {
+			return w, true
+		}
+	}
+	return workloads.Workload{}, false
 }
 
 // runWorkload assembles and runs a workload.

@@ -90,22 +90,18 @@ func TestRunAllSubsetMetrics(t *testing.T) {
 	}
 }
 
-// runSubset mirrors RunAll for a chosen id subset.
+// runSubset runs the experiments with the given ids through Run.
 func runSubset(t *testing.T, ids []string, o Options) []sched.Result {
 	t.Helper()
-	jobs := make([]sched.Job, len(ids))
+	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
 		e, ok := Find(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		jobs[i] = sched.Job{ID: e.ID, Run: func(ctx context.Context) (any, error) {
-			return e.Fn(ctx, o)
-		}}
+		exps[i] = e
 	}
-	return sched.Run(context.Background(), jobs, sched.Options{
-		Workers: o.workers(), Timeout: o.Timeout, OnDone: o.OnProgress,
-	})
+	return Run(context.Background(), o, exps)
 }
 
 // TestExperimentCancellation proves a deadline cuts a long simulation short
@@ -127,8 +123,8 @@ func TestExperimentCancellation(t *testing.T) {
 	}
 }
 
-// TestAllPrefixOrder checks All's error contract on a synthetic failure: the
-// successful prefix in paper order plus the first job-order error.
+// TestAllPrefixOrder checks Run's order contract: results come back in the
+// order the experiments were given, whatever order they finish in.
 func TestAllPrefixOrder(t *testing.T) {
 	rs := runSubset(t, []string{"table1", "table2"}, Options{Quick: true, Jobs: 2})
 	var out []*perf.Result

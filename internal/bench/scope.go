@@ -14,7 +14,7 @@ import (
 
 // Scope is what the runs of one harness invocation share: a cache that
 // simulates each distinct run once, and a gate that keeps at most Jobs
-// simulations in flight however many experiments and arms ask. RunAll,
+// simulations in flight however many experiments and arms ask. Run,
 // calib.Sweep and an experiment called on its own each open one with Scoped;
 // none outlives the call that opened it, so two invocations do the same work.
 type Scope struct {

@@ -42,7 +42,7 @@ func runAllQuick(jobs int, uncached bool) (quickRun, error) {
 	sc := newScope(jobs)
 	sc.uncached = uncached
 	ctx, _ := sc.enter(context.Background(), 0, 0)
-	q := quickRun{rs: runAll(ctx, Options{Quick: true, Jobs: jobs}, testExperiments())}
+	q := quickRun{rs: Run(ctx, Options{Quick: true, Jobs: jobs}, testExperiments())}
 	for _, r := range q.rs {
 		if r.Err != nil {
 			return q, r.Err
@@ -310,7 +310,7 @@ func TestQueueingIsNotChargedToTheDeadline(t *testing.T) {
 			return &perf.Result{ID: id}, err
 		}}
 	}
-	rs := runAll(context.Background(), o, []Experiment{
+	rs := Run(context.Background(), o, []Experiment{
 		experiment("hog", setupFunc(func(*core.Core, *mem.Memory) { time.Sleep(hold) })),
 		experiment("queued", nil),
 	})

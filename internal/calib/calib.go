@@ -10,32 +10,8 @@ import (
 
 	"xt910/internal/bench"
 	"xt910/internal/coherence"
-	"xt910/internal/core"
 	"xt910/internal/perf"
-	"xt910/internal/sched"
-	"xt910/internal/workloads"
 )
-
-// Env is the knob-application surface: the three comparison-core
-// configurations plus the harness machine's L2 hit latency. A Knob mutates one
-// field; the measurement functions read whichever configs their point needs.
-type Env struct {
-	XT910 core.Config
-	U74   core.Config
-	A73   core.Config
-	L2Hit int
-}
-
-// BaseEnv is the uncalibrated model: the stock configurations every
-// experiment in internal/bench runs with.
-func BaseEnv() Env {
-	return Env{
-		XT910: core.XT910Config(),
-		U74:   core.U74Config(),
-		A73:   core.A73Config(),
-		L2Hit: coherence.StockHitLatency,
-	}
-}
 
 // Knob is one timing parameter the sweep may adjust. Values[0] is the stock
 // setting (the coordinate descent starts there, and ties resolve back to
@@ -43,7 +19,7 @@ func BaseEnv() Env {
 type Knob struct {
 	Name   string
 	Values []int
-	Apply  func(*Env, int)
+	Apply  func(*bench.Env, int)
 }
 
 // Knobs is the stock calibration knob set over internal/core/config.go: the
@@ -54,21 +30,21 @@ type Knob struct {
 // that slow the XT-910 model down.
 func Knobs() []Knob {
 	return []Knob{
-		{"xt910.l1d_hit_latency", []int{2, 3, 4, 5, 6}, func(e *Env, v int) { e.XT910.L1D.HitLatency = v }},
-		{"xt910.taken_penalty", []int{2, 3, 4, 5, 6}, func(e *Env, v int) { e.XT910.TakenPenalty = v }},
-		{"xt910.issue_width", []int{8, 6, 4, 3}, func(e *Env, v int) { e.XT910.IssueWidth = v }},
-		{"xt910.l1d_mshrs", []int{8, 4, 2, 1}, func(e *Env, v int) { e.XT910.L1D.MSHRs = v }},
-		{"u74.taken_penalty", []int{1, 0}, func(e *Env, v int) { e.U74.TakenPenalty = v }},
-		{"u74.mispredict_min", []int{3, 2, 1}, func(e *Env, v int) { e.U74.MispredictMin = v }},
-		{"u74.issue_width", []int{2, 3, 4}, func(e *Env, v int) { e.U74.IssueWidth = v }},
-		{"u74.frontend_delay", []int{1, 0}, func(e *Env, v int) { e.U74.FrontendDelay = v }},
-		{"sys.l2_hit_latency", []int{coherence.StockHitLatency, 6, 14, 20, 28}, func(e *Env, v int) { e.L2Hit = v }},
+		{"xt910.l1d_hit_latency", []int{2, 3, 4, 5, 6}, func(e *bench.Env, v int) { e.XT910.L1D.HitLatency = v }},
+		{"xt910.taken_penalty", []int{2, 3, 4, 5, 6}, func(e *bench.Env, v int) { e.XT910.TakenPenalty = v }},
+		{"xt910.issue_width", []int{8, 6, 4, 3}, func(e *bench.Env, v int) { e.XT910.IssueWidth = v }},
+		{"xt910.l1d_mshrs", []int{8, 4, 2, 1}, func(e *bench.Env, v int) { e.XT910.L1D.MSHRs = v }},
+		{"u74.taken_penalty", []int{1, 0}, func(e *bench.Env, v int) { e.U74.TakenPenalty = v }},
+		{"u74.mispredict_min", []int{3, 2, 1}, func(e *bench.Env, v int) { e.U74.MispredictMin = v }},
+		{"u74.issue_width", []int{2, 3, 4}, func(e *bench.Env, v int) { e.U74.IssueWidth = v }},
+		{"u74.frontend_delay", []int{1, 0}, func(e *bench.Env, v int) { e.U74.FrontendDelay = v }},
+		{"sys.l2_hit_latency", []int{coherence.StockHitLatency, 6, 14, 20, 28}, func(e *bench.Env, v int) { e.L2Hit = v }},
 	}
 }
 
 // apply builds the Env a value assignment (one index per knob) describes.
-func apply(knobs []Knob, assign []int) Env {
-	e := BaseEnv()
+func apply(knobs []Knob, assign []int) bench.Env {
+	e := bench.StockEnv()
 	for i, k := range knobs {
 		k.Apply(&e, k.Values[assign[i]])
 	}
@@ -81,105 +57,29 @@ func Err(measured, paper float64) float64 {
 	return math.Abs(math.Log(measured / paper))
 }
 
-// Measurer evaluates one point's scalar under an Env. Sweep takes it as a
-// parameter so tests can substitute synthetic landscapes; MeasurePoint is
-// the real one.
-type Measurer func(ctx context.Context, o bench.Options, env Env, id string) (float64, error)
+// Measurer returns one point's table row — the measured value and the
+// paper's — under o.Env. Sweep takes it as a parameter so tests can
+// substitute synthetic landscapes; MeasurePoint is the real one.
+type Measurer func(ctx context.Context, o bench.Options, p Point) (perf.Row, error)
 
-// runSpec is one simulator run inside a point measurement.
-type runSpec struct {
-	workload string
-	iters    int
-	cfg      core.Config
-}
-
-// measureRuns starts the specs all at once — the run scope (the sweep's, or
-// this call's own) bounds how many simulate — and returns their results in
-// submission order (deterministic at any concurrency).
-func measureRuns(ctx context.Context, o bench.Options, env Env, specs []runSpec) ([]bench.MeasureRun, error) {
-	ctx, _ = bench.Scoped(ctx, o.Jobs)
-	jobs := make([]sched.Job, len(specs))
-	for i, s := range specs {
-		s := s
-		jobs[i] = sched.Job{ID: "calib/" + s.workload + "/" + s.cfg.Name, Run: func(ctx context.Context) (any, error) {
-			return bench.MeasureWorkload(ctx, o, s.workload, s.iters, s.cfg, env.L2Hit)
-		}}
+// MeasurePoint runs the point's experiment under o.Env and returns the row
+// the point names: the number xtbench prints for that figure, on the env's
+// machine.
+func MeasurePoint(ctx context.Context, o bench.Options, p Point) (perf.Row, error) {
+	e, ok := bench.Find(p.Figure)
+	if !ok {
+		return perf.Row{}, fmt.Errorf("calib: point %s: unknown experiment %q", p.ID, p.Figure)
 	}
-	rs := sched.Run(ctx, jobs, sched.Options{Workers: len(jobs)})
-	if err := sched.FirstError(rs); err != nil {
-		return nil, err
+	r := bench.Run(ctx, o, []bench.Experiment{e})[0]
+	if r.Err != nil {
+		return perf.Row{}, r.Err
 	}
-	out := make([]bench.MeasureRun, len(rs))
-	for i, r := range rs {
-		out[i] = r.Value.(bench.MeasureRun)
-	}
-	return out, nil
-}
-
-// MeasurePoint evaluates one PaperTable point under env: the same kernels,
-// iteration scaling and ratio conventions as the corresponding experiment in
-// internal/bench, so the fidelity table lines up with EXPERIMENTS.md.
-func MeasurePoint(ctx context.Context, o bench.Options, env Env, id string) (float64, error) {
-	switch id {
-	case "fig17/coremark-ratio":
-		rs, err := measureRuns(ctx, o, env, []runSpec{
-			{"coremark", 0, env.XT910},
-			{"coremark", 0, env.U74},
-		})
-		if err != nil {
-			return 0, err
+	for _, row := range r.Value.(*perf.Result).Rows {
+		if row.Label == p.Row {
+			return row, nil
 		}
-		if rs[0].Exit != rs[1].Exit {
-			return 0, fmt.Errorf("calib: coremark architectural mismatch across configs")
-		}
-		return float64(rs[1].Cycles) / float64(rs[0].Cycles), nil
-	case "fig18/eembc-geomean":
-		return suiteGeomean(ctx, o, env, workloads.EEMBC())
-	case "fig19/nbench-geomean":
-		return suiteGeomean(ctx, o, env, workloads.NBench())
-	case "spec/xt910-vs-a73":
-		iters := workloads.SpecLike.DefaultIters
-		if o.Quick {
-			iters = 1
-		}
-		rs, err := measureRuns(ctx, o, env, []runSpec{
-			{workloads.SpecLike.Name, iters, env.XT910},
-			{workloads.SpecLike.Name, iters, env.A73},
-		})
-		if err != nil {
-			return 0, err
-		}
-		if rs[0].Exit != rs[1].Exit {
-			return 0, fmt.Errorf("calib: speclike architectural mismatch across configs")
-		}
-		return float64(rs[1].Cycles) / float64(rs[0].Cycles), nil
 	}
-	return 0, fmt.Errorf("calib: unknown point %q", id)
-}
-
-// suiteGeomean mirrors bench.suiteVsA73's quantity: the geomean over the
-// suite of per-kernel cycle ratios A73/XT910 (>1 means the XT-910 model is
-// faster).
-func suiteGeomean(ctx context.Context, o bench.Options, env Env, suite []workloads.Workload) (float64, error) {
-	specs := make([]runSpec, 0, 2*len(suite))
-	for _, w := range suite {
-		specs = append(specs,
-			runSpec{w.Name, 0, env.XT910},
-			runSpec{w.Name, 0, env.A73})
-	}
-	rs, err := measureRuns(ctx, o, env, specs)
-	if err != nil {
-		return 0, err
-	}
-	ratios := make([]float64, len(suite))
-	for i := range suite {
-		xt, a73 := rs[2*i], rs[2*i+1]
-		if xt.Exit != a73.Exit {
-			return 0, fmt.Errorf("calib: %s architectural mismatch across configs", suite[i].Name)
-		}
-		ratios[i] = float64(a73.Cycles) / float64(xt.Cycles)
-	}
-	return perf.Geomean(ratios), nil
+	return perf.Row{}, fmt.Errorf("calib: point %s: %s has no row %q", p.ID, p.Figure, p.Row)
 }
 
 // Options tunes a sweep.
@@ -253,7 +153,10 @@ func Run(ctx context.Context, o Options) (*Result, error) {
 // one core's knob re-simulates that core's arms only.
 func Sweep(ctx context.Context, o Options, knobs []Knob, points []Point, measure Measurer) (*Result, error) {
 	ctx, _ = bench.Scoped(ctx, o.Jobs)
-	bo := bench.Options{Quick: o.Quick, Jobs: o.Jobs}
+	// at is the harness options under the env an assignment describes
+	at := func(assign []int) bench.Options {
+		return bench.Options{Quick: o.Quick, Jobs: o.Jobs, Env: apply(knobs, assign)}
+	}
 
 	var weighted []Point
 	for _, p := range points {
@@ -269,14 +172,14 @@ func Sweep(ctx context.Context, o Options, knobs []Knob, points []Point, measure
 		if v, ok := memo[key]; ok {
 			return v, nil
 		}
-		env := apply(knobs, assign)
+		bo := at(assign)
 		var sum, wsum float64
 		for _, p := range weighted {
-			m, err := measure(ctx, bo, env, p.ID)
+			row, err := measure(ctx, bo, p)
 			if err != nil {
 				return 0, fmt.Errorf("point %s: %w", p.ID, err)
 			}
-			sum += p.Weight * Err(m, p.Paper)
+			sum += p.Weight * Err(row.Measured, row.Paper)
 			wsum += p.Weight
 		}
 		obj := 0.0
@@ -342,20 +245,20 @@ func Sweep(ctx context.Context, o Options, knobs []Knob, points []Point, measure
 			Values: k.Values,
 		})
 	}
-	baseEnv, calEnv := apply(knobs, base), apply(knobs, assign)
+	uncal, cal := at(base), at(assign)
 	for _, p := range points {
-		mu, err := measure(ctx, bo, baseEnv, p.ID)
+		mu, err := measure(ctx, uncal, p)
 		if err != nil {
 			return nil, fmt.Errorf("point %s (base): %w", p.ID, err)
 		}
-		mc, err := measure(ctx, bo, calEnv, p.ID)
+		mc, err := measure(ctx, cal, p)
 		if err != nil {
 			return nil, fmt.Errorf("point %s (calibrated): %w", p.ID, err)
 		}
 		res.Points = append(res.Points, PointReport{
-			ID: p.ID, Figure: p.Figure, Desc: p.Desc, Paper: p.Paper, Weight: p.Weight,
-			Uncalibrated: mu, Calibrated: mc,
-			ErrUncal: Err(mu, p.Paper), ErrCal: Err(mc, p.Paper),
+			ID: p.ID, Figure: p.Figure, Desc: p.Desc, Paper: mu.Paper, Weight: p.Weight,
+			Uncalibrated: mu.Measured, Calibrated: mc.Measured,
+			ErrUncal: Err(mu.Measured, mu.Paper), ErrCal: Err(mc.Measured, mc.Paper),
 		})
 	}
 	sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].ID < res.Points[j].ID })

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xt910/internal/bench"
+	"xt910/internal/perf"
 	"xt910/internal/workloads"
 )
 
@@ -17,24 +18,25 @@ import (
 // visit order, while the inert knob must stay at its stock index 0.
 func synLandscape() ([]Knob, []Point, Measurer) {
 	knobs := []Knob{
-		{"syn.l2_hit", []int{10, 12, 14, 16}, func(e *Env, v int) { e.L2Hit = v }},
-		{"syn.width", []int{2, 6}, func(e *Env, v int) { e.XT910.IssueWidth = v }},
-		{"syn.inert", []int{1, 2, 3}, func(e *Env, v int) { e.U74.TakenPenalty = v }},
+		{"syn.l2_hit", []int{10, 12, 14, 16}, func(e *bench.Env, v int) { e.L2Hit = v }},
+		{"syn.width", []int{2, 6}, func(e *bench.Env, v int) { e.XT910.IssueWidth = v }},
+		{"syn.inert", []int{1, 2, 3}, func(e *bench.Env, v int) { e.U74.TakenPenalty = v }},
 	}
 	points := []Point{
-		{ID: "syn/objective", Figure: "syn", Desc: "synthetic", Paper: 1.0, Weight: 1},
-		{ID: "syn/holdout", Figure: "syn", Desc: "holdout", Paper: 2.0},
+		{ID: "syn/objective", Figure: "syn", Desc: "synthetic", Weight: 1},
+		{ID: "syn/holdout", Figure: "syn", Desc: "holdout"},
 	}
-	measure := func(ctx context.Context, o bench.Options, env Env, id string) (float64, error) {
-		switch id {
+	measure := func(ctx context.Context, o bench.Options, p Point) (perf.Row, error) {
+		env := o.Env
+		switch p.ID {
 		case "syn/objective":
 			d := 0.1 * (math.Abs(float64(env.L2Hit-14)) +
 				math.Abs(float64(env.XT910.IssueWidth-6)))
-			return math.Exp(d), nil // Err(m, 1.0) == d
+			return perf.Row{Measured: math.Exp(d), Paper: 1.0}, nil // Err(m, 1.0) == d
 		case "syn/holdout":
-			return 2.0 * math.Exp(0.05*math.Abs(float64(env.L2Hit-10))), nil
+			return perf.Row{Measured: 2.0 * math.Exp(0.05*math.Abs(float64(env.L2Hit-10))), Paper: 2.0}, nil
 		}
-		return 0, fmt.Errorf("unknown synthetic point %q", id)
+		return perf.Row{}, fmt.Errorf("unknown synthetic point %q", p.ID)
 	}
 	return knobs, points, measure
 }
@@ -87,8 +89,8 @@ func TestSweepConvergence(t *testing.T) {
 // uncalibrated model exactly.
 func TestSweepFlatLandscapeKeepsStock(t *testing.T) {
 	knobs, points, _ := synLandscape()
-	flat := func(ctx context.Context, o bench.Options, env Env, id string) (float64, error) {
-		return 1.5, nil
+	flat := func(ctx context.Context, o bench.Options, p Point) (perf.Row, error) {
+		return perf.Row{Measured: 1.5, Paper: 1.0}, nil
 	}
 	r, err := Sweep(context.Background(), Options{Seed: 3}, knobs, points, flat)
 	if err != nil {
@@ -154,15 +156,15 @@ func TestErrMetric(t *testing.T) {
 	}
 }
 
-// TestPaperTableGolden pins the checked-in paper numbers and the error-table
+// TestPaperTableGolden pins the checked-in points and the error-table
 // rendering, so an accidental edit to the targets is a visible diff.
 func TestPaperTableGolden(t *testing.T) {
 	pts := PaperTable()
-	want := map[string]float64{
-		"fig17/coremark-ratio": 7.1 / 5.1,
-		"fig18/eembc-geomean":  1.0,
-		"fig19/nbench-geomean": 1.0,
-		"spec/xt910-vs-a73":    6.11 / 6.75,
+	want := map[string]string{
+		"fig17/coremark-ratio": "fig17 XT-910 / U74 ratio",
+		"fig18/eembc-geomean":  "fig18 geomean",
+		"fig19/nbench-geomean": "fig19 geomean",
+		"spec/xt910-vs-a73":    "spec XT-910 / A73 ratio",
 	}
 	if len(pts) != len(want) {
 		t.Fatalf("PaperTable has %d points, want %d", len(pts), len(want))
@@ -174,8 +176,8 @@ func TestPaperTableGolden(t *testing.T) {
 			t.Errorf("unexpected point %q", p.ID)
 			continue
 		}
-		if p.Paper != w {
-			t.Errorf("%s paper value %v, want %v", p.ID, p.Paper, w)
+		if got := p.Figure + " " + p.Row; got != w {
+			t.Errorf("%s reads %q, want %q", p.ID, got, w)
 		}
 		if p.Weight > 0 {
 			weighted++
@@ -212,6 +214,51 @@ func TestPaperTableGolden(t *testing.T) {
 	}
 }
 
+// TestPaperPointsAreExperimentRows: every point names an experiment and a
+// row of its table, that row carries the paper's value, and MeasurePoint at
+// StockEnv returns exactly what a plain run of the experiment prints.
+func TestPaperPointsAreExperimentRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulator measurement")
+	}
+	paper := map[string]float64{
+		"fig17/coremark-ratio": 7.1 / 5.1,
+		"fig18/eembc-geomean":  1.0,
+		"fig19/nbench-geomean": 1.0,
+		"spec/xt910-vs-a73":    6.11 / 6.75,
+	}
+	ctx, _ := bench.Scoped(context.Background(), 2)
+	for _, p := range PaperTable() {
+		e, ok := bench.Find(p.Figure)
+		if !ok {
+			t.Fatalf("%s: no experiment %q", p.ID, p.Figure)
+		}
+		r := bench.Run(ctx, bench.Options{Quick: true, Jobs: 2}, []bench.Experiment{e})[0]
+		if r.Err != nil {
+			t.Fatalf("%s: %v", p.ID, r.Err)
+		}
+		var printed *perf.Row
+		for _, row := range r.Value.(*perf.Result).Rows {
+			if row.Label == p.Row {
+				printed = &row
+			}
+		}
+		if printed == nil {
+			t.Fatalf("%s: %s prints no row %q", p.ID, p.Figure, p.Row)
+		}
+		if printed.Paper != paper[p.ID] {
+			t.Errorf("%s: paper value %v, want %v", p.ID, printed.Paper, paper[p.ID])
+		}
+		got, err := MeasurePoint(ctx, bench.Options{Quick: true, Jobs: 2, Env: bench.StockEnv()}, p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.ID, err)
+		}
+		if got != *printed {
+			t.Errorf("%s at StockEnv: %+v, the table prints %+v", p.ID, got, *printed)
+		}
+	}
+}
+
 // TestMeasurePointFig17 runs the real fig17 measurement quickly on the stock
 // environment: the ratio must be finite, above 1 (the XT-910 model is faster
 // than the U74-class model), and identical at any -jobs width.
@@ -220,15 +267,16 @@ func TestMeasurePointFig17(t *testing.T) {
 		t.Skip("real simulator measurement")
 	}
 	ctx := context.Background()
-	env := BaseEnv()
-	v1, err := MeasurePoint(ctx, bench.Options{Quick: true, Jobs: 1}, env, "fig17/coremark-ratio")
+	p := PaperTable()[0]
+	r1, err := MeasurePoint(ctx, bench.Options{Quick: true, Jobs: 1, Env: bench.StockEnv()}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4, err := MeasurePoint(ctx, bench.Options{Quick: true, Jobs: 4}, env, "fig17/coremark-ratio")
+	r4, err := MeasurePoint(ctx, bench.Options{Quick: true, Jobs: 4, Env: bench.StockEnv()}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1, v4 := r1.Measured, r4.Measured
 	if v1 != v4 {
 		t.Fatalf("fig17 ratio differs across jobs widths: %v vs %v", v1, v4)
 	}
@@ -261,8 +309,10 @@ func TestSweepReusesUntouchedArms(t *testing.T) {
 	if _, err := Sweep(ctx, Options{Quick: true, Jobs: 2, Seed: 1}, knobs, points, MeasurePoint); err != nil {
 		t.Fatal(err)
 	}
+	// fig17 runs CoreMark on all three cores, fig18 and fig19 each suite
+	// kernel on the XT-910 and the A73-class
 	suites := len(workloads.EEMBC()) + len(workloads.NBench())
-	xt910, a73, u74 := 1+suites, suites, len(knobs[0].Values)
+	xt910, a73, u74 := 1+suites, 1+suites, len(knobs[0].Values)
 	run, reused := scope.Sims()
 	if want := xt910 + a73 + u74; run != want {
 		t.Errorf("%d simulations, want %d: %d XT-910 arms, %d A73 arms, one U74 arm per knob value (%d)",
@@ -273,10 +323,15 @@ func TestSweepReusesUntouchedArms(t *testing.T) {
 	}
 }
 
-// TestMeasurePointUnknown: unknown IDs must error, not silently return 0.
+// TestMeasurePointUnknown: a point whose experiment or row does not exist
+// must error, not silently return 0.
 func TestMeasurePointUnknown(t *testing.T) {
-	_, err := MeasurePoint(context.Background(), bench.Options{}, BaseEnv(), "nope")
-	if err == nil {
-		t.Fatal("expected error for unknown point")
+	for _, p := range []Point{
+		{ID: "nope", Figure: "nope"},
+		{ID: "table2/nope", Figure: "table2", Row: "nope"},
+	} {
+		if _, err := MeasurePoint(context.Background(), bench.Options{}, p); err == nil {
+			t.Errorf("%s: expected an error", p.ID)
+		}
 	}
 }

@@ -7,50 +7,53 @@
 // tracking plus parameter fitting is what makes a performance model credible.
 package calib
 
-// Point is one paper-vs-measured comparison: a scalar shape quantity (a
-// ratio or a geomean of ratios — never an absolute cycle count, which the
-// paper does not publish) with the paper's value. Points with Weight > 0
-// form the sweep objective; zero-weight points are measured and reported but
-// never steer the descent, so the error table stays an honest holdout.
+// Point is one paper-vs-measured comparison: the row of an experiment's
+// table (Figure is its bench id, Row its label) that holds a scalar shape
+// quantity — a ratio or a geomean of ratios, never an absolute cycle count,
+// which the paper does not publish — next to the paper's value. Points with
+// Weight > 0 form the sweep objective; zero-weight points are measured and
+// reported but never steer the descent, so the error table stays an honest
+// holdout.
 type Point struct {
-	ID     string  `json:"id"`
-	Figure string  `json:"figure"`
-	Desc   string  `json:"desc"`
-	Paper  float64 `json:"paper"`
-	Weight float64 `json:"weight"`
+	ID     string
+	Figure string
+	Row    string
+	Desc   string
+	Weight float64
 }
 
-// PaperTable is the checked-in encoding of the paper's §X evaluation numbers
-// the harness can measure. fig17's CoreMark ratio is the sole sweep
-// objective — the headline claim ("7.1 CoreMark/MHz, 40% faster than SiFive
-// U74") and the EXPERIMENTS.md acceptance metric; the rest are report-only
-// holdouts that show whether fitting one figure distorts the others.
+// PaperTable names the rows of the §X experiments the sweep fits and
+// reports; their paper values are the ones the experiments print. fig17's
+// CoreMark ratio is the sole sweep objective — the headline claim ("7.1
+// CoreMark/MHz, 40% faster than SiFive U74") and the EXPERIMENTS.md
+// acceptance metric; the rest are report-only holdouts that show whether
+// fitting one figure distorts the others.
 func PaperTable() []Point {
 	return []Point{
 		{
 			ID:     "fig17/coremark-ratio",
 			Figure: "fig17",
+			Row:    "XT-910 / U74 ratio",
 			Desc:   "CoreMark XT-910 / U74-class speedup (paper: 7.1/5.1)",
-			Paper:  7.1 / 5.1,
 			Weight: 1,
 		},
 		{
 			ID:     "fig18/eembc-geomean",
 			Figure: "fig18",
+			Row:    "geomean",
 			Desc:   "EEMBC geomean speedup vs A73-class (paper: parity)",
-			Paper:  1.0,
 		},
 		{
 			ID:     "fig19/nbench-geomean",
 			Figure: "fig19",
+			Row:    "geomean",
 			Desc:   "NBench geomean speedup vs A73-class (paper: parity)",
-			Paper:  1.0,
 		},
 		{
 			ID:     "spec/xt910-vs-a73",
 			Figure: "spec",
+			Row:    "XT-910 / A73 ratio",
 			Desc:   "SPECInt-like XT-910 / A73-class ratio (paper: 6.11/6.75)",
-			Paper:  6.11 / 6.75,
 		},
 	}
 }

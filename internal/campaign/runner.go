@@ -8,6 +8,7 @@ import (
 	"xt910/internal/bench"
 	"xt910/internal/cosim"
 	"xt910/internal/inject"
+	"xt910/internal/perf"
 	"xt910/internal/sched"
 )
 
@@ -125,11 +126,11 @@ func runInjectItem(ctx context.Context, spec *Spec, it Item) (ItemResult, error)
 }
 
 // benchRecord is the merged-report row of one benchmark experiment. Wall
-// times are deliberately absent: every field derives from simulated state,
-// so the row is deterministic.
+// times and the rows' host-speed fields are deliberately absent: every field
+// derives from simulated state, so the row is deterministic.
 type benchRecord struct {
-	ID     string `json:"id"`
-	Result any    `json:"result"`
+	ID     string       `json:"id"`
+	Result *perf.Result `json:"result"`
 }
 
 func runBenchItem(ctx context.Context, spec *Spec, it Item) (ItemResult, error) {
@@ -137,12 +138,17 @@ func runBenchItem(ctx context.Context, spec *Spec, it Item) (ItemResult, error) 
 	if !ok {
 		return ItemResult{}, fmt.Errorf("campaign: unknown experiment %q", it.Exp)
 	}
-	res, err := e.Fn(ctx, bench.Options{Quick: spec.Quick, Jobs: 1, Timeout: spec.SeedTimeout()})
-	if err != nil {
+	o := bench.Options{Quick: spec.Quick, Jobs: 1, Timeout: spec.SeedTimeout()}
+	r := bench.Run(ctx, o, []bench.Experiment{e})[0]
+	if r.Err != nil {
 		if ctx.Err() != nil {
 			return ItemResult{}, ctx.Err()
 		}
-		return ItemResult{}, err
+		return ItemResult{}, r.Err
+	}
+	res := r.Value.(*perf.Result)
+	for i := range res.Rows {
+		res.Rows[i].HostMIPS, res.Rows[i].SimCyclesPerSec = 0, 0
 	}
 	line, err := json.Marshal(benchRecord{ID: it.Exp, Result: res})
 	if err != nil {

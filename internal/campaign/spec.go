@@ -32,8 +32,8 @@ type Spec struct {
 
 	// Knobs is the uniform knob set. N/Seed span the seed range (fuzz and
 	// inject), Jobs is the per-shard worker width (0: server default; the
-	// report is identical at any width), Timeout is the per-seed watchdog,
-	// Modes the fuzz mode spec.
+	// report is identical at any width), Timeout is the per-seed (bench:
+	// per-experiment) watchdog, Modes the fuzz mode spec.
 	cliflags.Knobs
 
 	// Shards splits the manifest into this many contiguous work ranges
