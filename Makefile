@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test cli-smoke fuzz-native-smoke bench-smoke campaign-smoke campaign-chaos-smoke fidelity-track tier1 bench xtbench clean
+.PHONY: all build vet fmt-check test cli-smoke fuzz-native-smoke bench-smoke campaign-smoke campaign-chaos-smoke fidelity-track tier1 xtbench clean
 
 all: tier1
 
@@ -59,8 +59,8 @@ fuzz-native-smoke:
 # the decoder and encoder (BenchmarkDecode/Encode) and the assembler
 # (BenchmarkAssembleFuzz). -benchmem puts allocs/op and B/op beside every
 # one, so each tier-1 run shows what a fuzz program, a checked session, an
-# emulator run and a core run allocate. `make bench` runs only the root
-# package's paper benchmarks.
+# emulator run and a core run allocate. The paper experiments are not
+# benchmarks: TestExperimentsDoc runs them, in tier1.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/emu ./internal/cosim ./internal/core ./internal/soc ./internal/asm ./isa
 
@@ -93,7 +93,9 @@ fidelity-track:
 
 # tier1 is the required bar for every change: everything compiles, vet is
 # clean, every file is gofmt-formatted, the full suite passes with the race
-# detector enabled, the co-simulation smoke sweep finds no divergence, the
+# detector enabled, every measured number in EXPERIMENTS.md is what
+# `xtbench -quick` prints (TestExperimentsDoc skips under -race, so it runs
+# once more without), the co-simulation smoke sweep finds no divergence, the
 # assembler and the decoders survive a short native fuzz pass, every
 # per-package benchmark still runs, the trace subsystem's smoke checks hold,
 # the campaign daemon survives a kill-and-resume with a byte-identical
@@ -104,16 +106,13 @@ tier1:
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
+	$(GO) test -count=1 -run '^TestExperimentsDoc$$' ./cmd/xtbench
 	$(MAKE) cli-smoke
 	$(MAKE) fuzz-native-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) campaign-smoke
 	$(MAKE) campaign-chaos-smoke
 	$(MAKE) fidelity-track
-
-# bench regenerates the paper's tables/figures as testing.B benchmarks.
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$'
 
 # xtbench runs the reproduction harness in smoke mode, one worker per CPU.
 xtbench:

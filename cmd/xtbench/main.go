@@ -26,8 +26,9 @@
 // sims_reused counts (a JSON object under -json) go to stderr, so stdout is
 // byte-stable across -jobs settings and safe to diff or redirect.
 //
-// Exit status: 0 on success, 1 when any experiment arm errors (in -json mode
-// the error still produces a JSON record first), 2 on usage errors.
+// Exit status: 0 on success, 1 when any experiment arm errors (the error goes
+// to stderr as "xtbench: <err>" in both modes, and in -json mode into the
+// experiment's record too), 2 on usage errors.
 package main
 
 import (
@@ -199,6 +200,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		}
 		if r.Err != nil {
 			out[i].Error = r.Err.Error()
+			fmt.Fprintf(stderr, "xtbench: %v\n", r.Err)
 		} else {
 			out[i].Result = r.Value.(*perf.Result)
 		}
@@ -207,22 +209,15 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		if rc := emitJSON(stdout, stderr, out); rc != 0 {
 			return rc
 		}
-		if sched.FirstError(rs) != nil {
-			return 1
+	} else {
+		for _, r := range out {
+			if r.Result != nil {
+				fmt.Fprint(stdout, r.Result.Format())
+				fmt.Fprintln(stdout)
+			}
 		}
-		return 0
 	}
-	failed := false
-	for _, r := range rs {
-		if r.Err != nil {
-			failed = true
-			fmt.Fprintf(stderr, "xtbench: %v\n", r.Err)
-			continue
-		}
-		fmt.Fprint(stdout, r.Value.(*perf.Result).Format())
-		fmt.Fprintln(stdout)
-	}
-	if failed {
+	if sched.FirstError(rs) != nil {
 		return 1
 	}
 	return 0

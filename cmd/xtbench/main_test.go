@@ -3,19 +3,134 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"xt910/internal/bench"
 	"xt910/internal/calib"
 )
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite the generated blocks of EXPERIMENTS.md from this build")
+
+// experimentsDoc is the paper-vs-measured document whose every measured
+// number is a generated block.
+const experimentsDoc = "../../EXPERIMENTS.md"
+
+// docBlock matches one generated block of experimentsDoc, capturing its id.
+var docBlock = regexp.MustCompile("(?s)<!-- xtbench[^:]*: ([a-z0-9]+) -->\n.*?<!-- end -->")
+
+// block is the generated block for one section: a marker naming the command
+// and the id, then the command's section in a text fence.
+func block(cmd, id, section string) string {
+	return "<!-- " + cmd + ": " + id + " -->\n```text\n" + section + "```\n<!-- end -->"
+}
+
+// TestExperimentsDoc holds EXPERIMENTS.md to the code: each experiment's
+// block must be exactly its table in `xtbench -quick` stdout, and the
+// fidelity block exactly the newest checked-in FIDELITY_*.json as
+// `xtbench -fidelity -quick` prints it. Every id has one block and no block
+// names an unknown id. -update-golden rewrites the blocks in place.
+func TestExperimentsDoc(t *testing.T) {
+	if raceDetector {
+		t.Skip("a whole -quick run under the race detector takes minutes; tier1 runs this test without it")
+	}
+	var out, errb bytes.Buffer
+	if rc := run([]string{"-quick"}, &out, &errb); rc != 0 {
+		t.Fatalf("xtbench -quick: exit %d\n%s", rc, errb.String())
+	}
+	// each table ends with a blank line; the first line is "== id: title =="
+	var ids []string
+	want := make(map[string]string) // id -> its block
+	for _, sec := range strings.SplitAfter(out.String(), "\n\n") {
+		if sec == "" {
+			continue
+		}
+		id, _, _ := strings.Cut(strings.TrimPrefix(sec, "== "), ":")
+		ids = append(ids, id)
+		want[id] = block("xtbench -quick", id, strings.TrimSuffix(sec, "\n"))
+	}
+	var registry []string
+	for _, e := range bench.Experiments() {
+		registry = append(registry, e.ID)
+	}
+	if strings.Join(ids, " ") != strings.Join(registry, " ") {
+		t.Fatalf("xtbench -quick printed sections %v, want one per experiment %v", ids, registry)
+	}
+	base, err := resolveBaseline("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fid calib.Result
+	if err := json.Unmarshal(data, &fid); err != nil {
+		t.Fatalf("%s: %v", base, err)
+	}
+	ids = append(ids, "fidelity")
+	want["fidelity"] = block("xtbench -fidelity -quick", "fidelity", fid.Format())
+
+	doc, err := os.ReadFile(experimentsDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make(map[string]int)
+	updated := docBlock.ReplaceAllStringFunc(string(doc), func(m string) string {
+		id := docBlock.FindStringSubmatch(m)[1]
+		blocks[id]++
+		w, ok := want[id]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md: block %q names no experiment (have: %s)", id, strings.Join(ids, " "))
+			return m
+		}
+		if m != w && !*updateGolden {
+			t.Errorf("EXPERIMENTS.md: block %q differs from the code's output (-want +doc; rerun with -update-golden):\n%s",
+				id, lineDiff(w, m))
+		}
+		return w
+	})
+	for _, id := range ids {
+		if n := blocks[id]; n != 1 {
+			t.Errorf("EXPERIMENTS.md: %d blocks for %q, want 1", n, id)
+		}
+	}
+	if *updateGolden && !t.Failed() && updated != string(doc) {
+		if err := os.WriteFile(experimentsDoc, []byte(updated), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// lineDiff lists each line where got departs from want.
+func lineDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := range max(len(wl), len(gl)) {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			fmt.Fprintf(&b, "  line %d\n  - %s\n  + %s\n", i+1, w, g)
+		}
+	}
+	return b.String()
+}
+
 // TestJSONErrorExit pins the contract that -json mode still exits non-zero
-// when an experiment arm errors, and that the error is recorded in the JSON
-// output rather than only on stderr. An expired deadline forces the error
-// without running any simulation.
+// when an experiment arm errors, and that the error is both recorded in the
+// JSON output and printed on stderr, as text mode prints it. An expired
+// deadline forces the error without running any simulation.
 func TestJSONErrorExit(t *testing.T) {
 	var out, errb bytes.Buffer
 	rc := run([]string{"-json", "-only", "spec", "-timeout", "1ns"}, &out, &errb)
@@ -31,6 +146,9 @@ func TestJSONErrorExit(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].ID != "spec" || recs[0].Error == "" {
 		t.Fatalf("want one record for %q with an error, got %+v", "spec", recs)
+	}
+	if line := "xtbench: " + recs[0].Error + "\n"; !strings.Contains(errb.String(), line) {
+		t.Fatalf("stderr lacks %q:\n%s", line, errb.String())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package bench is the paper-reproduction harness: one entry point per table
 // and figure in the evaluation (§X), each returning a perf.Result with the
-// measured values next to the paper's. cmd/xtbench prints them; bench_test.go
-// wires them into `go test -bench`.
+// measured values next to the paper's. cmd/xtbench prints them, and
+// EXPERIMENTS.md holds its -quick tables.
 //
 // Every experiment takes a context.Context and runs its independent simulator
 // instances (core-config arms, scenarios, ablation studies) as internal/sched
