@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	}
 	sys.LoadProgram(prog)
 	if *trace {
-		sys.Hart(0).Core().CommitHook = func(ci core.Commit) {
+		sys.Hart(0).Core().CommitHook = func(ci *core.Commit) {
 			fmt.Fprintf(stdout, "%8x: %v\n", ci.PC, ci.Inst)
 		}
 	}

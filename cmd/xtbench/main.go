@@ -263,8 +263,10 @@ const fidelityErrTolerance = 0.02
 // fidelityTrack compares this sweep's error table against a prior
 // FIDELITY_*.json. Schema drift, an unreadable baseline, or a baseline point
 // the current sweep no longer measures are hard errors; so is any point
-// whose calibrated error grew past the tolerance — simulation is
-// deterministic, so this is a gate.
+// whose calibrated error grew past the tolerance, and any point whose
+// uncalibrated value is not exactly the baseline's — simulation is
+// deterministic, so a model change that moves a table row fails here until
+// a fresh record is written.
 func fidelityTrack(stderr io.Writer, path string, cur *calib.Result) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -281,7 +283,7 @@ func fidelityTrack(stderr io.Writer, path string, cur *calib.Result) error {
 	for _, p := range cur.Points {
 		curPoints[p.ID] = p
 	}
-	var regressed []string
+	var regressed, moved []string
 	for _, b := range base.Points {
 		c, ok := curPoints[b.ID]
 		if !ok {
@@ -292,6 +294,10 @@ func fidelityTrack(stderr io.Writer, path string, cur *calib.Result) error {
 		if delta > fidelityErrTolerance {
 			status = "REGRESSED"
 			regressed = append(regressed, b.ID)
+		}
+		if c.Uncalibrated != b.Uncalibrated {
+			status += fmt.Sprintf(" MOVED (uncalibrated %v, baseline %v)", c.Uncalibrated, b.Uncalibrated)
+			moved = append(moved, b.ID)
 		}
 		fmt.Fprintf(stderr, "xtbench: fidelity %-22s err %.4f  baseline %.4f  (%+.4f) %s\n",
 			b.ID, c.ErrCal, b.ErrCal, delta, status)
@@ -311,6 +317,10 @@ func fidelityTrack(stderr io.Writer, path string, cur *calib.Result) error {
 	if len(regressed) > 0 {
 		return fmt.Errorf("calibrated error regressed past %.2f on: %s",
 			fidelityErrTolerance, strings.Join(regressed, " "))
+	}
+	if len(moved) > 0 {
+		return fmt.Errorf("uncalibrated value differs from %s on: %s (record a fresh FIDELITY_*.json after a deliberate model change)",
+			path, strings.Join(moved, " "))
 	}
 	return nil
 }

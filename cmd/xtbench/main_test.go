@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -298,11 +299,12 @@ func TestFidelityFlagValidation(t *testing.T) {
 }
 
 // TestFidelityTrackGate exercises the fidelity regression gate against
-// synthetic baselines: schema drift and an error regression past the
-// tolerance are hard errors; within-tolerance drift passes.
+// synthetic baselines: schema drift, an error regression past the tolerance
+// and an uncalibrated value that moved at all are hard errors;
+// within-tolerance drift of the calibrated error passes.
 func TestFidelityTrackGate(t *testing.T) {
 	point := func(id string, errCal float64) calib.PointReport {
-		return calib.PointReport{ID: id, Figure: "fig17", Paper: 1.39, ErrCal: errCal}
+		return calib.PointReport{ID: id, Figure: "fig17", Paper: 1.39, Uncalibrated: 1.25, ErrCal: errCal}
 	}
 	cur := &calib.Result{Schema: calib.Schema, Points: []calib.PointReport{point("fig17/coremark-ratio", 0.30)}}
 
@@ -342,6 +344,15 @@ func TestFidelityTrackGate(t *testing.T) {
 	}})
 	if err := fidelityTrack(&errb, missing, cur); err == nil {
 		t.Fatal("dropped point: want error, got nil")
+	}
+
+	doctored := point("fig17/coremark-ratio", 0.30)
+	doctored.Uncalibrated = math.Nextafter(doctored.Uncalibrated, 2)
+	moved := writeDoc(t, &calib.Result{Schema: calib.Schema, Points: []calib.PointReport{doctored}})
+	if err := fidelityTrack(&errb, moved, cur); err == nil {
+		t.Fatal("moved uncalibrated value: want gate failure, got nil")
+	} else if !strings.Contains(err.Error(), "fig17/coremark-ratio") {
+		t.Fatalf("gate error should name the point: %v", err)
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "xt910/isa"
+import (
+	"math/bits"
+
+	"xt910/isa"
+)
 
 // Commit is the architectural record of one retired instruction, published
 // through CommitHook for observers (the lock-step co-simulation checker).
@@ -29,7 +33,8 @@ func (c *Core) Reservation() (valid bool, addr uint64) {
 // and returns the first architectural register that differs with the core's
 // value of it. Each value is read where Reg reads it, from the physical
 // register archRAT names: the storage a transient fault in either (inject.go)
-// corrupts, never a copy.
+// corrupts, never a copy. The per-commit check calls it through
+// ArchRegMismatchSince, only when the file was clobbered.
 func (c *Core) ArchRegMismatch(x, f *[32]uint64) (reg isa.Reg, val uint64, differs bool) {
 	rat, phys := (*[64]int16)(c.archRAT), c.pf.val
 	// The checker asks at every commit and the answer is almost always no, so
@@ -58,10 +63,39 @@ func (c *Core) ArchRegMismatch(x, f *[32]uint64) (reg isa.Reg, val uint64, diffe
 	return 0, 0, false
 }
 
-// commitRecord assembles the Commit for a uop about to be reported. It runs
-// after the retirement map update, so archRAT reads give post-commit values.
-func (c *Core) commitRecord(u *uop) Commit {
-	ci := Commit{PC: u.pc, Inst: u.inst}
+// ArchRegMismatchSince is ArchRegMismatch over what may have changed since
+// its last call, when that call found no difference: the registers retirement
+// rebound and those in written (bit r of isa.Reg r, the golden model's
+// writes), ascending, x0 skipped. It falls back to the full compare when a
+// register the retirement map holds was written outside retirement (a fault,
+// the host-call a0, Reset) and on a new core. Either way it starts the next
+// interval.
+func (c *Core) ArchRegMismatchSince(written uint64, x, f *[32]uint64) (reg isa.Reg, val uint64, differs bool) {
+	mask, full := c.pf.rebound|written, c.pf.clobbered
+	c.pf.rebound, c.pf.clobbered = 0, false
+	if full {
+		return c.ArchRegMismatch(x, f)
+	}
+	rat, phys := (*[64]int16)(c.archRAT), c.pf.val
+	for mask &^= 1; mask != 0; mask &= mask - 1 {
+		r := bits.TrailingZeros64(mask)
+		want := x[r&31]
+		if r >= 32 {
+			want = f[r&31]
+		}
+		if v := phys[rat[r]]; v != want {
+			return isa.Reg(r), v, true
+		}
+	}
+	return 0, 0, false
+}
+
+// commitRecord assembles the Commit for a uop about to be reported in the
+// core's own record, which CommitHook is handed. It runs after the retirement
+// map update, so archRAT reads give post-commit values.
+func (c *Core) commitRecord(u *uop) *Commit {
+	ci := &c.commitRec
+	*ci = Commit{PC: u.pc, Inst: u.inst}
 	if u.writesReg() {
 		ci.RdVal = c.pf.read(c.archRAT[int(u.inst.Rd)])
 		ci.HasRd = true

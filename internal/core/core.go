@@ -115,10 +115,12 @@ type Core struct {
 	Stats Stats
 
 	// CommitHook observes every retired instruction with its commit record
-	// (destination value, effective address). It fires after the retirement
-	// map has been updated, so Reg() reads post-commit architectural state.
-	// Instructions that take an exception do not commit and are not reported.
-	CommitHook func(Commit)
+	// (destination value, effective address), which is the core's own and
+	// valid only during the call. It fires after the retirement map has been
+	// updated, so Reg() reads post-commit architectural state. Instructions
+	// that take an exception do not commit and are not reported.
+	CommitHook func(*Commit)
+	commitRec  Commit
 
 	// TLBBroadcast, when set by the SoC, carries tlbi.* maintenance to the
 	// other harts over the interconnect (§V-E, no IPIs needed).
@@ -322,6 +324,7 @@ func (c *Core) Release() {
 func (c *Core) Reset(pc, sp uint64) {
 	c.fetchPC = pc
 	c.pf.write(c.rat[isa.SP], sp, 0)
+	c.pf.clobbered = true
 	c.Halted = false
 	if c.now == 0 {
 		return
@@ -351,6 +354,10 @@ func (c *Core) InvalidatePredecode(pa uint64, size int) {
 func (c *Core) Reg(r isa.Reg) uint64 {
 	return c.pf.read(c.archRAT[int(r)])
 }
+
+// TakeFcsrWrite reports whether fcsr was written since the last call
+// (isa.CSRFile.TakeFcsrWrite).
+func (c *Core) TakeFcsrWrite() bool { return c.priv.TakeFcsrWrite() }
 
 // Now returns the current cycle.
 func (c *Core) Now() uint64 { return c.now }

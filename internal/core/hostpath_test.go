@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"xt910/internal/asm"
 	"xt910/internal/workloads"
 	"xt910/isa"
 )
@@ -100,4 +101,94 @@ func TestArchRegMismatchMatchesRegLoops(t *testing.T) {
 			t.Fatalf("trial %d: got (%v, %#x, %v), the Reg loops give (%v, %#x, %v)", trial, reg, val, got, wantReg, wantVal, want)
 		}
 	}
+}
+
+// TestArchRegMismatchSinceFallsBackToFull: the per-commit compare reads only
+// the registers retirement rebound and those the caller marks, so a write to
+// a register the retirement map holds made outside retirement — the host
+// call's a0, a fault — must make the next compare a full one, which names
+// that register although neither mask has it. Over every other commit of the
+// program, a golden side kept from the commit records compares clean; and
+// every register whose value a commit changed is rebound or clobbered.
+func TestArchRegMismatchSinceFallsBackToFull(t *testing.T) {
+	p, err := asm.Assemble(`
+_start:
+    li a0, 1
+    la a1, msg
+    li a2, 5
+    li a7, 64
+    ecall
+    addi t0, a0, 1
+    fcvt.d.l ft3, t0
+    li a7, 93
+    li a0, 0
+    ecall
+msg:
+    .ascii "hello"
+`, asm.Options{Base: 0x1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, memory := buildCore(XT910Config())
+	p.LoadInto(memory)
+	c.Reset(p.Entry, 0x80000)
+	var x, f [32]uint64 // the golden side: what the commit records say
+	x[isa.SP] = 0x80000
+	before := archRegs(c)
+	hostCalls := 0
+	c.CommitHook = func(ci *Commit) {
+		after := archRegs(c)
+		for r := 1; r < 64; r++ {
+			if after[r] != before[r] && c.pf.rebound&(1<<r) == 0 && !c.pf.clobbered {
+				t.Fatalf("%s changed at %s without a rebinding or a clobber", isa.Reg(r), ci.Inst)
+			}
+		}
+		before = after
+		var written uint64
+		if ci.HasRd && ci.Inst.Rd != isa.Zero {
+			if r := ci.Inst.Rd; r.IsF() {
+				f[r.Index()] = ci.RdVal
+			} else {
+				x[r.Index()] = ci.RdVal
+			}
+			written = 1 << ci.Inst.Rd
+		}
+		if ci.Inst.Op == isa.ECALL && c.Reg(isa.A7) == isa.SysWrite {
+			hostCalls++
+			reg, val, differs := c.ArchRegMismatchSince(written, &x, &f)
+			if !differs || reg != isa.A0 || val != 5 {
+				t.Fatalf("after the host call: got (%v, %#x, %v), want (a0, 0x5, true)", reg, val, differs)
+			}
+			x[isa.A0] = val
+		}
+		if reg, val, differs := c.ArchRegMismatchSince(written, &x, &f); differs {
+			t.Fatalf("at %s: %v differs, core=%#x", ci.Inst, reg, val)
+		}
+	}
+	c.Run(1_000_000)
+	if !c.Halted || hostCalls != 1 {
+		t.Fatalf("halted=%v after %d host calls, want a halt after one", c.Halted, hostCalls)
+	}
+	for _, r := range []isa.Reg{isa.F(3), isa.T0} {
+		if !c.InjectArchRegBit(int(r), 2) {
+			t.Fatal("fault refused")
+		}
+		reg, val, differs := c.ArchRegMismatchSince(0, &x, &f)
+		if want := c.Reg(r); !differs || reg != r || val != want {
+			t.Fatalf("after a fault on %v: got (%v, %#x, %v), want (%v, %#x, true)", r, reg, val, differs, r, want)
+		}
+		c.InjectArchRegBit(int(r), 2)
+		if reg, _, differs := c.ArchRegMismatchSince(0, &x, &f); differs {
+			t.Fatalf("after undoing the fault on %v: %v differs", r, reg)
+		}
+	}
+}
+
+// archRegs reads every architectural scalar register through the retirement
+// map.
+func archRegs(c *Core) (regs [64]uint64) {
+	for r := range regs {
+		regs[r] = c.Reg(isa.Reg(r))
+	}
+	return regs
 }

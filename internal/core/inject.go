@@ -18,6 +18,7 @@ func (c *Core) InjectArchRegBit(reg int, bit uint) bool {
 	}
 	p := c.archRAT[reg]
 	c.pf.val[p] ^= 1 << (bit & 63)
+	c.pf.clobbered = true
 	return true
 }
 

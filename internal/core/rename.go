@@ -41,42 +41,47 @@ func (c *Core) renameCost(e *fqEntry) int {
 	return 1
 }
 
+// pipeAtRetire is where route sends an instruction that executes at the ROB
+// head rather than on an issue pipe; no queue or pipe has its number.
+const pipeAtRetire = numPipes
+
 // route decides where an instruction with no pending exception executes: on
-// an issue pipe, or (atRetire) at the ROB head. ALU and FPU work is balanced
-// over its two pipes by queue length (§IV dynamic load balancing).
-func (c *Core) route(s *sinst) (pipe pipeID, atRetire bool) {
+// an issue pipe, or at the ROB head (pipeAtRetire). ALU and FPU work is
+// balanced over its two pipes by queue length (§IV dynamic load balancing).
+func (c *Core) route(s *sinst) pipeID {
 	switch s.class {
 	case isa.ClassALU:
-		return c.balanceALU(), false
+		return c.balanceALU()
 	case isa.ClassMul:
-		return pipeALU0, false
+		return pipeALU0
 	case isa.ClassDiv:
-		return pipeALU1, false // multi-cycle ALU/divider pipe (§II)
+		return pipeALU1 // multi-cycle ALU/divider pipe (§II)
 	case isa.ClassBranch, isa.ClassJump:
-		return pipeBJU, false
+		return pipeBJU
 	case isa.ClassLoad:
-		return pipeLD, false
+		return pipeLD
 	case isa.ClassStore:
-		return pipeSTA, false // plus an st.data leg
+		return pipeSTA // plus an st.data leg
 	case isa.ClassFPU:
-		return c.balanceFV(), false
+		return c.balanceFV()
 	case isa.ClassVSet, isa.ClassVALU, isa.ClassVFPU, isa.ClassVLoad, isa.ClassVStore:
 		if c.Vec != nil {
-			return pipeFV0, false // ordered vector queue
+			return pipeFV0 // ordered vector queue
 		}
 	}
 	// CSR, system, atomic and cache-maintenance instructions, and anything
 	// that will trap (an illegal encoding, a vector op with no vector unit)
-	return 0, true
+	return pipeAtRetire
 }
 
 // renameGate is the outcome of rename's structural checks for the IBUF head.
+// It has four fields so that it stays in registers: at-retire execution is a
+// pipe value, not a fifth field.
 type renameGate struct {
-	stall    *uint64 // the counter a blocked cycle charges; nil when rename proceeds
-	pipe     pipeID
-	atRetire bool
-	exc      int16 // fetch-time exception, or illegal-instruction found here
-	ckptID   int   // free checkpoint for a branch or jalr; -1: none needed
+	stall  *uint64 // the counter a blocked cycle charges; nil when rename proceeds
+	pipe   pipeID  // pipeAtRetire: executes at the ROB head
+	exc    int16   // fetch-time exception, or illegal-instruction found here
+	ckptID int     // free checkpoint for a branch or jalr; -1: none needed
 }
 
 // renameGates runs the classification and every structural gate for e, in
@@ -89,10 +94,10 @@ func (c *Core) renameGates(e *fqEntry) (g renameGate) {
 		// fully standard-compatible — custom encodings trap as illegal.
 		g.exc = isa.ExcIllegalInst
 	}
-	g.atRetire = true
+	g.pipe = pipeAtRetire
 	if g.exc < 0 {
-		g.pipe, g.atRetire = c.route(&e.sinst)
-		if g.atRetire && e.flags&sfVector != 0 {
+		g.pipe = c.route(&e.sinst)
+		if g.pipe == pipeAtRetire && e.flags&sfVector != 0 {
 			g.exc = isa.ExcIllegalInst // no vector unit
 		} else if e.isLoad() && c.lq.len() >= c.Cfg.LQSize {
 			g.stall = &c.Stats.StallLQ
@@ -108,7 +113,7 @@ func (c *Core) renameGates(e *fqEntry) (g renameGate) {
 			return g
 		}
 	}
-	if !g.atRetire && len(c.queues[g.pipe]) >= c.Cfg.IssueQueue {
+	if g.pipe != pipeAtRetire && len(c.queues[g.pipe]) >= c.Cfg.IssueQueue {
 		g.stall = &c.Stats.StallIQ
 		return g
 	}
@@ -137,7 +142,7 @@ func (c *Core) tryRename(e *fqEntry) bool {
 	if g.exc != e.excCause {
 		u.excTval = e.pc // illegal instruction found at rename
 	}
-	u.pipe, u.atRetire = g.pipe, g.atRetire
+	u.pipe, u.atRetire = g.pipe, g.pipe == pipeAtRetire
 	u.predTaken, u.fromLoop = e.predTaken, e.fromLoop
 	u.uopExec = uopExec{}
 

@@ -93,8 +93,7 @@ func (c *Core) retire() {
 
 		// release rename resources
 		if u.newPhys != noPhys {
-			c.pf.release(c.archRAT[int(u.inst.Rd)])
-			c.archRAT[int(u.inst.Rd)] = u.newPhys
+			c.pf.rebind(c.archRAT, int(u.inst.Rd), u.newPhys)
 		}
 		if u.ckptID >= 0 {
 			c.ckpts[u.ckptID].used = false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"xt910/isa"
 )
@@ -105,10 +106,15 @@ func (c *Core) CheckInvariants() string {
 		}
 		seen[p] = true
 	}
+	held := make([]int16, len(c.pf.held))
 	for r, p := range c.archRAT {
 		if seen[p] {
 			return "architectural register " + isa.Reg(r).String() + " maps to a freed physical register"
 		}
+		held[p]++
+	}
+	if !slices.Equal(held, c.pf.held) {
+		return "held-register counts out of step with the retirement map"
 	}
 	// every issue-queue entry must reference a live ROB slot
 	for pipe := range c.queues {

@@ -117,8 +117,16 @@ type physFile struct {
 	readyAt []uint64 // pendingCycle while unwritten
 	free    []int16
 
+	// held counts the retirement-map entries naming each physical register.
+	// rebound marks the architectural registers (bit r of isa.Reg r)
+	// retirement rebinds, and clobbered records a write to a held register
+	// outside retirement; ArchRegMismatchSince consumes and clears both.
+	held      []int16
+	rebound   uint64
+	clobbered bool
+
 	words []uint64 // val and readyAt: one array from freeRegWords
-	maps  []int16  // both rename maps and free's storage: one array from freeRegMaps
+	maps  []int16  // both rename maps, free's storage and held: one array from freeRegMaps
 }
 
 const pendingCycle = ^uint64(0)
@@ -127,15 +135,18 @@ const pendingCycle = ^uint64(0)
 // the speculative and the retirement map and places the remainder on the free
 // list. The free list's capacity is every register, more than it can hold, so
 // its appends stay inside the array; releaseStorage hands both arrays back.
+// A new file counts as clobbered: nothing has compared it yet.
 func newPhysFile(intRegs, fpRegs int) (pf physFile, rat, archRAT []int16) {
 	total := intRegs + fpRegs
 	pf.words = freeRegWords.Get(2 * total)
 	pf.val, pf.readyAt = pf.words[:total:total], pf.words[total:]
-	pf.maps = freeRegMaps.Get(128 + total)
-	rat, archRAT, pf.free = pf.maps[:64:64], pf.maps[64:128:128], pf.maps[128:128]
+	pf.maps = freeRegMaps.Get(128 + 2*total)
+	rat, archRAT = pf.maps[:64:64], pf.maps[64:128:128]
+	pf.free, pf.held = pf.maps[128:128:128+total], pf.maps[128+total:]
 	for i := 0; i < 64; i++ {
-		rat[i], archRAT[i] = int16(i), int16(i)
+		rat[i], archRAT[i], pf.held[i] = int16(i), int16(i), 1
 	}
+	pf.clobbered = true
 	for i := total - 1; i >= 64; i-- {
 		pf.free = append(pf.free, int16(i))
 	}
@@ -184,6 +195,20 @@ func (pf *physFile) write(p int16, v uint64, at uint64) {
 	}
 	pf.val[p] = v
 	pf.readyAt[p] = at
+	if pf.held[p] != 0 {
+		pf.clobbered = true
+	}
+}
+
+// rebind points architectural register r of the retirement map archRAT at p
+// and releases the register it named before.
+func (pf *physFile) rebind(archRAT []int16, r int, p int16) {
+	old := archRAT[r]
+	pf.release(old)
+	pf.held[old]--
+	pf.held[p]++
+	archRAT[r] = p
+	pf.rebound |= 1 << r
 }
 
 func (pf *physFile) read(p int16) uint64 {

@@ -12,6 +12,9 @@
 //   - x/f registers, PC, instret, fcsr and the LR/SC reservation: every
 //     commit (IEEE flags are speculative in the pipeline and accrue into
 //     fcsr only at retire, which is what makes the per-commit compare sound).
+//     Registers and fcsr are read only where either model changed them since
+//     the last commit; a write outside the marked paths falls back to the
+//     full register compare.
 //   - touched memory (64-byte lines written by either model, reported through
 //     core.MemWriteHook and emu.OnStore): at every scalar store/AMO commit,
 //     the lines written since the last clean compare; at halt and before a
@@ -395,7 +398,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 	for h, c := range sys.Cores {
 		m := emu.New(emem)
 		m.PC = p.Entry
-		m.X[isa.SP] = c.Reg(isa.SP)
+		m.SetReg(isa.SP, c.Reg(isa.SP))
 		if harts > 1 {
 			m.MMIO = clintE
 			// a lone hart keeps the reset value, 0: a write would add mhartid
@@ -412,7 +415,7 @@ func NewSession(p *asm.Program, opts Options) *Session {
 		hs := &HartSession{id: h, c: c, m: m, k: k}
 		s.harts = append(s.harts, hs)
 
-		c.CommitHook = func(ci core.Commit) { s.commit(hs, ci) }
+		c.CommitHook = func(ci *core.Commit) { s.commit(hs, ci) }
 		c.MemWriteHook = coreWrite
 		m.OnStore = func(pa uint64, size int) {
 			written.mark(pa, size)
@@ -489,7 +492,7 @@ func (s *Session) wireIRQ(hs *HartSession, sched []IRQEvent, clintC, clintE *soc
 
 // commit is every hart's commit hook: the per-hart checker first, then the
 // store-order oracle (when there is one) over the global retirement stream.
-func (s *Session) commit(hs *HartSession, ci core.Commit) {
+func (s *Session) commit(hs *HartSession, ci *core.Commit) {
 	s.globalCommits++
 	k := hs.k
 	wasFailed := k.failed
@@ -811,7 +814,7 @@ const traceWindow = 16
 
 // fail records the first divergence: its kind, the field the failing compare
 // names ("" when the detail names none) and the detail lines of the report.
-func (k *checker) fail(ci core.Commit, kind, field string, detail ...string) {
+func (k *checker) fail(ci *core.Commit, kind, field string, detail ...string) {
 	if k.failed {
 		return
 	}
@@ -827,7 +830,7 @@ func (k *checker) fail(ci core.Commit, kind, field string, detail ...string) {
 // onCommit fires from the core's retire stage for every committed
 // instruction; the emulator is stepped here so both models observe the same
 // retirement order.
-func (k *checker) onCommit(ci core.Commit) {
+func (k *checker) onCommit(ci *core.Commit) {
 	if k.failed {
 		return
 	}
@@ -857,7 +860,7 @@ func (k *checker) onCommit(ci core.Commit) {
 		return
 	}
 	k.commits++
-	k.trace[(k.commits-1)%traceWindow] = ci
+	k.trace[(k.commits-1)%traceWindow] = *ci
 
 	// Interrupt-delivery check: the core's delivery latched coreIRQ and the
 	// emulator's catch-up step (which consumed the same schedule event before
@@ -896,10 +899,13 @@ func (k *checker) onCommit(ci core.Commit) {
 	// everything computed *from* the timestamp rather than the timestamp
 	// itself (see the package comment).
 	if isCycleCSRRead(ci) {
-		k.m.X[ci.Inst.Rd.Index()] = ci.RdVal
+		k.m.SetReg(ci.Inst.Rd, ci.RdVal)
 	}
 
-	if r, cv, differs := k.c.ArchRegMismatch(&k.m.X, &k.m.F); differs {
+	// Registers and fcsr are compared where either model changed them since
+	// the last commit's compare found them equal: nothing else can differ
+	// (DESIGN.md, Contracts, "Per-commit compare").
+	if r, cv, differs := k.c.ArchRegMismatchSince(k.m.TakeWrittenRegs(), &k.m.X, &k.m.F); differs {
 		kind := "xreg"
 		if r.IsF() {
 			kind = "freg"
@@ -921,10 +927,13 @@ func (k *checker) onCommit(ci core.Commit) {
 	}
 	// fcsr accrues on every FP commit in both models (flags at execute are
 	// speculative in the core and land at retire), so it is comparable at
-	// every commit, unlike the clocked counters.
-	if cv, ev := k.c.CSR(isa.CSRFcsr), k.m.CSR(isa.CSRFcsr); cv != ev {
-		k.fail(ci, "fcsr", "fcsr", fmt.Sprintf("fcsr: core=%#x emu=%#x", cv, ev))
-		return
+	// every commit, unlike the clocked counters; it is read once either model
+	// wrote it.
+	if cw, ew := k.c.TakeFcsrWrite(), k.m.TakeFcsrWrite(); cw || ew {
+		if cv, ev := k.c.CSR(isa.CSRFcsr), k.m.CSR(isa.CSRFcsr); cv != ev {
+			k.fail(ci, "fcsr", "fcsr", fmt.Sprintf("fcsr: core=%#x emu=%#x", cv, ev))
+			return
+		}
 	}
 	switch ci.Inst.Op.Class() {
 	case isa.ClassStore, isa.ClassAMO:
@@ -938,7 +947,7 @@ func (k *checker) onCommit(ci core.Commit) {
 
 // compareVector checks vl, vtype and the full vector file at a vector
 // instruction's commit, and at a vector store's the pending memory lines too.
-func (k *checker) compareVector(ci core.Commit) {
+func (k *checker) compareVector(ci *core.Commit) {
 	if cv, ev := k.c.Vec.VL, k.m.CSR(isa.CSRVl); cv != ev {
 		k.fail(ci, "vec", "vl", fmt.Sprintf("vl: core=%d emu=%d", cv, ev))
 		return
@@ -962,7 +971,7 @@ func (k *checker) compareVector(ci core.Commit) {
 
 // isCycleCSRRead reports whether a commit is a CSR-class access of a clock
 // CSR landing in a comparable integer register.
-func isCycleCSRRead(ci core.Commit) bool {
+func isCycleCSRRead(ci *core.Commit) bool {
 	if ci.Inst.Op.Class() != isa.ClassCSR || !ci.HasRd {
 		return false
 	}
@@ -978,7 +987,7 @@ func isCycleCSRRead(ci core.Commit) bool {
 
 // compareMemory is the store-commit memory check: every line written since
 // the last clean compare, run at scalar store, AMO and vector store commits.
-func (k *checker) compareMemory(ci core.Commit) {
+func (k *checker) compareMemory(ci *core.Commit) {
 	w := k.written
 	for _, line := range w.pending {
 		if k.compareLine(ci, line) {
@@ -992,7 +1001,7 @@ func (k *checker) compareMemory(ci core.Commit) {
 // sweepMemory checks every line either model has ever written, which also
 // covers corruption that reached an already-compared line behind the hooks,
 // and fails the run on the lowest line that differs.
-func (k *checker) sweepMemory(ci core.Commit) {
+func (k *checker) sweepMemory(ci *core.Commit) {
 	if addr, cv, ev, differs := k.written.lowestDiff(k.c.Mem, k.m.Mem); differs {
 		k.fail(ci, "mem", "addr", fmt.Sprintf("[%#x]: core=%#x emu=%#x", addr, cv, ev))
 	}
@@ -1017,7 +1026,7 @@ func (w *writtenLines) lowestDiff(cm, em *mem.Memory) (addr, cv, ev uint64, diff
 
 // compareLine fails the run on the first 8-byte word of a line that differs
 // between the two memories, and reports whether it did.
-func (k *checker) compareLine(ci core.Commit, line uint64) bool {
+func (k *checker) compareLine(ci *core.Commit, line uint64) bool {
 	addr, cv, ev, differs := lineDiff(k.c.Mem, k.m.Mem, line)
 	if differs {
 		k.fail(ci, "mem", "addr", fmt.Sprintf("[%#x]: core=%#x emu=%#x", addr, cv, ev))
@@ -1037,7 +1046,7 @@ func lineDiff(cm, em *mem.Memory, line uint64) (addr, cv, ev uint64, differs boo
 	return 0, 0, 0, false
 }
 
-func (k *checker) compareCSRState(ci core.Commit) {
+func (k *checker) compareCSRState(ci *core.Commit) {
 	for _, n := range compareCSRs {
 		if cv, ev := k.c.CSR(n), k.m.CSR(n); cv != ev {
 			k.fail(ci, "csr", isa.CSRName(n), fmt.Sprintf("%s: core=%#x emu=%#x", isa.CSRName(n), cv, ev))
@@ -1049,7 +1058,7 @@ func (k *checker) compareCSRState(ci core.Commit) {
 // drain runs the end-of-program comparison after the core stops: halt state,
 // exit code, output, final registers/memory/CSRs and the vector file.
 func (k *checker) drain() {
-	last := core.Commit{PC: k.m.PC}
+	last := &core.Commit{PC: k.m.PC}
 	if !k.c.Halted {
 		k.fail(last, "hang", "", fmt.Sprintf("core did not halt within the cycle budget (%d commits so far)", k.commits))
 		return

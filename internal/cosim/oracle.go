@@ -116,7 +116,7 @@ func (o *storeOracle) onOwner(ev coherence.OwnerEvent) {
 
 // commit checks one retirement. Non-nil return is the divergence detail for a
 // kind="order" failure. global is the session-wide commit index (all harts).
-func (o *storeOracle) commit(hart int, global uint64, ci core.Commit) []string {
+func (o *storeOracle) commit(hart int, global uint64, ci *core.Commit) []string {
 	flush := func() []string {
 		if o.pending == "" {
 			return nil

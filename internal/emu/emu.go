@@ -18,6 +18,9 @@ import (
 
 // Machine is one hart's architectural state.
 type Machine struct {
+	// X and F are the register files. A write from outside the package that
+	// the lock-step checker must see goes through SetReg, which marks it for
+	// TakeWrittenRegs.
 	X   [32]uint64
 	F   [32]uint64
 	Vec *vector.Unit
@@ -25,6 +28,10 @@ type Machine struct {
 	Mem *mem.Memory
 
 	priv isa.Priv
+
+	// written marks the X and F registers (bit r of isa.Reg r) written since
+	// the last TakeWrittenRegs.
+	written uint64
 
 	Instret uint64
 
@@ -138,15 +145,28 @@ func (m *Machine) Reg(r isa.Reg) uint64 {
 	return 0
 }
 
-func (m *Machine) setReg(r isa.Reg, v uint64) {
+// SetReg writes an architectural register by unified number (x0 stays 0)
+// and marks it written.
+func (m *Machine) SetReg(r isa.Reg, v uint64) {
 	switch {
 	case r.IsX():
 		if r != isa.Zero {
 			m.X[r.Index()] = v
+			m.written |= 1 << r
 		}
 	case r.IsF():
 		m.F[r.Index()] = v
+		m.written |= 1 << r
 	}
+}
+
+// TakeWrittenRegs returns the X and F registers written since its last call,
+// bit r for isa.Reg r, and starts the next interval. The lock-step checker
+// compares only these and what the core changed (core.ArchRegMismatchSince).
+func (m *Machine) TakeWrittenRegs() uint64 {
+	w := m.written
+	m.written = 0
+	return w
 }
 
 // Privilege returns the current privilege level.
@@ -174,6 +194,10 @@ func (m *Machine) CSR(num uint16) uint64 {
 	}
 	return m.priv.Read(num)
 }
+
+// TakeFcsrWrite reports whether fcsr was written since the last call
+// (isa.CSRFile.TakeFcsrWrite).
+func (m *Machine) TakeFcsrWrite() bool { return m.priv.TakeFcsrWrite() }
 
 // SetCSR writes a CSR through isa.Priv's window; a satp write flushes the
 // soft TLB.
@@ -367,7 +391,7 @@ func (m *Machine) Step() error {
 	case kindSys:
 		err = m.execSys(in, &next)
 	case kindVSet:
-		m.setReg(in.Rd, m.Vec.VSet(in, m.Reg(in.Rs1), m.Reg(in.Rs2)))
+		m.SetReg(in.Rd, m.Vec.VSet(in, m.Reg(in.Rs1), m.Reg(in.Rs2)))
 	case kindVector:
 		err = m.execVector(in)
 	case kindCacheOp:
@@ -377,6 +401,10 @@ func (m *Machine) Step() error {
 	default:
 		err = &trapError{cause: isa.ExcIllegalInst, tval: 0}
 	}
+	// e.rd is the integer destination the fast kinds above write, and x0
+	// (which nothing compares) for an instruction without one; the other
+	// kinds mark through SetReg. A step that traps marks too, harmlessly.
+	m.written |= 1 << (e.rd & 31)
 	if err != nil {
 		if te, ok := err.(*trapError); ok {
 			// A trapping instruction does not retire: instret must not
@@ -409,7 +437,7 @@ func (m *Machine) execLoad(in *isa.Inst) error {
 	if err != nil {
 		return err
 	}
-	m.setReg(in.Rd, isa.ExtendLoad(in.Op, v, size))
+	m.SetReg(in.Rd, isa.ExtendLoad(in.Op, v, size))
 	if in.Rd.IsF() {
 		m.priv.DirtyFS()
 	}
@@ -432,7 +460,7 @@ func (m *Machine) execFPU(in *isa.Inst) error {
 	if !ok {
 		return &trapError{cause: isa.ExcIllegalInst, tval: 0}
 	}
-	m.setReg(in.Rd, res)
+	m.SetReg(in.Rd, res)
 	m.priv.AccrueFP(flags)
 	return nil
 }
@@ -457,16 +485,16 @@ func (m *Machine) execAMO(in *isa.Inst) error {
 	case isa.LRW, isa.LRD:
 		v := m.Mem.Read(pa, size)
 		m.resValid, m.resAddr = true, pa
-		m.setReg(in.Rd, isa.ExtendAMO(v, size))
+		m.SetReg(in.Rd, isa.ExtendAMO(v, size))
 	case isa.SCW, isa.SCD:
 		if m.resValid && m.resAddr == pa {
 			m.Mem.Write(pa, size, m.Reg(in.Rs2))
 			if m.OnStore != nil {
 				m.OnStore(pa, size)
 			}
-			m.setReg(in.Rd, 0)
+			m.SetReg(in.Rd, 0)
 		} else {
-			m.setReg(in.Rd, 1)
+			m.SetReg(in.Rd, 1)
 		}
 		m.resValid = false
 	default:
@@ -476,7 +504,7 @@ func (m *Machine) execAMO(in *isa.Inst) error {
 		if m.OnStore != nil {
 			m.OnStore(pa, size)
 		}
-		m.setReg(in.Rd, isa.ExtendAMO(old, size))
+		m.SetReg(in.Rd, isa.ExtendAMO(old, size))
 	}
 	return nil
 }
@@ -490,7 +518,7 @@ func (m *Machine) execCSR(in *isa.Inst) error {
 	if v, ok := isa.CSRUpdate(in.Op, old, src); ok {
 		m.SetCSR(in.CSR, v)
 	}
-	m.setReg(in.Rd, old)
+	m.SetReg(in.Rd, old)
 	return nil
 }
 
@@ -509,7 +537,7 @@ func (m *Machine) execSys(in *isa.Inst, nextPC *uint64) error {
 		case exit:
 			m.Halted, m.ExitCode = true, int(int64(a0))
 		case ok:
-			m.X[10] = a0
+			m.SetReg(isa.A0, a0)
 		default:
 			return &trapError{cause: m.priv.EcallCause()}
 		}
@@ -561,7 +589,7 @@ func (m *Machine) execVector(in *isa.Inst) error {
 		return memErr
 	}
 	if hasX {
-		m.setReg(in.Rd, xres)
+		m.SetReg(in.Rd, xres)
 	}
 	return nil
 }

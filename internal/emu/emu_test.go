@@ -6,6 +6,7 @@ import (
 	"xt910/internal/asm"
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
+	"xt910/internal/workloads"
 	"xt910/isa"
 )
 
@@ -432,5 +433,46 @@ func TestIllegalInstructionTraps(t *testing.T) {
 	}
 	if !m.Halted || m.ExitCode != -(16+isa.ExcIllegalInst) {
 		t.Fatalf("expected illegal-inst halt, got halted=%v code=%d", m.Halted, m.ExitCode)
+	}
+}
+
+// TestWrittenRegsCoverChanges: every X or F register whose value a step
+// changes is in the next TakeWrittenRegs, over every kernel at a small size,
+// so the lock-step checker's per-commit compare, which reads only marked
+// registers and what the core rebound, cannot miss a golden-model write.
+// RestoreArch marks everything.
+func TestWrittenRegsCoverChanges(t *testing.T) {
+	for _, w := range workloads.All() {
+		p, err := w.Program(2, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(mem.NewMemory())
+		p.LoadInto(m.Mem)
+		m.PC = p.Entry
+		m.SetReg(isa.SP, 0x80000)
+		m.TakeWrittenRegs()
+		for steps := 0; !m.Halted && steps < 2_000_000; steps++ {
+			x, f := m.X, m.F
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+			written := m.TakeWrittenRegs()
+			for i := 0; i < 32; i++ {
+				if m.X[i] != x[i] && written&(1<<i) == 0 {
+					t.Fatalf("%s: step %d changed x%d unmarked", w.Name, steps, i)
+				}
+				if m.F[i] != f[i] && written&(1<<(32+i)) == 0 {
+					t.Fatalf("%s: step %d changed f%d unmarked", w.Name, steps, i)
+				}
+			}
+		}
+		if !m.Halted {
+			t.Fatalf("%s did not halt", w.Name)
+		}
+		m.RestoreArch(m.Snapshot())
+		if got := m.TakeWrittenRegs(); got != ^uint64(0) {
+			t.Fatalf("RestoreArch marked %#x, want every register", got)
+		}
 	}
 }

@@ -68,12 +68,14 @@ func (m *Machine) RestoreCSRs(csrs map[uint16]uint64) {
 // RestoreArch loads the scalar architectural state from a snapshot: PC,
 // register files, privilege, instret, the reservation and — when the snapshot
 // carries vector state and the machine has a vector unit — the vector file,
-// vl and vtype. CSRs are NOT restored here (a Snapshot records none); use
-// RestoreCSRs with a DumpCSRs image for those.
+// vl and vtype. Every X and F register counts as written. CSRs are NOT
+// restored here (a Snapshot records none); use RestoreCSRs with a DumpCSRs
+// image for those.
 func (m *Machine) RestoreArch(s ArchState) {
 	m.PC = s.PC
 	m.X = s.X
 	m.F = s.F
+	m.written = ^uint64(0)
 	m.priv.Level = s.Priv
 	m.Instret = s.Instret
 	m.resValid, m.resAddr = s.ResValid, s.ResAddr

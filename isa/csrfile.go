@@ -9,10 +9,17 @@ package isa
 // A CSR is present once it has been written, with any value, and never
 // before: reads do not materialize it. Dump lists exactly the present CSRs,
 // which is what a checkpoint records. The zero value is an empty file.
+//
+// The file also notes writes to fcsr for the lock-step checker, which
+// compares fcsr only after either model wrote it (TakeFcsrWrite).
 type CSRFile struct {
 	vals    [len(csrTable)]uint64
 	present [len(csrTable)]bool
 	other   map[uint16]uint64
+
+	// fcsrSettled is set by TakeFcsrWrite and cleared by a write to fcsr:
+	// a new or restored file counts as written.
+	fcsrSettled bool
 }
 
 // Get returns the stored value of num, zero when it was never written.
@@ -25,6 +32,9 @@ func (f *CSRFile) Get(num uint16) uint64 {
 
 // Set stores v as num's value.
 func (f *CSRFile) Set(num uint16, v uint64) {
+	if num == CSRFcsr {
+		f.fcsrSettled = false
+	}
 	if s := slotOf(num); s != 0 {
 		f.vals[s-1], f.present[s-1] = v, true
 		return
@@ -59,4 +69,12 @@ func (f *CSRFile) Restore(csrs map[uint16]uint64) {
 	for n, v := range csrs {
 		f.Set(n, v)
 	}
+}
+
+// TakeFcsrWrite reports whether fcsr was written since the last call, or ever
+// on the first, and starts the next interval.
+func (f *CSRFile) TakeFcsrWrite() bool {
+	w := !f.fcsrSettled
+	f.fcsrSettled = true
+	return w
 }

@@ -65,6 +65,9 @@ func (p *Priv) setFcsr(v uint64) {
 	p.DirtyFS()
 }
 
+// TakeFcsrWrite is CSRFile.TakeFcsrWrite on the hart's CSRs.
+func (p *Priv) TakeFcsrWrite() bool { return p.csr.TakeFcsrWrite() }
+
 // Dump returns a copy of every CSR stored so far (CSRFile.Dump).
 func (p *Priv) Dump() map[uint16]uint64 { return p.csr.Dump() }
 
