@@ -38,6 +38,10 @@ cli-smoke:
 # same bytes twice. isa.FuzzDecode (one encoding of every operation): no
 # 32-bit word may panic a decoder, what Encode accepts must round-trip, and
 # the golden model's decode memo must answer as a fresh decode does.
+# core.FuzzDecodeCache (a loop with one body word rewritten, or one bit flipped
+# by the fault injector, behind the core's back): with predecode and
+# superblocks on, every instruction fetched afterwards is cracked from the word
+# memory holds at its pc, the rule both models' decode caches follow.
 # cosim.FuzzGenerate (one entry per mode): for any seed, size, valid mode set
 # and shrink mask, the generator's Items build without error, the text they
 # print assembles to the same image, and building twice gives the same bytes.
@@ -49,6 +53,7 @@ cli-smoke:
 fuzz-native-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/asm
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 0 ./isa
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCache$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/cosim
 
 # bench-smoke runs each per-package benchmark once, so none can rot unseen:
@@ -96,10 +101,10 @@ fidelity-track:
 # detector enabled, every measured number in EXPERIMENTS.md is what
 # `xtbench -quick` prints (TestExperimentsDoc skips under -race, so it runs
 # once more without), the co-simulation smoke sweep finds no divergence, the
-# assembler and the decoders survive a short native fuzz pass, every
-# per-package benchmark still runs, the trace subsystem's smoke checks hold,
-# the campaign daemon survives a kill-and-resume with a byte-identical
-# report, the distributed worker fleet survives a SIGKILLed
+# assembler, the decoders and the decode caches survive a short native fuzz
+# pass, every per-package benchmark still runs, the trace subsystem's smoke
+# checks hold, the campaign daemon survives a kill-and-resume with a
+# byte-identical report, the distributed worker fleet survives a SIGKILLed
 # worker likewise, and the paper-fidelity error table has not regressed.
 tier1:
 	$(GO) build ./...

@@ -159,7 +159,10 @@ func TestLeaseDoubleLeaseImpossible(t *testing.T) {
 	}
 
 	var held sync.Map // shardRef -> token of current holder (test-side shadow)
-	var grants sync.Map
+	// grants is the last token seen per shard. grantMu spans Acquire and the
+	// check, so grants are observed in the order the registry made them.
+	var grantMu sync.Mutex
+	grants := map[shardRef]uint64{}
 	var wg, clockWG sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -184,7 +187,19 @@ func TestLeaseDoubleLeaseImpossible(t *testing.T) {
 			defer wg.Done()
 			worker := string(rune('A' + id))
 			for i := 0; i < 2000; i++ {
+				grantMu.Lock()
 				l, err := lr.Acquire(worker)
+				if err == nil {
+					// Token strictly increases per shard: the previous
+					// holder's grant can never be re-observed.
+					if prev, ok := grants[l.ref]; ok && l.token <= prev {
+						grantMu.Unlock()
+						t.Errorf("shard %v: token %d not above prior grant %d", l.ref, l.token, prev)
+						return
+					}
+					grants[l.ref] = l.token
+				}
+				grantMu.Unlock()
 				if err != nil {
 					if !errors.Is(err, ErrNoWork) {
 						t.Errorf("acquire: %v", err)
@@ -194,13 +209,6 @@ func TestLeaseDoubleLeaseImpossible(t *testing.T) {
 					lr.Enqueue(refs[i%shards])
 					continue
 				}
-				// Token strictly increases per shard: the previous holder's
-				// grant can never be re-observed.
-				if prev, ok := grants.Load(l.ref); ok && l.token <= prev.(uint64) {
-					t.Errorf("shard %v: token %d not above prior grant %d", l.ref, l.token, prev)
-					return
-				}
-				grants.Store(l.ref, l.token)
 				// Shadow holder map: a successful swap-in means nobody else
 				// currently *thinks* they validly hold this shard. A second
 				// live lease would manifest as two goroutines passing Holds

@@ -72,10 +72,10 @@ type Config struct {
 	// standard RISC-V" (§II).
 	EnableCustomExt bool
 
-	// PredecodeCache enables the host-side raw-bytes→isa.Inst fetch cache
+	// PredecodeCache enables the host-side raw-word→isa.Inst fetch cache
 	// (predecode.go). It is a simulator speedup, not a modelled structure:
-	// it never serves stale bytes (invalidated on committed stores and
-	// fence.i), but toggling it may shift TLB access patterns slightly.
+	// it never serves stale bytes (an entry is used only while memory holds
+	// its word), but toggling it may shift TLB access patterns slightly.
 	PredecodeCache bool
 
 	// PredecodeSuperblock extends the predecode cache to straight-line

@@ -40,7 +40,11 @@ type Core struct {
 	vecBytes  []byte
 	vecStores ring[vecWrite]
 
-	// predec caches raw fetch bytes → decoded instructions (predecode.go);
+	// code reads fetched words for decodeAt and superblock replay, holding
+	// the code page between fetches.
+	code mem.Code
+
+	// predec caches raw fetch words → decoded instructions (predecode.go);
 	// nil when Cfg.PredecodeCache is off.
 	predec *predecode
 
@@ -317,36 +321,14 @@ func (c *Core) Release() {
 	freeCkpts.Put(&c.ckpts)
 }
 
-// Reset re-points the core at a new entry PC with a given stack pointer. On a
-// core that has stepped, any predecoded instructions are dropped: such a
-// Reset follows a program load that rewrote memory behind the core's back. A
-// core fresh from New has decoded nothing, and its tables are left alone.
+// Reset re-points the core at a new entry PC with a given stack pointer.
+// Its decode caches stay: an entry is used only while memory still holds the
+// word it was decoded from, so a program loaded since cannot meet a stale one.
 func (c *Core) Reset(pc, sp uint64) {
 	c.fetchPC = pc
 	c.pf.write(c.rat[isa.SP], sp, 0)
 	c.pf.clobbered = true
 	c.Halted = false
-	if c.now == 0 {
-		return
-	}
-	if c.predec != nil {
-		c.predec.flush()
-	}
-	if c.sblk != nil {
-		c.sblk.flush()
-	}
-}
-
-// InvalidatePredecode drops cached decodes covering [pa, pa+size). The SoC
-// calls it on every hart when any hart commits a store, so cross-core
-// self-modifying code behaves exactly as it does without the cache.
-func (c *Core) InvalidatePredecode(pa uint64, size int) {
-	if c.predec != nil {
-		c.predec.invalidate(pa, size)
-	}
-	if c.sblk != nil {
-		c.sblk.invalidate(pa, size)
-	}
 }
 
 // Reg reads an architectural register through the retirement map (valid when

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"xt910/isa"
-)
-
 // The event-driven clock: every driver passes idle time the same way. It asks
 // NextEvent for the earliest cycle at which any stage of this core could act
 // and, when that lies in the future, has AdvanceIdle replicate the per-cycle
@@ -223,22 +219,18 @@ func (c *Core) ffIssueEstimate(p pipeID, u *uop, floor uint64) (est uint64, know
 		if p == pipeSTA {
 			// st.addr leg: address operands, plus the data operand for the
 			// unified (non-split) store µop, mirroring execStoreAddr
-			if !upd(u.srcPhys[0]) {
-				return 0, false
-			}
-			switch u.inst.Op {
-			case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
-				if !upd(u.srcPhys[1]) {
+			for _, phys := range u.storeAddrPhys() {
+				if !upd(phys) {
 					return 0, false
 				}
 			}
-			if !c.Cfg.SplitStores && !upd(c.ffStoreDataPhys(u)) {
+			if !c.Cfg.SplitStores && !upd(u.storeDataPhys()) {
 				return 0, false
 			}
 			return est, true
 		}
 		// st.data leg: the data operand only, mirroring storeDataVal
-		if !upd(c.ffStoreDataPhys(u)) {
+		if !upd(u.storeDataPhys()) {
 			return 0, false
 		}
 		return est, true
@@ -249,24 +241,4 @@ func (c *Core) ffIssueEstimate(p pipeID, u *uop, floor uint64) (est uint64, know
 		}
 	}
 	return est, true
-}
-
-// ffStoreDataPhys mirrors storeDataVal's source selection without reading
-// the value: the physical register the store's data comes from, or noPhys
-// when the data is constant-ready (storing x0).
-func (c *Core) ffStoreDataPhys(u *uop) int16 {
-	switch u.inst.Op {
-	case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
-		if u.nsrc >= 3 {
-			return u.srcPhys[2]
-		}
-	default:
-		if u.inst.Rs2 == isa.Zero || u.inst.Rs2 == isa.RegNone {
-			return noPhys
-		}
-		if u.nsrc >= 2 {
-			return u.srcPhys[1]
-		}
-	}
-	return noPhys
 }

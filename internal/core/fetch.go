@@ -1,6 +1,7 @@
 package core
 
 import (
+	"xt910/internal/mem"
 	"xt910/internal/mmu"
 	"xt910/isa"
 )
@@ -51,8 +52,9 @@ func (c *Core) fetch() {
 
 	// Superblock replay/build (superblock.go): only while translation is off,
 	// so pa == pc for every instruction in the walk. A hit supplies pre-cracked
-	// instructions to the walk below in place of decodeAt; everything else —
-	// prediction, redirects, queue pressure, timing — runs identically.
+	// instructions to the walk below in place of decodeAt while memory still
+	// holds their words; everything else — prediction, redirects, queue
+	// pressure, timing — runs identically.
 	var sb *sbBlock
 	sbPos := 0
 	build := &c.sbBuild
@@ -66,18 +68,29 @@ func (c *Core) fetch() {
 	for pc < groupEnd && c.fq.len() < c.Cfg.FetchQueue {
 		_, e := c.fq.tail()
 		if sb != nil && sbPos < int(sb.n) {
+			raw, ok := c.code.Held(c.Mem, pc)
+			if !ok {
+				raw = c.code.Load(c.Mem, pc)
+			}
+			if raw != sb.raw[sbPos] {
+				// the word changed since the block was built: keep the
+				// prefix that still holds and record the rest anew
+				*build = *sb
+				build.n, sb = uint8(sbPos), nil
+			}
+		}
+		if sb != nil && sbPos < int(sb.n) {
 			e.sinst = sb.insts[sbPos]
 			sbPos++
 			c.Stats.SuperblockHits++
 		} else {
-			if !c.decodeAt(pc, &e.sinst) {
+			raw, ok := c.decodeAt(pc, &e.sinst)
+			if !ok {
 				// crosses a page we cannot translate yet: stop the group here
 				break
 			}
-			if build.tag != 0 && build.n < sbMaxInsts {
-				build.insts[build.n] = e.sinst
-				build.n++
-				build.endPA = pc + uint64(e.inst.Size)
+			if build.tag != 0 {
+				build.add(raw, &e.sinst)
 			}
 		}
 		c.fq.commit()
@@ -179,53 +192,49 @@ func (c *Core) redirectFetch(branchPC, target uint64) {
 	}
 }
 
-// decodeAt decodes and cracks the instruction at pc into dst, reading
-// through the MMU when translation is active; it reports false (dst
-// unspecified) when a page the instruction touches cannot be translated.
-// With the predecode cache enabled, a prior decode of the same physical
-// address is reused without touching memory, the bit-level decoder or crack;
-// the cache is kept coherent with committed stores and fence.i (see
-// predecode.go).
-func (c *Core) decodeAt(pc uint64, dst *sinst) bool {
+// decodeAt decodes and cracks the instruction at pc into dst and returns
+// the word it was decoded from, reading through the MMU when translation is
+// active; ok is false (dst unspecified) when a page the instruction touches
+// cannot be translated. With the predecode cache enabled, an entry cracked
+// from the word memory holds at the physical address now is reused without
+// the bit-level decoder or crack (predecode.go).
+func (c *Core) decodeAt(pc uint64, dst *sinst) (raw uint32, ok bool) {
 	pa := pc
 	if c.MMU.Enabled() {
 		var err error
 		pa, _, err = c.MMU.Translate(pc, mmu.AccFetch, c.now)
 		if err != nil {
-			return false
+			return 0, false
 		}
 	}
+	if raw, ok = c.code.Held(c.Mem, pa); !ok {
+		raw = c.code.Load(c.Mem, pa)
+	}
 	if c.predec != nil {
-		if s, ok := c.predec.lookup(pa); ok {
+		if s := c.predec.lookup(pa, raw); s != nil {
 			c.Stats.PredecodeHits++
-			*dst = s
-			return true
+			*dst = *s
+			return raw, true
 		}
 		c.Stats.PredecodeMisses++
 	}
-	lo := uint16(c.Mem.Read(pa, 2))
-	if lo&3 != 3 {
-		*dst = crack(isa.Decode16(lo))
-		if c.predec != nil {
-			c.predec.insert(pa, *dst)
-		}
-		return true
-	}
-	pa2 := pa + 2
-	if c.MMU.Enabled() && (pc+2)&4095 == 0 {
+	cacheable := true
+	if raw&3 == 3 && c.MMU.Enabled() && (pc+2)&(mem.PageSize-1) == 0 {
 		// the upper halfword lives on the next virtual page
-		var err error
-		pa2, _, err = c.MMU.Translate(pc+2, mmu.AccFetch, c.now)
+		pa2, _, err := c.MMU.Translate(pc+2, mmu.AccFetch, c.now)
 		if err != nil {
-			return false
+			return 0, false
+		}
+		// only physically-contiguous instructions are cacheable
+		if cacheable = pa2 == pa+2; !cacheable {
+			raw = raw&0xFFFF | uint32(c.Mem.Read(pa2, 2))<<16
 		}
 	}
-	*dst = crack(isa.Decode(uint32(lo) | uint32(uint16(c.Mem.Read(pa2, 2)))<<16))
-	if c.predec != nil && pa2 == pa+2 {
-		// only physically-contiguous instructions are cacheable
-		c.predec.insert(pa, *dst)
+	*dst = crackWord(raw)
+	if c.predec != nil && cacheable {
+		c.predec.insert(pa, raw, dst)
 	}
-	return true
+	return raw, true
 }
 
 // injectFetchFault enqueues a faulting pseudo-instruction so the instruction

@@ -44,41 +44,59 @@ func (c *Core) findLQ(u *uop) *lqEntry {
 	return nil
 }
 
-// storeDataVal extracts the store's data value from its renamed sources.
-// Standard stores read data from Rs2 (the second renamed source); custom
-// indexed stores read data from Rd (the third renamed source, via Sources).
-func (c *Core) storeDataVal(u *uop) (int16, uint64, bool) {
-	var phys int16 = noPhys
-	switch u.inst.Op {
-	case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
-		if u.nsrc >= 3 {
-			phys = u.srcPhys[2]
-		}
-	default:
-		// rs2 is the data source; rs1 (base) is srcPhys[0]
-		if u.inst.Rs2 == isa.Zero || u.inst.Rs2 == isa.RegNone {
-			return noPhys, 0, true // storing x0: data is zero and ready
-		}
-		if u.nsrc >= 2 {
-			phys = u.srcPhys[1]
-		}
+// storeAddrPhys are the physical registers the st.addr leg reads: the base
+// (rs1), and for the custom indexed stores (rs1 + rs2<<imm) the index too.
+func (u *uop) storeAddrPhys() []int16 {
+	if isIndexedStore(u.inst.Op) {
+		return u.srcPhys[:2]
 	}
+	return u.srcPhys[:1]
+}
+
+// storeDataPhys is the physical register a store's data comes from, or
+// noPhys when the data is constant-ready (storing x0). Standard stores read
+// data from Rs2 (the second renamed source); custom indexed stores read data
+// from Rd (the third renamed source, via Sources).
+func (u *uop) storeDataPhys() int16 {
+	switch {
+	case isIndexedStore(u.inst.Op):
+		if u.nsrc >= 3 {
+			return u.srcPhys[2]
+		}
+	case u.inst.Rs2 != isa.Zero && u.inst.Rs2 != isa.RegNone && u.nsrc >= 2:
+		return u.srcPhys[1]
+	}
+	return noPhys
+}
+
+func isIndexedStore(op isa.Op) bool {
+	switch op {
+	case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
+		return true
+	}
+	return false
+}
+
+// storeDataVal reads the store's data value, or reports it not ready yet.
+func (c *Core) storeDataVal(u *uop) (uint64, bool) {
+	phys := u.storeDataPhys()
 	if phys == noPhys {
-		return noPhys, 0, true
+		return 0, true
 	}
 	if !c.pf.ready(phys, c.now) {
-		return phys, 0, false
+		return 0, false
 	}
-	return phys, c.pf.read(phys), true
+	return c.pf.read(phys), true
 }
 
 // addrSrcsReady: the st.addr leg needs only the address operands.
 func (c *Core) addrSrcsReady(u *uop) bool {
-	switch u.inst.Op {
-	case isa.XSRB, isa.XSRH, isa.XSRW, isa.XSRD:
-		return c.pf.ready(u.srcPhys[0], c.now) && c.pf.ready(u.srcPhys[1], c.now)
+	for _, phys := range u.storeAddrPhys() {
+		if !c.pf.ready(phys, c.now) {
+			return false
+		}
 	}
-	return c.pf.ready(u.srcPhys[0], c.now)
+	return true
 }
 
 // execStoreAddr is the st.addr µOp (§V-B): address generation, uTLB access
@@ -95,7 +113,7 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 	if !c.Cfg.SplitStores {
 		// unified store µOp: both operands must be ready before it issues,
 		// and the data is captured here (no separate st.data pipe)
-		_, val, ready := c.storeDataVal(u)
+		val, ready := c.storeDataVal(u)
 		if !ready {
 			return false
 		}
@@ -156,16 +174,14 @@ func (c *Core) execStoreAddr(idx int, u *uop) bool {
 
 // BroadcastWrite carries a write hart `from` has committed to the other harts
 // — what the coherence fabric's invalidation does for them. Their LR/SC
-// reservations covering it die (the invalidation a real SC relies on), their
-// predecoded instructions over the range drop (cross-hart self-modifying code
-// stays exact), and their speculatively-executed overlapping loads squash.
-// Whatever sits between the harts (soc.System, a cosim session) calls this
-// from each core's MemWriteHook.
+// reservations covering it die (the invalidation a real SC relies on), and
+// their speculatively-executed overlapping loads squash. Whatever sits
+// between the harts (soc.System, a cosim session) calls this from each core's
+// MemWriteHook.
 func BroadcastWrite(harts []*Core, pa uint64, size int, from int) {
 	for _, c := range harts {
 		if c.ID != from {
 			c.KillReservation(pa, size)
-			c.InvalidatePredecode(pa, size)
 			c.squashCoherentLoads(pa, size)
 		}
 	}
@@ -197,7 +213,7 @@ func (c *Core) execStoreData(u *uop) bool {
 	if u.dataDone {
 		return false
 	}
-	_, val, ready := c.storeDataVal(u)
+	val, ready := c.storeDataVal(u)
 	if !ready {
 		return false
 	}

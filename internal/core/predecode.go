@@ -3,15 +3,15 @@ package core
 import "xt910/internal/recycle"
 
 // predecode is a direct-mapped cache of decoded, pre-cracked instructions
-// keyed by physical address: raw fetch bytes → sinst (static.go), so
-// steady-state fetch skips the bit-level decoder (and the second halfword
-// read of 4-byte encodings) and the derivation of the per-opcode static facts
-// on every cycle. It is a host-simulation optimization with no architectural
-// or timing meaning of its own — the real XT-910 has no such structure — so
-// correctness demands it never serve stale bytes: entries covering a
-// committed store (this hart's or, via the coherence fabric, any other
-// hart's) are dropped immediately, and fence.i / icache.iall flush it
-// entirely, mirroring what they do to the L1I.
+// keyed by physical address: raw fetch word → sinst (static.go), so
+// steady-state fetch skips the bit-level decoder and the derivation of the
+// per-opcode static facts on every cycle. It is a host-simulation
+// optimization with no architectural or timing meaning of its own — the real
+// XT-910 has no such structure. An entry serves a fetch only while memory
+// still holds the word it was cracked from: crack(isa.Decode(raw)) depends on
+// nothing else, so whoever changed the bytes — a store of any hart, a loader,
+// a fault injector — the cache cannot answer with anything a fresh decode
+// would not, and nothing has to invalidate it.
 //
 // Keying by physical address makes the cache immune to virtual aliasing and
 // satp changes; an instruction whose two halfwords are not physically
@@ -23,15 +23,16 @@ const (
 
 type predecode struct {
 	// tag[i] holds pa|1 for a valid entry describing the instruction whose
-	// first halfword lives at pa; 0 is free (pa is always 2-byte aligned,
-	// so bit 0 doubles as the valid bit).
+	// first halfword lives at pa, cracked from raw[i]; 0 is free (pa is
+	// always 2-byte aligned, so bit 0 doubles as the valid bit).
 	tag  [predecodeEntries]uint64
+	raw  [predecodeEntries]uint32
 	inst [predecodeEntries]sinst
 }
 
 // freePredecodes recycles whole tables between cores: every tag on a recycled
-// one is free (release), and inst is never read under a free tag, so it is as
-// good as a new one.
+// one is free (release), and nothing else is read under a free tag, so it is
+// as good as a new one.
 var freePredecodes recycle.Objects[predecode]
 
 func newPredecode() *predecode {
@@ -41,54 +42,29 @@ func newPredecode() *predecode {
 	return &predecode{}
 }
 
-// release hands the table to the next newPredecode. It must not be used
-// afterwards.
+// release hands the table, every tag free, to the next newPredecode. It must
+// not be used afterwards.
 func (p *predecode) release() {
-	p.flush()
+	clear(p.tag[:])
 	freePredecodes.Put(p)
 }
 
 func predecodeIdx(pa uint64) uint64 { return (pa >> 1) & predecodeMask }
 
-func (p *predecode) lookup(pa uint64) (sinst, bool) {
+// lookup returns the entry for the instruction at pa when it was cracked from
+// raw, the word memory holds there now, or nil.
+func (p *predecode) lookup(pa uint64, raw uint32) *sinst {
 	i := predecodeIdx(pa)
-	if p.tag[i] == pa|1 {
-		return p.inst[i], true
+	if p.tag[i] == pa|1 && p.raw[i] == raw {
+		return &p.inst[i]
 	}
-	return sinst{}, false
+	return nil
 }
 
-func (p *predecode) insert(pa uint64, in sinst) {
+func (p *predecode) insert(pa uint64, raw uint32, in *sinst) {
 	if pa&1 != 0 {
 		return // misaligned fetch: not cacheable
 	}
 	i := predecodeIdx(pa)
-	p.tag[i] = pa | 1
-	p.inst[i] = in
-}
-
-// invalidate drops every entry whose instruction bytes overlap [pa, pa+size).
-// An entry starting at t covers at most t..t+3, so the scan starts two bytes
-// below the write. The scan is count-based so it is immune to uint64 wrap:
-// near the top of the address space pa+size overflows to 0, which used to
-// terminate an address-compared loop before it ran and leave stale entries
-// live across a committed store. Granule addresses themselves wrap mod 2^64,
-// matching how insert keys them.
-func (p *predecode) invalidate(pa uint64, size int) {
-	if size <= 0 {
-		return
-	}
-	start := (pa &^ 1) - 2 // wraps intentionally: an entry at ^uint64(0)-1 spans address 0
-	n := (pa - start + uint64(size) + 1) / 2
-	for k := uint64(0); k < n; k++ {
-		g := start + 2*k
-		i := predecodeIdx(g)
-		if p.tag[i] == g|1 {
-			p.tag[i] = 0
-		}
-	}
-}
-
-func (p *predecode) flush() {
-	clear(p.tag[:])
+	p.tag[i], p.raw[i], p.inst[i] = pa|1, raw, *in
 }

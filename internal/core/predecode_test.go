@@ -4,76 +4,59 @@ import (
 	"testing"
 
 	"xt910/internal/asm"
+	"xt910/internal/mem"
 )
 
 func TestPredecodeUnit(t *testing.T) {
 	p := newPredecode()
 	in4 := asmInstForTest(t, "addi a0, a0, 2")
-	p.insert(0x1000, in4)
-	if got, ok := p.lookup(0x1000); !ok || got != in4 {
+	const raw = 0x00250513 // addi a0, a0, 2
+	p.insert(0x1000, raw, &in4)
+	if got := p.lookup(0x1000, raw); got == nil || *got != in4 {
 		t.Fatal("insert/lookup round trip failed")
 	}
-	if _, ok := p.lookup(0x1002); ok {
+	if p.lookup(0x1002, raw) != nil {
 		t.Fatal("neighbouring granule must miss")
 	}
-
-	// a write to any byte the instruction may span drops the entry
-	for _, wr := range []struct {
-		addr uint64
-		size int
-		hit  bool
-	}{
-		{0x0ffc, 2, true},  // ends below the entry: untouched
-		{0x0ffe, 2, true},  // ends at 0xfff, still below the entry
-		{0x0ffe, 4, false}, // overlaps the first halfword
-		{0x1000, 1, false}, // first byte
-		{0x1003, 1, false}, // last byte of the 4-byte encoding
-		{0x1004, 8, true},  // starts past the entry
-	} {
-		p.flush()
-		p.insert(0x1000, in4)
-		p.invalidate(wr.addr, wr.size)
-		if _, ok := p.lookup(0x1000); ok != wr.hit {
-			t.Fatalf("write [%#x,+%d): lookup hit=%v, want %v", wr.addr, wr.size, ok, wr.hit)
-		}
+	if p.lookup(0x1000, raw+1<<20) != nil {
+		t.Fatal("an entry must not serve a word it was not cracked from")
 	}
-
-	// underflow guard: invalidating at address 0 must not wrap
-	p.invalidate(0, 4)
-	p.flush()
-	if _, ok := p.lookup(0x1000); ok {
-		t.Fatal("flush must empty the cache")
+	p.insert(0x1011, raw, &in4)
+	if p.lookup(0x1011, raw) != nil {
+		t.Fatal("a misaligned fetch must not be cached")
 	}
 }
 
-// TestPredecodeInvalidateWrapBoundary is the fixed repro for the wrap-boundary
-// bug: a store whose byte range reaches the top of the address space makes
-// pa+size overflow to 0, so the scan's `g < pa+size` condition was false on
-// entry and nothing was invalidated — stale decodes survived a committed
-// store. A 4-byte store straddling the 2-byte granules at the boundary must
-// drop every entry it touches.
-func TestPredecodeInvalidateWrapBoundary(t *testing.T) {
-	in4 := asmInstForTest(t, "addi a0, a0, 2")
-	top := ^uint64(0) - 3 // 0xfff...fffc: last 2-byte-aligned 4-byte slot
+// TestPredecodeWrapBoundary: at the top of the address space, where a 32-bit
+// instruction on the last halfword continues at address 0, an entry serves
+// only while every byte it was cracked from is unchanged — a write on either
+// side of the wrap, through no store path at all, retires it.
+func TestPredecodeWrapBoundary(t *testing.T) {
+	c, memory := buildCore(XT910Config())
+	addi := func(imm uint32) uint32 { return 0x00050513 | imm<<20 } // addi a0, a0, imm
+	decode := func(pa uint64, want uint32, hit bool) {
+		t.Helper()
+		hits := c.Stats.PredecodeHits
+		var got sinst
+		if raw, ok := c.decodeAt(pa, &got); !ok || raw != want || got != crackWord(want) {
+			t.Fatalf("decodeAt(%#x) = %#x, %v; want %#x decoded afresh", pa, raw, ok, want)
+		}
+		if (c.Stats.PredecodeHits > hits) != hit {
+			t.Fatalf("decodeAt(%#x): predecode hit = %v, want %v", pa, !hit, hit)
+		}
+	}
+	top := ^uint64(0) - 3 // the last 4-byte slot
+	memory.Write(top, 4, uint64(addi(1)))
+	decode(top, addi(1), false)
+	decode(top, addi(1), true)
+	memory.Write(top+2, 4, uint64(addi(3)>>16|0x1234<<16)) // wraps to address 0
+	decode(top, addi(3), false)
 
-	p := newPredecode()
-	p.insert(top, in4)
-	p.invalidate(top, 4) // pa+size wraps to 0
-	if _, ok := p.lookup(top); ok {
-		t.Fatalf("store [%#x,+4) left the entry at %#x live (pa+size overflow)", top, top)
-	}
-
-	// The same store spans two granules; both must be dropped.
-	p.flush()
-	p.insert(top, in4)
-	p.insert(top+2, in4) // entry whose 4 bytes wrap past the boundary
-	p.invalidate(top+2, 4)
-	if _, ok := p.lookup(top); ok {
-		t.Fatalf("straddling store left the lower granule entry at %#x live", top)
-	}
-	if _, ok := p.lookup(top + 2); ok {
-		t.Fatalf("straddling store left the upper granule entry at %#x live", top+2)
-	}
+	memory.Write(top+2, 4, uint64(addi(5))) // straddles the wrap
+	decode(top+2, addi(5), false)
+	decode(top+2, addi(5), true)
+	memory.Write(0, 2, uint64(addi(7)>>16)) // only its upper half
+	decode(top+2, addi(7), false)
 }
 
 // asmInstForTest assembles a single instruction and decodes it back into its
@@ -87,7 +70,7 @@ func asmInstForTest(t *testing.T, src string) sinst {
 	c, memory := buildCore(XT910Config())
 	prog.LoadInto(memory)
 	var got sinst
-	if !c.decodeAt(0x1000, &got) {
+	if _, ok := c.decodeAt(0x1000, &got); !ok {
 		t.Fatal("decodeAt failed")
 	}
 	return got
@@ -126,9 +109,9 @@ func TestPredecodeSelfModifyingCode(t *testing.T) {
 	}
 }
 
-// TestPredecodeSelfModifyingNoFence exercises the conservative invalidation:
-// even without fence.i the model (cached or not) picks up the committed
-// store, because the cache drops overlapping entries at commit time.
+// TestPredecodeSelfModifyingNoFence: without fence.i the model picks up the
+// committed store or not as fetch timing decides, and the cache cannot change
+// which, because an entry serves only while memory holds its word.
 const smcNoFenceProgram = `
 _start:
     li   a0, 0
@@ -268,4 +251,78 @@ loop:
 			}
 		})
 	}
+}
+
+// decodeCacheLoop runs its six-instruction body 400 times; the fuzz target
+// below rewrites one body word while the loop is running.
+const decodeCacheLoop = `
+_start:
+    li   t0, 400
+    li   a0, 0
+loop:
+    addi a0, a0, 3
+    xor  a1, a1, a0
+    slli t1, a0, 2
+    add  a1, a1, t1
+    addi t0, t0, -1
+    bnez t0, loop
+    li   a7, 93
+    ecall
+`
+
+// FuzzDecodeCache: run the loop for warm cycles with predecode and
+// superblocks on, rewrite one body word straight through memory — no store,
+// no hook, no fence.i, no Reset — and resume. Every instruction fetched from
+// then on must be cracked from the word memory holds at its pc: a decode
+// cache that serves the old word fails. inject flips bit bit of the slot
+// through InjectMemBit, the fault campaign's memory channel, instead of
+// writing word.
+func FuzzDecodeCache(f *testing.F) {
+	f.Add(uint16(300), uint8(0), uint32(0x00550513), false, uint8(0)) // addi a0, a0, 5
+	f.Add(uint16(500), uint8(4), uint32(0x00000013), false, uint8(0)) // the counter's addi becomes a nop
+	f.Add(uint16(400), uint8(1), uint32(0x4505), false, uint8(0))     // c.li a0, 1 over the xor
+	f.Add(uint16(300), uint8(0), uint32(0), true, uint8(21))          // flips the addi's immediate
+	prog, err := asm.Assemble(decodeCacheLoop, asm.Options{Base: 0x1000})
+	if err != nil {
+		f.Fatal(err)
+	}
+	loop := prog.Symbols["loop"]
+	f.Fuzz(func(t *testing.T, warm uint16, slot uint8, word uint32, inject bool, bit uint8) {
+		c, memory := buildCore(XT910Config())
+		prog.LoadInto(memory)
+		c.Reset(prog.Entry, 0x80000)
+		for i := 0; i < int(warm%2000) && !c.Halted; i++ {
+			c.Step()
+		}
+		pa := loop + 4*uint64(slot%6)
+		if inject {
+			c.InjectMemBit(pa+uint64(bit/8%4), uint(bit))
+		} else {
+			memory.Write(pa, 4, uint64(word))
+		}
+		for from := c.now; c.now < from+1000 && !c.Halted; {
+			c.Step()
+			for i := 0; i < c.fq.len(); i++ {
+				e := c.fq.at(i)
+				if e.readyAt-uint64(e.fetchLag) != c.now-1 {
+					continue // fetched before this cycle
+				}
+				raw := memWord(memory, e.pc)
+				if e.sinst != crackWord(raw) {
+					t.Fatalf("cycle %d: fetch at %#x gave %v; memory holds %#x, which decodes to %v",
+						c.now-1, e.pc, e.inst, raw, crackWord(raw).inst)
+				}
+			}
+		}
+	})
+}
+
+// memWord is the instruction word memory holds at pa, read without the core's
+// reader.
+func memWord(memory *mem.Memory, pa uint64) uint32 {
+	w := uint32(memory.Read(pa, 4))
+	if w&3 != 3 {
+		w &= 0xFFFF
+	}
+	return w
 }

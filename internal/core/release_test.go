@@ -73,37 +73,47 @@ func TestReleaseRestoresConstructorState(t *testing.T) {
 	}
 }
 
-// TestResetDropsDecodesOnlyOnceStepped: Reset on a core fresh from New has
-// nothing to drop; on a core that has stepped it still empties both decode
-// tables, because the program may have been replaced behind it.
-func TestResetDropsDecodesOnlyOnceStepped(t *testing.T) {
-	p, err := workloads.CoreMark.Program(1, true)
+// TestReloadDecodesNewImage: Reset leaves the decode tables as they are, and
+// after another program is loaded over the one that filled them, every
+// halfword of the new image decodes to what memory holds — an entry serves
+// only while memory holds the word it was decoded from.
+func TestReloadDecodesNewImage(t *testing.T) {
+	first, err := workloads.CoreMark.Program(1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := workloads.AIDotScalar.Program(1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, memory := buildCore(XT910Config())
-	p.LoadInto(memory)
-	c.Reset(p.Entry, 0x400000)
-	c.Run(2000)
+	first.LoadInto(memory)
+	c.Reset(first.Entry, 0x400000)
+	c.Run(50_000_000)
 	live := func() (n int) {
 		for _, tag := range c.predec.tag {
 			if tag != 0 {
 				n++
 			}
 		}
-		for i := range c.sblk.blk {
-			if c.sblk.blk[i].tag != 0 {
-				n++
-			}
-		}
 		return n
 	}
-	if live() == 0 {
-		t.Fatal("2000 cycles must have decoded something")
+	before := live()
+	second.LoadInto(memory)
+	c.Reset(second.Entry, 0x400000)
+	if n := live(); before == 0 || n != before {
+		t.Fatalf("predecode entries: %d before Reset, %d after; want the same, nonzero", before, n)
 	}
-	c.Reset(p.Entry, 0x400000)
-	if n := live(); n != 0 {
-		t.Fatalf("Reset on a stepped core left %d decoded entries", n)
+	hits := c.Stats.PredecodeHits
+	for pa := second.Base; pa < second.End(); pa += 2 {
+		want := memWord(memory, pa)
+		var got sinst
+		if raw, ok := c.decodeAt(pa, &got); !ok || raw != want || got != crackWord(want) {
+			t.Fatalf("decodeAt(%#x) = %#x, %v: a stale decode of the first image", pa, raw, ok)
+		}
+	}
+	if c.Stats.PredecodeHits == hits {
+		t.Fatal("no halfword of the new image hit an entry left by the first")
 	}
 }
 

@@ -253,7 +253,7 @@ func (c *Core) executeAtRetire(u *uop) bool {
 			c.PF.Flush()
 			u.flushAfter = true
 		case isa.FENCEI:
-			c.flushICache()
+			c.L1I.Cache.InvalidateAll()
 			u.flushAfter = true
 		case isa.WFI:
 			// §II timers: wait-for-interrupt parks the hart until an
@@ -375,13 +375,11 @@ func (c *Core) commitDeviceLoad(u *uop) {
 	c.pf.write(u.newPhys, isa.ExtendLoad(u.inst.Op, c.MMIO.Read(u.addr, size), size), u.readyAt)
 }
 
-// notifyWrite publishes a committed write to the SoC fabric and drops any
-// predecoded instructions the write overlaps (self-modifying code). The
-// hart's own LR/SC reservation dies too when the write touches the reserved
-// line — an intervening store must fail a following SC, exactly as in the
-// golden model (the SoC hook covers only the *other* harts).
+// notifyWrite publishes a committed write to the SoC fabric. The hart's own
+// LR/SC reservation dies when the write touches the reserved line — an
+// intervening store must fail a following SC, exactly as in the golden model
+// (the SoC hook covers only the *other* harts).
 func (c *Core) notifyWrite(pa uint64, size int) {
-	c.InvalidatePredecode(pa, size)
 	c.KillReservation(pa, size)
 	if c.MemWriteHook != nil {
 		c.MemWriteHook(pa, size, c.ID)
@@ -407,7 +405,7 @@ func (c *Core) execCacheOpAtRetire(u *uop) {
 	case isa.XDCACHEIVA:
 		c.L1D.FlushVA(c.srcVal(u, 0), true, c.now)
 	case isa.XICACHEIALL:
-		c.flushICache()
+		c.L1I.Cache.InvalidateAll()
 		u.flushAfter = true
 	case isa.XSYNC:
 		u.flushAfter = true
@@ -424,17 +422,6 @@ func (c *Core) execCacheOpAtRetire(u *uop) {
 			c.TLBBroadcast(u.inst.Op, c.srcVal(u, 0), c.ID)
 		}
 		u.flushAfter = true
-	}
-}
-
-// flushICache invalidates the L1I and every decode cached from it.
-func (c *Core) flushICache() {
-	c.L1I.Cache.InvalidateAll()
-	if c.predec != nil {
-		c.predec.flush()
-	}
-	if c.sblk != nil {
-		c.sblk.flush()
 	}
 }
 

@@ -7,8 +7,8 @@ import "xt910/isa"
 // re-derive from the opcode per dynamic instance. crack computes it once,
 // where the bit-level decoder runs; the predecode and superblock caches store
 // it and fetch → IBUF → ROB carry it by value (a µop must not point into a
-// cache entry that a conflicting fill or a committed store can rewrite while
-// the µop is in flight).
+// cache entry that a conflicting fill can rewrite while the µop is in
+// flight).
 type sinst struct {
 	inst  isa.Inst
 	class isa.Class
@@ -67,6 +67,15 @@ func crack(in isa.Inst) sinst {
 		s.flags |= sfBlocksLoads
 	}
 	return s
+}
+
+// crackWord cracks a fetched word: a 16-bit form when its low parcel says
+// so, the upper half ignored then.
+func crackWord(raw uint32) sinst {
+	if raw&3 != 3 {
+		return crack(isa.Decode16(uint16(raw)))
+	}
+	return crack(isa.Decode(raw))
 }
 
 func isCustomOp(op isa.Op) bool {

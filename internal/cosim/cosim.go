@@ -47,9 +47,9 @@
 // interleaving of architectural effects is exactly the core-world global
 // commit order — which is what makes per-commit register compare and
 // shared-memory compare sound across harts. Cross-hart coupling is the SoC
-// fabric's (core.BroadcastWrite): a committed store kills remote reservations,
-// invalidates remote predecode, and squashes remote speculatively-executed
-// overlapping loads (the snoop-triggered machine clear); the emulators
+// fabric's (core.BroadcastWrite): a committed store kills remote reservations
+// and squashes remote speculatively-executed overlapping loads (the
+// snoop-triggered machine clear); the emulators
 // broadcast reservation kills the same way. The system's CLINT is frozen
 // (mtime stays 0) and the emulators get one of their own, so MSIP IPIs
 // deliver at identical commit positions; a lone hart's device window is
@@ -389,8 +389,8 @@ func NewSession(p *asm.Program, opts Options) *Session {
 
 	written := s.written
 	// Committed-write broadcast, the SoC fabric's: the other harts' reservations
-	// die, their predecode over the range drops, and their speculatively-
-	// executed overlapping loads squash. The emulators kill reservations alike.
+	// die and their speculatively-executed overlapping loads squash. The
+	// emulators kill reservations alike.
 	coreWrite := func(pa uint64, size int, from int) {
 		written.mark(pa, size)
 		core.BroadcastWrite(sys.Cores, pa, size, from)

@@ -54,13 +54,8 @@ type Machine struct {
 	// tab holds the soft TLB and the decode memo.
 	tab *tables
 
-	// code is the physical page fetchPage last read a word from, based at
-	// codeBase and taken from codeMem at its generation codeGen; nil before
-	// the first. fetch reads it directly while translation is off.
-	code     *[mem.PageSize]byte
-	codeBase uint64
-	codeMem  *mem.Memory
-	codeGen  uint64
+	// code reads fetched words, holding the code page between fetches.
+	code mem.Code
 
 	// IntSource, when set, returns the externally-driven mip bits
 	// (MSIP/MTIP/MEIP), checked before every instruction — the synchronous

@@ -1,8 +1,6 @@
 package emu
 
 import (
-	"encoding/binary"
-
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
 	"xt910/isa"
@@ -152,17 +150,11 @@ func (m *Machine) Fetch(va uint64) (isa.Inst, error) {
 
 // fetch is Fetch for Step: the slot returned is the memo's own, good until
 // the next fetch and not to be written to. While translation is off it reads
-// the word from the held code page, which the memory hands out once and
-// which stays its page until the memory's Generation moves; any other fetch —
-// translated, from another page, straddling a page end, after a Release or
-// RestoreSnapshot, or on a machine given another memory — takes fetchPage.
+// the word from the held code page (mem.Code); any other fetch — translated,
+// from another page, or after the memory took its pages away — takes
+// fetchPage.
 func (m *Machine) fetch(va uint64) (*memoEntry, error) {
-	if off := va - m.codeBase; off <= mem.PageSize-4 && m.codeMem == m.Mem &&
-		m.codeGen == m.Mem.Generation() && m.untranslated() {
-		raw := binary.LittleEndian.Uint32(m.code[off : off+4])
-		if raw&3 != 3 {
-			raw &= 0xFFFF
-		}
+	if raw, ok := m.code.Held(m.Mem, va); ok && m.untranslated() {
 		if e := m.memoSlot(va); e.raw == raw && e.kind != kindEmpty {
 			return e, nil
 		}
@@ -171,30 +163,22 @@ func (m *Machine) fetch(va uint64) (*memoEntry, error) {
 	return m.fetchPage(va)
 }
 
-// fetchPage translates va, reads the word through the memory and holds its
-// page, when there is one, for the untranslated fetches after.
+// fetchPage translates va and reads the word at the physical address,
+// holding its page for the fetches after; a 32-bit form whose upper half
+// lies on the next virtual page reads that half where its own translation
+// puts it.
 func (m *Machine) fetchPage(va uint64) (*memoEntry, error) {
 	pa, err := m.translate(va, mmu.AccFetch)
 	if err != nil {
 		return nil, err
 	}
-	var raw uint32
-	if off := pa & (mem.PageSize - 1); off <= mem.PageSize-4 {
-		// a 32-bit instruction would end on this page: one read serves both forms
-		if p := m.Mem.Page(pa); p != nil {
-			raw = binary.LittleEndian.Uint32(p[off : off+4])
-			m.code, m.codeBase, m.codeMem, m.codeGen = p, pa-off, m.Mem, m.Mem.Generation()
-		}
-		if raw&3 != 3 {
-			raw &= 0xFFFF
-		}
-	} else if raw = uint32(m.Mem.Read(pa, 2)); raw&3 == 3 {
-		// 32-bit: the upper half sits on the next (possibly different) page
+	raw := m.code.Load(m.Mem, pa)
+	if pa&(mem.PageSize-1) == mem.PageSize-2 && raw&3 == 3 {
 		pa2, err := m.translate(va+2, mmu.AccFetch)
 		if err != nil {
 			return nil, err
 		}
-		raw |= uint32(m.Mem.Read(pa2, 2)) << 16
+		raw = raw&0xFFFF | uint32(m.Mem.Read(pa2, 2))<<16
 	}
 	return m.decoded(pa, raw), nil
 }

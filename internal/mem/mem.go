@@ -50,7 +50,7 @@ type Memory struct {
 	last   *[PageSize]byte
 	lastPN uint64
 
-	// gen counts the calls that took page arrays away (Generation).
+	// gen counts the calls that took page arrays away (Code).
 	gen uint64
 }
 
@@ -93,17 +93,50 @@ func (m *Memory) Release() {
 	m.gen++
 }
 
-// Page returns the page holding addr, to be read and never written, or nil
-// when the page was never touched (a write allocates it, as a new array). The
-// array stays the page's until Generation moves: it is allocated once and
-// replaced only by Release and RestoreSnapshot, so whoever writes the page
-// later writes it, and a holder reads what Read would.
-func (m *Memory) Page(addr uint64) *[PageSize]byte { return m.page(addr, false) }
+// Code reads instruction words for a fetch path. It holds the page it last
+// read a word from, which stays that memory's page until a Release or
+// RestoreSnapshot takes page arrays away (gen), so whoever writes the page
+// later — a store, another hart, a loader, a fault injector — writes it, and
+// a held word reads what Read would. The zero value holds nothing.
+type Code struct {
+	page *[PageSize]byte
+	base uint64
+	mem  *Memory
+	gen  uint64
+}
 
-// Generation counts the calls to Release and RestoreSnapshot, the only ones
-// that take page arrays from the memory; a page Page returned is still the
-// memory's while Generation reads as it did then.
-func (m *Memory) Generation() uint64 { return m.gen }
+// Held returns the instruction at pa when its word lies on the held page and
+// that page is still m's: the 32-bit little-endian word there, its upper half
+// cleared when the low parcel is a 16-bit form. It is Load's fast path, small
+// enough to inline into a fetch loop; ok is false when Load must answer.
+func (c *Code) Held(m *Memory, pa uint64) (raw uint32, ok bool) {
+	if off := pa - c.base; off <= PageSize-4 && c.mem == m && c.gen == m.gen {
+		return instWord(binary.LittleEndian.Uint32(c.page[off : off+4])), true
+	}
+	return 0, false
+}
+
+// Load returns the instruction at pa in m, as Held does, read through the
+// memory; it holds pa's page, when m has it, for the Held calls after. The
+// bytes are physically contiguous, so a 32-bit form starting on a page's last
+// halfword is read from the next physical page; a fetch through a
+// translation that places that half elsewhere re-reads it.
+func (c *Code) Load(m *Memory, pa uint64) uint32 {
+	if off := pa & (PageSize - 1); off <= PageSize-4 {
+		if p := m.page(pa, false); p != nil {
+			c.page, c.base, c.mem, c.gen = p, pa-off, m, m.gen
+			return instWord(binary.LittleEndian.Uint32(p[off : off+4]))
+		}
+	}
+	return instWord(uint32(m.Read(pa, 4)))
+}
+
+func instWord(w uint32) uint32 {
+	if w&3 != 3 {
+		return w & 0xFFFF
+	}
+	return w
+}
 
 // LoadByte returns the byte at addr (0 for untouched memory).
 func (m *Memory) LoadByte(addr uint64) byte {

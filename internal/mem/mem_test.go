@@ -173,3 +173,41 @@ func TestStoreBytesSpansPages(t *testing.T) {
 		t.Fatal("an empty store must not touch a page")
 	}
 }
+
+// TestCodeReadsWhatMemoryHolds: a held page answers with the bytes a write
+// left there, whoever wrote them, and stops answering once the memory takes
+// its pages away or another memory is asked; Load reads a 32-bit form on a
+// page's last halfword from the next page, and a 16-bit form alone.
+func TestCodeReadsWhatMemoryHolds(t *testing.T) {
+	m := NewMemory()
+	var c Code
+	if _, ok := c.Held(m, 0x1000); ok {
+		t.Fatal("the zero Code must hold nothing")
+	}
+	m.Write(0x1000, 4, 0x00250513)
+	if got := c.Load(m, 0x1000); got != 0x00250513 {
+		t.Fatalf("Load = %#x", got)
+	}
+	m.Write(0x1002, 2, 0x0035)
+	if got, ok := c.Held(m, 0x1000); !ok || got != 0x00350513 {
+		t.Fatalf("Held after a write = %#x, %v; want the new word", got, ok)
+	}
+	m.Write(0x1004, 4, 0xFFFF4505) // c.li a0, 1: the upper half is not its
+	if got, _ := c.Held(m, 0x1004); got != 0x4505 {
+		t.Fatalf("Held of a 16-bit form = %#x", got)
+	}
+	if _, ok := c.Held(NewMemory(), 0x1000); ok {
+		t.Fatal("a page of one memory must not answer for another")
+	}
+	m.RestoreSnapshot(m.Snapshot())
+	if _, ok := c.Held(m, 0x1000); ok {
+		t.Fatal("a page RestoreSnapshot replaced must not answer")
+	}
+	m.Write(PageSize-2, 4, 0x00250513)
+	if got := c.Load(m, PageSize-2); got != 0x00250513 {
+		t.Fatalf("Load across a page end = %#x", got)
+	}
+	if _, ok := c.Held(m, PageSize-2); ok {
+		t.Fatal("a word crossing the page end must not be read from the held page")
+	}
+}

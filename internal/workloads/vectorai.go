@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"xt910/internal/vector"
 )
 
 // The AI kernels reproduce the §X vector claim: "the Cortex-A73 supports 8X
@@ -155,37 +157,11 @@ hdot:
 ` + exit)
 	b.WriteString("\n.align 4\nhvec_x:\n")
 	for i := 0; i < 512; i++ {
-		b.WriteString(fmt.Sprintf("    .half 0x%04x\n", fp16Of(float32(i%13)*0.25-1.5)))
+		b.WriteString(fmt.Sprintf("    .half 0x%04x\n", vector.F32ToF16(float32(i%13)*0.25-1.5)))
 	}
 	b.WriteString("hvec_w:\n")
 	for i := 0; i < 512; i++ {
-		b.WriteString(fmt.Sprintf("    .half 0x%04x\n", fp16Of(float32(i%7)*0.125-0.375)))
+		b.WriteString(fmt.Sprintf("    .half 0x%04x\n", vector.F32ToF16(float32(i%7)*0.125-0.375)))
 	}
 	return b.String()
-}
-
-// fp16Of converts to IEEE binary16 (mirrors internal/vector's conversion; a
-// local copy keeps this package free of simulator imports).
-func fp16Of(f float32) uint16 {
-	// only small exact values are used, so truncation is fine here
-	switch {
-	case f == 0:
-		return 0
-	}
-	sign := uint16(0)
-	if f < 0 {
-		sign = 0x8000
-		f = -f
-	}
-	exp := 15
-	for f >= 2 {
-		f /= 2
-		exp++
-	}
-	for f < 1 {
-		f *= 2
-		exp--
-	}
-	frac := uint16((f - 1) * 1024)
-	return sign | uint16(exp)<<10 | frac
 }
