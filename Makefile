@@ -21,8 +21,8 @@ test:
 	$(GO) test ./...
 
 # cli-smoke runs the CLIs end to end: xtfuzz on a fixed seed set in each of
-# its modes (plain, paged, irq, smp), the xtinject fault campaign and the
-# xttrace self-check, each twice — at -jobs 1 and at the default width — and
+# its modes (plain, paged, irq, smp), the xtinject fault campaign, each twice
+# — at -jobs 1 and at the default width — and xt910sim's trace self-check and
 # the five examples/ programs, twice each, from binaries built once; every run
 # must exit clean and the two outputs of a row must be byte-identical
 # (cmd/smoke_test.go holds the table). Env-gated so the

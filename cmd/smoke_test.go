@@ -15,7 +15,7 @@ import (
 // with byte-identical stdout and output files. Exit 0 is each tool's own
 // verdict: xtfuzz found no divergence in the fixed seed set of that mode,
 // xtinject's control runs stayed clean and no architectural-state fault went
-// silent, xttrace's -selfcheck held (CPI buckets sum to total cycles, the
+// silent, xt910sim's -selfcheck held (CPI buckets sum to total cycles, the
 // Konata trace validates with one retired µop per retired instruction), and
 // each examples/ program ran to its end (they have no worker pool: both runs
 // are the same). Gated behind XT_CLI_SMOKE=1 so the ordinary test sweep does not pay for
@@ -41,7 +41,7 @@ func TestCLISmoke(t *testing.T) {
 		// clear of the known irq divergences, ROADMAP 2a)
 		{"fuzz-smp-irq", "xtfuzz", []string{"-json", "-modes", "smp,irq", "-n", "40", "-seed", "1"}, true, nil},
 		{"inject", "xtinject", []string{"-n", "6", "-faults", "6"}, true, nil},
-		{"trace", "xttrace", []string{"-selfcheck", "-iters", "2", "-konata", "{dir}/t.kanata", "-jsonl", "{dir}/t.jsonl", "eembc-a2time"},
+		{"trace", "xt910sim", []string{"-selfcheck", "-iters", "2", "-konata", "{dir}/t.kanata", "-jsonl", "{dir}/t.jsonl", "eembc-a2time"},
 			false, []string{"t.kanata", "t.jsonl"}},
 		{"example-quickstart", "quickstart", nil, false, nil},
 		{"example-toolchain", "toolchain", nil, false, nil},
@@ -52,7 +52,7 @@ func TestCLISmoke(t *testing.T) {
 
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"xt910/cmd/xtfuzz", "xt910/cmd/xtinject", "xt910/cmd/xttrace",
+		"xt910/cmd/xtfuzz", "xt910/cmd/xtinject", "xt910/cmd/xt910sim",
 		"xt910/examples/quickstart", "xt910/examples/toolchain", "xt910/examples/vector_ai",
 		"xt910/examples/multicore_smp", "xt910/examples/prefetch_tuning")
 	if b, err := build.CombinedOutput(); err != nil {

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"xt910/internal/bench"
 )
 
 const loopProgram = `
@@ -90,10 +92,109 @@ func TestTraceMatchesEmulator(t *testing.T) {
 	}
 }
 
-// TestUnknownConfigIsUsageError: a bad -config exits 2, as in xttrace.
+// TestUnknownConfigIsUsageError: a bad -config exits 2.
 func TestUnknownConfigIsUsageError(t *testing.T) {
 	var out, errb bytes.Buffer
 	if rc := run([]string{"-config", "bogus", "loop.s"}, &out, &errb); rc != 2 {
 		t.Errorf("-config bogus: exit %d, want 2", rc)
+	}
+}
+
+// TestStreamWorkloadResolves: xt910sim names workloads as xtbench does, so
+// the dedicated-configuration kernels (STREAM here) run like any other and
+// -list prints them.
+func TestStreamWorkloadResolves(t *testing.T) {
+	var out, errb bytes.Buffer
+	if rc := run([]string{"-iters", "1", "-selfcheck", "stream"}, &out, &errb); rc != 0 {
+		t.Fatalf("xt910sim stream: exit %d\nstderr: %s", rc, errb.String())
+	}
+	if !strings.Contains(out.String(), "selfcheck: ok") {
+		t.Errorf("stdout: %q", out.String())
+	}
+
+	out.Reset()
+	if rc := run([]string{"-list"}, &out, &errb); rc != 0 {
+		t.Fatalf("xt910sim -list: exit %d", rc)
+	}
+	var want []string
+	for _, w := range bench.Workloads() {
+		want = append(want, w.Name)
+	}
+	if got := strings.Fields(out.String()); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("-list printed %v, want %v", got, want)
+	}
+}
+
+// TestUnknownNamesAreUsageErrors: a bad -config is a usage error (exit 2),
+// a bad workload name a run failure (exit 1).
+func TestUnknownNamesAreUsageErrors(t *testing.T) {
+	var out, errb bytes.Buffer
+	if rc := run([]string{"-config", "bogus", "stream"}, &out, &errb); rc != 2 {
+		t.Errorf("-config bogus: exit %d, want 2", rc)
+	}
+	if rc := run([]string{"no-such-kernel"}, &out, &errb); rc != 1 {
+		t.Errorf("unknown workload: exit %d, want 1", rc)
+	}
+}
+
+// TestExitStatus: the exit status is hart 0's halt, not the program's exit
+// code (a workload's checksum, printed instead); a tracer flag with -emu is
+// a usage error.
+func TestExitStatus(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "exit7.s")
+	if err := os.WriteFile(src, []byte("_start:\n    li a0, 7\n    li a7, 93\n    ecall\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		rc   int
+		out  string
+	}{
+		{[]string{src}, 0, "[hart 0] halted=true exit=7 "},
+		{[]string{"-emu", src}, 0, "[emu] halted=true exit=7 "},
+		{[]string{"-max-cycles", "2000", "stream"}, 1, "[hart 0] halted=false "},
+		{[]string{"-cores", "2", "-max-cycles", "2000", "stream"}, 1, "[hart 1] halted=false "},
+		{[]string{"-emu", "-max-cycles", "2000", "stream"}, 1, "[emu] halted=false "},
+		{[]string{"-emu", "-cpipc", "3", src}, 2, ""},
+		{[]string{"-emu", "-selfcheck", src}, 2, ""},
+	} {
+		var out, errb bytes.Buffer
+		if rc := run(c.args, &out, &errb); rc != c.rc || !strings.Contains(out.String(), c.out) {
+			t.Errorf("%v: exit %d, want %d; stdout %q lacks %q\nstderr: %s", c.args, rc, c.rc, out.String(), c.out, errb.String())
+		}
+	}
+}
+
+// TestTracerOnlyWhenAsked: a plain run carries no tracer, so it prints no
+// CPI stack; -stats attaches one and prints hart 0's. A workload and the .s
+// file of its source run the same cycles either way.
+func TestTracerOnlyWhenAsked(t *testing.T) {
+	w, _ := bench.FindWorkload("stream")
+	src := filepath.Join(t.TempDir(), "stream.s")
+	if err := os.WriteFile(src, []byte(w.Gen(1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hart0 := func(args ...string) (line string, traced bool) {
+		var out, errb bytes.Buffer
+		if rc := run(args, &out, &errb); rc != 0 {
+			t.Fatalf("%v: exit %d\nstderr: %s", args, rc, errb.String())
+		}
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(l, "[hart 0]") {
+				line = l
+			}
+			traced = traced || strings.HasPrefix(l, "cpi-stack: ")
+		}
+		return line, traced
+	}
+	plain, traced := hart0(src)
+	if traced {
+		t.Error("a plain run printed a CPI stack")
+	}
+	if stats, traced := hart0("-stats", src); !traced || stats != plain {
+		t.Errorf("-stats: CPI stack %v, hart 0 %q; want one and %q", traced, stats, plain)
+	}
+	if named, _ := hart0("-iters", "1", "stream"); named != plain {
+		t.Errorf("stream by name: %q; from its source: %q", named, plain)
 	}
 }

@@ -148,7 +148,6 @@ type runResult struct {
 	Cycles     uint64
 	Retired    uint64
 	Exit       int
-	Wall       time.Duration // host wall time of the simulation loop
 	Interrupts uint64
 	WFIParked  uint64
 	Walks      uint64          // page-table walks
@@ -160,9 +159,10 @@ func (r runResult) IPC() float64 { return float64(r.Retired) / float64(r.Cycles)
 
 // Machine is the system every harness run simulates unless an experiment
 // varies it: one core of cfg over a 2 MB, 16-way L2 and the paper's
-// 200-cycle DRAM, its stack below 0x400000. cmd/xttrace traces on the same
-// machine. The L2 hit latency is set to the stock one rather than left 0, so
-// that a StockEnv run is the same run, shared by the scope, as a Machine one.
+// 200-cycle DRAM, its stack below 0x400000. cmd/xt910sim runs programs on
+// the same machine. The L2 hit latency is set to the stock one rather than
+// left 0, so that a StockEnv run is the same run, shared by the scope, as a
+// Machine one.
 func Machine(cfg core.Config) soc.Config {
 	m := soc.DefaultConfig()
 	m.Core, m.L2SizeBytes, m.L2HitLatency = cfg, 2<<20, coherence.StockHitLatency
@@ -211,7 +211,6 @@ func simulate(ctx context.Context, o Options, p *asm.Program, sys soc.Config, su
 	if su != nil {
 		su.apply(c, s.Mem)
 	}
-	start := time.Now()
 	_, err = s.RunContext(ctx, 2_000_000_000)
 	sched.AddCycles(ctx, c.Stats.Cycles)
 	sched.AddInstrs(ctx, c.Stats.Retired)
@@ -225,7 +224,6 @@ func simulate(ctx context.Context, o Options, p *asm.Program, sys soc.Config, su
 		Cycles:     c.Stats.Cycles,
 		Retired:    c.Stats.Retired,
 		Exit:       c.ExitCode,
-		Wall:       time.Since(start),
 		Interrupts: c.Stats.Interrupts,
 		WFIParked:  c.Stats.WFIParkedCycles,
 		Walks:      c.MMU.Stats.Walks,
@@ -272,19 +270,13 @@ func cpiColumn(r runResult) string {
 	return r.CPI.String()
 }
 
-// counterRow copies the run's interrupt-delivery and WFI-park counters plus
-// the host-speed figures onto a table row (they reach xtbench -json; zero
-// values stay omitted, and the host-speed fields never enter the formatted
-// tables, which stay byte-identical across hosts and -jobs widths).
+// counterRow copies the run's interrupt-delivery and WFI-park counters onto
+// a table row (they reach xtbench -json; zero values stay omitted).
 func counterRow(row perf.Row, r runResult) perf.Row {
 	row.Interrupts = r.Interrupts
 	row.WFIParked = r.WFIParked
 	if row.CPI != "" {
 		row.CPIPC = r.CPIPC // per-PC line rides along with the CPI stack
-	}
-	if s := r.Wall.Seconds(); s > 0 {
-		row.HostMIPS = float64(r.Retired) / s / 1e6
-		row.SimCyclesPerSec = float64(r.Cycles) / s
 	}
 	return row
 }

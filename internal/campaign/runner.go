@@ -126,8 +126,8 @@ func runInjectItem(ctx context.Context, spec *Spec, it Item) (ItemResult, error)
 }
 
 // benchRecord is the merged-report row of one benchmark experiment. Wall
-// times and the rows' host-speed fields are deliberately absent: every field
-// derives from simulated state, so the row is deterministic.
+// times are deliberately absent: every field derives from simulated state,
+// so the row is deterministic.
 type benchRecord struct {
 	ID     string       `json:"id"`
 	Result *perf.Result `json:"result"`
@@ -146,11 +146,7 @@ func runBenchItem(ctx context.Context, spec *Spec, it Item) (ItemResult, error) 
 		}
 		return ItemResult{}, r.Err
 	}
-	res := r.Value.(*perf.Result)
-	for i := range res.Rows {
-		res.Rows[i].HostMIPS, res.Rows[i].SimCyclesPerSec = 0, 0
-	}
-	line, err := json.Marshal(benchRecord{ID: it.Exp, Result: res})
+	line, err := json.Marshal(benchRecord{ID: it.Exp, Result: r.Value.(*perf.Result)})
 	if err != nil {
 		return ItemResult{}, err
 	}

@@ -5,7 +5,7 @@
 // live in exactly one place. Defaults differ per tool; names and meanings
 // never do. The host-profiling flags -cpuprofile / -memprofile, the
 // daemons' live -pprof endpoint, and the -config core preset name that
-// xt910sim and xttrace take, live here too.
+// xt910sim takes, live here too.
 package cliflags
 
 import (

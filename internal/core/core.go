@@ -321,10 +321,19 @@ func (c *Core) Release() {
 	freeCkpts.Put(&c.ckpts)
 }
 
-// Reset re-points the core at a new entry PC with a given stack pointer.
-// Its decode caches stay: an entry is used only while memory still holds the
-// word it was decoded from, so a program loaded since cannot meet a stale one.
+// Reset re-points the core at a new entry PC with a given stack pointer. On
+// a core that has stepped it first empties the pipeline, as a flush does but
+// counting none, and zeroes the x and f registers, so the new program starts
+// as it would on a fresh core. Its decode caches stay: an entry is used only
+// while memory still holds the word it was decoded from, so a program loaded
+// since cannot meet a stale one.
 func (c *Core) Reset(pc, sp uint64) {
+	if c.now > 0 {
+		c.emptyPipeline(trace.SquashNone)
+		for _, p := range c.archRAT {
+			c.pf.write(p, 0, 0)
+		}
+	}
 	c.fetchPC = pc
 	c.pf.write(c.rat[isa.SP], sp, 0)
 	c.pf.clobbered = true

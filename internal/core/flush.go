@@ -81,10 +81,24 @@ func (c *Core) squashYounger(keepSeq uint64) {
 
 // flushAll empties the whole pipeline (taken at retirement for exceptions,
 // serializing instructions and memory-ordering squashes, Fig. 8) and
-// restarts fetch at pc, attributing every killed µop to cause. The
-// speculative RAT is rebuilt from the retirement RAT, the speculative vector
-// unit from the committed one, and the free list from scratch.
+// restarts fetch at pc after the redirect gap, attributing every killed µop
+// to cause.
 func (c *Core) flushAll(pc uint64, cause trace.SquashCause) {
+	c.emptyPipeline(cause)
+	c.fetchPC = pc
+	c.fetchAllowed = c.now + uint64(c.Cfg.MispredictMin)
+	if c.fetchAllowed > c.feRedirectUntil {
+		// serialize/exception refill: frontend cycles until fetch resumes are
+		// redirect-bound (mispredict recovery sets badSpecUntil instead)
+		c.feRedirectUntil = c.fetchAllowed
+	}
+	c.Stats.Flushes++
+}
+
+// emptyPipeline kills every in-flight µop, attributing it to cause. The
+// speculative RAT is rebuilt from the retirement RAT and the speculative
+// vector unit from the committed one.
+func (c *Core) emptyPipeline(cause trace.SquashCause) {
 	// release every in-flight rename
 	for i := 0; i < c.robQ.len(); i++ {
 		u := c.robQ.at(i)
@@ -115,14 +129,6 @@ func (c *Core) flushAll(pc uint64, cause trace.SquashCause) {
 	}
 	c.fq.reset()
 	c.fetchWait = false
-	c.fetchPC = pc
-	c.fetchAllowed = c.now + uint64(c.Cfg.MispredictMin)
-	if c.fetchAllowed > c.feRedirectUntil {
-		// serialize/exception refill: frontend cycles until fetch resumes are
-		// redirect-bound (mispredict recovery sets badSpecUntil instead)
-		c.feRedirectUntil = c.fetchAllowed
-	}
-	c.Stats.Flushes++
 	for p := range c.pipeBusy {
 		c.pipeBusy[p] = 0
 	}

@@ -26,8 +26,8 @@ type Checkpoint struct {
 	Cycles uint64 `json:"cycles"`
 	// Output is the program output accumulated up to the boundary.
 	Output []byte `json:"output,omitempty"`
-	// Arch is the golden model's architectural snapshot (no CSR subset —
-	// the full raw CSR file lives in CSRs).
+	// Arch is the golden model's architectural snapshot; its CSR file is
+	// CSRs.
 	Arch emu.ArchState `json:"arch"`
 	// CSRs is the complete raw CSR file (emu.Machine.DumpCSRs), unfiltered
 	// by any comparison policy.

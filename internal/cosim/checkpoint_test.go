@@ -191,6 +191,16 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("checkpoint encoding is not deterministic")
 	}
+
+	// A checkpoint written while the architectural snapshot still carried
+	// its always-null CSR map decodes to the same checkpoint.
+	old := bytes.Replace(buf2.Bytes(), []byte(`"arch":{`), []byte(`"arch":{"CSR":null,`), 1)
+	if bytes.Equal(old, buf2.Bytes()) {
+		t.Fatal(`no "arch" object in the encoding`)
+	}
+	if got, err := DecodeCheckpoint(bytes.NewReader(old)); err != nil || !reflect.DeepEqual(cp, got) {
+		t.Fatalf(`a checkpoint with "CSR": null did not decode to the same checkpoint (err %v)`, err)
+	}
 }
 
 func TestCheckpointRejectsPerturbedState(t *testing.T) {

@@ -269,10 +269,7 @@ func TestShrinkMinimizes(t *testing.T) {
 			{rri(isa.ADDI, isa.X(9), operand(isa.T0), 3)},
 		},
 	}
-	src, r := shrink(p, Options{})
-	if r.Diverged {
-		t.Fatalf("healthy program reported divergent:\n%s", r.Report)
-	}
+	src := shrink(p, Options{})
 	// With nothing diverging, the mask must stay full: shrink only keeps
 	// removals that preserve a failure.
 	for _, seg := range []string{"addi x6", "addi x7", "addi x9"} {

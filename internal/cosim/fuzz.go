@@ -46,12 +46,11 @@ const (
 
 // FuzzResult is the outcome of one seeded fuzz iteration.
 type FuzzResult struct {
-	Seed         int64
-	Err          error // generation/assembly failure: a fuzzer bug, not a model bug
-	Diverged     bool
-	Result       Result // run of the full generated program
-	Shrunk       string // minimized reproducer (set when Diverged)
-	ShrunkResult Result
+	Seed     int64
+	Err      error // generation/assembly failure: a fuzzer bug, not a model bug
+	Diverged bool
+	Result   Result // run of the full generated program
+	Shrunk   string // minimized reproducer (set when Diverged)
 
 	// TimedOut marks a seed killed by the per-seed watchdog (after one retry
 	// at twice the budget); Retried marks a seed that needed the retry but
@@ -95,7 +94,7 @@ func FuzzContext(ctx context.Context, seed int64, nSegs int, opts Options) FuzzR
 		return fr
 	}
 	fr.Diverged = true
-	fr.Shrunk, fr.ShrunkResult = shrink(prog, opts)
+	fr.Shrunk = shrink(prog, opts)
 	return fr
 }
 

@@ -13,17 +13,14 @@ import (
 // single segments) and keep any removal that still diverges. The result is
 // deterministic for a given program and the run budget bounds worst-case
 // shrink cost on pathological inputs.
-func shrink(p *program, opts Options) (string, Result) {
+func shrink(p *program, opts Options) string {
 	mask := make([]bool, len(p.segs))
 	for i := range mask {
 		mask[i] = true
 	}
-	try := func(m []bool) (Result, bool) {
+	diverges := func(m []bool) bool {
 		prog, err := p.build(m)
-		if err != nil {
-			return Result{}, false
-		}
-		return Run(prog, opts), true
+		return err == nil && Run(prog, opts).Diverged
 	}
 	budget := 300
 	for improved := true; improved && budget > 0; {
@@ -42,16 +39,14 @@ func shrink(p *program, opts Options) (string, Result) {
 					continue
 				}
 				budget--
-				if r, ok := try(trial); ok && r.Diverged {
+				if diverges(trial) {
 					mask = trial
 					improved = true
 				}
 			}
 		}
 	}
-	src := p.render(mask)
-	r, _ := try(mask)
-	return src, r
+	return p.render(mask)
 }
 
 // RunSeeds fuzzes each seed on the worker pool (one job per seed) and

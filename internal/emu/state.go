@@ -17,10 +17,6 @@ type ArchState struct {
 	ResValid bool
 	ResAddr  uint64
 
-	// CSR is nil in a Snapshot: the full CSR file is DumpCSRs'. The field
-	// stays so that encoded checkpoints keep their shape.
-	CSR map[uint16]uint64
-
 	// V holds one byte slice per vector register (nil without a vector unit).
 	V     [][]byte
 	VL    uint64

@@ -134,6 +134,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 		opts.Timeout = 60 * time.Second
 	}
 	rep := &Report{}
+	pool := sched.Options{Workers: opts.Jobs, Timeout: opts.Timeout}
 
 	// Phase 1: control runs.
 	ctl := make([]control, len(opts.Seeds))
@@ -141,8 +142,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 	for i, seed := range opts.Seeds {
 		i, seed := i, seed
 		jobs[i] = sched.Job{
-			ID:      fmt.Sprintf("control/seed%d", seed),
-			Timeout: opts.Timeout,
+			ID: fmt.Sprintf("control/seed%d", seed),
 			Run: func(ctx context.Context) (any, error) {
 				r, err := cleanRun(ctx, seed, opts)
 				if err != nil {
@@ -159,7 +159,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 			},
 		}
 	}
-	for i, r := range sched.Run(ctx, jobs, sched.Options{Workers: opts.Jobs}) {
+	for i, r := range sched.Run(ctx, jobs, pool) {
 		if r.Err != nil {
 			return nil, r.Err
 		}
@@ -206,8 +206,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 			}
 		}
 		jobs[i] = sched.Job{
-			ID:      fmt.Sprintf("fault/seed%d/%d", f.Seed, i),
-			Timeout: opts.Timeout,
+			ID: fmt.Sprintf("fault/seed%d/%d", f.Seed, i),
 			Run: func(ctx context.Context) (any, error) {
 				fr := runFault(ctx, f, opts, maxCycles)
 				return fr, nil
@@ -215,7 +214,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 		}
 	}
 	rep.Results = make([]FaultResult, len(faults))
-	for i, r := range sched.Run(ctx, jobs, sched.Options{Workers: opts.Jobs}) {
+	for i, r := range sched.Run(ctx, jobs, pool) {
 		if r.Err != nil {
 			// a recovered panic is itself a campaign datum
 			rep.Results[i] = FaultResult{Fault: faults[i], Outcome: Crashed, Err: r.Err.Error()}

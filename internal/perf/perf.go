@@ -32,13 +32,6 @@ type Row struct {
 	// for runs that never took an interrupt or parked).
 	Interrupts uint64 `json:"interrupts,omitempty"`
 	WFIParked  uint64 `json:"wfi_parked,omitempty"`
-
-	// HostMIPS and SimCyclesPerSec track simulator speed for this row's run:
-	// retired instructions per host microsecond and simulated cycles per host
-	// second. JSON-only — they depend on the host and never enter Format(),
-	// so the text tables stay byte-identical across machines and -jobs widths.
-	HostMIPS        float64 `json:"host_mips,omitempty"`
-	SimCyclesPerSec float64 `json:"sim_cycles_per_sec,omitempty"`
 }
 
 // Result is one reproduced experiment.

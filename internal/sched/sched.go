@@ -31,9 +31,6 @@ type Job struct {
 	// deadline and metrics accounting; simulations report progress through
 	// AddCycles(ctx, n).
 	Run func(ctx context.Context) (any, error)
-	// Timeout, when positive, bounds this job's wall time (overriding the
-	// pool-wide Options.Timeout).
-	Timeout time.Duration
 }
 
 // Result is the outcome of one job together with its host-side metrics.
@@ -91,7 +88,7 @@ func (e *PanicError) Error() string { return fmt.Sprintf("simulation panicked: %
 type Options struct {
 	// Workers bounds concurrency; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Timeout, when positive, is the default per-job deadline.
+	// Timeout, when positive, bounds each job's wall time.
 	Timeout time.Duration
 	// OnDone, when set, receives each Result as its job completes
 	// (completion order, serialized — safe to write to a terminal).
@@ -181,7 +178,7 @@ func Run(ctx context.Context, jobs []Job, o Options) []Result {
 }
 
 // runJob executes one job with panic recovery, deadline and metrics.
-func runJob(ctx context.Context, j Job, defaultTimeout time.Duration) Result {
+func runJob(ctx context.Context, j Job, timeout time.Duration) Result {
 	res := Result{ID: j.ID}
 	if err := ctx.Err(); err != nil {
 		// the whole run was cancelled before this job started
@@ -191,13 +188,9 @@ func runJob(ctx context.Context, j Job, defaultTimeout time.Duration) Result {
 	var cycles, instrs atomic.Uint64
 	jctx := context.WithValue(ctx, cyclesKey, &cycles)
 	jctx = context.WithValue(jctx, instrsKey, &instrs)
-	if d := j.Timeout; d > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(jctx, d)
-		defer cancel()
-	} else if defaultTimeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(jctx, defaultTimeout)
+		jctx, cancel = context.WithTimeout(jctx, timeout)
 		defer cancel()
 	}
 	start := time.Now()

@@ -85,21 +85,6 @@ func TestPanicBecomesJobError(t *testing.T) {
 	}
 }
 
-func TestPerJobTimeout(t *testing.T) {
-	jobs := []Job{{
-		ID:      "slow",
-		Timeout: 5 * time.Millisecond,
-		Run: func(ctx context.Context) (any, error) {
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-	}}
-	rs := Run(context.Background(), jobs, Options{})
-	if !errors.Is(rs[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", rs[0].Err)
-	}
-}
-
 func TestPoolTimeoutDefault(t *testing.T) {
 	jobs := []Job{{ID: "slow", Run: func(ctx context.Context) (any, error) {
 		<-ctx.Done()
