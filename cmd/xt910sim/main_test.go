@@ -146,21 +146,24 @@ func TestExitStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		args []string
-		rc   int
-		out  string
+		args   []string
+		rc     int
+		out    string
+		stderr string
 	}{
-		{[]string{src}, 0, "[hart 0] halted=true exit=7 "},
-		{[]string{"-emu", src}, 0, "[emu] halted=true exit=7 "},
-		{[]string{"-max-cycles", "2000", "stream"}, 1, "[hart 0] halted=false "},
-		{[]string{"-cores", "2", "-max-cycles", "2000", "stream"}, 1, "[hart 1] halted=false "},
-		{[]string{"-emu", "-max-cycles", "2000", "stream"}, 1, "[emu] halted=false "},
-		{[]string{"-emu", "-cpipc", "3", src}, 2, ""},
-		{[]string{"-emu", "-selfcheck", src}, 2, ""},
+		{[]string{src}, 0, "[hart 0] halted=true exit=7 ", ""},
+		{[]string{"-emu", src}, 0, "[emu] halted=true exit=7 ", ""},
+		{[]string{"-max-cycles", "2000", "stream"}, 1, "[hart 0] halted=false ", "within 2000 cycles"},
+		{[]string{"-cores", "2", "-max-cycles", "2000", "stream"}, 1, "[hart 1] halted=false ", ""},
+		{[]string{"-emu", "-max-cycles", "2000", "stream"}, 1, "[emu] halted=false ", "within 2000 instructions"},
+		{[]string{"-emu", "-cpipc", "3", src}, 2, "", ""},
+		{[]string{"-emu", "-selfcheck", src}, 2, "", ""},
 	} {
 		var out, errb bytes.Buffer
-		if rc := run(c.args, &out, &errb); rc != c.rc || !strings.Contains(out.String(), c.out) {
-			t.Errorf("%v: exit %d, want %d; stdout %q lacks %q\nstderr: %s", c.args, rc, c.rc, out.String(), c.out, errb.String())
+		rc := run(c.args, &out, &errb)
+		if rc != c.rc || !strings.Contains(out.String(), c.out) || !strings.Contains(errb.String(), c.stderr) {
+			t.Errorf("%v: exit %d, want %d; stdout %q lacks %q or stderr lacks %q\nstderr: %s",
+				c.args, rc, c.rc, out.String(), c.out, c.stderr, errb.String())
 		}
 	}
 }

@@ -158,14 +158,11 @@ type runResult struct {
 func (r runResult) IPC() float64 { return float64(r.Retired) / float64(r.Cycles) }
 
 // Machine is the system every harness run simulates unless an experiment
-// varies it: one core of cfg over a 2 MB, 16-way L2 and the paper's
-// 200-cycle DRAM, its stack below 0x400000. cmd/xt910sim runs programs on
-// the same machine. The L2 hit latency is set to the stock one rather than
-// left 0, so that a StockEnv run is the same run, shared by the scope, as a
-// Machine one.
+// varies it: soc.DefaultConfig's stock machine with a core of cfg.
+// cmd/xt910sim runs programs on the same machine.
 func Machine(cfg core.Config) soc.Config {
 	m := soc.DefaultConfig()
-	m.Core, m.L2SizeBytes, m.L2HitLatency = cfg, 2<<20, coherence.StockHitLatency
+	m.Core = cfg
 	return m
 }
 

@@ -323,16 +323,19 @@ func (c *Core) Release() {
 
 // Reset re-points the core at a new entry PC with a given stack pointer. On
 // a core that has stepped it first empties the pipeline, as a flush does but
-// counting none, and zeroes the x and f registers, so the new program starts
-// as it would on a fresh core. Its decode caches stay: an entry is used only
-// while memory still holds the word it was decoded from, so a program loaded
-// since cannot meet a stale one.
+// counting none, zeroes the x and f registers and starts Stats, Output and
+// ExitCode afresh, so the new program runs and counts as on a fresh core.
+// The cycle clock, caches, predictors, CSRs and privilege level stay warm,
+// as do the decode caches: an entry is used only while memory still holds
+// the word it was decoded from, so a program loaded since cannot meet a
+// stale one.
 func (c *Core) Reset(pc, sp uint64) {
 	if c.now > 0 {
 		c.emptyPipeline(trace.SquashNone)
 		for _, p := range c.archRAT {
 			c.pf.write(p, 0, 0)
 		}
+		c.Stats, c.Output, c.ExitCode = Stats{}, nil, 0
 	}
 	c.fetchPC = pc
 	c.pf.write(c.rat[isa.SP], sp, 0)
@@ -353,9 +356,9 @@ func (c *Core) TakeFcsrWrite() bool { return c.priv.TakeFcsrWrite() }
 // Now returns the current cycle.
 func (c *Core) Now() uint64 { return c.now }
 
-// AttachTracer connects the pipeline-event tracer (nil detaches). Attach
-// before the first Step: the CPI stack's exact-partition property (buckets
-// sum to Stats.Cycles) holds only over cycles the tracer observed.
+// AttachTracer connects the pipeline-event tracer (nil detaches). Attach a
+// fresh one before the first Step after New or Reset: the CPI stack's buckets
+// sum to Stats.Cycles only if the tracer observed every cycle Stats counts.
 func (c *Core) AttachTracer(t *trace.Tracer) { c.tr = t }
 
 // Tracer returns the attached tracer, or nil.
@@ -437,7 +440,7 @@ func (c *Core) Step() {
 		}
 		c.Stats.WFIParkedCycles++
 		c.now++
-		c.Stats.Cycles = c.now
+		c.Stats.Cycles++
 		return
 	}
 	var retiredBefore uint64
@@ -456,7 +459,7 @@ func (c *Core) Step() {
 		c.tr.Cycle(cl, sub, pc)
 	}
 	c.now++
-	c.Stats.Cycles = c.now
+	c.Stats.Cycles++
 }
 
 // cycleAttr implements the top-down CPI-stack attribution rule (see

@@ -193,7 +193,7 @@ func (c *Core) AdvanceIdle(to uint64) {
 		c.ff.Armed += n
 	}
 	c.now = to
-	c.Stats.Cycles = to
+	c.Stats.Cycles += n
 }
 
 // ffIssueEstimate lower-bounds the cycle µop u could issue on pipe p: the

@@ -118,9 +118,11 @@ func TestReloadDecodesNewImage(t *testing.T) {
 }
 
 // TestResetRestartsHaltedCore: a program loaded over one that ran to its
-// halt and started with Reset runs as it does on a fresh core — the same
-// retired count, exit code and output — so nothing the first program left in
-// the pipeline or the registers reaches the second.
+// halt and started with Reset runs and counts as it does on a fresh core —
+// the same Stats.Retired, exit code and output, read whole rather than as
+// deltas, and Stats.Cycles counting from the reset — so nothing the first
+// program left in the pipeline, the registers or the counters reaches the
+// second.
 func TestResetRestartsHaltedCore(t *testing.T) {
 	first, err := workloads.CoreMark.Program(1, true)
 	if err != nil {
@@ -132,13 +134,16 @@ func TestResetRestartsHaltedCore(t *testing.T) {
 	}
 	run := func(c *Core, memory *mem.Memory, p *asm.Program) (retired uint64, exit int, out string) {
 		p.LoadInto(memory)
-		retired, written := c.Stats.Retired, len(c.Output)
+		start := c.Now()
 		c.Reset(p.Entry, 0x400000)
 		c.Run(50_000_000)
 		if !c.Halted {
 			t.Fatal("did not halt")
 		}
-		return c.Stats.Retired - retired, c.ExitCode, string(c.Output[written:])
+		if c.Stats.Cycles != c.Now()-start {
+			t.Errorf("Stats.Cycles %d, but the clock moved %d since Reset", c.Stats.Cycles, c.Now()-start)
+		}
+		return c.Stats.Retired, c.ExitCode, string(c.Output)
 	}
 	fresh, freshMem := buildCore(XT910Config())
 	wantRetired, wantExit, wantOut := run(fresh, freshMem, second)

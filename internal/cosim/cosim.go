@@ -137,18 +137,15 @@ func (o Options) Validate() error {
 	return m.Validate()
 }
 
-// machine is the core world a session runs: one cluster of its harts over a
-// 2 MB L2 and the paper's 200-cycle DRAM, stacks 32 KB apart below stackBase.
+// machine is the core world a session runs: the stock machine with one
+// cluster of its harts, stacks 32 KB apart below stackBase.
 func (o Options) machine() soc.Config {
-	cfg := o.Config
-	if cfg.RetireWidth == 0 {
-		cfg = core.XT910Config()
+	m := soc.DefaultConfig()
+	if o.Config.RetireWidth != 0 {
+		m.Core = o.Config
 	}
-	return soc.Config{
-		CoresPerCluster: o.effectiveHarts(), Clusters: 1, Core: cfg,
-		L2SizeBytes: 2 << 20, L2Ways: 16, DRAMLatency: 200, DRAMGap: 4,
-		StackBase: stackBase, StackSize: 0x8000,
-	}
+	m.CoresPerCluster, m.StackBase, m.StackSize = o.effectiveHarts(), stackBase, 0x8000
+	return m
 }
 
 // effectiveHarts resolves the hart-pair count (see Options.Harts).

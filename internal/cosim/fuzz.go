@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"xt910/internal/asm"
@@ -103,7 +104,10 @@ func FuzzContext(ctx context.Context, seed int64, nSegs int, opts Options) FuzzR
 // opts.Modes.IRQ).
 func GenerateSource(seed int64, nSegs int, opts Options) (string, []IRQEvent) {
 	prog := generate(seed, nSegs, opts.modes(), opts.effectiveHarts())
-	return prog.render(nil), prog.irq
+	if prog.irqs == nil {
+		return prog.render(nil), nil
+	}
+	return prog.render(nil), prog.irqs[0]
 }
 
 // GenerateProgram returns the image of the deterministic fuzz program for a
@@ -127,15 +131,14 @@ type program struct {
 	segs    [][]asm.Item // independent hazard segments
 	trapEnd bool         // end with ebreak instead of the exit ecall
 	data    []asm.Item   // scratch-buffer contents
-	irq     []IRQEvent   // hart 0's interrupt schedule (IRQ mode); implies the handler
-	irqs    [][]IRQEvent // per-hart schedules (IRQ mode; irqs[0] == irq)
+	irqs    [][]IRQEvent // per-hart interrupt schedules (IRQ mode); implies the handler
 	smp     bool         // SPMD multi-hart profile; implies the handler
 }
 
 // handler reports whether the program installs the interrupt handler: every
 // scheduled run needs it for delivery, and every SMP run needs it so MSIP
 // IPIs can be taken (and the level-triggered doorbell cleared).
-func (p *program) handler() bool { return p.smp || len(p.irq) > 0 }
+func (p *program) handler() bool { return p.smp || p.irqs != nil }
 
 // The fixed parts of every program.
 var (
@@ -299,11 +302,10 @@ type gen struct {
 	rng      *rand.Rand
 	items    []asm.Item // everything emitted so far: inits, then the segments back to back
 	label    int
-	lastDest operand // RAW-chain bias: last integer destination written
-	paged    bool    // S-mode/SV39 profile: alias-window segments enabled
-	irq      bool    // interrupt-injection profile: WFI/MIE-toggle segments
-	smp      bool    // SPMD multi-hart profile: cross-hart contention segments
-	harts    int     // hart count the SMP segments target (IPI wrap-around)
+	lastDest operand  // RAW-chain bias: last integer destination written
+	kinds    []segRow // the mode set's root segment table (segTables)
+	harts    int      // hart count the SMP segments target (IPI wrap-around)
+	prog     program  // what generate returns, in g's allocation (g escapes through the segment emitters)
 }
 
 func (g *gen) emit(items ...asm.Item) { g.items = append(g.items, items...) }
@@ -332,15 +334,6 @@ func (g *gen) newLabel(stem string) string {
 	return stem + "_" + strconv.Itoa(g.label)
 }
 
-// itemsPerSeg sizes the generator's Item buffer: a little over the mean
-// segment length (the SMP contention segments are the long ones).
-func itemsPerSeg(modes Modes) int {
-	if modes.SMP {
-		return 8
-	}
-	return 5
-}
-
 func generate(seed int64, nSegs int, modes Modes, harts int) *program {
 	if nSegs == 0 {
 		nSegs = 40
@@ -348,13 +341,19 @@ func generate(seed int64, nSegs int, modes Modes, harts int) *program {
 	if harts < 1 {
 		harts = 1
 	}
-	g := &gen{rng: rand.New(rand.NewSource(seed)), paged: modes.Paged, irq: modes.IRQ,
-		smp: modes.SMP, harts: harts, lastDest: noOperand,
-		items: make([]asm.Item, 0, 48+nSegs*itemsPerSeg(modes))}
+	// The Item buffer holds a little over the mean segment length per
+	// segment (the SMP contention segments are the long ones).
+	perSeg := 5
+	if modes.SMP {
+		perSeg = 8
+	}
+	g := &gen{rng: rand.New(rand.NewSource(seed)), kinds: segTables[modes], harts: harts, lastDest: noOperand,
+		items: make([]asm.Item, 0, 48+nSegs*perSeg)}
 	// trapEnd is incompatible with an installed handler (ebreak would vector
 	// into it and mret back onto itself forever), so IRQ and SMP programs
 	// always end on the exit ecall.
-	p := &program{smp: modes.SMP, trapEnd: !modes.IRQ && !modes.SMP && g.rng.Intn(10) == 0}
+	p := &g.prog
+	p.smp, p.trapEnd = modes.SMP, !modes.IRQ && !modes.SMP && g.rng.Intn(10) == 0
 	for _, r := range gpPool {
 		g.emit(asm.Li(r, int64(g.rng.Uint64())))
 	}
@@ -384,7 +383,6 @@ func generate(seed int64, nSegs int, modes Modes, harts int) *program {
 		for h := 0; h < harts; h++ {
 			p.irqs[h] = g.schedule(nSegs)
 		}
-		p.irq = p.irqs[0]
 	}
 	return p
 }
@@ -410,58 +408,106 @@ func (g *gen) schedule(nSegs int) []IRQEvent {
 	return evs
 }
 
-// segment emits one self-contained hazard segment. The SMP profile swaps the
-// segments that are unsound across harts for scalar equivalents: vector
-// stores write memory at execute time (a remote hart would see them out of
-// commit order), and cross-hart self-modifying code has no defined coherence
-// point in the model.
-func (g *gen) segment() {
-	switch {
-	case g.smp && g.rng.Intn(3) == 0:
-		g.segSMP()
-		return
-	case g.paged && g.rng.Intn(12) == 0:
-		g.segPaged()
-		return
-	case g.irq && g.rng.Intn(8) == 0:
-		g.segIRQ()
-		return
+// A segRow is one kind of segment: its weight among its table's rows and
+// either an emitter or a nested table to draw from in turn. smp, on a base
+// row, is the emitter that replaces the row under the SMP profile.
+type segRow struct {
+	weight int
+	emit   func(*gen)
+	sub    []segRow
+	smp    func(*gen)
+}
+
+// baseKinds is every profile's segment mix. The SMP profile swaps the rows
+// that are unsound across harts for scalar equivalents: vector stores write
+// memory at execute time (a remote hart would see them out of commit order),
+// and cross-hart self-modifying code has no defined coherence point in the
+// model. Adding a segment shape is adding a row here or in a nested table.
+var baseKinds = []segRow{
+	{weight: 28, emit: (*gen).segALU},
+	{weight: 16, emit: (*gen).segMem},
+	{weight: 8, emit: (*gen).segBranch},
+	{weight: 7, emit: (*gen).segLoop},
+	{weight: 7, emit: (*gen).segLRSC},
+	{weight: 6, emit: (*gen).segAMO},
+	{weight: 7, emit: (*gen).segFPU},
+	{weight: 5, emit: (*gen).segCSR},
+	{weight: 5, emit: (*gen).segFFlags},
+	{weight: 4, emit: (*gen).segCustom},
+	{weight: 3, emit: (*gen).segSMC, smp: (*gen).segMem},
+	{weight: 4, sub: vectorKinds, smp: (*gen).segALU},
+}
+
+// Vector blocks (configure, load, compute, store, extract) keep their
+// addresses inside the buffer (VL <= 16, SEW == 32 bits).
+var vectorKinds = []segRow{{weight: 1, emit: (*gen).segVectorUnit}, {weight: 1, emit: (*gen).segVectorMasked},
+	{weight: 1, emit: (*gen).segVectorStrided}, {weight: 1, emit: (*gen).segVectorIndexed}}
+
+// smpKinds are the cross-hart contention segments.
+var smpKinds = []segRow{{weight: 1, emit: (*gen).segSMPLRSC}, {weight: 1, emit: (*gen).segSMPAMO},
+	{weight: 1, emit: (*gen).segSMPProdCons}, {weight: 1, emit: (*gen).segSMPIPI}}
+
+// pagedKinds only make sense under translation: accesses through the +1GB
+// alias window, page-crossing accesses, and (rarely) a page fault that ends
+// the program.
+var pagedKinds = []segRow{{weight: 1, emit: (*gen).segPageFault}, {weight: 2, emit: (*gen).segAliasStore},
+	{weight: 1, emit: (*gen).segPageCross}, {weight: 4, emit: (*gen).segAliasLRSC}}
+
+// segTables is each mode set's root table: the base rows (SMP column applied
+// under SMP) below a one-in-n tier per mode, outermost first — SMP 1 in 3,
+// then paged 1 in 12, then irq 1 in 8.
+var segTables = map[Modes][]segRow{}
+
+func init() {
+	smpBase := slices.Clone(baseKinds)
+	for i, k := range smpBase {
+		if k.smp != nil {
+			smpBase[i] = segRow{weight: k.weight, emit: k.smp}
+		}
 	}
-	switch r := g.rng.Intn(100); {
-	case r < 28:
-		g.segALU()
-	case r < 44:
-		g.segMem()
-	case r < 52:
-		g.segBranch()
-	case r < 59:
-		g.segLoop()
-	case r < 66:
-		g.segLRSC()
-	case r < 72:
-		g.segAMO()
-	case r < 79:
-		g.segFPU()
-	case r < 84:
-		g.segCSR()
-	case r < 89:
-		g.segFFlags()
-	case r < 93:
-		g.segCustom()
-	case r < 96:
-		if g.smp {
-			g.segMem()
-		} else {
-			g.segSMC()
+	for i := range 8 {
+		m := Modes{Paged: i&1 != 0, IRQ: i&2 != 0, SMP: i&4 != 0}
+		t := baseKinds
+		if m.SMP {
+			t = smpBase
 		}
-	default:
-		if g.smp {
-			g.segALU()
-		} else {
-			g.segVector()
-		}
+		t = tier(m.IRQ, 8, segRow{emit: (*gen).segIRQ}, t)
+		t = tier(m.Paged, 12, segRow{sub: pagedKinds}, t)
+		segTables[m] = tier(m.SMP, 3, segRow{sub: smpKinds}, t)
 	}
 }
+
+// tier draws row one time in n and the table t otherwise, when on.
+func tier(on bool, n int, row segRow, t []segRow) []segRow {
+	if !on {
+		return t
+	}
+	row.weight = 1
+	return []segRow{row, {weight: n - 1, sub: t}}
+}
+
+// pick draws one row of t by weight and emits it; a one-row table draws
+// nothing from the stream.
+func (g *gen) pick(t []segRow) {
+	i := 0
+	if len(t) > 1 {
+		sum := 0
+		for _, k := range t {
+			sum += k.weight
+		}
+		for r := g.rng.Intn(sum); r >= t[i].weight; i++ {
+			r -= t[i].weight
+		}
+	}
+	if k := &t[i]; k.sub != nil {
+		g.pick(k.sub)
+	} else {
+		k.emit(g)
+	}
+}
+
+// segment emits one self-contained hazard segment.
+func (g *gen) segment() { g.pick(g.kinds) }
 
 var aluRR = []isa.Op{isa.ADD, isa.SUB, isa.SLL, isa.SRL, isa.SRA, isa.SLT, isa.SLTU, isa.XOR, isa.OR, isa.AND,
 	isa.ADDW, isa.SUBW, isa.SLLW, isa.SRLW, isa.SRAW,
@@ -642,20 +688,6 @@ func (g *gen) distinct(n int) []isa.Reg {
 		out[i] = gpPool[j]
 	}
 	return out
-}
-
-// segSMP picks one cross-hart contention segment.
-func (g *gen) segSMP() {
-	switch g.rng.Intn(4) {
-	case 0:
-		g.segSMPLRSC()
-	case 1:
-		g.segSMPAMO()
-	case 2:
-		g.segSMPProdCons()
-	default:
-		g.segSMPIPI()
-	}
 }
 
 // segSMPLRSC is an LR/SC retry loop on the shared contention line: every hart
@@ -880,22 +912,6 @@ func (g *gen) segSMC() {
 
 var vecVVOps = []isa.Op{isa.VADDVV, isa.VSUBVV, isa.VANDVV, isa.VORVV, isa.VXORVV, isa.VMULVV, isa.VMINVV, isa.VMAXVV}
 
-// segVector emits a small vector block: configure, load, compute, store,
-// extract. Four variants cover unit-stride, masked, strided and indexed
-// accesses; addresses stay inside the buffer (VL <= 16, SEW == 32 bits).
-func (g *gen) segVector() {
-	switch g.rng.Intn(4) {
-	case 0:
-		g.segVectorUnit()
-	case 1:
-		g.segVectorMasked()
-	case 2:
-		g.segVectorStrided()
-	default:
-		g.segVectorIndexed()
-	}
-}
-
 // vvOp draws one of the vector-vector ops.
 func (g *gen) vvOp() isa.Op { return vecVVOps[g.rng.Intn(len(vecVVOps))] }
 
@@ -1063,23 +1079,6 @@ func (g *gen) segFFlags() {
 			asm.CSRR(rd, isa.CSRFflags))
 	default: // frm write (non-functional rounding, but state must match)
 		g.emit(asm.CSRI(isa.CSRRWI, rd, isa.CSRFrm, int64(g.rng.Intn(8))), asm.CSRR(t, isa.CSRFcsr))
-	}
-}
-
-// segPaged emits segments that only make sense under translation: accesses
-// through the +1GB alias window sharing physical lines with identity
-// addresses, page-crossing accesses, and (rarely) an outright page fault
-// that ends the program.
-func (g *gen) segPaged() {
-	switch g.rng.Intn(8) {
-	case 0:
-		g.segPageFault()
-	case 1, 2:
-		g.segAliasStore()
-	case 3:
-		g.segPageCross()
-	default:
-		g.segAliasLRSC()
 	}
 }
 

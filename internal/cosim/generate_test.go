@@ -15,7 +15,22 @@ import (
 
 const sourceTextGoldenFile = "testdata/source_text_golden.txt"
 
-var genModes = []string{"", "paged", "irq", "smp"}
+var genModes = []string{"", "paged", "irq", "smp", "smp,irq"}
+
+// TestPickOneRowDrawsNothing: a one-row table emits its row without drawing
+// from the stream, so a table cut down to one kind leaves every later draw
+// where it was.
+func TestPickOneRowDrawsNothing(t *testing.T) {
+	g, ref := &gen{rng: rand.New(rand.NewSource(1))}, rand.New(rand.NewSource(1))
+	emitted := false
+	g.pick([]segRow{{weight: 5, emit: func(*gen) { emitted = true }}})
+	if !emitted {
+		t.Fatal("the row was not emitted")
+	}
+	if g.rng.Int63() != ref.Int63() {
+		t.Fatal("picking from a one-row table drew from the stream")
+	}
+}
 
 // goldenMasks are three fixed shrink masks over n segments: every other
 // segment, the first half, and one segment in seven.

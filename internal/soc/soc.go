@@ -37,14 +37,16 @@ type Config struct {
 // maxHarts is four clusters of four cores (Table I).
 const maxHarts = 16
 
-// DefaultConfig is a single-core XT-910 with a 1 MB L2 and 200-cycle memory.
+// DefaultConfig is the stock machine the harness's tables, cosim sessions and
+// the facade measure: one XT-910 core, a 2 MB L2 and 200-cycle memory.
 func DefaultConfig() Config {
 	return Config{
 		CoresPerCluster: 1,
 		Clusters:        1,
 		Core:            core.XT910Config(),
-		L2SizeBytes:     1 << 20,
+		L2SizeBytes:     2 << 20,
 		L2Ways:          16,
+		L2HitLatency:    coherence.StockHitLatency, // not 0, so a run keyed on it equals one at the stock latency
 		DRAMLatency:     200,
 		DRAMGap:         4,
 		StackBase:       0x400000,

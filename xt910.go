@@ -62,8 +62,8 @@ func A73Core() CoreConfig { return core.A73Config() }
 // Config sizes a full system (cores per cluster, clusters, L2, DRAM).
 type Config = soc.Config
 
-// DefaultConfig returns a single-core XT-910 with 1 MB L2 and the paper's
-// 200-cycle memory latency.
+// DefaultConfig returns the stock machine xtbench's tables measure: one
+// XT-910 core, a 2 MB L2 and the paper's 200-cycle memory latency.
 func DefaultConfig() Config { return soc.DefaultConfig() }
 
 // Stats exposes the per-core performance counters.
