@@ -34,8 +34,9 @@
 //
 // Exit status: 0 when hart 0 halts (and -selfcheck holds), 1 when it does
 // not halt within -max-cycles or the run or self-check fails, 2 on usage
-// errors. -max-cycles counts cycles on the pipeline and retired instructions
-// under -emu, which has no clock. The program's own exit code is printed,
+// errors. -max-cycles counts cycles on the pipeline and steps under -emu,
+// which has no clock: a step retires an instruction or takes a trap or an
+// interrupt (emu.Machine.Run). The program's own exit code is printed,
 // not returned: a workload's exit code is its checksum.
 package main
 
@@ -76,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 	cores := fs.Int("cores", 1, "cores per cluster (1, 2 or 4)")
 	clusters := fs.Int("clusters", 1, "clusters (1-4)")
 	compress := fs.Bool("compress", true, "enable RVC auto-compression")
-	maxCycles := fs.Uint64("max-cycles", 500_000_000, "simulation budget in cycles (retired instructions under -emu)")
+	maxCycles := fs.Uint64("max-cycles", 500_000_000, "simulation budget in cycles (steps under -emu: retired instructions, traps and interrupts)")
 	konataPath := fs.String("konata", "", "write a Kanata pipeline trace of hart 0 to this file")
 	jsonlPath := fs.String("jsonl", "", "write a JSONL µop trace of hart 0 to this file")
 	start := fs.Uint64("start", 0, "first traced cycle")
@@ -145,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		stdout.Write(m.Output)
 		fmt.Fprintf(stdout, "\n[emu] halted=%v exit=%d instret=%d\n", m.Halted, m.ExitCode, m.Instret)
 		if !m.Halted {
-			return fail(fmt.Errorf("did not halt within %d instructions", *maxCycles))
+			return fail(fmt.Errorf("did not halt within %d steps", *maxCycles))
 		}
 		return 0
 	}

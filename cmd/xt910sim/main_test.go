@@ -155,7 +155,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-emu", src}, 0, "[emu] halted=true exit=7 ", ""},
 		{[]string{"-max-cycles", "2000", "stream"}, 1, "[hart 0] halted=false ", "within 2000 cycles"},
 		{[]string{"-cores", "2", "-max-cycles", "2000", "stream"}, 1, "[hart 1] halted=false ", ""},
-		{[]string{"-emu", "-max-cycles", "2000", "stream"}, 1, "[emu] halted=false ", "within 2000 instructions"},
+		{[]string{"-emu", "-max-cycles", "2000", "stream"}, 1, "[emu] halted=false ", "within 2000 steps"},
 		{[]string{"-emu", "-cpipc", "3", src}, 2, "", ""},
 		{[]string{"-emu", "-selfcheck", src}, 2, "", ""},
 	} {

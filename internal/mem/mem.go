@@ -116,6 +116,22 @@ func (c *Code) Held(m *Memory, pa uint64) (raw uint32, ok bool) {
 	return 0, false
 }
 
+// Page returns the held page when pa lies on it and it is still m's, and nil
+// otherwise. A fetch loop may read the words after pa from it (Word) for as
+// long as nothing can have taken m's page arrays away.
+func (c *Code) Page(m *Memory, pa uint64) *[PageSize]byte {
+	if pa-c.base < PageSize && c.mem == m && c.gen == m.gen {
+		return c.page
+	}
+	return nil
+}
+
+// Word returns the instruction at offset off of a code page, as Held does.
+// off must be at most PageSize-4.
+func Word(p *[PageSize]byte, off uint64) uint32 {
+	return instWord(binary.LittleEndian.Uint32(p[off : off+4]))
+}
+
 // Load returns the instruction at pa in m, as Held does, read through the
 // memory; it holds pa's page, when m has it, for the Held calls after. The
 // bytes are physically contiguous, so a 32-bit form starting on a page's last
