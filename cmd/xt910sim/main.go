@@ -22,7 +22,7 @@
 //	xt910sim -selfcheck -konata t.k coremark # validate the trace afterwards
 //	xt910sim -cpuprofile cpu.pb prog.s       # host CPU profile of the run (go tool pprof)
 //
-// The machine is bench.Machine — one core over a 2 MB L2 — with -cores and
+// The machine is soc.DefaultConfig — one core over a 2 MB L2 — with -cores and
 // -clusters applied, so a single-hart run takes the cycles xtbench reports.
 // The tracer is attached only when an output needs it (a trace file, -cpipc,
 // -selfcheck or -stats): it costs host time. Its CPI stack always covers the
@@ -151,8 +151,8 @@ func run(args []string, stdout, stderr io.Writer) (rc int) {
 		return 0
 	}
 
-	cfg := bench.Machine(*coreCfg)
-	cfg.CoresPerCluster, cfg.Clusters = *cores, *clusters
+	cfg := soc.DefaultConfig()
+	cfg.Core, cfg.CoresPerCluster, cfg.Clusters = *coreCfg, *cores, *clusters
 	sys, err := soc.New(cfg)
 	if err != nil {
 		return fail(err)

@@ -7,6 +7,7 @@ import (
 	"xt910/internal/core"
 	"xt910/internal/perf"
 	"xt910/internal/prefetch"
+	"xt910/internal/soc"
 	"xt910/internal/workloads"
 )
 
@@ -46,7 +47,7 @@ func Ablations(ctx context.Context, o Options) (*perf.Result, error) {
 
 	// one full machine, referenced by every study: the scope simulates each
 	// workload on it once however many studies compare against it
-	full := core.XT910Config()
+	full := soc.DefaultConfig()
 	var ids []string
 	var fns []func(context.Context) (runResult, error)
 	for _, s := range studies {
@@ -55,11 +56,11 @@ func Ablations(ctx context.Context, o Options) (*perf.Result, error) {
 			iters = 1
 		}
 		cut := full
-		s.mut(&cut)
-		for ai, cfg := range []core.Config{full, cut} {
+		s.mut(&cut.Core)
+		for ai, sys := range []soc.Config{full, cut} {
 			ids = append(ids, "ablation/"+s.name+"/"+[2]string{"full", "cut"}[ai])
 			fns = append(fns, func(ctx context.Context) (runResult, error) {
-				return runWorkload(ctx, o, s.w, iters, Machine(cfg))
+				return runWorkload(ctx, o, s.w, iters, sys)
 			})
 		}
 	}
@@ -101,7 +102,7 @@ func Density(ctx context.Context, o Options) (*perf.Result, error) {
 			if err != nil {
 				return armOut{}, err
 			}
-			r, err := runProgram(ctx, o, p, Machine(core.XT910Config()), nil)
+			r, err := runProgram(ctx, o, p, soc.DefaultConfig(), nil)
 			if err != nil {
 				return armOut{}, err
 			}

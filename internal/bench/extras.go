@@ -124,7 +124,7 @@ func VectorMAC(ctx context.Context, o Options) (*perf.Result, error) {
 	}
 	arm := func(w workloads.Workload) func(context.Context) (runResult, error) {
 		return func(ctx context.Context) (runResult, error) {
-			return runWorkload(ctx, o, w, iters, Machine(core.XT910Config()))
+			return runWorkload(ctx, o, w, iters, soc.DefaultConfig())
 		}
 	}
 	runs, err := runJobs(ctx, o, []string{"vector/scalar", "vector/vector", "vector/fp16"},
@@ -196,12 +196,11 @@ func HugePages(ctx context.Context, o Options) (*perf.Result, error) {
 	}
 	arm := func(huge bool) func(context.Context) (runResult, error) {
 		return func(ctx context.Context) (runResult, error) {
-			cfg := core.XT910Config()
-			cfg.UTLBEntries = 8
-			cfg.JTLBEntries = 32
-			cfg.L1D.MSHRs = 2
-			cfg.Prefetch.Mode = prefetch.ModeOff // expose the raw TLB behaviour
-			sys := Machine(cfg)
+			sys := soc.DefaultConfig()
+			sys.Core.UTLBEntries = 8
+			sys.Core.JTLBEntries = 32
+			sys.Core.L1D.MSHRs = 2
+			sys.Core.Prefetch.Mode = prefetch.ModeOff // expose the raw TLB behaviour
 			sys.L2SizeBytes, sys.L2Ways, sys.DRAMGap = 256<<10, 8, 12
 			return runProgram(ctx, o, prog, sys, pagedSetup{tableBase: 0x600000, mapBytes: 0x800000, huge: huge})
 		}
@@ -232,7 +231,7 @@ func Blockchain(ctx context.Context, o Options) (*perf.Result, error) {
 	iters := o.iters(workloads.BlockchainBase)
 	arm := func(w workloads.Workload) func(context.Context) (runResult, error) {
 		return func(ctx context.Context) (runResult, error) {
-			return runWorkload(ctx, o, w, iters, Machine(core.XT910Config()))
+			return runWorkload(ctx, o, w, iters, soc.DefaultConfig())
 		}
 	}
 	runs, err := runJobs(ctx, o, []string{"blockchain/base", "blockchain/ext"},

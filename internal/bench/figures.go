@@ -9,6 +9,7 @@ import (
 	"xt910/internal/core"
 	"xt910/internal/perf"
 	"xt910/internal/prefetch"
+	"xt910/internal/soc"
 	"xt910/internal/workloads"
 )
 
@@ -157,7 +158,7 @@ func Fig20(ctx context.Context, o Options) (*perf.Result, error) {
 				if err != nil {
 					return armOut{}, err
 				}
-				r, err := runProgram(ctx, o, p, Machine(core.XT910Config()), nil)
+				r, err := runProgram(ctx, o, p, soc.DefaultConfig(), nil)
 				if err != nil {
 					return armOut{}, err
 				}
@@ -235,10 +236,9 @@ func Fig21(ctx context.Context, o Options) (*perf.Result, error) {
 		sc := sc
 		ids[i] = "fig21/" + sc.label[:1]
 		fns[i] = func(ctx context.Context) (runResult, error) {
-			cfg := core.XT910Config()
-			cfg.Prefetch = sc.pf
-			cfg.L1D.MSHRs = 1 // FPGA-harness memory path concurrency (see DESIGN.md)
-			sys := Machine(cfg)
+			sys := soc.DefaultConfig()
+			sys.Core.Prefetch = sc.pf
+			sys.Core.L1D.MSHRs = 1 // FPGA-harness memory path concurrency (see DESIGN.md)
 			sys.L2SizeBytes, sys.L2Ways, sys.DRAMGap = 256<<10, 8, 12
 			r, err := runProgram(ctx, o, prog, sys, setup)
 			if err != nil {

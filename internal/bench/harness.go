@@ -91,10 +91,11 @@ func (o Options) env() Env {
 	return o.Env
 }
 
-// machine is Machine(cfg) with the env's L2 hit latency.
+// machine is the stock machine with a core of cfg and the env's L2 hit
+// latency.
 func (e Env) machine(cfg core.Config) soc.Config {
-	m := Machine(cfg)
-	m.L2HitLatency = e.L2Hit
+	m := soc.DefaultConfig()
+	m.Core, m.L2HitLatency = cfg, e.L2Hit
 	return m
 }
 
@@ -156,15 +157,6 @@ type runResult struct {
 }
 
 func (r runResult) IPC() float64 { return float64(r.Retired) / float64(r.Cycles) }
-
-// Machine is the system every harness run simulates unless an experiment
-// varies it: soc.DefaultConfig's stock machine with a core of cfg.
-// cmd/xt910sim runs programs on the same machine.
-func Machine(cfg core.Config) soc.Config {
-	m := soc.DefaultConfig()
-	m.Core = cfg
-	return m
-}
 
 // setup prepares a freshly reset core before its first cycle.
 type setup interface {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"xt910/internal/branch"
+	"xt910/internal/cache"
 	"xt910/internal/coherence"
 	"xt910/internal/mem"
 	"xt910/internal/mmu"
@@ -215,10 +216,9 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 		sq:     newRing(&freeSqEntries, cfg.SQSize),
 		ckpts:  freeCkpts.Get(cfg.Checkpoints),
 		memDep: make(map[uint64]bool),
-		priv:   isa.Priv{Level: isa.PrivM},
 	}
 	c.LoopBuf = branch.NewLoopBuffer()
-	c.MMU = mmu.New(func(pa uint64, now uint64) (uint64, uint64) {
+	c.MMU = mmu.New(&c.priv, func(pa uint64, now uint64) (uint64, uint64) {
 		return memory.Read(pa, 8), l2.ReadWord(pa, now)
 	})
 	if cfg.UTLBEntries > 0 {
@@ -237,13 +237,13 @@ func New(cfg Config, id int, memory *mem.Memory, l2 *coherence.L2) *Core {
 	}
 	c.pf, c.rat, c.archRAT = newPhysFile(cfg.IntPhysRegs, cfg.FpPhysRegs)
 	c.newQueues()
-	c.priv.Write(isa.CSRMhartid, uint64(id))
 	if cfg.PredecodeCache {
 		c.predec = newPredecode()
 	}
 	if cfg.PredecodeSuperblock {
 		c.sblk = newSuperblockCache()
 	}
+	c.Reset(0, 0)
 	return c
 }
 
@@ -321,26 +321,35 @@ func (c *Core) Release() {
 	freeCkpts.Put(&c.ckpts)
 }
 
-// Reset re-points the core at a new entry PC with a given stack pointer. On
-// a core that has stepped it first empties the pipeline, as a flush does but
-// counting none, zeroes the x and f registers and starts Stats, Output and
-// ExitCode afresh, so the new program runs and counts as on a fresh core.
-// The cycle clock, caches, predictors, CSRs and privilege level stay warm,
-// as do the decode caches: an entry is used only while memory still holds
-// the word it was decoded from, so a program loaded since cannot meet a
-// stale one.
+// Reset starts a program at pc with stack pointer sp. New runs it too, so a
+// program starts alike on a fresh core and on one that has run. The rule:
+// what a program can observe through an instruction starts as on a fresh
+// core — the x, f and vector registers, vl and vtype, every CSR (in M-mode,
+// mhartid set), the LR/SC reservation, a wfi wait, both TLBs (a stale
+// ASID-tagged translation is visible), Stats, Output, ExitCode and the cache
+// and MMU counters the hpm CSRs read, so cycle, time and instret count from
+// here. What it can observe only through timing stays warm: the clock,
+// caches, predictors, memory-dependence table, prefetcher and decode caches
+// (an entry serves only while memory holds the word it was decoded from).
+// The pipeline empties as in a flush, counting none.
 func (c *Core) Reset(pc, sp uint64) {
-	if c.now > 0 {
-		c.emptyPipeline(trace.SquashNone)
-		for _, p := range c.archRAT {
-			c.pf.write(p, 0, 0)
-		}
-		c.Stats, c.Output, c.ExitCode = Stats{}, nil, 0
+	c.emptyPipeline(trace.SquashNone)
+	for _, p := range c.archRAT {
+		c.pf.write(p, 0, 0)
 	}
-	c.fetchPC = pc
 	c.pf.write(c.rat[isa.SP], sp, 0)
 	c.pf.clobbered = true
-	c.Halted = false
+	if c.Vec != nil {
+		c.Vec.Reset()
+		c.specVec.Reset()
+	}
+	c.priv = isa.Priv{Level: isa.PrivM}
+	c.priv.Write(isa.CSRMhartid, uint64(c.ID))
+	c.resAddr, c.resOK, c.wfiWait = 0, false, false
+	c.MMU.FlushAll()
+	c.Stats, c.Output, c.ExitCode, c.Halted = Stats{}, nil, 0, false
+	c.L1I.Cache.Stats, c.L1D.Cache.Stats, c.MMU.Stats = cache.Stats{}, cache.Stats{}, mmu.Stats{}
+	c.fetchPC = pc
 }
 
 // Reg reads an architectural register through the retirement map (valid when
@@ -366,10 +375,7 @@ func (c *Core) Tracer() *trace.Tracer { return c.tr }
 
 // SetPrivilege places the core in the given privilege level (harness setup
 // for runs under SV39 translation).
-func (c *Core) SetPrivilege(p int) {
-	c.priv.Level = p
-	c.MMU.Priv = p
-}
+func (c *Core) SetPrivilege(p int) { c.priv.Level = p }
 
 // CSR reads a CSR value (retire-time architectural state): the clocks, the
 // hpm counters, the vector configuration and mip's source bits are the
@@ -377,7 +383,7 @@ func (c *Core) SetPrivilege(p int) {
 func (c *Core) CSR(num uint16) uint64 {
 	switch num {
 	case isa.CSRCycle, isa.CSRMcycle, isa.CSRTime:
-		return c.now
+		return c.Stats.Cycles
 	case isa.CSRInstret, isa.CSRMinstret:
 		return c.Stats.Retired
 	case isa.CSRVl, isa.CSRVtype, isa.CSRVlenb:
@@ -415,13 +421,8 @@ func (c *Core) CSR(num uint16) uint64 {
 }
 
 // SetCSR writes a CSR (setup / retire-time execution) through isa.Priv's
-// window; a satp write reaches the MMU too.
-func (c *Core) SetCSR(num uint16, v uint64) {
-	c.priv.Write(num, v)
-	if num == isa.CSRSatp {
-		c.MMU.Satp = v
-	}
-}
+// window, which the MMU reads satp from.
+func (c *Core) SetCSR(num uint16, v uint64) { c.priv.Write(num, v) }
 
 // Step advances the pipeline by one cycle. Stage order is retire → execute →
 // dispatch → fetch so that same-cycle structural effects resolve oldest-first.

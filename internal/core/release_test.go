@@ -117,46 +117,6 @@ func TestReloadDecodesNewImage(t *testing.T) {
 	}
 }
 
-// TestResetRestartsHaltedCore: a program loaded over one that ran to its
-// halt and started with Reset runs and counts as it does on a fresh core —
-// the same Stats.Retired, exit code and output, read whole rather than as
-// deltas, and Stats.Cycles counting from the reset — so nothing the first
-// program left in the pipeline, the registers or the counters reaches the
-// second.
-func TestResetRestartsHaltedCore(t *testing.T) {
-	first, err := workloads.CoreMark.Program(1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := workloads.AIDotScalar.Program(1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(c *Core, memory *mem.Memory, p *asm.Program) (retired uint64, exit int, out string) {
-		p.LoadInto(memory)
-		start := c.Now()
-		c.Reset(p.Entry, 0x400000)
-		c.Run(50_000_000)
-		if !c.Halted {
-			t.Fatal("did not halt")
-		}
-		if c.Stats.Cycles != c.Now()-start {
-			t.Errorf("Stats.Cycles %d, but the clock moved %d since Reset", c.Stats.Cycles, c.Now()-start)
-		}
-		return c.Stats.Retired, c.ExitCode, string(c.Output)
-	}
-	fresh, freshMem := buildCore(XT910Config())
-	wantRetired, wantExit, wantOut := run(fresh, freshMem, second)
-
-	c, memory := buildCore(XT910Config())
-	run(c, memory, first)
-	retired, exit, out := run(c, memory, second)
-	if retired != wantRetired || exit != wantExit || out != wantOut {
-		t.Errorf("after a halted run: retired %d, exit %d, output %q; a fresh core: %d, %d, %q",
-			retired, exit, out, wantRetired, wantExit, wantOut)
-	}
-}
-
 // newCoreObjects bounds what a core's New/Release pair allocates once the
 // free lists hold a core's tables: the measured 22 objects plus 10 %. It was
 // 40 while the register file, both rename maps, the checkpoints and the

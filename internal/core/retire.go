@@ -242,11 +242,9 @@ func (c *Core) executeAtRetire(u *uop) bool {
 			u.excTval = u.pc
 		case isa.MRET:
 			u.redirectTo = c.priv.Mret()
-			c.MMU.Priv = c.priv.Level
 			u.flushAfter = true
 		case isa.SRET:
 			u.redirectTo = c.priv.Sret()
-			c.MMU.Priv = c.priv.Level
 			u.flushAfter = true
 		case isa.SFENCEVMA:
 			c.MMU.FlushAll()
@@ -484,7 +482,6 @@ func (c *Core) takeInterrupt(pend uint64) {
 		resume = c.fq.front().pc
 	}
 	cause, target := c.priv.Interrupt(pend, resume)
-	c.MMU.Priv = c.priv.Level
 	c.Stats.Interrupts++
 	c.flushAll(target, trace.SquashInterrupt)
 	// everything in flight was squashed by the delivery: the refill window is
@@ -500,7 +497,6 @@ func (c *Core) takeInterrupt(pend uint64) {
 func (c *Core) takeTrap(u *uop) {
 	cause := int(u.excCause)
 	target, ok := c.priv.Trap(cause, u.pc, u.excTval)
-	c.MMU.Priv = c.priv.Level
 	c.Stats.Traps++
 	if !ok {
 		c.Halted, c.ExitCode = true, isa.NoHandlerExit(cause)

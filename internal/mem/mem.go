@@ -93,6 +93,14 @@ func (m *Memory) Release() {
 	m.gen++
 }
 
+// Clear makes every byte read zero again. It keeps the pages, so a Code
+// holding one reads the zeros too.
+func (m *Memory) Clear() {
+	for _, p := range m.pages {
+		clear(p[:])
+	}
+}
+
 // Code reads instruction words for a fetch path. It holds the page it last
 // read a word from, which stays that memory's page until a Release or
 // RestoreSnapshot takes page arrays away (gen), so whoever writes the page

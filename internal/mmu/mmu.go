@@ -28,27 +28,26 @@ type MMU struct {
 	Micro *MicroTLB
 	Joint *JointTLB
 
-	// Satp mirrors the satp CSR; Priv is the current privilege level.
-	Satp uint64
-	Priv int
-
+	priv  *isa.Priv // the hart's: its privilege level and satp
 	read  TimedRead
 	Stats Stats
 }
 
 // New returns an MMU with XT-910-like defaults (32-entry uTLB, 1024-entry
-// 4-way jTLB) reading PTEs through the supplied timed reader.
-func New(read TimedRead) *MMU {
+// 4-way jTLB) translating for the hart whose privileged state is priv and
+// reading PTEs through the supplied timed reader.
+func New(priv *isa.Priv, read TimedRead) *MMU {
 	return &MMU{
 		Micro: NewMicroTLB(32),
 		Joint: NewJointTLB(1024, 4),
+		priv:  priv,
 		read:  read,
 	}
 }
 
 // Enabled reports whether SV39 translation is active for data accesses.
 func (m *MMU) Enabled() bool {
-	return isa.SatpMode(m.Satp) == isa.SatpModeSV39 && m.Priv != isa.PrivM
+	return m.priv.Level != isa.PrivM && isa.SatpMode(m.priv.Satp()) == isa.SatpModeSV39
 }
 
 // Translate translates va for the access type, returning the physical
@@ -59,9 +58,10 @@ func (m *MMU) Translate(va uint64, acc Access, now uint64) (pa uint64, done uint
 		return va, now, nil
 	}
 	m.Stats.Lookups++
-	asid := isa.SatpASID(m.Satp)
+	satp := m.priv.Satp()
+	asid := isa.SatpASID(satp)
 	if e, ok := m.Micro.Lookup(va, asid); ok {
-		if !PermOK(e.perms, acc, m.Priv) {
+		if !PermOK(e.perms, acc, m.priv.Level) {
 			m.Stats.Faults++
 			return 0, now, &PageFault{VA: va, Access: acc}
 		}
@@ -71,7 +71,7 @@ func (m *MMU) Translate(va uint64, acc Access, now uint64) (pa uint64, done uint
 	if e, probes, ok := m.Joint.Lookup(va, asid); ok {
 		m.Stats.JointHits++
 		m.Stats.JointProbes += uint64(probes)
-		if !PermOK(e.perms, acc, m.Priv) {
+		if !PermOK(e.perms, acc, m.priv.Level) {
 			m.Stats.Faults++
 			return 0, now, &PageFault{VA: va, Access: acc}
 		}
@@ -86,7 +86,7 @@ func (m *MMU) Translate(va uint64, acc Access, now uint64) (pa uint64, done uint
 		v, d := m.read(ptePA, t)
 		t = d
 		return v
-	}, m.Satp, va, acc, m.Priv)
+	}, satp, va, acc, m.priv.Level)
 	if werr != nil {
 		m.Stats.Faults++
 		return 0, t, werr
@@ -113,7 +113,7 @@ func (m *MMU) TranslateNoWalk(va uint64) (uint64, bool) {
 	if !m.Enabled() {
 		return va, true
 	}
-	asid := isa.SatpASID(m.Satp)
+	asid := isa.SatpASID(m.priv.Satp())
 	if e, ok := m.Micro.Lookup(va, asid); ok {
 		return e.pa(va), true
 	}
@@ -130,7 +130,8 @@ func (m *MMU) Prefill(va uint64) {
 	if !m.Enabled() {
 		return
 	}
-	asid := isa.SatpASID(m.Satp)
+	satp := m.priv.Satp()
+	asid := isa.SatpASID(satp)
 	if _, ok := m.Micro.Lookup(va, asid); ok {
 		return
 	}
@@ -141,7 +142,7 @@ func (m *MMU) Prefill(va uint64) {
 	res, err := Walk(func(ptePA uint64) uint64 {
 		v, _ := m.read(ptePA, 0)
 		return v
-	}, m.Satp, va, AccLoad, m.Priv)
+	}, satp, va, AccLoad, m.priv.Level)
 	if err != nil {
 		return
 	}

@@ -160,12 +160,12 @@ func TestMMUTranslateTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := 0
-	mmuU := New(func(pa uint64, now uint64) (uint64, uint64) {
+	priv := &isa.Priv{Level: isa.PrivS}
+	priv.Write(isa.CSRSatp, tb.Satp(1))
+	mmuU := New(priv, func(pa uint64, now uint64) (uint64, uint64) {
 		reads++
 		return m.Read(pa, 8), now + 20 // pretend every PTE read costs 20 cycles
 	})
-	mmuU.Satp = tb.Satp(1)
-	mmuU.Priv = isa.PrivS
 
 	// first access: full walk (3 PTE reads after 3 jTLB probe rounds)
 	_, done, err := mmuU.Translate(0x2000, AccLoad, 100)
@@ -193,11 +193,11 @@ func TestMMUPrefill(t *testing.T) {
 	if err := tb.IdentityMap(0, 0x40000, PteR|PteW, false); err != nil {
 		t.Fatal(err)
 	}
-	mmuU := New(func(pa uint64, now uint64) (uint64, uint64) {
+	priv := &isa.Priv{Level: isa.PrivS}
+	priv.Write(isa.CSRSatp, tb.Satp(1))
+	mmuU := New(priv, func(pa uint64, now uint64) (uint64, uint64) {
 		return m.Read(pa, 8), now + 20
 	})
-	mmuU.Satp = tb.Satp(1)
-	mmuU.Priv = isa.PrivS
 	mmuU.Prefill(0x3000)
 	if mmuU.Stats.Prefills != 1 {
 		t.Fatal("prefill should install an entry")

@@ -32,10 +32,18 @@ const (
 // NewCLINT builds a CLINT for up to maxHarts harts at the conventional base.
 func NewCLINT(harts int) *CLINT {
 	c := &CLINT{Base: 0x02000000, harts: harts, Divider: 1}
-	for i := range harts {
-		c.mtimecmp[i] = ^uint64(0) // timer disarmed at reset
-	}
+	c.reset()
 	return c
+}
+
+// reset puts the registers in their reset state: mtime 0, no software
+// interrupt pending and every hart's timer disarmed. Base, the hart count and
+// Divider are configuration and stay.
+func (c *CLINT) reset() {
+	c.mtime, c.phase, c.msip, c.mtimecmp = 0, 0, [maxHarts]uint32{}, [maxHarts]uint64{}
+	for i := range c.harts {
+		c.mtimecmp[i] = ^uint64(0)
+	}
 }
 
 // Covers reports whether pa falls inside the CLINT's register window.
@@ -154,6 +162,10 @@ const (
 	plicClaimOff   = 0x200004
 	plicSize       = 0x400000
 )
+
+// reset clears every pending line, claim and enable; Base and the hart count
+// stay.
+func (p *PLIC) reset() { p.pending, p.enable, p.claimed = 0, [maxHarts]uint64{}, 0 }
 
 // Covers reports whether pa falls inside the PLIC window.
 func (p *PLIC) Covers(pa uint64) bool {

@@ -179,10 +179,16 @@ func (s *System) broadcastTLB(op isa.Op, operand uint64, from int) {
 	}
 }
 
-// LoadProgram loads an assembled image and resets every core to its entry,
-// giving each hart its own stack.
+// LoadProgram starts p on every hart as on a fresh System, whatever ran
+// before: memory holds p's image and zeros elsewhere, the CLINT and PLIC
+// registers are at their reset values (their Base and Divider stay), and
+// each core is Reset to p's entry with its own stack. Only timing state —
+// clocks, caches, predictors — stays warm (core.Core.Reset).
 func (s *System) LoadProgram(p *asm.Program) {
+	s.Mem.Clear()
 	p.LoadInto(s.Mem)
+	s.CLINT.reset()
+	s.PLIC.reset()
 	for i, c := range s.Cores {
 		c.Reset(p.Entry, s.Cfg.StackBase-uint64(i)*s.Cfg.StackSize)
 	}

@@ -109,11 +109,16 @@ func NewUnit() *Unit {
 	return &Unit{File: new(File)}
 }
 
+// Reset zeroes every register, vl and vtype.
+func (u *Unit) Reset() {
+	*u.File = File{}
+	u.VL, u.VType = 0, 0
+}
+
 // Release zeroes the unit and hands it to the units created after it. The
 // caller must not use it afterwards.
 func (u *Unit) Release() {
-	*u.File = File{}
-	u.VL, u.VType = 0, 0
+	u.Reset()
 	freeUnits.Put(u)
 }
 

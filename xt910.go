@@ -98,13 +98,17 @@ func NewSystem(cfg Config) (*System, error) {
 	return &System{System: s}, nil
 }
 
-// LoadProgram loads an assembled image and resets every core to its entry.
+// LoadProgram loads an assembled image and starts every core at its entry,
+// as on a fresh System whatever ran before: memory the image does not cover
+// reads zero, and registers, CSRs, privilege level, counters and the
+// interrupt controllers start from reset (soc.System.LoadProgram). Caches
+// and predictors stay warm.
 func (s *System) LoadProgram(p *Program) {
 	s.System.LoadProgram(p)
 	s.loaded = true
 }
 
-// LoadAssembly assembles src and loads it, resetting all cores to its entry.
+// LoadAssembly assembles src and loads it as LoadProgram does.
 func (s *System) LoadAssembly(src string, opts AsmOptions) (*Program, error) {
 	p, err := asm.Assemble(src, opts)
 	if err != nil {
@@ -251,11 +255,12 @@ func NewJSONLWriter(w io.Writer) trace.Sink { return trace.NewJSONLWriter(w) }
 // simulator" of the paper's CDS toolchain, §IX).
 type Emulator = emu.Machine
 
-// NewEmulator builds a functional emulator with the program loaded.
+// NewEmulator builds a functional emulator with the program loaded and hart
+// 0's stack where a System places it.
 func NewEmulator(p *Program) *Emulator {
 	m := emu.New(mem.NewMemory())
 	p.LoadInto(m.Mem)
 	m.PC = p.Entry
-	m.X[2] = 0x400000
+	m.X[isa.SP] = soc.DefaultConfig().StackBase
 	return m
 }
